@@ -8,6 +8,19 @@ the same counter-based splitmix64 stream, so a given (seed, iteration, agent,
 slot) tuple yields identical draws; trajectories agree across backends up to
 floating-point summation order.
 
+The numpy steppers only step.  One block recorder (``_BlockRecorder``) takes
+each row's state and, every B rows, computes the trace rows, the state
+history and the diag maxima for the whole block at once.  Its batched
+products make the same BLAS call per row as recording row by row, so the
+result is bitwise equal to per-step recording.  B = clamp(1 MiB // bytes per
+recorded row, 1, 64) follows from n*d and the number of (n, d) arrays a row
+records: 3 for dgt, 7 for alg1 and alg3, 9 under the EF Lyapunov weight
+(the alg2 default).  At n=20, d=50 that is 43, 18 and 14; B is 1 once a row
+passes 512 KiB (n*d above about 22000 for dgt and 9400 for alg1/alg3).  At
+B = 1 rows are recorded in place, without copies or checkpoints.  A
+non-finite row ends the run at that row: the steps already taken past it
+inside the block are discarded by replaying from the block's first row.
+
 Shared conventions:
 
 * agent states are stacked row-wise, shape (n, d)
@@ -219,9 +232,9 @@ def _compress_block_np(kind, p1, p2, ip, Xin, seed, k, slot):
     if kind == K_IDENTITY:
         return Xin.copy()
     if kind == K_NORM_SIGN:
-        a = np.max(np.abs(Xin), axis=1, keepdims=True)
-        out = np.where(Xin >= 0.0, 0.5 * a, -0.5 * a)
-        return np.where(a > 0.0, out, 0.0)
+        a = np.abs(Xin).max(axis=1, keepdims=True)
+        half = 0.5 * a
+        return np.where(a > 0.0, np.where(Xin >= 0.0, half, -half), 0.0)
     if kind == K_UNIFORM:
         return p1 * np.floor(Xin / p1 + 0.5)
     if kind == K_ONE_BIT:
@@ -849,43 +862,34 @@ def _run_dgt_nb(X0, W, eta, gamma,
 
 
 # ---------------------------------------------------------------------------
-# numpy fallback runs (vectorized; same record/step schedule as the kernels)
+# numpy runs: the steppers only step; one block recorder writes every trace
+# row and diag maximum, B rows at a time
 
-def _metrics_np(suite_pack, X, Y, G, fstar):
-    cost_kind, h, nuv, m, xi, Mq, bq = suite_pack
-    n = X.shape[0]
-    xbar = X.mean(axis=0)
-    ybar = Y.mean(axis=0)
-    gbar = G.mean(axis=0)
-    c_k = float(((X - xbar) ** 2).sum())
-    t_k = float(((Y - ybar) ** 2).sum())
-    if cost_kind == COST_LOGISTIC:
-        z = xi @ xbar + nuv
-        s = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                     np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
-        vsum = float(h @ s + m.sum() * np.log1p(xbar @ xbar))
-        coef = h * s * (1.0 - s)
-        gsum = coef @ xi + (2.0 * m.sum() / (1.0 + xbar @ xbar)) * xbar
-    else:
-        resid = np.einsum("nrd,d->nr", Mq, xbar) - bq
-        vsum = 0.5 * float((resid * resid).sum())
-        gsum = np.einsum("nrd,nr->d", Mq, resid)
-    g_k = vsum - n * fstar
-    s_k = float(gsum @ gsum) / n
-    ytrack = float(np.linalg.norm(ybar - gbar)) / (1.0 + float(np.linalg.norm(gbar)))
-    return xbar, ybar, c_k, t_k, g_k, s_k, ytrack
+# Bytes of row buffers one recorder may hold; B is this over the bytes of a
+# recorded row, clamped to 1.._RECORD_MAX_ROWS (see the module docstring).
+_RECORD_BUDGET = 1 << 20
+_RECORD_MAX_ROWS = 64
+
+
+def _block_rows(nrec, n, d):
+    """Rows per recorded block for ``nrec`` recorded (n, d) arrays a row."""
+    return max(1, min(_RECORD_MAX_ROWS, _RECORD_BUDGET // (nrec * n * d * 8)))
 
 
 def _pack_suite(cost_kind, h, nuv, m, xi, Mq, bq):
     return (cost_kind, h, nuv, m, xi, Mq, bq)
 
 
+def _sigmoid_np(z):
+    """Overflow-free logistic sigmoid."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def _grad_block_np(suite_pack, X):
     cost_kind, h, nuv, m, xi, Mq, bq = suite_pack
     if cost_kind == COST_LOGISTIC:
-        z = np.einsum("ij,ij->i", xi, X) + nuv
-        s = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                     np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+        s = _sigmoid_np(np.einsum("ij,ij->i", xi, X) + nuv)
         r2 = np.einsum("ij,ij->i", X, X)
         return ((h * s * (1.0 - s))[:, None] * xi
                 + (2.0 * m / (1.0 + r2))[:, None] * X)
@@ -893,15 +897,208 @@ def _grad_block_np(suite_pack, X):
     return np.einsum("nrd,nr->nd", Mq, resid)
 
 
-def _struct_resid_np(Acc, Base, W):
-    ref = max(float(np.linalg.norm(Base)), 1e-30)
-    return float(np.linalg.norm(Acc - (Base - W @ Base))) / ref
+# Batched helpers over a leading row axis.  Each batched np.matmul makes the
+# same BLAS call per row as the unbatched product (a @ b, np.linalg.norm's
+# dot, W @ Base), and each reduction sums in the same order, so a block of
+# rows gives bitwise the values that recording row by row gives.  A pairwise
+# sum in place of the dot, or one gemm over stacked rows, would not.
+
+def _dots(A, B):
+    """Row-wise dot products of two (b, m) arrays."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
-def _row_norm_max_np(A, ip_norm):
+def _norms(A):
+    """np.linalg.norm of each row of a (b, ...) array."""
+    F = A.reshape(len(A), -1)
+    return np.sqrt(_dots(F, F))
+
+
+def _sums(A):
+    """.sum() of each row of a (b, ...) array."""
+    return np.add.reduce(A.reshape(len(A), -1), 1)
+
+
+def _metrics_rows(suite_pack, X, Y, G, fstar):
+    """Trace terms of b rows of (n, d) states: agent means of X and Y,
+    consensus and tracking errors, optimality gap, stationarity and the
+    relative mean-y tracking residual."""
+    cost_kind, h, nuv, m, xi, Mq, bq = suite_pack
+    n = X.shape[1]
+    xbar = np.add.reduce(X, 1) / n
+    ybar = np.add.reduce(Y, 1) / n
+    gbar = np.add.reduce(G, 1) / n
+    c = _sums((X - xbar[:, None]) ** 2)
+    t = _sums((Y - ybar[:, None]) ** 2)
+    if cost_kind == COST_LOGISTIC:
+        s = _sigmoid_np(np.matmul(xi, xbar[:, :, None])[:, :, 0] + nuv)
+        xx = _dots(xbar, xbar)
+        msum = m.sum()
+        vsum = np.matmul(h, s[:, :, None])[:, 0] + msum * np.log1p(xx)
+        coef = h * s * (1.0 - s)
+        gsum = (np.matmul(coef[:, None, :], xi)[:, 0]
+                + (2.0 * msum / (1.0 + xx))[:, None] * xbar)
+    else:  # these einsums have no batched form that sums in the same order
+        vsum = np.empty(len(X))
+        gsum = np.empty_like(xbar)
+        for j, xb in enumerate(xbar):
+            resid = np.einsum("nrd,d->nr", Mq, xb) - bq
+            vsum[j] = 0.5 * (resid * resid).sum()
+            gsum[j] = np.einsum("nrd,nr->d", Mq, resid)
+    ytrack = _norms(ybar - gbar) / (1.0 + _norms(gbar))
+    return xbar, ybar, c, t, vsum - n * fstar, _dots(gsum, gsum) / n, ytrack
+
+
+def _struct_resid_rows(Acc, Base, W):
+    """||Acc - (I - W) Base|| / ||Base|| per row: the accumulator identity."""
+    ref = np.maximum(_norms(Base), 1e-30)
+    return _norms(Acc - (Base - np.matmul(W, Base))) / ref
+
+
+def _row_norm_max_rows(A, ip_norm):
+    """Largest agent p-norm (inf if ip_norm == 0, else 2) per row."""
     if ip_norm == 0:
-        return float(np.max(np.abs(A))) if A.size else 0.0
-    return float(np.sqrt((A * A).sum(axis=1)).max()) if A.size else 0.0
+        return np.abs(A).reshape(len(A), -1).max(axis=1)
+    return np.sqrt(np.add.reduce(A * A, 2)).max(axis=1)
+
+
+def _raise_max(diag, i, vals):
+    """diag[i] = max(diag[i], v) for each v in turn; a NaN v never wins."""
+    diag[i] = np.fmax.reduce(vals, initial=diag[i])
+
+
+class _BlockRecorder:
+    """Trace rows and diag maxima of one numpy run, computed B rows at once.
+
+    Row k is the run state before step k as a list that starts X, Y, G and
+    goes on with the run's other recorded arrays: alg1 A, B, C, D (then Ex,
+    Ey under the EF Lyapunov weight), alg3 Xhat, Yhat, V, Z.  The diagnostics
+    of step k (diag 0; alg3 diag 2, 3 and 6) are read off rows k and k+1.
+    Steppers never write into a state array, so rows and checkpoints may
+    hold the arrays themselves.
+    """
+
+    def __init__(self, algo, nrec, shape, suite_pack, W, eta, fstar,
+                 lyap_kind, phi_w, phi_aux, out, s_arr=None, ip_norm=0):
+        n, d = shape
+        self.B = _block_rows(nrec, n, d)
+        self.algo, self.nrec, self.pack, self.W = algo, nrec, suite_pack, W
+        self.eta, self.fstar, self.lyap_kind = eta, fstar, lyap_kind
+        self.phi_w, self.phi_aux = phi_w, phi_aux
+        self.out, self.s_arr, self.ip_norm = out, s_arr, ip_norm
+        # slot 0 carries the row before the block (its agent means, and alg3's
+        # X); rows go to slots 1..B.  At B = 1 rows are not copied.
+        self.means = np.empty((2, self.B + 1, d))
+        self.buf = np.empty((nrec, self.B + 1, n, d)) if self.B > 1 else None
+        self.rows = None
+        self.prev_x = None
+        self.k0 = 0
+        self.fill = 0
+
+    def run(self, st, step, last, end_status):
+        """Record rows 0..last of the state list ``st``, calling
+        ``step(k, st)`` between rows k and k+1.  Returns (status, k_done) and
+        leaves ``st`` at row k_done.  A non-finite row ends the run; steps
+        already taken past it are undone by replaying from the block start,
+        which the counter-based compressor randomness makes exact."""
+        for k in range(last + 1):
+            if self.buf is not None and self.fill == 0:
+                start, k_start = list(st), k
+            self.push(st)
+            if self.fill == self.B or k == last:
+                bad = self.flush()
+                if bad is not None:
+                    if self.buf is not None:
+                        st[:] = start
+                        for kk in range(k_start, bad):
+                            step(kk, st)
+                    return STATUS_NONFINITE, bad
+            if k < last:
+                step(k, st)
+        return end_status, last
+
+    def push(self, st):
+        self.fill += 1
+        if self.buf is None:
+            self.rows = st[:self.nrec]
+        else:
+            for q, a in zip(self.buf, st):
+                q[self.fill] = a
+
+    def flush(self):
+        """Record the pushed rows; returns the first non-finite row or None."""
+        b, k0, W, diag = self.fill, self.k0, self.W, self.out[4]
+        if self.buf is None:
+            R = [a[None] for a in self.rows]
+            Xp = None if self.prev_x is None else self.prev_x[None]
+        else:
+            R = self.buf[:, 1:b + 1]
+            Xp = self.buf[0, :b]
+        X, Y = R[0], R[1]
+        xbar, ybar, c, t, g, s, ytr = _metrics_rows(self.pack, X, Y, R[2],
+                                                    self.fstar)
+        L = c + self.phi_w * t
+        if self.algo == "alg1" and self.lyap_kind in (LYAP_FULL, LYAP_EF):
+            L = L + _sums((X - R[3]) ** 2) + _sums((Y - R[5]) ** 2) + g
+            if self.lyap_kind == LYAP_EF:
+                L = L + self.phi_aux * (_sums(R[7] * R[7])
+                                        + _sums(R[8] * R[8]))
+        elif self.lyap_kind == LYAP_SCALED:
+            L = L + self.phi_aux * g
+        else:
+            L = L + g
+        bad = np.flatnonzero(~np.isfinite(c + t + g + s))
+        nok = int(bad[0]) if bad.size else b  # rows that pass the check
+        keep = min(nok + 1, b)                # rows that enter the trace
+        cons, gap, stat, lyap, _, Xh, Yh = self.out
+        rows = slice(k0, k0 + keep)
+        cons[rows], gap[rows], stat[rows], lyap[rows] = (
+            c[:keep], g[:keep], s[:keep], L[:keep])
+        if Xh.shape[0] > 0:
+            Xh[rows] = X[:keep]
+            Yh[rows] = Y[:keep]
+
+        ok = slice(0, nok)
+        _raise_max(diag, 1, ytr[ok])
+        if nok and self.algo == "alg1":
+            A, B, C, D = (a[ok] for a in R[3:7])
+            _raise_max(diag, 2, _struct_resid_rows(B, A, W))
+            _raise_max(diag, 3, _struct_resid_rows(D, C, W))
+        elif nok and self.algo == "alg3":
+            sk = self.s_arr[k0:k0 + nok]
+            _raise_max(diag, 4, _row_norm_max_rows(X[ok] - R[3][ok],
+                                                   self.ip_norm) / sk)
+            _raise_max(diag, 5, _row_norm_max_rows(Y[ok] - R[4][ok],
+                                                   self.ip_norm) / sk)
+
+        # step k0 + j - 1 leads into row j: diag 0 needs the agent means of
+        # both rows; alg3's post-update residuals use row j's Xhat, Yhat, V, Z
+        self.means[0, 1:b + 1] = xbar
+        self.means[1, 1:b + 1] = ybar
+        steps = slice(1 if k0 == 0 else 0, keep)
+        if keep > steps.start:
+            want = self.means[0, steps] - self.eta * self.means[1, steps]
+            _raise_max(diag, 0, _norms(xbar[steps] - want))
+            if self.algo == "alg3":
+                Xhat, Yhat, V, Z = (a[steps] for a in R[3:7])
+                _raise_max(diag, 2, _struct_resid_rows(V, Xhat, W))
+                _raise_max(diag, 3, _struct_resid_rows(Z, Yhat, W))
+                _raise_max(diag, 6, _row_norm_max_rows(Xp[steps] - Xhat,
+                                                       self.ip_norm)
+                           / self.s_arr[k0 - 1 + steps.start:k0 - 1 + keep])
+        if nok < b:
+            return k0 + nok
+
+        self.means[:, 0] = self.means[:, b]
+        if self.algo == "alg3":
+            if self.buf is None:
+                self.prev_x = self.rows[0]
+            else:
+                self.buf[0, 0] = self.buf[0, b]
+        self.rows = None
+        self.k0 += b
+        self.fill = 0
+        return None
 
 
 def _run_alg1_np(X0, W, eta, gamma, phix, phiy, varsigma, use_ef,
@@ -912,45 +1109,18 @@ def _run_alg1_np(X0, W, eta, gamma, phix, phiy, varsigma, use_ef,
                  SX, SY, SA, SB, SC, SD, SEx, SEy, SQX, SQY, SQhX, SQhY):
     n, d = X0.shape
     pack = _pack_suite(cost_kind, h, nuv, m, xi, Mq, bq)
-    X = X0.copy()
-    G = _grad_block_np(pack, X)
-    Y = G.copy()
-    A = np.zeros((n, d))
-    B = np.zeros((n, d))
-    C = np.zeros((n, d))
-    D = np.zeros((n, d))
-    Ex = np.zeros((n, d))
-    Ey = np.zeros((n, d))
-    Qx = _compress_block_np(ckind, cp1, cp2, cip, X, seed, 0, 0)
-    Qy = _compress_block_np(ckind, cp1, cp2, cip, Y, seed, 0, 1)
-    Qhx = Qx.copy()
-    Qhy = Qy.copy()
-    status, k_done = STATUS_OK, iters
-    for k in range(iters + 1):
-        xbar, ybar, c_k, t_k, g_k, s_k, ytr = _metrics_np(pack, X, Y, G, fstar)
-        nA = float(((X - A) ** 2).sum())
-        nC = float(((Y - C) ** 2).sum())
-        if lyap_kind == LYAP_FULL:
-            L = c_k + phi_w * t_k + nA + nC + g_k
-        elif lyap_kind == LYAP_EF:
-            L = c_k + phi_w * t_k + nA + nC + g_k \
-                + phi_aux * float((Ex * Ex).sum() + (Ey * Ey).sum())
-        elif lyap_kind == LYAP_SCALED:
-            L = c_k + phi_w * t_k + phi_aux * g_k
-        else:
-            L = c_k + phi_w * t_k + g_k
-        cons[k], gap[k], stat[k], lyap[k] = c_k, g_k, s_k, L
-        if Xh.shape[0] > 0:
-            Xh[k] = X
-            Yh[k] = Y
-        if not np.isfinite(c_k + t_k + g_k + s_k):
-            status, k_done = STATUS_NONFINITE, k
-            break
-        diag[1] = max(diag[1], ytr)
-        diag[2] = max(diag[2], _struct_resid_np(B, A, W))
-        diag[3] = max(diag[3], _struct_resid_np(D, C, W))
-        if k == iters:
-            break
+    G = _grad_block_np(pack, X0)
+    Qx = _compress_block_np(ckind, cp1, cp2, cip, X0, seed, 0, 0)
+    Qy = _compress_block_np(ckind, cp1, cp2, cip, G, seed, 0, 1)
+    zero = np.zeros((n, d))
+    # X, Y, G, A, B, C, D, Ex, Ey, Qx, Qy, Qhx, Qhy
+    st = [X0.copy(), G.copy(), G, zero, zero, zero, zero, zero, zero,
+          Qx, Qy, Qx.copy(), Qy.copy()]
+    del G, Qx, Qy
+
+    def step(k, st):
+        X, Y, G, A, B, C, D, Ex, Ey, Qx, Qy, Qhx, Qhy = st
+        st.clear()  # superseded arrays are freed as soon as they are rebound
         mixQx = W @ Qx
         mixQy = W @ Qy
         if use_ef:
@@ -977,11 +1147,16 @@ def _run_alg1_np(X0, W, eta, gamma, phix, phiy, varsigma, use_ef,
                                      varsigma * Ex + Xn - A, seed, k + 1, 2)
             Qhy = _compress_block_np(ckind, cp1, cp2, cip,
                                      varsigma * Ey + Yn - C, seed, k + 1, 3)
-        diag[0] = max(diag[0], float(np.linalg.norm(
-            Xn.mean(axis=0) - (xbar - eta * ybar))))
-        X, Y, G = Xn, Yn, Gn
-    SX[:], SY[:], SA[:], SB[:], SC[:], SD[:] = X, Y, A, B, C, D
-    SEx[:], SEy[:], SQX[:], SQY[:], SQhX[:], SQhY[:] = Ex, Ey, Qx, Qy, Qhx, Qhy
+        st += Xn, Yn, Gn, A, B, C, D, Ex, Ey, Qx, Qy, Qhx, Qhy
+
+    rec = _BlockRecorder("alg1", 9 if lyap_kind == LYAP_EF else 7, (n, d),
+                         pack, W, eta, fstar, lyap_kind, phi_w, phi_aux,
+                         (cons, gap, stat, lyap, diag, Xh, Yh))
+    status, k_done = rec.run(st, step, iters, STATUS_OK)
+    del st[2]
+    for dst, a in zip((SX, SY, SA, SB, SC, SD, SEx, SEy, SQX, SQY, SQhX,
+                       SQhY), st):
+        dst[:] = a
     return status, k_done
 
 
@@ -993,37 +1168,17 @@ def _run_alg3_np(X0, W, eta, gamma, s_arr, ip_norm,
                  SX, SY, SXhat, SV, SYhat, SZ, SQX, SQY):
     n, d = X0.shape
     pack = _pack_suite(cost_kind, h, nuv, m, xi, Mq, bq)
-    X = X0.copy()
-    G = _grad_block_np(pack, X)
-    Y = G.copy()
-    Xhat = np.zeros((n, d))
-    V = np.zeros((n, d))
-    Yhat = np.zeros((n, d))
-    Z = np.zeros((n, d))
-    Qx = _compress_block_np(ckind, cp1, cp2, cip, X / s_arr[0], seed, 0, 0)
-    Qy = _compress_block_np(ckind, cp1, cp2, cip, Y / s_arr[0], seed, 0, 1)
-    status, k_done = STATUS_OK, iters
-    for k in range(iters + 1):
-        xbar, ybar, c_k, t_k, g_k, s_k, ytr = _metrics_np(pack, X, Y, G, fstar)
-        if lyap_kind == LYAP_SCALED:
-            L = c_k + phi_w * t_k + phi_aux * g_k
-        else:
-            L = c_k + phi_w * t_k + g_k
-        cons[k], gap[k], stat[k], lyap[k] = c_k, g_k, s_k, L
-        if Xh.shape[0] > 0:
-            Xh[k] = X
-            Yh[k] = Y
-        if not np.isfinite(c_k + t_k + g_k + s_k):
-            status, k_done = STATUS_NONFINITE, k
-            break
-        diag[1] = max(diag[1], ytr)
-        diag[4] = max(diag[4], _row_norm_max_np(X - Xhat, ip_norm) / s_arr[k])
-        diag[5] = max(diag[5], _row_norm_max_np(Y - Yhat, ip_norm) / s_arr[k])
-        if k == iters:
-            break
-        if s_arr[k + 1] < _SCALE_FLOOR:
-            status, k_done = STATUS_SCALE_UNDERFLOW, k
-            break
+    G = _grad_block_np(pack, X0)
+    zero = np.zeros((n, d))
+    # X, Y, G, Xhat, Yhat, V, Z, Qx, Qy
+    st = [X0.copy(), G.copy(), G, zero, zero, zero, zero,
+          _compress_block_np(ckind, cp1, cp2, cip, X0 / s_arr[0], seed, 0, 0),
+          _compress_block_np(ckind, cp1, cp2, cip, G / s_arr[0], seed, 0, 1)]
+    del G
+
+    def step(k, st):
+        X, Y, G, Xhat, Yhat, V, Z, Qx, Qy = st
+        st.clear()  # superseded arrays are freed as soon as they are rebound
         mixQx = W @ Qx
         mixQy = W @ Qy
         sk = s_arr[k]
@@ -1031,9 +1186,6 @@ def _run_alg3_np(X0, W, eta, gamma, s_arr, ip_norm,
         V = V + sk * (Qx - mixQx)
         Yhat = Yhat + sk * Qy
         Z = Z + sk * (Qy - mixQy)
-        diag[2] = max(diag[2], _struct_resid_np(V, Xhat, W))
-        diag[3] = max(diag[3], _struct_resid_np(Z, Yhat, W))
-        diag[6] = max(diag[6], _row_norm_max_np(X - Xhat, ip_norm) / sk)
         Xn = X - gamma * V - eta * Y
         Gn = _grad_block_np(pack, Xn)
         Yn = Y - gamma * Z + Gn - G
@@ -1042,9 +1194,17 @@ def _run_alg3_np(X0, W, eta, gamma, s_arr, ip_norm,
                                 seed, k + 1, 0)
         Qy = _compress_block_np(ckind, cp1, cp2, cip, (Yn - Yhat) / snext,
                                 seed, k + 1, 1)
-        diag[0] = max(diag[0], float(np.linalg.norm(
-            Xn.mean(axis=0) - (xbar - eta * ybar))))
-        X, Y, G = Xn, Yn, Gn
+        st += Xn, Yn, Gn, Xhat, Yhat, V, Z, Qx, Qy
+
+    # the run stops before the first step whose next scale underflows
+    below = np.flatnonzero(s_arr[1:] < _SCALE_FLOOR)
+    last = int(below[0]) if below.size else iters
+    rec = _BlockRecorder("alg3", 7, (n, d), pack, W, eta, fstar, lyap_kind,
+                         phi_w, phi_aux, (cons, gap, stat, lyap, diag, Xh, Yh),
+                         s_arr, ip_norm)
+    status, k_done = rec.run(st, step, last, STATUS_SCALE_UNDERFLOW
+                             if last < iters else STATUS_OK)
+    X, Y, _, Xhat, Yhat, V, Z, Qx, Qy = st
     SX[:], SY[:] = X, Y
     SXhat[:], SV[:], SYhat[:], SZ[:], SQX[:], SQY[:] = Xhat, V, Yhat, Z, Qx, Qy
     return status, k_done
@@ -1055,28 +1215,20 @@ def _run_dgt_np(X0, W, eta, gamma,
                 fstar, phi_w, iters,
                 cons, gap, stat, lyap, diag, Xh, Yh, SX, SY):
     pack = _pack_suite(cost_kind, h, nuv, m, xi, Mq, bq)
-    X = X0.copy()
-    G = _grad_block_np(pack, X)
-    Y = G.copy()
-    status, k_done = STATUS_OK, iters
-    for k in range(iters + 1):
-        xbar, ybar, c_k, t_k, g_k, s_k, ytr = _metrics_np(pack, X, Y, G, fstar)
-        cons[k], gap[k], stat[k] = c_k, g_k, s_k
-        lyap[k] = c_k + phi_w * t_k + g_k
-        if Xh.shape[0] > 0:
-            Xh[k] = X
-            Yh[k] = Y
-        if not np.isfinite(c_k + t_k + g_k + s_k):
-            status, k_done = STATUS_NONFINITE, k
-            break
-        diag[1] = max(diag[1], ytr)
-        if k == iters:
-            break
+    G = _grad_block_np(pack, X0)
+    st = [X0.copy(), G.copy(), G]  # X, Y, G
+    del G
+
+    def step(k, st):
+        X, Y, G = st
+        st.clear()  # superseded arrays are freed as soon as they are rebound
         Xn = X - gamma * (X - W @ X) - eta * Y
         Gn = _grad_block_np(pack, Xn)
-        Yn = Y - gamma * (Y - W @ Y) + Gn - G
-        diag[0] = max(diag[0], float(np.linalg.norm(
-            Xn.mean(axis=0) - (xbar - eta * ybar))))
-        X, Y, G = Xn, Yn, Gn
-    SX[:], SY[:] = X, Y
+        st += Xn, Y - gamma * (Y - W @ Y) + Gn - G, Gn
+
+    rec = _BlockRecorder("dgt", 3, X0.shape, pack, W, eta, fstar,
+                         LYAP_CONSENSUS, phi_w, 0.0,
+                         (cons, gap, stat, lyap, diag, Xh, Yh))
+    status, k_done = rec.run(st, step, iters, STATUS_OK)
+    SX[:], SY[:] = st[0], st[1]
     return status, k_done

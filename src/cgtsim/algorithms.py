@@ -161,10 +161,15 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
     ``seed`` feeds only the compressor randomness (counter-derived per
     iteration, agent, and message slot).  ``lyap_phi``/``lyap_aux`` are the
     weight constants of the Lyapunov variant selected by ``lyap_kind``;
-    sensible defaults are chosen per algorithm when not given.
+    sensible defaults are chosen per algorithm when not given.  ``backend``
+    is None (the active backend, see ``_kernels.active_backend``), "numpy" or
+    "numba"; without numba, "numba" runs the loop kernels interpreted.
     """
     if algo not in ALGORITHMS:
         raise AlgorithmError(f"unknown algorithm {algo!r}")
+    if backend not in (None, "numpy", "numba"):
+        raise AlgorithmError(f"unknown backend {backend!r}; "
+                             "expected 'numpy' or 'numba'")
     if iters < 1:
         raise AlgorithmError("iters must be >= 1")
     if suite.n != net.n:

@@ -320,3 +320,203 @@ def test_expectation_descent_randomized_compressor(small_net):
         paths.append(tr.lyapunov)
     rep = analysis.sample_mean_descent(paths, slack=1e-12)
     assert rep["ok"], rep
+
+
+def test_unknown_backend_rejected(small_net, small_suite):
+    p = AlgorithmParams(eta=0.05, gamma=0.3)
+    for name in ("numbaa", "NumPy"):
+        with pytest.raises(AlgorithmError, match="backend"):
+            run("dgt", 5, small_net, small_suite, p, backend=name)
+
+
+# Per-row recording as the numpy steppers did it before block recording; the
+# batched helpers must reproduce it bitwise.
+
+def _metrics_oracle(suite_pack, X, Y, G, fstar):
+    cost_kind, h, nuv, m, xi, Mq, bq = suite_pack
+    n = X.shape[0]
+    xbar = X.mean(axis=0)
+    ybar = Y.mean(axis=0)
+    gbar = G.mean(axis=0)
+    c_k = float(((X - xbar) ** 2).sum())
+    t_k = float(((Y - ybar) ** 2).sum())
+    if cost_kind == _kernels.COST_LOGISTIC:
+        z = xi @ xbar + nuv
+        s = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
+                     np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+        vsum = float(h @ s + m.sum() * np.log1p(xbar @ xbar))
+        coef = h * s * (1.0 - s)
+        gsum = coef @ xi + (2.0 * m.sum() / (1.0 + xbar @ xbar)) * xbar
+    else:
+        resid = np.einsum("nrd,d->nr", Mq, xbar) - bq
+        vsum = 0.5 * float((resid * resid).sum())
+        gsum = np.einsum("nrd,nr->d", Mq, resid)
+    g_k = vsum - n * fstar
+    s_k = float(gsum @ gsum) / n
+    ytrack = (float(np.linalg.norm(ybar - gbar))
+              / (1.0 + float(np.linalg.norm(gbar))))
+    return xbar, ybar, c_k, t_k, g_k, s_k, ytrack
+
+
+def _struct_resid_oracle(Acc, Base, W):
+    ref = max(float(np.linalg.norm(Base)), 1e-30)
+    return float(np.linalg.norm(Acc - (Base - W @ Base))) / ref
+
+
+def _row_norm_max_oracle(A, ip_norm):
+    if ip_norm == 0:
+        return float(np.max(np.abs(A)))
+    return float(np.sqrt((A * A).sum(axis=1)).max())
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("cost", ["logistic_log", "quadratic_pl"])
+def test_batched_record_helpers_match_per_row_oracle(cost):
+    # paper scale: there one gemm over stacked rows would already differ
+    from cgtsim.algorithms import _suite_arrays
+
+    n, d = 20, 50
+    suite = generate_suite(cost, n=n, d=d, seed=4)
+    pack = _suite_arrays(suite)
+    rng = np.random.default_rng(0)
+    X, Y, G = (rng.standard_normal((5, n, d)) for _ in range(3))
+    X[3] *= 1e200  # a row whose terms overflow
+    W = generate_network(n, 0.3, seed=5).W
+    with np.errstate(all="ignore"):
+        got = _kernels._metrics_rows(pack, X, Y, G, 0.25)
+        want = [_metrics_oracle(pack, X[j], Y[j], G[j], 0.25)
+                for j in range(5)]
+        for i, col in enumerate(got):
+            assert _bits(col) == _bits([w[i] for w in want]), i
+        # accumulators that satisfy the identity up to round-off, as in a run
+        Acc = X - np.einsum("ij,bjd->bid", W, X)
+        assert _bits(_kernels._struct_resid_rows(Acc, X, W)) == _bits(
+            [_struct_resid_oracle(Acc[j], X[j], W) for j in range(5)])
+        for ip in (0, 1):
+            assert _bits(_kernels._row_norm_max_rows(X - Acc, ip)) == _bits(
+                [_row_norm_max_oracle(X[j] - Acc[j], ip) for j in range(5)])
+
+
+def test_raise_max_follows_python_max():
+    vals = np.array([0.3, np.nan, 0.7, np.inf, np.nan, 0.1])
+    for start in (0.5, 2.0):
+        diag = np.array([start])
+        _kernels._raise_max(diag, 0, vals[:3])
+        want = start
+        for v in vals[:3]:
+            want = max(want, v)
+        assert diag[0] == want
+    diag = np.zeros(1)
+    _kernels._raise_max(diag, 0, vals)
+    assert diag[0] == np.inf
+
+
+def test_recorder_ignores_rows_after_a_nonfinite_row(small_net, small_suite):
+    from cgtsim.algorithms import _suite_arrays
+
+    n, d, eta = 6, 8, 0.1
+    rng = np.random.default_rng(1)
+    rows = [[rng.standard_normal((n, d)) for _ in range(3)]
+            for _ in range(5)]
+    rows[2][0][0, 0] = np.inf  # row 2 is non-finite
+    rows[3][1] *= 1e6          # row 3 would raise the tracking maximum
+    cons, gap, stat, lyap = (np.full(5, -1.0) for _ in range(4))
+    diag = np.zeros(8)
+    pack = _suite_arrays(small_suite)
+    rec = _kernels._BlockRecorder(
+        "dgt", 3, (n, d), pack, small_net.W, eta, 0.0,
+        _kernels.LYAP_CONSENSUS, 1.0, 0.0,
+        (cons, gap, stat, lyap, diag, np.zeros((0, n, d)),
+         np.zeros((0, n, d))))
+    assert rec.B >= 5
+    for st in rows:
+        rec.push(st)
+    with np.errstate(all="ignore"):
+        assert rec.flush() == 2
+        want = [_metrics_oracle(pack, *st, 0.0) for st in rows[:3]]
+    assert not np.isfinite(cons[2]) and np.all(cons[3:] == -1.0)
+    assert diag[1] == max(want[0][6], want[1][6])
+    # the steps into rows 1 and 2 count; row 2's mean is infinite
+    assert diag[0] == np.inf
+
+
+def _assert_same_run(a, b):
+    for name in ("k", "consensus_err", "opt_gap", "stationarity",
+                 "lyapunov", "x_hist", "y_hist"):
+        assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
+    assert (a.status, a.failed_at) == (b.status, b.failed_at)
+    assert _bits(list(a.diagnostics.values())) == _bits(
+        list(b.diagnostics.values()))
+    for name, val in vars(a.final_state).items():
+        other = getattr(b.final_state, name)
+        assert (val is None) == (other is None), name
+        assert val is None or _bits(val) == _bits(other), name
+
+
+def _run_default_and_per_row(monkeypatch, *args, **kwargs):
+    """The same numpy run recorded in default blocks and one row at a time."""
+    kwargs.update(backend="numpy", record_states=True)
+    blocked = run(*args, **kwargs)
+    with monkeypatch.context() as mp:
+        mp.setattr(_kernels, "_RECORD_BUDGET", 0)
+        assert _kernels._block_rows(3, 6, 8) == 1
+        per_row = run(*args, **kwargs)
+    return blocked, per_row
+
+
+_BLOCK_CASES = {
+    "alg1": make_compressor("norm_sign", d=8),
+    "alg2": make_compressor("norm_sign", d=8),
+    "alg3": make_compressor("uniform_quantize", d=8, delta=2.0),
+    "dgt": None,
+}
+
+
+@pytest.mark.parametrize("algo", sorted(_BLOCK_CASES))
+def test_block_recording_equals_per_row(small_net, small_suite, monkeypatch,
+                                        algo):
+    iters = 150
+    assert _kernels._block_rows(9, 6, 8) == 64 and iters % 64
+    p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
+                        varsigma=0.3, s0=8.0, mu=0.99)
+    a, b = _run_default_and_per_row(monkeypatch, algo, iters, small_net,
+                                    small_suite, p, _BLOCK_CASES[algo],
+                                    seed=9)
+    assert a.status == "ok"
+    _assert_same_run(a, b)
+
+
+# rows at which the per-row recorder found each quadratic run non-finite
+_DIVERGED_AT = {"alg1": (91, 118, 169), "alg2": (91, 118, 170),
+                "alg3": (91, 118, 170), "dgt": (91, 118, 165)}
+
+
+@pytest.mark.parametrize("algo", sorted(_DIVERGED_AT))
+def test_block_recording_divergence_equals_per_row(small_net, monkeypatch,
+                                                   algo):
+    # a non-finite row inside a block ends the run there: later rows of the
+    # block are discarded and the state is replayed back to that row
+    suite = generate_suite("quadratic_pl", n=6, d=8, seed=3)
+    comp = None if algo == "dgt" else make_compressor("norm_sign", d=8)
+    for eta, row in zip((50.0, 20.0, 8.0), _DIVERGED_AT[algo]):
+        p = AlgorithmParams(eta=eta, gamma=0.9, phi_x=0.3, phi_y=0.1,
+                            varsigma=0.3, s0=8.0, mu=0.99)
+        with np.errstate(all="ignore"):
+            a, b = _run_default_and_per_row(monkeypatch, algo, 500,
+                                            small_net, suite, p, comp,
+                                            seed=1)
+        assert (a.status, a.failed_at) == ("nonfinite_state", row)
+        _assert_same_run(a, b)
+
+
+def test_block_recording_scaling_exhausted_equals_per_row(
+        small_net, small_suite, monkeypatch):
+    p = AlgorithmParams(eta=1e-9, gamma=0.1, s0=1.0, mu=0.1)
+    a, b = _run_default_and_per_row(
+        monkeypatch, "alg3", 400, small_net, small_suite, p,
+        make_compressor("uniform_quantize", d=8, delta=2.0), seed=1)
+    assert (a.status, a.failed_at) == ("scaling_exhausted", 300)
+    _assert_same_run(a, b)
