@@ -1,14 +1,12 @@
-"""Iteration kernels: numba-compiled loops plus a vectorized numpy fallback.
+"""Iteration kernels: one numpy stepper per update rule and a block recorder.
 
-Backend selection: ``CGT_BACKEND=numpy`` (or ``numba``) in the environment, or
-``set_backend()`` at runtime.  Default is numba when importable; without it,
-``CGT_BACKEND=numba`` falls back to numpy with a ``RuntimeWarning`` and
-``set_backend("numba")`` raises.  Both paths draw compressor randomness from
-the same counter-based splitmix64 stream, so a given (seed, iteration, agent,
-slot) tuple yields identical draws; trajectories agree across backends up to
-floating-point summation order.
+Compressor randomness comes from a counter-based splitmix64 stream: the draws
+of one message depend only on (seed, iteration, agent, slot).  Runs are
+therefore bitwise reproducible, a replayed step draws what it drew the first
+time, and ``compressors.compress``, which applies the same block kernel with
+explicit keys, certifies the operator that runs use.
 
-The numpy steppers only step.  One block recorder (``_BlockRecorder``) takes
+The steppers only step.  One block recorder (``_BlockRecorder``) takes
 each row's state and, every B rows, computes the trace rows, the state
 history and the diag maxima for the whole block at once.  Its batched
 products make the same BLAS call per row as recording row by row, so the
@@ -34,27 +32,7 @@ Shared conventions:
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # numba is an optional extra; loops run interpreted
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_BACKEND_OVERRIDE: str | None = None
 
 STATUS_OK = 0
 STATUS_NONFINITE = 1
@@ -70,32 +48,8 @@ LYAP_FULL, LYAP_EF, LYAP_CONSENSUS, LYAP_SCALED = 0, 1, 2, 3
 _SCALE_FLOOR = 1e-300
 
 
-def set_backend(name: str | None) -> None:
-    """Force 'numba' or 'numpy'; None restores the environment default."""
-    global _BACKEND_OVERRIDE
-    if name not in (None, "numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not NUMBA_AVAILABLE:
-        raise ValueError("numba backend requested but numba is not importable")
-    _BACKEND_OVERRIDE = name
-
-
-def active_backend() -> str:
-    if _BACKEND_OVERRIDE is not None:
-        return _BACKEND_OVERRIDE
-    env = os.environ.get("CGT_BACKEND", "").strip().lower()
-    if env in ("numba", "numpy"):
-        if env == "numba" and not NUMBA_AVAILABLE:
-            warnings.warn("CGT_BACKEND=numba but numba is not importable; "
-                          "using the numpy backend", RuntimeWarning,
-                          stacklevel=2)
-            return "numpy"
-        return env
-    return "numba" if NUMBA_AVAILABLE else "numpy"
-
-
 # ---------------------------------------------------------------------------
-# counter-based randomness (identical across backends)
+# counter-based randomness
 
 _U1 = np.uint64(0x9E3779B97F4A7C15)
 _U2 = np.uint64(0xBF58476D1CE4E5B9)
@@ -106,27 +60,6 @@ _KITER = np.uint64(0xA076_1D64_78BD_642F)
 _KAGENT = np.uint64(0xE703_7ED1_A0B4_28DB)
 _KSLOT = np.uint64(0x8EBC_6AF0_9C88_C6E3)
 _INV53 = 1.0 / 9007199254740992.0
-
-
-@njit(cache=True)
-def _mix64(z):
-    z = z + _U1
-    z = (z ^ (z >> _S30)) * _U2
-    z = (z ^ (z >> _S27)) * _U3
-    return z ^ (z >> _S31)
-
-
-@njit(cache=True)
-def _u01(z):
-    return (_mix64(z) >> _S11) * _INV53
-
-
-@njit(cache=True)
-def _msg_base(seed, k, agent, slot):
-    return _mix64(seed
-                  ^ (np.uint64(k + 1) * _KITER)
-                  ^ (np.uint64(agent + 1) * _KAGENT)
-                  ^ (np.uint64(slot + 1) * _KSLOT))
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
@@ -152,80 +85,7 @@ def _msg_base_np(seed: int, k: int, n: int, slot: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# compression (numba row kernel / numpy block)
-
-@njit(cache=True)
-def _compress_rows(kind, p1, p2, ip, Q, Xin, seed, k, slot):
-    """Compress each row of Xin into Q; p1 grid step, p2 rescale, ip count."""
-    n, d = Xin.shape
-    for i in range(n):
-        if kind == K_IDENTITY:
-            for j in range(d):
-                Q[i, j] = Xin[i, j]
-        elif kind == K_NORM_SIGN:
-            a = 0.0
-            for j in range(d):
-                v = abs(Xin[i, j])
-                if v > a:
-                    a = v
-            if a == 0.0:
-                for j in range(d):
-                    Q[i, j] = 0.0
-            else:
-                half = 0.5 * a
-                for j in range(d):
-                    Q[i, j] = half if Xin[i, j] >= 0.0 else -half
-        elif kind == K_UNIFORM:
-            for j in range(d):
-                Q[i, j] = p1 * np.floor(Xin[i, j] / p1 + 0.5)
-        elif kind == K_ONE_BIT:
-            for j in range(d):
-                Q[i, j] = 0.5 if Xin[i, j] >= 0.0 else -0.5
-        elif kind == K_SPARSIFY_TOP:
-            mag = np.empty(d)
-            for j in range(d):
-                mag[j] = -abs(Xin[i, j])
-            order = np.argsort(mag, kind="mergesort")
-            for j in range(d):
-                Q[i, j] = 0.0
-            for t in range(ip):
-                j = order[t]
-                Q[i, j] = Xin[i, j] * p2
-        elif kind == K_SPARSIFY_RAND:
-            base = _msg_base(seed, k, i, slot)
-            idx = np.arange(d)
-            for t in range(ip):
-                u = _u01(base + np.uint64(t))
-                j = t + int(u * (d - t))
-                if j >= d:
-                    j = d - 1
-                tmp = idx[t]
-                idx[t] = idx[j]
-                idx[j] = tmp
-            for j in range(d):
-                Q[i, j] = 0.0
-            for t in range(ip):
-                j = idx[t]
-                Q[i, j] = Xin[i, j] * p2
-        else:  # K_RAND_QUANT
-            a = 0.0
-            for j in range(d):
-                v = abs(Xin[i, j])
-                if v > a:
-                    a = v
-            if a == 0.0:
-                for j in range(d):
-                    Q[i, j] = 0.0
-            else:
-                base = _msg_base(seed, k, i, slot)
-                h = 2.0 * a / (ip - 1)
-                for j in range(d):
-                    t = (Xin[i, j] + a) / h
-                    lo = np.floor(t)
-                    u = _u01(base + np.uint64(j))
-                    lvl = lo + 1.0 if u < (t - lo) else lo
-                    Q[i, j] = lvl * h - a
-
+# compression
 
 def _compress_block_np(kind, p1, p2, ip, Xin, seed, k, slot):
     n, d = Xin.shape
@@ -246,15 +106,17 @@ def _compress_block_np(kind, p1, p2, ip, Xin, seed, k, slot):
         out[rows, order] = Xin[rows, order] * p2
         return out
     if kind == K_SPARSIFY_RAND:
+        # the first ip steps of a Fisher-Yates shuffle, all rows at once
         bases = _msg_base_np(seed, k, n, slot)
+        rows = np.arange(n)
+        idx = np.tile(np.arange(d), (n, 1))
+        for t in range(ip):
+            u = _u01_np(bases + np.uint64(t))
+            j = np.minimum(t + (u * (d - t)).astype(np.int64), d - 1)
+            idx[rows, t], idx[rows, j] = idx[rows, j], idx[rows, t]
+        rows, keep = rows[:, None], idx[:, :ip]
         out = np.zeros_like(Xin)
-        for i in range(n):
-            idx = np.arange(d)
-            for t in range(ip):
-                u = float(_u01_np(bases[i] + np.uint64(t)))
-                j = min(t + int(u * (d - t)), d - 1)
-                idx[t], idx[j] = idx[j], idx[t]
-            out[i, idx[:ip]] = Xin[i, idx[:ip]] * p2
+        out[rows, keep] = Xin[rows, keep] * p2
         return out
     # K_RAND_QUANT
     a = np.max(np.abs(Xin), axis=1, keepdims=True)
@@ -270,600 +132,8 @@ def _compress_block_np(kind, p1, p2, ip, Xin, seed, k, slot):
 
 
 # ---------------------------------------------------------------------------
-# cost helpers (numba)
-
-@njit(cache=True)
-def _sigmoid_s(z):
-    if z >= 0.0:
-        return 1.0 / (1.0 + np.exp(-z))
-    e = np.exp(z)
-    return e / (1.0 + e)
-
-
-@njit(cache=True)
-def _grad_rows_nb(cost_kind, h, nuv, m, xi, Mq, bq, X, G):
-    n, d = X.shape
-    if cost_kind == COST_LOGISTIC:
-        for i in range(n):
-            z = nuv[i]
-            r2 = 0.0
-            for j in range(d):
-                z += xi[i, j] * X[i, j]
-                r2 += X[i, j] * X[i, j]
-            s = _sigmoid_s(z)
-            ch = h[i] * s * (1.0 - s)
-            cl = 2.0 * m[i] / (1.0 + r2)
-            for j in range(d):
-                G[i, j] = ch * xi[i, j] + cl * X[i, j]
-    else:
-        rows = Mq.shape[1]
-        for i in range(n):
-            for j in range(d):
-                G[i, j] = 0.0
-            for r in range(rows):
-                resid = -bq[i, r]
-                for j in range(d):
-                    resid += Mq[i, r, j] * X[i, j]
-                for j in range(d):
-                    G[i, j] += Mq[i, r, j] * resid
-
-
-@njit(cache=True)
-def _value_sum_nb(cost_kind, h, nuv, m, xi, Mq, bq, x):
-    total = 0.0
-    d = x.shape[0]
-    if cost_kind == COST_LOGISTIC:
-        n = h.shape[0]
-        r2 = 0.0
-        for j in range(d):
-            r2 += x[j] * x[j]
-        lg = np.log1p(r2)
-        for i in range(n):
-            z = nuv[i]
-            for j in range(d):
-                z += xi[i, j] * x[j]
-            total += h[i] * _sigmoid_s(z) + m[i] * lg
-    else:
-        n = Mq.shape[0]
-        rows = Mq.shape[1]
-        for i in range(n):
-            for r in range(rows):
-                resid = -bq[i, r]
-                for j in range(d):
-                    resid += Mq[i, r, j] * x[j]
-                total += 0.5 * resid * resid
-    return total
-
-
-@njit(cache=True)
-def _grad_sum_sq_nb(cost_kind, h, nuv, m, xi, Mq, bq, x):
-    """||sum_i grad F_i(x)||^2 at a single point."""
-    d = x.shape[0]
-    g = np.zeros(d)
-    if cost_kind == COST_LOGISTIC:
-        n = h.shape[0]
-        r2 = 0.0
-        for j in range(d):
-            r2 += x[j] * x[j]
-        for i in range(n):
-            z = nuv[i]
-            for j in range(d):
-                z += xi[i, j] * x[j]
-            s = _sigmoid_s(z)
-            ch = h[i] * s * (1.0 - s)
-            cl = 2.0 * m[i] / (1.0 + r2)
-            for j in range(d):
-                g[j] += ch * xi[i, j] + cl * x[j]
-    else:
-        n = Mq.shape[0]
-        rows = Mq.shape[1]
-        for i in range(n):
-            for r in range(rows):
-                resid = -bq[i, r]
-                for j in range(d):
-                    resid += Mq[i, r, j] * x[j]
-                for j in range(d):
-                    g[j] += Mq[i, r, j] * resid
-    acc = 0.0
-    for j in range(d):
-        acc += g[j] * g[j]
-    return acc
-
-
-@njit(cache=True)
-def _frob_sq(A):
-    acc = 0.0
-    for i in range(A.shape[0]):
-        for j in range(A.shape[1]):
-            acc += A[i, j] * A[i, j]
-    return acc
-
-
-@njit(cache=True)
-def _col_mean(A, out):
-    n, d = A.shape
-    for j in range(d):
-        acc = 0.0
-        for i in range(n):
-            acc += A[i, j]
-        out[j] = acc / n
-
-
-@njit(cache=True)
-def _dev_sq_from_mean(A, mean):
-    acc = 0.0
-    for i in range(A.shape[0]):
-        for j in range(A.shape[1]):
-            v = A[i, j] - mean[j]
-            acc += v * v
-    return acc
-
-
-@njit(cache=True)
-def _struct_resid(Acc, Base, W):
-    """||Acc - (I - W) Base||_F / max(||Base||_F, eps)."""
-    n, d = Base.shape
-    mix = W @ Base
-    acc = 0.0
-    for i in range(n):
-        for j in range(d):
-            v = Acc[i, j] - (Base[i, j] - mix[i, j])
-            acc += v * v
-    ref = np.sqrt(_frob_sq(Base))
-    return np.sqrt(acc) / (ref if ref > 1e-30 else 1e-30)
-
-
-@njit(cache=True)
-def _row_norm_max(A, ip_norm):
-    """max_i ||A_i||_p with p in {inf (0), 2 (1)}."""
-    worst = 0.0
-    for i in range(A.shape[0]):
-        if ip_norm == 0:
-            v = 0.0
-            for j in range(A.shape[1]):
-                w = abs(A[i, j])
-                if w > v:
-                    v = w
-        else:
-            acc = 0.0
-            for j in range(A.shape[1]):
-                acc += A[i, j] * A[i, j]
-            v = np.sqrt(acc)
-        if v > worst:
-            worst = v
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# full-run kernels (numba)
-
-@njit(cache=True)
-def _run_alg1_nb(X0, W, eta, gamma, phix, phiy, varsigma, use_ef,
-                 ckind, cp1, cp2, cip, seed,
-                 cost_kind, h, nuv, m, xi, Mq, bq,
-                 fstar, lyap_kind, phi_w, phi_aux, iters,
-                 cons, gap, stat, lyap, diag, Xh, Yh,
-                 SX, SY, SA, SB, SC, SD, SEx, SEy, SQX, SQY, SQhX, SQhY):
-    """Relative-class tracker; with use_ef it runs the error-feedback variant."""
-    n, d = X0.shape
-    X = X0.copy()
-    G = np.empty((n, d))
-    _grad_rows_nb(cost_kind, h, nuv, m, xi, Mq, bq, X, G)
-    Y = G.copy()
-    A = np.zeros((n, d))
-    B = np.zeros((n, d))
-    C = np.zeros((n, d))
-    D = np.zeros((n, d))
-    Ex = np.zeros((n, d))
-    Ey = np.zeros((n, d))
-    Qx = np.empty((n, d))
-    Qy = np.empty((n, d))
-    _compress_rows(ckind, cp1, cp2, cip, Qx, X, seed, 0, 0)
-    _compress_rows(ckind, cp1, cp2, cip, Qy, Y, seed, 0, 1)
-    Qhx = Qx.copy()
-    Qhy = Qy.copy()
-
-    xbar = np.empty(d)
-    ybar = np.empty(d)
-    gbar = np.empty(d)
-    status = STATUS_OK
-    k_done = iters
-    for k in range(iters + 1):
-        _col_mean(X, xbar)
-        _col_mean(Y, ybar)
-        _col_mean(G, gbar)
-        c_k = _dev_sq_from_mean(X, xbar)
-        t_k = _dev_sq_from_mean(Y, ybar)
-        g_k = _value_sum_nb(cost_kind, h, nuv, m, xi, Mq, bq, xbar) - n * fstar
-        s_k = _grad_sum_sq_nb(cost_kind, h, nuv, m, xi, Mq, bq, xbar) / n
-        nA = 0.0
-        nC = 0.0
-        for i in range(n):
-            for j in range(d):
-                va = X[i, j] - A[i, j]
-                vc = Y[i, j] - C[i, j]
-                nA += va * va
-                nC += vc * vc
-        if lyap_kind == LYAP_FULL:
-            L = c_k + phi_w * t_k + nA + nC + g_k
-        elif lyap_kind == LYAP_EF:
-            L = c_k + phi_w * t_k + nA + nC + g_k \
-                + phi_aux * (_frob_sq(Ex) + _frob_sq(Ey))
-        elif lyap_kind == LYAP_SCALED:
-            L = c_k + phi_w * t_k + phi_aux * g_k
-        else:
-            L = c_k + phi_w * t_k + g_k
-        cons[k] = c_k
-        gap[k] = g_k
-        stat[k] = s_k
-        lyap[k] = L
-        if Xh.shape[0] > 0:
-            for i in range(n):
-                for j in range(d):
-                    Xh[k, i, j] = X[i, j]
-                    Yh[k, i, j] = Y[i, j]
-        if not (np.isfinite(c_k) and np.isfinite(t_k) and np.isfinite(g_k)
-                and np.isfinite(s_k)):
-            status = STATUS_NONFINITE
-            k_done = k
-            break
-        # mean-y tracking residual at the recorded state
-        acc = 0.0
-        gn = 0.0
-        for j in range(d):
-            v = ybar[j] - gbar[j]
-            acc += v * v
-            gn += gbar[j] * gbar[j]
-        r = np.sqrt(acc) / (1.0 + np.sqrt(gn))
-        if r > diag[1]:
-            diag[1] = r
-        rb = _struct_resid(B, A, W)
-        if rb > diag[2]:
-            diag[2] = rb
-        rd = _struct_resid(D, C, W)
-        if rd > diag[3]:
-            diag[3] = rd
-        if k == iters:
-            break
-
-        mixQx = W @ Qx
-        mixQy = W @ Qy
-        if use_ef == 1:
-            mixQhx = W @ Qhx
-            mixQhy = W @ Qhy
-        else:
-            mixQhx = mixQx
-            mixQhy = mixQy
-        Xn = np.empty((n, d))
-        for i in range(n):
-            for j in range(d):
-                if use_ef == 1:
-                    cterm = B[i, j] + Qhx[i, j] - mixQhx[i, j]
-                else:
-                    cterm = B[i, j] + Qx[i, j] - mixQx[i, j]
-                Xn[i, j] = X[i, j] - gamma * cterm - eta * Y[i, j]
-        Gn = np.empty((n, d))
-        _grad_rows_nb(cost_kind, h, nuv, m, xi, Mq, bq, Xn, Gn)
-        Yn = np.empty((n, d))
-        for i in range(n):
-            for j in range(d):
-                if use_ef == 1:
-                    cterm = D[i, j] + Qhy[i, j] - mixQhy[i, j]
-                else:
-                    cterm = D[i, j] + Qy[i, j] - mixQy[i, j]
-                Yn[i, j] = Y[i, j] - gamma * cterm + Gn[i, j] - G[i, j]
-        if use_ef == 1:
-            for i in range(n):
-                for j in range(d):
-                    ex = varsigma * Ex[i, j] + X[i, j] - A[i, j] - Qhx[i, j]
-                    ey = varsigma * Ey[i, j] + Y[i, j] - C[i, j] - Qhy[i, j]
-                    Ex[i, j] = ex
-                    Ey[i, j] = ey
-        for i in range(n):
-            for j in range(d):
-                A[i, j] += phix * Qx[i, j]
-                B[i, j] += phix * (Qx[i, j] - mixQx[i, j])
-                C[i, j] += phiy * Qy[i, j]
-                D[i, j] += phiy * (Qy[i, j] - mixQy[i, j])
-        buf = np.empty((n, d))
-        for i in range(n):
-            for j in range(d):
-                buf[i, j] = Xn[i, j] - A[i, j]
-        _compress_rows(ckind, cp1, cp2, cip, Qx, buf, seed, k + 1, 0)
-        for i in range(n):
-            for j in range(d):
-                buf[i, j] = Yn[i, j] - C[i, j]
-        _compress_rows(ckind, cp1, cp2, cip, Qy, buf, seed, k + 1, 1)
-        if use_ef == 1:
-            for i in range(n):
-                for j in range(d):
-                    buf[i, j] = varsigma * Ex[i, j] + Xn[i, j] - A[i, j]
-            _compress_rows(ckind, cp1, cp2, cip, Qhx, buf, seed, k + 1, 2)
-            for i in range(n):
-                for j in range(d):
-                    buf[i, j] = varsigma * Ey[i, j] + Yn[i, j] - C[i, j]
-            _compress_rows(ckind, cp1, cp2, cip, Qhy, buf, seed, k + 1, 3)
-        # mean-x recursion residual
-        acc = 0.0
-        for j in range(d):
-            want = xbar[j] - eta * ybar[j]
-            got = 0.0
-            for i in range(n):
-                got += Xn[i, j]
-            got /= n
-            v = got - want
-            acc += v * v
-        r = np.sqrt(acc)
-        if r > diag[0]:
-            diag[0] = r
-        X = Xn
-        Y = Yn
-        G = Gn
-
-    for i in range(n):
-        for j in range(d):
-            SX[i, j] = X[i, j]
-            SY[i, j] = Y[i, j]
-            SA[i, j] = A[i, j]
-            SB[i, j] = B[i, j]
-            SC[i, j] = C[i, j]
-            SD[i, j] = D[i, j]
-            SEx[i, j] = Ex[i, j]
-            SEy[i, j] = Ey[i, j]
-            SQX[i, j] = Qx[i, j]
-            SQY[i, j] = Qy[i, j]
-            SQhX[i, j] = Qhx[i, j]
-            SQhY[i, j] = Qhy[i, j]
-    return status, k_done
-
-
-@njit(cache=True)
-def _run_alg3_nb(X0, W, eta, gamma, s_arr, ip_norm,
-                 ckind, cp1, cp2, cip, seed,
-                 cost_kind, h, nuv, m, xi, Mq, bq,
-                 fstar, lyap_kind, phi_w, phi_aux, iters,
-                 cons, gap, stat, lyap, diag, Xh, Yh,
-                 SX, SY, SXhat, SV, SYhat, SZ, SQX, SQY):
-    """Scaled-difference tracker for absolute-error compressors."""
-    n, d = X0.shape
-    X = X0.copy()
-    G = np.empty((n, d))
-    _grad_rows_nb(cost_kind, h, nuv, m, xi, Mq, bq, X, G)
-    Y = G.copy()
-    Xhat = np.zeros((n, d))
-    V = np.zeros((n, d))
-    Yhat = np.zeros((n, d))
-    Z = np.zeros((n, d))
-    Qx = np.empty((n, d))
-    Qy = np.empty((n, d))
-    buf = np.empty((n, d))
-    for i in range(n):
-        for j in range(d):
-            buf[i, j] = X[i, j] / s_arr[0]
-    _compress_rows(ckind, cp1, cp2, cip, Qx, buf, seed, 0, 0)
-    for i in range(n):
-        for j in range(d):
-            buf[i, j] = Y[i, j] / s_arr[0]
-    _compress_rows(ckind, cp1, cp2, cip, Qy, buf, seed, 0, 1)
-
-    xbar = np.empty(d)
-    ybar = np.empty(d)
-    gbar = np.empty(d)
-    status = STATUS_OK
-    k_done = iters
-    for k in range(iters + 1):
-        _col_mean(X, xbar)
-        _col_mean(Y, ybar)
-        _col_mean(G, gbar)
-        c_k = _dev_sq_from_mean(X, xbar)
-        t_k = _dev_sq_from_mean(Y, ybar)
-        g_k = _value_sum_nb(cost_kind, h, nuv, m, xi, Mq, bq, xbar) - n * fstar
-        s_k = _grad_sum_sq_nb(cost_kind, h, nuv, m, xi, Mq, bq, xbar) / n
-        if lyap_kind == LYAP_SCALED:
-            L = c_k + phi_w * t_k + phi_aux * g_k
-        else:
-            L = c_k + phi_w * t_k + g_k
-        cons[k] = c_k
-        gap[k] = g_k
-        stat[k] = s_k
-        lyap[k] = L
-        if Xh.shape[0] > 0:
-            for i in range(n):
-                for j in range(d):
-                    Xh[k, i, j] = X[i, j]
-                    Yh[k, i, j] = Y[i, j]
-        if not (np.isfinite(c_k) and np.isfinite(t_k) and np.isfinite(g_k)
-                and np.isfinite(s_k)):
-            status = STATUS_NONFINITE
-            k_done = k
-            break
-        acc = 0.0
-        gn = 0.0
-        for j in range(d):
-            v = ybar[j] - gbar[j]
-            acc += v * v
-            gn += gbar[j] * gbar[j]
-        r = np.sqrt(acc) / (1.0 + np.sqrt(gn))
-        if r > diag[1]:
-            diag[1] = r
-        # scaled-difference induction ratios at state k (hat states lag by one)
-        for i in range(n):
-            for j in range(d):
-                buf[i, j] = X[i, j] - Xhat[i, j]
-        rx = _row_norm_max(buf, ip_norm) / s_arr[k]
-        if rx > diag[4]:
-            diag[4] = rx
-        for i in range(n):
-            for j in range(d):
-                buf[i, j] = Y[i, j] - Yhat[i, j]
-        ry = _row_norm_max(buf, ip_norm) / s_arr[k]
-        if ry > diag[5]:
-            diag[5] = ry
-        if k == iters:
-            break
-        if s_arr[k + 1] < _SCALE_FLOOR:
-            status = STATUS_SCALE_UNDERFLOW
-            k_done = k
-            break
-
-        mixQx = W @ Qx
-        mixQy = W @ Qy
-        sk = s_arr[k]
-        for i in range(n):
-            for j in range(d):
-                Xhat[i, j] += sk * Qx[i, j]
-                V[i, j] += sk * (Qx[i, j] - mixQx[i, j])
-                Yhat[i, j] += sk * Qy[i, j]
-                Z[i, j] += sk * (Qy[i, j] - mixQy[i, j])
-        rv = _struct_resid(V, Xhat, W)
-        if rv > diag[2]:
-            diag[2] = rv
-        rz = _struct_resid(Z, Yhat, W)
-        if rz > diag[3]:
-            diag[3] = rz
-        # post-update compression error ratio ||X - Xhat||_p / s(k)
-        for i in range(n):
-            for j in range(d):
-                buf[i, j] = X[i, j] - Xhat[i, j]
-        rc = _row_norm_max(buf, ip_norm) / sk
-        if rc > diag[6]:
-            diag[6] = rc
-        Xn = np.empty((n, d))
-        for i in range(n):
-            for j in range(d):
-                Xn[i, j] = X[i, j] - gamma * V[i, j] - eta * Y[i, j]
-        Gn = np.empty((n, d))
-        _grad_rows_nb(cost_kind, h, nuv, m, xi, Mq, bq, Xn, Gn)
-        Yn = np.empty((n, d))
-        for i in range(n):
-            for j in range(d):
-                Yn[i, j] = Y[i, j] - gamma * Z[i, j] + Gn[i, j] - G[i, j]
-        snext = s_arr[k + 1]
-        for i in range(n):
-            for j in range(d):
-                buf[i, j] = (Xn[i, j] - Xhat[i, j]) / snext
-        _compress_rows(ckind, cp1, cp2, cip, Qx, buf, seed, k + 1, 0)
-        for i in range(n):
-            for j in range(d):
-                buf[i, j] = (Yn[i, j] - Yhat[i, j]) / snext
-        _compress_rows(ckind, cp1, cp2, cip, Qy, buf, seed, k + 1, 1)
-        acc = 0.0
-        for j in range(d):
-            want = xbar[j] - eta * ybar[j]
-            got = 0.0
-            for i in range(n):
-                got += Xn[i, j]
-            got /= n
-            v = got - want
-            acc += v * v
-        r = np.sqrt(acc)
-        if r > diag[0]:
-            diag[0] = r
-        X = Xn
-        Y = Yn
-        G = Gn
-
-    for i in range(n):
-        for j in range(d):
-            SX[i, j] = X[i, j]
-            SY[i, j] = Y[i, j]
-            SXhat[i, j] = Xhat[i, j]
-            SV[i, j] = V[i, j]
-            SYhat[i, j] = Yhat[i, j]
-            SZ[i, j] = Z[i, j]
-            SQX[i, j] = Qx[i, j]
-            SQY[i, j] = Qy[i, j]
-    return status, k_done
-
-
-@njit(cache=True)
-def _run_dgt_nb(X0, W, eta, gamma,
-                cost_kind, h, nuv, m, xi, Mq, bq,
-                fstar, phi_w, iters,
-                cons, gap, stat, lyap, diag, Xh, Yh, SX, SY):
-    """Exact-communication gradient tracking baseline."""
-    n, d = X0.shape
-    X = X0.copy()
-    G = np.empty((n, d))
-    _grad_rows_nb(cost_kind, h, nuv, m, xi, Mq, bq, X, G)
-    Y = G.copy()
-    xbar = np.empty(d)
-    ybar = np.empty(d)
-    gbar = np.empty(d)
-    status = STATUS_OK
-    k_done = iters
-    for k in range(iters + 1):
-        _col_mean(X, xbar)
-        _col_mean(Y, ybar)
-        _col_mean(G, gbar)
-        c_k = _dev_sq_from_mean(X, xbar)
-        t_k = _dev_sq_from_mean(Y, ybar)
-        g_k = _value_sum_nb(cost_kind, h, nuv, m, xi, Mq, bq, xbar) - n * fstar
-        s_k = _grad_sum_sq_nb(cost_kind, h, nuv, m, xi, Mq, bq, xbar) / n
-        cons[k] = c_k
-        gap[k] = g_k
-        stat[k] = s_k
-        lyap[k] = c_k + phi_w * t_k + g_k
-        if Xh.shape[0] > 0:
-            for i in range(n):
-                for j in range(d):
-                    Xh[k, i, j] = X[i, j]
-                    Yh[k, i, j] = Y[i, j]
-        if not (np.isfinite(c_k) and np.isfinite(t_k) and np.isfinite(g_k)
-                and np.isfinite(s_k)):
-            status = STATUS_NONFINITE
-            k_done = k
-            break
-        acc = 0.0
-        gn = 0.0
-        for j in range(d):
-            v = ybar[j] - gbar[j]
-            acc += v * v
-            gn += gbar[j] * gbar[j]
-        r = np.sqrt(acc) / (1.0 + np.sqrt(gn))
-        if r > diag[1]:
-            diag[1] = r
-        if k == iters:
-            break
-        mixX = W @ X
-        mixY = W @ Y
-        Xn = np.empty((n, d))
-        for i in range(n):
-            for j in range(d):
-                Xn[i, j] = X[i, j] - gamma * (X[i, j] - mixX[i, j]) \
-                    - eta * Y[i, j]
-        Gn = np.empty((n, d))
-        _grad_rows_nb(cost_kind, h, nuv, m, xi, Mq, bq, Xn, Gn)
-        Yn = np.empty((n, d))
-        for i in range(n):
-            for j in range(d):
-                Yn[i, j] = Y[i, j] - gamma * (Y[i, j] - mixY[i, j]) \
-                    + Gn[i, j] - G[i, j]
-        acc = 0.0
-        for j in range(d):
-            want = xbar[j] - eta * ybar[j]
-            got = 0.0
-            for i in range(n):
-                got += Xn[i, j]
-            got /= n
-            v = got - want
-            acc += v * v
-        r = np.sqrt(acc)
-        if r > diag[0]:
-            diag[0] = r
-        X = Xn
-        Y = Yn
-        G = Gn
-    for i in range(n):
-        for j in range(d):
-            SX[i, j] = X[i, j]
-            SY[i, j] = Y[i, j]
-    return status, k_done
-
-
-# ---------------------------------------------------------------------------
-# numpy runs: the steppers only step; one block recorder writes every trace
-# row and diag maximum, B rows at a time
+# runs: the steppers only step; one block recorder writes every trace row
+# and diag maximum, B rows at a time
 
 # Bytes of row buffers one recorder may hold; B is this over the bytes of a
 # recorded row, clamped to 1.._RECORD_MAX_ROWS (see the module docstring).
@@ -874,10 +144,6 @@ _RECORD_MAX_ROWS = 64
 def _block_rows(nrec, n, d):
     """Rows per recorded block for ``nrec`` recorded (n, d) arrays a row."""
     return max(1, min(_RECORD_MAX_ROWS, _RECORD_BUDGET // (nrec * n * d * 8)))
-
-
-def _pack_suite(cost_kind, h, nuv, m, xi, Mq, bq):
-    return (cost_kind, h, nuv, m, xi, Mq, bq)
 
 
 def _sigmoid_np(z):
@@ -968,7 +234,7 @@ def _raise_max(diag, i, vals):
 
 
 class _BlockRecorder:
-    """Trace rows and diag maxima of one numpy run, computed B rows at once.
+    """Trace rows and diag maxima of one run, computed B rows at once.
 
     Row k is the run state before step k as a list that starts X, Y, G and
     goes on with the run's other recorded arrays: alg1 A, B, C, D (then Ex,
@@ -1006,7 +272,11 @@ class _BlockRecorder:
                 start, k_start = list(st), k
             self.push(st)
             if self.fill == self.B or k == last:
-                bad = self.flush()
+                # overflow in a diverging row is expected: flush finds
+                # non-finite rows itself and reports them as the status
+                with np.errstate(over="ignore", invalid="ignore",
+                                 divide="ignore"):
+                    bad = self.flush()
                 if bad is not None:
                     if self.buf is not None:
                         st[:] = start
@@ -1101,20 +371,20 @@ class _BlockRecorder:
         return None
 
 
+# Each stepper records rows 0..iters of one run into ``record`` (the
+# recorder's cons, gap, stat, lyap, diag, Xh, Yh arrays) and returns
+# (status, k_done, final): final maps the StackedState fields of the run to
+# its last state, one distinct array per field.
+
 def _run_alg1_np(X0, W, eta, gamma, phix, phiy, varsigma, use_ef,
-                 ckind, cp1, cp2, cip, seed,
-                 cost_kind, h, nuv, m, xi, Mq, bq,
-                 fstar, lyap_kind, phi_w, phi_aux, iters,
-                 cons, gap, stat, lyap, diag, Xh, Yh,
-                 SX, SY, SA, SB, SC, SD, SEx, SEy, SQX, SQY, SQhX, SQhY):
+                 ckind, cp1, cp2, cip, seed, pack,
+                 fstar, lyap_kind, phi_w, phi_aux, iters, record):
     n, d = X0.shape
-    pack = _pack_suite(cost_kind, h, nuv, m, xi, Mq, bq)
     G = _grad_block_np(pack, X0)
     Qx = _compress_block_np(ckind, cp1, cp2, cip, X0, seed, 0, 0)
     Qy = _compress_block_np(ckind, cp1, cp2, cip, G, seed, 0, 1)
-    zero = np.zeros((n, d))
     # X, Y, G, A, B, C, D, Ex, Ey, Qx, Qy, Qhx, Qhy
-    st = [X0.copy(), G.copy(), G, zero, zero, zero, zero, zero, zero,
+    st = [X0.copy(), G.copy(), G, *(np.zeros((n, d)) for _ in range(6)),
           Qx, Qy, Qx.copy(), Qy.copy()]
     del G, Qx, Qy
 
@@ -1151,27 +421,20 @@ def _run_alg1_np(X0, W, eta, gamma, phix, phiy, varsigma, use_ef,
 
     rec = _BlockRecorder("alg1", 9 if lyap_kind == LYAP_EF else 7, (n, d),
                          pack, W, eta, fstar, lyap_kind, phi_w, phi_aux,
-                         (cons, gap, stat, lyap, diag, Xh, Yh))
+                         record)
     status, k_done = rec.run(st, step, iters, STATUS_OK)
     del st[2]
-    for dst, a in zip((SX, SY, SA, SB, SC, SD, SEx, SEy, SQX, SQY, SQhX,
-                       SQhY), st):
-        dst[:] = a
-    return status, k_done
+    return status, k_done, dict(zip(("x", "y", "a", "b", "c", "dd", "ex",
+                                     "ey", "qx", "qy", "qhx", "qhy"), st))
 
 
 def _run_alg3_np(X0, W, eta, gamma, s_arr, ip_norm,
-                 ckind, cp1, cp2, cip, seed,
-                 cost_kind, h, nuv, m, xi, Mq, bq,
-                 fstar, lyap_kind, phi_w, phi_aux, iters,
-                 cons, gap, stat, lyap, diag, Xh, Yh,
-                 SX, SY, SXhat, SV, SYhat, SZ, SQX, SQY):
+                 ckind, cp1, cp2, cip, seed, pack,
+                 fstar, lyap_kind, phi_w, phi_aux, iters, record):
     n, d = X0.shape
-    pack = _pack_suite(cost_kind, h, nuv, m, xi, Mq, bq)
     G = _grad_block_np(pack, X0)
-    zero = np.zeros((n, d))
     # X, Y, G, Xhat, Yhat, V, Z, Qx, Qy
-    st = [X0.copy(), G.copy(), G, zero, zero, zero, zero,
+    st = [X0.copy(), G.copy(), G, *(np.zeros((n, d)) for _ in range(4)),
           _compress_block_np(ckind, cp1, cp2, cip, X0 / s_arr[0], seed, 0, 0),
           _compress_block_np(ckind, cp1, cp2, cip, G / s_arr[0], seed, 0, 1)]
     del G
@@ -1200,21 +463,15 @@ def _run_alg3_np(X0, W, eta, gamma, s_arr, ip_norm,
     below = np.flatnonzero(s_arr[1:] < _SCALE_FLOOR)
     last = int(below[0]) if below.size else iters
     rec = _BlockRecorder("alg3", 7, (n, d), pack, W, eta, fstar, lyap_kind,
-                         phi_w, phi_aux, (cons, gap, stat, lyap, diag, Xh, Yh),
-                         s_arr, ip_norm)
+                         phi_w, phi_aux, record, s_arr, ip_norm)
     status, k_done = rec.run(st, step, last, STATUS_SCALE_UNDERFLOW
                              if last < iters else STATUS_OK)
-    X, Y, _, Xhat, Yhat, V, Z, Qx, Qy = st
-    SX[:], SY[:] = X, Y
-    SXhat[:], SV[:], SYhat[:], SZ[:], SQX[:], SQY[:] = Xhat, V, Yhat, Z, Qx, Qy
-    return status, k_done
+    del st[2]
+    return status, k_done, dict(zip(("x", "y", "xhat", "yhat", "v", "z",
+                                     "qx", "qy"), st))
 
 
-def _run_dgt_np(X0, W, eta, gamma,
-                cost_kind, h, nuv, m, xi, Mq, bq,
-                fstar, phi_w, iters,
-                cons, gap, stat, lyap, diag, Xh, Yh, SX, SY):
-    pack = _pack_suite(cost_kind, h, nuv, m, xi, Mq, bq)
+def _run_dgt_np(X0, W, eta, gamma, pack, fstar, phi_w, iters, record):
     G = _grad_block_np(pack, X0)
     st = [X0.copy(), G.copy(), G]  # X, Y, G
     del G
@@ -1227,8 +484,6 @@ def _run_dgt_np(X0, W, eta, gamma,
         st += Xn, Y - gamma * (Y - W @ Y) + Gn - G, Gn
 
     rec = _BlockRecorder("dgt", 3, X0.shape, pack, W, eta, fstar,
-                         LYAP_CONSENSUS, phi_w, 0.0,
-                         (cons, gap, stat, lyap, diag, Xh, Yh))
+                         LYAP_CONSENSUS, phi_w, 0.0, record)
     status, k_done = rec.run(st, step, iters, STATUS_OK)
-    SX[:], SY[:] = st[0], st[1]
-    return status, k_done
+    return status, k_done, {"x": st[0], "y": st[1]}

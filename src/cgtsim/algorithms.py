@@ -155,21 +155,19 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
         seed: int = 0, x0: np.ndarray | None = None, f_star: float = 0.0,
         lyap_kind: int | None = None, lyap_phi: float = 0.0,
         lyap_aux: float = 0.0, bits_per_iter: int = 0,
-        record_states: bool = False, backend: str | None = None) -> RunTrace:
+        record_states: bool = False) -> RunTrace:
     """Execute one synchronous run and return its dense trace.
 
-    ``seed`` feeds only the compressor randomness (counter-derived per
-    iteration, agent, and message slot).  ``lyap_phi``/``lyap_aux`` are the
-    weight constants of the Lyapunov variant selected by ``lyap_kind``;
-    sensible defaults are chosen per algorithm when not given.  ``backend``
-    is None (the active backend, see ``_kernels.active_backend``), "numpy" or
-    "numba"; without numba, "numba" runs the loop kernels interpreted.
+    The run is stepped by the one numpy stepper of ``algo`` in ``_kernels``,
+    which records the trace in blocks of rows.  ``seed`` feeds only the
+    compressor randomness: agent i's message in slot s at iteration k is
+    row i of ``compress(comp, inputs, seed=seed, k=k, slot=s)``.
+    ``lyap_phi``/``lyap_aux`` are the weight constants of the Lyapunov
+    variant selected by ``lyap_kind``; sensible defaults are chosen per
+    algorithm when not given.
     """
     if algo not in ALGORITHMS:
         raise AlgorithmError(f"unknown algorithm {algo!r}")
-    if backend not in (None, "numpy", "numba"):
-        raise AlgorithmError(f"unknown backend {backend!r}; "
-                             "expected 'numpy' or 'numba'")
     if iters < 1:
         raise AlgorithmError("iters must be >= 1")
     if suite.n != net.n:
@@ -207,47 +205,28 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
     Xh = np.zeros((hist_rows, n, d))
     Yh = np.zeros((hist_rows, n, d))
     useed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    use_numba = (backend or kern.active_backend()) == "numba"
-
-    def out():
-        return np.zeros((n, d))
+    record = (cons, gapv, stat, lyap, diag, Xh, Yh)
 
     s_vals = None
     if algo in ("alg1", "alg2"):
         ck, cp1, cp2, cip = comp.kind_code, *comp.kernel_params()
-        outs = [out() for _ in range(12)]
-        fn = kern._run_alg1_nb if use_numba else kern._run_alg1_np
-        status, k_done = fn(
+        status, k_done, final = kern._run_alg1_np(
             x0, W, params.eta, params.gamma, params.phi_x, params.phi_y,
             params.varsigma, 1 if algo == "alg2" else 0,
-            ck, cp1, cp2, cip, useed, *cost_pack,
-            f_star, lyap_kind, lyap_phi, lyap_aux, iters,
-            cons, gapv, stat, lyap, diag, Xh, Yh, *outs)
-        state = StackedState(x=outs[0], y=outs[1], a=outs[2], b=outs[3],
-                             c=outs[4], dd=outs[5], ex=outs[6], ey=outs[7],
-                             qx=outs[8], qy=outs[9], qhx=outs[10],
-                             qhy=outs[11])
+            ck, cp1, cp2, cip, useed, cost_pack,
+            f_star, lyap_kind, lyap_phi, lyap_aux, iters, record)
     elif algo == "alg3":
         ck, cp1, cp2, cip = comp.kind_code, *comp.kernel_params()
         s_vals = scaling_sequence(params.s0, params.mu, iters)
         ip_norm = 0 if math.isinf(comp.p_norm) else 1
-        outs = [out() for _ in range(8)]
-        fn = kern._run_alg3_nb if use_numba else kern._run_alg3_np
-        status, k_done = fn(
+        status, k_done, final = kern._run_alg3_np(
             x0, W, params.eta, params.gamma, s_vals, ip_norm,
-            ck, cp1, cp2, cip, useed, *cost_pack,
-            f_star, lyap_kind, lyap_phi, lyap_aux, iters,
-            cons, gapv, stat, lyap, diag, Xh, Yh, *outs)
-        state = StackedState(x=outs[0], y=outs[1], xhat=outs[2], v=outs[3],
-                             yhat=outs[4], z=outs[5], qx=outs[6], qy=outs[7])
+            ck, cp1, cp2, cip, useed, cost_pack,
+            f_star, lyap_kind, lyap_phi, lyap_aux, iters, record)
     else:
-        outs = [out() for _ in range(2)]
-        fn = kern._run_dgt_nb if use_numba else kern._run_dgt_np
-        status, k_done = fn(
-            x0, W, params.eta, params.gamma, *cost_pack,
-            f_star, lyap_phi, iters,
-            cons, gapv, stat, lyap, diag, Xh, Yh, *outs)
-        state = StackedState(x=outs[0], y=outs[1])
+        status, k_done, final = kern._run_dgt_np(
+            x0, W, params.eta, params.gamma, cost_pack, f_star, lyap_phi,
+            iters, record)
 
     rows = k_done + 1
     ks = np.arange(rows, dtype=np.int64)
@@ -262,7 +241,7 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
         status=_STATUS[int(status)],
         failed_at=None if status == kern.STATUS_OK else k_done,
         diagnostics=dict(zip(DIAG_NAMES, diag.tolist())),
-        final_state=state,
+        final_state=StackedState(**final),
         x_hist=Xh[:rows].copy() if record_states else None,
         y_hist=Yh[:rows].copy() if record_states else None,
         s_values=s_vals[:rows].copy() if s_vals is not None else None,

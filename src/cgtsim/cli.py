@@ -2,8 +2,8 @@
 
 Subcommands: ``run`` (execute a config), ``bounds`` (print the certified
 parameter tables for a config's cells), ``verify-compressor`` (empirical
-bound certification), ``replicate-section5`` (the pinned built-in benchmark
-scenario), and ``benchmark`` (numba kernels against the numpy fallback).
+bound certification) and ``replicate-section5`` (the pinned built-in
+benchmark scenario).  Performance is measured by ``perfbench/run.py``.
 
 Exit codes: 0 success, 1 run or verification failure, 2 config error.
 """
@@ -15,14 +15,12 @@ import json
 import math
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis
-from .algorithms import practical_params, run as run_algo
-from .compressors import CompressorError, make_compressor, spec_from_config, verify_assumption
+from .compressors import CompressorError, spec_from_config, verify_assumption
 from .costs import CostError, generate_suite
 from .graph import GraphError, generate_network
 from .harness import (
@@ -187,39 +185,6 @@ def _cmd_replicate(args) -> int:
     return rc
 
 
-def _cmd_benchmark(args) -> int:
-    from . import _kernels
-
-    net = generate_network(args.n, 0.4, seed=7)
-    suite = generate_suite("logistic_log", args.n, args.d, seed=11, scale=0.1)
-    comp = make_compressor("norm_sign", d=args.d)
-    params = practical_params("alg1")
-    common = dict(seed=13, record_states=False)
-
-    def once(backend):
-        t0 = time.perf_counter()
-        tr = run_algo("alg1", args.iters, net, suite, params, comp,
-                      backend=backend, **common)
-        return time.perf_counter() - t0, tr
-
-    once("numba")  # compile before timing
-    t_nb, tr_nb = once("numba")
-    t_np, tr_np = once("numpy")
-    agree = float(np.max(np.abs(tr_nb.consensus_err - tr_np.consensus_err))
-                  / (1.0 + np.max(tr_nb.consensus_err)))
-    print(json.dumps({
-        "workload": {"algo": "alg1", "compressor": "norm_sign",
-                     "n": args.n, "d": args.d, "iters": args.iters},
-        # without numba the "numba" timing is the loop kernels interpreted
-        "numba_compiled": _kernels.NUMBA_AVAILABLE,
-        "numba_seconds": round(t_nb, 4),
-        "numpy_seconds": round(t_np, 4),
-        "speedup": round(t_np / t_nb, 2),
-        "relative_trace_difference": agree,
-    }, indent=2))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cgtsim",
@@ -258,13 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="practical")
     p.add_argument("--gnuplot", action="store_true")
     p.set_defaults(fn=_cmd_replicate)
-
-    p = sub.add_parser("benchmark",
-                       help="time the numba kernels against the numpy path")
-    p.add_argument("--n", type=int, default=20)
-    p.add_argument("--d", type=int, default=50)
-    p.add_argument("--iters", type=int, default=2000)
-    p.set_defaults(fn=_cmd_benchmark)
     return ap
 
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
+
 KINDS = (
     "identity",
     "norm_sign",
@@ -196,52 +198,26 @@ def spec_from_config(cfg: dict, d: int) -> CompressorSpec:
     return make_compressor(kind, d, p_norm=p_norm, **cfg)
 
 
-def _sign_pm(x: np.ndarray) -> np.ndarray:
-    """Elementwise sign with sign(0) = +1."""
-    return np.where(x >= 0.0, 1.0, -1.0)
+def compress(spec: CompressorSpec, x: np.ndarray, *, seed: int = 0,
+             k: int = 0, slot: int = 0) -> np.ndarray:
+    """Apply the operator to one vector or to an (n, d) stack of agent rows.
 
-
-def compress(spec: CompressorSpec, x: np.ndarray,
-             rng: np.random.Generator | None = None) -> np.ndarray:
-    """Apply the operator to one vector; rng is consumed only by random kinds."""
+    This is the block kernel the steppers run.  Random kinds draw from its
+    counter-based stream: row i of the stack is agent i, and its draws are
+    keyed by the run's ``seed``, the iteration ``k``, the agent i and the
+    message ``slot`` (alg1/alg2 send x in slot 0 and y in slot 1, alg2 its
+    error-feedback messages in slots 2 and 3; alg3 uses slots 0 and 1).  A
+    single vector is agent 0.  Deterministic kinds ignore the keys.
+    """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise CompressorError("compress input has non-finite entries")
-    kind = spec.kind
-    if kind == "identity":
-        return x.copy()
-    if kind == "norm_sign":
-        a = float(np.max(np.abs(x))) if x.size else 0.0
-        if a == 0.0:
-            return np.zeros_like(x)
-        return (0.5 * a) * _sign_pm(x)
-    if kind == "uniform_quantize":
-        return spec.delta * np.floor(x / spec.delta + 0.5)
-    if kind == "one_bit":
-        return np.where(x >= 0.0, 0.5, -0.5)
-    if kind == "random_sparsify":
-        k = spec.keep_k
-        if spec.sparsify_mode == "top":
-            idx = np.argsort(-np.abs(x), kind="stable")[:k]
-        else:
-            if rng is None:
-                raise CompressorError("random sparsify needs an rng")
-            idx = rng.choice(x.size, size=k, replace=False)
-        out = np.zeros_like(x)
-        out[idx] = x[idx] * (spec.d / k if spec.rescale else 1.0)
-        return out
-    if kind == "random_quantize":
-        if rng is None:
-            raise CompressorError("random quantize needs an rng")
-        a = float(np.max(np.abs(x)))
-        if a == 0.0:
-            return np.zeros_like(x)
-        h = 2.0 * a / (spec.levels - 1)
-        t = (x + a) / h
-        lo = np.floor(t)
-        up = rng.random(x.shape) < (t - lo)
-        return (lo + up) * h - a
-    raise CompressorError(f"unknown compressor kind {kind!r}")
+    if x.ndim not in (1, 2):
+        raise CompressorError("compress takes a vector or an (n, d) stack")
+    q = _kernels._compress_block_np(
+        spec.kind_code, *spec.kernel_params(), x.reshape(-1, x.shape[-1]),
+        np.uint64(seed & 0xFFFFFFFFFFFFFFFF), k, slot)
+    return q.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -317,20 +293,25 @@ def verify_assumption(spec: CompressorSpec, trials: int, d: int,
 
     Deterministic operators must satisfy the bound on every draw (tolerance
     1e-9 for rounding only); randomized ones are checked through the sample
-    mean over ``inner`` draws against (1 - psi) * (1 + tol).
+    mean over ``inner`` draws against (1 - psi) * (1 + tol).  Random draws
+    come from the counter stream the runs use (see ``compress``): one seed
+    drawn from ``rng`` per report, probe i at iteration key i, and its
+    ``inner`` draws as the rows of one stack.
     """
     if trials < 100:
         raise CompressorError("need at least 100 trials")
     violations = []
     worst = 0.0
+    deterministic = spec.is_deterministic
+    sampled = spec.assumption_class == RELATIVE and not deterministic
+    n_x = max(8, trials // 100) if sampled else trials
+    xs = _probe_inputs(n_x, d, rng)
+    seed = 0 if deterministic else int(rng.integers(2**63))
 
     if spec.assumption_class == RELATIVE:
-        deterministic = spec.is_deterministic
-        n_x = trials if deterministic else max(8, trials // 100)
-        xs = _probe_inputs(n_x, d, rng)
         bound = 1.0 - spec.psi
         slack = 1e-9 if deterministic else tol
-        for x in xs:
+        for i, x in enumerate(xs):
             nx2 = float(x @ x)
             if nx2 == 0.0:
                 continue
@@ -338,22 +319,19 @@ def verify_assumption(spec: CompressorSpec, trials: int, d: int,
                 err = compress(spec, x) / spec.r - x
                 ratio = float(err @ err) / nx2
             else:
-                acc = 0.0
-                for _ in range(inner):
-                    err = compress(spec, x, rng) / spec.r - x
-                    acc += float(err @ err)
-                ratio = acc / inner / nx2
+                errs = compress(spec, np.tile(x, (inner, 1)), seed=seed,
+                                k=i) / spec.r - x
+                ratio = float((errs * errs).sum()) / inner / nx2
             worst = max(worst, ratio)
             if ratio > bound * (1.0 + slack) + 1e-15:
                 violations.append((x.copy(), ratio))
         return VerifyReport(spec, n_x, worst, bound, not violations, violations)
 
     if spec.assumption_class == GLOBAL_ABSOLUTE:
-        xs = _probe_inputs(trials, d, rng)
         xs[4:8] *= 100.0  # the bound is global: try large inputs too
         bound = spec.cap_c
-        for x in xs:
-            err = compress(spec, x, rng) - x
+        for i, x in enumerate(xs):
+            err = compress(spec, x, seed=seed, k=i) - x
             val = _p_norm(err, spec.p_norm) ** 2
             worst = max(worst, val)
             if val > bound * (1.0 + 1e-9) + 1e-15:
@@ -361,13 +339,12 @@ def verify_assumption(spec: CompressorSpec, trials: int, d: int,
         return VerifyReport(spec, trials, worst, bound, not violations, violations)
 
     # local absolute: inputs live in the unit p-ball
-    xs = _probe_inputs(trials, d, rng)
     bound = 1.0 - spec.phi_c
-    for x in xs:
+    for i, x in enumerate(xs):
         nrm = _p_norm(x, spec.p_norm)
         if nrm > 1.0:
             x = x / nrm
-        err = compress(spec, x, rng) - x
+        err = compress(spec, x, seed=seed, k=i) - x
         val = _p_norm(err, spec.p_norm)
         worst = max(worst, val)
         if val > bound * (1.0 + 1e-9) + 1e-15:

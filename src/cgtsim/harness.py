@@ -381,8 +381,8 @@ def read_trace_csv(path) -> dict:
     return {name: cols[:, i] for i, name in enumerate(CSV_HEADER.split(","))}
 
 
-def run_experiment(cfg: ExperimentConfig, *, keep_traces: bool = False,
-                   backend: str | None = None) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, *,
+                   keep_traces: bool = False) -> ExperimentResult:
     """Execute every cell on a shared instance and write CSVs plus a report.
 
     Cell failures (diverged runs) are recorded per cell; remaining cells
@@ -416,7 +416,7 @@ def run_experiment(cfg: ExperimentConfig, *, keep_traces: bool = False,
         trace = run(cell.algo, cfg.iters, net, suite, params, comp,
                     seed=int(cfg.seeds["algo"]), x0=x0, f_star=ref.f_star,
                     lyap_kind=lyap_kind, lyap_phi=phi_w, lyap_aux=lyap_aux,
-                    bits_per_iter=bpi, backend=backend)
+                    bits_per_iter=bpi)
         csv_path = outdir / f"{cfg.scenario}__{label}.csv"
         write_trace_csv(trace, csv_path)
         hit = bits_to_threshold(trace, cfg.threshold)

@@ -1,6 +1,4 @@
-"""Stepper semantics: reductions, invariants, determinism, backends."""
-
-import warnings
+"""Stepper semantics: reductions, invariants, determinism, the oracle."""
 
 import numpy as np
 import pytest
@@ -18,6 +16,7 @@ from cgtsim.algorithms import (
 from cgtsim.compressors import make_compressor
 from cgtsim.costs import CostSuite, generate_suite, grad
 from cgtsim.graph import Network, generate_network
+from message_passing_oracle import run_oracle
 
 
 @pytest.fixture(scope="module")
@@ -141,9 +140,14 @@ def test_same_seed_identical_traces(small_net, small_suite):
     assert not np.array_equal(a.final_state.x, c.final_state.x)
 
 
-def test_backends_agree(small_net, small_suite):
+def test_steppers_match_message_passing_oracle(small_net, small_suite):
+    # the steppers against agents that each update from their own state and
+    # their neighbours' messages alone; the slot keys of random compressors
+    # and every final state field included.  At delta=2 alg3's messages are
+    # all zero here; at delta=0.05 both x and y messages carry values.
     p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
                         varsigma=0.3, s0=8.0, mu=0.99)
+    x0 = initial_point(6, 8, 9)
     for algo, comp in [("alg1", make_compressor("norm_sign", d=8)),
                        ("alg2", make_compressor("norm_sign", d=8)),
                        ("alg3", make_compressor("uniform_quantize", d=8,
@@ -153,55 +157,25 @@ def test_backends_agree(small_net, small_suite):
                        ("alg1", make_compressor("random_sparsify", d=8,
                                                 keep_k=3,
                                                 sparsify_mode="random")),
-                       ("dgt", None)]:
-        nb = run(algo, 150, small_net, small_suite, p, comp, seed=9,
-                 backend="numba", record_states=True)
-        np_ = run(algo, 150, small_net, small_suite, p, comp, seed=9,
-                  backend="numpy", record_states=True)
-        assert nb.status == np_.status == "ok"
-        scale = 1.0 + np.max(np.abs(nb.x_hist))
-        assert np.max(np.abs(nb.x_hist - np_.x_hist)) <= 1e-9 * scale, algo
-
-
-def test_backend_env_selection(small_net, small_suite, monkeypatch):
-    try:
-        import numba  # noqa: F401
-        numba_imports = True
-    except ImportError:
-        numba_imports = False
-    assert numba_imports == _kernels.NUMBA_AVAILABLE
-    if numba_imports:
-        monkeypatch.setenv("CGT_BACKEND", "numpy")
-        assert _kernels.active_backend() == "numpy"
-        monkeypatch.setenv("CGT_BACKEND", "numba")
-        assert _kernels.active_backend() == "numba"
-        _kernels.set_backend("numpy")
-        try:
-            assert _kernels.active_backend() == "numpy"
-        finally:
-            _kernels.set_backend(None)
-        return
-    # without numba: an environment request for it falls back loudly, an
-    # explicit request is refused, and clearing the override restores the
-    # environment default
-    monkeypatch.setenv("CGT_BACKEND", "numpy")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert _kernels.active_backend() == "numpy"
-    monkeypatch.setenv("CGT_BACKEND", "numba")
-    with pytest.warns(RuntimeWarning, match="numba"):
-        assert _kernels.active_backend() == "numpy"
-    with pytest.raises(ValueError, match="numba"):
-        _kernels.set_backend("numba")
-    _kernels.set_backend("numpy")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _kernels.active_backend() == "numpy"
-    finally:
-        _kernels.set_backend(None)
-    with pytest.warns(RuntimeWarning, match="numba"):
-        assert _kernels.active_backend() == "numpy"
+                       ("dgt", None),
+                       ("alg2", make_compressor("random_quantize", d=8,
+                                                levels=17)),
+                       ("alg3", make_compressor("uniform_quantize", d=8,
+                                                delta=0.05))]:
+        tr = run(algo, 150, small_net, small_suite, p, comp, seed=9, x0=x0,
+                 record_states=True)
+        assert tr.status == "ok"
+        xh, yh, final = run_oracle(algo, 150, small_net, small_suite, p,
+                                   comp, 9, x0)
+        got = {"x_hist": tr.x_hist, "y_hist": tr.y_hist}
+        got.update((name, val) for name, val in vars(tr.final_state).items()
+                   if val is not None)
+        want = {"x_hist": xh, "y_hist": yh, **final}
+        assert sorted(got) == sorted(want), algo
+        for name, val in want.items():
+            scale = 1.0 + np.max(np.abs(val))
+            assert np.max(np.abs(got[name] - val)) <= 1e-9 * scale, (algo,
+                                                                       name)
 
 
 def test_bits_column_arithmetic(small_net, small_suite):
@@ -320,13 +294,6 @@ def test_expectation_descent_randomized_compressor(small_net):
         paths.append(tr.lyapunov)
     rep = analysis.sample_mean_descent(paths, slack=1e-12)
     assert rep["ok"], rep
-
-
-def test_unknown_backend_rejected(small_net, small_suite):
-    p = AlgorithmParams(eta=0.05, gamma=0.3)
-    for name in ("numbaa", "NumPy"):
-        with pytest.raises(AlgorithmError, match="backend"):
-            run("dgt", 5, small_net, small_suite, p, backend=name)
 
 
 # Per-row recording as the numpy steppers did it before block recording; the
@@ -457,8 +424,8 @@ def _assert_same_run(a, b):
 
 
 def _run_default_and_per_row(monkeypatch, *args, **kwargs):
-    """The same numpy run recorded in default blocks and one row at a time."""
-    kwargs.update(backend="numpy", record_states=True)
+    """The same run recorded in default blocks and one row at a time."""
+    kwargs.update(record_states=True)
     blocked = run(*args, **kwargs)
     with monkeypatch.context() as mp:
         mp.setattr(_kernels, "_RECORD_BUDGET", 0)
@@ -487,6 +454,21 @@ def test_block_recording_equals_per_row(small_net, small_suite, monkeypatch,
                                     seed=9)
     assert a.status == "ok"
     _assert_same_run(a, b)
+
+
+def test_final_state_fields_are_distinct_arrays(small_net, small_suite):
+    # the steppers hand back their own arrays; accumulators that start at
+    # zero and never move (alg1's ex, ey) must not share one zero array
+    p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
+                        varsigma=0.3, s0=8.0, mu=0.99)
+    x0 = initial_point(6, 8, 3)
+    for algo, comp in _BLOCK_CASES.items():
+        tr = run(algo, 5, small_net, small_suite, p, comp, seed=3, x0=x0)
+        arrays = [x0] + [a for a in vars(tr.final_state).values()
+                         if a is not None]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b), algo
 
 
 # rows at which the per-row recorder found each quadratic run non-finite

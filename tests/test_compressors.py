@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgtsim import _kernels
 from cgtsim.compressors import (
     BitCostModel,
     CompressorError,
@@ -112,17 +113,47 @@ def test_deterministic_kinds_are_pure():
 
 def test_random_quantize_unbiased_and_on_grid():
     spec = make_compressor("random_quantize", d=4, levels=9)
-    rng = np.random.default_rng(4)
     x = np.array([0.3, -0.7, 1.0, 0.0])
-    acc = np.zeros(4)
     reps = 4000
-    for _ in range(reps):
-        out = compress(spec, x, rng)
-        h = 2.0 / 8
-        lv = (out + 1.0) / h
-        assert np.allclose(lv, np.round(lv), atol=1e-9)
-        acc += out
-    assert np.allclose(acc / reps, x, atol=0.02)
+    out = compress(spec, np.tile(x, (reps, 1)), seed=4)  # a draw per row
+    lv = (out + 1.0) / (2.0 / 8)
+    assert np.allclose(lv, np.round(lv), atol=1e-9)
+    assert np.allclose(out.mean(axis=0), x, atol=0.02)
+
+
+def _sparsify_rows_oracle(X, keep, rescale, seed, k, slot):
+    """Random sparsify one row at a time: the first ``keep`` swaps of a
+    Fisher-Yates shuffle, each from one scalar draw of the agent's stream."""
+    n, d = X.shape
+    bases = _kernels._msg_base_np(np.uint64(seed), k, n, slot)
+    out = np.zeros_like(X)
+    for i in range(n):
+        idx = np.arange(d)
+        for t in range(keep):
+            u = float(_kernels._u01_np(bases[i:i + 1] + np.uint64(t))[0])
+            j = min(t + int(u * (d - t)), d - 1)
+            idx[t], idx[j] = idx[j], idx[t]
+        out[i, idx[:keep]] = X[i, idx[:keep]] * rescale
+    return out
+
+
+def test_random_sparsify_matches_per_row_shuffle():
+    rng = np.random.default_rng(12)
+    cases = [(n, d, seed, slot) for n, d in ((1, 1), (3, 8), (20, 50))
+             for seed, slot in ((0, 0), (7, 1), (2**63 + 5, 2),
+                                (2**64 - 1, 3))]
+    cases.append((1000, 8, 2**63 + 5, 1))
+    for n, d, seed, slot in cases:
+        X = rng.standard_normal((n, d))
+        for keep in sorted({1, (d + 1) // 2, d}):
+            for rescale in (False, True):
+                spec = make_compressor("random_sparsify", d=d, keep_k=keep,
+                                       sparsify_mode="random",
+                                       rescale=rescale)
+                want = _sparsify_rows_oracle(X, keep, spec.kernel_params()[1],
+                                             seed, 5, slot)
+                got = compress(spec, X, seed=seed, k=5, slot=slot)
+                assert got.tobytes() == want.tobytes(), (n, d, seed, slot)
 
 
 def test_bit_costs():
@@ -205,13 +236,26 @@ def test_invalid_specs_rejected():
     seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_norm_sign_relative_bound_pointwise(d, seed):
-    # deterministic per-draw version of the relative bound
-    spec = make_compressor("norm_sign", d=d)
+    # every deterministic kind meets its class bound on each draw, through
+    # the kernel the runs use: relative for norm-sign and top-k, global
+    # absolute for the uniform quantizer, local absolute for one-bit
     x = np.random.default_rng(seed).standard_normal(d)
     if not np.any(x):
         return
-    err = compress(spec, x) / spec.r - x
-    assert err @ err <= (1 - spec.psi) * (x @ x) * (1 + 1e-12)
+    keep = 1 + seed % d
+    for spec in (make_compressor("norm_sign", d=d),
+                 make_compressor("random_sparsify", d=d, keep_k=keep),
+                 make_compressor("random_sparsify", d=d, keep_k=keep,
+                                 rescale=True)):
+        err = compress(spec, x) / spec.r - x
+        assert err @ err <= (1 - spec.psi) * (x @ x) * (1 + 1e-12), spec
+    uq = make_compressor("uniform_quantize", d=d, delta=0.5 + seed % 3)
+    big = 100.0 * x
+    assert (np.max(np.abs(compress(uq, big) - big)) ** 2
+            <= uq.cap_c * (1 + 1e-9))
+    ob = make_compressor("one_bit", d=d)
+    unit = x / np.max(np.abs(x))  # on the unit inf-sphere
+    assert np.max(np.abs(compress(ob, unit) - unit)) <= 1 - ob.phi_c
 
 
 def test_derived_cap_helper():

@@ -1,6 +1,5 @@
 """Experiment orchestration: metric, bit ledger, reports, CLI contract."""
 
-import importlib.util
 import json
 import math
 
@@ -344,11 +343,3 @@ def test_cli_gnuplot_helper(tmp_path):
     script = (tmp_path / "g" / "gp__plot.gnuplot").read_text()
     assert "gp__dgt_exact.csv" in script
 
-
-def test_cli_benchmark_smoke(capsys):
-    assert cli.main(["benchmark", "--n", "5", "--d", "6", "--iters", "60"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["numba_seconds"] > 0 and out["numpy_seconds"] > 0
-    assert out["relative_trace_difference"] <= 1e-6
-    assert out["numba_compiled"] is (importlib.util.find_spec("numba")
-                                     is not None)
