@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 run or verification failure, 2 config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -20,12 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
+from .algorithms import initial_point
 from .compressors import CompressorError, spec_from_config, verify_assumption
-from .costs import CostError, generate_suite
-from .graph import GraphError, generate_network
+from .costs import CostError, solve_reference
+from .graph import GraphError
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    build_instance,
+    certified_cell,
     reference_scenario_config,
     run_experiment,
 )
@@ -88,13 +92,11 @@ def _cmd_run(args) -> int:
 def _cmd_bounds(args) -> int:
     doc = _apply_seed_override(_load_config(args.config), args.seed)
     cfg = ExperimentConfig.from_dict(doc)
-    net = generate_network(int(cfg.network["n"]),
-                           float(cfg.network["edge_density"]),
-                           int(cfg.seeds["graph"]),
-                           topology=cfg.network.get("topology", "random"))
-    cost_kwargs = {k: v for k, v in cfg.cost.items() if k not in ("kind", "d")}
-    suite = generate_suite(cfg.cost["kind"], net.n, int(cfg.cost["d"]),
-                           int(cfg.seeds["cost"]), **cost_kwargs)
+    net, suite = build_instance(cfg)
+    x0 = initial_point(net.n, suite.d, int(cfg.seeds["algo"]))
+    # solved at most once, and only for a table that needs it
+    f_star = functools.cache(
+        lambda: solve_reference(suite, tol=cfg.fstar_tol).f_star)
     tables = {"sigma": net.sigma, "L_f": suite.L_f, "nu_pl": suite.nu_pl,
               "cells": {}}
     for cell in cfg.cells:
@@ -102,39 +104,11 @@ def _cmd_bounds(args) -> int:
             continue
         comp = spec_from_config(cell.compressor, suite.d)
         label = cell.resolved_label()
-        if cell.algo == "alg1":
-            px = cell.params.get("phi_x", 0.5 / comp.r)
-            py = cell.params.get("phi_y", 0.5 / comp.r)
-            b = analysis.bounds_relative(net.sigma, suite.L_f, comp, px, py)
-        elif cell.algo == "alg2":
-            px = cell.params.get("phi_x", 0.5 / comp.r)
-            py = cell.params.get("phi_y", 0.5 / comp.r)
-            b = analysis.bounds_error_feedback(net.sigma, suite.L_f, comp,
-                                               px, py)
-        else:
-            if comp.assumption_class == "local_absolute":
-                if suite.nu_pl is None:
-                    tables["cells"][label] = {
-                        "error": "needs a gradient-dominance constant"}
-                    continue
-                from .algorithms import initial_point
-                from .costs import grad_all, mean_value
-
-                x0 = initial_point(net.n, suite.d, int(cfg.seeds["algo"]))
-                y0 = grad_all(suite, x0)
-                xbar = x0.mean(axis=0)
-                b = analysis.bounds_scaled_local(
-                    net.sigma, suite.L_f, suite.nu_pl, comp.phi_c,
-                    comp.p_norm, net.n, suite.d,
-                    cons0=float(((x0 - xbar) ** 2).sum()),
-                    track0=float(((y0 - y0.mean(axis=0)) ** 2).sum()),
-                    gap0=net.n * mean_value(suite, xbar),
-                    x0_norm_max=float(np.linalg.norm(x0, axis=1).max()),
-                    y0_norm_max=float(np.linalg.norm(y0, axis=1).max()))
-            else:
-                b = analysis.bounds_absolute_global(
-                    net.sigma, suite.L_f, net.n, suite.d, comp.cap_c,
-                    p=comp.p_norm)
+        try:
+            b = certified_cell(cell, net, suite, comp, x0, f_star)[0]
+        except ConfigError as exc:
+            tables["cells"][label] = {"error": str(exc)}
+            continue
         tables["cells"][label] = {
             "regime": b.regime, "gamma_max": b.gamma_max, "gamma": b.gamma,
             "eta_max": b.eta_max, "eta": b.eta,

@@ -82,20 +82,16 @@ class Network:
 
 
 def is_strongly_connected(adjacency: np.ndarray) -> bool:
-    """Reachability check by BFS from node 0 on the graph and its transpose."""
+    """Reachability from node 0 on the graph and its transpose, one BFS level
+    per step over a boolean frontier."""
     n = adjacency.shape[0]
     for adj in (adjacency, adjacency.T):
         seen = np.zeros(n, dtype=bool)
         seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in np.nonzero(adj[:, u])[0]:
-                    if not seen[v]:
-                        seen[v] = True
-                        nxt.append(int(v))
-            frontier = nxt
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = adj[:, frontier].any(axis=1) & ~seen
+            seen |= frontier
         if not seen.all():
             return False
     return True
@@ -106,11 +102,9 @@ def metropolis_weights(adjacency: np.ndarray) -> np.ndarray:
     n = adjacency.shape[0]
     sym = adjacency | adjacency.T
     deg = sym.sum(axis=1)
+    i, j = np.nonzero(sym & ~np.eye(n, dtype=bool))
     W = np.zeros((n, n))
-    for i in range(n):
-        for j in np.nonzero(sym[i])[0]:
-            if j != i:
-                W[i, j] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    W[i, j] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
     return W
 
@@ -123,18 +117,18 @@ def spectral_gap(W: np.ndarray, tol: float = _POWER_TOL,
     rng = np.random.default_rng(0x5EED)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
+    w = A.T @ (A @ v)
     lam = 0.0
     for _ in range(max_iters):
-        u = A @ v
-        w = A.T @ u
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
-        v_new = w / norm
-        lam_new = float(v_new @ (A.T @ (A @ v_new)))
+        v = w / norm
+        w = A.T @ (A @ v)  # the Rayleigh quotient's product is the next step's
+        lam_new = float(v @ w)
         if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-30):
             return float(np.sqrt(max(lam_new, 0.0)))
-        lam, v = lam_new, v_new
+        lam = lam_new
     raise GraphError(
         f"power iteration did not converge in {max_iters} iterations "
         f"(last residual {abs(lam_new - lam):.3e})")

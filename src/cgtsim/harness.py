@@ -198,13 +198,81 @@ def _check_pairing(algo: str, comp: CompressorSpec | None,
             "override")
 
 
+def certified_cell(cell: CellConfig, net, suite, comp, x0, f_star):
+    """Certified parameters of one cell and the bounds they come from.
+
+    ``run`` resolves its certified cells here and ``bounds`` prints these
+    tables for every cell but dgt, so the two cannot drift.  ``f_star`` is a
+    callable giving the reference value; only alg3 with a local-absolute
+    compressor calls it, for the initial optimality gap.
+
+    Returns ``(bounds, params, lyap_kind, lyap_aux, extras)``; ``extras``
+    holds the sidecar fields the certification adds.
+    """
+    d = suite.d
+    lyap_aux = 0.0
+    lyap_kind = None
+    extras: dict = {}
+    if cell.algo in ("alg1", "alg2"):
+        px = cell.params.get("phi_x", 0.5 / comp.r)
+        py = cell.params.get("phi_y", 0.5 / comp.r)
+        fn = (analysis.bounds_relative if cell.algo == "alg1"
+              else analysis.bounds_error_feedback)
+        b = fn(net.sigma, suite.L_f, comp, px, py)
+        params = AlgorithmParams(eta=b.eta, gamma=b.gamma, phi_x=px,
+                                 phi_y=py, varsigma=b.varsigma or 0.0)
+        if cell.algo == "alg2":
+            lyap_aux = b.constants["phi_hat"]
+    elif cell.algo == "alg3":
+        if comp.assumption_class == "local_absolute":
+            if suite.nu_pl is None:
+                raise ConfigError(
+                    "certified scaled-local runs need a cost with a "
+                    "known gradient-dominance constant")
+            y0 = _initial_tracker(suite, x0)
+            xbar = x0.mean(axis=0)
+            ybar = y0.mean(axis=0)
+            from .costs import mean_value
+
+            b = analysis.bounds_scaled_local(
+                net.sigma, suite.L_f, suite.nu_pl, comp.phi_c,
+                comp.p_norm, net.n, d,
+                cons0=float(((x0 - xbar) ** 2).sum()),
+                track0=float(((y0 - ybar) ** 2).sum()),
+                gap0=net.n * (mean_value(suite, xbar) - f_star()),
+                x0_norm_max=float(np.linalg.norm(x0, axis=1).max()),
+                y0_norm_max=float(np.linalg.norm(y0, axis=1).max()))
+            params = AlgorithmParams(eta=b.eta, gamma=b.gamma,
+                                     s0=b.s0, mu=b.mu)
+            lyap_kind = 3
+            lyap_aux = b.constants["phi_tilde"]
+            extras["lyapunov"] = "scaled"
+        else:
+            mu = float(cell.params.get("mu", 0.995))
+            s0 = float(cell.params.get("s0", auto_s0(x0, suite)))
+            b = analysis.bounds_absolute_global(
+                net.sigma, suite.L_f, net.n, d, comp.cap_c,
+                p=comp.p_norm, mu=mu)
+            params = AlgorithmParams(eta=b.eta, gamma=b.gamma,
+                                     s0=s0, mu=mu)
+            extras["slack_coefficient"] = b.constants["breve_theta8"]
+    else:  # certified baseline: reuse the exact-compressor region
+        from .compressors import make_compressor
+
+        b = analysis.bounds_relative(net.sigma, suite.L_f,
+                                     make_compressor("identity", d),
+                                     0.5, 0.5)
+        params = AlgorithmParams(eta=b.eta, gamma=b.gamma)
+    extras["bounds"] = b.constants
+    return b, params, lyap_kind, lyap_aux, extras
+
+
 def _resolve_cell(cell: CellConfig, cfg: ExperimentConfig, net, suite,
                   x0, f_star):
     """Compressor spec, parameters, and Lyapunov constants for one cell."""
-    d = suite.d
     comp = None
     if cell.compressor is not None:
-        comp = spec_from_config(cell.compressor, d)
+        comp = spec_from_config(cell.compressor, suite.d)
     _check_pairing(cell.algo, comp, cell.force_params)
     phi_w = analysis.lyapunov_weight(net.sigma, suite.L_f)
     lyap_aux = 0.0
@@ -214,60 +282,9 @@ def _resolve_cell(cell: CellConfig, cfg: ExperimentConfig, net, suite,
                                  "dgt": "consensus"}[cell.algo]}
 
     if cell.mode == "certified":
-        if cell.algo in ("alg1", "alg2"):
-            px = cell.params.get("phi_x", 0.5 / comp.r)
-            py = cell.params.get("phi_y", 0.5 / comp.r)
-            fn = (analysis.bounds_relative if cell.algo == "alg1"
-                  else analysis.bounds_error_feedback)
-            b = fn(net.sigma, suite.L_f, comp, px, py)
-            params = AlgorithmParams(eta=b.eta, gamma=b.gamma, phi_x=px,
-                                     phi_y=py,
-                                     varsigma=b.varsigma or 0.0)
-            if cell.algo == "alg2":
-                lyap_aux = b.constants["phi_hat"]
-            extras["bounds"] = b.constants
-        elif cell.algo == "alg3":
-            mu = float(cell.params.get("mu", 0.995))
-            s0 = float(cell.params.get("s0", auto_s0(x0, suite)))
-            if comp.assumption_class == "local_absolute":
-                if suite.nu_pl is None:
-                    raise ConfigError(
-                        "certified scaled-local runs need a cost with a "
-                        "known gradient-dominance constant")
-                y0 = _initial_tracker(suite, x0)
-                xbar = x0.mean(axis=0)
-                ybar = y0.mean(axis=0)
-                from .costs import mean_value
-
-                b = analysis.bounds_scaled_local(
-                    net.sigma, suite.L_f, suite.nu_pl, comp.phi_c,
-                    comp.p_norm, net.n, d,
-                    cons0=float(((x0 - xbar) ** 2).sum()),
-                    track0=float(((y0 - ybar) ** 2).sum()),
-                    gap0=net.n * (mean_value(suite, xbar) - f_star),
-                    x0_norm_max=float(np.linalg.norm(x0, axis=1).max()),
-                    y0_norm_max=float(np.linalg.norm(y0, axis=1).max()))
-                params = AlgorithmParams(eta=b.eta, gamma=b.gamma,
-                                         s0=b.s0, mu=b.mu)
-                lyap_kind = 3
-                lyap_aux = b.constants["phi_tilde"]
-                extras["lyapunov"] = "scaled"
-            else:
-                b = analysis.bounds_absolute_global(
-                    net.sigma, suite.L_f, net.n, d, comp.cap_c,
-                    p=comp.p_norm, mu=mu)
-                params = AlgorithmParams(eta=b.eta, gamma=b.gamma,
-                                         s0=s0, mu=mu)
-                extras["slack_coefficient"] = b.constants["breve_theta8"]
-            extras["bounds"] = b.constants
-        else:  # certified baseline: reuse the exact-compressor region
-            from .compressors import make_compressor
-
-            b = analysis.bounds_relative(net.sigma, suite.L_f,
-                                         make_compressor("identity", d),
-                                         0.5, 0.5)
-            params = AlgorithmParams(eta=b.eta, gamma=b.gamma)
-            extras["bounds"] = b.constants
+        _, params, lyap_kind, lyap_aux, cert = certified_cell(
+            cell, net, suite, comp, x0, lambda: f_star)
+        extras.update(cert)
     else:
         base = practical_params(cell.algo)
         merged = {"eta": base.eta, "gamma": base.gamma, "phi_x": base.phi_x,
@@ -381,14 +398,8 @@ def read_trace_csv(path) -> dict:
     return {name: cols[:, i] for i, name in enumerate(CSV_HEADER.split(","))}
 
 
-def run_experiment(cfg: ExperimentConfig, *,
-                   keep_traces: bool = False) -> ExperimentResult:
-    """Execute every cell on a shared instance and write CSVs plus a report.
-
-    Cell failures (diverged runs) are recorded per cell; remaining cells
-    still execute.  Config problems raise ConfigError before any file is
-    written.
-    """
+def build_instance(cfg: ExperimentConfig):
+    """The network and cost suite that every cell of ``cfg`` shares."""
     net = generate_network(int(cfg.network["n"]),
                            float(cfg.network["edge_density"]),
                            int(cfg.seeds["graph"]),
@@ -397,6 +408,18 @@ def run_experiment(cfg: ExperimentConfig, *,
                    if k not in ("kind", "d")}
     suite = generate_suite(cfg.cost["kind"], net.n, int(cfg.cost["d"]),
                            int(cfg.seeds["cost"]), **cost_kwargs)
+    return net, suite
+
+
+def run_experiment(cfg: ExperimentConfig, *,
+                   keep_traces: bool = False) -> ExperimentResult:
+    """Execute every cell on a shared instance and write CSVs plus a report.
+
+    Cell failures (diverged runs) are recorded per cell; remaining cells
+    still execute.  Config problems raise ConfigError before any file is
+    written.
+    """
+    net, suite = build_instance(cfg)
     ref = solve_reference(suite, tol=cfg.fstar_tol)
     x0 = initial_point(net.n, suite.d, int(cfg.seeds["algo"]))
 

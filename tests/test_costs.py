@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from cgtsim import costs
 from cgtsim.costs import (
     CostError,
     estimate_L,
@@ -186,6 +187,79 @@ def test_reference_is_global_floor_on_probes():
     worst = min(mean_value(suite, rng.standard_normal(8) * rng.uniform(0.1, 5))
                 for _ in range(10_000))
     assert worst >= ref.f_star - 1e-8
+
+
+def _restart_descent_oracle(suite, tol, restarts=16, seed=0, extra=()):
+    """The 16-start reference solve: descent from the origin and from
+    ``restarts - 1`` random points, keeping the lowest endpoint."""
+    rng = np.random.default_rng(np.random.SeedSequence([suite.seed, seed, 0xF5]))
+    starts = [np.zeros(suite.d)]
+    starts += [rng.standard_normal(suite.d) * s for s in
+               np.linspace(0.3, 3.0, restarts - 1)]
+    starts += [np.asarray(s, dtype=np.float64) for s in extra]
+    ends = [costs._descend(suite, x0, tol, 10_000) for x0 in starts]
+    best = min(range(len(ends)), key=lambda i: (ends[i][1], i))
+    return ends[best], [f for _, f, _ in ends]
+
+
+_QUAD_VARIANTS = [{}, {"consistent": False}, {"rows": 4},
+                  {"rows": 4, "consistent": False}, {"normalize": False},
+                  {"normalize": False, "consistent": False}]
+
+
+@pytest.mark.parametrize("kw", _QUAD_VARIANTS)
+def test_quadratic_reference_is_certified_least_squares(kw):
+    suite = generate_suite("quadratic_pl", n=6, d=10, seed=5, **kw)
+    (_, f_old, _), _ = _restart_descent_oracle(suite, 1e-9)
+    for tol in (1e-9, 1e-11):
+        ref = solve_reference(suite, tol=tol)
+        assert ref.certified and ref.grad_norm <= tol
+        assert ref.grad_norm == np.linalg.norm(mean_grad(suite, ref.x_star))
+        assert ref.f_star == mean_value(suite, ref.x_star)
+        assert ref.f_star <= f_old
+        # restarts and seed do not apply to the quadratic family
+        again = solve_reference(suite, tol=tol, restarts=3, seed=99)
+        assert again.f_star == ref.f_star
+        assert np.array_equal(again.x_star, ref.x_star)
+
+
+def test_quadratic_reference_uses_extra_starts():
+    suite = generate_suite("quadratic_pl", n=5, d=6, seed=8, consistent=False)
+    extra = [np.full(6, 3.0), -np.ones(6)]
+    ref = solve_reference(suite, tol=1e-9, extra_starts=extra)
+    assert len(ref.restart_values) == 3
+    for x0, f in zip(extra, ref.restart_values[1:]):
+        assert f == costs._descend(suite, x0, 1e-9, 10_000)[1]
+    assert ref.f_star == min(ref.restart_values)
+
+
+def test_quadratic_reference_evaluation_count(monkeypatch):
+    suite = generate_suite("quadratic_pl", n=20, d=30, seed=3, consistent=False)
+    calls = {"n": 0}
+    for name in ("mean_value", "mean_grad"):
+        fn = getattr(costs, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls["n"] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(costs, name, counted)
+    ref = solve_reference(suite, tol=1e-9)
+    assert ref.certified
+    assert 1 <= calls["n"] <= 5
+
+
+@pytest.mark.parametrize("seed", [43, 202])
+def test_logistic_reference_is_the_restart_descent(seed):
+    suite = generate_suite("logistic_log", n=5, d=8, seed=seed)
+    extra = [np.full(8, 0.5)]
+    ref = solve_reference(suite, tol=1e-8, restarts=6, seed=2,
+                          extra_starts=extra)
+    (x, f, gn), values = _restart_descent_oracle(suite, 1e-8, restarts=6,
+                                                 seed=2, extra=extra)
+    assert np.array_equal(ref.x_star, x)
+    assert ref.f_star == f and ref.grad_norm == gn
+    assert ref.restart_values == values
 
 
 def test_bad_inputs():

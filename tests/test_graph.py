@@ -35,6 +35,84 @@ def _reachable_oracle(adj, start):
     return seen
 
 
+def _bfs_strongly_connected_oracle(adjacency):
+    """Node-by-node BFS from node 0 on the graph and its transpose."""
+    n = adjacency.shape[0]
+    for adj in (adjacency, adjacency.T):
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in np.nonzero(adj[:, u])[0]:
+                    if not seen[v]:
+                        seen[v] = True
+                        nxt.append(int(v))
+            frontier = nxt
+        if not seen.all():
+            return False
+    return True
+
+
+def _metropolis_oracle(adjacency):
+    """Metropolis-Hastings weights by a double loop over agents and neighbours."""
+    n = adjacency.shape[0]
+    sym = adjacency | adjacency.T
+    deg = sym.sum(axis=1)
+    W = np.zeros((n, n))
+    for i in range(n):
+        for j in np.nonzero(sym[i])[0]:
+            if j != i:
+                W[i, j] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
+    return W
+
+
+def _spectral_gap_oracle(W, tol=1e-10, max_iters=10_000):
+    """Power iteration that recomputes the Rayleigh quotient's product: four
+    matrix-vector products per step."""
+    n = W.shape[0]
+    A = W - 1.0 / n
+    rng = np.random.default_rng(0x5EED)
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(max_iters):
+        u = A @ v
+        w = A.T @ u
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            return 0.0
+        v_new = w / norm
+        lam_new = float(v_new @ (A.T @ (A @ v_new)))
+        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-30):
+            return float(np.sqrt(max(lam_new, 0.0)))
+        lam, v = lam_new, v_new
+    raise GraphError("oracle power iteration did not converge")
+
+
+def _ring(n):
+    adj = np.zeros((n, n), dtype=bool)
+    idx = np.arange(n)
+    adj[idx, (idx + 1) % n] = adj[(idx + 1) % n, idx] = True
+    return adj
+
+
+def _random_graphs(rng, count, symmetric):
+    """Random digraphs (or symmetric graphs) of 1 to 60 nodes over a spread
+    of densities, both connected and not."""
+    for _ in range(count):
+        n = int(rng.integers(1, 61))
+        density = float(rng.choice([0.01, 0.03, 0.08, 0.2, 0.5]))
+        adj = rng.random((n, n)) < density
+        np.fill_diagonal(adj, False)
+        if symmetric:
+            adj = np.triu(adj, 1)
+            adj |= adj.T
+        yield adj
+
+
 def test_two_agent_complete_graph_lazified():
     net = generate_network(2, 1.0, seed=123)
     # Metropolis weights on K2 give the averaging matrix (sigma = 0), so the
@@ -177,3 +255,59 @@ def test_generated_networks_always_valid(n, density, seed):
     net.validate()
     assert np.max(np.abs(net.W.sum(axis=0) - 1.0)) <= 1e-12
     assert 0.0 < net.sigma < 1.0
+
+
+def test_connectivity_matches_node_by_node_bfs():
+    rng = np.random.default_rng(2024)
+    seen = {True: 0, False: 0}
+    for symmetric in (True, False):
+        for adj in _random_graphs(rng, 400, symmetric):
+            want = _bfs_strongly_connected_oracle(adj)
+            assert is_strongly_connected(adj) == want
+            seen[want] += 1
+    # two disjoint rings, and a directed ring missing its closing edge
+    two = np.zeros((8, 8), dtype=bool)
+    two[:4, :4] = _ring(4)
+    two[4:, 4:] = _ring(4)
+    chain = np.zeros((5, 5), dtype=bool)
+    chain[np.arange(1, 5), np.arange(4)] = True
+    for adj in (two, chain, chain | chain.T):
+        assert is_strongly_connected(adj) == _bfs_strongly_connected_oracle(adj)
+    assert not is_strongly_connected(two) and not is_strongly_connected(chain)
+    assert seen[True] > 50 and seen[False] > 50
+
+
+def test_metropolis_and_spectral_gap_match_loop_oracles():
+    rng = np.random.default_rng(77)
+    for adj in _random_graphs(rng, 150, symmetric=True):
+        if adj.shape[0] < 2:
+            continue
+        W = metropolis_weights(adj)
+        assert np.array_equal(W, _metropolis_oracle(adj))
+        assert spectral_gap(W) == _spectral_gap_oracle(W)
+    for W in (np.eye(4), np.ones((4, 4)) / 4):
+        assert spectral_gap(W) == _spectral_gap_oracle(W)
+
+
+@pytest.mark.parametrize("n,density", [(20, 0.3), (200, 0.04), (1000, 0.008)])
+def test_generate_network_matches_loop_oracles(n, density):
+    for seed in (1, 2, 3):
+        net = generate_network(n, density, seed)
+        # the generator's retry loop, deciding connectivity by the oracle
+        for attempt in range(100):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
+            upper = rng.random((n, n)) < density
+            adj = np.triu(upper, 1)
+            adj |= adj.T
+            if _bfs_strongly_connected_oracle(adj):
+                break
+        else:
+            adj |= _ring(n)
+        assert np.array_equal(net.adjacency, adj)
+        W = _metropolis_oracle(adj)
+        sigma = _spectral_gap_oracle(W)
+        if not 1e-12 < sigma < 1.0 - 1e-14:
+            W = 0.5 * (W + np.eye(n))
+            sigma = _spectral_gap_oracle(W)
+        assert np.array_equal(net.W, W)
+        assert net.sigma == sigma

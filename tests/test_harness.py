@@ -281,7 +281,7 @@ def test_cli_exit_codes(tmp_path):
                      "--trials", "200"]) == 1
 
 
-def test_cli_bounds_identity_finite(tmp_path, capsys):
+def test_cli_bounds_identity_finite(tmp_path, capsys, monkeypatch):
     cfg = {
         "scenario": "b",
         "iters": 10,
@@ -294,10 +294,58 @@ def test_cli_bounds_identity_finite(tmp_path, capsys):
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("no table here needs the reference value")
+
+    monkeypatch.setattr(cli, "solve_reference", no_solve)
     assert cli.main(["bounds", str(cfg_path)]) == 0
     out = json.loads(capsys.readouterr().out)
     cell = out["cells"]["alg1_identity"]
     assert math.isfinite(cell["gamma_max"]) and cell["gamma_max"] > 0
+
+
+def test_cli_bounds_equal_run_sidecars(tmp_path, capsys, monkeypatch):
+    # an inconsistent system has f_star > 0, so a scaled-local table whose
+    # initial gap left it out would differ; the uniform cell's mu is not the
+    # default
+    cfg = {
+        "scenario": "bs",
+        "iters": 5,
+        "network": {"n": 6, "edge_density": 0.6},
+        "cost": {"kind": "quadratic_pl", "d": 4, "consistent": False},
+        "seeds": {"graph": 1, "cost": 2, "algo": 3},
+        "output_dir": str(tmp_path / "run"),
+        "cells": [
+            {"algo": "alg2", "compressor": {"kind": "norm_sign"},
+             "mode": "certified"},
+            {"algo": "alg3", "compressor": {"kind": "one_bit"},
+             "mode": "certified"},
+            {"algo": "alg3", "compressor": {"kind": "uniform_quantize",
+                                            "delta": 2.0},
+             "mode": "certified", "params": {"mu": 0.97}},
+        ],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(cfg_path)]) == 0
+    capsys.readouterr()
+    solves = []
+    solve = cli.solve_reference
+    monkeypatch.setattr(cli, "solve_reference",
+                        lambda *a, **k: solves.append(1) or solve(*a, **k))
+    assert cli.main(["bounds", str(cfg_path)]) == 0
+    assert len(solves) == 1  # only the one_bit table needs f_star
+    tables = json.loads(capsys.readouterr().out)
+    labels = ("alg2_norm_sign_certified", "alg3_one_bit_certified",
+              "alg3_uniform_quantize_certified")
+    assert sorted(tables["cells"]) == sorted(labels)
+    for label in labels:
+        sidecar = json.loads(
+            (tmp_path / "run" / f"bs__{label}.json").read_text())
+        assert sidecar["f_star"] > 0.1
+        assert tables["cells"][label]["constants"] == sidecar["bounds"]
+    assert tables["cells"]["alg3_uniform_quantize_certified"]["mu"] == 0.97
 
 
 def test_cli_seed_override_env_and_flag(tmp_path, monkeypatch, capsys):
