@@ -6,6 +6,12 @@ therefore bitwise reproducible, a replayed step draws what it drew the first
 time, and ``compressors.compress``, which applies the same block kernel with
 explicit keys, certifies the operator that runs use.
 
+Costs are evaluated by the run's ``costs.RunCosts``: the steppers take
+gradients from it and the recorder each row's gap and stationarity.
+Quadratics use the Gram form there (n*d^2 floats, built after the reference
+solve): one batched matrix-vector product a step and one d x d product a row;
+``costs`` states the memory and the crossover below about d/3 factor rows.
+
 The steppers only step.  One block recorder (``_BlockRecorder``) takes
 each row's state and, every B rows, computes the trace rows, the state
 history and the diag maxima for the whole block at once.  Its batched
@@ -42,7 +48,6 @@ STATUS_SCALE_UNDERFLOW = 2
 K_IDENTITY, K_NORM_SIGN, K_UNIFORM, K_ONE_BIT = 0, 1, 2, 3
 K_SPARSIFY_TOP, K_SPARSIFY_RAND, K_RAND_QUANT = 4, 5, 6
 
-COST_LOGISTIC, COST_QUADRATIC = 0, 1
 LYAP_FULL, LYAP_EF, LYAP_CONSENSUS, LYAP_SCALED = 0, 1, 2, 3
 
 _SCALE_FLOOR = 1e-300
@@ -146,23 +151,6 @@ def _block_rows(nrec, n, d):
     return max(1, min(_RECORD_MAX_ROWS, _RECORD_BUDGET // (nrec * n * d * 8)))
 
 
-def _sigmoid_np(z):
-    """Overflow-free logistic sigmoid."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _grad_block_np(suite_pack, X):
-    cost_kind, h, nuv, m, xi, Mq, bq = suite_pack
-    if cost_kind == COST_LOGISTIC:
-        s = _sigmoid_np(np.einsum("ij,ij->i", xi, X) + nuv)
-        r2 = np.einsum("ij,ij->i", X, X)
-        return ((h * s * (1.0 - s))[:, None] * xi
-                + (2.0 * m / (1.0 + r2))[:, None] * X)
-    resid = np.einsum("nrd,nd->nr", Mq, X) - bq
-    return np.einsum("nrd,nr->nd", Mq, resid)
-
-
 # Batched helpers over a leading row axis.  Each batched np.matmul makes the
 # same BLAS call per row as the unbatched product (a @ b, np.linalg.norm's
 # dot, W @ Base), and each reduction sums in the same order, so a block of
@@ -185,34 +173,19 @@ def _sums(A):
     return np.add.reduce(A.reshape(len(A), -1), 1)
 
 
-def _metrics_rows(suite_pack, X, Y, G, fstar):
+def _metrics_rows(cost, X, Y, G):
     """Trace terms of b rows of (n, d) states: agent means of X and Y,
-    consensus and tracking errors, optimality gap, stationarity and the
-    relative mean-y tracking residual."""
-    cost_kind, h, nuv, m, xi, Mq, bq = suite_pack
+    consensus and tracking errors, optimality gap and stationarity (from the
+    run's ``costs.RunCosts``) and the relative mean-y tracking residual."""
     n = X.shape[1]
     xbar = np.add.reduce(X, 1) / n
     ybar = np.add.reduce(Y, 1) / n
     gbar = np.add.reduce(G, 1) / n
     c = _sums((X - xbar[:, None]) ** 2)
     t = _sums((Y - ybar[:, None]) ** 2)
-    if cost_kind == COST_LOGISTIC:
-        s = _sigmoid_np(np.matmul(xi, xbar[:, :, None])[:, :, 0] + nuv)
-        xx = _dots(xbar, xbar)
-        msum = m.sum()
-        vsum = np.matmul(h, s[:, :, None])[:, 0] + msum * np.log1p(xx)
-        coef = h * s * (1.0 - s)
-        gsum = (np.matmul(coef[:, None, :], xi)[:, 0]
-                + (2.0 * msum / (1.0 + xx))[:, None] * xbar)
-    else:  # these einsums have no batched form that sums in the same order
-        vsum = np.empty(len(X))
-        gsum = np.empty_like(xbar)
-        for j, xb in enumerate(xbar):
-            resid = np.einsum("nrd,d->nr", Mq, xb) - bq
-            vsum[j] = 0.5 * (resid * resid).sum()
-            gsum[j] = np.einsum("nrd,nr->d", Mq, resid)
+    gap, stat = cost.trace_terms(xbar)
     ytrack = _norms(ybar - gbar) / (1.0 + _norms(gbar))
-    return xbar, ybar, c, t, vsum - n * fstar, _dots(gsum, gsum) / n, ytrack
+    return xbar, ybar, c, t, gap, stat, ytrack
 
 
 def _struct_resid_rows(Acc, Base, W):
@@ -244,12 +217,12 @@ class _BlockRecorder:
     hold the arrays themselves.
     """
 
-    def __init__(self, algo, nrec, shape, suite_pack, W, eta, fstar,
-                 lyap_kind, phi_w, phi_aux, out, s_arr=None, ip_norm=0):
+    def __init__(self, algo, nrec, shape, cost, W, eta, lyap_kind, phi_w,
+                 phi_aux, out, s_arr=None, ip_norm=0):
         n, d = shape
         self.B = _block_rows(nrec, n, d)
-        self.algo, self.nrec, self.pack, self.W = algo, nrec, suite_pack, W
-        self.eta, self.fstar, self.lyap_kind = eta, fstar, lyap_kind
+        self.algo, self.nrec, self.cost, self.W = algo, nrec, cost, W
+        self.eta, self.lyap_kind = eta, lyap_kind
         self.phi_w, self.phi_aux = phi_w, phi_aux
         self.out, self.s_arr, self.ip_norm = out, s_arr, ip_norm
         # slot 0 carries the row before the block (its agent means, and alg3's
@@ -305,8 +278,7 @@ class _BlockRecorder:
             R = self.buf[:, 1:b + 1]
             Xp = self.buf[0, :b]
         X, Y = R[0], R[1]
-        xbar, ybar, c, t, g, s, ytr = _metrics_rows(self.pack, X, Y, R[2],
-                                                    self.fstar)
+        xbar, ybar, c, t, g, s, ytr = _metrics_rows(self.cost, X, Y, R[2])
         L = c + self.phi_w * t
         if self.algo == "alg1" and self.lyap_kind in (LYAP_FULL, LYAP_EF):
             L = L + _sums((X - R[3]) ** 2) + _sums((Y - R[5]) ** 2) + g
@@ -371,16 +343,17 @@ class _BlockRecorder:
         return None
 
 
-# Each stepper records rows 0..iters of one run into ``record`` (the
-# recorder's cons, gap, stat, lyap, diag, Xh, Yh arrays) and returns
-# (status, k_done, final): final maps the StackedState fields of the run to
-# its last state, one distinct array per field.
+# Each stepper evaluates gradients through ``cost`` (a ``costs.RunCosts``),
+# records rows 0..iters of one run into ``record`` (the recorder's cons, gap,
+# stat, lyap, diag, Xh, Yh arrays) and returns (status, k_done, final): final
+# maps the StackedState fields of the run to its last state, one distinct
+# array per field.
 
 def _run_alg1_np(X0, W, eta, gamma, phix, phiy, varsigma, use_ef,
-                 ckind, cp1, cp2, cip, seed, pack,
-                 fstar, lyap_kind, phi_w, phi_aux, iters, record):
+                 ckind, cp1, cp2, cip, seed, cost,
+                 lyap_kind, phi_w, phi_aux, iters, record):
     n, d = X0.shape
-    G = _grad_block_np(pack, X0)
+    G = cost.grad(X0)
     Qx = _compress_block_np(ckind, cp1, cp2, cip, X0, seed, 0, 0)
     Qy = _compress_block_np(ckind, cp1, cp2, cip, G, seed, 0, 1)
     # X, Y, G, A, B, C, D, Ex, Ey, Qx, Qy, Qhx, Qhy
@@ -399,7 +372,7 @@ def _run_alg1_np(X0, W, eta, gamma, phix, phiy, varsigma, use_ef,
             Xn = X - gamma * (B + Qhx - mixQhx) - eta * Y
         else:
             Xn = X - gamma * (B + Qx - mixQx) - eta * Y
-        Gn = _grad_block_np(pack, Xn)
+        Gn = cost.grad(Xn)
         if use_ef:
             Yn = Y - gamma * (D + Qhy - mixQhy) + Gn - G
             Ex = varsigma * Ex + X - A - Qhx
@@ -420,8 +393,7 @@ def _run_alg1_np(X0, W, eta, gamma, phix, phiy, varsigma, use_ef,
         st += Xn, Yn, Gn, A, B, C, D, Ex, Ey, Qx, Qy, Qhx, Qhy
 
     rec = _BlockRecorder("alg1", 9 if lyap_kind == LYAP_EF else 7, (n, d),
-                         pack, W, eta, fstar, lyap_kind, phi_w, phi_aux,
-                         record)
+                         cost, W, eta, lyap_kind, phi_w, phi_aux, record)
     status, k_done = rec.run(st, step, iters, STATUS_OK)
     del st[2]
     return status, k_done, dict(zip(("x", "y", "a", "b", "c", "dd", "ex",
@@ -429,10 +401,10 @@ def _run_alg1_np(X0, W, eta, gamma, phix, phiy, varsigma, use_ef,
 
 
 def _run_alg3_np(X0, W, eta, gamma, s_arr, ip_norm,
-                 ckind, cp1, cp2, cip, seed, pack,
-                 fstar, lyap_kind, phi_w, phi_aux, iters, record):
+                 ckind, cp1, cp2, cip, seed, cost,
+                 lyap_kind, phi_w, phi_aux, iters, record):
     n, d = X0.shape
-    G = _grad_block_np(pack, X0)
+    G = cost.grad(X0)
     # X, Y, G, Xhat, Yhat, V, Z, Qx, Qy
     st = [X0.copy(), G.copy(), G, *(np.zeros((n, d)) for _ in range(4)),
           _compress_block_np(ckind, cp1, cp2, cip, X0 / s_arr[0], seed, 0, 0),
@@ -450,7 +422,7 @@ def _run_alg3_np(X0, W, eta, gamma, s_arr, ip_norm,
         Yhat = Yhat + sk * Qy
         Z = Z + sk * (Qy - mixQy)
         Xn = X - gamma * V - eta * Y
-        Gn = _grad_block_np(pack, Xn)
+        Gn = cost.grad(Xn)
         Yn = Y - gamma * Z + Gn - G
         snext = s_arr[k + 1]
         Qx = _compress_block_np(ckind, cp1, cp2, cip, (Xn - Xhat) / snext,
@@ -462,8 +434,8 @@ def _run_alg3_np(X0, W, eta, gamma, s_arr, ip_norm,
     # the run stops before the first step whose next scale underflows
     below = np.flatnonzero(s_arr[1:] < _SCALE_FLOOR)
     last = int(below[0]) if below.size else iters
-    rec = _BlockRecorder("alg3", 7, (n, d), pack, W, eta, fstar, lyap_kind,
-                         phi_w, phi_aux, record, s_arr, ip_norm)
+    rec = _BlockRecorder("alg3", 7, (n, d), cost, W, eta, lyap_kind, phi_w,
+                         phi_aux, record, s_arr, ip_norm)
     status, k_done = rec.run(st, step, last, STATUS_SCALE_UNDERFLOW
                              if last < iters else STATUS_OK)
     del st[2]
@@ -471,8 +443,8 @@ def _run_alg3_np(X0, W, eta, gamma, s_arr, ip_norm,
                                      "qx", "qy"), st))
 
 
-def _run_dgt_np(X0, W, eta, gamma, pack, fstar, phi_w, iters, record):
-    G = _grad_block_np(pack, X0)
+def _run_dgt_np(X0, W, eta, gamma, cost, phi_w, iters, record):
+    G = cost.grad(X0)
     st = [X0.copy(), G.copy(), G]  # X, Y, G
     del G
 
@@ -480,10 +452,10 @@ def _run_dgt_np(X0, W, eta, gamma, pack, fstar, phi_w, iters, record):
         X, Y, G = st
         st.clear()  # superseded arrays are freed as soon as they are rebound
         Xn = X - gamma * (X - W @ X) - eta * Y
-        Gn = _grad_block_np(pack, Xn)
+        Gn = cost.grad(Xn)
         st += Xn, Y - gamma * (Y - W @ Y) + Gn - G, Gn
 
-    rec = _BlockRecorder("dgt", 3, X0.shape, pack, W, eta, fstar,
-                         LYAP_CONSENSUS, phi_w, 0.0, record)
+    rec = _BlockRecorder("dgt", 3, X0.shape, cost, W, eta, LYAP_CONSENSUS,
+                         phi_w, 0.0, record)
     status, k_done = rec.run(st, step, iters, STATUS_OK)
     return status, k_done, {"x": st[0], "y": st[1]}

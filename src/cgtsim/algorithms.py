@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels as kern
 from .compressors import CompressorSpec, make_compressor
-from .costs import CostSuite
+from .costs import CostSuite, RunCosts
 from .graph import Network
 
 ALGORITHMS = ("alg1", "alg2", "alg3", "dgt")
@@ -134,17 +134,6 @@ def scaling_sequence(s0: float, mu: float, iters: int) -> np.ndarray:
     return np.asarray(vals, dtype=np.float64)
 
 
-def _suite_arrays(suite: CostSuite):
-    if suite.kind == "logistic_log":
-        return (kern.COST_LOGISTIC,
-                np.ascontiguousarray(suite.h), np.ascontiguousarray(suite.nu),
-                np.ascontiguousarray(suite.m), np.ascontiguousarray(suite.xi),
-                np.zeros((1, 1, 1)), np.zeros((1, 1)))
-    return (kern.COST_QUADRATIC,
-            np.zeros(1), np.zeros(1), np.zeros(1), np.zeros((1, 1)),
-            np.ascontiguousarray(suite.M), np.ascontiguousarray(suite.b))
-
-
 _STATUS = {kern.STATUS_OK: "ok",
            kern.STATUS_NONFINITE: "nonfinite_state",
            kern.STATUS_SCALE_UNDERFLOW: "scaling_exhausted"}
@@ -153,8 +142,8 @@ _STATUS = {kern.STATUS_OK: "ok",
 def run(algo: str, iters: int, net: Network, suite: CostSuite,
         params: AlgorithmParams, comp: CompressorSpec | None = None, *,
         seed: int = 0, x0: np.ndarray | None = None, f_star: float = 0.0,
-        lyap_kind: int | None = None, lyap_phi: float = 0.0,
-        lyap_aux: float = 0.0, bits_per_iter: int = 0,
+        x_star: np.ndarray | None = None, lyap_kind: int | None = None,
+        lyap_phi: float = 0.0, lyap_aux: float = 0.0, bits_per_iter: int = 0,
         record_states: bool = False) -> RunTrace:
     """Execute one synchronous run and return its dense trace.
 
@@ -162,6 +151,10 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
     which records the trace in blocks of rows.  ``seed`` feeds only the
     compressor randomness: agent i's message in slot s at iteration k is
     row i of ``compress(comp, inputs, seed=seed, k=k, slot=s)``.
+    ``f_star`` is the reference value the optimality gap is measured from and
+    ``x_star`` the point it is attained at, if known; quadratic gaps are
+    anchored there, or at a least-squares solve without it (see
+    ``costs.RunCosts``).
     ``lyap_phi``/``lyap_aux`` are the weight constants of the Lyapunov
     variant selected by ``lyap_kind``; sensible defaults are chosen per
     algorithm when not given.
@@ -194,7 +187,7 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
         lyap_aux = 0.0  # exact compressors: the weighted terms are identically 0
 
     W = np.ascontiguousarray(net.W, dtype=np.float64)
-    cost_pack = _suite_arrays(suite)
+    cost = RunCosts(suite, x_star, f_star)
     m_rows = iters + 1
     cons = np.zeros(m_rows)
     gapv = np.zeros(m_rows)
@@ -213,20 +206,19 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
         status, k_done, final = kern._run_alg1_np(
             x0, W, params.eta, params.gamma, params.phi_x, params.phi_y,
             params.varsigma, 1 if algo == "alg2" else 0,
-            ck, cp1, cp2, cip, useed, cost_pack,
-            f_star, lyap_kind, lyap_phi, lyap_aux, iters, record)
+            ck, cp1, cp2, cip, useed, cost,
+            lyap_kind, lyap_phi, lyap_aux, iters, record)
     elif algo == "alg3":
         ck, cp1, cp2, cip = comp.kind_code, *comp.kernel_params()
         s_vals = scaling_sequence(params.s0, params.mu, iters)
         ip_norm = 0 if math.isinf(comp.p_norm) else 1
         status, k_done, final = kern._run_alg3_np(
             x0, W, params.eta, params.gamma, s_vals, ip_norm,
-            ck, cp1, cp2, cip, useed, cost_pack,
-            f_star, lyap_kind, lyap_phi, lyap_aux, iters, record)
+            ck, cp1, cp2, cip, useed, cost,
+            lyap_kind, lyap_phi, lyap_aux, iters, record)
     else:
         status, k_done, final = kern._run_dgt_np(
-            x0, W, params.eta, params.gamma, cost_pack, f_star, lyap_phi,
-            iters, record)
+            x0, W, params.eta, params.gamma, cost, lyap_phi, iters, record)
 
     rows = k_done + 1
     ks = np.arange(rows, dtype=np.int64)

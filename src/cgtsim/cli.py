@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .algorithms import initial_point
+from .algorithms import AlgorithmError, initial_point
 from .compressors import CompressorError, spec_from_config, verify_assumption
 from .costs import CostError, solve_reference
 from .graph import GraphError
@@ -34,22 +34,30 @@ from .harness import (
     run_experiment,
 )
 
+# The package's own error classes; any other exception is a program bug and
+# surfaces as a traceback.
 _CONFIG_ERRORS = (ConfigError, CompressorError, CostError, GraphError,
-                  analysis.AnalysisError, json.JSONDecodeError, OSError,
-                  ValueError)
+                  AlgorithmError, analysis.AnalysisError)
 
 
 def _load_config(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
 
 
 def _apply_seed_override(doc: dict, seed: int | None) -> dict:
     env = os.environ.get("CGT_SEED")
-    root = seed if seed is not None else (int(env) if env else None)
-    if root is not None:
+    if seed is None and env:
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ConfigError(f"CGT_SEED={env!r} is not an integer") from None
+    if seed is not None:
         doc = dict(doc)
-        doc["seeds"] = {"graph": root + 1, "cost": root + 2, "algo": root + 3}
+        doc["seeds"] = {"graph": seed + 1, "cost": seed + 2, "algo": seed + 3}
     return doc
 
 

@@ -116,16 +116,6 @@ class CompressorSpec:
             return 0.0, 1.0, self.levels
         return 0.0, 1.0, 0
 
-    def describe(self) -> str:
-        bits = [self.kind]
-        if self.kind == "uniform_quantize":
-            bits.append(f"delta={self.delta}")
-        if self.kind == "random_sparsify":
-            bits.append(f"k={self.keep_k}/{self.d} ({self.sparsify_mode})")
-        if self.kind == "random_quantize":
-            bits.append(f"levels={self.levels}")
-        return " ".join(bits)
-
 
 def make_compressor(kind: str, d: int, *, delta: float = 2.0, keep_k: int = 0,
                     levels: int = 0, sparsify_mode: str = "top",

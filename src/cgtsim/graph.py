@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +119,7 @@ def spectral_gap(W: np.ndarray, tol: float = _POWER_TOL,
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     w = A.T @ (A @ v)
-    lam = 0.0
+    lam, change = 0.0, math.inf
     for _ in range(max_iters):
         norm = np.linalg.norm(w)
         if norm == 0.0:
@@ -126,12 +127,13 @@ def spectral_gap(W: np.ndarray, tol: float = _POWER_TOL,
         v = w / norm
         w = A.T @ (A @ v)  # the Rayleigh quotient's product is the next step's
         lam_new = float(v @ w)
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-30):
+        change = abs(lam_new - lam)
+        if change <= tol * max(abs(lam_new), 1e-30):
             return float(np.sqrt(max(lam_new, 0.0)))
         lam = lam_new
     raise GraphError(
         f"power iteration did not converge in {max_iters} iterations "
-        f"(last residual {abs(lam_new - lam):.3e})")
+        f"(last change in the Rayleigh quotient {change:.3e})")
 
 
 def contraction_factor(gamma: float, sigma: float) -> float:

@@ -110,6 +110,8 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"missing config key: {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad config value: {exc}") from None
         if doc:
             raise ConfigError(f"unknown config keys: {sorted(doc)}")
         cfg.validate()
@@ -131,6 +133,13 @@ class ExperimentConfig:
         for key in ("kind", "d"):
             if key not in self.cost:
                 raise ConfigError(f"missing cost key {key!r}")
+        try:  # the values build_instance and run_experiment convert
+            for v in (self.network["n"], self.cost["d"], self.seeds["graph"],
+                      self.seeds["cost"], self.seeds["algo"]):
+                int(v)
+            float(self.network["edge_density"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad config value: {exc}") from None
         for cell in self.cells:
             if cell.algo not in MESSAGES_PER_AGENT:
                 raise ConfigError(f"unknown algorithm {cell.algo!r}")
@@ -438,6 +447,7 @@ def run_experiment(cfg: ExperimentConfig, *,
                                  suite.d, cfg.broadcast)
         trace = run(cell.algo, cfg.iters, net, suite, params, comp,
                     seed=int(cfg.seeds["algo"]), x0=x0, f_star=ref.f_star,
+                    x_star=ref.x_star,
                     lyap_kind=lyap_kind, lyap_phi=phi_w, lyap_aux=lyap_aux,
                     bits_per_iter=bpi)
         csv_path = outdir / f"{cfg.scenario}__{label}.csv"

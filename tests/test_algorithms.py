@@ -14,7 +14,7 @@ from cgtsim.algorithms import (
     scaling_sequence,
 )
 from cgtsim.compressors import make_compressor
-from cgtsim.costs import CostSuite, generate_suite, grad
+from cgtsim.costs import CostSuite, RunCosts, generate_suite, grad
 from cgtsim.graph import Network, generate_network
 from message_passing_oracle import run_oracle
 
@@ -296,30 +296,33 @@ def test_expectation_descent_randomized_compressor(small_net):
     assert rep["ok"], rep
 
 
-# Per-row recording as the numpy steppers did it before block recording; the
-# batched helpers must reproduce it bitwise.
+# Per-row recording as the numpy steppers would do it one row at a time; the
+# batched helpers must reproduce it bitwise.  Quadratic gaps follow the Gram
+# recipe anchored at cost.r (see costs.RunCosts).
 
-def _metrics_oracle(suite_pack, X, Y, G, fstar):
-    cost_kind, h, nuv, m, xi, Mq, bq = suite_pack
+def _metrics_oracle(cost, X, Y, G):
+    su = cost.suite
     n = X.shape[0]
     xbar = X.mean(axis=0)
     ybar = Y.mean(axis=0)
     gbar = G.mean(axis=0)
     c_k = float(((X - xbar) ** 2).sum())
     t_k = float(((Y - ybar) ** 2).sum())
-    if cost_kind == _kernels.COST_LOGISTIC:
-        z = xi @ xbar + nuv
+    if su.kind == "logistic_log":
+        z = su.xi @ xbar + su.nu
         s = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
                      np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
-        vsum = float(h @ s + m.sum() * np.log1p(xbar @ xbar))
-        coef = h * s * (1.0 - s)
-        gsum = coef @ xi + (2.0 * m.sum() / (1.0 + xbar @ xbar)) * xbar
+        vsum = float(su.h @ s + su.m.sum() * np.log1p(xbar @ xbar))
+        coef = su.h * s * (1.0 - s)
+        gsum = coef @ su.xi + (2.0 * su.m.sum() / (1.0 + xbar @ xbar)) * xbar
+        g_k = vsum - n * cost.f_star
+        s_k = float(gsum @ gsum) / n
     else:
-        resid = np.einsum("nrd,d->nr", Mq, xbar) - bq
-        vsum = 0.5 * float((resid * resid).sum())
-        gsum = np.einsum("nrd,nr->d", Mq, resid)
-    g_k = vsum - n * fstar
-    s_k = float(gsum @ gsum) / n
+        e = xbar - cost.r
+        he = cost.Hbar @ e
+        g_k = n * (0.5 * float(e @ he) + float(e @ cost.g_r)) + cost.offset
+        g = he + cost.g_r
+        s_k = n * float(g @ g)
     ytrack = (float(np.linalg.norm(ybar - gbar))
               / (1.0 + float(np.linalg.norm(gbar))))
     return xbar, ybar, c_k, t_k, g_k, s_k, ytrack
@@ -343,21 +346,22 @@ def _bits(values):
 @pytest.mark.parametrize("cost", ["logistic_log", "quadratic_pl"])
 def test_batched_record_helpers_match_per_row_oracle(cost):
     # paper scale: there one gemm over stacked rows would already differ
-    from cgtsim.algorithms import _suite_arrays
-
     n, d = 20, 50
     suite = generate_suite(cost, n=n, d=d, seed=4)
-    pack = _suite_arrays(suite)
     rng = np.random.default_rng(0)
     X, Y, G = (rng.standard_normal((5, n, d)) for _ in range(3))
     X[3] *= 1e200  # a row whose terms overflow
     W = generate_network(n, 0.3, seed=5).W
-    with np.errstate(all="ignore"):
-        got = _kernels._metrics_rows(pack, X, Y, G, 0.25)
-        want = [_metrics_oracle(pack, X[j], Y[j], G[j], 0.25)
-                for j in range(5)]
+    # anchored at a given point, and at the least-squares solve without one
+    for x_star in (rng.standard_normal(d), None):
+        run_costs = RunCosts(suite, x_star, 0.25)
+        with np.errstate(all="ignore"):
+            got = _kernels._metrics_rows(run_costs, X, Y, G)
+            want = [_metrics_oracle(run_costs, X[j], Y[j], G[j])
+                    for j in range(5)]
         for i, col in enumerate(got):
             assert _bits(col) == _bits([w[i] for w in want]), i
+    with np.errstate(all="ignore"):
         # accumulators that satisfy the identity up to round-off, as in a run
         Acc = X - np.einsum("ij,bjd->bid", W, X)
         assert _bits(_kernels._struct_resid_rows(Acc, X, W)) == _bits(
@@ -382,8 +386,6 @@ def test_raise_max_follows_python_max():
 
 
 def test_recorder_ignores_rows_after_a_nonfinite_row(small_net, small_suite):
-    from cgtsim.algorithms import _suite_arrays
-
     n, d, eta = 6, 8, 0.1
     rng = np.random.default_rng(1)
     rows = [[rng.standard_normal((n, d)) for _ in range(3)]
@@ -392,10 +394,10 @@ def test_recorder_ignores_rows_after_a_nonfinite_row(small_net, small_suite):
     rows[3][1] *= 1e6          # row 3 would raise the tracking maximum
     cons, gap, stat, lyap = (np.full(5, -1.0) for _ in range(4))
     diag = np.zeros(8)
-    pack = _suite_arrays(small_suite)
+    cost = RunCosts(small_suite)
     rec = _kernels._BlockRecorder(
-        "dgt", 3, (n, d), pack, small_net.W, eta, 0.0,
-        _kernels.LYAP_CONSENSUS, 1.0, 0.0,
+        "dgt", 3, (n, d), cost, small_net.W, eta, _kernels.LYAP_CONSENSUS,
+        1.0, 0.0,
         (cons, gap, stat, lyap, diag, np.zeros((0, n, d)),
          np.zeros((0, n, d))))
     assert rec.B >= 5
@@ -403,7 +405,7 @@ def test_recorder_ignores_rows_after_a_nonfinite_row(small_net, small_suite):
         rec.push(st)
     with np.errstate(all="ignore"):
         assert rec.flush() == 2
-        want = [_metrics_oracle(pack, *st, 0.0) for st in rows[:3]]
+        want = [_metrics_oracle(cost, *st) for st in rows[:3]]
     assert not np.isfinite(cons[2]) and np.all(cons[3:] == -1.0)
     assert diag[1] == max(want[0][6], want[1][6])
     # the steps into rows 1 and 2 count; row 2's mean is infinite

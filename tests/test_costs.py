@@ -9,6 +9,7 @@ import pytest
 from cgtsim import costs
 from cgtsim.costs import (
     CostError,
+    RunCosts,
     estimate_L,
     eval_cost,
     generate_suite,
@@ -117,6 +118,100 @@ def test_grad_all_consistent_with_grad():
         G = grad_all(suite, X)
         for i in range(6):
             assert np.allclose(G[i], grad(suite, i, X[i]), atol=1e-12)
+
+
+# Gram form (H_i = M_i'M_i, c_i = M_i'b_i) against the factor form M_i.
+# Round-off of either form is at most (terms summed) * eps * (sizes of the
+# summed products), the first-order bound; the tolerances below state it.
+
+_EPS = np.finfo(float).eps
+_GRAM_CASES = [(rows, consistent) for rows in (4, 8, 16, 32)
+               for consistent in (True, False)]  # rows d/4 .. 2d at d = 16
+
+
+@pytest.mark.parametrize("rows,consistent", _GRAM_CASES)
+def test_gram_gradients_match_factor_form(rows, consistent):
+    n, d = 6, 16
+    suite = generate_suite("quadratic_pl", n=n, d=d, seed=rows, rows=rows,
+                           consistent=consistent)
+    rng = np.random.default_rng(rows)
+    for scale in (1e-6, 1.0, 1e3):
+        X = scale * rng.standard_normal((n, d))
+        G = grad_all(suite, X)
+        for i in range(n):
+            Mi, bi = suite.M[i], suite.b[i]
+            size = np.linalg.norm(Mi) * (np.linalg.norm(Mi)
+                                         * np.linalg.norm(X[i])
+                                         + np.linalg.norm(bi))
+            err = np.linalg.norm(G[i] - grad(suite, i, X[i]))
+            assert err <= (rows + d) * _EPS * size, (i, scale)
+
+
+@pytest.mark.parametrize("rows,consistent", _GRAM_CASES)
+@pytest.mark.parametrize("anchored", [True, False])
+def test_gram_trace_terms_match_factor_form(rows, consistent, anchored):
+    # gap n (F(x) - F*) and stationarity n ||grad F(x)||^2 at agent means x
+    # from the Gram form against the factor form on the same points.  With
+    # the anchor at the reference x*, they differ from the gap measured from
+    # the true minimiser by at most n ||grad F(x*)|| ||e||, the certificate
+    # of the reference; the rest is round-off.
+    n, d = 6, 16
+    suite = generate_suite("quadratic_pl", n=n, d=d, seed=rows, rows=rows,
+                           consistent=consistent)
+    ref = solve_reference(suite)
+    cost = RunCosts(suite, ref.x_star if anchored else None, ref.f_star)
+    r = cost.r  # the least-squares minimiser when not anchored
+    f_r = mean_value(suite, r)
+    H, c, Hbar = suite.gram
+    hbar, cbar = np.linalg.norm(Hbar, 2), np.linalg.norm(c.mean(axis=0))
+    msize = sum(np.linalg.norm(Mi) for Mi in suite.M) / n
+    bsize = sum(np.linalg.norm(bi) for bi in suite.b) / n
+    rng = np.random.default_rng(rows + 1)
+    pts = [ref.x_star + t * rng.standard_normal(d)
+           for t in (1e-9, 1e-5, 1e-2, 1.0, 10.0)]
+    gap, stat = cost.trace_terms(np.array(pts))
+    for j, x in enumerate(pts):
+        e = np.linalg.norm(x - r)
+        f_x = mean_value(suite, x)
+        gap_m = n * (f_x - ref.f_star)
+        roundoff = (rows + d) * _EPS * (
+            hbar * e * e + e * (hbar * np.linalg.norm(r) + cbar)
+            + f_x + f_r + ref.f_star)
+        assert abs(gap[j] - gap_m) <= n * (ref.grad_norm * e + roundoff), j
+        g_m = mean_grad(suite, x)
+        delta = (n * rows + d) * _EPS * msize * (
+            msize * np.linalg.norm(x) + bsize)
+        gn = np.linalg.norm(g_m)
+        assert abs(stat[j] - n * (g_m @ g_m)) <= n * delta * (2 * gn + delta)
+
+
+def test_gram_cache_is_built_at_first_use_after_the_reference_solve():
+    # lstsq copies the stacked factors, so H must not exist before it has run
+    suite = generate_suite("quadratic_pl", n=4, d=6, seed=1)
+    solve_reference(suite)
+    assert "gram" not in vars(suite)
+    G = grad_all(suite, np.ones((4, 6)))
+    H, c, Hbar = vars(suite)["gram"]
+    assert H.shape == (4, 6, 6) and c.shape == (4, 6)
+    assert np.array_equal(Hbar, H.mean(axis=0))
+    assert np.array_equal(G, (H @ np.ones(6)) - c)
+
+
+def test_runs_do_not_step_through_the_public_grad_all(monkeypatch):
+    # profilers wrap costs.grad_all; runs must not send each step through it
+    from cgtsim.algorithms import AlgorithmParams, run
+    from cgtsim.graph import generate_network
+
+    suite = generate_suite("quadratic_pl", n=4, d=6, seed=1)
+    net = generate_network(4, 0.8, seed=1)
+    want = run("dgt", 5, net, suite, AlgorithmParams(eta=0.1, gamma=0.3))
+
+    def wrapped(*args):
+        raise AssertionError("a step went through costs.grad_all")
+
+    monkeypatch.setattr(costs, "grad_all", wrapped)
+    got = run("dgt", 5, net, suite, AlgorithmParams(eta=0.1, gamma=0.3))
+    assert np.array_equal(got.opt_gap, want.opt_gap)
 
 
 def test_estimate_L_quadratic_identity_factors():

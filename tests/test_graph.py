@@ -170,6 +170,15 @@ def test_spectral_gap_matches_dense_eigensolver():
     assert spectral_gap(W) == pytest.approx(oracle, abs=1e-8)
 
 
+def test_spectral_gap_error_reports_last_change():
+    # a lazy ring converges slowly: three steps leave the quotient moving
+    W = generate_network(40, 0.5, 0, topology="ring").W
+    with pytest.raises(GraphError) as info:
+        spectral_gap(W, max_iters=3)
+    change = float(str(info.value).split("quotient ")[1].rstrip(")"))
+    assert change > 0.0
+
+
 def test_contraction_factor_values_and_domain():
     assert contraction_factor(0.3, 0.5) == pytest.approx(0.85, abs=1e-15)
     # gamma -> 0 pushes delta -> 1

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cgtsim import cli
+from cgtsim import cli, harness
 from cgtsim.algorithms import AlgorithmParams, initial_point, run
 from cgtsim.compressors import BitCostModel, make_compressor
 from cgtsim.costs import generate_suite, mean_value, solve_reference
@@ -279,6 +279,40 @@ def test_cli_exit_codes(tmp_path):
     lying.write_text(json.dumps({"kind": "norm_sign", "r": 5.0, "psi": 0.9}))
     assert cli.main(["verify-compressor", str(lying), "--d", "10",
                      "--trials", "200"]) == 1
+
+
+def test_cli_config_errors_exit_2_and_program_bugs_propagate(tmp_path,
+                                                             monkeypatch):
+    cfg = {
+        "scenario": "cli", "iters": 5,
+        "network": {"n": 5, "edge_density": 0.7},
+        "cost": {"kind": "quadratic_pl", "d": 4},
+        "seeds": {"graph": 4, "cost": 5, "algo": 6},
+        "output_dir": str(tmp_path / "o"),
+        "algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3},
+    }
+    unparsable = tmp_path / "unparsable.json"
+    unparsable.write_text("{\"scenario\": ")
+    assert cli.main(["run", str(unparsable)]) == 2
+    assert cli.main(["bounds", str(tmp_path / "missing.json")]) == 2
+    cfg_path = tmp_path / "cfg.json"
+    # non-integer counts, and a gamma that AlgorithmParams rejects
+    for bad in ({"iters": "many"},
+                {"network": {"n": "five", "edge_density": 0.7}},
+                {"params": {"eta": 0.3, "gamma": 1.5}, "force_params": True}):
+        cfg_path.write_text(json.dumps(dict(cfg, **bad)))
+        assert cli.main(["run", str(cfg_path)]) == 2
+    monkeypatch.setenv("CGT_SEED", "seven")
+    assert cli.main(["run", str(cfg_path)]) == 2
+    monkeypatch.delenv("CGT_SEED")
+
+    def broken_run(*args, **kwargs):
+        raise ValueError("a bug inside the stepper")
+
+    cfg_path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(harness, "run", broken_run)
+    with pytest.raises(ValueError, match="a bug inside the stepper"):
+        cli.main(["run", str(cfg_path)])
 
 
 def test_cli_bounds_identity_finite(tmp_path, capsys, monkeypatch):
