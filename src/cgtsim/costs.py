@@ -7,7 +7,12 @@ Two families:
   xi entries are standard normal draws.
 * ``quadratic_pl`` -- least squares 0.5 ||M_i x - b_i||^2 whose network
   average satisfies the gradient-dominance (PL) inequality with constant
-  equal to the smallest nonzero eigenvalue of the mean Gram matrix.
+  equal to the smallest nonzero eigenvalue of the mean Gram matrix.  Set-up
+  builds all H_i = M_i'M_i with one batched matmul and makes one batched
+  ``eigvalsh`` call: L_f is the largest lambda_max(H_i), and normalization
+  divides each M_i by sqrt(lambda_max(H_i)), which makes L_f = 1 exactly.
+  nu_pl comes from ``eigvalsh`` of the mean H_i.  This generation Gram is
+  dropped before the suite is returned.
 
 The reference solve finds F* = min_x (1/n) sum_i F_i(x).  The logistic family
 is nonconvex, so it takes the best of several gradient-descent restarts.  The
@@ -34,7 +39,6 @@ The reference solve and the per-agent and mean evaluations keep the factors.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -79,18 +83,6 @@ class CostSuite:
     b: np.ndarray = field(default=None, repr=False)
     gen_params: dict = field(default_factory=dict, repr=False)
 
-    def to_json(self) -> str:
-        """Seed plus generation parameters; enough to regenerate exactly."""
-        doc = {"kind": self.kind, "n": self.n, "d": self.d, "seed": self.seed}
-        doc.update(self.gen_params)
-        return json.dumps(doc, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "CostSuite":
-        doc = json.loads(text)
-        return generate_suite(doc.pop("kind"), doc.pop("n"), doc.pop("d"),
-                              doc.pop("seed"), **doc)
-
     @cached_property
     def gram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(H, c, Hbar) of a quadratic suite: H_i = M_i'M_i, c_i = M_i'b_i
@@ -109,7 +101,11 @@ def generate_suite(kind: str, n: int, d: int, seed: int, *,
 
     ``scale`` multiplies the logistic instance's h_i and m_i, which scales the
     smoothness constant without changing the landscape shape.  Quadratic
-    factors are spectrally normalized by default so L_f = 1 exactly.
+    factors are spectrally normalized by default: each M_i is divided by
+    sqrt(lambda_max(M_i'M_i)), with the eigenvalues of all agents' Grams from
+    one batched ``eigvalsh``, so L_f = 1 exactly.  L_f and nu_pl come from
+    that Gram, which is not kept; ``CostSuite.gram`` is built anew at first
+    use, after the reference solve.
     """
     if kind not in KINDS:
         raise CostError(f"unknown cost kind {kind!r}")
@@ -131,10 +127,12 @@ def generate_suite(kind: str, n: int, d: int, seed: int, *,
 
     rows = d if rows is None else rows
     M = rng.standard_normal((n, rows, d))
-    if normalize:
-        for i in range(n):
-            s = np.linalg.svd(M[i], compute_uv=False)[0]
-            M[i] /= s
+    H = np.matmul(M.transpose(0, 2, 1), M)
+    top = np.linalg.eigvalsh(H)[:, -1]  # lambda_max(H_i) = ||M_i||_2^2
+    if normalize:  # M_i / sqrt(lambda_max): every top eigenvalue becomes 1
+        M /= np.sqrt(top)[:, None, None]
+        H /= top[:, None, None]
+        top /= top
     if consistent:
         x_true = rng.standard_normal(d)
         b = np.einsum("nrd,d->nr", M, x_true)
@@ -143,10 +141,8 @@ def generate_suite(kind: str, n: int, d: int, seed: int, *,
     suite = CostSuite(kind, n, d, seed, abs_m=abs_m, scale=scale, M=M, b=b,
                       gen_params={"rows": rows, "consistent": consistent,
                                   "normalize": normalize})
-    grams = np.einsum("nrd,nre->nde", M, M)
-    suite.L_f = float(max(np.linalg.eigvalsh(g)[-1] for g in grams))
-    mean_gram = grams.mean(axis=0)
-    eigs = np.linalg.eigvalsh(mean_gram)
+    suite.L_f = float(top.max())
+    eigs = np.linalg.eigvalsh(H.mean(axis=0))
     pos = eigs[eigs > 1e-9 * max(eigs[-1], 1.0)]
     suite.nu_pl = float(pos[0]) if len(pos) else None
     return suite
@@ -157,18 +153,6 @@ def _logistic_L(suite: CostSuite) -> float:
     xi_sq = np.einsum("ij,ij->i", suite.xi, suite.xi)
     per_agent = np.abs(suite.h) * xi_sq * _SIGMOID_CURV + 2.0 * np.abs(suite.m)
     return float(per_agent.max())
-
-
-def eval_cost(suite: CostSuite, agent: int, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise CostError("eval input has non-finite entries")
-    if suite.kind == "logistic_log":
-        z = float(suite.xi[agent] @ x + suite.nu[agent])
-        return float(suite.h[agent] * _sigmoid(z)
-                     + suite.m[agent] * np.log1p(x @ x))
-    resid = suite.M[agent] @ x - suite.b[agent]
-    return 0.5 * float(resid @ resid)
 
 
 def grad(suite: CostSuite, agent: int, x: np.ndarray) -> np.ndarray:
@@ -265,26 +249,6 @@ def mean_grad(suite: CostSuite, x: np.ndarray) -> np.ndarray:
                 + 2.0 * suite.m.sum() * x / (1.0 + x @ x)) / suite.n
     resid = np.einsum("nrd,d->nr", suite.M, x) - suite.b
     return np.einsum("nrd,nr->d", suite.M, resid) / suite.n
-
-
-def estimate_L(suite: CostSuite, samples: int, rng) -> float:
-    """Sampled Lipschitz ratio max, inflated by 1.5; exact for quadratics."""
-    if samples < 10:
-        raise CostError("need at least 10 samples")
-    if suite.kind == "quadratic_pl":
-        return suite.L_f  # analytic: max_i ||M_i' M_i||_2
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    best = 0.0
-    for _ in range(samples):
-        i = int(rng.integers(suite.n))
-        x = rng.standard_normal(suite.d) * rng.uniform(0.1, 3.0)
-        y = x + rng.standard_normal(suite.d) * rng.uniform(1e-3, 1.0)
-        gap = np.linalg.norm(grad(suite, i, x) - grad(suite, i, y))
-        dist = np.linalg.norm(x - y)
-        if dist > 0:
-            best = max(best, gap / dist)
-    return 1.5 * best
 
 
 def _least_squares(suite: CostSuite) -> np.ndarray:

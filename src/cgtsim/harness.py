@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,6 +46,22 @@ CSV_HEADER = "k,consensus_err,opt_gap,stationarity,lyapunov,bits"
 
 class ConfigError(ValueError):
     pass
+
+
+_BOOL = ("a bool", lambda v: isinstance(v, bool))
+
+# generate_suite's optional keywords, each with what its value must be
+_COST_OPTIONS = {
+    "abs_m": _BOOL,
+    "consistent": _BOOL,
+    "normalize": _BOOL,
+    "rows": ("a positive int",
+             lambda v: (isinstance(v, numbers.Integral)
+                        and not isinstance(v, bool) and v >= 1)),
+    "scale": ("a finite number",
+              lambda v: (isinstance(v, numbers.Real)
+                         and not isinstance(v, bool) and math.isfinite(v))),
+}
 
 
 @dataclass
@@ -140,6 +157,15 @@ class ExperimentConfig:
             float(self.network["edge_density"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config value: {exc}") from None
+        for key, value in self.cost.items():
+            if key in ("kind", "d"):
+                continue
+            if key not in _COST_OPTIONS:
+                raise ConfigError(f"unknown cost key {key!r}")
+            what, ok = _COST_OPTIONS[key]
+            if not ok(value):
+                raise ConfigError(f"cost {key!r} must be {what}, not "
+                                  f"{value!r}")
         for cell in self.cells:
             if cell.algo not in MESSAGES_PER_AGENT:
                 raise ConfigError(f"unknown algorithm {cell.algo!r}")

@@ -22,7 +22,7 @@ from cgtsim.algorithms import (
     scaling_sequence,
 )
 from cgtsim.compressors import make_compressor, verify_assumption
-from cgtsim.costs import generate_suite, grad, eval_cost, solve_reference
+from cgtsim.costs import generate_suite, grad, solve_reference
 from cgtsim.graph import generate_network
 from cgtsim.harness import (
     ExperimentConfig,
@@ -31,6 +31,7 @@ from cgtsim.harness import (
     run_experiment,
     upsilon_series,
 )
+from cost_oracles import eval_cost
 
 FSTAR_TOL = 1e-10
 

@@ -10,8 +10,6 @@ from cgtsim import costs
 from cgtsim.costs import (
     CostError,
     RunCosts,
-    estimate_L,
-    eval_cost,
     generate_suite,
     grad,
     grad_all,
@@ -19,6 +17,7 @@ from cgtsim.costs import (
     mean_value,
     solve_reference,
 )
+from cost_oracles import estimate_L, eval_cost, suite_from_json, suite_to_json
 
 
 def _logistic_eval_oracle(h, nu, m, xi, x):
@@ -304,18 +303,45 @@ _QUAD_VARIANTS = [{}, {"consistent": False}, {"rows": 4},
 
 @pytest.mark.parametrize("kw", _QUAD_VARIANTS)
 def test_quadratic_reference_is_certified_least_squares(kw):
+    # The reference is no worse than the restart descent's endpoint, up to
+    # its P-L certificate and round-off: by P-L, F(x_ref) - F* is at most
+    # ||grad F(x_ref)||^2 / (2 nu), F* <= F(x_old), and each computed value
+    # of F, a sum of m = n * rows nonnegative terms, is off by at most
+    # m eps |F| (recursive summation).
     suite = generate_suite("quadratic_pl", n=6, d=10, seed=5, **kw)
     (_, f_old, _), _ = _restart_descent_oracle(suite, 1e-9)
+    m = suite.n * suite.M.shape[1]
     for tol in (1e-9, 1e-11):
         ref = solve_reference(suite, tol=tol)
         assert ref.certified and ref.grad_norm <= tol
         assert ref.grad_norm == np.linalg.norm(mean_grad(suite, ref.x_star))
         assert ref.f_star == mean_value(suite, ref.x_star)
-        assert ref.f_star <= f_old
+        assert ref.f_star <= (f_old + ref.grad_norm**2 / (2 * suite.nu_pl)
+                              + m * _EPS * abs(f_old))
         # restarts and seed do not apply to the quadratic family
         again = solve_reference(suite, tol=tol, restarts=3, seed=99)
         assert again.f_star == ref.f_star
         assert np.array_equal(again.x_star, ref.x_star)
+
+
+# rows > d, and rows = 1, where the mean Gram has rank n = 6 < d
+_QUAD_SHAPES = _QUAD_VARIANTS + [{"rows": 16}, {"rows": 16, "normalize": False},
+                                 {"rows": 1}]
+
+
+@pytest.mark.parametrize("kw", _QUAD_SHAPES)
+def test_quadratic_constants_match_the_stored_factors(kw):
+    suite = generate_suite("quadratic_pl", n=6, d=10, seed=5, **kw)
+    tops = np.array([np.linalg.norm(Mi, 2) for Mi in suite.M])
+    assert suite.L_f == pytest.approx(tops.max() ** 2, rel=1e-12)
+    eigs = np.linalg.eigvalsh(np.mean([Mi.T @ Mi for Mi in suite.M], axis=0))
+    nonzero = eigs[eigs > 1e-9 * eigs[-1]]
+    assert len(nonzero) == min(10, 6 * suite.M.shape[1])
+    assert suite.nu_pl == pytest.approx(nonzero[0], rel=1e-12)
+    if kw.get("normalize", True):
+        assert np.all(np.abs(tops - 1.0) <= 1e-12)
+    for Hi in suite.gram[0]:
+        assert suite.L_f >= np.linalg.eigvalsh(Hi)[-1] * (1 - 1e-12)
 
 
 def test_quadratic_reference_uses_extra_starts():
@@ -388,12 +414,10 @@ def test_hessian_spectral_norms_below_stored_constant():
 
 
 def test_suite_json_regenerates_exactly():
-    from cgtsim.costs import CostSuite
-
     for kind, kw in [("logistic_log", {"scale": 0.4}),
                      ("quadratic_pl", {"rows": 3, "consistent": False})]:
         suite = generate_suite(kind, n=4, d=5, seed=61, **kw)
-        back = CostSuite.from_json(suite.to_json())
+        back = suite_from_json(suite_to_json(suite))
         assert back.kind == suite.kind and back.L_f == suite.L_f
         x = np.linspace(-1, 1, 5)
         for i in range(4):

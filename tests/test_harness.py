@@ -1,5 +1,6 @@
 """Experiment orchestration: metric, bit ledger, reports, CLI contract."""
 
+import inspect
 import json
 import math
 
@@ -313,6 +314,41 @@ def test_cli_config_errors_exit_2_and_program_bugs_propagate(tmp_path,
     monkeypatch.setattr(harness, "run", broken_run)
     with pytest.raises(ValueError, match="a bug inside the stepper"):
         cli.main(["run", str(cfg_path)])
+
+
+@pytest.mark.parametrize("cost", [
+    {"kind": "quadratic_pl", "rows": "x"},
+    {"kind": "quadratic_pl", "rows": 0},
+    {"kind": "quadratic_pl", "rows": 2.5},
+    {"kind": "logistic_log", "scale": "big"},
+    {"kind": "logistic_log", "scale": float("inf")},
+    {"kind": "quadratic_pl", "rowz": 3},
+    {"kind": "quadratic_pl", "consistent": "no"},
+    {"kind": "quadratic_pl", "normalize": 1},
+    {"kind": "logistic_log", "abs_m": "no"},
+])
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_cli_bad_cost_options_exit_2_before_any_output(tmp_path, cost,
+                                                       command):
+    out = tmp_path / "o"
+    cfg = {
+        "scenario": "cli", "iters": 5,
+        "network": {"n": 5, "edge_density": 0.7},
+        "cost": dict(cost, d=4),
+        "seeds": {"graph": 4, "cost": 5, "algo": 6},
+        "output_dir": str(out),
+        "algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main([command, str(cfg_path)]) == 2
+    assert not out.exists()
+
+
+def test_cost_option_checks_cover_generate_suite_keywords():
+    params = inspect.signature(generate_suite).parameters.values()
+    assert set(harness._COST_OPTIONS) == {
+        p.name for p in params if p.kind is p.KEYWORD_ONLY}
 
 
 def test_cli_bounds_identity_finite(tmp_path, capsys, monkeypatch):
