@@ -12,6 +12,17 @@ Quadratics use the Gram form there (n*d^2 floats, built after the reference
 solve): one batched matrix-vector product a step and one d x d product a row;
 ``costs`` states the memory and the crossover below about d/3 factor rows.
 
+State blocks.  Each x/y twin of the update rules is one contiguous (2, n, d)
+block, x in slot 0 and y in slot 1: X|Y, A|C, B|D, Ex|Ey (alg1/alg2),
+Xhat|Yhat, V|Z (alg3).  All messages of one step form one (m, n, d) block
+along a slot axis: Qx, Qy (m = 2), then alg2's error-feedback Qhx, Qhy
+(m = 4).  A step makes one compressor-kernel call over that block, one
+``np.matmul(W, Q)`` and one update per twin, written in place into the
+run's blocks.  The stacked matmul still makes one gemm per slot and every
+elementwise update rounds as the per-array update did, so traces and states
+are bitwise those of updating each half of a twin on its own.  The kernel's
+draws for slot j of a block started at ``slot`` are keyed by slot + j.
+
 The steppers only step.  One block recorder (``_BlockRecorder``) takes
 each row's state and, every B rows, computes the trace rows, the state
 history and the diag maxima for the whole block at once.  Its batched
@@ -19,11 +30,13 @@ products make the same BLAS call per row as recording row by row, so the
 result is bitwise equal to per-step recording.  B = clamp(1 MiB // bytes per
 recorded row, 1, 64) follows from n*d and the number of (n, d) arrays a row
 records: 3 for dgt, 7 for alg1 and alg3, 9 under the EF Lyapunov weight
-(the alg2 default).  At n=20, d=50 that is 43, 18 and 14; B is 1 once a row
-passes 512 KiB (n*d above about 22000 for dgt and 9400 for alg1/alg3).  At
-B = 1 rows are recorded in place, without copies or checkpoints.  A
-non-finite row ends the run at that row: the steps already taken past it
-inside the block are discarded by replaying from the block's first row.
+(the alg2 default).  Storing twins as blocks records the same bytes a row,
+so B is what it was per array.  At n=20, d=50 that is 43, 18 and 14; B is 1
+once a row passes 512 KiB (n*d above about 22000 for dgt and 9400 for
+alg1/alg3).  At B = 1 rows are recorded straight from the state blocks,
+before the next step overwrites them.  A non-finite row ends the run at that
+row: the steps already taken past it inside the block are discarded by
+replaying from a copy of the block's first row.
 
 Shared conventions:
 
@@ -79,13 +92,16 @@ def _u01_np(z: np.ndarray) -> np.ndarray:
     return (_mix64_np(z) >> _S11) * _INV53
 
 
-def _msg_base_np(seed: int, k: int, n: int, slot: int) -> np.ndarray:
+def _msg_base_np(seed: int, k: int, n: int, slot) -> np.ndarray:
+    """Stream bases of agents 1..n in message ``slot``: shape (n,) for one
+    slot, (m, n) for an array of m slots."""
     agents = np.arange(1, n + 1, dtype=np.uint64)
+    slots = np.asarray(slot, dtype=np.uint64)[..., None]
     with np.errstate(over="ignore"):
         z = (np.uint64(seed)
              ^ (np.uint64(k + 1) * _KITER)
              ^ (agents * _KAGENT)
-             ^ (np.uint64(slot + 1) * _KSLOT))
+             ^ ((slots + np.uint64(1)) * _KSLOT))
     return _mix64_np(z)
 
 
@@ -93,47 +109,59 @@ def _msg_base_np(seed: int, k: int, n: int, slot: int) -> np.ndarray:
 # compression
 
 def _compress_block_np(kind, p1, p2, ip, Xin, seed, k, slot):
-    n, d = Xin.shape
+    """Compress an (m, n, d) message block: ``Xin[j]`` holds the n agents'
+    inputs of message slot ``slot + j``."""
+    m, n, d = Xin.shape
     if kind == K_IDENTITY:
         return Xin.copy()
     if kind == K_NORM_SIGN:
-        a = np.abs(Xin).max(axis=1, keepdims=True)
+        a = np.abs(Xin).max(axis=2, keepdims=True)
         half = 0.5 * a
-        return np.where(a > 0.0, np.where(Xin >= 0.0, half, -half), 0.0)
-    if kind == K_UNIFORM:
-        return p1 * np.floor(Xin / p1 + 0.5)
+        out = np.where(Xin >= 0.0, half, -half)
+        out[~(a[:, :, 0] > 0.0)] = 0.0  # all-zero (or NaN) agent rows
+        return out
+    if kind == K_UNIFORM:  # p1 * floor(Xin / p1 + 0.5), in one array
+        out = Xin / p1
+        out += 0.5
+        np.floor(out, out=out)
+        out *= p1
+        return out
     if kind == K_ONE_BIT:
         return np.where(Xin >= 0.0, 0.5, -0.5)
+    slots = np.arange(slot, slot + m)
+    if kind == K_RAND_QUANT:
+        a = np.max(np.abs(Xin), axis=2, keepdims=True)
+        safe = np.where(a > 0.0, a, 1.0)
+        h = 2.0 * safe / (ip - 1)
+        t = (Xin + safe) / h
+        lo = np.floor(t)
+        bases = _msg_base_np(seed, k, n, slots)
+        u = _u01_np(bases[:, :, None] + np.arange(d, dtype=np.uint64))
+        lvl = lo + (u < (t - lo))
+        return np.where(a > 0.0, lvl * h - safe, 0.0)
+    X = Xin.reshape(m * n, d)  # sparsify: one row per (slot, agent)
+    rows = np.arange(m * n)
     if kind == K_SPARSIFY_TOP:
-        order = np.argsort(-np.abs(Xin), axis=1, kind="stable")[:, :ip]
-        out = np.zeros_like(Xin)
-        rows = np.arange(n)[:, None]
-        out[rows, order] = Xin[rows, order] * p2
-        return out
-    if kind == K_SPARSIFY_RAND:
+        keep = np.argsort(-np.abs(X), axis=1, kind="stable")[:, :ip]
+    else:  # K_SPARSIFY_RAND
         # the first ip steps of a Fisher-Yates shuffle, all rows at once
-        bases = _msg_base_np(seed, k, n, slot)
-        rows = np.arange(n)
-        idx = np.tile(np.arange(d), (n, 1))
+        bases = _msg_base_np(seed, k, n, slots).ravel()
+        idx = np.tile(np.arange(d), (m * n, 1))
         for t in range(ip):
             u = _u01_np(bases + np.uint64(t))
             j = np.minimum(t + (u * (d - t)).astype(np.int64), d - 1)
             idx[rows, t], idx[rows, j] = idx[rows, j], idx[rows, t]
-        rows, keep = rows[:, None], idx[:, :ip]
-        out = np.zeros_like(Xin)
-        out[rows, keep] = Xin[rows, keep] * p2
-        return out
-    # K_RAND_QUANT
-    a = np.max(np.abs(Xin), axis=1, keepdims=True)
-    safe = np.where(a > 0.0, a, 1.0)
-    h = 2.0 * safe / (ip - 1)
-    t = (Xin + safe) / h
-    lo = np.floor(t)
-    bases = _msg_base_np(seed, k, n, slot)
-    keys = bases[:, None] + np.arange(d, dtype=np.uint64)[None, :]
-    u = _u01_np(keys)
-    lvl = lo + (u < (t - lo))
-    return np.where(a > 0.0, lvl * h - safe, 0.0)
+        keep = idx[:, :ip]
+    rows = rows[:, None]
+    out = np.zeros_like(X)
+    out[rows, keep] = X[rows, keep] * p2
+    return out.reshape(Xin.shape)
+
+
+def _mix(W, Q, out):
+    """W @ Q[j] for every slot j of a block, into ``out``: the stacked
+    product makes one gemm per slot, as ``W @ Q[j]`` does."""
+    return np.matmul(W, Q, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +183,8 @@ def _block_rows(nrec, n, d):
 # same BLAS call per row as the unbatched product (a @ b, np.linalg.norm's
 # dot, W @ Base), and each reduction sums in the same order, so a block of
 # rows gives bitwise the values that recording row by row gives.  A pairwise
-# sum in place of the dot, or one gemm over stacked rows, would not.
+# sum in place of the dot, or one gemm over stacked rows, would not.  Rows
+# may be strided views, such as the x half of a recorded X|Y block.
 
 def _dots(A, B):
     """Row-wise dot products of two (b, m) arrays."""
@@ -209,26 +238,28 @@ def _raise_max(diag, i, vals):
 class _BlockRecorder:
     """Trace rows and diag maxima of one run, computed B rows at once.
 
-    Row k is the run state before step k as a list that starts X, Y, G and
-    goes on with the run's other recorded arrays: alg1 A, B, C, D (then Ex,
-    Ey under the EF Lyapunov weight), alg3 Xhat, Yhat, V, Z.  The diagnostics
-    of step k (diag 0; alg3 diag 2, 3 and 6) are read off rows k and k+1.
-    Steppers never write into a state array, so rows and checkpoints may
-    hold the arrays themselves.
+    Row k is the run state before step k as a list of blocks that starts
+    X|Y, G and goes on with the run's other recorded blocks: alg1 A|C, B|D
+    (then Ex|Ey under the EF Lyapunov weight), alg3 Xhat|Yhat, V|Z.  ``row``
+    is the first such list; it fixes the block shapes.  The diagnostics of
+    step k (diag 0; alg3 diag 2, 3 and 6) are read off rows k and k+1.
+    Steppers update their blocks in place, so at B = 1 a row is read before
+    the next step and alg3 keeps a copy of the X it needs from it.
     """
 
-    def __init__(self, algo, nrec, shape, cost, W, eta, lyap_kind, phi_w,
-                 phi_aux, out, s_arr=None, ip_norm=0):
-        n, d = shape
-        self.B = _block_rows(nrec, n, d)
-        self.algo, self.nrec, self.cost, self.W = algo, nrec, cost, W
+    def __init__(self, algo, row, cost, W, eta, lyap_kind, phi_w, phi_aux,
+                 out, s_arr=None, ip_norm=0):
+        n, d = row[1].shape
+        self.B = _block_rows(sum(a.size for a in row) // (n * d), n, d)
+        self.algo, self.nblk, self.cost, self.W = algo, len(row), cost, W
         self.eta, self.lyap_kind = eta, lyap_kind
         self.phi_w, self.phi_aux = phi_w, phi_aux
         self.out, self.s_arr, self.ip_norm = out, s_arr, ip_norm
         # slot 0 carries the row before the block (its agent means, and alg3's
         # X); rows go to slots 1..B.  At B = 1 rows are not copied.
         self.means = np.empty((2, self.B + 1, d))
-        self.buf = np.empty((nrec, self.B + 1, n, d)) if self.B > 1 else None
+        self.buf = ([np.empty((self.B + 1,) + a.shape) for a in row]
+                    if self.B > 1 else None)
         self.rows = None
         self.prev_x = None
         self.k0 = 0
@@ -238,11 +269,12 @@ class _BlockRecorder:
         """Record rows 0..last of the state list ``st``, calling
         ``step(k, st)`` between rows k and k+1.  Returns (status, k_done) and
         leaves ``st`` at row k_done.  A non-finite row ends the run; steps
-        already taken past it are undone by replaying from the block start,
-        which the counter-based compressor randomness makes exact."""
+        already taken past it are undone by replaying from a copy of the
+        block start, which the counter-based compressor randomness makes
+        exact."""
         for k in range(last + 1):
             if self.buf is not None and self.fill == 0:
-                start, k_start = list(st), k
+                start, k_start = [a.copy() for a in st], k
             self.push(st)
             if self.fill == self.B or k == last:
                 # overflow in a diverging row is expected: flush finds
@@ -263,7 +295,7 @@ class _BlockRecorder:
     def push(self, st):
         self.fill += 1
         if self.buf is None:
-            self.rows = st[:self.nrec]
+            self.rows = st[:self.nblk]
         else:
             for q, a in zip(self.buf, st):
                 q[self.fill] = a
@@ -275,16 +307,21 @@ class _BlockRecorder:
             R = [a[None] for a in self.rows]
             Xp = None if self.prev_x is None else self.prev_x[None]
         else:
-            R = self.buf[:, 1:b + 1]
-            Xp = self.buf[0, :b]
-        X, Y = R[0], R[1]
-        xbar, ybar, c, t, g, s, ytr = _metrics_rows(self.cost, X, Y, R[2])
+            R = [q[1:b + 1] for q in self.buf]
+            Xp = self.buf[0][:b, 0]
+        # the x and y halves of each recorded block, as (b, n, d) views
+        (X, Y), G = R[0].swapaxes(0, 1), R[1]
+        xbar, ybar, c, t, g, s, ytr = _metrics_rows(self.cost, X, Y, G)
         L = c + self.phi_w * t
+        if self.algo == "alg1":
+            (A, C), (B, D) = R[2].swapaxes(0, 1), R[3].swapaxes(0, 1)
+        elif self.algo == "alg3":
+            (Xhat, Yhat), (V, Z) = R[2].swapaxes(0, 1), R[3].swapaxes(0, 1)
         if self.algo == "alg1" and self.lyap_kind in (LYAP_FULL, LYAP_EF):
-            L = L + _sums((X - R[3]) ** 2) + _sums((Y - R[5]) ** 2) + g
+            L = L + _sums((X - A) ** 2) + _sums((Y - C) ** 2) + g
             if self.lyap_kind == LYAP_EF:
-                L = L + self.phi_aux * (_sums(R[7] * R[7])
-                                        + _sums(R[8] * R[8]))
+                Ex, Ey = R[4].swapaxes(0, 1)
+                L = L + self.phi_aux * (_sums(Ex * Ex) + _sums(Ey * Ey))
         elif self.lyap_kind == LYAP_SCALED:
             L = L + self.phi_aux * g
         else:
@@ -303,14 +340,13 @@ class _BlockRecorder:
         ok = slice(0, nok)
         _raise_max(diag, 1, ytr[ok])
         if nok and self.algo == "alg1":
-            A, B, C, D = (a[ok] for a in R[3:7])
-            _raise_max(diag, 2, _struct_resid_rows(B, A, W))
-            _raise_max(diag, 3, _struct_resid_rows(D, C, W))
+            _raise_max(diag, 2, _struct_resid_rows(B[ok], A[ok], W))
+            _raise_max(diag, 3, _struct_resid_rows(D[ok], C[ok], W))
         elif nok and self.algo == "alg3":
             sk = self.s_arr[k0:k0 + nok]
-            _raise_max(diag, 4, _row_norm_max_rows(X[ok] - R[3][ok],
+            _raise_max(diag, 4, _row_norm_max_rows(X[ok] - Xhat[ok],
                                                    self.ip_norm) / sk)
-            _raise_max(diag, 5, _row_norm_max_rows(Y[ok] - R[4][ok],
+            _raise_max(diag, 5, _row_norm_max_rows(Y[ok] - Yhat[ok],
                                                    self.ip_norm) / sk)
 
         # step k0 + j - 1 leads into row j: diag 0 needs the agent means of
@@ -322,7 +358,7 @@ class _BlockRecorder:
             want = self.means[0, steps] - self.eta * self.means[1, steps]
             _raise_max(diag, 0, _norms(xbar[steps] - want))
             if self.algo == "alg3":
-                Xhat, Yhat, V, Z = (a[steps] for a in R[3:7])
+                Xhat, Yhat, V, Z = (a[steps] for a in (Xhat, Yhat, V, Z))
                 _raise_max(diag, 2, _struct_resid_rows(V, Xhat, W))
                 _raise_max(diag, 3, _struct_resid_rows(Z, Yhat, W))
                 _raise_max(diag, 6, _row_norm_max_rows(Xp[steps] - Xhat,
@@ -334,9 +370,9 @@ class _BlockRecorder:
         self.means[:, 0] = self.means[:, b]
         if self.algo == "alg3":
             if self.buf is None:
-                self.prev_x = self.rows[0]
+                self.prev_x = self.rows[0][0].copy()
             else:
-                self.buf[0, 0] = self.buf[0, b]
+                self.buf[0][0] = self.buf[0][b]
         self.rows = None
         self.k0 += b
         self.fill = 0
@@ -347,57 +383,66 @@ class _BlockRecorder:
 # records rows 0..iters of one run into ``record`` (the recorder's cons, gap,
 # stat, lyap, diag, Xh, Yh arrays) and returns (status, k_done, final): final
 # maps the StackedState fields of the run to its last state, one distinct
-# array per field.
+# array per field.  A step updates the state blocks in place.  Its scratch is
+# ``tmp``, one (2, n, d) block, and ``buf``, one slot per message: ``buf``
+# takes W @ Q, then, once that is spent, the step's other temporaries and the
+# next messages' inputs.  Both are bound as default arguments, so the step's
+# in-place operators act on them.  Only G and the message block are new
+# arrays, which keeps the live arrays of a large-n run near those of
+# updating each twin half on its own.
 
 def _run_alg1_np(X0, W, eta, gamma, phix, phiy, varsigma, use_ef,
                  ckind, cp1, cp2, cip, seed, cost,
                  lyap_kind, phi_w, phi_aux, iters, record):
     n, d = X0.shape
     G = cost.grad(X0)
-    Qx = _compress_block_np(ckind, cp1, cp2, cip, X0, seed, 0, 0)
-    Qy = _compress_block_np(ckind, cp1, cp2, cip, G, seed, 0, 1)
-    # X, Y, G, A, B, C, D, Ex, Ey, Qx, Qy, Qhx, Qhy
-    st = [X0.copy(), G.copy(), G, *(np.zeros((n, d)) for _ in range(6)),
-          Qx, Qy, Qx.copy(), Qy.copy()]
-    del G, Qx, Qy
+    XY = np.stack([X0, G])
+    Q = _compress_block_np(ckind, cp1, cp2, cip, XY, seed, 0, 0)
+    Qh = Q.copy()  # the first EF messages; plain alg1 never sends others
+    if use_ef:
+        Q = np.concatenate([Q, Qh])
+    # X|Y, G, A|C, B|D, Ex|Ey, Qx|Qy[|Qhx|Qhy]
+    st = [XY, G, *(np.zeros((2, n, d)) for _ in range(3)), Q]
+    phi = np.array([phix, phiy])[:, None, None]
 
-    def step(k, st):
-        X, Y, G, A, B, C, D, Ex, Ey, Qx, Qy, Qhx, Qhy = st
-        st.clear()  # superseded arrays are freed as soon as they are rebound
-        mixQx = W @ Qx
-        mixQy = W @ Qy
+    def step(k, st, tmp=np.empty((2, n, d)), buf=np.empty_like(Q)):
+        XY, G, AC, BD, E, Q = st
+        mixQ = _mix(W, Q, buf)
+        Qs, mixQs = (Q[2:], mixQ[2:]) if use_ef else (Q, mixQ)
+        np.add(BD, Qs, out=tmp)  # the consensus terms, from the old B|D
+        tmp -= mixQs
+        tmp *= gamma
+        if use_ef:  # from the old X|Y and A|C
+            E *= varsigma
+            E += XY
+            E -= AC
+            E -= Qs
+        diff = np.subtract(Q[:2], mixQ[:2], out=buf[:2])
+        diff *= phi
+        BD += diff
+        AC += np.multiply(phi, Q[:2], out=buf[:2])
+        ey = np.multiply(eta, XY[1], out=buf[0])
+        XY -= tmp
+        XY[0] -= ey
+        st[1] = Gn = cost.grad(XY[0])
+        XY[1] += Gn
+        XY[1] -= G
+        np.subtract(XY, AC, out=buf[:2])  # the next messages' inputs
         if use_ef:
-            mixQhx = W @ Qhx
-            mixQhy = W @ Qhy
-            Xn = X - gamma * (B + Qhx - mixQhx) - eta * Y
-        else:
-            Xn = X - gamma * (B + Qx - mixQx) - eta * Y
-        Gn = cost.grad(Xn)
-        if use_ef:
-            Yn = Y - gamma * (D + Qhy - mixQhy) + Gn - G
-            Ex = varsigma * Ex + X - A - Qhx
-            Ey = varsigma * Ey + Y - C - Qhy
-        else:
-            Yn = Y - gamma * (D + Qy - mixQy) + Gn - G
-        A = A + phix * Qx
-        B = B + phix * (Qx - mixQx)
-        C = C + phiy * Qy
-        D = D + phiy * (Qy - mixQy)
-        Qx = _compress_block_np(ckind, cp1, cp2, cip, Xn - A, seed, k + 1, 0)
-        Qy = _compress_block_np(ckind, cp1, cp2, cip, Yn - C, seed, k + 1, 1)
-        if use_ef:
-            Qhx = _compress_block_np(ckind, cp1, cp2, cip,
-                                     varsigma * Ex + Xn - A, seed, k + 1, 2)
-            Qhy = _compress_block_np(ckind, cp1, cp2, cip,
-                                     varsigma * Ey + Yn - C, seed, k + 1, 3)
-        st += Xn, Yn, Gn, A, B, C, D, Ex, Ey, Qx, Qy, Qhx, Qhy
+            h = np.multiply(varsigma, E, out=buf[2:])
+            h += XY
+            h -= AC
+        st[5] = _compress_block_np(ckind, cp1, cp2, cip, buf, seed, k + 1, 0)
 
-    rec = _BlockRecorder("alg1", 9 if lyap_kind == LYAP_EF else 7, (n, d),
+    rec = _BlockRecorder("alg1", st[:5 if lyap_kind == LYAP_EF else 4],
                          cost, W, eta, lyap_kind, phi_w, phi_aux, record)
     status, k_done = rec.run(st, step, iters, STATUS_OK)
-    del st[2]
-    return status, k_done, dict(zip(("x", "y", "a", "b", "c", "dd", "ex",
-                                     "ey", "qx", "qy", "qhx", "qhy"), st))
+    XY, _, AC, BD, E, Q = st
+    Qh = Q[2:] if use_ef else Qh
+    return status, k_done, {
+        "x": XY[0], "y": XY[1], "a": AC[0], "b": BD[0], "c": AC[1],
+        "dd": BD[1], "ex": E[0], "ey": E[1], "qx": Q[0], "qy": Q[1],
+        "qhx": Qh[0], "qhy": Qh[1]}
 
 
 def _run_alg3_np(X0, W, eta, gamma, s_arr, ip_norm,
@@ -405,57 +450,60 @@ def _run_alg3_np(X0, W, eta, gamma, s_arr, ip_norm,
                  lyap_kind, phi_w, phi_aux, iters, record):
     n, d = X0.shape
     G = cost.grad(X0)
-    # X, Y, G, Xhat, Yhat, V, Z, Qx, Qy
-    st = [X0.copy(), G.copy(), G, *(np.zeros((n, d)) for _ in range(4)),
-          _compress_block_np(ckind, cp1, cp2, cip, X0 / s_arr[0], seed, 0, 0),
-          _compress_block_np(ckind, cp1, cp2, cip, G / s_arr[0], seed, 0, 1)]
-    del G
+    XY = np.stack([X0, G])
+    # X|Y, G, Xhat|Yhat, V|Z, Qx|Qy
+    st = [XY, G, np.zeros((2, n, d)), np.zeros((2, n, d)),
+          _compress_block_np(ckind, cp1, cp2, cip, XY / s_arr[0], seed, 0, 0)]
 
-    def step(k, st):
-        X, Y, G, Xhat, Yhat, V, Z, Qx, Qy = st
-        st.clear()  # superseded arrays are freed as soon as they are rebound
-        mixQx = W @ Qx
-        mixQy = W @ Qy
+    def step(k, st, tmp=np.empty((2, n, d)), buf=np.empty((2, n, d))):
+        XY, G, Hat, VZ, Q = st
+        mixQ = _mix(W, Q, buf)
         sk = s_arr[k]
-        Xhat = Xhat + sk * Qx
-        V = V + sk * (Qx - mixQx)
-        Yhat = Yhat + sk * Qy
-        Z = Z + sk * (Qy - mixQy)
-        Xn = X - gamma * V - eta * Y
-        Gn = cost.grad(Xn)
-        Yn = Y - gamma * Z + Gn - G
-        snext = s_arr[k + 1]
-        Qx = _compress_block_np(ckind, cp1, cp2, cip, (Xn - Xhat) / snext,
-                                seed, k + 1, 0)
-        Qy = _compress_block_np(ckind, cp1, cp2, cip, (Yn - Yhat) / snext,
-                                seed, k + 1, 1)
-        st += Xn, Yn, Gn, Xhat, Yhat, V, Z, Qx, Qy
+        Hat += np.multiply(sk, Q, out=tmp)
+        diff = np.subtract(Q, mixQ, out=tmp)
+        diff *= sk
+        VZ += diff
+        np.multiply(gamma, VZ, out=tmp)
+        ey = np.multiply(eta, XY[1], out=buf[0])
+        XY -= tmp
+        XY[0] -= ey
+        st[1] = Gn = cost.grad(XY[0])
+        XY[1] += Gn
+        XY[1] -= G
+        cin = np.subtract(XY, Hat, out=tmp)  # the next messages' inputs
+        cin /= s_arr[k + 1]
+        st[4] = _compress_block_np(ckind, cp1, cp2, cip, cin, seed, k + 1, 0)
 
     # the run stops before the first step whose next scale underflows
     below = np.flatnonzero(s_arr[1:] < _SCALE_FLOOR)
     last = int(below[0]) if below.size else iters
-    rec = _BlockRecorder("alg3", 7, (n, d), cost, W, eta, lyap_kind, phi_w,
+    rec = _BlockRecorder("alg3", st[:4], cost, W, eta, lyap_kind, phi_w,
                          phi_aux, record, s_arr, ip_norm)
     status, k_done = rec.run(st, step, last, STATUS_SCALE_UNDERFLOW
                              if last < iters else STATUS_OK)
-    del st[2]
-    return status, k_done, dict(zip(("x", "y", "xhat", "yhat", "v", "z",
-                                     "qx", "qy"), st))
+    XY, _, Hat, VZ, Q = st
+    return status, k_done, {
+        "x": XY[0], "y": XY[1], "xhat": Hat[0], "yhat": Hat[1], "v": VZ[0],
+        "z": VZ[1], "qx": Q[0], "qy": Q[1]}
 
 
 def _run_dgt_np(X0, W, eta, gamma, cost, phi_w, iters, record):
     G = cost.grad(X0)
-    st = [X0.copy(), G.copy(), G]  # X, Y, G
-    del G
+    st = [np.stack([X0, G]), G]  # X|Y, G
 
-    def step(k, st):
-        X, Y, G = st
-        st.clear()  # superseded arrays are freed as soon as they are rebound
-        Xn = X - gamma * (X - W @ X) - eta * Y
-        Gn = cost.grad(Xn)
-        st += Xn, Y - gamma * (Y - W @ Y) + Gn - G, Gn
+    def step(k, st, tmp=np.empty_like(st[0]), ey=np.empty_like(X0)):
+        XY, G = st
+        _mix(W, XY, tmp)
+        np.subtract(XY, tmp, out=tmp)
+        tmp *= gamma
+        np.multiply(eta, XY[1], out=ey)
+        XY -= tmp
+        XY[0] -= ey
+        st[1] = Gn = cost.grad(XY[0])
+        XY[1] += Gn
+        XY[1] -= G
 
-    rec = _BlockRecorder("dgt", 3, X0.shape, cost, W, eta, LYAP_CONSENSUS,
-                         phi_w, 0.0, record)
+    rec = _BlockRecorder("dgt", st, cost, W, eta, LYAP_CONSENSUS, phi_w, 0.0,
+                         record)
     status, k_done = rec.run(st, step, iters, STATUS_OK)
-    return status, k_done, {"x": st[0], "y": st[1]}
+    return status, k_done, {"x": st[0][0], "y": st[0][1]}

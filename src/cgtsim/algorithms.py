@@ -12,12 +12,12 @@ messages, never against raw neighbour states (the baseline excepted).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels as kern
-from .compressors import CompressorSpec, make_compressor
+from .compressors import CompressorSpec
 from .costs import CostSuite, RunCosts
 from .graph import Network
 

@@ -14,6 +14,7 @@ C = 2 r^2 (1 - psi) + 2 (1 - r)^2 bounding E||C(x) - x||^2 / ||x||^2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,41 +172,81 @@ def make_compressor(kind: str, d: int, *, delta: float = 2.0, keep_k: int = 0,
     raise CompressorError(f"unknown compressor kind {kind!r}")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _finite(v) -> bool:
+    return _is_real(v) and math.isfinite(v)
+
+
+# make_compressor's keywords, each with what a config value must be; the
+# ranges that depend on the kind or on d are make_compressor's own checks
+_CONFIG_OPTIONS = {
+    "delta": ("a positive finite number", lambda v: _finite(v) and v > 0),
+    "keep_k": ("a positive int", lambda v: _is_int(v) and v >= 1),
+    "levels": ("an int >= 2", lambda v: _is_int(v) and v >= 2),
+    "sparsify_mode": ('"top" or "random"', lambda v: v in ("top", "random")),
+    "rescale": ("a bool", lambda v: isinstance(v, bool)),
+    "p_norm": ('"inf" or a number >= 1',
+               lambda v: v in ("inf", None) or (_is_real(v) and v >= 1)),
+    "r": ("a positive finite number", lambda v: _finite(v) and v > 0),
+    "psi": ("a number in (0, 1]", lambda v: _finite(v) and 0 < v <= 1),
+    "cap_c": ("a nonnegative finite number", lambda v: _finite(v) and v >= 0),
+    "phi_c": ("a number in (0, 1]", lambda v: _finite(v) and 0 < v <= 1),
+}
+
+
 def spec_from_config(cfg: dict, d: int) -> CompressorSpec:
-    """Parse a config mapping with keys kind/delta/keep_k/levels/p_norm plus
-    optional overrides r/psi/cap_c/phi_c."""
+    """Parse a config mapping with keys kind/delta/keep_k/levels/
+    sparsify_mode/rescale/p_norm plus optional overrides r/psi/cap_c/phi_c.
+    Each value is type- and range-checked; a bad one is a CompressorError."""
+    if not isinstance(cfg, dict):
+        raise CompressorError(f"compressor config must be a mapping, not "
+                              f"{cfg!r}")
     cfg = dict(cfg)
     kind = cfg.pop("kind", None)
     if kind is None:
         raise CompressorError("compressor config needs a 'kind' key")
-    p = cfg.pop("p_norm", "inf")
-    p_norm = math.inf if p in ("inf", None) else float(p)
-    known = {"delta", "keep_k", "levels", "sparsify_mode", "rescale",
-             "r", "psi", "cap_c", "phi_c"}
-    bad = set(cfg) - known
+    bad = set(cfg) - set(_CONFIG_OPTIONS)
     if bad:
         raise CompressorError(f"unknown compressor config keys: {sorted(bad)}")
+    for key, value in cfg.items():
+        what, ok = _CONFIG_OPTIONS[key]
+        if not ok(value):
+            raise CompressorError(f"compressor {key!r} must be {what}, not "
+                                  f"{value!r}")
+    p = cfg.pop("p_norm", "inf")
+    p_norm = math.inf if p in ("inf", None) else float(p)
     return make_compressor(kind, d, p_norm=p_norm, **cfg)
 
 
 def compress(spec: CompressorSpec, x: np.ndarray, *, seed: int = 0,
              k: int = 0, slot: int = 0) -> np.ndarray:
-    """Apply the operator to one vector or to an (n, d) stack of agent rows.
+    """Apply the operator to one vector, an (n, d) stack of agent rows or
+    an (m, n, d) block of m such stacks.
 
     This is the block kernel the steppers run.  Random kinds draw from its
-    counter-based stream: row i of the stack is agent i, and its draws are
+    counter-based stream: row i of a stack is agent i, and its draws are
     keyed by the run's ``seed``, the iteration ``k``, the agent i and the
     message ``slot`` (alg1/alg2 send x in slot 0 and y in slot 1, alg2 its
-    error-feedback messages in slots 2 and 3; alg3 uses slots 0 and 1).  A
-    single vector is agent 0.  Deterministic kinds ignore the keys.
+    error-feedback messages in slots 2 and 3; alg3 uses slots 0 and 1).
+    Stack j of a block is message slot ``slot + j``.  A single vector is
+    agent 0.  Deterministic kinds ignore the keys.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise CompressorError("compress input has non-finite entries")
-    if x.ndim not in (1, 2):
-        raise CompressorError("compress takes a vector or an (n, d) stack")
+    if x.ndim not in (1, 2, 3):
+        raise CompressorError(
+            "compress takes a vector, an (n, d) stack or an (m, n, d) block")
     q = _kernels._compress_block_np(
-        spec.kind_code, *spec.kernel_params(), x.reshape(-1, x.shape[-1]),
+        spec.kind_code, *spec.kernel_params(),
+        x.reshape((1,) * (3 - x.ndim) + x.shape),
         np.uint64(seed & 0xFFFFFFFFFFFFFFFF), k, slot)
     return q.reshape(x.shape)
 

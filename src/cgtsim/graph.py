@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -58,30 +57,6 @@ class Network:
         """Number of receivers per agent, self excluded (column-wise count)."""
         return self.adjacency.sum(axis=0).astype(np.int64)
 
-    def to_json(self) -> str:
-        src, dst = np.nonzero(self.adjacency.T)  # adjacency[i,j]: j -> i
-        edges = [[int(s), int(d)] for s, d in zip(src, dst)]
-        doc = {
-            "n": self.n,
-            "edges": edges,
-            "W": [float(v) for v in self.W.ravel()],
-            "sigma": float(self.sigma),
-        }
-        return json.dumps(doc)
-
-    @staticmethod
-    def from_json(text: str) -> "Network":
-        doc = json.loads(text)
-        n = int(doc["n"])
-        adj = np.zeros((n, n), dtype=bool)
-        for s, d in doc["edges"]:
-            adj[d, s] = True
-        W = np.asarray(doc["W"], dtype=np.float64).reshape(n, n)
-        net = Network(n=n, adjacency=adj, W=W, sigma=float(doc["sigma"]))
-        net.validate()
-        return net
-
-
 def is_strongly_connected(adjacency: np.ndarray) -> bool:
     """Reachability from node 0 on the graph and its transpose, one BFS level
     per step over a boolean frontier."""
@@ -134,15 +109,6 @@ def spectral_gap(W: np.ndarray, tol: float = _POWER_TOL,
     raise GraphError(
         f"power iteration did not converge in {max_iters} iterations "
         f"(last change in the Rayleigh quotient {change:.3e})")
-
-
-def contraction_factor(gamma: float, sigma: float) -> float:
-    """Consensus contraction delta = 1 - gamma * (1 - sigma)."""
-    if not 0.0 < gamma < 1.0:
-        raise GraphError(f"gamma={gamma} outside (0, 1)")
-    if not 0.0 <= sigma < 1.0:
-        raise GraphError(f"sigma={sigma} outside [0, 1)")
-    return 1.0 - gamma * (1.0 - sigma)
 
 
 def _ring_adjacency(n: int) -> np.ndarray:

@@ -12,11 +12,9 @@ configuration.  Reruns with the same config are byte-identical.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import numbers
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -174,16 +172,8 @@ class ExperimentConfig:
             if cell.algo != "dgt" and cell.compressor is None:
                 raise ConfigError(f"cell {cell.resolved_label()} needs a "
                                   "compressor")
-
-
-def upsilon(trace: RunTrace, T: int) -> float:
-    """Running minimum of consensus error plus optimality gap up to T."""
-    if len(trace) == 0:
-        raise ConfigError("empty trace")
-    if T >= len(trace):
-        raise ConfigError(f"T={T} beyond trace length {len(trace)}")
-    m = trace.consensus_err[: T + 1] + trace.opt_gap[: T + 1]
-    return float(m.min())
+            if cell.compressor is not None:  # checked before any output
+                spec_from_config(cell.compressor, int(self.cost["d"]))
 
 
 def upsilon_series(trace: RunTrace) -> np.ndarray:
@@ -425,14 +415,6 @@ def write_trace_csv(trace: RunTrace, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_trace_csv(path) -> dict:
-    rows = Path(path).read_text(encoding="utf-8").strip().split("\n")
-    if rows[0] != CSV_HEADER:
-        raise ConfigError(f"unexpected CSV header in {path}")
-    cols = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
-    return {name: cols[:, i] for i, name in enumerate(CSV_HEADER.split(","))}
-
-
 def build_instance(cfg: ExperimentConfig):
     """The network and cost suite that every cell of ``cfg`` shares."""
     net = generate_network(int(cfg.network["n"]),
@@ -542,10 +524,6 @@ def run_experiment(cfg: ExperimentConfig, *,
                             rows=results, baseline=baseline,
                             report_path=str(report_path), f_star=ref.f_star,
                             sigma=net.sigma)
-
-
-def file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def reference_scenario_config(mode: str = "practical", iters: int = 3000,

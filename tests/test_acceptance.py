@@ -26,12 +26,12 @@ from cgtsim.costs import generate_suite, grad, solve_reference
 from cgtsim.graph import generate_network
 from cgtsim.harness import (
     ExperimentConfig,
-    file_digest,
     reference_scenario_config,
     run_experiment,
     upsilon_series,
 )
 from cost_oracles import eval_cost
+from harness_oracles import file_digest
 
 FSTAR_TOL = 1e-10
 

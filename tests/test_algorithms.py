@@ -17,6 +17,12 @@ from cgtsim.compressors import make_compressor
 from cgtsim.costs import CostSuite, RunCosts, generate_suite, grad
 from cgtsim.graph import Network, generate_network
 from message_passing_oracle import run_oracle
+from twin_stepper_oracle import (
+    metrics_oracle,
+    row_norm_max_oracle,
+    run_twin,
+    struct_resid_oracle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -296,49 +302,6 @@ def test_expectation_descent_randomized_compressor(small_net):
     assert rep["ok"], rep
 
 
-# Per-row recording as the numpy steppers would do it one row at a time; the
-# batched helpers must reproduce it bitwise.  Quadratic gaps follow the Gram
-# recipe anchored at cost.r (see costs.RunCosts).
-
-def _metrics_oracle(cost, X, Y, G):
-    su = cost.suite
-    n = X.shape[0]
-    xbar = X.mean(axis=0)
-    ybar = Y.mean(axis=0)
-    gbar = G.mean(axis=0)
-    c_k = float(((X - xbar) ** 2).sum())
-    t_k = float(((Y - ybar) ** 2).sum())
-    if su.kind == "logistic_log":
-        z = su.xi @ xbar + su.nu
-        s = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                     np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
-        vsum = float(su.h @ s + su.m.sum() * np.log1p(xbar @ xbar))
-        coef = su.h * s * (1.0 - s)
-        gsum = coef @ su.xi + (2.0 * su.m.sum() / (1.0 + xbar @ xbar)) * xbar
-        g_k = vsum - n * cost.f_star
-        s_k = float(gsum @ gsum) / n
-    else:
-        e = xbar - cost.r
-        he = cost.Hbar @ e
-        g_k = n * (0.5 * float(e @ he) + float(e @ cost.g_r)) + cost.offset
-        g = he + cost.g_r
-        s_k = n * float(g @ g)
-    ytrack = (float(np.linalg.norm(ybar - gbar))
-              / (1.0 + float(np.linalg.norm(gbar))))
-    return xbar, ybar, c_k, t_k, g_k, s_k, ytrack
-
-
-def _struct_resid_oracle(Acc, Base, W):
-    ref = max(float(np.linalg.norm(Base)), 1e-30)
-    return float(np.linalg.norm(Acc - (Base - W @ Base))) / ref
-
-
-def _row_norm_max_oracle(A, ip_norm):
-    if ip_norm == 0:
-        return float(np.max(np.abs(A)))
-    return float(np.sqrt((A * A).sum(axis=1)).max())
-
-
 def _bits(values):
     return np.asarray(values, dtype=np.float64).tobytes()
 
@@ -357,7 +320,7 @@ def test_batched_record_helpers_match_per_row_oracle(cost):
         run_costs = RunCosts(suite, x_star, 0.25)
         with np.errstate(all="ignore"):
             got = _kernels._metrics_rows(run_costs, X, Y, G)
-            want = [_metrics_oracle(run_costs, X[j], Y[j], G[j])
+            want = [metrics_oracle(run_costs, X[j], Y[j], G[j])
                     for j in range(5)]
         for i, col in enumerate(got):
             assert _bits(col) == _bits([w[i] for w in want]), i
@@ -365,10 +328,10 @@ def test_batched_record_helpers_match_per_row_oracle(cost):
         # accumulators that satisfy the identity up to round-off, as in a run
         Acc = X - np.einsum("ij,bjd->bid", W, X)
         assert _bits(_kernels._struct_resid_rows(Acc, X, W)) == _bits(
-            [_struct_resid_oracle(Acc[j], X[j], W) for j in range(5)])
+            [struct_resid_oracle(Acc[j], X[j], W) for j in range(5)])
         for ip in (0, 1):
             assert _bits(_kernels._row_norm_max_rows(X - Acc, ip)) == _bits(
-                [_row_norm_max_oracle(X[j] - Acc[j], ip) for j in range(5)])
+                [row_norm_max_oracle(X[j] - Acc[j], ip) for j in range(5)])
 
 
 def test_raise_max_follows_python_max():
@@ -395,17 +358,18 @@ def test_recorder_ignores_rows_after_a_nonfinite_row(small_net, small_suite):
     cons, gap, stat, lyap = (np.full(5, -1.0) for _ in range(4))
     diag = np.zeros(8)
     cost = RunCosts(small_suite)
+    blocks = [[np.stack(st[:2]), st[2]] for st in rows]  # X|Y, G
     rec = _kernels._BlockRecorder(
-        "dgt", 3, (n, d), cost, small_net.W, eta, _kernels.LYAP_CONSENSUS,
+        "dgt", blocks[0], cost, small_net.W, eta, _kernels.LYAP_CONSENSUS,
         1.0, 0.0,
         (cons, gap, stat, lyap, diag, np.zeros((0, n, d)),
          np.zeros((0, n, d))))
     assert rec.B >= 5
-    for st in rows:
+    for st in blocks:
         rec.push(st)
     with np.errstate(all="ignore"):
         assert rec.flush() == 2
-        want = [_metrics_oracle(cost, *st) for st in rows[:3]]
+        want = [metrics_oracle(cost, *st) for st in rows[:3]]
     assert not np.isfinite(cons[2]) and np.all(cons[3:] == -1.0)
     assert diag[1] == max(want[0][6], want[1][6])
     # the steps into rows 1 and 2 count; row 2's mean is infinite
@@ -504,3 +468,114 @@ def test_block_recording_scaling_exhausted_equals_per_row(
         make_compressor("uniform_quantize", d=8, delta=2.0), seed=1)
     assert (a.status, a.failed_at) == ("scaling_exhausted", 300)
     _assert_same_run(a, b)
+
+
+# Block steppers against the twin-form oracle: every compressor kind, every
+# Lyapunov kind, default blocks (B = 64 here) and B = 1, bitwise.
+
+_TWIN_COMPRESSORS = [
+    ("identity", {}),
+    ("norm_sign", {}),
+    ("uniform_quantize", {"delta": 0.05}),
+    ("one_bit", {}),
+    ("random_sparsify", {"keep_k": 3}),
+    ("random_sparsify", {"keep_k": 3, "sparsify_mode": "random",
+                         "rescale": True}),
+    ("random_quantize", {"levels": 17}),
+    ("uniform_quantize", {"delta": 0.5, "p_norm": 2.0}),
+]
+_LYAP = dict(lyap_phi=0.7, lyap_aux=0.3)
+
+
+def _assert_equals_twin(tr, want):
+    for name in ("consensus_err", "opt_gap", "stationarity", "lyapunov",
+                 "x_hist", "y_hist"):
+        assert _bits(getattr(tr, name)) == _bits(want[name]), name
+    assert (tr.status, tr.failed_at) == (want["status"], want["failed_at"])
+    assert _bits(list(tr.diagnostics.values())) == _bits(
+        list(want["diagnostics"].values()))
+    got = {k: v for k, v in vars(tr.final_state).items() if v is not None}
+    assert sorted(got) == sorted(want["final"])
+    for name, val in want["final"].items():
+        assert _bits(got[name]) == _bits(val), name
+
+
+def _check_against_twin(monkeypatch, algo, iters, net, suite, p, comp,
+                        lyap_kind, seed=9, x0=None):
+    x0 = initial_point(net.n, suite.d, 9) if x0 is None else x0
+    want = run_twin(algo, iters, net, suite, p, comp, seed, x0,
+                    lyap_kind=lyap_kind, **_LYAP)
+    with np.errstate(all="ignore"):
+        runs = _run_default_and_per_row(monkeypatch, algo, iters, net, suite,
+                                        p, comp, seed=seed, x0=x0,
+                                        lyap_kind=lyap_kind, **_LYAP)
+    for tr in runs:
+        _assert_equals_twin(tr, want)
+    return want
+
+
+@pytest.mark.parametrize("algo", ["alg1", "alg2", "alg3", "dgt"])
+def test_block_steppers_equal_twin_form_oracle(small_net, small_suite,
+                                               monkeypatch, algo):
+    p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
+                        varsigma=0.3, s0=8.0, mu=0.99)
+    cases = [(None, {})] if algo == "dgt" else _TWIN_COMPRESSORS
+    for i, (kind, kw) in enumerate(cases):
+        comp = None if kind is None else make_compressor(kind, d=8, **kw)
+        want = _check_against_twin(monkeypatch, algo, 150, small_net,
+                                   small_suite, p, comp, lyap_kind=i % 4)
+        assert want["status"] == "ok", kind
+
+
+@pytest.mark.parametrize("algo, kind, kw", [
+    ("alg1", "random_sparsify", {"keep_k": 3, "sparsify_mode": "random"}),
+    ("alg2", "random_quantize", {"levels": 17}),
+    ("alg3", "norm_sign", {}),
+    ("dgt", None, {}),
+])
+def test_block_steppers_equal_twin_form_oracle_when_diverging(
+        small_net, monkeypatch, algo, kind, kw):
+    # the non-finite row falls inside a block: the block steppers replay to
+    # it from a copy of the block's first row, the oracle just stops there
+    suite = generate_suite("quadratic_pl", n=6, d=8, seed=3)
+    p = AlgorithmParams(eta=20.0, gamma=0.9, phi_x=0.3, phi_y=0.1,
+                        varsigma=0.3, s0=8.0, mu=0.99)
+    comp = None if kind is None else make_compressor(kind, d=8, **kw)
+    want = _check_against_twin(monkeypatch, algo, 500, small_net, suite, p,
+                               comp, lyap_kind=1, seed=1)
+    assert want["status"] == "nonfinite_state"
+    assert want["failed_at"] % 64
+
+
+def test_block_stepper_equals_twin_form_oracle_scaling_exhausted(
+        small_net, small_suite, monkeypatch):
+    p = AlgorithmParams(eta=1e-9, gamma=0.1, s0=1.0, mu=0.1)
+    want = _check_against_twin(
+        monkeypatch, "alg3", 400, small_net, small_suite, p,
+        make_compressor("uniform_quantize", d=8, delta=2.0), lyap_kind=3)
+    assert (want["status"], want["failed_at"]) == ("scaling_exhausted", 300)
+
+
+def test_one_compressor_call_and_one_w_product_per_step(small_net,
+                                                        small_suite,
+                                                        monkeypatch):
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(_kernels, "_compress_block_np",
+                        counted("compress", _kernels._compress_block_np))
+    monkeypatch.setattr(_kernels, "_mix", counted("mix", _kernels._mix))
+    p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
+                        varsigma=0.3, s0=8.0, mu=0.99)
+    for algo, comp in _BLOCK_CASES.items():
+        calls.update(compress=0, mix=0)
+        tr = run(algo, 150, small_net, small_suite, p, comp, seed=9)
+        assert tr.status == "ok"
+        # one call for the first messages, then one a step
+        assert calls == {"compress": 0 if comp is None else 151,
+                         "mix": 150}, algo

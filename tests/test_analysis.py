@@ -19,14 +19,13 @@ from cgtsim.analysis import (
     descent_chain,
     ef_weight,
     fit_rate,
-    geometric_tail_bound,
-    lyapunov_eval,
     lyapunov_weight,
     mixing_constants,
     p_norm_constants,
     pl_rate,
     scaled_gap_weight,
 )
+from analysis_oracles import geometric_tail_bound, lyapunov_eval
 from cgtsim.compressors import make_compressor
 from cgtsim.costs import generate_suite, grad_all, solve_reference
 from cgtsim.graph import generate_network

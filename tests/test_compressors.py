@@ -261,3 +261,56 @@ def test_norm_sign_relative_bound_pointwise(d, seed):
 def test_derived_cap_helper():
     assert derived_relative_cap(1.0, 1.0) == 0.0
     assert derived_relative_cap(1.0, 0.75) == pytest.approx(0.5)
+
+
+_EVERY_KIND = [
+    ("identity", {}),
+    ("norm_sign", {}),
+    ("uniform_quantize", {"delta": 0.7}),
+    ("one_bit", {}),
+    ("random_sparsify", {"keep_k": 3}),
+    ("random_sparsify", {"keep_k": 3, "sparsify_mode": "random",
+                         "rescale": True}),
+    ("random_quantize", {"levels": 17}),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    k=st.integers(min_value=0, max_value=10**9),
+    slot=st.integers(min_value=0, max_value=8),
+    m=st.integers(min_value=1, max_value=4),
+    data=st.integers(min_value=0, max_value=2**31),
+)
+def test_block_compression_equals_per_slot(seed, k, slot, m, data):
+    # stack j of an (m, n, d) block is message slot ``slot + j``: its draws
+    # are keyed by (seed, k, agent, slot + j), as if compressed on its own
+    X = np.random.default_rng(data).standard_normal((m, 5, 8))
+    X[0, 1] = 0.0  # an all-zero agent row
+    for kind, kw in _EVERY_KIND:
+        spec = make_compressor(kind, d=8, **kw)
+        block = compress(spec, X, seed=seed, k=k, slot=slot)
+        assert block.shape == X.shape
+        for j in range(m):
+            want = compress(spec, X[j], seed=seed, k=k, slot=slot + j)
+            assert block[j].tobytes() == want.tobytes(), (kind, kw, j)
+
+
+def test_norm_sign_and_uniform_kernels_on_zero_and_nonfinite_rows():
+    # a diverging run hands the kernel non-finite inputs (compress refuses
+    # them); there it must still give bitwise what the plain formulas give
+    X = np.array([[[0.0, -0.0, 0.0], [1.0, -2.0, -0.0],
+                   [np.nan, -1.0, 2.0], [np.inf, -1.0, -0.0],
+                   [-np.inf, np.nan, -3.0]]])
+    with np.errstate(all="ignore"):
+        a = np.abs(X).max(axis=2, keepdims=True)
+        half = 0.5 * a
+        want = np.where(a > 0.0, np.where(X >= 0.0, half, -half), 0.0)
+        got = _kernels._compress_block_np(_kernels.K_NORM_SIGN, 0.0, 1.0, 0,
+                                          X, np.uint64(0), 0, 0)
+        assert got.tobytes() == want.tobytes()
+        want = 0.7 * np.floor(X / 0.7 + 0.5)
+        got = _kernels._compress_block_np(_kernels.K_UNIFORM, 0.7, 1.0, 0,
+                                          X, np.uint64(0), 0, 0)
+        assert got.tobytes() == want.tobytes()

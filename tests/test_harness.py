@@ -3,11 +3,12 @@
 import inspect
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cgtsim import cli, harness
+from cgtsim import cli, compressors, harness
 from cgtsim.algorithms import AlgorithmParams, initial_point, run
 from cgtsim.compressors import BitCostModel, make_compressor
 from cgtsim.costs import generate_suite, mean_value, solve_reference
@@ -16,15 +17,13 @@ from cgtsim.harness import (
     ConfigError,
     ExperimentConfig,
     bits_to_threshold,
-    file_digest,
     per_iteration_bits,
-    read_trace_csv,
     reference_scenario_config,
     run_experiment,
-    upsilon,
     upsilon_series,
     write_trace_csv,
 )
+from harness_oracles import file_digest, read_trace_csv, upsilon
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +153,7 @@ def test_report_contents(tmp_path, tiny_cfg_doc):
     doc = dict(tiny_cfg_doc)
     doc["output_dir"] = str(tmp_path / "rep")
     res = run_experiment(ExperimentConfig.from_dict(doc))
-    report = json.loads(open(res.report_path).read())
+    report = json.loads(Path(res.report_path).read_text(encoding="utf-8"))
     assert report["scenario"] == "tiny"
     labels = {r["label"]: r for r in report["rows"]}
     dgt = labels["dgt_exact"]
@@ -461,3 +460,56 @@ def test_cli_gnuplot_helper(tmp_path):
     script = (tmp_path / "g" / "gp__plot.gnuplot").read_text()
     assert "gp__dgt_exact.csv" in script
 
+
+
+@pytest.mark.parametrize("comp", [
+    {"kind": "wavelet"},
+    {"kind": 3},
+    {"kind": "norm_sign", "p_norm": "abc"},
+    {"kind": "one_bit", "p_norm": 0.5},
+    {"kind": "one_bit", "p_norm": True},
+    {"kind": "uniform_quantize", "delta": "big"},
+    {"kind": "uniform_quantize", "delta": 0},
+    {"kind": "uniform_quantize", "delta": float("inf")},
+    {"kind": "random_sparsify", "keep_k": "3"},
+    {"kind": "random_sparsify", "keep_k": 2.5},
+    {"kind": "random_sparsify", "keep_k": 9},
+    {"kind": "random_sparsify", "keep_k": 2, "sparsify_mode": "middle"},
+    {"kind": "random_sparsify", "keep_k": 2, "rescale": "yes"},
+    {"kind": "random_quantize", "levels": "17"},
+    {"kind": "random_quantize", "levels": 1},
+    {"kind": "random_quantize", "levels": 2},
+    {"kind": "norm_sign", "r": "x"},
+    {"kind": "norm_sign", "r": 0.0},
+    {"kind": "norm_sign", "psi": 1.5},
+    {"kind": "uniform_quantize", "cap_c": -1.0},
+    {"kind": "one_bit", "phi_c": "half"},
+    {"kind": "one_bit", "phi_c": 0.0},
+    {"kind": "norm_sign", "window": 3},
+    "norm_sign",
+])
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_cli_bad_compressor_options_exit_2_before_any_output(tmp_path, comp,
+                                                             command):
+    # a good dgt cell first: a bad later cell must not leave its outputs
+    out = tmp_path / "o"
+    cfg = {
+        "scenario": "cli", "iters": 5,
+        "network": {"n": 5, "edge_density": 0.7},
+        "cost": {"kind": "quadratic_pl", "d": 4},
+        "seeds": {"graph": 4, "cost": 5, "algo": 6},
+        "output_dir": str(out),
+        "cells": [{"algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}},
+                  {"algo": "alg1", "compressor": comp, "force_params": True,
+                   "params": {"eta": 0.3, "gamma": 0.3}}],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main([command, str(cfg_path)]) == 2
+    assert not out.exists()
+
+
+def test_compressor_option_checks_cover_make_compressor_keywords():
+    params = inspect.signature(make_compressor).parameters.values()
+    assert set(compressors._CONFIG_OPTIONS) == {
+        p.name for p in params if p.kind is p.KEYWORD_ONLY}
