@@ -6,6 +6,16 @@ therefore bitwise reproducible, a replayed step draws what it drew the first
 time, and ``compressors.compress``, which applies the same block kernel with
 explicit keys, certifies the operator that runs use.
 
+Norm-sign and one-bit make no block-wide ``np.where``.  They rely on these
+exact identities, so they give bitwise what the ``np.where`` formulas give
+(``tests/kernel_oracles.py``), signs of zero included:
+
+* ``np.subtract(x >= 0, 0.5)`` is +0.5 where x >= 0, -0.0 included, and
+  -0.5 elsewhere, NaN included: one-bit, and norm-sign's sign.
+* (-0.5) * a == -(0.5 * a) for every a, inf included, as negation is exact:
+  norm-sign's +-a/2.  A row of zeros (a = 0) gives 0.5 * 0 = +0.0 with no
+  mask; only a NaN row (a = NaN) needs the row mask that sets it to 0.0.
+
 Costs are evaluated by the run's ``costs.RunCosts``: the steppers take
 gradients from it and the recorder each row's gap and stationarity.
 Quadratics use the Gram form there (n*d^2 floats, built after the reference
@@ -114,11 +124,11 @@ def _compress_block_np(kind, p1, p2, ip, Xin, seed, k, slot):
     m, n, d = Xin.shape
     if kind == K_IDENTITY:
         return Xin.copy()
-    if kind == K_NORM_SIGN:
+    if kind == K_NORM_SIGN:  # +-a/2; a row of zeros gives +0.0 unmasked
         a = np.abs(Xin).max(axis=2, keepdims=True)
-        half = 0.5 * a
-        out = np.where(Xin >= 0.0, half, -half)
-        out[~(a[:, :, 0] > 0.0)] = 0.0  # all-zero (or NaN) agent rows
+        out = np.subtract(Xin >= 0.0, 0.5)
+        out *= a
+        out[np.isnan(a[:, :, 0])] = 0.0
         return out
     if kind == K_UNIFORM:  # p1 * floor(Xin / p1 + 0.5), in one array
         out = Xin / p1
@@ -127,7 +137,7 @@ def _compress_block_np(kind, p1, p2, ip, Xin, seed, k, slot):
         out *= p1
         return out
     if kind == K_ONE_BIT:
-        return np.where(Xin >= 0.0, 0.5, -0.5)
+        return np.subtract(Xin >= 0.0, 0.5)
     slots = np.arange(slot, slot + m)
     if kind == K_RAND_QUANT:
         a = np.max(np.abs(Xin), axis=2, keepdims=True)
@@ -398,9 +408,8 @@ def _run_alg1_np(X0, W, eta, gamma, phix, phiy, varsigma, use_ef,
     G = cost.grad(X0)
     XY = np.stack([X0, G])
     Q = _compress_block_np(ckind, cp1, cp2, cip, XY, seed, 0, 0)
-    Qh = Q.copy()  # the first EF messages; plain alg1 never sends others
-    if use_ef:
-        Q = np.concatenate([Q, Qh])
+    if use_ef:  # the first EF messages are the first messages
+        Q = np.concatenate([Q, Q])
     # X|Y, G, A|C, B|D, Ex|Ey, Qx|Qy[|Qhx|Qhy]
     st = [XY, G, *(np.zeros((2, n, d)) for _ in range(3)), Q]
     phi = np.array([phix, phiy])[:, None, None]
@@ -438,11 +447,10 @@ def _run_alg1_np(X0, W, eta, gamma, phix, phiy, varsigma, use_ef,
                          cost, W, eta, lyap_kind, phi_w, phi_aux, record)
     status, k_done = rec.run(st, step, iters, STATUS_OK)
     XY, _, AC, BD, E, Q = st
-    Qh = Q[2:] if use_ef else Qh
     return status, k_done, {
         "x": XY[0], "y": XY[1], "a": AC[0], "b": BD[0], "c": AC[1],
         "dd": BD[1], "ex": E[0], "ey": E[1], "qx": Q[0], "qy": Q[1],
-        "qhx": Qh[0], "qhy": Qh[1]}
+        **dict(zip(("qhx", "qhy"), Q[2:]))}  # alg2's EF messages only
 
 
 def _run_alg3_np(X0, W, eta, gamma, s_arr, ip_norm,

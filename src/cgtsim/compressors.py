@@ -200,11 +200,22 @@ _CONFIG_OPTIONS = {
     "phi_c": ("a number in (0, 1]", lambda v: _finite(v) and 0 < v <= 1),
 }
 
+# the keywords make_compressor reads for each kind; it ignores the others
+_KIND_OPTIONS = {
+    "identity": (),
+    "norm_sign": ("r", "psi"),
+    "uniform_quantize": ("delta", "p_norm", "cap_c"),
+    "one_bit": ("p_norm", "phi_c"),
+    "random_sparsify": ("keep_k", "sparsify_mode", "rescale", "r", "psi"),
+    "random_quantize": ("levels", "r", "psi"),
+}
+
 
 def spec_from_config(cfg: dict, d: int) -> CompressorSpec:
     """Parse a config mapping with keys kind/delta/keep_k/levels/
     sparsify_mode/rescale/p_norm plus optional overrides r/psi/cap_c/phi_c.
-    Each value is type- and range-checked; a bad one is a CompressorError."""
+    A key the kind does not read, and a value of the wrong type or range,
+    is a CompressorError."""
     if not isinstance(cfg, dict):
         raise CompressorError(f"compressor config must be a mapping, not "
                               f"{cfg!r}")
@@ -215,6 +226,12 @@ def spec_from_config(cfg: dict, d: int) -> CompressorSpec:
     bad = set(cfg) - set(_CONFIG_OPTIONS)
     if bad:
         raise CompressorError(f"unknown compressor config keys: {sorted(bad)}")
+    if kind not in KINDS:  # a tuple: an unhashable kind is just unknown
+        raise CompressorError(f"unknown compressor kind {kind!r}")
+    bad = set(cfg) - set(_KIND_OPTIONS[kind])
+    if bad:
+        raise CompressorError(f"compressor keys {sorted(bad)} do not apply "
+                              f"to {kind}")
     for key, value in cfg.items():
         what, ok = _CONFIG_OPTIONS[key]
         if not ok(value):

@@ -60,7 +60,7 @@ class CostError(ValueError):
 def _sigmoid(z):
     """Overflow-free logistic sigmoid."""
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass
@@ -171,8 +171,9 @@ def grad_all(suite: CostSuite, X: np.ndarray) -> np.ndarray:
         z = np.einsum("ij,ij->i", suite.xi, X) + suite.nu
         s = _sigmoid(z)
         r2 = np.einsum("ij,ij->i", X, X)
-        return ((suite.h * s * (1.0 - s))[:, None] * suite.xi
-                + (2.0 * suite.m / (1.0 + r2))[:, None] * X)
+        G = (suite.h * s * (1.0 - s))[:, None] * suite.xi
+        G += (2.0 * suite.m / (1.0 + r2))[:, None] * X
+        return G
     H, c, _ = suite.gram
     return np.matmul(H, X[:, :, None])[:, :, 0] - c
 

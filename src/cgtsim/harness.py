@@ -401,18 +401,16 @@ class ExperimentResult:
     sigma: float
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def write_trace_csv(trace: RunTrace, path: Path) -> None:
-    lines = [CSV_HEADER]
-    for i in range(len(trace)):
-        lines.append(",".join([
-            str(int(trace.k[i])), _fmt(trace.consensus_err[i]),
-            _fmt(trace.opt_gap[i]), _fmt(trace.stationarity[i]),
-            _fmt(trace.lyapunov[i]), str(int(trace.bits[i]))]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One line per row: k and bits as ints, the rest by ``repr`` of the
+    float, which reads back to the same bits."""
+    floats = (np.asarray(c, dtype=np.float64).tolist() for c in (
+        trace.consensus_err, trace.opt_gap, trace.stationarity, trace.lyapunov))
+    rows = zip(np.asarray(trace.k).tolist(), *floats,
+               np.asarray(trace.bits).tolist())
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(CSV_HEADER + "\n")
+        f.writelines("%d,%r,%r,%r,%r,%d\n" % row for row in rows)
 
 
 def build_instance(cfg: ExperimentConfig):

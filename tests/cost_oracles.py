@@ -4,6 +4,9 @@ The simulator evaluates costs in batches (``costs.grad_all``,
 ``costs.RunCosts``, ``costs.mean_value``); these helpers evaluate one agent's
 value, sample a Lipschitz ratio, and regenerate a suite from its seed and
 generation parameters, so tests can check the batched code against them.
+``sigmoid_two_div`` and ``logistic_grad_all`` are the sigmoid and the
+logistic stacked gradient as plain expressions, the bitwise reference for
+the shipped forms with one division and fewer temporaries.
 """
 
 import json
@@ -11,6 +14,19 @@ import json
 import numpy as np
 
 from cgtsim.costs import CostError, CostSuite, _sigmoid, generate_suite, grad
+
+
+def sigmoid_two_div(z):
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def logistic_grad_all(suite: CostSuite, X: np.ndarray) -> np.ndarray:
+    z = np.einsum("ij,ij->i", suite.xi, X) + suite.nu
+    s = sigmoid_two_div(z)
+    r2 = np.einsum("ij,ij->i", X, X)
+    return ((suite.h * s * (1.0 - s))[:, None] * suite.xi
+            + (2.0 * suite.m / (1.0 + r2))[:, None] * X)
 
 
 def eval_cost(suite: CostSuite, agent: int, x: np.ndarray) -> float:

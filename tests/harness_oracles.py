@@ -1,5 +1,5 @@
 """Harness helpers for the tests: the running minimum at one horizon, a
-trace CSV reader and a file digest."""
+trace CSV reader and writer, and a file digest."""
 
 import hashlib
 from pathlib import Path
@@ -30,3 +30,18 @@ def read_trace_csv(path) -> dict:
 
 def file_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def write_trace_csv_rowwise(trace: RunTrace, path) -> None:
+    """The trace CSV written cell by cell from numpy scalars: the byte-level
+    reference for ``harness.write_trace_csv``."""
+    def fmt(v):
+        return repr(float(v))
+
+    lines = [CSV_HEADER]
+    for i in range(len(trace)):
+        lines.append(",".join([
+            str(int(trace.k[i])), fmt(trace.consensus_err[i]),
+            fmt(trace.opt_gap[i]), fmt(trace.stationarity[i]),
+            fmt(trace.lyapunov[i]), str(int(trace.bits[i]))]))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,0 +1,58 @@
+"""The compressor kernel in its plain numpy formulation, the bitwise reference
+for ``cgtsim._kernels._compress_block_np``.
+
+Norm-sign and one-bit are an ``np.where`` over the whole block, and uniform
+quantization one expression.  The shipped kernel computes the same values
+with bool arithmetic, a NaN-row mask and in-place updates; the tests require
+equal bits, the sign of zero included.  The message streams are the
+kernel's own ``_msg_base_np`` and ``_u01_np``.
+"""
+
+import numpy as np
+
+from cgtsim._kernels import (
+    K_IDENTITY, K_NORM_SIGN, K_ONE_BIT, K_RAND_QUANT, K_SPARSIFY_TOP,
+    K_UNIFORM, _msg_base_np, _u01_np)
+
+
+def compress_block(kind, p1, p2, ip, Xin, seed, k, slot):
+    m, n, d = Xin.shape
+    if kind == K_IDENTITY:
+        return Xin.copy()
+    if kind == K_NORM_SIGN:
+        a = np.abs(Xin).max(axis=2, keepdims=True)
+        half = 0.5 * a
+        out = np.where(Xin >= 0.0, half, -half)
+        out[~(a[:, :, 0] > 0.0)] = 0.0
+        return out
+    if kind == K_UNIFORM:
+        return p1 * np.floor(Xin / p1 + 0.5)
+    if kind == K_ONE_BIT:
+        return np.where(Xin >= 0.0, 0.5, -0.5)
+    slots = np.arange(slot, slot + m)
+    if kind == K_RAND_QUANT:
+        a = np.max(np.abs(Xin), axis=2, keepdims=True)
+        safe = np.where(a > 0.0, a, 1.0)
+        h = 2.0 * safe / (ip - 1)
+        t = (Xin + safe) / h
+        lo = np.floor(t)
+        bases = _msg_base_np(seed, k, n, slots)
+        u = _u01_np(bases[:, :, None] + np.arange(d, dtype=np.uint64))
+        lvl = lo + (u < (t - lo))
+        return np.where(a > 0.0, lvl * h - safe, 0.0)
+    X = Xin.reshape(m * n, d)
+    rows = np.arange(m * n)
+    if kind == K_SPARSIFY_TOP:
+        keep = np.argsort(-np.abs(X), axis=1, kind="stable")[:, :ip]
+    else:
+        bases = _msg_base_np(seed, k, n, slots).ravel()
+        idx = np.tile(np.arange(d), (m * n, 1))
+        for t in range(ip):
+            u = _u01_np(bases + np.uint64(t))
+            j = np.minimum(t + (u * (d - t)).astype(np.int64), d - 1)
+            idx[rows, t], idx[rows, j] = idx[rows, j], idx[rows, t]
+        keep = idx[:, :ip]
+    rows = rows[:, None]
+    out = np.zeros_like(X)
+    out[rows, keep] = X[rows, keep] * p2
+    return out.reshape(Xin.shape)

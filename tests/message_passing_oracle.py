@@ -19,10 +19,10 @@ from cgtsim.costs import grad
 SLOTS = {"qx": 0, "qy": 1, "qhx": 2, "qhy": 3}
 
 # the StackedState fields each algorithm ends with, besides x and y
-FIELDS = {"alg1": ("a", "b", "c", "dd", "ex", "ey", "qx", "qy", "qhx", "qhy"),
+FIELDS = {"alg1": ("a", "b", "c", "dd", "ex", "ey", "qx", "qy"),
           "alg3": ("xhat", "v", "yhat", "z", "qx", "qy"),
           "dgt": ()}
-FIELDS["alg2"] = FIELDS["alg1"]
+FIELDS["alg2"] = FIELDS["alg1"] + ("qhx", "qhy")
 
 
 def _mix(W, i, msgs):
@@ -53,7 +53,7 @@ def run_oracle(algo, iters, net, suite, p, comp, seed, x0):
                 s[name] = q
 
     def step_alg1(k):
-        got = {m: sent(m) for m in SLOTS}
+        got = {m: sent(m) for m in SLOTS if m in FIELDS[algo]}
         for i, s in enumerate(agents):
             mqx, mqy = _mix(W, i, got["qx"]), _mix(W, i, got["qy"])
             if ef:
@@ -113,8 +113,9 @@ def run_oracle(algo, iters, net, suite, p, comp, seed, x0):
              qy=[s["y"] / s_arr[0] for s in agents])
     elif algo != "dgt":
         send(0, qx=sent("x"), qy=sent("y"))
-        for s in agents:
-            s["qhx"], s["qhy"] = s["qx"].copy(), s["qy"].copy()
+        if ef:
+            for s in agents:
+                s["qhx"], s["qhy"] = s["qx"].copy(), s["qy"].copy()
     step = {"alg1": step_alg1, "alg2": step_alg1, "alg3": step_alg3,
             "dgt": step_dgt}[algo]
     xh, yh = [sent("x")], [sent("y")]

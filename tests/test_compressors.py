@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from cgtsim import _kernels
+from cgtsim import _kernels, compressors
 from cgtsim.compressors import (
     BitCostModel,
     CompressorError,
@@ -18,6 +19,7 @@ from cgtsim.compressors import (
     spec_from_config,
     verify_assumption,
 )
+from kernel_oracles import compress_block
 
 
 def test_norm_sign_formula():
@@ -219,6 +221,33 @@ def test_config_parsing():
         spec_from_config({"kind": "norm_sign", "window": 3}, d=10)
 
 
+# a valid value other than make_compressor's default, for each config key
+_OTHER_VALUE = {"delta": 0.5, "keep_k": 3, "levels": 9,
+                "sparsify_mode": "random", "rescale": True, "p_norm": 2.0,
+                "r": 0.7, "psi": 0.5, "cap_c": 0.1, "phi_c": 0.3}
+
+
+def test_config_keys_per_kind_are_the_keywords_it_reads():
+    # a key is accepted for a kind exactly when it changes that kind's spec
+    assert set(compressors._KIND_OPTIONS) == set(compressors.KINDS)
+    assert set(_OTHER_VALUE) == set(compressors._CONFIG_OPTIONS)
+    for kind in compressors.KINDS:
+        base = {"random_sparsify": {"keep_k": 2},
+                "random_quantize": {"levels": 17}}.get(kind, {})
+        plain = make_compressor(kind, d=8, **base)
+        for key, value in _OTHER_VALUE.items():
+            cfg = {**base, key: value}
+            p = cfg.get("p_norm", math.inf)
+            spec = make_compressor(kind, d=8, **{**cfg, "p_norm": p})
+            reads = key in compressors._KIND_OPTIONS[kind]
+            assert (spec != plain) == reads, (kind, key)
+            if reads:
+                assert spec_from_config({"kind": kind, **cfg}, d=8) == spec
+            else:
+                with pytest.raises(CompressorError, match="do not apply"):
+                    spec_from_config({"kind": kind, **cfg}, d=8)
+
+
 def test_invalid_specs_rejected():
     with pytest.raises(CompressorError):
         make_compressor("random_sparsify", d=5, keep_k=9)
@@ -314,3 +343,41 @@ def test_norm_sign_and_uniform_kernels_on_zero_and_nonfinite_rows():
         got = _kernels._compress_block_np(_kernels.K_UNIFORM, 0.7, 1.0, 0,
                                           X, np.uint64(0), 0, 0)
         assert got.tobytes() == want.tobytes()
+
+
+# entries that a diverging run can hand the kernel, and whole agent rows of
+# them: all-zero (of either sign), NaN and infinite rows
+_ENTRIES = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan])
+_ROWS = st.sampled_from([None, 0.0, -0.0, np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4), n=st.integers(1, 5),
+       d=st.integers(1, 9), seed=st.integers(0, 2**64 - 1),
+       k=st.integers(0, 10**9), slot=st.integers(0, 8))
+def test_compressor_kernel_equals_where_formulation(data, m, n, d, seed, k,
+                                                    slot):
+    # the kernel's bool arithmetic, NaN-row mask and in-place updates give
+    # bitwise what the np.where formulation gives, signs of zero included
+    X = data.draw(hnp.arrays(np.float64, (m, n, d), elements=_ENTRIES))
+    for (j, i), row in zip(np.ndindex(m, n),
+                           data.draw(st.lists(_ROWS, min_size=m * n,
+                                              max_size=m * n))):
+        if row is not None:
+            X[j, i] = row
+    keep = data.draw(st.integers(1, d))
+    cases = [(_kernels.K_IDENTITY, 0.0, 1.0, 0),
+             (_kernels.K_NORM_SIGN, 0.0, 1.0, 0),
+             (_kernels.K_UNIFORM, 0.7, 1.0, 0),
+             (_kernels.K_ONE_BIT, 0.0, 1.0, 0),
+             (_kernels.K_SPARSIFY_TOP, 0.0, 1.0, keep),
+             (_kernels.K_SPARSIFY_RAND, 0.0, d / keep, keep),
+             (_kernels.K_RAND_QUANT, 0.0, 1.0, data.draw(st.integers(2, 33)))]
+    useed = np.uint64(seed)
+    for case in cases:
+        with np.errstate(all="ignore"):
+            got = _kernels._compress_block_np(*case, X, useed, k, slot)
+            want = compress_block(*case, X, useed, k, slot)
+        assert got.dtype == np.float64 and got.shape == X.shape
+        assert got.tobytes() == want.tobytes(), case

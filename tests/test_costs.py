@@ -5,6 +5,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cgtsim import costs
 from cgtsim.costs import (
@@ -17,7 +20,14 @@ from cgtsim.costs import (
     mean_value,
     solve_reference,
 )
-from cost_oracles import estimate_L, eval_cost, suite_from_json, suite_to_json
+from cost_oracles import (
+    estimate_L,
+    eval_cost,
+    logistic_grad_all,
+    sigmoid_two_div,
+    suite_from_json,
+    suite_to_json,
+)
 
 
 def _logistic_eval_oracle(h, nu, m, xi, x):
@@ -422,3 +432,36 @@ def test_suite_json_regenerates_exactly():
         x = np.linspace(-1, 1, 5)
         for i in range(4):
             assert eval_cost(back, i, x) == eval_cost(suite, i, x)
+
+
+# z = +-0, the sign switch, where exp(-|z|) underflows (about 745) and beyond
+_Z = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17, 36.8, -36.8, 745.2, -745.2,
+     1e308, -1e308, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=hnp.arrays(np.float64, st.integers(0, 12), elements=_Z), x=_Z)
+def test_sigmoid_equals_two_division_form(z, x):
+    with np.errstate(all="ignore"):
+        assert costs._sigmoid(z).tobytes() == sigmoid_two_div(z).tobytes()
+        # costs.grad passes a Python float
+        got, want = costs._sigmoid(x), sigmoid_two_div(x)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), d=st.integers(1, 9),
+       seed=st.integers(0, 2**31), scale=st.sampled_from([0.1, 1.0, 1e3]))
+def test_logistic_grad_all_equals_unfused_form(data, n, d, seed, scale):
+    # the one-array gradient gives bitwise the two-product sum, also where
+    # z = xi'x + nu is 0 or large and where ||x||^2 overflows
+    suite = generate_suite("logistic_log", n, d, seed, scale=scale)
+    X = data.draw(hnp.arrays(np.float64, (n, d), elements=st.floats(
+        -1e200, 1e200) | st.sampled_from([0.0, -0.0, 1e-300, 1e160])))
+    X[0] = 0.0
+    suite.nu[0] = 0.0  # z = 0 at agent 0
+    with np.errstate(all="ignore"):
+        got = grad_all(suite, X)
+        want = logistic_grad_all(suite, X)
+    assert got.shape == (n, d) and got.tobytes() == want.tobytes()

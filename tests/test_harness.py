@@ -7,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cgtsim import cli, compressors, harness
-from cgtsim.algorithms import AlgorithmParams, initial_point, run
+from cgtsim.algorithms import AlgorithmParams, RunTrace, initial_point, run
 from cgtsim.compressors import BitCostModel, make_compressor
 from cgtsim.costs import generate_suite, mean_value, solve_reference
 from cgtsim.graph import generate_network
@@ -23,7 +26,12 @@ from cgtsim.harness import (
     upsilon_series,
     write_trace_csv,
 )
-from harness_oracles import file_digest, read_trace_csv, upsilon
+from harness_oracles import (
+    file_digest,
+    read_trace_csv,
+    upsilon,
+    write_trace_csv_rowwise,
+)
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +129,25 @@ def test_csv_round_trip(tmp_path, small_run):
     # the running-minimum metric recomputed offline equals the online one
     offline = np.minimum.accumulate(data["consensus_err"] + data["opt_gap"])
     assert np.array_equal(offline, upsilon_series(tr))
+
+
+_CSV_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, np.nan, np.inf,
+     -np.inf, 1e-5, 1e16, 0.1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), rows=st.integers(0, 30))
+def test_csv_writer_equals_rowwise_writer(tmp_path_factory, data, rows):
+    # the column-wise writer writes the bytes the cell-by-cell one writes
+    floats = [data.draw(hnp.arrays(np.float64, rows, elements=_CSV_FLOATS))
+              for _ in range(4)]
+    k = np.arange(rows)
+    tr = RunTrace("alg1", k, *floats, k * 1640, "ok", None, {}, None)
+    path = tmp_path_factory.mktemp("csv")
+    write_trace_csv(tr, path / "a.csv")
+    write_trace_csv_rowwise(tr, path / "b.csv")
+    assert (path / "a.csv").read_bytes() == (path / "b.csv").read_bytes()
 
 
 def test_experiment_shares_initial_state(tmp_path, tiny_cfg_doc):
@@ -487,6 +514,15 @@ def test_cli_gnuplot_helper(tmp_path):
     {"kind": "one_bit", "phi_c": 0.0},
     {"kind": "norm_sign", "window": 3},
     "norm_sign",
+    # keys that the kind does not read
+    {"kind": "norm_sign", "delta": 5.0, "keep_k": 3, "levels": 9,
+     "sparsify_mode": "random"},
+    {"kind": "one_bit", "levels": 9},
+    {"kind": "identity", "r": 2.0},
+    {"kind": "uniform_quantize", "psi": 0.5},
+    {"kind": "random_quantize", "levels": 17, "p_norm": 2.0},
+    {"kind": "random_sparsify", "keep_k": 2, "cap_c": 1.0},
+    {"kind": ["norm_sign"]},
 ])
 @pytest.mark.parametrize("command", ["run", "bounds"])
 def test_cli_bad_compressor_options_exit_2_before_any_output(tmp_path, comp,

@@ -152,8 +152,8 @@ def run_twin(algo, iters, net, suite, p, comp, seed, x0, *, x_star=None,
         # X, Y, G, A, B, C, D, Ex, Ey, Qx, Qy, Qhx, Qhy
         st = [x0.copy(), G.copy(), G, *(np.zeros((n, d)) for _ in range(6)),
               Qx, Qy, Qx.copy(), Qy.copy()]
-        names = ("x", "y", "g", "a", "b", "c", "dd", "ex", "ey", "qx", "qy",
-                 "qhx", "qhy")
+        names = ("x", "y", "g", "a", "b", "c", "dd", "ex", "ey", "qx", "qy"
+                 ) + (("qhx", "qhy") if use_ef else ())
 
         def step(k, st):
             X, Y, G, A, B, Cc, D, Ex, Ey, Qx, Qy, Qhx, Qhy = st
