@@ -13,6 +13,8 @@ STOCHASTIC_TOL = 1e-12
 _POWER_TOL = 1e-10
 _POWER_MAX_ITERS = 10_000
 _MAX_REGEN_ATTEMPTS = 100
+# Rows of the edge draw made at once; bounds its float64 buffer at n = 1000.
+_DRAW_ROWS = 128
 
 
 class GraphError(ValueError):
@@ -46,7 +48,8 @@ class Network:
         if np.max(np.abs(W.sum(axis=0) - 1.0)) > STOCHASTIC_TOL:
             raise GraphError("column sums of W are not 1")
         off = ~(self.adjacency | np.eye(n, dtype=bool))
-        if np.any(W[off] != 0.0):
+        off &= W != 0.0
+        if off.any():
             raise GraphError("W has weight outside the adjacency support")
         if not is_strongly_connected(self.adjacency):
             raise GraphError("digraph is not strongly connected")
@@ -150,10 +153,12 @@ def generate_network(n: int, edge_density: float, seed: int,
         adj = None
         for attempt in range(_MAX_REGEN_ATTEMPTS):
             rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
-            upper = rng.random((n, n)) < edge_density
-            cand = np.zeros((n, n), dtype=bool)
-            iu = np.triu_indices(n, k=1)
-            cand[iu] = upper[iu]
+            # the stream of one (n, n) draw, in row blocks
+            cand = np.empty((n, n), dtype=bool)
+            for i in range(0, n, _DRAW_ROWS):
+                block = cand[i:i + _DRAW_ROWS]
+                np.less(rng.random(block.shape), edge_density, out=block)
+            cand = np.triu(cand, 1)
             cand |= cand.T
             if is_strongly_connected(cand):
                 adj = cand

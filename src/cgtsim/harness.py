@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -401,14 +403,34 @@ class ExperimentResult:
     sigma: float
 
 
+@contextmanager
+def _replacing(path: Path):
+    """A text file open on a temp file beside ``path``; moved onto ``path``
+    by ``os.replace`` when the block completes, and removed if it raises."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_json(doc: dict, path: Path) -> None:
+    with _replacing(path) as f:
+        f.write(json.dumps(doc, indent=2, sort_keys=True, default=float)
+                + "\n")
+
+
 def write_trace_csv(trace: RunTrace, path: Path) -> None:
     """One line per row: k and bits as ints, the rest by ``repr`` of the
-    float, which reads back to the same bits."""
+    float, which reads back to the same bits.  The file appears whole or not
+    at all."""
     floats = (np.asarray(c, dtype=np.float64).tolist() for c in (
         trace.consensus_err, trace.opt_gap, trace.stationarity, trace.lyapunov))
     rows = zip(np.asarray(trace.k).tolist(), *floats,
                np.asarray(trace.bits).tolist())
-    with open(path, "w", encoding="utf-8") as f:
+    with _replacing(Path(path)) as f:
         f.write(CSV_HEADER + "\n")
         f.writelines("%d,%r,%r,%r,%r,%d\n" % row for row in rows)
 
@@ -432,7 +454,9 @@ def run_experiment(cfg: ExperimentConfig, *,
 
     Cell failures (diverged runs) are recorded per cell; remaining cells
     still execute.  Config problems raise ConfigError before any file is
-    written.
+    written.  A report from an earlier run is removed before the first cell
+    file is written, and each file is written to a temp file and moved into
+    place, so an interrupted run leaves no report and no partial file.
     """
     net, suite = build_instance(cfg)
     ref = solve_reference(suite, tol=cfg.fstar_tol)
@@ -445,6 +469,8 @@ def run_experiment(cfg: ExperimentConfig, *,
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    report_path = outdir / f"{cfg.scenario}__report.json"
+    report_path.unlink(missing_ok=True)
     results: list[CellResult] = []
     baseline: CellResult | None = None
     for cell, comp, params, phi_w, lyap_kind, lyap_aux, extras in resolved:
@@ -484,9 +510,7 @@ def run_experiment(cfg: ExperimentConfig, *,
         }
         for key, val in extras.items():
             sidecar[key] = val
-        (outdir / f"{cfg.scenario}__{label}.json").write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True, default=float)
-            + "\n", encoding="utf-8")
+        _write_json(sidecar, outdir / f"{cfg.scenario}__{label}.json")
         if cell.algo == "dgt" and baseline is None:
             baseline = res
         results.append(res)
@@ -514,10 +538,7 @@ def run_experiment(cfg: ExperimentConfig, *,
             "bits": baseline.bits_to_threshold, "percent": 100.0,
         },
     }
-    report_path = outdir / f"{cfg.scenario}__report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True,
-                                      default=float) + "\n",
-                           encoding="utf-8")
+    _write_json(report, report_path)
     return ExperimentResult(scenario=cfg.scenario, threshold=cfg.threshold,
                             rows=results, baseline=baseline,
                             report_path=str(report_path), f_star=ref.f_star,

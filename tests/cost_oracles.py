@@ -6,14 +6,27 @@ value, sample a Lipschitz ratio, and regenerate a suite from its seed and
 generation parameters, so tests can check the batched code against them.
 ``sigmoid_two_div`` and ``logistic_grad_all`` are the sigmoid and the
 logistic stacked gradient as plain expressions, the bitwise reference for
-the shipped forms with one division and fewer temporaries.
+the shipped forms with one division and fewer temporaries.  ``descend`` and
+``solve_reference_per_start`` are the reference solve with one descent per
+start, run one start after another: the bitwise reference for the lock-step
+descent of ``costs.solve_reference``.
 """
 
 import json
 
 import numpy as np
 
-from cgtsim.costs import CostError, CostSuite, _sigmoid, generate_suite, grad
+from cgtsim.costs import (
+    CostError,
+    CostSuite,
+    ReferenceSolution,
+    _least_squares,
+    _sigmoid,
+    generate_suite,
+    grad,
+    mean_grad,
+    mean_value,
+)
 
 
 def sigmoid_two_div(z):
@@ -27,6 +40,61 @@ def logistic_grad_all(suite: CostSuite, X: np.ndarray) -> np.ndarray:
     r2 = np.einsum("ij,ij->i", X, X)
     return ((suite.h * s * (1.0 - s))[:, None] * suite.xi
             + (2.0 * suite.m / (1.0 + r2))[:, None] * X)
+
+
+def descend(suite: CostSuite, x0: np.ndarray, tol: float,
+            max_iters: int) -> tuple[np.ndarray, float, float]:
+    """Gradient descent with Armijo backtracking on the averaged cost."""
+    x = x0.copy()
+    f = mean_value(suite, x)
+    step = 1.0 / max(suite.L_f, 1e-12)
+    for _ in range(max_iters):
+        g = mean_grad(suite, x)
+        gn = float(np.linalg.norm(g))
+        if gn <= tol:
+            break
+        t = step
+        for _ in range(60):
+            cand = x - t * g
+            fc = mean_value(suite, cand)
+            if fc <= f - 0.25 * t * gn * gn:
+                break
+            t *= 0.5
+        if fc >= f and t * gn * gn < 1e-30:
+            break
+        x, f = cand, fc
+        step = min(t * 2.0, 1e6)
+    return x, f, float(np.linalg.norm(mean_grad(suite, x)))
+
+
+def solve_reference_per_start(suite: CostSuite, tol: float = 1e-9, *,
+                              restarts: int = 16, seed: int = 0,
+                              max_iters: int = 10_000,
+                              extra_starts: list | None = None
+                              ) -> ReferenceSolution:
+    """``costs.solve_reference`` with ``descend`` run from each start in
+    turn, keeping the first start strictly lower than every earlier one."""
+    if suite.kind == "quadratic_pl":
+        starts = [_least_squares(suite)]
+    else:
+        rng = np.random.default_rng(
+            np.random.SeedSequence([suite.seed, seed, 0xF5]))
+        starts = [np.zeros(suite.d)]
+        starts += [rng.standard_normal(suite.d) * s for s in
+                   np.linspace(0.3, 3.0, restarts - 1)]
+    if extra_starts:
+        starts += [np.asarray(s, dtype=np.float64) for s in extra_starts]
+    best = None
+    values = []
+    for x0 in starts:
+        x, f, gn = descend(suite, x0, tol, max_iters)
+        values.append(f)
+        if best is None or f < best[1]:
+            best = (x, f, gn)
+    x, f, gn = best
+    return ReferenceSolution(x_star=x, f_star=f, grad_norm=gn,
+                             certified=gn <= tol, tol=tol,
+                             restart_values=values)
 
 
 def eval_cost(suite: CostSuite, agent: int, x: np.ndarray) -> float:

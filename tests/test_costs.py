@@ -21,10 +21,12 @@ from cgtsim.costs import (
     solve_reference,
 )
 from cost_oracles import (
+    descend,
     estimate_L,
     eval_cost,
     logistic_grad_all,
     sigmoid_two_div,
+    solve_reference_per_start,
     suite_from_json,
     suite_to_json,
 )
@@ -301,7 +303,7 @@ def _restart_descent_oracle(suite, tol, restarts=16, seed=0, extra=()):
     starts += [rng.standard_normal(suite.d) * s for s in
                np.linspace(0.3, 3.0, restarts - 1)]
     starts += [np.asarray(s, dtype=np.float64) for s in extra]
-    ends = [costs._descend(suite, x0, tol, 10_000) for x0 in starts]
+    ends = [descend(suite, x0, tol, 10_000) for x0 in starts]
     best = min(range(len(ends)), key=lambda i: (ends[i][1], i))
     return ends[best], [f for _, f, _ in ends]
 
@@ -360,7 +362,7 @@ def test_quadratic_reference_uses_extra_starts():
     ref = solve_reference(suite, tol=1e-9, extra_starts=extra)
     assert len(ref.restart_values) == 3
     for x0, f in zip(extra, ref.restart_values[1:]):
-        assert f == costs._descend(suite, x0, 1e-9, 10_000)[1]
+        assert f == descend(suite, x0, 1e-9, 10_000)[1]
     assert ref.f_star == min(ref.restart_values)
 
 
@@ -391,6 +393,111 @@ def test_logistic_reference_is_the_restart_descent(seed):
     assert np.array_equal(ref.x_star, x)
     assert ref.f_star == f and ref.grad_norm == gn
     assert ref.restart_values == values
+
+
+def _bits(v):
+    """Bytes of v, with every NaN made the one NaN: on a NaN + NaN, numpy's
+    scalar add and its SIMD loop keep the sign of different operands."""
+    v = np.array(v, dtype=np.float64)
+    v[np.isnan(v)] = np.nan
+    return v.tobytes()
+
+
+def _assert_same_solution(got, want):
+    assert _bits(got.x_star) == _bits(want.x_star)
+    assert got.x_star.shape == want.x_star.shape
+    assert _bits(got.f_star) == _bits(want.f_star)
+    assert _bits(got.grad_norm) == _bits(want.grad_norm)
+    assert got.certified == want.certified and got.tol == want.tol
+    assert _bits(got.restart_values) == _bits(want.restart_values)
+    assert all(type(v) is float for v in got.restart_values)
+
+
+# the paper instance; a seed where one start outlasts the others, so the last
+# start finishes alone; a quadratic whose extra starts run in lock-step
+_SOLVE_CASES = [
+    ("logistic_log", {"seed": 202}, {}),
+    ("logistic_log", {"seed": 3}, {"max_iters": 300}),
+    ("quadratic_pl", {"seed": 8, "d": 6, "consistent": False},
+     {"extra_starts": [np.full(6, 3.0), -np.ones(6)]}),
+]
+
+
+@pytest.mark.parametrize("kind,gen,kw", _SOLVE_CASES)
+def test_solve_reference_equals_per_start_descent(kind, gen, kw):
+    gen = {"n": 20, "d": 50, **gen}
+    if kind == "logistic_log":
+        gen["scale"] = 0.1
+    suite = generate_suite(kind, **gen)
+    _assert_same_solution(solve_reference(suite, **kw),
+                          solve_reference_per_start(suite, **kw))
+
+
+def test_solve_reference_keeps_the_first_of_tied_or_nan_values():
+    # a tie at the minimum: the origin and -0.0 both have F = 0 and a zero
+    # gradient when h = 0, and the origin comes first
+    suite = generate_suite("logistic_log", n=4, d=6, seed=41)
+    suite.h[:] = 0.0
+    kw = {"restarts": 3, "extra_starts": [np.full(6, -0.0)]}
+    ref = solve_reference(suite, **kw)
+    _assert_same_solution(ref, solve_reference_per_start(suite, **kw))
+    assert ref.restart_values[0] == ref.restart_values[-1] == ref.f_star == 0
+    assert _bits(ref.x_star) == _bits(np.zeros(6))
+    # a NaN start after finite ones never wins (np.argmin would pick it)
+    suite = generate_suite("logistic_log", n=4, d=6, seed=43)
+    kw = {"restarts": 3, "max_iters": 20, "extra_starts": [np.full(6, np.nan)]}
+    ref = solve_reference(suite, **kw)
+    _assert_same_solution(ref, solve_reference_per_start(suite, **kw))
+    assert math.isnan(ref.restart_values[-1]) and math.isfinite(ref.f_star)
+    # a NaN first start wins: xi'x is inf * 0 at the origin only
+    suite.xi[0, 0] = np.inf
+    kw = {"restarts": 3, "max_iters": 0}
+    with np.errstate(invalid="ignore"):
+        ref = solve_reference(suite, **kw)
+        _assert_same_solution(ref, solve_reference_per_start(suite, **kw))
+    assert math.isnan(ref.f_star) and not ref.certified
+    assert all(math.isfinite(v) for v in ref.restart_values[1:])
+
+
+def test_paper_reference_evaluation_count(monkeypatch):
+    # lock-step descent: one stacked call per iteration and per backtracking
+    # round, not one per start (1359 calls when run start by start)
+    suite = generate_suite("logistic_log", n=20, d=50, seed=202, scale=0.1)
+    calls = {"n": 0}
+    for name in ("mean_value", "mean_grad"):
+        fn = getattr(costs, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls["n"] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(costs, name, counted)
+    assert solve_reference(suite).certified
+    assert calls["n"] <= 150
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(costs.KINDS),
+       n=st.integers(1, 8), d=st.integers(1, 60), B=st.integers(1, 17),
+       seed=st.integers(0, 2**31))
+def test_stacked_mean_calls_equal_one_row_calls(data, kind, n, d, B, seed):
+    # rows from a generator, so that sums round; scales 1e-3 to 1e2
+    if kind == "logistic_log":
+        kw = {"scale": data.draw(st.sampled_from([0.1, 1.0])),
+              "abs_m": data.draw(st.booleans())}
+    else:  # rows below, at and above d
+        kw = {"rows": data.draw(st.integers(1, d + 3)),
+              "consistent": data.draw(st.booleans()),
+              "normalize": data.draw(st.booleans())}
+    suite = generate_suite(kind, n, d, seed, **kw)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((B, d)) * 10.0 ** rng.integers(-3, 3, (B, 1))
+    X[data.draw(hnp.arrays(bool, B))] = 0.0
+    V, G = mean_value(suite, X), mean_grad(suite, X)
+    assert V.shape == (B,) and G.shape == (B, d)
+    for b in range(B):
+        assert _bits(mean_value(suite, X[b])) == _bits(V[b])
+        assert _bits(mean_grad(suite, X[b])) == _bits(G[b])
 
 
 def test_bad_inputs():

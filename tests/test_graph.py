@@ -239,6 +239,23 @@ def test_json_round_trip():
     assert back.sigma == net.sigma
 
 
+def test_validate_rejects_weight_outside_the_support():
+    # weight eps on a non-edge (i, j) and its mirror, taken from the
+    # diagonal: W stays nonnegative and doubly stochastic
+    net = generate_network(6, 0.5, seed=3)
+    i, j = np.argwhere(~(net.adjacency | np.eye(6, dtype=bool)))[0]
+    W = net.W.copy()
+    eps = 1e-3
+    W[i, j] += eps
+    W[j, i] += eps
+    W[i, i] -= eps
+    W[j, j] -= eps
+    bad = Network(n=6, adjacency=net.adjacency, W=W, sigma=net.sigma)
+    with pytest.raises(GraphError, match="outside the adjacency support"):
+        bad.validate()
+    net.validate()
+
+
 def test_input_validation():
     with pytest.raises(GraphError):
         generate_network(1, 0.5, seed=0)
@@ -302,7 +319,9 @@ def test_metropolis_and_spectral_gap_match_loop_oracles():
         assert spectral_gap(W) == _spectral_gap_oracle(W)
 
 
-@pytest.mark.parametrize("n,density", [(20, 0.3), (200, 0.04), (1000, 0.008)])
+# 300 rows draw in blocks of 128, 128 and 44
+@pytest.mark.parametrize("n,density", [(20, 0.3), (200, 0.04), (300, 0.03),
+                                       (1000, 0.008)])
 def test_generate_network_matches_loop_oracles(n, density):
     for seed in (1, 2, 3):
         net = generate_network(n, density, seed)

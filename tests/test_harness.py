@@ -176,6 +176,31 @@ def test_experiment_rerun_is_byte_identical(tmp_path, tiny_cfg_doc):
     assert hashes[0] == hashes[1]
 
 
+def test_interrupted_rerun_leaves_no_report(tmp_path, tiny_cfg_doc,
+                                           monkeypatch):
+    # a rerun into the same directory that fails at its second cell must not
+    # leave the first run's report beside its outputs, nor a temp file
+    doc = dict(tiny_cfg_doc, output_dir=str(tmp_path / "o"))
+    report = Path(run_experiment(ExperimentConfig.from_dict(doc)).report_path)
+    before = {p.name: p.read_bytes() for p in (tmp_path / "o").iterdir()}
+    calls = {"n": 0}
+    real_run = harness.run
+
+    def interrupted_run(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise KeyboardInterrupt
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", interrupted_run)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(ExperimentConfig.from_dict(doc))
+    after = {p.name: p.read_bytes() for p in (tmp_path / "o").iterdir()}
+    assert report.name in before
+    assert set(after) == set(before) - {report.name}
+    assert all(after[name] == before[name] for name in after)
+
+
 def test_report_contents(tmp_path, tiny_cfg_doc):
     doc = dict(tiny_cfg_doc)
     doc["output_dir"] = str(tmp_path / "rep")
