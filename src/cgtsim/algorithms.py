@@ -153,8 +153,8 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
     row i of ``compress(comp, inputs, seed=seed, k=k, slot=s)``.
     ``f_star`` is the reference value the optimality gap is measured from and
     ``x_star`` the point it is attained at, if known; quadratic gaps are
-    anchored there, or at a least-squares solve without it (see
-    ``costs.RunCosts``).
+    anchored there, or at the minimiser solved from the suite's Gram without
+    it (see ``costs.RunCosts``).
     ``lyap_phi``/``lyap_aux`` are the weight constants of the Lyapunov
     variant selected by ``lyap_kind``; sensible defaults are chosen per
     algorithm when not given.

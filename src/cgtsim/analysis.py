@@ -1,4 +1,4 @@
-"""Certified parameter regions, Lyapunov weights, descent checks, rate fitting.
+"""Certified parameter regions, Lyapunov weights and descent checks.
 
 Every named constant of the convergence analysis is computed in exactly one
 place here and exported by name in the bounds' ``constants`` table, so the
@@ -175,14 +175,6 @@ def descent_chain(sigma, L, c1, c2, C, eta, gamma) -> dict:
     }
     out.update(xi)
     return out
-
-
-def pl_rate(chain: dict, nu: float, hat: bool = False) -> float:
-    """Linear contraction rate under gradient dominance: theta4 or hat form."""
-    if nu <= 0:
-        raise AnalysisError("nu must be positive")
-    base = chain["hat_theta2"] if hat else chain["theta3"]
-    return min(base, 2.0 * nu * chain["theta2"])
 
 
 def bounds_relative(sigma: float, L: float, comp: CompressorSpec,
@@ -435,46 +427,6 @@ def bounds_scaled_local(sigma: float, L: float, nu: float, phi_c: float,
     return ParameterBounds(regime="scaled_local", gamma_max=gamma_max, gamma=g,
                          eta_max=eta_max, eta=eta, s0_min=s0_min, s0=s0_min,
                          mu_min=mu_min, mu=mu, constants=consts)
-
-
-def fit_rate(ks, values, mode: str = "linear",
-             window: tuple[int, int] | None = None) -> dict:
-    """Least-squares rate fit on a trace window.
-
-    linear mode: slope of log(value) against k, reported as the geometric
-    rate exp(slope).  sublinear mode: fit of k*value against k, reporting the
-    fitted level and its maximum deviation.
-    """
-    ks = np.asarray(ks, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if window is not None:
-        lo, hi = window
-        if lo < ks[0] or hi > ks[-1] or hi <= lo:
-            raise AnalysisError(f"window {window} outside trace")
-        mask = (ks >= lo) & (ks <= hi)
-        ks, values = ks[mask], values[mask]
-    if len(ks) < 10:
-        raise AnalysisError("need at least 10 points to fit")
-    if mode == "linear":
-        if np.any(values <= 0):
-            raise AnalysisError("nonpositive values in window; cannot log-fit")
-        y = np.log(values)
-        A = np.vstack([ks, np.ones_like(ks)]).T
-        (slope, icpt), res, *_ = np.linalg.lstsq(A, y, rcond=None)
-        pred = A @ np.array([slope, icpt])
-        ss_res = float(((y - pred) ** 2).sum())
-        ss_tot = float(((y - y.mean()) ** 2).sum())
-        r2 = 1.0 if ss_tot <= 1e-300 else 1.0 - ss_res / ss_tot
-        return {"rate": float(np.exp(slope)), "r_squared": r2,
-                "slope": float(slope)}
-    if mode == "sublinear":
-        z = ks * values
-        A = np.vstack([ks, np.ones_like(ks)]).T
-        (slope, icpt), *_ = np.linalg.lstsq(A, z, rcond=None)
-        level = float(z.mean())
-        return {"rate": float(slope), "r_squared": 1.0, "level": level,
-                "max_dev": float(np.max(np.abs(z - level)))}
-    raise AnalysisError(f"unknown fit mode {mode!r}")
 
 
 def check_descent(values, slack=0.0) -> dict:

@@ -27,6 +27,7 @@ from .graph import GraphError
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    _replacing,
     build_instance,
     certified_cell,
     reference_scenario_config,
@@ -69,8 +70,8 @@ def _emit_gnuplot(outdir: Path, scenario: str, labels: list) -> None:
     plots = [f"'{scenario}__{lab}.csv' using 1:($2+$3) with lines "
              f"title '{lab}'" for lab in labels]
     lines.append("plot " + ", \\\n     ".join(plots))
-    (outdir / f"{scenario}__plot.gnuplot").write_text("\n".join(lines) + "\n",
-                                                      encoding="utf-8")
+    with _replacing(outdir / f"{scenario}__plot.gnuplot") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def _cmd_run(args) -> int:

@@ -312,9 +312,6 @@ class VerifyReport:
     passed: bool
     violations: list = field(default_factory=list)
 
-    def worst_case(self):
-        return self.violations[0] if self.violations else None
-
 
 def _probe_inputs(trials: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """Standard normal probes plus adversarial rows: spike, constant, tiny."""

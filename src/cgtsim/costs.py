@@ -10,24 +10,28 @@ Two families:
   equal to the smallest nonzero eigenvalue of the mean Gram matrix.  Set-up
   builds all H_i = M_i'M_i with one batched matmul and makes one batched
   ``eigvalsh`` call: L_f is the largest lambda_max(H_i), and normalization
-  divides each M_i by sqrt(lambda_max(H_i)), which makes L_f = 1 exactly.
-  nu_pl comes from ``eigvalsh`` of the mean H_i.  This generation Gram is
-  dropped before the suite is returned.
+  divides each M_i by sqrt(lambda_max(H_i)) and H_i by lambda_max(H_i), which
+  makes L_f = 1 exactly.  The suite keeps this Gram, with c_i = M_i'b_i from
+  one more batched matmul on the stored factors, as ``CostSuite.gram``, and
+  the eigenpairs of the mean Gram from one ``eigh`` call: nu_pl is the
+  smallest of its nonzero eigenvalues.
 
 The reference solve finds F* = min_x (1/n) sum_i F_i(x).  The logistic family
 is nonconvex, so it takes the best of several gradient-descent restarts.  The
-quadratic family is convex, so its global minimiser is the stacked
-least-squares solution, which descent only certifies (and polishes if needed).
-The starts descend in lock-step: ``mean_value`` and ``mean_grad`` also take a
-(B, d) stack of points, each row bitwise its one-row call, and each iteration
-makes one stacked gradient call and one stacked value call per backtracking
-round.  The last start left finishes alone with one-row calls.
+quadratic family is convex, so its global (minimum-norm) minimiser solves
+Hbar x = cbar.  ``_quadratic_minimiser`` solves it with the mean Gram's
+eigenpairs and refines it by one Newton step with the factor-form gradient
+(iterative refinement of the normal equations); descent only certifies that
+point (and polishes it if needed).  The starts descend in lock-step:
+``mean_value`` and ``mean_grad`` also take a (B, d) stack of points, each row
+bitwise its one-row call, and each iteration makes one stacked gradient call
+and one stacked value call per backtracking round.  The last start left
+finishes alone with one-row calls.
 
 Runs evaluate costs through a ``RunCosts``: the stacked gradients of each
 step, and the optimality gap and stationarity of each trace row.  Quadratics
 are evaluated there in Gram form, H_i = M_i'M_i and c_i = M_i'b_i
-(``CostSuite.gram``, n d^2 8-byte floats, built by matmul at first use, which
-in a run comes after ``lstsq`` has freed its copy of the factors).  The trace
+(``CostSuite.gram``, n d^2 8-byte floats, kept from generation).  The trace
 terms at an agent mean x are anchored at a minimiser r: with e = x - r,
 
     n (F(x) - F*) = n (e'Hbar e / 2 + grad F(r)'e) + n (F(r) - F*)
@@ -55,6 +59,7 @@ KINDS = ("logistic_log", "quadratic_pl")
 
 # sup |sigmoid''| over the real line
 _SIGMOID_CURV = 1.0 / (6.0 * math.sqrt(3.0))
+_EPS = np.finfo(np.float64).eps
 
 
 class CostError(ValueError):
@@ -90,11 +95,19 @@ class CostSuite:
     @cached_property
     def gram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(H, c, Hbar) of a quadratic suite: H_i = M_i'M_i, c_i = M_i'b_i
-        and Hbar, the mean of the H_i.  Built at first use and kept, so M and
-        b must not change after it."""
+        and Hbar, the mean of the H_i.  ``generate_suite`` sets it from its
+        own Gram; a suite built any other way builds it at first use.  It is
+        kept, so M and b must not change after it."""
         Mt = self.M.transpose(0, 2, 1)
         H = np.matmul(Mt, self.M)
         return H, np.matmul(Mt, self.b[:, :, None])[:, :, 0], H.mean(axis=0)
+
+    @cached_property
+    def gram_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvectors of Hbar, from one ``eigh``
+        call; ``generate_suite`` makes it for nu_pl, and the reference solve
+        reuses it."""
+        return np.linalg.eigh(self.gram[2])
 
 
 def generate_suite(kind: str, n: int, d: int, seed: int, *,
@@ -107,9 +120,10 @@ def generate_suite(kind: str, n: int, d: int, seed: int, *,
     smoothness constant without changing the landscape shape.  Quadratic
     factors are spectrally normalized by default: each M_i is divided by
     sqrt(lambda_max(M_i'M_i)), with the eigenvalues of all agents' Grams from
-    one batched ``eigvalsh``, so L_f = 1 exactly.  L_f and nu_pl come from
-    that Gram, which is not kept; ``CostSuite.gram`` is built anew at first
-    use, after the reference solve.
+    one batched ``eigvalsh``, so L_f = 1 exactly.  That Gram, divided by the
+    same lambda_max(H_i), is kept as ``CostSuite.gram``, with c_i = M_i'b_i
+    from one batched matmul on the stored factors.  nu_pl comes from
+    ``CostSuite.gram_eigh``, which the reference solve reuses.
     """
     if kind not in KINDS:
         raise CostError(f"unknown cost kind {kind!r}")
@@ -146,7 +160,9 @@ def generate_suite(kind: str, n: int, d: int, seed: int, *,
                       gen_params={"rows": rows, "consistent": consistent,
                                   "normalize": normalize})
     suite.L_f = float(top.max())
-    eigs = np.linalg.eigvalsh(H.mean(axis=0))
+    c = np.matmul(M.transpose(0, 2, 1), b[:, :, None])[:, :, 0]
+    suite.gram = (H, c, H.mean(axis=0))
+    eigs = suite.gram_eigh[0]
     pos = eigs[eigs > 1e-9 * max(eigs[-1], 1.0)]
     suite.nu_pl = float(pos[0]) if len(pos) else None
     return suite
@@ -193,10 +209,10 @@ class RunCosts:
     the agent means x of the trace rows.
 
     Quadratic trace terms are anchored at ``x_star``, the point whose value
-    is ``f_star`` (the reference solve's x* and F*), or else at the
-    least-squares minimiser solved here.  Each row makes the BLAS calls of a
-    single row (``Hbar @ e`` and dots), so a block of rows gives bitwise
-    what recording row by row gives.
+    is ``f_star`` (the reference solve's x* and F*), or else at
+    ``_quadratic_minimiser``, the reference solve's start.  Each row makes
+    the BLAS calls of a single row (``Hbar @ e`` and dots), so a block of
+    rows gives bitwise what recording row by row gives.
     """
 
     def __init__(self, suite: CostSuite, x_star: np.ndarray | None = None,
@@ -205,7 +221,7 @@ class RunCosts:
         if suite.kind == "quadratic_pl":
             _, c, self.Hbar = suite.gram
             if x_star is None:
-                self.r = _least_squares(suite)
+                self.r = _quadratic_minimiser(suite)
                 self.offset = suite.n * (mean_value(suite, self.r) - f_star)
             else:
                 self.r = np.asarray(x_star, dtype=np.float64)
@@ -290,11 +306,22 @@ def _mean_grads(suite: CostSuite, X: np.ndarray) -> np.ndarray:
     return np.einsum("nrd,bnr->bd", suite.M, resid) / suite.n
 
 
-def _least_squares(suite: CostSuite) -> np.ndarray:
-    """Minimiser of a quadratic suite's F: the least-squares solution of the
-    stacked system [M_1; ...; M_n] x = [b_1; ...; b_n]."""
-    return np.linalg.lstsq(suite.M.reshape(-1, suite.d), suite.b.reshape(-1),
-                           rcond=None)[0]
+def _quadratic_minimiser(suite: CostSuite) -> np.ndarray:
+    """Minimum-norm minimiser of a quadratic suite's F, the least-squares
+    solution of the stacked system [M_1; ...; M_n] x = [b_1; ...; b_n].
+
+    x0 = pinv(Hbar) cbar from the eigenpairs of Hbar, then one Newton step
+    x0 - pinv(Hbar) grad F(x0) with the factor-form gradient, which removes
+    the error of solving through the Gram (iterative refinement of the normal
+    equations).  pinv inverts the eigenvalues above the round-off level
+    d eps lambda_max: nu_pl's wider cutoff would drop real directions of an
+    ill-conditioned Hbar.
+    """
+    lam, V = suite.gram_eigh
+    k = np.searchsorted(lam, suite.d * _EPS * lam[-1], side="right")
+    V, inv = V[:, k:], 1.0 / lam[k:]
+    x = V @ (inv * (V.T @ suite.gram[1].mean(axis=0)))
+    return x - V @ (inv * (V.T @ mean_grad(suite, x)))
 
 
 @dataclass
@@ -391,8 +418,8 @@ def solve_reference(suite: CostSuite, tol: float = 1e-9, *, restarts: int = 16,
 
     ``logistic_log`` descends from the origin and ``restarts - 1`` random
     points drawn from ``seed``.  ``quadratic_pl`` is convex, so it descends
-    only from its global minimiser in closed form, the least-squares solution
-    of the stacked system [M_1; ...; M_n] x = [b_1; ...; b_n]; descent checks
+    only from its global minimiser, solved from the suite's Gram and its
+    eigenpairs with one Newton step (``_quadratic_minimiser``); descent checks
     that point's gradient norm and polishes it only if the norm exceeds
     ``tol``.  ``restarts`` and ``seed`` do not apply to ``quadratic_pl``.
 
@@ -407,7 +434,7 @@ def solve_reference(suite: CostSuite, tol: float = 1e-9, *, restarts: int = 16,
     if tol <= 0:
         raise CostError("tol must be positive")
     if suite.kind == "quadratic_pl":
-        starts = [_least_squares(suite)]
+        starts = [_quadratic_minimiser(suite)]
     else:
         rng = np.random.default_rng(
             np.random.SeedSequence([suite.seed, seed, 0xF5]))

@@ -1,5 +1,7 @@
 """Analysis oracles for the tests: a term-by-term Lyapunov evaluation at a
-final state and the linear-rate envelope of the scaled tracker.
+final state, the linear-rate envelope of the scaled tracker, the linear rate
+under gradient dominance (``pl_rate``) and least-squares rate fits of a trace
+window (``fit_rate``).
 
 The runs record the Lyapunov column batched inside the steppers; this
 evaluates one state from its StackedState fields with ``costs.mean_value``,
@@ -8,6 +10,8 @@ so tests can check the recorded column and the weights against it.
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from cgtsim.analysis import AnalysisError, ParameterBounds
 from cgtsim.costs import CostSuite, mean_value
@@ -102,3 +106,51 @@ def geometric_tail_bound(bounds: ParameterBounds, nu: float, u0: float,
         "breve_theta7": breve7,
         "case": case,
     }
+
+
+def pl_rate(chain: dict, nu: float, hat: bool = False) -> float:
+    """Linear contraction rate under gradient dominance: theta4 or hat form."""
+    if nu <= 0:
+        raise AnalysisError("nu must be positive")
+    base = chain["hat_theta2"] if hat else chain["theta3"]
+    return min(base, 2.0 * nu * chain["theta2"])
+
+
+def fit_rate(ks, values, mode: str = "linear",
+             window: tuple[int, int] | None = None) -> dict:
+    """Least-squares rate fit on a trace window.
+
+    linear mode: slope of log(value) against k, reported as the geometric
+    rate exp(slope).  sublinear mode: fit of k*value against k, reporting the
+    fitted level and its maximum deviation.
+    """
+    ks = np.asarray(ks, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if window is not None:
+        lo, hi = window
+        if lo < ks[0] or hi > ks[-1] or hi <= lo:
+            raise AnalysisError(f"window {window} outside trace")
+        mask = (ks >= lo) & (ks <= hi)
+        ks, values = ks[mask], values[mask]
+    if len(ks) < 10:
+        raise AnalysisError("need at least 10 points to fit")
+    if mode == "linear":
+        if np.any(values <= 0):
+            raise AnalysisError("nonpositive values in window; cannot log-fit")
+        y = np.log(values)
+        A = np.vstack([ks, np.ones_like(ks)]).T
+        (slope, icpt), res, *_ = np.linalg.lstsq(A, y, rcond=None)
+        pred = A @ np.array([slope, icpt])
+        ss_res = float(((y - pred) ** 2).sum())
+        ss_tot = float(((y - y.mean()) ** 2).sum())
+        r2 = 1.0 if ss_tot <= 1e-300 else 1.0 - ss_res / ss_tot
+        return {"rate": float(np.exp(slope)), "r_squared": r2,
+                "slope": float(slope)}
+    if mode == "sublinear":
+        z = ks * values
+        A = np.vstack([ks, np.ones_like(ks)]).T
+        (slope, icpt), *_ = np.linalg.lstsq(A, z, rcond=None)
+        level = float(z.mean())
+        return {"rate": float(slope), "r_squared": 1.0, "level": level,
+                "max_dev": float(np.max(np.abs(z - level)))}
+    raise AnalysisError(f"unknown fit mode {mode!r}")

@@ -9,7 +9,9 @@ logistic stacked gradient as plain expressions, the bitwise reference for
 the shipped forms with one division and fewer temporaries.  ``descend`` and
 ``solve_reference_per_start`` are the reference solve with one descent per
 start, run one start after another: the bitwise reference for the lock-step
-descent of ``costs.solve_reference``.
+descent of ``costs.solve_reference``.  ``least_squares`` is the quadratic
+minimiser by SVD of the stacked factors, the reference for the Gram-based
+``costs._quadratic_minimiser``.
 """
 
 import json
@@ -20,7 +22,7 @@ from cgtsim.costs import (
     CostError,
     CostSuite,
     ReferenceSolution,
-    _least_squares,
+    _quadratic_minimiser,
     _sigmoid,
     generate_suite,
     grad,
@@ -40,6 +42,13 @@ def logistic_grad_all(suite: CostSuite, X: np.ndarray) -> np.ndarray:
     r2 = np.einsum("ij,ij->i", X, X)
     return ((suite.h * s * (1.0 - s))[:, None] * suite.xi
             + (2.0 * suite.m / (1.0 + r2))[:, None] * X)
+
+
+def least_squares(suite: CostSuite) -> np.ndarray:
+    """Minimum-norm least-squares solution of the stacked system
+    [M_1; ...; M_n] x = [b_1; ...; b_n], by SVD."""
+    return np.linalg.lstsq(suite.M.reshape(-1, suite.d), suite.b.reshape(-1),
+                           rcond=None)[0]
 
 
 def descend(suite: CostSuite, x0: np.ndarray, tol: float,
@@ -75,7 +84,7 @@ def solve_reference_per_start(suite: CostSuite, tol: float = 1e-9, *,
     """``costs.solve_reference`` with ``descend`` run from each start in
     turn, keeping the first start strictly lower than every earlier one."""
     if suite.kind == "quadratic_pl":
-        starts = [_least_squares(suite)]
+        starts = [_quadratic_minimiser(suite)]
     else:
         rng = np.random.default_rng(
             np.random.SeedSequence([suite.seed, seed, 0xF5]))

@@ -30,6 +30,7 @@ from cgtsim.harness import (
     run_experiment,
     upsilon_series,
 )
+from analysis_oracles import fit_rate, pl_rate
 from cost_oracles import eval_cost
 from harness_oracles import file_digest
 
@@ -215,7 +216,7 @@ def test_criterion_6_linear_rate_under_gradient_dominance(pl_instance):
         assert metric.min() < 1e-8, (algo, metric.min())
         lo = iters // 3
         assert np.all(metric[lo:] > 0)
-        fit = analysis.fit_rate(np.arange(lo, iters + 1), metric[lo:],
+        fit = fit_rate(np.arange(lo, iters + 1), metric[lo:],
                                 "linear")
         assert fit["r_squared"] >= 0.99, (algo, fit)
         assert fit["rate"] < 1.0
@@ -223,12 +224,12 @@ def test_criterion_6_linear_rate_under_gradient_dominance(pl_instance):
     # guaranteed linear rate
     ns = make_compressor("norm_sign", d=5)
     b = analysis.bounds_relative(net.sigma, suite.L_f, ns, 0.2, 0.2)
-    theta4 = analysis.pl_rate(b.constants, suite.nu_pl)
+    theta4 = pl_rate(b.constants, suite.nu_pl)
     tr = run("alg1", 3000, net, suite,
              AlgorithmParams(eta=b.eta, gamma=b.gamma, phi_x=0.2, phi_y=0.2),
              ns, seed=9, x0=x0, f_star=ref.f_star)
     metric = tr.consensus_err + tr.opt_gap
-    fit = analysis.fit_rate(np.arange(1000, 3001), metric[1000:], "linear")
+    fit = fit_rate(np.arange(1000, 3001), metric[1000:], "linear")
     assert fit["rate"] <= 1.0 - theta4 / 2, (fit["rate"], theta4)
     assert fit["r_squared"] >= 0.99
     elapsed = time.perf_counter() - t_start

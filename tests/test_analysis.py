@@ -18,14 +18,17 @@ from cgtsim.analysis import (
     check_descent,
     descent_chain,
     ef_weight,
-    fit_rate,
     lyapunov_weight,
     mixing_constants,
     p_norm_constants,
-    pl_rate,
     scaled_gap_weight,
 )
-from analysis_oracles import geometric_tail_bound, lyapunov_eval
+from analysis_oracles import (
+    fit_rate,
+    geometric_tail_bound,
+    lyapunov_eval,
+    pl_rate,
+)
 from cgtsim.compressors import make_compressor
 from cgtsim.costs import generate_suite, grad_all, solve_reference
 from cgtsim.graph import generate_network

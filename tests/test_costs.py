@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from cgtsim import costs
 from cgtsim.costs import (
     CostError,
+    CostSuite,
     RunCosts,
     generate_suite,
     grad,
@@ -24,6 +25,7 @@ from cost_oracles import (
     descend,
     estimate_L,
     eval_cost,
+    least_squares,
     logistic_grad_all,
     sigmoid_two_div,
     solve_reference_per_start,
@@ -196,16 +198,39 @@ def test_gram_trace_terms_match_factor_form(rows, consistent, anchored):
         assert abs(stat[j] - n * (g_m @ g_m)) <= n * delta * (2 * gn + delta)
 
 
-def test_gram_cache_is_built_at_first_use_after_the_reference_solve():
-    # lstsq copies the stacked factors, so H must not exist before it has run
+def test_generation_gram_is_the_one_gram_of_the_suite(monkeypatch):
+    # generate_suite keeps its normalized Gram and the eigenpairs of its
+    # mean; the reference solve and the runs reuse them, building no other
+    # and making no other eigen or least-squares call
+    calls = []
+    for name in ("eigh", "eigvalsh", "lstsq", "svd", "pinv"):
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def rebuilt(self):
+        raise AssertionError("the Gram was built again")
+
+    monkeypatch.setattr(CostSuite.__dict__["gram"], "func", rebuilt)
     suite = generate_suite("quadratic_pl", n=4, d=6, seed=1)
-    solve_reference(suite)
-    assert "gram" not in vars(suite)
-    G = grad_all(suite, np.ones((4, 6)))
-    H, c, Hbar = vars(suite)["gram"]
+    gram, eig = vars(suite)["gram"], vars(suite)["gram_eigh"]
+    H, c, Hbar = gram
     assert H.shape == (4, 6, 6) and c.shape == (4, 6)
     assert np.array_equal(Hbar, H.mean(axis=0))
-    assert np.array_equal(G, (H @ np.ones(6)) - c)
+    Mt = suite.M.transpose(0, 2, 1)
+    assert np.allclose(H, Mt @ suite.M, rtol=0, atol=1e-14)
+    assert np.array_equal(c, (Mt @ suite.b[:, :, None])[:, :, 0])
+    ref = solve_reference(suite)
+    for cost in (RunCosts(suite, ref.x_star, ref.f_star), RunCosts(suite)):
+        assert cost.Hbar is Hbar
+    assert suite.gram is gram and suite.gram_eigh is eig
+    assert calls == ["eigvalsh", "eigh"]
+    X = np.random.default_rng(2).standard_normal((4, 6))
+    assert np.array_equal(grad_all(suite, X), (H @ X[:, :, None])[:, :, 0] - c)
 
 
 def test_runs_do_not_step_through_the_public_grad_all(monkeypatch):
@@ -356,6 +381,58 @@ def test_quadratic_constants_match_the_stored_factors(kw):
         assert suite.L_f >= np.linalg.eigvalsh(Hi)[-1] * (1 - 1e-12)
 
 
+def _count_mean_calls(monkeypatch) -> dict:
+    """From now on, calls["n"] counts the calls of costs.mean_value and
+    costs.mean_grad."""
+    calls = {"n": 0}
+    for name in ("mean_value", "mean_grad"):
+        fn = getattr(costs, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls["n"] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(costs, name, counted)
+    return calls
+
+
+def _column_scaled_suite(decades):
+    # columns scaled over some decades: kappa(Hbar) is about 10^(2 decades)
+    base = generate_suite("quadratic_pl", n=6, d=10, seed=5)
+    M = base.M * np.logspace(0, -decades, 10)
+    b = np.einsum("nrd,d->nr", M, np.random.default_rng(6).standard_normal(10))
+    suite = CostSuite("quadratic_pl", 6, 10, 5, M=M, b=b)
+    suite.L_f = float(np.linalg.eigvalsh(suite.gram[0])[:, -1].max())
+    return suite
+
+
+@pytest.mark.parametrize("kw", _QUAD_SHAPES + [4, 6])
+def test_quadratic_minimiser_is_the_least_squares_solution(kw, monkeypatch):
+    # the Gram solve with one Newton step against the SVD of the stacked
+    # factors: the same (minimum-norm) point, with a gradient no larger, and
+    # certified by the reference solve without a descent step.  An int kw is
+    # a column-scaled instance; at kappa(Hbar) = 1e12 the SVD oracle is
+    # itself 5.5e-12 off the exact solution, and nu_pl's 1e-9 eigenvalue
+    # cutoff would drop directions of Hbar that are not round-off.
+    if isinstance(kw, int):
+        suite = _column_scaled_suite(kw)
+        lam = np.linalg.eigvalsh(suite.gram[2])
+        assert 0.1 <= lam[-1] / lam[0] / 10.0 ** (2 * kw) <= 10.0
+    else:
+        suite = generate_suite("quadratic_pl", n=6, d=10, seed=5, **kw)
+    rtol = 1e-10 if kw == 6 else 1e-12
+    x_ls = least_squares(suite)
+    x = costs._quadratic_minimiser(suite)
+    assert np.linalg.norm(x - x_ls) <= rtol * np.linalg.norm(x_ls)
+    tol = 1e-9
+    gn_ls = np.linalg.norm(mean_grad(suite, x_ls))
+    assert np.linalg.norm(mean_grad(suite, x)) <= max(gn_ls, tol)
+    calls = _count_mean_calls(monkeypatch)
+    ref = solve_reference(suite, tol=tol)
+    assert ref.certified and np.array_equal(ref.x_star, x)
+    assert calls["n"] <= 4
+
+
 def test_quadratic_reference_uses_extra_starts():
     suite = generate_suite("quadratic_pl", n=5, d=6, seed=8, consistent=False)
     extra = [np.full(6, 3.0), -np.ones(6)]
@@ -368,15 +445,7 @@ def test_quadratic_reference_uses_extra_starts():
 
 def test_quadratic_reference_evaluation_count(monkeypatch):
     suite = generate_suite("quadratic_pl", n=20, d=30, seed=3, consistent=False)
-    calls = {"n": 0}
-    for name in ("mean_value", "mean_grad"):
-        fn = getattr(costs, name)
-
-        def counted(*args, _fn=fn, **kwargs):
-            calls["n"] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(costs, name, counted)
+    calls = _count_mean_calls(monkeypatch)
     ref = solve_reference(suite, tol=1e-9)
     assert ref.certified
     assert 1 <= calls["n"] <= 5
@@ -463,15 +532,7 @@ def test_paper_reference_evaluation_count(monkeypatch):
     # lock-step descent: one stacked call per iteration and per backtracking
     # round, not one per start (1359 calls when run start by start)
     suite = generate_suite("logistic_log", n=20, d=50, seed=202, scale=0.1)
-    calls = {"n": 0}
-    for name in ("mean_value", "mean_grad"):
-        fn = getattr(costs, name)
-
-        def counted(*args, _fn=fn, **kwargs):
-            calls["n"] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(costs, name, counted)
+    calls = _count_mean_calls(monkeypatch)
     assert solve_reference(suite).certified
     assert calls["n"] <= 150
 

@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -511,6 +512,51 @@ def test_cli_gnuplot_helper(tmp_path):
     assert cli.main(["run", str(cfg_path), "--gnuplot"]) == 0
     script = (tmp_path / "g" / "gp__plot.gnuplot").read_text()
     assert "gp__dgt_exact.csv" in script
+
+
+class _DiskFull:
+    """A text file whose first write stores half its text, then raises."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def write(self, text):
+        self.f.write(text[: len(text) // 2])
+        self.f.flush()
+        raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("command", ["run", "replicate-section5"])
+def test_cli_gnuplot_script_appears_whole_or_not_at_all(tmp_path, monkeypatch,
+                                                        command):
+    real = cli._replacing
+
+    @contextmanager
+    def failing(path):
+        with real(path) as f:
+            assert path.with_name(path.name + ".tmp").is_file()
+            yield _DiskFull(f)
+
+    monkeypatch.setattr(cli, "_replacing", failing)
+    out = tmp_path / "g"
+    if command == "run":
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "scenario": "gp", "iters": 30,
+            "network": {"n": 5, "edge_density": 0.7},
+            "cost": {"kind": "quadratic_pl", "d": 4},
+            "seeds": {"graph": 4, "cost": 5, "algo": 6},
+            "output_dir": str(out),
+            "algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}}))
+        argv = ["run", str(cfg_path), "--gnuplot"]
+    else:
+        argv = ["replicate-section5", "--iters", "20", "--gnuplot",
+                "--out", str(out)]
+    with pytest.raises(OSError, match="no space left"):
+        cli.main(argv)
+    names = [p.name for p in out.iterdir()]
+    assert any(name.endswith(".csv") for name in names)
+    assert not [name for name in names if "gnuplot" in name]
 
 
 
