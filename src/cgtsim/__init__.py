@@ -2,7 +2,7 @@
 
 Decentralized nonconvex optimization over doubly stochastic mixing networks
 with three compressed tracker variants, pluggable compression operators,
-certified parameter regions, Lyapunov descent monitors, and transmitted-bit
+certified parameter regions, a recorded Lyapunov column, and transmitted-bit
 accounting.
 """
 

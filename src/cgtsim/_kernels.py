@@ -1,4 +1,6 @@
-"""Iteration kernels: one numpy stepper per update rule and a block recorder.
+"""Iteration kernels: the compressor kernel, one step function per update
+rule, and the driver and block recorder that build and record every run from
+its rule's description (``algorithms.RULES``) without branching on its name.
 
 Compressor randomness comes from a counter-based splitmix64 stream: the draws
 of one message depend only on (seed, iteration, agent, slot).  Runs are
@@ -23,55 +25,45 @@ solve): one batched matrix-vector product a step and one d x d product a row;
 ``costs`` states the memory and the crossover below about d/3 factor rows.
 
 State blocks.  Each x/y twin of the update rules is one contiguous (2, n, d)
-block, x in slot 0 and y in slot 1: X|Y, A|C, B|D, Ex|Ey (alg1/alg2),
-Xhat|Yhat, V|Z (alg3).  All messages of one step form one (m, n, d) block
-along a slot axis: Qx, Qy (m = 2), then alg2's error-feedback Qhx, Qhy
-(m = 4).  A step makes one compressor-kernel call over that block, one
+block, x in slot 0 and y in slot 1: X|Y, then the twins the rule describes:
+A|C, B|D, Ex|Ey (alg1/alg2), Xhat|Yhat, V|Z (alg3).  All messages of one
+step form one (m, n, d) block along a slot axis, one slot per message the
+rule names: Qx, Qy (m = 2), then alg2's error-feedback Qhx, Qhy (m = 4).
+A step makes one compressor-kernel call over that block, one
 ``np.matmul(W, Q)`` and one update per twin, written in place into the
 run's blocks.  The stacked matmul still makes one gemm per slot and every
 elementwise update rounds as the per-array update did, so traces and states
 are bitwise those of updating each half of a twin on its own.  The kernel's
 draws for slot j of a block started at ``slot`` are keyed by slot + j.
 
-The steppers only step.  One block recorder (``_BlockRecorder``) takes
-each row's state and, every B rows, computes the trace rows, the state
-history and the diag maxima for the whole block at once.  Its batched
-products make the same BLAS call per row as recording row by row, so the
-result is bitwise equal to per-step recording.  B = clamp(1 MiB // bytes per
-recorded row, 1, 64) follows from n*d and the number of (n, d) arrays a row
-records: 3 for dgt, 7 for alg1 and alg3, 9 under the EF Lyapunov weight
-(the alg2 default).  Storing twins as blocks records the same bytes a row,
-so B is what it was per array.  At n=20, d=50 that is 43, 18 and 14; B is 1
-once a row passes 512 KiB (n*d above about 22000 for dgt and 9400 for
-alg1/alg3).  At B = 1 rows are recorded straight from the state blocks,
-before the next step overwrites them.  A non-finite row ends the run at that
-row: the steps already taken past it inside the block are discarded by
-replaying from a copy of the block's first row.
+The steppers only step.  The block recorder takes each row's state and,
+every B rows, computes the trace rows, the state history and the invariant
+maxima for the whole block at once.  Its batched products make the same
+BLAS call per row as recording row by row, so the result is bitwise equal
+to per-step recording.  B = clamp(1 MiB // bytes per recorded row, 1, 64)
+follows from n*d and the number of (n, d) arrays a row records: X|Y, G and
+the twins the rule records, so 3 for dgt, 7 for alg1 and alg3 and 9 for
+alg2, whose Ex|Ey enter its Lyapunov function.  Storing twins as blocks
+records the same bytes a row, so B is what it was per array.  At n=20, d=50
+that is 43, 18 and 14; B is 1 once a row passes 512 KiB (n*d above about
+22000 for dgt and 9400 for alg1/alg3).  At B = 1 rows are recorded straight
+from the state blocks, before the next step overwrites them.  A non-finite
+row ends the run at that row: the steps already taken past it inside the
+block are discarded by replaying from a copy of the block's first row.
 
 Shared conventions:
 
 * agent states are stacked row-wise, shape (n, d)
 * metric arrays hold one record per iteration index 0..iters
-* ``diag`` collects running maxima of the runtime invariants:
-  0 mean-x recursion residual, 1 relative mean-y tracking residual,
-  2/3 structural accumulator residuals, 4/5 scaled-difference induction
-  ratios, 6 post-update compression error ratio
-* status codes: 0 ok, 1 non-finite state, 2 scaling underflow
+* a run's ``diag`` maps each runtime invariant its rule lists (named and
+  defined in ``algorithms.DIAG_NAMES``) to its running maximum
+* a run ends "ok", "nonfinite_state" (a non-finite row) or
+  "scaling_exhausted" (the next scale s(k) would underflow)
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-STATUS_OK = 0
-STATUS_NONFINITE = 1
-STATUS_SCALE_UNDERFLOW = 2
-
-# compressor kind codes (see compressors.KIND_CODES)
-K_IDENTITY, K_NORM_SIGN, K_UNIFORM, K_ONE_BIT = 0, 1, 2, 3
-K_SPARSIFY_TOP, K_SPARSIFY_RAND, K_RAND_QUANT = 4, 5, 6
-
-LYAP_FULL, LYAP_EF, LYAP_CONSENSUS, LYAP_SCALED = 0, 1, 2, 3
 
 _SCALE_FLOOR = 1e-300
 
@@ -118,31 +110,33 @@ def _msg_base_np(seed: int, k: int, n: int, slot) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # compression
 
-def _compress_block_np(kind, p1, p2, ip, Xin, seed, k, slot):
-    """Compress an (m, n, d) message block: ``Xin[j]`` holds the n agents'
-    inputs of message slot ``slot + j``."""
+def _compress_block_np(spec, Xin, seed, k, slot):
+    """Compress an (m, n, d) message block with the operator ``spec`` (a
+    ``compressors.CompressorSpec``): ``Xin[j]`` holds the n agents' inputs
+    of message slot ``slot + j``."""
     m, n, d = Xin.shape
-    if kind == K_IDENTITY:
+    kind = spec.kind
+    if kind == "identity":
         return Xin.copy()
-    if kind == K_NORM_SIGN:  # +-a/2; a row of zeros gives +0.0 unmasked
+    if kind == "norm_sign":  # +-a/2; a row of zeros gives +0.0 unmasked
         a = np.abs(Xin).max(axis=2, keepdims=True)
         out = np.subtract(Xin >= 0.0, 0.5)
         out *= a
         out[np.isnan(a[:, :, 0])] = 0.0
         return out
-    if kind == K_UNIFORM:  # p1 * floor(Xin / p1 + 0.5), in one array
-        out = Xin / p1
+    if kind == "uniform_quantize":  # delta * floor(Xin / delta + 0.5)
+        out = Xin / spec.delta
         out += 0.5
         np.floor(out, out=out)
-        out *= p1
+        out *= spec.delta
         return out
-    if kind == K_ONE_BIT:
+    if kind == "one_bit":
         return np.subtract(Xin >= 0.0, 0.5)
     slots = np.arange(slot, slot + m)
-    if kind == K_RAND_QUANT:
+    if kind == "random_quantize":
         a = np.max(np.abs(Xin), axis=2, keepdims=True)
         safe = np.where(a > 0.0, a, 1.0)
-        h = 2.0 * safe / (ip - 1)
+        h = 2.0 * safe / (spec.levels - 1)
         t = (Xin + safe) / h
         lo = np.floor(t)
         bases = _msg_base_np(seed, k, n, slots)
@@ -151,20 +145,22 @@ def _compress_block_np(kind, p1, p2, ip, Xin, seed, k, slot):
         return np.where(a > 0.0, lvl * h - safe, 0.0)
     X = Xin.reshape(m * n, d)  # sparsify: one row per (slot, agent)
     rows = np.arange(m * n)
-    if kind == K_SPARSIFY_TOP:
-        keep = np.argsort(-np.abs(X), axis=1, kind="stable")[:, :ip]
-    else:  # K_SPARSIFY_RAND
-        # the first ip steps of a Fisher-Yates shuffle, all rows at once
+    keep_k = spec.keep_k
+    if spec.sparsify_mode == "top":
+        keep = np.argsort(-np.abs(X), axis=1, kind="stable")[:, :keep_k]
+    else:
+        # the first keep_k steps of a Fisher-Yates shuffle, all rows at once
         bases = _msg_base_np(seed, k, n, slots).ravel()
         idx = np.tile(np.arange(d), (m * n, 1))
-        for t in range(ip):
+        for t in range(keep_k):
             u = _u01_np(bases + np.uint64(t))
             j = np.minimum(t + (u * (d - t)).astype(np.int64), d - 1)
             idx[rows, t], idx[rows, j] = idx[rows, j], idx[rows, t]
-        keep = idx[:, :ip]
+        keep = idx[:, :keep_k]
     rows = rows[:, None]
     out = np.zeros_like(X)
-    out[rows, keep] = X[rows, keep] * p2
+    out[rows, keep] = X[rows, keep] * (spec.d / keep_k if spec.rescale
+                                       else 1.0)
     return out.reshape(Xin.shape)
 
 
@@ -246,27 +242,40 @@ def _raise_max(diag, i, vals):
 
 
 class _BlockRecorder:
-    """Trace rows and diag maxima of one run, computed B rows at once.
+    """Trace rows and invariant maxima of one run of ``rule``, B rows at once.
 
-    Row k is the run state before step k as a list of blocks that starts
-    X|Y, G and goes on with the run's other recorded blocks: alg1 A|C, B|D
-    (then Ex|Ey under the EF Lyapunov weight), alg3 Xhat|Yhat, V|Z.  ``row``
-    is the first such list; it fixes the block shapes.  The diagnostics of
-    step k (diag 0; alg3 diag 2, 3 and 6) are read off rows k and k+1.
-    Steppers update their blocks in place, so at B = 1 a row is read before
-    the next step and alg3 keeps a copy of the X it needs from it.
+    Row k is the run state before step k as a list of blocks: X|Y, G and the
+    first ``rule.recorded`` twins.  ``row`` is the first such list; it fixes
+    the block shapes.  Twin 0 of a compressed rule is its reference (A|C,
+    Xhat|Yhat) and twin 1 the accumulator meant to equal (I - W) times it
+    (B|D, V|Z); alg2's Ex|Ey is twin 2.  The Lyapunov column is
+    c + phi_w t plus the rule's terms: the gap weighted by ``aux`` under
+    "consensus" (1.0 gives the consensus function, the scaled one else),
+    the compression errors and the gap under "full", and those and ``aux``
+    times the error-feedback sum under "ef".  A scaled rule checks the
+    accumulators after each step, read off rows k and k+1 like the mean-x
+    recursion; the others check them at each finite row.  Steppers update
+    their blocks in place, so at B = 1 a row is read before the next step
+    and a scaled rule keeps a copy of the X it needs from it.
     """
 
-    def __init__(self, algo, row, cost, W, eta, lyap_kind, phi_w, phi_aux,
-                 out, s_arr=None, ip_norm=0):
+    def __init__(self, rule, row, cost, W, eta, phi_w, aux, iters,
+                 record_states=False, s_arr=None, ip_norm=0):
         n, d = row[1].shape
         self.B = _block_rows(sum(a.size for a in row) // (n * d), n, d)
-        self.algo, self.nblk, self.cost, self.W = algo, len(row), cost, W
-        self.eta, self.lyap_kind = eta, lyap_kind
-        self.phi_w, self.phi_aux = phi_w, phi_aux
-        self.out, self.s_arr, self.ip_norm = out, s_arr, ip_norm
-        # slot 0 carries the row before the block (its agent means, and alg3's
-        # X); rows go to slots 1..B.  At B = 1 rows are not copied.
+        self.rule, self.nblk, self.cost, self.W = rule, len(row), cost, W
+        self.eta, self.phi_w, self.aux = eta, phi_w, aux
+        self.s_arr, self.ip_norm = s_arr, ip_norm
+        # consensus_err, opt_gap, stationarity and lyapunov, row by row; the
+        # x and y history when recorded
+        self.cols = np.zeros((4, iters + 1))
+        hist_rows = iters + 1 if record_states else 0
+        self.Xh = np.zeros((hist_rows, n, d))
+        self.Yh = np.zeros((hist_rows, n, d))
+        self.diag = dict.fromkeys(rule.invariants, 0.0)
+        # slot 0 carries the row before the block (its agent means, and a
+        # scaled rule's X); rows go to slots 1..B.  At B = 1 rows are not
+        # copied.
         self.means = np.empty((2, self.B + 1, d))
         self.buf = ([np.empty((self.B + 1,) + a.shape) for a in row]
                     if self.B > 1 else None)
@@ -297,7 +306,7 @@ class _BlockRecorder:
                         st[:] = start
                         for kk in range(k_start, bad):
                             step(kk, st)
-                    return STATUS_NONFINITE, bad
+                    return "nonfinite_state", bad
             if k < last:
                 step(k, st)
         return end_status, last
@@ -312,7 +321,7 @@ class _BlockRecorder:
 
     def flush(self):
         """Record the pushed rows; returns the first non-finite row or None."""
-        b, k0, W, diag = self.fill, self.k0, self.W, self.out[4]
+        b, k0, W, diag, rule = self.fill, self.k0, self.W, self.diag, self.rule
         if self.buf is None:
             R = [a[None] for a in self.rows]
             Xp = None if self.prev_x is None else self.prev_x[None]
@@ -323,62 +332,61 @@ class _BlockRecorder:
         (X, Y), G = R[0].swapaxes(0, 1), R[1]
         xbar, ybar, c, t, g, s, ytr = _metrics_rows(self.cost, X, Y, G)
         L = c + self.phi_w * t
-        if self.algo == "alg1":
-            (A, C), (B, D) = R[2].swapaxes(0, 1), R[3].swapaxes(0, 1)
-        elif self.algo == "alg3":
-            (Xhat, Yhat), (V, Z) = R[2].swapaxes(0, 1), R[3].swapaxes(0, 1)
-        if self.algo == "alg1" and self.lyap_kind in (LYAP_FULL, LYAP_EF):
-            L = L + _sums((X - A) ** 2) + _sums((Y - C) ** 2) + g
-            if self.lyap_kind == LYAP_EF:
-                Ex, Ey = R[4].swapaxes(0, 1)
-                L = L + self.phi_aux * (_sums(Ex * Ex) + _sums(Ey * Ey))
-        elif self.lyap_kind == LYAP_SCALED:
-            L = L + self.phi_aux * g
+        if rule.lyapunov == "consensus":
+            L = L + self.aux * g
         else:
-            L = L + g
+            A, C = R[2].swapaxes(0, 1)
+            L = L + _sums((X - A) ** 2) + _sums((Y - C) ** 2) + g
+            if rule.lyapunov == "ef":
+                Ex, Ey = R[4].swapaxes(0, 1)
+                L = L + self.aux * (_sums(Ex * Ex) + _sums(Ey * Ey))
         bad = np.flatnonzero(~np.isfinite(c + t + g + s))
         nok = int(bad[0]) if bad.size else b  # rows that pass the check
         keep = min(nok + 1, b)                # rows that enter the trace
-        cons, gap, stat, lyap, _, Xh, Yh = self.out
         rows = slice(k0, k0 + keep)
+        cons, gap, stat, lyap = self.cols
         cons[rows], gap[rows], stat[rows], lyap[rows] = (
             c[:keep], g[:keep], s[:keep], L[:keep])
-        if Xh.shape[0] > 0:
-            Xh[rows] = X[:keep]
-            Yh[rows] = Y[:keep]
+        if self.Xh.shape[0] > 0:
+            self.Xh[rows] = X[:keep]
+            self.Yh[rows] = Y[:keep]
 
         ok = slice(0, nok)
-        _raise_max(diag, 1, ytr[ok])
-        if nok and self.algo == "alg1":
-            _raise_max(diag, 2, _struct_resid_rows(B[ok], A[ok], W))
-            _raise_max(diag, 3, _struct_resid_rows(D[ok], C[ok], W))
-        elif nok and self.algo == "alg3":
+        _raise_max(diag, "mean_y_tracking", ytr[ok])
+        if nok and rule.scaled:
+            Xhat, Yhat = R[2].swapaxes(0, 1)
             sk = self.s_arr[k0:k0 + nok]
-            _raise_max(diag, 4, _row_norm_max_rows(X[ok] - Xhat[ok],
-                                                   self.ip_norm) / sk)
-            _raise_max(diag, 5, _row_norm_max_rows(Y[ok] - Yhat[ok],
-                                                   self.ip_norm) / sk)
+            _raise_max(diag, "induction_x", _row_norm_max_rows(
+                X[ok] - Xhat[ok], self.ip_norm) / sk)
+            _raise_max(diag, "induction_y", _row_norm_max_rows(
+                Y[ok] - Yhat[ok], self.ip_norm) / sk)
+        elif nok and "struct_x" in diag:
+            (A, C), (B, D) = R[2].swapaxes(0, 1), R[3].swapaxes(0, 1)
+            _raise_max(diag, "struct_x", _struct_resid_rows(B[ok], A[ok], W))
+            _raise_max(diag, "struct_y", _struct_resid_rows(D[ok], C[ok], W))
 
-        # step k0 + j - 1 leads into row j: diag 0 needs the agent means of
-        # both rows; alg3's post-update residuals use row j's Xhat, Yhat, V, Z
+        # step k0 + j - 1 leads into row j: the mean-x recursion needs the
+        # agent means of both rows; a scaled rule's post-update residuals use
+        # row j's Xhat, Yhat, V, Z
         self.means[0, 1:b + 1] = xbar
         self.means[1, 1:b + 1] = ybar
         steps = slice(1 if k0 == 0 else 0, keep)
         if keep > steps.start:
             want = self.means[0, steps] - self.eta * self.means[1, steps]
-            _raise_max(diag, 0, _norms(xbar[steps] - want))
-            if self.algo == "alg3":
-                Xhat, Yhat, V, Z = (a[steps] for a in (Xhat, Yhat, V, Z))
-                _raise_max(diag, 2, _struct_resid_rows(V, Xhat, W))
-                _raise_max(diag, 3, _struct_resid_rows(Z, Yhat, W))
-                _raise_max(diag, 6, _row_norm_max_rows(Xp[steps] - Xhat,
-                                                       self.ip_norm)
-                           / self.s_arr[k0 - 1 + steps.start:k0 - 1 + keep])
+            _raise_max(diag, "mean_x_recursion", _norms(xbar[steps] - want))
+            if rule.scaled:
+                Xhat, Yhat = R[2][steps].swapaxes(0, 1)
+                V, Z = R[3][steps].swapaxes(0, 1)
+                _raise_max(diag, "struct_x", _struct_resid_rows(V, Xhat, W))
+                _raise_max(diag, "struct_y", _struct_resid_rows(Z, Yhat, W))
+                _raise_max(diag, "compression_ratio", _row_norm_max_rows(
+                    Xp[steps] - Xhat, self.ip_norm)
+                    / self.s_arr[k0 - 1 + steps.start:k0 - 1 + keep])
         if nok < b:
             return k0 + nok
 
         self.means[:, 0] = self.means[:, b]
-        if self.algo == "alg3":
+        if rule.scaled:
             if self.buf is None:
                 self.prev_x = self.rows[0][0].copy()
             else:
@@ -389,32 +397,25 @@ class _BlockRecorder:
         return None
 
 
-# Each stepper evaluates gradients through ``cost`` (a ``costs.RunCosts``),
-# records rows 0..iters of one run into ``record`` (the recorder's cons, gap,
-# stat, lyap, diag, Xh, Yh arrays) and returns (status, k_done, final): final
-# maps the StackedState fields of the run to its last state, one distinct
-# array per field.  A step updates the state blocks in place.  Its scratch is
-# ``tmp``, one (2, n, d) block, and ``buf``, one slot per message: ``buf``
-# takes W @ Q, then, once that is spent, the step's other temporaries and the
-# next messages' inputs.  Both are bound as default arguments, so the step's
-# in-place operators act on them.  Only G and the message block are new
-# arrays, which keeps the live arrays of a large-n run near those of
-# updating each twin half on its own.
+# Step functions: ``rule.step(rule, st, W, p, cost, comp, seed, s_arr)``
+# returns the rule's ``step(k, st)``, which takes the run's state list ``st``
+# (X|Y, G, the rule's twins, then its message block) from row k to row k+1.
+# It evaluates gradients through ``cost`` (a ``costs.RunCosts``) and updates
+# the state blocks in place.  Its scratch is ``tmp``, one (2, n, d) block, and
+# ``buf``, one slot per message: ``buf`` takes W @ Q, then, once that is
+# spent, the step's other temporaries and the next messages' inputs.  Both
+# are bound as default arguments, so the step's in-place operators act on
+# them.  Only G and the message block are new arrays, which keeps the live
+# arrays of a large-n run near those of updating each twin half on its own.
 
-def _run_alg1_np(X0, W, eta, gamma, phix, phiy, varsigma, use_ef,
-                 ckind, cp1, cp2, cip, seed, cost,
-                 lyap_kind, phi_w, phi_aux, iters, record):
-    n, d = X0.shape
-    G = cost.grad(X0)
-    XY = np.stack([X0, G])
-    Q = _compress_block_np(ckind, cp1, cp2, cip, XY, seed, 0, 0)
-    if use_ef:  # the first EF messages are the first messages
-        Q = np.concatenate([Q, Q])
-    # X|Y, G, A|C, B|D, Ex|Ey, Qx|Qy[|Qhx|Qhy]
-    st = [XY, G, *(np.zeros((2, n, d)) for _ in range(3)), Q]
-    phi = np.array([phix, phiy])[:, None, None]
+def _alg1_step(rule, st, W, p, cost, comp, seed, s_arr):
+    """alg1, and alg2 (``rule.feedback``)."""
+    n, d = st[1].shape
+    eta, gamma, varsigma = p.eta, p.gamma, p.varsigma
+    use_ef = rule.feedback
+    phi = np.array([p.phi_x, p.phi_y])[:, None, None]
 
-    def step(k, st, tmp=np.empty((2, n, d)), buf=np.empty_like(Q)):
+    def step(k, st, tmp=np.empty((2, n, d)), buf=np.empty_like(st[5])):
         XY, G, AC, BD, E, Q = st
         mixQ = _mix(W, Q, buf)
         Qs, mixQs = (Q[2:], mixQ[2:]) if use_ef else (Q, mixQ)
@@ -441,27 +442,14 @@ def _run_alg1_np(X0, W, eta, gamma, phix, phiy, varsigma, use_ef,
             h = np.multiply(varsigma, E, out=buf[2:])
             h += XY
             h -= AC
-        st[5] = _compress_block_np(ckind, cp1, cp2, cip, buf, seed, k + 1, 0)
+        st[5] = _compress_block_np(comp, buf, seed, k + 1, 0)
 
-    rec = _BlockRecorder("alg1", st[:5 if lyap_kind == LYAP_EF else 4],
-                         cost, W, eta, lyap_kind, phi_w, phi_aux, record)
-    status, k_done = rec.run(st, step, iters, STATUS_OK)
-    XY, _, AC, BD, E, Q = st
-    return status, k_done, {
-        "x": XY[0], "y": XY[1], "a": AC[0], "b": BD[0], "c": AC[1],
-        "dd": BD[1], "ex": E[0], "ey": E[1], "qx": Q[0], "qy": Q[1],
-        **dict(zip(("qhx", "qhy"), Q[2:]))}  # alg2's EF messages only
+    return step
 
 
-def _run_alg3_np(X0, W, eta, gamma, s_arr, ip_norm,
-                 ckind, cp1, cp2, cip, seed, cost,
-                 lyap_kind, phi_w, phi_aux, iters, record):
-    n, d = X0.shape
-    G = cost.grad(X0)
-    XY = np.stack([X0, G])
-    # X|Y, G, Xhat|Yhat, V|Z, Qx|Qy
-    st = [XY, G, np.zeros((2, n, d)), np.zeros((2, n, d)),
-          _compress_block_np(ckind, cp1, cp2, cip, XY / s_arr[0], seed, 0, 0)]
+def _alg3_step(rule, st, W, p, cost, comp, seed, s_arr):
+    n, d = st[1].shape
+    eta, gamma = p.eta, p.gamma
 
     def step(k, st, tmp=np.empty((2, n, d)), buf=np.empty((2, n, d))):
         XY, G, Hat, VZ, Q = st
@@ -480,26 +468,15 @@ def _run_alg3_np(X0, W, eta, gamma, s_arr, ip_norm,
         XY[1] -= G
         cin = np.subtract(XY, Hat, out=tmp)  # the next messages' inputs
         cin /= s_arr[k + 1]
-        st[4] = _compress_block_np(ckind, cp1, cp2, cip, cin, seed, k + 1, 0)
+        st[4] = _compress_block_np(comp, cin, seed, k + 1, 0)
 
-    # the run stops before the first step whose next scale underflows
-    below = np.flatnonzero(s_arr[1:] < _SCALE_FLOOR)
-    last = int(below[0]) if below.size else iters
-    rec = _BlockRecorder("alg3", st[:4], cost, W, eta, lyap_kind, phi_w,
-                         phi_aux, record, s_arr, ip_norm)
-    status, k_done = rec.run(st, step, last, STATUS_SCALE_UNDERFLOW
-                             if last < iters else STATUS_OK)
-    XY, _, Hat, VZ, Q = st
-    return status, k_done, {
-        "x": XY[0], "y": XY[1], "xhat": Hat[0], "yhat": Hat[1], "v": VZ[0],
-        "z": VZ[1], "qx": Q[0], "qy": Q[1]}
+    return step
 
 
-def _run_dgt_np(X0, W, eta, gamma, cost, phi_w, iters, record):
-    G = cost.grad(X0)
-    st = [np.stack([X0, G]), G]  # X|Y, G
+def _dgt_step(rule, st, W, p, cost, comp, seed, s_arr):
+    eta, gamma = p.eta, p.gamma
 
-    def step(k, st, tmp=np.empty_like(st[0]), ey=np.empty_like(X0)):
+    def step(k, st, tmp=np.empty_like(st[0]), ey=np.empty_like(st[1])):
         XY, G = st
         _mix(W, XY, tmp)
         np.subtract(XY, tmp, out=tmp)
@@ -511,7 +488,39 @@ def _run_dgt_np(X0, W, eta, gamma, cost, phi_w, iters, record):
         XY[1] += Gn
         XY[1] -= G
 
-    rec = _BlockRecorder("dgt", st, cost, W, eta, LYAP_CONSENSUS, phi_w, 0.0,
-                         record)
-    status, k_done = rec.run(st, step, iters, STATUS_OK)
-    return status, k_done, {"x": st[0][0], "y": st[0][1]}
+    return step
+
+
+def run_rule(rule, X0, W, p, comp, seed, cost, iters, phi_w, aux,
+             record_states=False, s_arr=None, ip_norm=0):
+    """Run ``rule`` (an ``algorithms.Rule``) for ``iters`` steps from X0.
+
+    X|Y starts at X0 and its gradients and every twin at zero.  A
+    compressed rule's first messages compress X|Y, divided by s(0) for a
+    scaled rule; alg2's first error-feedback messages are its first
+    messages.  A scaled rule stops before the first step whose next scale
+    underflows.  Returns (status, k_done, recorder, final): the recorder
+    holds the trace columns, the history and the invariant maxima, and
+    final maps ``rule.final`` to the last state, one distinct array per
+    field.
+    """
+    n, d = X0.shape
+    G = cost.grad(X0)
+    XY = np.stack([X0, G])
+    st = [XY, G, *(np.zeros((2, n, d)) for _ in rule.twins)]
+    if rule.classes:
+        Q = _compress_block_np(comp, XY / s_arr[0] if rule.scaled else XY,
+                               seed, 0, 0)
+        st.append(np.concatenate([Q, Q]) if rule.feedback else Q)
+    step = rule.step(rule, st, W, p, cost, comp, seed, s_arr)
+    last, end_status = iters, "ok"
+    if rule.scaled:
+        below = np.flatnonzero(s_arr[1:] < _SCALE_FLOOR)
+        if below.size:
+            last, end_status = int(below[0]), "scaling_exhausted"
+    rec = _BlockRecorder(rule, st[:2 + rule.recorded], cost, W, p.eta,
+                         phi_w, aux, iters, record_states, s_arr, ip_norm)
+    status, k_done = rec.run(st, step, last, end_status)
+    # x, y, the twins' halves and the message slots, in rule.final order
+    halves = (a for block in st[:1] + st[2:] for a in block)
+    return status, k_done, rec, dict(zip(rule.final, halves))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -20,11 +21,6 @@ from . import _kernels as kern
 from .compressors import CompressorSpec
 from .costs import CostSuite, RunCosts
 from .graph import Network
-
-ALGORITHMS = ("alg1", "alg2", "alg3", "dgt")
-
-# messages broadcast per agent per iteration
-MESSAGES_PER_AGENT = {"alg1": 2, "alg2": 4, "alg3": 2, "dgt": 2}
 
 DIAG_NAMES = (
     "mean_x_recursion",      # || mean X(k+1) - (mean X(k) - eta mean Y(k)) ||
@@ -34,8 +30,61 @@ DIAG_NAMES = (
     "induction_x",           # max_i ||X_i(k) - Xhat_i(k-1)||_p / s(k)
     "induction_y",
     "compression_ratio",     # max_i ||X_i(k) - Xhat_i(k)||_p / s(k)
-    "reserved",
 )
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One update rule, described once: ``_kernels.run_rule`` builds its runs
+    around ``step`` (its step function in ``_kernels``), the block recorder
+    reads its Lyapunov terms and invariants, and the bit ledger bills one
+    message per slot."""
+
+    name: str
+    step: Callable
+    classes: tuple      # compressor classes it is certified for; () if exact
+    messages: tuple     # the StackedState field sent in each message slot
+    twins: tuple        # (2, n, d) blocks after X|Y, zero at the start
+    recorded: int       # how many of the twins a trace row reads
+    lyapunov: str       # "full", "ef" or "consensus" (sidecar names)
+    aux: float | None   # weight of its weighted Lyapunov term: the
+                        # default, and fixed for an exact rule
+    invariants: tuple   # the runtime invariants (DIAG_NAMES) it checks
+    params: tuple       # the AlgorithmParams fields it reads
+    scaled: bool = False  # it sends (X - Xhat) / s(k), s(k) = s0 mu^k
+
+    @property
+    def final(self) -> tuple:
+        """The StackedState fields of its final state: x, y, the twins and,
+        if it compresses, the messages."""
+        fields = ("x", "y") + tuple(f for pair in self.twins for f in pair)
+        return fields + self.messages if self.classes else fields
+
+    @property
+    def feedback(self) -> bool:
+        """Whether it sends error-feedback messages besides Qx, Qy (alg2)."""
+        return self.lyapunov == "ef"
+
+
+_RELATIVE_TWINS = (("a", "c"), ("b", "dd"), ("ex", "ey"))
+_STRUCT = DIAG_NAMES[:4]
+
+RULES = {rule.name: rule for rule in (
+    Rule("alg1", kern._alg1_step, ("relative",), ("qx", "qy"),
+         _RELATIVE_TWINS, 2, "full", None, _STRUCT,
+         ("eta", "gamma", "phi_x", "phi_y")),
+    Rule("alg2", kern._alg1_step, ("relative",),
+         ("qx", "qy", "qhx", "qhy"), _RELATIVE_TWINS, 3, "ef", 0.0, _STRUCT,
+         ("eta", "gamma", "phi_x", "phi_y", "varsigma")),
+    Rule("alg3", kern._alg3_step, ("global_absolute", "local_absolute"),
+         ("qx", "qy"), (("xhat", "yhat"), ("v", "z")), 2, "consensus", 1.0,
+         DIAG_NAMES, ("eta", "gamma", "s0", "mu"), scaled=True),
+    Rule("dgt", kern._dgt_step, (), ("x", "y"), (), 0, "consensus", 1.0,
+         DIAG_NAMES[:2], ("eta", "gamma")),
+)}
+
+# messages broadcast per agent per iteration
+MESSAGES_PER_AGENT = {name: len(rule.messages) for name, rule in RULES.items()}
 
 
 class AlgorithmError(ValueError):
@@ -57,19 +106,19 @@ class AlgorithmParams:
     mu: float = 0.98
 
     def validate(self, algo: str) -> None:
+        reads = RULES[algo].params
         if self.eta <= 0 or self.gamma <= 0:
             raise AlgorithmError("eta and gamma must be positive")
         if self.gamma >= 1:
             raise AlgorithmError("gamma must stay below 1 for contraction")
-        if algo in ("alg1", "alg2") and (self.phi_x <= 0 or self.phi_y <= 0):
+        if "phi_x" in reads and (self.phi_x <= 0 or self.phi_y <= 0):
             raise AlgorithmError("phi_x and phi_y must be positive")
-        if algo == "alg2" and self.varsigma < 0:
+        if "varsigma" in reads and self.varsigma < 0:
             raise AlgorithmError("varsigma must be nonnegative")
-        if algo == "alg3":
-            if self.s0 <= 0:
-                raise AlgorithmError("s0 must be positive")
-            if not 0.0 < self.mu < 1.0:
-                raise AlgorithmError("mu must lie in (0, 1)")
+        if "s0" in reads and self.s0 <= 0:
+            raise AlgorithmError("s0 must be positive")
+        if "mu" in reads and not 0.0 < self.mu < 1.0:
+            raise AlgorithmError("mu must lie in (0, 1)")
 
 
 @dataclass
@@ -134,43 +183,50 @@ def scaling_sequence(s0: float, mu: float, iters: int) -> np.ndarray:
     return np.asarray(vals, dtype=np.float64)
 
 
-_STATUS = {kern.STATUS_OK: "ok",
-           kern.STATUS_NONFINITE: "nonfinite_state",
-           kern.STATUS_SCALE_UNDERFLOW: "scaling_exhausted"}
-
-
 def run(algo: str, iters: int, net: Network, suite: CostSuite,
         params: AlgorithmParams, comp: CompressorSpec | None = None, *,
         seed: int = 0, x0: np.ndarray | None = None, f_star: float = 0.0,
-        x_star: np.ndarray | None = None, lyap_kind: int | None = None,
-        lyap_phi: float = 0.0, lyap_aux: float = 0.0, bits_per_iter: int = 0,
+        x_star: np.ndarray | None = None, lyap_phi: float = 0.0,
+        lyap_aux: float | None = None, bits_per_iter: int = 0,
         record_states: bool = False) -> RunTrace:
     """Execute one synchronous run and return its dense trace.
 
-    The run is stepped by the one numpy stepper of ``algo`` in ``_kernels``,
-    which records the trace in blocks of rows.  ``seed`` feeds only the
-    compressor randomness: agent i's message in slot s at iteration k is
-    row i of ``compress(comp, inputs, seed=seed, k=k, slot=s)``.
+    The run is built from the rule's description (``RULES[algo]``) by
+    ``_kernels.run_rule``, which records the trace in blocks of rows.
+    ``seed`` feeds only the compressor randomness: agent i's message in slot
+    s at iteration k is row i of ``compress(comp, inputs, seed=seed, k=k,
+    slot=s)``.  ``comp`` is ignored by a rule that sends exact messages.
     ``f_star`` is the reference value the optimality gap is measured from and
     ``x_star`` the point it is attained at, if known; quadratic gaps are
     anchored there, or at the minimiser solved from the suite's Gram without
     it (see ``costs.RunCosts``).
-    ``lyap_phi``/``lyap_aux`` are the weight constants of the Lyapunov
-    variant selected by ``lyap_kind``; sensible defaults are chosen per
-    algorithm when not given.
+    The rule fixes its Lyapunov function.  ``lyap_phi`` weights its tracking
+    error and ``lyap_aux`` its weighted term: alg2's error-feedback sum
+    (default 0, and 0 for an infinite weight) or alg3's optimality gap
+    (default 1, the consensus function; another weight gives the scaled
+    one).  alg1's function has no weighted term, and dgt's consensus
+    function fixes its gap weight at 1, so neither takes ``lyap_aux``.
     """
-    if algo not in ALGORITHMS:
+    rule = RULES.get(algo) if isinstance(algo, str) else None
+    if rule is None:
         raise AlgorithmError(f"unknown algorithm {algo!r}")
     if iters < 1:
         raise AlgorithmError("iters must be >= 1")
     if suite.n != net.n:
         raise AlgorithmError("network and cost suite disagree on n")
     params.validate(algo)
-    if algo != "dgt":
+    if rule.classes:
         if comp is None:
             raise AlgorithmError(f"{algo} needs a compressor spec")
         if comp.d != suite.d:
             raise AlgorithmError("compressor dimensioned for a different d")
+    if lyap_aux is None:
+        lyap_aux = rule.aux
+    elif rule.aux is None or not rule.classes:
+        raise AlgorithmError(f"{algo}'s Lyapunov function has no weight to "
+                             "set")
+    elif not math.isfinite(lyap_aux):
+        lyap_aux = 0.0  # exact compressors: the weighted terms are identically 0
 
     n, d = net.n, suite.d
     if x0 is None:
@@ -179,66 +235,35 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
     if x0.shape != (n, d):
         raise AlgorithmError(f"x0 must have shape {(n, d)}")
 
-    if lyap_kind is None:
-        lyap_kind = {"alg1": kern.LYAP_FULL, "alg2": kern.LYAP_EF,
-                     "alg3": kern.LYAP_CONSENSUS,
-                     "dgt": kern.LYAP_CONSENSUS}[algo]
-    if not math.isfinite(lyap_aux):
-        lyap_aux = 0.0  # exact compressors: the weighted terms are identically 0
-
-    W = np.ascontiguousarray(net.W, dtype=np.float64)
-    cost = RunCosts(suite, x_star, f_star)
-    m_rows = iters + 1
-    cons = np.zeros(m_rows)
-    gapv = np.zeros(m_rows)
-    stat = np.zeros(m_rows)
-    lyap = np.zeros(m_rows)
-    diag = np.zeros(8)
-    hist_rows = m_rows if record_states else 0
-    Xh = np.zeros((hist_rows, n, d))
-    Yh = np.zeros((hist_rows, n, d))
-    useed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    record = (cons, gapv, stat, lyap, diag, Xh, Yh)
-
-    s_vals = None
-    if algo in ("alg1", "alg2"):
-        ck, cp1, cp2, cip = comp.kind_code, *comp.kernel_params()
-        status, k_done, final = kern._run_alg1_np(
-            x0, W, params.eta, params.gamma, params.phi_x, params.phi_y,
-            params.varsigma, 1 if algo == "alg2" else 0,
-            ck, cp1, cp2, cip, useed, cost,
-            lyap_kind, lyap_phi, lyap_aux, iters, record)
-    elif algo == "alg3":
-        ck, cp1, cp2, cip = comp.kind_code, *comp.kernel_params()
+    s_vals, ip_norm = None, 0
+    if rule.scaled:
         s_vals = scaling_sequence(params.s0, params.mu, iters)
         ip_norm = 0 if math.isinf(comp.p_norm) else 1
-        status, k_done, final = kern._run_alg3_np(
-            x0, W, params.eta, params.gamma, s_vals, ip_norm,
-            ck, cp1, cp2, cip, useed, cost,
-            lyap_kind, lyap_phi, lyap_aux, iters, record)
-    else:
-        status, k_done, final = kern._run_dgt_np(
-            x0, W, params.eta, params.gamma, cost, lyap_phi, iters, record)
+    status, k_done, rec, final = kern.run_rule(
+        rule, x0, np.ascontiguousarray(net.W, dtype=np.float64), params,
+        comp if rule.classes else None, np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
+        RunCosts(suite, x_star, f_star), iters, lyap_phi, lyap_aux,
+        record_states, s_vals, ip_norm)
 
     rows = k_done + 1
     ks = np.arange(rows, dtype=np.int64)
-    trace = RunTrace(
+    cons, gap, stat, lyap = (col[:rows].copy() for col in rec.cols)
+    return RunTrace(
         algo=algo,
         k=ks,
-        consensus_err=cons[:rows].copy(),
-        opt_gap=gapv[:rows].copy(),
-        stationarity=stat[:rows].copy(),
-        lyapunov=lyap[:rows].copy(),
+        consensus_err=cons,
+        opt_gap=gap,
+        stationarity=stat,
+        lyapunov=lyap,
         bits=ks * int(bits_per_iter),
-        status=_STATUS[int(status)],
-        failed_at=None if status == kern.STATUS_OK else k_done,
-        diagnostics=dict(zip(DIAG_NAMES, diag.tolist())),
+        status=status,
+        failed_at=None if status == "ok" else k_done,
+        diagnostics={name: float(v) for name, v in rec.diag.items()},
         final_state=StackedState(**final),
-        x_hist=Xh[:rows].copy() if record_states else None,
-        y_hist=Yh[:rows].copy() if record_states else None,
+        x_hist=rec.Xh[:rows].copy() if record_states else None,
+        y_hist=rec.Yh[:rows].copy() if record_states else None,
         s_values=s_vals[:rows].copy() if s_vals is not None else None,
     )
-    return trace
 
 
 def practical_params(algo: str, *, s0: float = 1.0, mu: float = 0.98) -> AlgorithmParams:

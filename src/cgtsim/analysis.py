@@ -1,8 +1,8 @@
-"""Certified parameter regions, Lyapunov weights and descent checks.
+"""Certified parameter regions and Lyapunov weights.
 
 Every named constant of the convergence analysis is computed in exactly one
 place here and exported by name in the bounds' ``constants`` table, so the
-parameter calculator, the runtime descent monitors, and the tests all read the
+parameter calculator, the runs' Lyapunov column and the tests all read the
 same formulas.  Constant-table vocabulary:
 
 * ``c1, c2``              mixing-times-compression gains phi_x psi r / 2 etc.
@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .compressors import CompressorSpec
 
@@ -306,7 +304,7 @@ def bounds_absolute_global(sigma: float, L: float, n: int, d: int,
 
     (eta, gamma) reuse the relative-class region at the reference
     parameterization; any mu in (0, 1) is admissible.  The constants table
-    carries the geometric slack coefficient for the descent monitor:
+    carries the geometric slack coefficient of the Lyapunov descent check:
     slack(k) = breve_theta8 * s(k)^2 with
     breve_theta8 = 2 n d_tilde^2 xi8 (1 + 2 L^2).
     """
@@ -427,44 +425,3 @@ def bounds_scaled_local(sigma: float, L: float, nu: float, phi_c: float,
     return ParameterBounds(regime="scaled_local", gamma_max=gamma_max, gamma=g,
                          eta_max=eta_max, eta=eta, s0_min=s0_min, s0=s0_min,
                          mu_min=mu_min, mu=mu, constants=consts)
-
-
-def check_descent(values, slack=0.0) -> dict:
-    """Per-step monotonicity check V(k+1) <= V(k) + slack(k).
-
-    slack may be a scalar or a per-step array (length len(values)-1 or
-    len(values); the entry at index k applies to the k -> k+1 transition).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    diffs = np.diff(values)
-    slack_arr = np.broadcast_to(np.asarray(slack, dtype=np.float64),
-                                (len(values),))[: len(diffs)]
-    excess = diffs - slack_arr
-    bad = np.nonzero(excess > 0)[0]
-    return {
-        "ok": len(bad) == 0,
-        "first_violation": int(bad[0]) if len(bad) else None,
-        "max_violation": float(excess.max()) if len(excess) else 0.0,
-        "steps": len(diffs),
-    }
-
-
-def sample_mean_descent(runs: list, slack=0.0) -> dict:
-    """Expectation-form descent over replicate traces: mean path descends
-    within three standard errors of the step differences."""
-    if len(runs) < 2:
-        raise AnalysisError("need at least two replicate runs")
-    mat = np.vstack([np.asarray(r, dtype=np.float64) for r in runs])
-    diffs = np.diff(mat, axis=1)
-    mean_diff = diffs.mean(axis=0)
-    se = diffs.std(axis=0, ddof=1) / math.sqrt(mat.shape[0])
-    slack_arr = np.broadcast_to(np.asarray(slack, dtype=np.float64),
-                                (mat.shape[1],))[: diffs.shape[1]]
-    excess = mean_diff - slack_arr - 3.0 * se
-    bad = np.nonzero(excess > 0)[0]
-    return {
-        "ok": len(bad) == 0,
-        "first_violation": int(bad[0]) if len(bad) else None,
-        "max_violation": float(excess.max()),
-        "replicates": mat.shape[0],
-    }

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .algorithms import AlgorithmError, initial_point
+from .algorithms import RULES, AlgorithmError, initial_point
 from .compressors import CompressorError, spec_from_config, verify_assumption
 from .costs import CostError, solve_reference
 from .graph import GraphError
@@ -108,7 +108,7 @@ def _cmd_bounds(args) -> int:
     tables = {"sigma": net.sigma, "L_f": suite.L_f, "nu_pl": suite.nu_pl,
               "cells": {}}
     for cell in cfg.cells:
-        if cell.algo == "dgt":
+        if not RULES[cell.algo].classes:  # exact messages: no table
             continue
         comp = spec_from_config(cell.compressor, suite.d)
         label = cell.resolved_label()

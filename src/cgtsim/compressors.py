@@ -34,17 +34,6 @@ RELATIVE = "relative"
 GLOBAL_ABSOLUTE = "global_absolute"
 LOCAL_ABSOLUTE = "local_absolute"
 
-# integer codes shared with the iteration kernels
-KIND_CODES = {
-    "identity": 0,
-    "norm_sign": 1,
-    "uniform_quantize": 2,
-    "one_bit": 3,
-    "random_sparsify": 4,  # top mode; random mode is 5
-    "random_quantize": 6,
-}
-
-
 class CompressorError(ValueError):
     pass
 
@@ -97,25 +86,10 @@ class CompressorSpec:
                 f"unknown assumption class {self.assumption_class!r}")
 
     @property
-    def kind_code(self) -> int:
-        if self.kind == "random_sparsify" and self.sparsify_mode == "random":
-            return 5
-        return KIND_CODES[self.kind]
-
-    @property
     def is_deterministic(self) -> bool:
-        return self.kind_code not in (5, 6)
-
-    def kernel_params(self) -> tuple[float, float, int]:
-        """(float param, rescale factor, int param) consumed by kernels."""
-        if self.kind == "uniform_quantize":
-            return self.delta, 1.0, 0
-        if self.kind == "random_sparsify":
-            rs = self.d / self.keep_k if self.rescale else 1.0
-            return 0.0, rs, self.keep_k
-        if self.kind == "random_quantize":
-            return 0.0, 1.0, self.levels
-        return 0.0, 1.0, 0
+        return not (self.kind == "random_quantize"
+                    or (self.kind == "random_sparsify"
+                        and self.sparsify_mode == "random"))
 
 
 def make_compressor(kind: str, d: int, *, delta: float = 2.0, keep_k: int = 0,
@@ -262,8 +236,7 @@ def compress(spec: CompressorSpec, x: np.ndarray, *, seed: int = 0,
         raise CompressorError(
             "compress takes a vector, an (n, d) stack or an (m, n, d) block")
     q = _kernels._compress_block_np(
-        spec.kind_code, *spec.kernel_params(),
-        x.reshape((1,) * (3 - x.ndim) + x.shape),
+        spec, x.reshape((1,) * (3 - x.ndim) + x.shape),
         np.uint64(seed & 0xFFFFFFFFFFFFFFFF), k, slot)
     return q.reshape(x.shape)
 

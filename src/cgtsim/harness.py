@@ -13,11 +13,9 @@ configuration.  Reruns with the same config are byte-identical.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +23,7 @@ import numpy as np
 from . import analysis
 from .algorithms import (
     MESSAGES_PER_AGENT,
+    RULES,
     AlgorithmParams,
     RunTrace,
     auto_s0,
@@ -35,10 +34,13 @@ from .algorithms import (
 from .compressors import (
     BitCostModel,
     CompressorSpec,
+    _finite,
+    _is_int,
     bit_cost,
+    make_compressor,
     spec_from_config,
 )
-from .costs import generate_suite, solve_reference
+from .costs import generate_suite, grad_all, mean_value, solve_reference
 from .graph import generate_network
 
 CSV_HEADER = "k,consensus_err,opt_gap,stationarity,lyapunov,bits"
@@ -55,13 +57,24 @@ _COST_OPTIONS = {
     "abs_m": _BOOL,
     "consistent": _BOOL,
     "normalize": _BOOL,
-    "rows": ("a positive int",
-             lambda v: (isinstance(v, numbers.Integral)
-                        and not isinstance(v, bool) and v >= 1)),
-    "scale": ("a finite number",
-              lambda v: (isinstance(v, numbers.Real)
-                         and not isinstance(v, bool) and math.isfinite(v))),
+    "rows": ("a positive int", lambda v: _is_int(v) and v >= 1),
+    "scale": ("a finite number", _finite),
 }
+
+# the keys of the other config sections
+_NETWORK_KEYS = ("n", "edge_density", "topology")
+_SEED_KEYS = ("graph", "cost", "algo")
+_BIT_MODEL_KEYS = ("bits_scalar", "bits_int")
+_PARAM_KEYS = tuple(f.name for f in fields(AlgorithmParams))
+
+
+def _check_keys(section: str, value, keys) -> None:
+    """``value`` must be a mapping whose keys are all in ``keys``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{section} must be a mapping, not {value!r}")
+    bad = set(value) - set(keys)
+    if bad:
+        raise ConfigError(f"unknown {section} keys: {sorted(bad)}")
 
 
 @dataclass
@@ -110,6 +123,14 @@ class ExperimentConfig:
         except TypeError as exc:
             raise ConfigError(f"bad cell entry: {exc}") from None
         bm = doc.pop("bit_model", {})
+        _check_keys("bit_model", bm, _BIT_MODEL_KEYS)
+        for key, value in bm.items():
+            if not _is_int(value):
+                raise ConfigError(f"bit_model {key!r} must be an int, not "
+                                  f"{value!r}")
+        broadcast = doc.pop("broadcast", True)
+        if not isinstance(broadcast, bool):
+            raise ConfigError(f"broadcast must be a bool, not {broadcast!r}")
         try:
             cfg = ExperimentConfig(
                 scenario=doc.pop("scenario"),
@@ -121,7 +142,7 @@ class ExperimentConfig:
                 cells=cells,
                 bit_model=BitCostModel(bits_scalar=bm.get("bits_scalar", 64),
                                        bits_int=bm.get("bits_int", 4)),
-                broadcast=bool(doc.pop("broadcast", True)),
+                broadcast=broadcast,
                 output_dir=doc.pop("output_dir", "out"),
                 fstar_tol=float(doc.pop("fstar_tol", 1e-9)),
             )
@@ -141,7 +162,9 @@ class ExperimentConfig:
             raise ConfigError("iters must be >= 1")
         if self.threshold <= 0:
             raise ConfigError("threshold must be positive")
-        for key in ("graph", "cost", "algo"):
+        _check_keys("seeds", self.seeds, _SEED_KEYS)
+        _check_keys("network", self.network, _NETWORK_KEYS)
+        for key in _SEED_KEYS:
             if key not in self.seeds:
                 raise ConfigError(f"missing seed {key!r}")
         for key in ("n", "edge_density"):
@@ -166,16 +189,54 @@ class ExperimentConfig:
             if not ok(value):
                 raise ConfigError(f"cost {key!r} must be {what}, not "
                                   f"{value!r}")
-        for cell in self.cells:
-            if cell.algo not in MESSAGES_PER_AGENT:
+        for cell in self.cells:  # checked before any output
+            rule = RULES.get(cell.algo) if isinstance(cell.algo, str) else None
+            if rule is None:
                 raise ConfigError(f"unknown algorithm {cell.algo!r}")
             if cell.mode not in ("practical", "certified"):
                 raise ConfigError(f"unknown mode {cell.mode!r}")
-            if cell.algo != "dgt" and cell.compressor is None:
+            if rule.classes and cell.compressor is None:
                 raise ConfigError(f"cell {cell.resolved_label()} needs a "
                                   "compressor")
-            if cell.compressor is not None:  # checked before any output
+            if not rule.classes and cell.compressor is not None:
+                raise ConfigError(f"{cell.algo} sends exact messages and "
+                                  "takes no compressor")
+            if cell.compressor is not None:
                 spec_from_config(cell.compressor, int(self.cost["d"]))
+            if not isinstance(cell.force_params, bool):
+                raise ConfigError(f"cell {cell.resolved_label()}: "
+                                  "force_params must be a bool, not "
+                                  f"{cell.force_params!r}")
+            _check_params(cell, rule)
+        labels = [cell.resolved_label() for cell in self.cells]
+        dup = sorted({lab for lab in labels if labels.count(lab) > 1})
+        if dup:
+            raise ConfigError(f"cells share the labels {dup}; each cell "
+                              "needs its own output files")
+
+
+def _check_params(cell: CellConfig, rule) -> None:
+    """Each params key must be an AlgorithmParams field that the rule reads,
+    with a finite real value that AlgorithmParams accepts for the rule."""
+    label = cell.resolved_label()
+    if not isinstance(cell.params, dict):
+        raise ConfigError(f"cell {label}: params must be a mapping, not "
+                          f"{cell.params!r}")
+    for key, value in cell.params.items():
+        if key not in _PARAM_KEYS:
+            raise ConfigError(f"cell {label}: unknown params key {key!r}")
+        if key not in rule.params:
+            raise ConfigError(f"cell {label}: {rule.name} does not read "
+                              f"params key {key!r}")
+        if not _finite(value):
+            raise ConfigError(f"cell {label}: params {key!r} must be a "
+                              f"finite number, not {value!r}")
+    base = practical_params(rule.name)
+    merged = AlgorithmParams(**{**vars(base), **cell.params})
+    try:
+        merged.validate(rule.name)
+    except ValueError as exc:
+        raise ConfigError(f"cell {label}: {exc}") from None
 
 
 def upsilon_series(trace: RunTrace) -> np.ndarray:
@@ -207,17 +268,11 @@ def per_iteration_bits(algo: str, comp: CompressorSpec | None,
     return int(net.out_degrees().sum()) * msgs * per_vec
 
 
-_CLASS_FOR_ALGO = {"alg1": ("relative",), "alg2": ("relative",),
-                   "alg3": ("global_absolute", "local_absolute")}
-
-
 def _check_pairing(algo: str, comp: CompressorSpec | None,
                    force: bool) -> None:
-    if algo == "dgt" or comp is None:
+    if comp is None or comp.kind == "identity":
         return
-    if comp.kind == "identity":
-        return
-    allowed = _CLASS_FOR_ALGO[algo]
+    allowed = RULES[algo].classes
     if comp.assumption_class not in allowed and not force:
         raise ConfigError(
             f"{algo} expects a compressor class in {allowed}, got "
@@ -233,12 +288,12 @@ def certified_cell(cell: CellConfig, net, suite, comp, x0, f_star):
     callable giving the reference value; only alg3 with a local-absolute
     compressor calls it, for the initial optimality gap.
 
-    Returns ``(bounds, params, lyap_kind, lyap_aux, extras)``; ``extras``
-    holds the sidecar fields the certification adds.
+    Returns ``(bounds, params, lyap_aux, extras)``: ``lyap_aux`` is the
+    weight of the rule's weighted Lyapunov term, or None for its default,
+    and ``extras`` holds the sidecar fields the certification adds.
     """
     d = suite.d
-    lyap_aux = 0.0
-    lyap_kind = None
+    lyap_aux = None
     extras: dict = {}
     if cell.algo in ("alg1", "alg2"):
         px = cell.params.get("phi_x", 0.5 / comp.r)
@@ -256,11 +311,9 @@ def certified_cell(cell: CellConfig, net, suite, comp, x0, f_star):
                 raise ConfigError(
                     "certified scaled-local runs need a cost with a "
                     "known gradient-dominance constant")
-            y0 = _initial_tracker(suite, x0)
+            y0 = grad_all(suite, x0)
             xbar = x0.mean(axis=0)
             ybar = y0.mean(axis=0)
-            from .costs import mean_value
-
             b = analysis.bounds_scaled_local(
                 net.sigma, suite.L_f, suite.nu_pl, comp.phi_c,
                 comp.p_norm, net.n, d,
@@ -271,7 +324,6 @@ def certified_cell(cell: CellConfig, net, suite, comp, x0, f_star):
                 y0_norm_max=float(np.linalg.norm(y0, axis=1).max()))
             params = AlgorithmParams(eta=b.eta, gamma=b.gamma,
                                      s0=b.s0, mu=b.mu)
-            lyap_kind = 3
             lyap_aux = b.constants["phi_tilde"]
             extras["lyapunov"] = "scaled"
         else:
@@ -284,14 +336,12 @@ def certified_cell(cell: CellConfig, net, suite, comp, x0, f_star):
                                      s0=s0, mu=mu)
             extras["slack_coefficient"] = b.constants["breve_theta8"]
     else:  # certified baseline: reuse the exact-compressor region
-        from .compressors import make_compressor
-
         b = analysis.bounds_relative(net.sigma, suite.L_f,
                                      make_compressor("identity", d),
                                      0.5, 0.5)
         params = AlgorithmParams(eta=b.eta, gamma=b.gamma)
     extras["bounds"] = b.constants
-    return b, params, lyap_kind, lyap_aux, extras
+    return b, params, lyap_aux, extras
 
 
 def _resolve_cell(cell: CellConfig, cfg: ExperimentConfig, net, suite,
@@ -301,61 +351,41 @@ def _resolve_cell(cell: CellConfig, cfg: ExperimentConfig, net, suite,
     if cell.compressor is not None:
         comp = spec_from_config(cell.compressor, suite.d)
     _check_pairing(cell.algo, comp, cell.force_params)
+    rule = RULES[cell.algo]
     phi_w = analysis.lyapunov_weight(net.sigma, suite.L_f)
-    lyap_aux = 0.0
-    lyap_kind = None
-    extras: dict = {"lyapunov": {"alg1": "full", "alg2": "ef",
-                                 "alg3": "consensus",
-                                 "dgt": "consensus"}[cell.algo]}
+    lyap_aux = None
+    extras: dict = {"lyapunov": rule.lyapunov}
 
     if cell.mode == "certified":
-        _, params, lyap_kind, lyap_aux, cert = certified_cell(
+        _, params, lyap_aux, cert = certified_cell(
             cell, net, suite, comp, x0, lambda: f_star)
         extras.update(cert)
     else:
-        base = practical_params(cell.algo)
-        merged = {"eta": base.eta, "gamma": base.gamma, "phi_x": base.phi_x,
-                  "phi_y": base.phi_y, "varsigma": base.varsigma,
-                  "s0": base.s0, "mu": base.mu}
-        merged.update(cell.params)
-        if cell.algo == "alg3" and "s0" not in cell.params:
+        merged = {**vars(practical_params(cell.algo)), **cell.params}
+        if rule.scaled and "s0" not in cell.params:
             merged["s0"] = auto_s0(x0, suite)
         params = AlgorithmParams(**merged)
         if not cell.force_params:
             _certify_practical(cell, cfg, net, suite, comp, params)
-        if cell.algo == "alg2":
+        if rule.lyapunov == "ef":
             try:
                 c1, c2 = analysis.mixing_constants(params.phi_x, params.phi_y,
                                                    comp.r, comp.psi)
                 lyap_aux = analysis.ef_weight(c1, c2, comp.cap_c)
             except analysis.AnalysisError:
                 lyap_aux = 0.0  # heuristic gains outside (0, 1/r): report raw sum
-    return comp, params, phi_w, lyap_kind, lyap_aux, extras
-
-
-def _initial_tracker(suite, x0):
-    from .costs import grad_all
-
-    return grad_all(suite, x0)
+    return comp, params, phi_w, lyap_aux, extras
 
 
 def _certify_practical(cell, cfg, net, suite, comp, params):
     """Reject uncertified parameters unless force_params is set."""
     try:
-        if cell.algo == "alg1":
-            b = analysis.bounds_relative(net.sigma, suite.L_f, comp,
-                                         params.phi_x, params.phi_y)
-            ok = params.gamma < b.gamma_max
-            if ok:
-                ets = analysis.eta_terms_relative(
-                    net.sigma, suite.L_f, b.constants["c1"],
-                    b.constants["c2"], params.gamma)
-                ok = params.eta < min(ets.values())
-        elif cell.algo == "alg2":
-            b = analysis.bounds_error_feedback(net.sigma, suite.L_f, comp,
-                                               params.phi_x, params.phi_y)
-            ok = (params.gamma < b.gamma_max
-                  and params.varsigma < b.varsigma_max)
+        if cell.algo in ("alg1", "alg2"):
+            fn = (analysis.bounds_relative if cell.algo == "alg1"
+                  else analysis.bounds_error_feedback)
+            b = fn(net.sigma, suite.L_f, comp, params.phi_x, params.phi_y)
+            ok = params.gamma < b.gamma_max and (
+                b.varsigma_max is None or params.varsigma < b.varsigma_max)
             if ok:
                 ets = analysis.eta_terms_relative(
                     net.sigma, suite.L_f, b.constants["c1"],
@@ -473,14 +503,13 @@ def run_experiment(cfg: ExperimentConfig, *,
     report_path.unlink(missing_ok=True)
     results: list[CellResult] = []
     baseline: CellResult | None = None
-    for cell, comp, params, phi_w, lyap_kind, lyap_aux, extras in resolved:
+    for cell, comp, params, phi_w, lyap_aux, extras in resolved:
         label = cell.resolved_label()
         bpi = per_iteration_bits(cell.algo, comp, cfg.bit_model, net,
                                  suite.d, cfg.broadcast)
         trace = run(cell.algo, cfg.iters, net, suite, params, comp,
                     seed=int(cfg.seeds["algo"]), x0=x0, f_star=ref.f_star,
-                    x_star=ref.x_star,
-                    lyap_kind=lyap_kind, lyap_phi=phi_w, lyap_aux=lyap_aux,
+                    x_star=ref.x_star, lyap_phi=phi_w, lyap_aux=lyap_aux,
                     bits_per_iter=bpi)
         csv_path = outdir / f"{cfg.scenario}__{label}.csv"
         write_trace_csv(trace, csv_path)
@@ -511,7 +540,7 @@ def run_experiment(cfg: ExperimentConfig, *,
         for key, val in extras.items():
             sidecar[key] = val
         _write_json(sidecar, outdir / f"{cfg.scenario}__{label}.json")
-        if cell.algo == "dgt" and baseline is None:
+        if not RULES[cell.algo].classes and baseline is None:
             baseline = res
         results.append(res)
 

@@ -1,7 +1,8 @@
 """Analysis oracles for the tests: a term-by-term Lyapunov evaluation at a
 final state, the linear-rate envelope of the scaled tracker, the linear rate
 under gradient dominance (``pl_rate``) and least-squares rate fits of a trace
-window (``fit_rate``).
+window (``fit_rate``), and descent checks of a recorded Lyapunov column
+(``check_descent``) and of replicate columns (``sample_mean_descent``).
 
 The runs record the Lyapunov column batched inside the steppers; this
 evaluates one state from its StackedState fields with ``costs.mean_value``,
@@ -154,3 +155,44 @@ def fit_rate(ks, values, mode: str = "linear",
         return {"rate": float(slope), "r_squared": 1.0, "level": level,
                 "max_dev": float(np.max(np.abs(z - level)))}
     raise AnalysisError(f"unknown fit mode {mode!r}")
+
+
+def check_descent(values, slack=0.0) -> dict:
+    """Per-step monotonicity check V(k+1) <= V(k) + slack(k).
+
+    slack may be a scalar or a per-step array (length len(values)-1 or
+    len(values); the entry at index k applies to the k -> k+1 transition).
+    """
+    values = np.asarray(values, dtype=np.float64)
+    diffs = np.diff(values)
+    slack_arr = np.broadcast_to(np.asarray(slack, dtype=np.float64),
+                                (len(values),))[: len(diffs)]
+    excess = diffs - slack_arr
+    bad = np.nonzero(excess > 0)[0]
+    return {
+        "ok": len(bad) == 0,
+        "first_violation": int(bad[0]) if len(bad) else None,
+        "max_violation": float(excess.max()) if len(excess) else 0.0,
+        "steps": len(diffs),
+    }
+
+
+def sample_mean_descent(runs: list, slack=0.0) -> dict:
+    """Expectation-form descent over replicate traces: mean path descends
+    within three standard errors of the step differences."""
+    if len(runs) < 2:
+        raise AnalysisError("need at least two replicate runs")
+    mat = np.vstack([np.asarray(r, dtype=np.float64) for r in runs])
+    diffs = np.diff(mat, axis=1)
+    mean_diff = diffs.mean(axis=0)
+    se = diffs.std(axis=0, ddof=1) / math.sqrt(mat.shape[0])
+    slack_arr = np.broadcast_to(np.asarray(slack, dtype=np.float64),
+                                (mat.shape[1],))[: diffs.shape[1]]
+    excess = mean_diff - slack_arr - 3.0 * se
+    bad = np.nonzero(excess > 0)[0]
+    return {
+        "ok": len(bad) == 0,
+        "first_violation": int(bad[0]) if len(bad) else None,
+        "max_violation": float(excess.max()),
+        "replicates": mat.shape[0],
+    }

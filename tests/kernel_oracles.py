@@ -10,30 +10,29 @@ kernel's own ``_msg_base_np`` and ``_u01_np``.
 
 import numpy as np
 
-from cgtsim._kernels import (
-    K_IDENTITY, K_NORM_SIGN, K_ONE_BIT, K_RAND_QUANT, K_SPARSIFY_TOP,
-    K_UNIFORM, _msg_base_np, _u01_np)
+from cgtsim._kernels import _msg_base_np, _u01_np
 
 
-def compress_block(kind, p1, p2, ip, Xin, seed, k, slot):
+def compress_block(spec, Xin, seed, k, slot):
     m, n, d = Xin.shape
-    if kind == K_IDENTITY:
+    kind = spec.kind
+    if kind == "identity":
         return Xin.copy()
-    if kind == K_NORM_SIGN:
+    if kind == "norm_sign":
         a = np.abs(Xin).max(axis=2, keepdims=True)
         half = 0.5 * a
         out = np.where(Xin >= 0.0, half, -half)
         out[~(a[:, :, 0] > 0.0)] = 0.0
         return out
-    if kind == K_UNIFORM:
-        return p1 * np.floor(Xin / p1 + 0.5)
-    if kind == K_ONE_BIT:
+    if kind == "uniform_quantize":
+        return spec.delta * np.floor(Xin / spec.delta + 0.5)
+    if kind == "one_bit":
         return np.where(Xin >= 0.0, 0.5, -0.5)
     slots = np.arange(slot, slot + m)
-    if kind == K_RAND_QUANT:
+    if kind == "random_quantize":
         a = np.max(np.abs(Xin), axis=2, keepdims=True)
         safe = np.where(a > 0.0, a, 1.0)
-        h = 2.0 * safe / (ip - 1)
+        h = 2.0 * safe / (spec.levels - 1)
         t = (Xin + safe) / h
         lo = np.floor(t)
         bases = _msg_base_np(seed, k, n, slots)
@@ -42,7 +41,8 @@ def compress_block(kind, p1, p2, ip, Xin, seed, k, slot):
         return np.where(a > 0.0, lvl * h - safe, 0.0)
     X = Xin.reshape(m * n, d)
     rows = np.arange(m * n)
-    if kind == K_SPARSIFY_TOP:
+    ip = spec.keep_k
+    if spec.sparsify_mode == "top":
         keep = np.argsort(-np.abs(X), axis=1, kind="stable")[:, :ip]
     else:
         bases = _msg_base_np(seed, k, n, slots).ravel()
@@ -54,5 +54,5 @@ def compress_block(kind, p1, p2, ip, Xin, seed, k, slot):
         keep = idx[:, :ip]
     rows = rows[:, None]
     out = np.zeros_like(X)
-    out[rows, keep] = X[rows, keep] * p2
+    out[rows, keep] = X[rows, keep] * (spec.d / ip if spec.rescale else 1.0)
     return out.reshape(Xin.shape)

@@ -12,17 +12,14 @@ so the oracle agrees with the steppers up to summation order.
 
 import numpy as np
 
-from cgtsim.algorithms import scaling_sequence
+from cgtsim.algorithms import RULES, scaling_sequence
 from cgtsim.compressors import compress
 from cgtsim.costs import grad
 
 SLOTS = {"qx": 0, "qy": 1, "qhx": 2, "qhy": 3}
 
-# the StackedState fields each algorithm ends with, besides x and y
-FIELDS = {"alg1": ("a", "b", "c", "dd", "ex", "ey", "qx", "qy"),
-          "alg3": ("xhat", "v", "yhat", "z", "qx", "qy"),
-          "dgt": ()}
-FIELDS["alg2"] = FIELDS["alg1"] + ("qhx", "qhy")
+# the StackedState fields each rule ends with, besides x and y
+FIELDS = {name: rule.final[2:] for name, rule in RULES.items()}
 
 
 def _mix(W, i, msgs):

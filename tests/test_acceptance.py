@@ -30,7 +30,7 @@ from cgtsim.harness import (
     run_experiment,
     upsilon_series,
 )
-from analysis_oracles import fit_rate, pl_rate
+from analysis_oracles import check_descent, fit_rate, pl_rate
 from cost_oracles import eval_cost
 from harness_oracles import file_digest
 
@@ -163,7 +163,7 @@ def test_criterion_5_lyapunov_descent(pl_instance):
               AlgorithmParams(eta=b1.eta, gamma=b1.gamma, phi_x=0.2,
                               phi_y=0.2), ns, seed=9, x0=x0,
               f_star=ref.f_star, lyap_phi=b1.constants["phi"])
-    chk1 = analysis.check_descent(tr1.lyapunov, slack=slack0)
+    chk1 = check_descent(tr1.lyapunov, slack=slack0)
     assert chk1["ok"], chk1
     # error-feedback variant with its extended function
     b2 = analysis.bounds_error_feedback(net.sigma, suite.L_f, ns, 0.2, 0.2)
@@ -172,7 +172,7 @@ def test_criterion_5_lyapunov_descent(pl_instance):
                               phi_y=0.2, varsigma=b2.varsigma), ns, seed=9,
               x0=x0, f_star=ref.f_star, lyap_phi=b2.constants["phi"],
               lyap_aux=b2.constants["phi_hat"])
-    chk2 = analysis.check_descent(tr2.lyapunov, slack=slack0)
+    chk2 = check_descent(tr2.lyapunov, slack=slack0)
     assert chk2["ok"], chk2
     # scaled tracker with the geometric additive slack
     uq = make_compressor("uniform_quantize", d=5, delta=2.0)
@@ -186,7 +186,7 @@ def test_criterion_5_lyapunov_descent(pl_instance):
               lyap_phi=b3.constants["phi"])
     svals = scaling_sequence(s0, mu, 2000)
     slack = b3.constants["breve_theta8"] * svals**2 + slack0
-    chk3 = analysis.check_descent(tr3.lyapunov, slack=slack)
+    chk3 = check_descent(tr3.lyapunov, slack=slack)
     assert chk3["ok"], chk3
     _report(5, "certified-parameter Lyapunov descent holds for 2000 "
                "iterations (alg1, alg2 exact; alg3 within its geometric "
@@ -299,7 +299,7 @@ def test_criterion_8_scaled_induction_hypotheses(pl_instance):
     ob = make_compressor("one_bit", d=5)
     tr = run("alg3", 1000, net, suite,
              AlgorithmParams(eta=b.eta, gamma=b.gamma, s0=b.s0, mu=b.mu),
-             ob, seed=9, x0=x0, f_star=ref.f_star, lyap_kind=3,
+             ob, seed=9, x0=x0, f_star=ref.f_star,
              lyap_phi=b.constants["phi"], lyap_aux=b.constants["phi_tilde"])
     assert tr.status == "ok"
     assert tr.diagnostics["induction_x"] <= 1.0 + 1e-12

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from analysis_oracles import sample_mean_descent
 from cgtsim import _kernels
 from cgtsim.algorithms import (
+    MESSAGES_PER_AGENT,
+    RULES,
     AlgorithmError,
     AlgorithmParams,
     auto_s0,
@@ -253,6 +256,19 @@ def test_incompatible_shapes_rejected(small_net):
             AlgorithmParams(eta=0.1, gamma=0.3), None)
 
 
+def test_lyap_aux_only_where_the_rule_has_a_weight_to_set(small_net,
+                                                         small_suite):
+    # alg1's function has no weighted term and dgt's gap weight is fixed at 1
+    p = AlgorithmParams(eta=0.05, gamma=0.3)
+    comp = make_compressor("identity", d=8)
+    for algo, c in (("alg1", comp), ("dgt", None)):
+        with pytest.raises(AlgorithmError, match="no weight to set"):
+            run(algo, 5, small_net, small_suite, p, c, lyap_aux=0.3)
+    for algo in ("alg2", "alg3"):
+        assert len(run(algo, 5, small_net, small_suite, p, comp,
+                       lyap_aux=0.3)) == 6
+
+
 def test_param_validation():
     with pytest.raises(AlgorithmError):
         AlgorithmParams(eta=-0.1, gamma=0.3).validate("dgt")
@@ -298,7 +314,7 @@ def test_expectation_descent_randomized_compressor(small_net):
                  x0=x0, lyap_phi=b.constants["phi"])
         assert tr.status == "ok"
         paths.append(tr.lyapunov)
-    rep = analysis.sample_mean_descent(paths, slack=1e-12)
+    rep = sample_mean_descent(paths, slack=1e-12)
     assert rep["ok"], rep
 
 
@@ -355,25 +371,22 @@ def test_recorder_ignores_rows_after_a_nonfinite_row(small_net, small_suite):
             for _ in range(5)]
     rows[2][0][0, 0] = np.inf  # row 2 is non-finite
     rows[3][1] *= 1e6          # row 3 would raise the tracking maximum
-    cons, gap, stat, lyap = (np.full(5, -1.0) for _ in range(4))
-    diag = np.zeros(8)
     cost = RunCosts(small_suite)
     blocks = [[np.stack(st[:2]), st[2]] for st in rows]  # X|Y, G
-    rec = _kernels._BlockRecorder(
-        "dgt", blocks[0], cost, small_net.W, eta, _kernels.LYAP_CONSENSUS,
-        1.0, 0.0,
-        (cons, gap, stat, lyap, diag, np.zeros((0, n, d)),
-         np.zeros((0, n, d))))
+    rec = _kernels._BlockRecorder(RULES["dgt"], blocks[0], cost, small_net.W,
+                                  eta, 1.0, 1.0, 4)
+    rec.cols[:] = -1.0
     assert rec.B >= 5
     for st in blocks:
         rec.push(st)
     with np.errstate(all="ignore"):
         assert rec.flush() == 2
         want = [metrics_oracle(cost, *st) for st in rows[:3]]
+    cons = rec.cols[0]
     assert not np.isfinite(cons[2]) and np.all(cons[3:] == -1.0)
-    assert diag[1] == max(want[0][6], want[1][6])
+    assert rec.diag["mean_y_tracking"] == max(want[0][6], want[1][6])
     # the steps into rows 1 and 2 count; row 2's mean is infinite
-    assert diag[0] == np.inf
+    assert rec.diag["mean_x_recursion"] == np.inf
 
 
 def _assert_same_run(a, b):
@@ -381,6 +394,7 @@ def _assert_same_run(a, b):
                  "lyapunov", "x_hist", "y_hist"):
         assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
     assert (a.status, a.failed_at) == (b.status, b.failed_at)
+    assert list(a.diagnostics) == list(b.diagnostics)
     assert _bits(list(a.diagnostics.values())) == _bits(
         list(b.diagnostics.values()))
     for name, val in vars(a.final_state).items():
@@ -471,7 +485,8 @@ def test_block_recording_scaling_exhausted_equals_per_row(
 
 
 # Block steppers against the twin-form oracle: every compressor kind, every
-# Lyapunov kind, default blocks (B = 64 here) and B = 1, bitwise.
+# Lyapunov function a rule takes, default blocks (B = 64 here) and B = 1,
+# bitwise.
 
 _TWIN_COMPRESSORS = [
     ("identity", {}),
@@ -484,7 +499,7 @@ _TWIN_COMPRESSORS = [
     ("random_quantize", {"levels": 17}),
     ("uniform_quantize", {"delta": 0.5, "p_norm": 2.0}),
 ]
-_LYAP = dict(lyap_phi=0.7, lyap_aux=0.3)
+_LYAP_PHI = 0.7
 
 
 def _assert_equals_twin(tr, want):
@@ -492,6 +507,7 @@ def _assert_equals_twin(tr, want):
                  "x_hist", "y_hist"):
         assert _bits(getattr(tr, name)) == _bits(want[name]), name
     assert (tr.status, tr.failed_at) == (want["status"], want["failed_at"])
+    assert list(tr.diagnostics) == list(want["diagnostics"])
     assert _bits(list(tr.diagnostics.values())) == _bits(
         list(want["diagnostics"].values()))
     got = {k: v for k, v in vars(tr.final_state).items() if v is not None}
@@ -501,14 +517,14 @@ def _assert_equals_twin(tr, want):
 
 
 def _check_against_twin(monkeypatch, algo, iters, net, suite, p, comp,
-                        lyap_kind, seed=9, x0=None):
+                        lyap_aux=None, seed=9, x0=None):
     x0 = initial_point(net.n, suite.d, 9) if x0 is None else x0
     want = run_twin(algo, iters, net, suite, p, comp, seed, x0,
-                    lyap_kind=lyap_kind, **_LYAP)
+                    lyap_phi=_LYAP_PHI, lyap_aux=lyap_aux)
     with np.errstate(all="ignore"):
         runs = _run_default_and_per_row(monkeypatch, algo, iters, net, suite,
                                         p, comp, seed=seed, x0=x0,
-                                        lyap_kind=lyap_kind, **_LYAP)
+                                        lyap_phi=_LYAP_PHI, lyap_aux=lyap_aux)
     for tr in runs:
         _assert_equals_twin(tr, want)
     return want
@@ -519,11 +535,15 @@ def test_block_steppers_equal_twin_form_oracle(small_net, small_suite,
                                                monkeypatch, algo):
     p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
                         varsigma=0.3, s0=8.0, mu=0.99)
+    # a compressed rule with a weighted Lyapunov term takes its default
+    # weight and 0.3 in turn: alg2's feedback weight, alg3's gap weight
+    # (consensus and scaled)
     cases = [(None, {})] if algo == "dgt" else _TWIN_COMPRESSORS
     for i, (kind, kw) in enumerate(cases):
         comp = None if kind is None else make_compressor(kind, d=8, **kw)
+        aux = 0.3 if i % 2 and RULES[algo].aux is not None else None
         want = _check_against_twin(monkeypatch, algo, 150, small_net,
-                                   small_suite, p, comp, lyap_kind=i % 4)
+                                   small_suite, p, comp, lyap_aux=aux)
         assert want["status"] == "ok", kind
 
 
@@ -542,7 +562,8 @@ def test_block_steppers_equal_twin_form_oracle_when_diverging(
                         varsigma=0.3, s0=8.0, mu=0.99)
     comp = None if kind is None else make_compressor(kind, d=8, **kw)
     want = _check_against_twin(monkeypatch, algo, 500, small_net, suite, p,
-                               comp, lyap_kind=1, seed=1)
+                               comp, lyap_aux=0.3 if algo == "alg2" else None,
+                               seed=1)
     assert want["status"] == "nonfinite_state"
     assert want["failed_at"] % 64
 
@@ -552,18 +573,20 @@ def test_block_stepper_equals_twin_form_oracle_scaling_exhausted(
     p = AlgorithmParams(eta=1e-9, gamma=0.1, s0=1.0, mu=0.1)
     want = _check_against_twin(
         monkeypatch, "alg3", 400, small_net, small_suite, p,
-        make_compressor("uniform_quantize", d=8, delta=2.0), lyap_kind=3)
+        make_compressor("uniform_quantize", d=8, delta=2.0), lyap_aux=0.3)
     assert (want["status"], want["failed_at"]) == ("scaling_exhausted", 300)
 
 
 def test_one_compressor_call_and_one_w_product_per_step(small_net,
                                                         small_suite,
                                                         monkeypatch):
-    calls = {}
+    # and each of them takes one block of MESSAGES_PER_AGENT[algo] message
+    # slots: the bit ledger bills what the steppers send
+    slots = {}
 
     def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
+        def wrapper(*args, **kwargs):  # the block is the second argument
+            slots[name].append(len(args[1]))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -572,10 +595,14 @@ def test_one_compressor_call_and_one_w_product_per_step(small_net,
     monkeypatch.setattr(_kernels, "_mix", counted("mix", _kernels._mix))
     p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
                         varsigma=0.3, s0=8.0, mu=0.99)
+    assert MESSAGES_PER_AGENT == {"alg1": 2, "alg2": 4, "alg3": 2, "dgt": 2}
     for algo, comp in _BLOCK_CASES.items():
-        calls.update(compress=0, mix=0)
+        slots.update(compress=[], mix=[])
         tr = run(algo, 150, small_net, small_suite, p, comp, seed=9)
         assert tr.status == "ok"
-        # one call for the first messages, then one a step
-        assert calls == {"compress": 0 if comp is None else 151,
-                         "mix": 150}, algo
+        m = MESSAGES_PER_AGENT[algo]
+        assert slots["mix"] == [m] * 150, algo
+        # one call for the first messages, whose x and y halves alg2 also
+        # sends as its first feedback messages, then one a step
+        want = [] if comp is None else [2] + [m] * 150
+        assert slots["compress"] == want, algo

@@ -15,7 +15,6 @@ from cgtsim.analysis import (
     bounds_error_feedback,
     bounds_relative,
     bounds_scaled_local,
-    check_descent,
     descent_chain,
     ef_weight,
     lyapunov_weight,
@@ -24,10 +23,12 @@ from cgtsim.analysis import (
     scaled_gap_weight,
 )
 from analysis_oracles import (
+    check_descent,
     fit_rate,
     geometric_tail_bound,
     lyapunov_eval,
     pl_rate,
+    sample_mean_descent,
 )
 from cgtsim.compressors import make_compressor
 from cgtsim.costs import generate_suite, grad_all, solve_reference
@@ -272,16 +273,15 @@ def test_trace_lyapunov_matches_events_evaluator():
     p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
                         varsigma=0.3)
     consts = {"phi": 0.017, "phi_hat": 0.4, "phi_tilde": 1.3}
-    for algo, which, kind, aux in [("alg1", "full", 0, 0.0),
-                                   ("alg2", "ef", 1, 0.4),
-                                   ("alg3", "scaled", 3, 1.3),
-                                   ("dgt", "consensus", 2, 0.0)]:
+    for algo, which, aux in [("alg1", "full", None), ("alg2", "ef", 0.4),
+                             ("alg3", "scaled", 1.3),
+                             ("alg3", "consensus", None),
+                             ("dgt", "consensus", None)]:
         pp = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
                              varsigma=0.3, s0=8.0, mu=0.99)
         tr = run(algo, 60, net, suite, pp,
                  None if algo == "dgt" else comp, seed=3,
-                 f_star=ref.f_star, lyap_kind=kind, lyap_phi=0.017,
-                 lyap_aux=aux)
+                 f_star=ref.f_star, lyap_phi=0.017, lyap_aux=aux)
         val = lyapunov_eval(which, tr.final_state, net, suite, ref.f_star,
                             consts)
         assert tr.lyapunov[-1] == pytest.approx(val.total, rel=1e-9,
@@ -332,12 +332,12 @@ def test_sample_mean_descent():
     rng = np.random.default_rng(0)
     base = np.linspace(10, 1, 40)
     runs = [base + 0.01 * rng.standard_normal(40) for _ in range(32)]
-    assert analysis.sample_mean_descent(runs)["ok"]
+    assert sample_mean_descent(runs)["ok"]
     rising = [np.linspace(1, 10, 40) + 0.01 * rng.standard_normal(40)
               for _ in range(32)]
-    assert not analysis.sample_mean_descent(rising)["ok"]
+    assert not sample_mean_descent(rising)["ok"]
     with pytest.raises(AnalysisError):
-        analysis.sample_mean_descent([base])
+        sample_mean_descent([base])
 
 
 def test_bounds_constants_table_is_complete():

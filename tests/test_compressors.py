@@ -153,7 +153,8 @@ def test_random_sparsify_matches_per_row_shuffle():
                 spec = make_compressor("random_sparsify", d=d, keep_k=keep,
                                        sparsify_mode="random",
                                        rescale=rescale)
-                want = _sparsify_rows_oracle(X, keep, spec.kernel_params()[1],
+                want = _sparsify_rows_oracle(X, keep,
+                                             d / keep if rescale else 1.0,
                                              seed, 5, slot)
                 got = compress(spec, X, seed=seed, k=5, slot=slot)
                 assert got.tobytes() == want.tobytes(), (n, d, seed, slot)
@@ -337,12 +338,13 @@ def test_norm_sign_and_uniform_kernels_on_zero_and_nonfinite_rows():
         a = np.abs(X).max(axis=2, keepdims=True)
         half = 0.5 * a
         want = np.where(a > 0.0, np.where(X >= 0.0, half, -half), 0.0)
-        got = _kernels._compress_block_np(_kernels.K_NORM_SIGN, 0.0, 1.0, 0,
+        got = _kernels._compress_block_np(make_compressor("norm_sign", d=3),
                                           X, np.uint64(0), 0, 0)
         assert got.tobytes() == want.tobytes()
         want = 0.7 * np.floor(X / 0.7 + 0.5)
-        got = _kernels._compress_block_np(_kernels.K_UNIFORM, 0.7, 1.0, 0,
-                                          X, np.uint64(0), 0, 0)
+        got = _kernels._compress_block_np(
+            make_compressor("uniform_quantize", d=3, delta=0.7), X,
+            np.uint64(0), 0, 0)
         assert got.tobytes() == want.tobytes()
 
 
@@ -368,17 +370,19 @@ def test_compressor_kernel_equals_where_formulation(data, m, n, d, seed, k,
         if row is not None:
             X[j, i] = row
     keep = data.draw(st.integers(1, d))
-    cases = [(_kernels.K_IDENTITY, 0.0, 1.0, 0),
-             (_kernels.K_NORM_SIGN, 0.0, 1.0, 0),
-             (_kernels.K_UNIFORM, 0.7, 1.0, 0),
-             (_kernels.K_ONE_BIT, 0.0, 1.0, 0),
-             (_kernels.K_SPARSIFY_TOP, 0.0, 1.0, keep),
-             (_kernels.K_SPARSIFY_RAND, 0.0, d / keep, keep),
-             (_kernels.K_RAND_QUANT, 0.0, 1.0, data.draw(st.integers(2, 33)))]
+    # psi given: random_quantize's default psi needs (levels - 1)^2 > d
+    specs = [make_compressor(kind, d=d, **kw) for kind, kw in [
+        ("identity", {}), ("norm_sign", {}),
+        ("uniform_quantize", {"delta": 0.7}), ("one_bit", {}),
+        ("random_sparsify", {"keep_k": keep}),
+        ("random_sparsify", {"keep_k": keep, "sparsify_mode": "random",
+                             "rescale": True}),
+        ("random_quantize", {"levels": data.draw(st.integers(2, 33)),
+                             "psi": 0.5})]]
     useed = np.uint64(seed)
-    for case in cases:
+    for spec in specs:
         with np.errstate(all="ignore"):
-            got = _kernels._compress_block_np(*case, X, useed, k, slot)
-            want = compress_block(*case, X, useed, k, slot)
+            got = _kernels._compress_block_np(spec, X, useed, k, slot)
+            want = compress_block(spec, X, useed, k, slot)
         assert got.dtype == np.float64 and got.shape == X.shape
-        assert got.tobytes() == want.tobytes(), case
+        assert got.tobytes() == want.tobytes(), spec

@@ -1,5 +1,6 @@
 """Experiment orchestration: metric, bit ledger, reports, CLI contract."""
 
+import dataclasses
 import inspect
 import json
 import math
@@ -13,7 +14,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cgtsim import cli, compressors, harness
-from cgtsim.algorithms import AlgorithmParams, RunTrace, initial_point, run
+from cgtsim.algorithms import (
+    RULES,
+    AlgorithmParams,
+    RunTrace,
+    initial_point,
+    run,
+)
 from cgtsim.compressors import BitCostModel, make_compressor
 from cgtsim.costs import generate_suite, mean_value, solve_reference
 from cgtsim.graph import generate_network
@@ -620,3 +627,107 @@ def test_compressor_option_checks_cover_make_compressor_keywords():
     params = inspect.signature(make_compressor).parameters.values()
     assert set(compressors._CONFIG_OPTIONS) == {
         p.name for p in params if p.kind is p.KEYWORD_ONLY}
+
+
+_NORM_SIGN = {"compressor": {"kind": "norm_sign"}}
+_ONE_BIT = {"compressor": {"kind": "one_bit"}}
+
+
+@pytest.mark.parametrize("cell", [
+    # a key that is no AlgorithmParams field
+    {"algo": "alg1", **_NORM_SIGN, "params": {"etaa": 0.1}},
+    {"algo": "alg1", **_NORM_SIGN, "mode": "certified",
+     "params": {"etaa": 1}},
+    # a value that is not a finite real
+    {"algo": "alg1", **_NORM_SIGN, "force_params": True,
+     "params": {"eta": "0.8"}},
+    {"algo": "alg1", **_NORM_SIGN, "force_params": True,
+     "params": {"eta": True}},
+    {"algo": "alg3", **_ONE_BIT, "force_params": True,
+     "params": {"mu": float("nan")}},
+    {"algo": "alg2", **_NORM_SIGN, "mode": "certified",
+     "params": {"phi_x": float("inf")}},
+    # a key the rule does not read
+    {"algo": "alg1", **_NORM_SIGN, "force_params": True,
+     "params": {"varsigma": 0.3}},
+    {"algo": "alg3", **_ONE_BIT, "force_params": True,
+     "params": {"phi_x": 0.3}},
+    {"algo": "alg2", **_NORM_SIGN, "force_params": True,
+     "params": {"s0": 2.0}},
+    {"algo": "dgt", "label": "dgt_2", "params": {"mu": 0.9}},
+    # values AlgorithmParams rejects for the rule
+    {"algo": "alg1", **_NORM_SIGN, "force_params": True,
+     "params": {"gamma": 1.5}},
+    {"algo": "alg2", **_NORM_SIGN, "force_params": True,
+     "params": {"varsigma": -0.1}},
+    {"algo": "alg3", **_ONE_BIT, "mode": "certified",
+     "params": {"s0": -1.0}},
+    {"algo": "alg3", **_ONE_BIT, "force_params": True,
+     "params": {"mu": 1.5}},
+    {"algo": "alg1", **_NORM_SIGN, "params": ["eta", 0.3]},
+])
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_cli_bad_params_exit_2_before_any_output(tmp_path, cell, command):
+    # a good dgt cell first: a bad later cell must not leave its outputs
+    out = tmp_path / "o"
+    cfg = {
+        "scenario": "cli", "iters": 5,
+        "network": {"n": 5, "edge_density": 0.7},
+        "cost": {"kind": "quadratic_pl", "d": 4},
+        "seeds": {"graph": 4, "cost": 5, "algo": 6},
+        "output_dir": str(out),
+        "cells": [{"algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}},
+                  cell],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main([command, str(cfg_path)]) == 2
+    assert not out.exists()
+
+
+_GOOD_CELLS = [{"algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}},
+               {"algo": "alg1", **_NORM_SIGN, "force_params": True,
+                "params": {"eta": 0.3, "gamma": 0.3}}]
+
+
+@pytest.mark.parametrize("change", [
+    # two cells that would write one CSV, sidecar and report row
+    {"cells": _GOOD_CELLS + _GOOD_CELLS[1:]},
+    {"cells": _GOOD_CELLS + [dict(_GOOD_CELLS[0], label="alg1_norm_sign")]},
+    {"network": {"n": 5, "edge_density": 0.7, "topolgy": "ring"}},
+    {"network": [5, 0.7]},
+    {"seeds": {"graph": 4, "cost": 5, "algo": 6, "init": 7}},
+    {"bit_model": {"bits_scaler": 32}},
+    {"bit_model": 64},
+    {"bit_model": {"bits_scalar": 32.5}},
+    {"broadcast": "false"},
+    {"broadcast": 0},
+    # an exact rule given a compressor, and a forced flag that is no bool
+    {"cells": [dict(_GOOD_CELLS[0], **_NORM_SIGN)]},
+    {"cells": [dict(_GOOD_CELLS[1], force_params="yes")]},
+])
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_cli_bad_config_sections_exit_2_before_any_output(tmp_path, change,
+                                                          command):
+    out = tmp_path / "o"
+    cfg = {
+        "scenario": "cli", "iters": 5,
+        "network": {"n": 5, "edge_density": 0.7},
+        "cost": {"kind": "quadratic_pl", "d": 4},
+        "seeds": {"graph": 4, "cost": 5, "algo": 6},
+        "output_dir": str(out),
+        "cells": _GOOD_CELLS,
+        **change,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main([command, str(cfg_path)]) == 2
+    assert not out.exists()
+
+
+def test_param_checks_cover_algorithm_params_and_rules():
+    fields = {f.name for f in dataclasses.fields(AlgorithmParams)}
+    assert set(harness._PARAM_KEYS) == fields
+    for rule in RULES.values():
+        assert set(rule.params) <= fields
+        assert {"eta", "gamma"} <= set(rule.params)

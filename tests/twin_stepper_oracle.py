@@ -21,7 +21,9 @@ from cgtsim import _kernels
 from cgtsim.algorithms import DIAG_NAMES, scaling_sequence
 from cgtsim.costs import RunCosts
 
-LYAP_FULL, LYAP_EF, LYAP_CONSENSUS, LYAP_SCALED = range(4)
+# the runtime invariants each rule's runs check
+CHECKED = {"alg1": DIAG_NAMES[:4], "alg2": DIAG_NAMES[:4],
+           "alg3": DIAG_NAMES, "dgt": DIAG_NAMES[:2]}
 
 
 # Per-row recording formulas; the recorder's batched helpers must reproduce
@@ -70,10 +72,10 @@ def row_norm_max_oracle(A, ip_norm):
 class _RowRecorder:
     """Trace rows and diag maxima of one run, one row at a time."""
 
-    def __init__(self, algo, cost, W, eta, lyap_kind, phi_w, phi_aux, s_arr,
+    def __init__(self, algo, cost, W, eta, lyap, phi_w, phi_aux, s_arr,
                  ip_norm):
         self.algo, self.cost, self.W, self.eta = algo, cost, W, eta
-        self.lyap_kind, self.phi_w, self.phi_aux = lyap_kind, phi_w, phi_aux
+        self.lyap, self.phi_w, self.phi_aux = lyap, phi_w, phi_aux
         self.s_arr, self.ip_norm = s_arr, ip_norm
         self.cols = {name: [] for name in ("consensus_err", "opt_gap",
                                            "stationarity", "lyapunov",
@@ -90,15 +92,15 @@ class _RowRecorder:
         X, Y, G = st[:3]
         xbar, ybar, c, t, g, s, ytr = metrics_oracle(self.cost, X, Y, G)
         L = c + self.phi_w * t
-        if self.algo == "alg1" and self.lyap_kind in (LYAP_FULL, LYAP_EF):
+        if self.lyap in ("full", "ef"):
             A, C = st[3], st[5]
             L = L + float(((X - A) ** 2).sum()) + float(((Y - C) ** 2).sum())
             L = L + g
-            if self.lyap_kind == LYAP_EF:
+            if self.lyap == "ef":
                 Ex, Ey = st[7], st[8]
                 L = L + self.phi_aux * (float((Ex * Ex).sum())
                                         + float((Ey * Ey).sum()))
-        elif self.lyap_kind == LYAP_SCALED:
+        elif self.lyap == "scaled":
             L = L + self.phi_aux * g
         else:
             L = L + g
@@ -130,9 +132,16 @@ class _RowRecorder:
 
 
 def run_twin(algo, iters, net, suite, p, comp, seed, x0, *, x_star=None,
-             f_star=0.0, lyap_kind, lyap_phi, lyap_aux):
+             f_star=0.0, lyap_phi, lyap_aux=None):
     """The run ``algorithms.run`` makes with these arguments, as a dict of
-    its RunTrace fields (``final`` for ``final_state``)."""
+    its RunTrace fields (``final`` for ``final_state``).  The Lyapunov
+    function is alg1's full one, alg2's error-feedback one (``lyap_aux``
+    weighting the feedback sum, 0 by default) and otherwise the consensus
+    one, or the scaled one when ``lyap_aux`` weights the gap."""
+    lyap = {"alg1": "full", "alg2": "ef"}.get(
+        algo, "consensus" if lyap_aux is None else "scaled")
+    if lyap == "ef" and lyap_aux is None:
+        lyap_aux = 0.0
     W = np.ascontiguousarray(net.W, dtype=np.float64)
     cost = RunCosts(suite, x_star, f_star)
     useed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
@@ -141,9 +150,8 @@ def run_twin(algo, iters, net, suite, p, comp, seed, x0, *, x_star=None,
     s_arr, ip_norm, last = None, 0, iters
 
     def C(Xin, k, slot):
-        return _kernels._compress_block_np(
-            comp.kind_code, *comp.kernel_params(), Xin[None], useed, k,
-            slot)[0]
+        return _kernels._compress_block_np(comp, Xin[None], useed, k,
+                                           slot)[0]
 
     G = cost.grad(x0)
     if algo in ("alg1", "alg2"):
@@ -213,7 +221,6 @@ def run_twin(algo, iters, net, suite, p, comp, seed, x0, *, x_star=None,
     else:
         st = [x0.copy(), G.copy(), G]  # X, Y, G
         names = ("x", "y", "g")
-        lyap_kind = LYAP_CONSENSUS
 
         def step(k, st):
             X, Y, G = st
@@ -222,7 +229,7 @@ def run_twin(algo, iters, net, suite, p, comp, seed, x0, *, x_star=None,
             st[:] = Xn, Y - gamma * (Y - W @ Y) + Gn - G, Gn
         rec_algo = "dgt"
 
-    rec = _RowRecorder(rec_algo, cost, W, eta, lyap_kind, lyap_phi, lyap_aux,
+    rec = _RowRecorder(rec_algo, cost, W, eta, lyap, lyap_phi, lyap_aux,
                        s_arr, ip_norm)
     status, k_done = ("ok" if last == iters else "scaling_exhausted"), last
     with np.errstate(all="ignore"):
@@ -235,6 +242,7 @@ def run_twin(algo, iters, net, suite, p, comp, seed, x0, *, x_star=None,
     out = {name: np.array(v) for name, v in rec.cols.items()}
     out.update(status=status,
                failed_at=None if status == "ok" else k_done,
-               diagnostics=dict(zip(DIAG_NAMES, rec.diag)),
+               diagnostics={name: v for name, v in zip(DIAG_NAMES, rec.diag)
+                            if name in CHECKED[algo]},
                final={name: a for name, a in zip(names, st) if name != "g"})
     return out
