@@ -12,7 +12,7 @@ messages, never against raw neighbour states (the baseline excepted).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -31,60 +31,6 @@ DIAG_NAMES = (
     "induction_y",
     "compression_ratio",     # max_i ||X_i(k) - Xhat_i(k)||_p / s(k)
 )
-
-
-@dataclass(frozen=True)
-class Rule:
-    """One update rule, described once: ``_kernels.run_rule`` builds its runs
-    around ``step`` (its step function in ``_kernels``), the block recorder
-    reads its Lyapunov terms and invariants, and the bit ledger bills one
-    message per slot."""
-
-    name: str
-    step: Callable
-    classes: tuple      # compressor classes it is certified for; () if exact
-    messages: tuple     # the StackedState field sent in each message slot
-    twins: tuple        # (2, n, d) blocks after X|Y, zero at the start
-    recorded: int       # how many of the twins a trace row reads
-    lyapunov: str       # "full", "ef" or "consensus" (sidecar names)
-    aux: float | None   # weight of its weighted Lyapunov term: the
-                        # default, and fixed for an exact rule
-    invariants: tuple   # the runtime invariants (DIAG_NAMES) it checks
-    params: tuple       # the AlgorithmParams fields it reads
-    scaled: bool = False  # it sends (X - Xhat) / s(k), s(k) = s0 mu^k
-
-    @property
-    def final(self) -> tuple:
-        """The StackedState fields of its final state: x, y, the twins and,
-        if it compresses, the messages."""
-        fields = ("x", "y") + tuple(f for pair in self.twins for f in pair)
-        return fields + self.messages if self.classes else fields
-
-    @property
-    def feedback(self) -> bool:
-        """Whether it sends error-feedback messages besides Qx, Qy (alg2)."""
-        return self.lyapunov == "ef"
-
-
-_RELATIVE_TWINS = (("a", "c"), ("b", "dd"), ("ex", "ey"))
-_STRUCT = DIAG_NAMES[:4]
-
-RULES = {rule.name: rule for rule in (
-    Rule("alg1", kern._alg1_step, ("relative",), ("qx", "qy"),
-         _RELATIVE_TWINS, 2, "full", None, _STRUCT,
-         ("eta", "gamma", "phi_x", "phi_y")),
-    Rule("alg2", kern._alg1_step, ("relative",),
-         ("qx", "qy", "qhx", "qhy"), _RELATIVE_TWINS, 3, "ef", 0.0, _STRUCT,
-         ("eta", "gamma", "phi_x", "phi_y", "varsigma")),
-    Rule("alg3", kern._alg3_step, ("global_absolute", "local_absolute"),
-         ("qx", "qy"), (("xhat", "yhat"), ("v", "z")), 2, "consensus", 1.0,
-         DIAG_NAMES, ("eta", "gamma", "s0", "mu"), scaled=True),
-    Rule("dgt", kern._dgt_step, (), ("x", "y"), (), 0, "consensus", 1.0,
-         DIAG_NAMES[:2], ("eta", "gamma")),
-)}
-
-# messages broadcast per agent per iteration
-MESSAGES_PER_AGENT = {name: len(rule.messages) for name, rule in RULES.items()}
 
 
 class AlgorithmError(ValueError):
@@ -119,6 +65,66 @@ class AlgorithmParams:
             raise AlgorithmError("s0 must be positive")
         if "mu" in reads and not 0.0 < self.mu < 1.0:
             raise AlgorithmError("mu must lie in (0, 1)")
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One update rule, described once: ``_kernels.run_rule`` builds its runs
+    around ``step`` (its step function in ``_kernels``), the block recorder
+    reads its Lyapunov terms and invariants, and the bit ledger bills one
+    message per slot."""
+
+    name: str
+    step: Callable
+    classes: tuple      # compressor classes it is certified for; () if exact
+    messages: tuple     # the StackedState field sent in each message slot
+    twins: tuple        # (2, n, d) blocks after X|Y, zero at the start
+    recorded: int       # how many of the twins a trace row reads
+    lyapunov: str       # "full", "ef" or "consensus" (sidecar names)
+    aux: float | None   # weight of its weighted Lyapunov term: the
+                        # default, and fixed for an exact rule
+    invariants: tuple   # the runtime invariants (DIAG_NAMES) it checks
+    params: tuple       # the AlgorithmParams fields it reads
+    practical: AlgorithmParams  # aggressive operating point for
+                                # qualitative experiments
+    scaled: bool = False  # it sends (X - Xhat) / s(k), s(k) = s0 mu^k
+
+    @property
+    def final(self) -> tuple:
+        """The StackedState fields of its final state: x, y, the twins and,
+        if it compresses, the messages."""
+        fields = ("x", "y") + tuple(f for pair in self.twins for f in pair)
+        return fields + self.messages if self.classes else fields
+
+    @property
+    def feedback(self) -> bool:
+        """Whether it sends error-feedback messages besides Qx, Qy (alg2)."""
+        return self.lyapunov == "ef"
+
+
+_RELATIVE_TWINS = (("a", "c"), ("b", "dd"), ("ex", "ey"))
+_STRUCT = DIAG_NAMES[:4]
+
+RULES = {rule.name: rule for rule in (
+    Rule("alg1", kern._alg1_step, ("relative",), ("qx", "qy"),
+         _RELATIVE_TWINS, 2, "full", None, _STRUCT,
+         ("eta", "gamma", "phi_x", "phi_y"),
+         AlgorithmParams(eta=0.8, gamma=0.3, phi_x=0.3, phi_y=0.1)),
+    Rule("alg2", kern._alg1_step, ("relative",),
+         ("qx", "qy", "qhx", "qhy"), _RELATIVE_TWINS, 3, "ef", 0.0, _STRUCT,
+         ("eta", "gamma", "phi_x", "phi_y", "varsigma"),
+         AlgorithmParams(eta=0.8, gamma=0.3, phi_x=0.3, phi_y=0.1,
+                         varsigma=0.3)),
+    Rule("alg3", kern._alg3_step, ("global_absolute", "local_absolute"),
+         ("qx", "qy"), (("xhat", "yhat"), ("v", "z")), 2, "consensus", 1.0,
+         DIAG_NAMES, ("eta", "gamma", "s0", "mu"),
+         AlgorithmParams(eta=0.4, gamma=0.6), scaled=True),
+    Rule("dgt", kern._dgt_step, (), ("x", "y"), (), 0, "consensus", 1.0,
+         DIAG_NAMES[:2], ("eta", "gamma"), AlgorithmParams(eta=0.8, gamma=0.3)),
+)}
+
+# messages broadcast per agent per iteration
+MESSAGES_PER_AGENT = {name: len(rule.messages) for name, rule in RULES.items()}
 
 
 @dataclass
@@ -266,18 +272,15 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
     )
 
 
-def practical_params(algo: str, *, s0: float = 1.0, mu: float = 0.98) -> AlgorithmParams:
-    """Aggressive operating points for qualitative experiments."""
-    if algo == "alg1":
-        return AlgorithmParams(eta=0.8, gamma=0.3, phi_x=0.3, phi_y=0.1)
-    if algo == "alg2":
-        return AlgorithmParams(eta=0.8, gamma=0.3, phi_x=0.3, phi_y=0.1,
-                               varsigma=0.3)
-    if algo == "alg3":
-        return AlgorithmParams(eta=0.4, gamma=0.6, s0=s0, mu=mu)
-    if algo == "dgt":
-        return AlgorithmParams(eta=0.8, gamma=0.3)
-    raise AlgorithmError(f"unknown algorithm {algo!r}")
+def practical_params(algo: str, *, s0: float = 1.0,
+                     mu: float = 0.98) -> AlgorithmParams:
+    """``RULES[algo].practical``, with ``s0`` and ``mu`` for a scaled rule."""
+    rule = RULES.get(algo) if isinstance(algo, str) else None
+    if rule is None:
+        raise AlgorithmError(f"unknown algorithm {algo!r}")
+    if rule.scaled:
+        return replace(rule.practical, s0=s0, mu=mu)
+    return rule.practical
 
 
 def auto_s0(x0: np.ndarray, suite: CostSuite) -> float:

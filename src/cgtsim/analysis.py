@@ -40,7 +40,8 @@ class InfeasibleParameters(AnalysisError):
 
 @dataclass
 class ParameterBounds:
-    regime: str                 # relative | error_feedback | scaled_local
+    regime: str                 # relative | error_feedback |
+                                # absolute_global | scaled_local
     gamma_max: float
     gamma: float
     eta_max: float

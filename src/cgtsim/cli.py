@@ -29,7 +29,8 @@ from .harness import (
     ExperimentConfig,
     _replacing,
     build_instance,
-    certified_cell,
+    cell_region,
+    practical_point,
     reference_scenario_config,
     run_experiment,
 )
@@ -78,10 +79,10 @@ def _cmd_run(args) -> int:
     doc = _apply_seed_override(_load_config(args.config), args.seed)
     if args.out:
         doc["output_dir"] = args.out
-    if args.force:
-        for cell in doc.get("cells", [doc]):
-            cell["force_params"] = True
     cfg = ExperimentConfig.from_dict(doc)
+    if args.force:
+        for cell in cfg.cells:
+            cell.force_params = True
     result = run_experiment(cfg)
     failed = [r for r in result.rows if r.status != "ok"]
     for row in result.rows:
@@ -108,13 +109,16 @@ def _cmd_bounds(args) -> int:
     tables = {"sigma": net.sigma, "L_f": suite.L_f, "nu_pl": suite.nu_pl,
               "cells": {}}
     for cell in cfg.cells:
-        if not RULES[cell.algo].classes:  # exact messages: no table
+        rule = RULES[cell.algo]
+        if not rule.classes:  # exact messages: no table
             continue
         comp = spec_from_config(cell.compressor, suite.d)
         label = cell.resolved_label()
+        inputs = (cell.params if cell.mode == "certified"
+                  else vars(practical_point(cell, suite, x0)))
         try:
-            b = certified_cell(cell, net, suite, comp, x0, f_star)[0]
-        except ConfigError as exc:
+            b = cell_region(rule, comp, inputs, net, suite, x0, f_star)[0]
+        except (ConfigError, analysis.AnalysisError) as exc:
             tables["cells"][label] = {"error": str(exc)}
             continue
         tables["cells"][label] = {

@@ -5,6 +5,18 @@ A config is one human-editable JSON document.  Single-run form (top-level
 network, cost instance, reference value, and initial point, so compressors
 and algorithms are compared on identical footing.
 
+Each cell has one certified region, ``cell_region``, picked by its
+compressor class; ``cgtsim bounds`` prints it.  A ``"certified"`` cell runs
+the region's operating point, and its params may give only the region's
+inputs: ``phi_x``, ``phi_y`` in the relative class, ``s0``, ``mu`` in the
+globally bounded one, none in the locally bounded one or for the exact
+rule.  The region derives ``eta``, ``gamma``, alg2's ``varsigma`` and the
+locally bounded ``s0``, ``mu``; a cell that gives one is a config error.
+A ``"practical"`` cell's params must lie in the region unless
+``force_params`` is set, and with a locally bounded compressor, whose region
+fixes s0 and mu together with eta and gamma, it is a config error.  The
+exact rule asks only gamma < 1 and eta <= 1/L_f.
+
 Trace CSVs carry the columns ``k,consensus_err,opt_gap,stationarity,
 lyapunov,bits``; a JSON sidecar records the fully resolved cell
 configuration.  Reruns with the same config are byte-identical.
@@ -32,6 +44,9 @@ from .algorithms import (
     run,
 )
 from .compressors import (
+    GLOBAL_ABSOLUTE,
+    LOCAL_ABSOLUTE,
+    RELATIVE,
     BitCostModel,
     CompressorSpec,
     _finite,
@@ -201,13 +216,14 @@ class ExperimentConfig:
             if not rule.classes and cell.compressor is not None:
                 raise ConfigError(f"{cell.algo} sends exact messages and "
                                   "takes no compressor")
+            comp = None
             if cell.compressor is not None:
-                spec_from_config(cell.compressor, int(self.cost["d"]))
+                comp = spec_from_config(cell.compressor, int(self.cost["d"]))
             if not isinstance(cell.force_params, bool):
                 raise ConfigError(f"cell {cell.resolved_label()}: "
                                   "force_params must be a bool, not "
                                   f"{cell.force_params!r}")
-            _check_params(cell, rule)
+            _check_params(cell, rule, comp)
         labels = [cell.resolved_label() for cell in self.cells]
         dup = sorted({lab for lab in labels if labels.count(lab) > 1})
         if dup:
@@ -215,19 +231,31 @@ class ExperimentConfig:
                               "needs its own output files")
 
 
-def _check_params(cell: CellConfig, rule) -> None:
-    """Each params key must be an AlgorithmParams field that the rule reads,
-    with a finite real value that AlgorithmParams accepts for the rule."""
+def _check_params(cell: CellConfig, rule, comp) -> None:
+    """Each params key must be an AlgorithmParams field that the rule reads
+    (in certified mode, one its region reads), with a finite real value that
+    AlgorithmParams accepts for the rule."""
     label = cell.resolved_label()
     if not isinstance(cell.params, dict):
         raise ConfigError(f"cell {label}: params must be a mapping, not "
                           f"{cell.params!r}")
+    inputs = rule.params
+    if cell.mode == "certified":
+        try:
+            inputs = _REGION_INPUTS[_region_class(rule, comp)]
+        except ConfigError as exc:
+            raise ConfigError(f"cell {label}: no certified region: {exc}") \
+                from None
     for key, value in cell.params.items():
         if key not in _PARAM_KEYS:
             raise ConfigError(f"cell {label}: unknown params key {key!r}")
         if key not in rule.params:
             raise ConfigError(f"cell {label}: {rule.name} does not read "
                               f"params key {key!r}")
+        if key not in inputs:
+            raise ConfigError(f"cell {label}: certified mode derives {key!r} "
+                              'from the region; use mode "practical" to run '
+                              "a given value")
         if not _finite(value):
             raise ConfigError(f"cell {label}: params {key!r} must be a "
                               f"finite number, not {value!r}")
@@ -268,144 +296,154 @@ def per_iteration_bits(algo: str, comp: CompressorSpec | None,
     return int(net.out_degrees().sum()) * msgs * per_vec
 
 
-def _check_pairing(algo: str, comp: CompressorSpec | None,
-                   force: bool) -> None:
-    if comp is None or comp.kind == "identity":
-        return
-    allowed = RULES[algo].classes
-    if comp.assumption_class not in allowed and not force:
+# the params each compressor class's region reads from a cell; certified
+# mode derives the rest of the rule's params from the region
+_REGION_INPUTS = {RELATIVE: ("phi_x", "phi_y"),
+                  GLOBAL_ABSOLUTE: ("s0", "mu"), LOCAL_ABSOLUTE: ()}
+
+
+def _region_class(rule, comp: CompressorSpec | None) -> str:
+    """The compressor class whose theorem certifies ``rule`` with ``comp``.
+
+    The exact rule takes the identity compressor's relative class.  The
+    identity compressor makes no error, so it takes the first class its rule
+    is certified for."""
+    if not rule.classes:
+        return RELATIVE
+    if comp.kind == "identity":
+        return rule.classes[0]
+    if comp.assumption_class not in rule.classes:
         raise ConfigError(
-            f"{algo} expects a compressor class in {allowed}, got "
-            f"{comp.assumption_class} ({comp.kind}); set force_params to "
-            "override")
+            f"{rule.name} expects a compressor class in {rule.classes}, got "
+            f"{comp.assumption_class} ({comp.kind})")
+    return comp.assumption_class
 
 
-def certified_cell(cell: CellConfig, net, suite, comp, x0, f_star):
-    """Certified parameters of one cell and the bounds they come from.
+def cell_region(rule, comp: CompressorSpec | None, inputs: dict, net, suite,
+                x0, f_star):
+    """The certified region of one cell, for ``run`` and ``bounds`` alike.
 
-    ``run`` resolves its certified cells here and ``bounds`` prints these
-    tables for every cell but dgt, so the two cannot drift.  ``f_star`` is a
-    callable giving the reference value; only alg3 with a local-absolute
-    compressor calls it, for the initial optimality gap.
+    The calculator follows ``_region_class`` and, in the relative class,
+    whether the rule sends error feedback.  It reads the class's
+    ``_REGION_INPUTS`` from ``inputs`` (phi_x, phi_y default 1/(2r); s0
+    ``auto_s0``; mu 0.995).  The locally bounded region calls ``f_star()``
+    for the reference value of its initial optimality gap.
 
-    Returns ``(bounds, params, lyap_aux, extras)``: ``lyap_aux`` is the
-    weight of the rule's weighted Lyapunov term, or None for its default,
-    and ``extras`` holds the sidecar fields the certification adds.
+    Returns ``(bounds, extras, lyap_aux)``: the region with its operating
+    point, the sidecar fields it adds, and the weight it fixes for the
+    rule's weighted Lyapunov term, or None.
     """
-    d = suite.d
+    cls = _region_class(rule, comp)
+    if not rule.classes:
+        comp = make_compressor("identity", suite.d)
     lyap_aux = None
     extras: dict = {}
-    if cell.algo in ("alg1", "alg2"):
-        px = cell.params.get("phi_x", 0.5 / comp.r)
-        py = cell.params.get("phi_y", 0.5 / comp.r)
-        fn = (analysis.bounds_relative if cell.algo == "alg1"
-              else analysis.bounds_error_feedback)
-        b = fn(net.sigma, suite.L_f, comp, px, py)
-        params = AlgorithmParams(eta=b.eta, gamma=b.gamma, phi_x=px,
-                                 phi_y=py, varsigma=b.varsigma or 0.0)
-        if cell.algo == "alg2":
+    if cls == RELATIVE:
+        fn = (analysis.bounds_error_feedback if rule.feedback
+              else analysis.bounds_relative)
+        b = fn(net.sigma, suite.L_f, comp, inputs.get("phi_x", 0.5 / comp.r),
+               inputs.get("phi_y", 0.5 / comp.r))
+        if rule.feedback:
             lyap_aux = b.constants["phi_hat"]
-    elif cell.algo == "alg3":
-        if comp.assumption_class == "local_absolute":
-            if suite.nu_pl is None:
-                raise ConfigError(
-                    "certified scaled-local runs need a cost with a "
-                    "known gradient-dominance constant")
-            y0 = grad_all(suite, x0)
-            xbar = x0.mean(axis=0)
-            ybar = y0.mean(axis=0)
-            b = analysis.bounds_scaled_local(
-                net.sigma, suite.L_f, suite.nu_pl, comp.phi_c,
-                comp.p_norm, net.n, d,
-                cons0=float(((x0 - xbar) ** 2).sum()),
-                track0=float(((y0 - ybar) ** 2).sum()),
-                gap0=net.n * (mean_value(suite, xbar) - f_star()),
-                x0_norm_max=float(np.linalg.norm(x0, axis=1).max()),
-                y0_norm_max=float(np.linalg.norm(y0, axis=1).max()))
-            params = AlgorithmParams(eta=b.eta, gamma=b.gamma,
-                                     s0=b.s0, mu=b.mu)
-            lyap_aux = b.constants["phi_tilde"]
-            extras["lyapunov"] = "scaled"
-        else:
-            mu = float(cell.params.get("mu", 0.995))
-            s0 = float(cell.params.get("s0", auto_s0(x0, suite)))
-            b = analysis.bounds_absolute_global(
-                net.sigma, suite.L_f, net.n, d, comp.cap_c,
-                p=comp.p_norm, mu=mu)
-            params = AlgorithmParams(eta=b.eta, gamma=b.gamma,
-                                     s0=s0, mu=mu)
-            extras["slack_coefficient"] = b.constants["breve_theta8"]
-    else:  # certified baseline: reuse the exact-compressor region
-        b = analysis.bounds_relative(net.sigma, suite.L_f,
-                                     make_compressor("identity", d),
-                                     0.5, 0.5)
-        params = AlgorithmParams(eta=b.eta, gamma=b.gamma)
+    elif cls == GLOBAL_ABSOLUTE:
+        b = analysis.bounds_absolute_global(
+            net.sigma, suite.L_f, net.n, suite.d, comp.cap_c,
+            p=comp.p_norm, mu=float(inputs.get("mu", 0.995)))
+        b.s0 = float(inputs["s0"] if "s0" in inputs else auto_s0(x0, suite))
+        extras["slack_coefficient"] = b.constants["breve_theta8"]
+    else:
+        if suite.nu_pl is None:
+            raise ConfigError(
+                "certified scaled-local runs need a cost with a "
+                "known gradient-dominance constant")
+        y0 = grad_all(suite, x0)
+        xbar = x0.mean(axis=0)
+        ybar = y0.mean(axis=0)
+        b = analysis.bounds_scaled_local(
+            net.sigma, suite.L_f, suite.nu_pl, comp.phi_c,
+            comp.p_norm, net.n, suite.d,
+            cons0=float(((x0 - xbar) ** 2).sum()),
+            track0=float(((y0 - ybar) ** 2).sum()),
+            gap0=net.n * (mean_value(suite, xbar) - f_star()),
+            x0_norm_max=float(np.linalg.norm(x0, axis=1).max()),
+            y0_norm_max=float(np.linalg.norm(y0, axis=1).max()))
+        lyap_aux = b.constants["phi_tilde"]
+        extras["lyapunov"] = "scaled"
     extras["bounds"] = b.constants
-    return b, params, lyap_aux, extras
+    return b, extras, lyap_aux
 
 
-def _resolve_cell(cell: CellConfig, cfg: ExperimentConfig, net, suite,
-                  x0, f_star):
+def practical_point(cell: CellConfig, suite, x0) -> AlgorithmParams:
+    """A practical cell's params: the given ones over its rule's practical
+    ones, with ``auto_s0`` for a scaled rule's unset s0."""
+    merged = {**vars(practical_params(cell.algo)), **cell.params}
+    if RULES[cell.algo].scaled and "s0" not in cell.params:
+        merged["s0"] = auto_s0(x0, suite)
+    return AlgorithmParams(**merged)
+
+
+def _resolve_cell(cell: CellConfig, net, suite, x0, f_star):
     """Compressor spec, parameters, and Lyapunov constants for one cell."""
     comp = None
     if cell.compressor is not None:
         comp = spec_from_config(cell.compressor, suite.d)
-    _check_pairing(cell.algo, comp, cell.force_params)
     rule = RULES[cell.algo]
     phi_w = analysis.lyapunov_weight(net.sigma, suite.L_f)
-    lyap_aux = None
     extras: dict = {"lyapunov": rule.lyapunov}
 
     if cell.mode == "certified":
-        _, params, lyap_aux, cert = certified_cell(
-            cell, net, suite, comp, x0, lambda: f_star)
+        b, cert, lyap_aux = cell_region(rule, comp, cell.params, net, suite,
+                                        x0, lambda: f_star)
         extras.update(cert)
-    else:
-        merged = {**vars(practical_params(cell.algo)), **cell.params}
-        if rule.scaled and "s0" not in cell.params:
-            merged["s0"] = auto_s0(x0, suite)
-        params = AlgorithmParams(**merged)
-        if not cell.force_params:
-            _certify_practical(cell, cfg, net, suite, comp, params)
-        if rule.lyapunov == "ef":
-            try:
-                c1, c2 = analysis.mixing_constants(params.phi_x, params.phi_y,
-                                                   comp.r, comp.psi)
-                lyap_aux = analysis.ef_weight(c1, c2, comp.cap_c)
-            except analysis.AnalysisError:
-                lyap_aux = 0.0  # heuristic gains outside (0, 1/r): report raw sum
-    return comp, params, phi_w, lyap_aux, extras
+        point = {"eta": b.eta, "gamma": b.gamma, "varsigma": b.varsigma,
+                 "s0": b.s0, "mu": b.mu, "phi_x": b.constants.get("phi_x"),
+                 "phi_y": b.constants.get("phi_y")}
+        params = AlgorithmParams(**{k: point[k] for k in rule.params})
+        return comp, params, phi_w, lyap_aux, extras
 
-
-def _certify_practical(cell, cfg, net, suite, comp, params):
-    """Reject uncertified parameters unless force_params is set."""
-    try:
-        if cell.algo in ("alg1", "alg2"):
-            fn = (analysis.bounds_relative if cell.algo == "alg1"
-                  else analysis.bounds_error_feedback)
-            b = fn(net.sigma, suite.L_f, comp, params.phi_x, params.phi_y)
-            ok = params.gamma < b.gamma_max and (
-                b.varsigma_max is None or params.varsigma < b.varsigma_max)
-            if ok:
-                ets = analysis.eta_terms_relative(
-                    net.sigma, suite.L_f, b.constants["c1"],
-                    b.constants["c2"], params.gamma)
-                ok = params.eta < min(ets.values())
-        elif cell.algo == "alg3":
-            b = analysis.bounds_absolute_global(net.sigma, suite.L_f, net.n,
-                                                suite.d,
-                                                getattr(comp, "cap_c", 0.0))
-            ok = params.gamma < b.gamma_max and params.eta < b.eta_max
-        else:
-            ok = params.gamma < 1.0 and params.eta <= 1.0 / suite.L_f
-    except analysis.AnalysisError as exc:
-        raise ConfigError(
-            f"cell {cell.resolved_label()}: parameters cannot be certified "
-            f"({exc}); set force_params to run anyway") from None
-    if not ok:
+    params = practical_point(cell, suite, x0)
+    if not cell.force_params and not _admitted(cell, rule, comp, params,
+                                               net, suite, x0):
         raise ConfigError(
             f"cell {cell.resolved_label()}: parameters outside the certified "
             "region; set force_params to run anyway")
+    lyap_aux = None
+    if rule.feedback:
+        try:
+            c1, c2 = analysis.mixing_constants(params.phi_x, params.phi_y,
+                                               comp.r, comp.psi)
+            lyap_aux = analysis.ef_weight(c1, c2, comp.cap_c)
+        except analysis.AnalysisError:
+            lyap_aux = 0.0  # heuristic gains outside (0, 1/r): report raw sum
+    return comp, params, phi_w, lyap_aux, extras
+
+
+def _admitted(cell, rule, comp, params, net, suite, x0) -> bool:
+    """Whether practical ``params`` lie in the cell's certified region.  The
+    relative-class eta limit is taken at the given gamma, the globally
+    bounded one at the region's own.  The exact rule asks only gamma < 1
+    and eta <= 1/L_f."""
+    if not rule.classes:
+        return params.gamma < 1.0 and params.eta <= 1.0 / suite.L_f
+    try:
+        cls = _region_class(rule, comp)
+        if cls == LOCAL_ABSOLUTE:
+            raise ConfigError(
+                "a locally bounded region fixes s0 and mu together with eta "
+                'and gamma, so it certifies no given params; use mode '
+                '"certified"')
+        b = cell_region(rule, comp, vars(params), net, suite, x0, None)[0]
+    except (ConfigError, analysis.AnalysisError) as exc:
+        raise ConfigError(
+            f"cell {cell.resolved_label()}: parameters cannot be certified "
+            f"({exc}); set force_params to run anyway") from None
+    eta_max = b.eta_max
+    if cls == RELATIVE:
+        c = b.constants
+        eta_max = min(analysis.eta_terms_relative(
+            c["sigma"], c["L_f"], c["c1"], c["c2"], params.gamma).values())
+    return (params.gamma < b.gamma_max and params.eta < eta_max
+            and (b.varsigma_max is None or params.varsigma < b.varsigma_max))
 
 
 @dataclass
@@ -494,7 +532,7 @@ def run_experiment(cfg: ExperimentConfig, *,
 
     resolved = []
     for cell in cfg.cells:  # resolve everything before touching the disk
-        resolved.append((cell, *_resolve_cell(cell, cfg, net, suite, x0,
+        resolved.append((cell, *_resolve_cell(cell, net, suite, x0,
                                               ref.f_star)))
 
     outdir = Path(cfg.output_dir)

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import math
+import shutil
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cgtsim import cli, compressors, harness
+from cgtsim import analysis, cli, compressors, harness
 from cgtsim.algorithms import (
     RULES,
     AlgorithmParams,
@@ -731,3 +732,231 @@ def test_param_checks_cover_algorithm_params_and_rules():
     for rule in RULES.values():
         assert set(rule.params) <= fields
         assert {"eta", "gamma"} <= set(rule.params)
+
+
+def _quad_doc(out, cells, **extra):
+    """A 6-agent quadratic instance with d = 4, so norm-sign has r = 2."""
+    return {"scenario": "q", "iters": 1,
+            "network": {"n": 6, "edge_density": 0.6},
+            "cost": {"kind": "quadratic_pl", "d": 4},
+            "seeds": {"graph": 1, "cost": 2, "algo": 3},
+            "output_dir": str(out), "cells": cells, **extra}
+
+
+def _edges():
+    """The practical regions of the quadratic instance: each limit the
+    practical check tests, computed from the calculators directly."""
+    net, suite = harness.build_instance(
+        ExperimentConfig.from_dict(_quad_doc("unused", [_GOOD_CELLS[0]])))
+    ns = make_compressor("norm_sign", d=4)
+    uq = make_compressor("uniform_quantize", d=4, delta=2.0)
+    rel = analysis.bounds_relative(net.sigma, suite.L_f, ns, 0.3, 0.1)
+    ef = analysis.bounds_error_feedback(net.sigma, suite.L_f, ns, 0.3, 0.1)
+    glob = analysis.bounds_absolute_global(net.sigma, suite.L_f, net.n, 4,
+                                           uq.cap_c)
+
+    def eta_max(b, gamma):
+        c = b.constants
+        return min(analysis.eta_terms_relative(
+            net.sigma, suite.L_f, c["c1"], c["c2"], gamma).values())
+    return suite, rel, ef, glob, eta_max
+
+
+_IN, _OUT = 1.0 - 1e-9, 1.0 + 1e-9
+
+
+def _boundary_cells(side):
+    """(label, cell) pairs just inside (``side`` "in") or just outside
+    ("out") each kept practical region: alg1, alg2, the global-class alg3
+    and dgt.  Inside, every limit is approached at once."""
+    suite, rel, ef, glob, eta_max = _edges()
+    phis = {"phi_x": 0.3, "phi_y": 0.1}
+    uq = {"compressor": {"kind": "uniform_quantize", "delta": 2.0}}
+    cells = []
+
+    def add(label, algo, extra, **params):
+        cells.append((label, {"algo": algo, "label": label,
+                              "params": params, **extra}))
+    for tag, b, extra in (("alg1", rel, {}),
+                          ("alg2", ef, {"varsigma": ef.varsigma_max * _IN})):
+        g_in = b.gamma_max * _IN
+        for g, gtag in ((g_in, "edge"), (0.25 * b.gamma_max, "mid")):
+            if side == "in":
+                add(f"{tag}_{gtag}", tag, _NORM_SIGN, eta=eta_max(b, g) * _IN,
+                    gamma=g, **phis, **extra)
+            else:
+                add(f"{tag}_{gtag}_eta", tag, _NORM_SIGN,
+                    eta=eta_max(b, g) * _OUT, gamma=g, **phis, **extra)
+        if side == "out":
+            add(f"{tag}_gamma", tag, _NORM_SIGN, eta=eta_max(b, g_in) * 0.5,
+                gamma=b.gamma_max * _OUT, **phis, **extra)
+    if side == "out":
+        g = 0.5 * ef.gamma_max
+        add("alg2_varsigma", "alg2", _NORM_SIGN, eta=eta_max(ef, g) * 0.5,
+            gamma=g, varsigma=ef.varsigma_max * _OUT, **phis)
+    # the global region keeps the eta limit of its operating gamma
+    if side == "in":
+        add("alg3_edge", "alg3", uq, eta=glob.eta_max * _IN,
+            gamma=glob.gamma_max * _IN, mu=0.98)
+        add("alg3_low_gamma", "alg3", uq, eta=glob.eta_max * _IN,
+            gamma=glob.gamma * 0.5, mu=0.98)
+        add("dgt", "dgt", {}, eta=1.0 / suite.L_f, gamma=_IN)
+    else:
+        add("alg3_eta", "alg3", uq, eta=glob.eta_max * _OUT,
+            gamma=glob.gamma, mu=0.98)
+        add("alg3_gamma", "alg3", uq, eta=glob.eta_max * 0.5,
+            gamma=glob.gamma_max * _OUT, mu=0.98)
+        add("dgt_eta", "dgt", {}, eta=_OUT / suite.L_f, gamma=0.3)
+    return cells
+
+
+def test_practical_points_just_inside_every_kept_region_run(tmp_path):
+    cells = [cell for _, cell in _boundary_cells("in")]
+    res = run_experiment(ExperimentConfig.from_dict(
+        _quad_doc(tmp_path / "o", cells)))
+    assert len(res.rows) == len(cells) == 7
+
+
+@pytest.mark.parametrize("label", [lab for lab, _ in _boundary_cells("out")])
+def test_practical_points_just_outside_a_kept_region_exit_2(tmp_path, label):
+    cell = dict(_boundary_cells("out"))[label]
+    out = tmp_path / "o"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_quad_doc(out, [cell])))
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert not out.exists()
+    # forcing runs the same point
+    assert cli.main(["run", str(cfg_path), "--force"]) in (0, 1)
+
+
+_DERIVED = [("alg1", _NORM_SIGN, "eta"), ("alg1", _NORM_SIGN, "gamma"),
+            ("alg2", _NORM_SIGN, "eta"), ("alg2", _NORM_SIGN, "gamma"),
+            ("alg2", _NORM_SIGN, "varsigma")]
+_DERIVED += [("alg3", {"compressor": {"kind": "uniform_quantize",
+                                      "delta": 2.0}}, key)
+             for key in ("eta", "gamma")]
+_DERIVED += [("alg3", _ONE_BIT, key) for key in ("eta", "gamma", "s0", "mu")]
+_DERIVED += [("dgt", {}, key) for key in ("eta", "gamma")]
+_GIVEN = {"eta": 0.5, "gamma": 0.9, "varsigma": 0.3, "s0": 2.0, "mu": 0.9}
+
+
+@pytest.mark.parametrize("algo,comp,key", _DERIVED)
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_certified_cell_given_a_derived_param_exits_2(tmp_path, capsys, algo,
+                                                      comp, key, command):
+    cell = {"algo": algo, **comp, "mode": "certified",
+            "params": {key: _GIVEN[key]}}
+    with pytest.raises(ConfigError, match="certified mode derives"):
+        ExperimentConfig.from_dict(_quad_doc("unused", [cell]))
+    out = tmp_path / "o"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_quad_doc(out, [_GOOD_CELLS[0], cell])))
+    assert cli.main([command, str(cfg_path)]) == 2
+    assert "certified mode derives" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_certified_cell_honours_its_region_inputs(tmp_path):
+    uq = {"compressor": {"kind": "uniform_quantize", "delta": 2.0}}
+    cells = [
+        {"algo": "alg1", **_NORM_SIGN, "mode": "certified",
+         "params": {"phi_x": 0.2, "phi_y": 0.15}},
+        {"algo": "alg2", **_NORM_SIGN, "mode": "certified",
+         "params": {"phi_x": 0.2}},
+        {"algo": "alg3", **uq, "mode": "certified",
+         "params": {"s0": 3.0, "mu": 0.97}},
+    ]
+    out = tmp_path / "o"
+    run_experiment(ExperimentConfig.from_dict(_quad_doc(out, cells)))
+
+    def sidecar(label):
+        return json.loads((out / f"q__{label}.json").read_text())
+    alg1 = sidecar("alg1_norm_sign_certified")
+    assert (alg1["params"]["phi_x"], alg1["params"]["phi_y"]) == (0.2, 0.15)
+    assert alg1["params"]["eta"] == alg1["bounds"]["eta"]
+    alg2 = sidecar("alg2_norm_sign_certified")
+    assert (alg2["params"]["phi_x"], alg2["params"]["phi_y"]) == (0.2, 0.25)
+    alg3 = sidecar("alg3_uniform_quantize_certified")
+    assert (alg3["params"]["s0"], alg3["params"]["mu"]) == (3.0, 0.97)
+    assert alg3["bounds"]["mu"] == 0.97
+
+
+def test_unforced_practical_local_class_cell_exits_2(tmp_path, capsys):
+    # a one_bit cell at the globally bounded region's operating point used
+    # to pass as certified under that theorem with C = 0, and ran with an
+    # induction ratio of 1e282
+    net, suite = harness.build_instance(
+        ExperimentConfig.from_dict(_quad_doc("unused", [_GOOD_CELLS[0]])))
+    b = analysis.bounds_absolute_global(net.sigma, suite.L_f, net.n, 4, 0.0)
+    cell = {"algo": "alg3", **_ONE_BIT,
+            "params": {"eta": b.eta, "gamma": b.gamma, "mu": 0.2,
+                       "s0": 1e-3}}
+    out = tmp_path / "o"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_quad_doc(out, [cell], iters=200)))
+    assert cli.main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert 'mode "certified"' in err and "force_params" in err
+    assert not out.exists()
+
+
+def test_cli_run_force_applies_to_parsed_cells(tmp_path):
+    out = tmp_path / "o"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_quad_doc(out, [1])))
+    assert cli.main(["run", str(cfg_path), "--force"]) == 2
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert not out.exists()
+    # an uncertified cell runs with --force, in either config form
+    cell = {"algo": "alg1", **_NORM_SIGN,
+            "params": {"eta": 0.3, "gamma": 0.3}}
+    single = dict(_quad_doc(out, []), **cell)
+    del single["cells"]
+    for doc in (_quad_doc(out, [cell]), single):
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(cfg_path)]) == 2
+        assert not out.exists()
+        assert cli.main(["run", str(cfg_path), "--force"]) == 0
+        sidecar = json.loads((out / "q__alg1_norm_sign.json").read_text())
+        assert sidecar["params"]["eta"] == 0.3
+        shutil.rmtree(out)
+
+
+def test_cli_bounds_records_each_cell_error(tmp_path, capsys):
+    # the scaled-local region needs a gradient-dominance constant, which the
+    # logistic cost lacks (ConfigError); phi_x = 1/r is outside (0, 1/r) for
+    # norm-sign at d = 4 (AnalysisError)
+    cells = [
+        {"algo": "alg3", **_ONE_BIT, "mode": "certified"},
+        {"algo": "alg1", **_NORM_SIGN, "mode": "certified",
+         "params": {"phi_x": 0.5}},
+        {"algo": "alg2", **_NORM_SIGN, "mode": "certified"},
+    ]
+    doc = _quad_doc(tmp_path / "o", cells,
+                    cost={"kind": "logistic_log", "d": 4, "scale": 0.1})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["bounds", str(cfg_path)]) == 0
+    tables = json.loads(capsys.readouterr().out)["cells"]
+    assert "gradient-dominance" in tables["alg3_one_bit_certified"]["error"]
+    assert "phi_x=0.5 outside" in tables["alg1_norm_sign_certified"]["error"]
+    assert tables["alg2_norm_sign_certified"]["gamma_max"] > 0
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_bounds_prints_the_region_that_run_checks(tmp_path, capsys):
+    # a practical cell that sets no phis is checked at the rule's practical
+    # phis, so its table is taken there too
+    cell = {"algo": "alg1", **_NORM_SIGN,
+            "params": {"eta": 1e-3, "gamma": 1e-3}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_quad_doc(tmp_path / "o", [cell])))
+    assert cli.main(["bounds", str(cfg_path)]) == 0
+    table = json.loads(capsys.readouterr().out)["cells"]["alg1_norm_sign"]
+    assert (table["constants"]["phi_x"], table["constants"]["phi_y"]) == (
+        0.3, 0.1)
+    assert cli.main(["run", str(cfg_path)]) == 2
+    cell["params"] = {"eta": table["eta"], "gamma": table["gamma"]}
+    cfg_path.write_text(json.dumps(_quad_doc(tmp_path / "o", [cell])))
+    assert cli.main(["run", str(cfg_path)]) == 0
