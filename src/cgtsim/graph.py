@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,8 +9,6 @@ import numpy as np
 # Row/column sums of W must match 1 to this tolerance.
 STOCHASTIC_TOL = 1e-12
 
-_POWER_TOL = 1e-10
-_POWER_MAX_ITERS = 10_000
 _MAX_REGEN_ATTEMPTS = 100
 # Rows of the edge draw made at once; bounds its float64 buffer at n = 1000.
 _DRAW_ROWS = 128
@@ -23,13 +20,14 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class Network:
-    """Strongly connected digraph plus its consensus weight matrix.
+    """Connected undirected graph plus its consensus weight matrix.
 
     ``adjacency[i, j]`` is True when agent i receives from agent j (self-loops
-    are implied, not stored).  ``W`` is nonnegative with unit row and column
-    sums, supported on the adjacency plus the diagonal.  ``sigma`` is the
-    spectral norm of ``W - (1/n) 11^T``; the consensus step contracts
-    disagreement by ``delta = 1 - gamma * (1 - sigma)``.
+    are implied, not stored).  ``W`` is symmetric and nonnegative with unit
+    row and column sums, supported on the adjacency plus the diagonal.
+    ``sigma`` is the exact spectral norm of ``W - (1/n) 11^T``, from one
+    symmetric eigensolve; the consensus step contracts disagreement by
+    ``delta = 1 - gamma * (1 - sigma)``.
     """
 
     n: int
@@ -88,30 +86,16 @@ def metropolis_weights(adjacency: np.ndarray) -> np.ndarray:
     return W
 
 
-def spectral_gap(W: np.ndarray, tol: float = _POWER_TOL,
-                 max_iters: int = _POWER_MAX_ITERS) -> float:
-    """Spectral norm of W - (1/n) 11^T by power iteration on its Gram matrix."""
-    n = W.shape[0]
-    A = W - 1.0 / n
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    w = A.T @ (A @ v)
-    lam, change = 0.0, math.inf
-    for _ in range(max_iters):
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        w = A.T @ (A @ v)  # the Rayleigh quotient's product is the next step's
-        lam_new = float(v @ w)
-        change = abs(lam_new - lam)
-        if change <= tol * max(abs(lam_new), 1e-30):
-            return float(np.sqrt(max(lam_new, 0.0)))
-        lam = lam_new
-    raise GraphError(
-        f"power iteration did not converge in {max_iters} iterations "
-        f"(last change in the Rayleigh quotient {change:.3e})")
+def spectral_gap(W: np.ndarray) -> float:
+    """Exact spectral norm of W - (1/n) 11^T for a symmetric, doubly
+    stochastic W.  Its largest eigenvalue is the consensus eigenvalue 1;
+    dropping it leaves the spectrum of W - (1/n) 11^T.  ``eigvalsh`` reads
+    one triangle only, so an asymmetric W is refused rather than given a
+    wrong sigma."""
+    if not np.array_equal(W, W.T):
+        raise GraphError("W is not symmetric")
+    lam = np.linalg.eigvalsh(W)
+    return float(max(-lam[0], lam[-2])) if len(lam) > 1 else 0.0
 
 
 def _ring_adjacency(n: int) -> np.ndarray:
@@ -133,7 +117,8 @@ def _ring_weights(n: int) -> np.ndarray:
 
 def generate_network(n: int, edge_density: float, seed: int,
                      topology: str = "random") -> Network:
-    """Build a strongly connected network admitting doubly stochastic weights.
+    """Build a connected undirected network with symmetric, doubly stochastic
+    weights.
 
     Random topology: symmetric Erdos-Renyi draws, retried with derived seeds
     until connected; after the retry budget a bidirectional cycle is added so

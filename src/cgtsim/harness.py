@@ -419,10 +419,9 @@ def _resolve_cell(cell: CellConfig, net, suite, x0, f_star):
 
 
 def _admitted(cell, rule, comp, params, net, suite, x0) -> bool:
-    """Whether practical ``params`` lie in the cell's certified region.  The
-    relative-class eta limit is taken at the given gamma, the globally
-    bounded one at the region's own.  The exact rule asks only gamma < 1
-    and eta <= 1/L_f."""
+    """Whether practical ``params`` lie in the cell's certified region, with
+    the eta limit taken at the given gamma.  The exact rule asks only
+    gamma < 1 and eta <= 1/L_f."""
     if not rule.classes:
         return params.gamma < 1.0 and params.eta <= 1.0 / suite.L_f
     try:
@@ -437,11 +436,9 @@ def _admitted(cell, rule, comp, params, net, suite, x0) -> bool:
         raise ConfigError(
             f"cell {cell.resolved_label()}: parameters cannot be certified "
             f"({exc}); set force_params to run anyway") from None
-    eta_max = b.eta_max
-    if cls == RELATIVE:
-        c = b.constants
-        eta_max = min(analysis.eta_terms_relative(
-            c["sigma"], c["L_f"], c["c1"], c["c2"], params.gamma).values())
+    c = b.constants
+    eta_max = min(analysis.eta_terms_relative(
+        c["sigma"], c["L_f"], c["c1"], c["c2"], params.gamma).values())
     return (params.gamma < b.gamma_max and params.eta < eta_max
             and (b.varsigma_max is None or params.varsigma < b.varsigma_max))
 

@@ -794,16 +794,19 @@ def _boundary_cells(side):
         g = 0.5 * ef.gamma_max
         add("alg2_varsigma", "alg2", _NORM_SIGN, eta=eta_max(ef, g) * 0.5,
             gamma=g, varsigma=ef.varsigma_max * _OUT, **phis)
-    # the global region keeps the eta limit of its operating gamma
+    # the global region's eta limit is taken at the given gamma too
+    g_low = glob.gamma * 0.5
     if side == "in":
         add("alg3_edge", "alg3", uq, eta=glob.eta_max * _IN,
             gamma=glob.gamma_max * _IN, mu=0.98)
-        add("alg3_low_gamma", "alg3", uq, eta=glob.eta_max * _IN,
-            gamma=glob.gamma * 0.5, mu=0.98)
+        add("alg3_low_gamma", "alg3", uq, eta=eta_max(glob, g_low) * _IN,
+            gamma=g_low, mu=0.98)
         add("dgt", "dgt", {}, eta=1.0 / suite.L_f, gamma=_IN)
     else:
         add("alg3_eta", "alg3", uq, eta=glob.eta_max * _OUT,
             gamma=glob.gamma, mu=0.98)
+        add("alg3_low_gamma_eta", "alg3", uq,
+            eta=eta_max(glob, g_low) * _OUT, gamma=g_low, mu=0.98)
         add("alg3_gamma", "alg3", uq, eta=glob.eta_max * 0.5,
             gamma=glob.gamma_max * _OUT, mu=0.98)
         add("dgt_eta", "dgt", {}, eta=_OUT / suite.L_f, gamma=0.3)
