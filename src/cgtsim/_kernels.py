@@ -229,11 +229,9 @@ def _struct_resid_rows(Acc, Base, W):
     return _norms(Acc - (Base - np.matmul(W, Base))) / ref
 
 
-def _row_norm_max_rows(A, ip_norm):
-    """Largest agent p-norm (inf if ip_norm == 0, else 2) per row."""
-    if ip_norm == 0:
-        return np.abs(A).reshape(len(A), -1).max(axis=1)
-    return np.sqrt(np.add.reduce(A * A, 2)).max(axis=1)
+def _row_norm_max_rows(A):
+    """Largest agent inf-norm per row: the largest |entry| of each (n, d)."""
+    return np.abs(A).reshape(len(A), -1).max(axis=1)
 
 
 def _raise_max(diag, i, vals):
@@ -260,12 +258,12 @@ class _BlockRecorder:
     """
 
     def __init__(self, rule, row, cost, W, eta, phi_w, aux, iters,
-                 record_states=False, s_arr=None, ip_norm=0):
+                 record_states=False, s_arr=None):
         n, d = row[1].shape
         self.B = _block_rows(sum(a.size for a in row) // (n * d), n, d)
         self.rule, self.nblk, self.cost, self.W = rule, len(row), cost, W
         self.eta, self.phi_w, self.aux = eta, phi_w, aux
-        self.s_arr, self.ip_norm = s_arr, ip_norm
+        self.s_arr = s_arr
         # consensus_err, opt_gap, stationarity and lyapunov, row by row; the
         # x and y history when recorded
         self.cols = np.zeros((4, iters + 1))
@@ -356,10 +354,10 @@ class _BlockRecorder:
         if nok and rule.scaled:
             Xhat, Yhat = R[2].swapaxes(0, 1)
             sk = self.s_arr[k0:k0 + nok]
-            _raise_max(diag, "induction_x", _row_norm_max_rows(
-                X[ok] - Xhat[ok], self.ip_norm) / sk)
-            _raise_max(diag, "induction_y", _row_norm_max_rows(
-                Y[ok] - Yhat[ok], self.ip_norm) / sk)
+            _raise_max(diag, "induction_x",
+                       _row_norm_max_rows(X[ok] - Xhat[ok]) / sk)
+            _raise_max(diag, "induction_y",
+                       _row_norm_max_rows(Y[ok] - Yhat[ok]) / sk)
         elif nok and "struct_x" in diag:
             (A, C), (B, D) = R[2].swapaxes(0, 1), R[3].swapaxes(0, 1)
             _raise_max(diag, "struct_x", _struct_resid_rows(B[ok], A[ok], W))
@@ -379,9 +377,9 @@ class _BlockRecorder:
                 V, Z = R[3][steps].swapaxes(0, 1)
                 _raise_max(diag, "struct_x", _struct_resid_rows(V, Xhat, W))
                 _raise_max(diag, "struct_y", _struct_resid_rows(Z, Yhat, W))
-                _raise_max(diag, "compression_ratio", _row_norm_max_rows(
-                    Xp[steps] - Xhat, self.ip_norm)
-                    / self.s_arr[k0 - 1 + steps.start:k0 - 1 + keep])
+                _raise_max(diag, "compression_ratio",
+                           _row_norm_max_rows(Xp[steps] - Xhat)
+                           / self.s_arr[k0 - 1 + steps.start:k0 - 1 + keep])
         if nok < b:
             return k0 + nok
 
@@ -492,7 +490,7 @@ def _dgt_step(rule, st, W, p, cost, comp, seed, s_arr):
 
 
 def run_rule(rule, X0, W, p, comp, seed, cost, iters, phi_w, aux,
-             record_states=False, s_arr=None, ip_norm=0):
+             record_states=False, s_arr=None):
     """Run ``rule`` (an ``algorithms.Rule``) for ``iters`` steps from X0.
 
     X|Y starts at X0 and its gradients and every twin at zero.  A
@@ -519,7 +517,7 @@ def run_rule(rule, X0, W, p, comp, seed, cost, iters, phi_w, aux,
         if below.size:
             last, end_status = int(below[0]), "scaling_exhausted"
     rec = _BlockRecorder(rule, st[:2 + rule.recorded], cost, W, p.eta,
-                         phi_w, aux, iters, record_states, s_arr, ip_norm)
+                         phi_w, aux, iters, record_states, s_arr)
     status, k_done = rec.run(st, step, last, end_status)
     # x, y, the twins' halves and the message slots, in rule.final order
     halves = (a for block in st[:1] + st[2:] for a in block)

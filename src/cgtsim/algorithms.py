@@ -27,9 +27,9 @@ DIAG_NAMES = (
     "mean_y_tracking",       # || mean Y - mean grad || / (1 + || mean grad ||)
     "struct_x",              # accumulator identity residual, x side
     "struct_y",              # accumulator identity residual, y side
-    "induction_x",           # max_i ||X_i(k) - Xhat_i(k-1)||_p / s(k)
+    "induction_x",           # max_i ||X_i(k) - Xhat_i(k-1)||_inf / s(k)
     "induction_y",
-    "compression_ratio",     # max_i ||X_i(k) - Xhat_i(k)||_p / s(k)
+    "compression_ratio",     # max_i ||X_i(k) - Xhat_i(k)||_inf / s(k)
 )
 
 
@@ -241,15 +241,13 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
     if x0.shape != (n, d):
         raise AlgorithmError(f"x0 must have shape {(n, d)}")
 
-    s_vals, ip_norm = None, 0
-    if rule.scaled:
-        s_vals = scaling_sequence(params.s0, params.mu, iters)
-        ip_norm = 0 if math.isinf(comp.p_norm) else 1
+    s_vals = (scaling_sequence(params.s0, params.mu, iters) if rule.scaled
+              else None)
     status, k_done, rec, final = kern.run_rule(
         rule, x0, np.ascontiguousarray(net.W, dtype=np.float64), params,
         comp if rule.classes else None, np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
         RunCosts(suite, x_star, f_star), iters, lyap_phi, lyap_aux,
-        record_states, s_vals, ip_norm)
+        record_states, s_vals)
 
     rows = k_done + 1
     ks = np.arange(rows, dtype=np.int64)

@@ -83,15 +83,6 @@ def scaled_gap_weight(eta: float, gamma: float, sigma: float, L: float) -> float
     return 0.4 * gamma * (1.0 - sigma) / (eta * L * L)
 
 
-def p_norm_constants(p: float, d: int):
-    """(d_hat, d_tilde) with ||v||_p <= d_hat ||v||_2 <= d_hat d_tilde ||v||_p."""
-    if p == 2:
-        return 1.0, 1.0
-    if math.isinf(p):
-        return 1.0, math.sqrt(d)
-    raise AnalysisError(f"p={p} unsupported; use 2 or inf")
-
-
 def _check_problem(sigma: float, L: float) -> None:
     if not 0.0 < sigma < 1.0:
         raise AnalysisError(f"sigma={sigma} outside (0, 1)")
@@ -177,12 +168,11 @@ def descent_chain(sigma, L, c1, c2, C, eta, gamma) -> dict:
 
 
 def bounds_relative(sigma: float, L: float, comp: CompressorSpec,
-                    phi_x: float, phi_y: float,
-                    gamma: float | None = None) -> ParameterBounds:
+                    phi_x: float, phi_y: float) -> ParameterBounds:
     """Admissible region for the relative-class tracker.
 
     The returned operating point sits at half the binding limits:
-    gamma = gamma_max / 2 (unless given) and eta = eta_max(gamma) / 2.
+    gamma = gamma_max / 2 and eta = eta_max(gamma) / 2.
     """
     _check_problem(sigma, L)
     if comp.assumption_class != "relative":
@@ -191,7 +181,7 @@ def bounds_relative(sigma: float, L: float, comp: CompressorSpec,
     C = comp.cap_c
     gts = gamma_terms_relative(sigma, L, c1, c2, C)
     gamma_max = min(gts.values())
-    g = 0.5 * gamma_max if gamma is None else gamma
+    g = 0.5 * gamma_max
     if not 0.0 < g < gamma_max:
         raise AnalysisError(f"gamma={g} outside (0, {gamma_max})")
     ets = eta_terms_relative(sigma, L, c1, c2, g)
@@ -210,8 +200,7 @@ def bounds_relative(sigma: float, L: float, comp: CompressorSpec,
 
 
 def bounds_error_feedback(sigma: float, L: float, comp: CompressorSpec,
-                          phi_x: float, phi_y: float,
-                          gamma: float | None = None) -> ParameterBounds:
+                          phi_x: float, phi_y: float) -> ParameterBounds:
     """Admissible region for the error-feedback variant (tighter gamma list
     plus the retention bound on varsigma)."""
     _check_problem(sigma, L)
@@ -239,7 +228,7 @@ def bounds_error_feedback(sigma: float, L: float, comp: CompressorSpec,
         "gamma_term_ef_10": pi,
     }
     gamma_max = min(gts.values())
-    g = 0.5 * gamma_max if gamma is None else gamma
+    g = 0.5 * gamma_max
     if not 0.0 < g < gamma_max:
         raise AnalysisError(f"gamma={g} outside (0, {gamma_max})")
     ets = eta_terms_relative(sigma, L, c1, c2, g)
@@ -299,15 +288,15 @@ _ABS_REF = {"r": 1.0, "psi": 1.0, "C": 0.0, "phi_x": 0.5, "phi_y": 0.5}
 
 
 def bounds_absolute_global(sigma: float, L: float, n: int, d: int,
-                           cap_c: float, p: float = INF,
-                           mu: float = 0.995) -> ParameterBounds:
+                           cap_c: float, mu: float = 0.995) -> ParameterBounds:
     """Region for the scaled tracker under a globally bounded absolute error.
 
     (eta, gamma) reuse the relative-class region at the reference
     parameterization; any mu in (0, 1) is admissible.  The constants table
     carries the geometric slack coefficient of the Lyapunov descent check:
     slack(k) = breve_theta8 * s(k)^2 with
-    breve_theta8 = 2 n d_tilde^2 xi8 (1 + 2 L^2).
+    breve_theta8 = 2 n d_tilde^2 xi8 (1 + 2 L^2), where d_tilde = sqrt(d)
+    bounds the 2-norm by the inf-norm the class is stated in.
     """
     _check_problem(sigma, L)
     if not 0.0 < mu < 1.0:
@@ -323,7 +312,7 @@ def bounds_absolute_global(sigma: float, L: float, n: int, d: int,
     consts = descent_chain(sigma, L, c1, c2, 0.0, eta, g)
     one = 1.0 - sigma
     phi = consts["phi"]
-    _, d_tilde = p_norm_constants(p, d)
+    d_tilde = math.sqrt(d)
     xi8_abs = 8.0 * g / one * cap_c
     consts["d_tilde"] = d_tilde
     consts["xi8_abs"] = xi8_abs
@@ -340,7 +329,7 @@ def bounds_absolute_global(sigma: float, L: float, n: int, d: int,
 
 
 def bounds_scaled_local(sigma: float, L: float, nu: float, phi_c: float,
-                        p: float, n: int, d: int, *, cons0: float,
+                        n: int, d: int, *, cons0: float,
                         track0: float, gap0: float, x0_norm_max: float,
                         y0_norm_max: float,
                         xi5_factor: float = 2.0) -> ParameterBounds:
@@ -357,7 +346,8 @@ def bounds_scaled_local(sigma: float, L: float, nu: float, phi_c: float,
         raise AnalysisError("phi_c must lie in (0, 1]")
     if xi5_factor <= 1.0:
         raise AnalysisError("xi5_factor must exceed 1")
-    d_hat, d_tilde = p_norm_constants(p, d)
+    # ||v||_inf <= d_hat ||v||_2 <= d_hat d_tilde ||v||_inf
+    d_hat, d_tilde = 1.0, math.sqrt(d)
     one = 1.0 - sigma
     phi = lyapunov_weight(sigma, L)
     L2 = L * L

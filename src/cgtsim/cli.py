@@ -136,7 +136,7 @@ def _cmd_verify_compressor(args) -> int:
     doc = _load_config(args.spec)
     spec = spec_from_config(doc, args.d)
     rng = np.random.default_rng(args.seed)
-    report = verify_assumption(spec, trials=args.trials, d=args.d, rng=rng)
+    report = verify_assumption(spec, trials=args.trials, rng=rng)
     print(json.dumps({
         "kind": spec.kind, "class": spec.assumption_class,
         "trials": report.trials, "bound": report.bound,

@@ -289,7 +289,7 @@ def per_iteration_bits(algo: str, comp: CompressorSpec | None,
                        broadcast: bool = True) -> int:
     """Payload bits transmitted network-wide in one iteration."""
     per_vec = (d * model.bits_scalar if comp is None
-               else bit_cost(comp, model, d))
+               else bit_cost(comp, model))
     msgs = MESSAGES_PER_AGENT[algo]
     if broadcast:
         return net.n * msgs * per_vec
@@ -348,7 +348,7 @@ def cell_region(rule, comp: CompressorSpec | None, inputs: dict, net, suite,
     elif cls == GLOBAL_ABSOLUTE:
         b = analysis.bounds_absolute_global(
             net.sigma, suite.L_f, net.n, suite.d, comp.cap_c,
-            p=comp.p_norm, mu=float(inputs.get("mu", 0.995)))
+            mu=float(inputs.get("mu", 0.995)))
         b.s0 = float(inputs["s0"] if "s0" in inputs else auto_s0(x0, suite))
         extras["slack_coefficient"] = b.constants["breve_theta8"]
     else:
@@ -360,8 +360,7 @@ def cell_region(rule, comp: CompressorSpec | None, inputs: dict, net, suite,
         xbar = x0.mean(axis=0)
         ybar = y0.mean(axis=0)
         b = analysis.bounds_scaled_local(
-            net.sigma, suite.L_f, suite.nu_pl, comp.phi_c,
-            comp.p_norm, net.n, suite.d,
+            net.sigma, suite.L_f, suite.nu_pl, comp.phi_c, net.n, suite.d,
             cons0=float(((x0 - xbar) ** 2).sum()),
             track0=float(((y0 - ybar) ** 2).sum()),
             gap0=net.n * (mean_value(suite, xbar) - f_star()),
@@ -454,7 +453,6 @@ class CellResult:
     percent_of_dgt: float | None
     upsilon_final: float
     csv_path: str
-    trace: RunTrace = None
 
 
 @dataclass
@@ -513,8 +511,7 @@ def build_instance(cfg: ExperimentConfig):
     return net, suite
 
 
-def run_experiment(cfg: ExperimentConfig, *,
-                   keep_traces: bool = False) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute every cell on a shared instance and write CSVs plus a report.
 
     Cell failures (diverged runs) are recorded per cell; remaining cells
@@ -557,8 +554,7 @@ def run_experiment(cfg: ExperimentConfig, *,
             bits_to_threshold=hit[1] if hit else None,
             percent_of_dgt=None,
             upsilon_final=float(upsilon_series(trace)[-1]),
-            csv_path=str(csv_path),
-            trace=trace if keep_traces else None)
+            csv_path=str(csv_path))
         sidecar = {
             "scenario": cfg.scenario, "label": label, "algo": cell.algo,
             "mode": cell.mode,

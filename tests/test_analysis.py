@@ -19,7 +19,6 @@ from cgtsim.analysis import (
     ef_weight,
     lyapunov_weight,
     mixing_constants,
-    p_norm_constants,
     scaled_gap_weight,
 )
 from analysis_oracles import (
@@ -161,7 +160,7 @@ def test_scaled_local_bounds_reference_config():
     y0 = grad_all(suite, x0)
     xbar = x0.mean(axis=0)
     b = bounds_scaled_local(
-        net.sigma, suite.L_f, suite.nu_pl, 0.5, math.inf, 10, 5,
+        net.sigma, suite.L_f, suite.nu_pl, 0.5, 10, 5,
         cons0=float(((x0 - xbar) ** 2).sum()),
         track0=float(((y0 - y0.mean(axis=0)) ** 2).sum()),
         gap0=1.0,
@@ -176,7 +175,7 @@ def test_scaled_local_bounds_reference_config():
             assert val > 0 or val == 0.0, (key, val)
     # the gamma cap 2 L^2 / ((1-sigma) nu) shrinks when nu grows
     b2 = bounds_scaled_local(
-        net.sigma, suite.L_f, 2 * suite.nu_pl, 0.5, math.inf, 10, 5,
+        net.sigma, suite.L_f, 2 * suite.nu_pl, 0.5, 10, 5,
         cons0=1.0, track0=1.0, gap0=1.0, x0_norm_max=1.0, y0_norm_max=1.0)
     assert (b2.constants["tilde_gamma_term_3"]
             == pytest.approx(b.constants["tilde_gamma_term_3"] / 2))
@@ -184,7 +183,7 @@ def test_scaled_local_bounds_reference_config():
 
 def test_scaled_local_exact_compressor_drops_error_terms():
     # phi_c = 1 removes every (1 - phi_c)^2 contribution
-    b = bounds_scaled_local(0.5, 1.0, 0.3, 1.0, math.inf, 4, 3,
+    b = bounds_scaled_local(0.5, 1.0, 0.3, 1.0, 4, 3,
                             cons0=1.0, track0=1.0, gap0=1.0,
                             x0_norm_max=1.0, y0_norm_max=1.0)
     c = b.constants
@@ -196,19 +195,11 @@ def test_scaled_local_exact_compressor_drops_error_terms():
 
 def test_scaled_local_infeasible_reports_binding():
     with pytest.raises(InfeasibleParameters) as exc:
-        bounds_scaled_local(0.5, 1.0, 0.3, 0.01, math.inf, 10, 50,
+        bounds_scaled_local(0.5, 1.0, 0.3, 0.01, 10, 50,
                             cons0=1.0, track0=1.0, gap0=1.0,
                             x0_norm_max=1.0, y0_norm_max=1.0,
                             xi5_factor=1.0 + 1e-13)
     assert exc.value.binding == "tilde_theta1"
-
-
-def test_p_norm_constants():
-    assert p_norm_constants(2, 7) == (1.0, 1.0)
-    dh, dt = p_norm_constants(math.inf, 9)
-    assert dh == 1.0 and dt == 3.0
-    with pytest.raises(AnalysisError):
-        p_norm_constants(3, 4)
 
 
 def test_pl_rate():

@@ -1,7 +1,5 @@
 """Operator semantics, bound constants, bit costs, and empirical certification."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,10 +160,10 @@ def test_random_sparsify_matches_per_row_shuffle():
 
 def test_bit_costs():
     model = BitCostModel()
-    assert bit_cost(make_compressor("norm_sign", d=50), model, 50) == 164
-    assert bit_cost(make_compressor("uniform_quantize", d=50, delta=2.0), model, 50) == 200
-    assert bit_cost(make_compressor("one_bit", d=50), model, 50) == 50
-    assert bit_cost(make_compressor("identity", d=50), model, 50) == 3200
+    assert bit_cost(make_compressor("norm_sign", d=50), model) == 164
+    assert bit_cost(make_compressor("uniform_quantize", d=50, delta=2.0), model) == 200
+    assert bit_cost(make_compressor("one_bit", d=50), model) == 50
+    assert bit_cost(make_compressor("identity", d=50), model) == 3200
     with pytest.raises(CompressorError):
         BitCostModel(bits_scalar=0)
 
@@ -175,7 +173,7 @@ def test_verify_norm_sign_defaults():
     for d in (2, 10, 50):
         spec = make_compressor("norm_sign", d=d)
         rng = np.random.default_rng(10 + d)
-        rep = verify_assumption(spec, trials=1000, d=d, rng=rng)
+        rep = verify_assumption(spec, trials=1000, rng=rng)
         assert rep.passed, worst_case(rep)
         assert rep.max_observed_ratio <= (1 - spec.psi) * (1 + 1e-9)
 
@@ -183,23 +181,23 @@ def test_verify_norm_sign_defaults():
 def test_verify_uniform_quantizer():
     spec = make_compressor("uniform_quantize", d=20, delta=2.0)
     assert spec.cap_c == 1.0
-    rep = verify_assumption(spec, trials=1000, d=20, rng=np.random.default_rng(5))
+    rep = verify_assumption(spec, trials=1000, rng=np.random.default_rng(5))
     assert rep.passed
 
 
 def test_verify_one_bit():
     spec = make_compressor("one_bit", d=20)
-    rep = verify_assumption(spec, trials=1000, d=20, rng=np.random.default_rng(6))
+    rep = verify_assumption(spec, trials=1000, rng=np.random.default_rng(6))
     assert rep.passed
     assert rep.max_observed_ratio <= 0.5 + 1e-12
 
 
 def test_verify_sparsify_modes():
     spec = make_compressor("random_sparsify", d=20, keep_k=5)
-    rep = verify_assumption(spec, trials=1000, d=20, rng=np.random.default_rng(7))
+    rep = verify_assumption(spec, trials=1000, rng=np.random.default_rng(7))
     assert rep.passed
     rnd = make_compressor("random_sparsify", d=20, keep_k=5, sparsify_mode="random")
-    rep2 = verify_assumption(rnd, trials=1000, d=20,
+    rep2 = verify_assumption(rnd, trials=1000,
                              rng=np.random.default_rng(8), inner=1000)
     assert rep2.passed
 
@@ -207,7 +205,7 @@ def test_verify_sparsify_modes():
 def test_verify_flags_wrong_constants():
     # claiming psi far above what norm-sign delivers must fail
     spec = make_compressor("norm_sign", d=10, r=5.0, psi=0.9)
-    rep = verify_assumption(spec, trials=500, d=10, rng=np.random.default_rng(9))
+    rep = verify_assumption(spec, trials=500, rng=np.random.default_rng(9))
     assert not rep.passed
     assert rep.violations
 
@@ -225,7 +223,7 @@ def test_config_parsing():
 
 # a valid value other than make_compressor's default, for each config key
 _OTHER_VALUE = {"delta": 0.5, "keep_k": 3, "levels": 9,
-                "sparsify_mode": "random", "rescale": True, "p_norm": 2.0,
+                "sparsify_mode": "random", "rescale": True,
                 "r": 0.7, "psi": 0.5, "cap_c": 0.1, "phi_c": 0.3}
 
 
@@ -239,8 +237,7 @@ def test_config_keys_per_kind_are_the_keywords_it_reads():
         plain = make_compressor(kind, d=8, **base)
         for key, value in _OTHER_VALUE.items():
             cfg = {**base, key: value}
-            p = cfg.get("p_norm", math.inf)
-            spec = make_compressor(kind, d=8, **{**cfg, "p_norm": p})
+            spec = make_compressor(kind, d=8, **cfg)
             reads = key in compressors._KIND_OPTIONS[kind]
             assert (spec != plain) == reads, (kind, key)
             if reads:
@@ -248,6 +245,34 @@ def test_config_keys_per_kind_are_the_keywords_it_reads():
             else:
                 with pytest.raises(CompressorError, match="do not apply"):
                     spec_from_config({"kind": kind, **cfg}, d=8)
+
+
+# several grid steps and top-k sizes; any other operator key takes its
+# _OTHER_VALUE.  The constant overrides may state wrong constants on purpose.
+_PROBE_VALUES = {"delta": (0.1, 0.5, 3.0), "keep_k": (1, 2)}
+_CONSTANT_KEYS = ("r", "psi", "cap_c", "phi_c")
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 50])
+def test_deterministic_kinds_meet_their_class_bounds(d):
+    # at the default spec and with each operator key set to another value
+    for kind in ("identity", "norm_sign", "uniform_quantize", "one_bit",
+                 "random_sparsify"):
+        base = {"keep_k": (d + 1) // 2} if kind == "random_sparsify" else {}
+        cfgs = [base] + [
+            {**base, key: value}
+            for key in compressors._KIND_OPTIONS[kind]
+            if key not in _CONSTANT_KEYS
+            for value in _PROBE_VALUES.get(key, (_OTHER_VALUE[key],))]
+        for cfg in cfgs:
+            if cfg.get("keep_k", 1) > d:
+                continue
+            spec = make_compressor(kind, d=d, **cfg)
+            if not spec.is_deterministic:
+                continue
+            rep = verify_assumption(spec, trials=200,
+                                    rng=np.random.default_rng(d))
+            assert rep.passed, (kind, cfg, worst_case(rep))
 
 
 def test_invalid_specs_rejected():

@@ -602,6 +602,10 @@ def test_cli_gnuplot_script_appears_whole_or_not_at_all(tmp_path, monkeypatch,
     {"kind": "random_quantize", "levels": 17, "p_norm": 2.0},
     {"kind": "random_sparsify", "keep_k": 2, "cap_c": 1.0},
     {"kind": ["norm_sign"]},
+    # the absolute classes are measured in the inf-norm only: in the 2-norm
+    # their default constants would not bound the error
+    {"kind": "uniform_quantize", "delta": 2.0, "p_norm": 2},
+    {"kind": "one_bit", "p_norm": 2},
 ])
 @pytest.mark.parametrize("command", ["run", "bounds"])
 def test_cli_bad_compressor_options_exit_2_before_any_output(tmp_path, comp,

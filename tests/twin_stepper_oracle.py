@@ -13,8 +13,6 @@ Messages come from the compressor kernel with one message a call, keyed by
 the non-finite inputs of a diverging run.
 """
 
-import math
-
 import numpy as np
 
 from cgtsim import _kernels
@@ -63,20 +61,17 @@ def struct_resid_oracle(Acc, Base, W):
     return float(np.linalg.norm(Acc - (Base - W @ Base))) / ref
 
 
-def row_norm_max_oracle(A, ip_norm):
-    if ip_norm == 0:
-        return float(np.max(np.abs(A)))
-    return float(np.sqrt((A * A).sum(axis=1)).max())
+def row_norm_max_oracle(A):
+    return float(np.max(np.abs(A)))
 
 
 class _RowRecorder:
     """Trace rows and diag maxima of one run, one row at a time."""
 
-    def __init__(self, algo, cost, W, eta, lyap, phi_w, phi_aux, s_arr,
-                 ip_norm):
+    def __init__(self, algo, cost, W, eta, lyap, phi_w, phi_aux, s_arr):
         self.algo, self.cost, self.W, self.eta = algo, cost, W, eta
         self.lyap, self.phi_w, self.phi_aux = lyap, phi_w, phi_aux
-        self.s_arr, self.ip_norm = s_arr, ip_norm
+        self.s_arr = s_arr
         self.cols = {name: [] for name in ("consensus_err", "opt_gap",
                                            "stationarity", "lyapunov",
                                            "x_hist", "y_hist")}
@@ -88,7 +83,7 @@ class _RowRecorder:
 
     def row(self, k, st):
         """Record row k of the state list; False if the row is non-finite."""
-        W, ip, s_arr = self.W, self.ip_norm, self.s_arr
+        W, s_arr = self.W, self.s_arr
         X, Y, G = st[:3]
         xbar, ybar, c, t, g, s, ytr = metrics_oracle(self.cost, X, Y, G)
         L = c + self.phi_w * t
@@ -115,8 +110,8 @@ class _RowRecorder:
                 self._raise(3, struct_resid_oracle(D, C, W))
             elif self.algo == "alg3":
                 Xhat, Yhat = st[3:5]
-                self._raise(4, row_norm_max_oracle(X - Xhat, ip) / s_arr[k])
-                self._raise(5, row_norm_max_oracle(Y - Yhat, ip) / s_arr[k])
+                self._raise(4, row_norm_max_oracle(X - Xhat) / s_arr[k])
+                self._raise(5, row_norm_max_oracle(Y - Yhat) / s_arr[k])
         if k > 0:  # the step into row k
             pxbar, pybar, pX = self.prev
             self._raise(0, float(np.linalg.norm(
@@ -125,7 +120,7 @@ class _RowRecorder:
                 Xhat, Yhat, V, Z = st[3:7]
                 self._raise(2, struct_resid_oracle(V, Xhat, W))
                 self._raise(3, struct_resid_oracle(Z, Yhat, W))
-                self._raise(6, row_norm_max_oracle(pX - Xhat, ip)
+                self._raise(6, row_norm_max_oracle(pX - Xhat)
                             / s_arr[k - 1])
         self.prev = (xbar, ybar, X)
         return ok
@@ -147,7 +142,7 @@ def run_twin(algo, iters, net, suite, p, comp, seed, x0, *, x_star=None,
     useed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
     eta, gamma = p.eta, p.gamma
     n, d = x0.shape
-    s_arr, ip_norm, last = None, 0, iters
+    s_arr, last = None, iters
 
     def C(Xin, k, slot):
         return _kernels._compress_block_np(comp, Xin[None], useed, k,
@@ -193,7 +188,6 @@ def run_twin(algo, iters, net, suite, p, comp, seed, x0, *, x_star=None,
         rec_algo = "alg1"
     elif algo == "alg3":
         s_arr = scaling_sequence(p.s0, p.mu, iters)
-        ip_norm = 0 if math.isinf(comp.p_norm) else 1
         below = np.flatnonzero(s_arr[1:] < _kernels._SCALE_FLOOR)
         last = int(below[0]) if below.size else iters
         # X, Y, G, Xhat, Yhat, V, Z, Qx, Qy
@@ -230,7 +224,7 @@ def run_twin(algo, iters, net, suite, p, comp, seed, x0, *, x_star=None,
         rec_algo = "dgt"
 
     rec = _RowRecorder(rec_algo, cost, W, eta, lyap, lyap_phi, lyap_aux,
-                       s_arr, ip_norm)
+                       s_arr)
     status, k_done = ("ok" if last == iters else "scaling_exhausted"), last
     with np.errstate(all="ignore"):
         for k in range(last + 1):
