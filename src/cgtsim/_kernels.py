@@ -37,19 +37,19 @@ are bitwise those of updating each half of a twin on its own.  The kernel's
 draws for slot j of a block started at ``slot`` are keyed by slot + j.
 
 The steppers only step.  The block recorder takes each row's state and,
-every B rows, computes the trace rows, the state history and the invariant
-maxima for the whole block at once.  Its batched products make the same
-BLAS call per row as recording row by row, so the result is bitwise equal
-to per-step recording.  B = clamp(1 MiB // bytes per recorded row, 1, 64)
-follows from n*d and the number of (n, d) arrays a row records: X|Y, G and
-the twins the rule records, so 3 for dgt, 7 for alg1 and alg3 and 9 for
-alg2, whose Ex|Ey enter its Lyapunov function.  Storing twins as blocks
-records the same bytes a row, so B is what it was per array.  At n=20, d=50
-that is 43, 18 and 14; B is 1 once a row passes 512 KiB (n*d above about
-22000 for dgt and 9400 for alg1/alg3).  At B = 1 rows are recorded straight
-from the state blocks, before the next step overwrites them.  A non-finite
-row ends the run at that row: the steps already taken past it inside the
-block are discarded by replaying from a copy of the block's first row.
+every B rows, computes the trace rows and the invariant maxima for the whole
+block at once.  Its batched products make the same BLAS call per row as
+recording row by row, so the result is bitwise equal to per-step recording.
+B = clamp(1 MiB // bytes per recorded row, 1, 64) follows from n*d and the
+number of (n, d) arrays a row records: X|Y, G and the twins the rule
+records, so 3 for dgt, 7 for alg1 and alg3 and 9 for alg2, whose Ex|Ey enter
+its Lyapunov function.  Storing twins as blocks records the same bytes a
+row, so B is what it was per array.  At n=20, d=50 that is 43, 18 and 14; B
+is 1 once a row passes 512 KiB (n*d above about 22000 for dgt and 9400 for
+alg1/alg3).  At B = 1 rows are recorded straight from the state blocks,
+before the next step overwrites them.  A non-finite row ends the run at that
+row: the steps already taken past it inside the block are discarded by
+replaying from a copy of the block's first row.
 
 Shared conventions:
 
@@ -258,18 +258,14 @@ class _BlockRecorder:
     """
 
     def __init__(self, rule, row, cost, W, eta, phi_w, aux, iters,
-                 record_states=False, s_arr=None):
+                 s_arr=None):
         n, d = row[1].shape
         self.B = _block_rows(sum(a.size for a in row) // (n * d), n, d)
         self.rule, self.nblk, self.cost, self.W = rule, len(row), cost, W
         self.eta, self.phi_w, self.aux = eta, phi_w, aux
         self.s_arr = s_arr
-        # consensus_err, opt_gap, stationarity and lyapunov, row by row; the
-        # x and y history when recorded
+        # consensus_err, opt_gap, stationarity and lyapunov, row by row
         self.cols = np.zeros((4, iters + 1))
-        hist_rows = iters + 1 if record_states else 0
-        self.Xh = np.zeros((hist_rows, n, d))
-        self.Yh = np.zeros((hist_rows, n, d))
         self.diag = dict.fromkeys(rule.invariants, 0.0)
         # slot 0 carries the row before the block (its agent means, and a
         # scaled rule's X); rows go to slots 1..B.  At B = 1 rows are not
@@ -345,9 +341,6 @@ class _BlockRecorder:
         cons, gap, stat, lyap = self.cols
         cons[rows], gap[rows], stat[rows], lyap[rows] = (
             c[:keep], g[:keep], s[:keep], L[:keep])
-        if self.Xh.shape[0] > 0:
-            self.Xh[rows] = X[:keep]
-            self.Yh[rows] = Y[:keep]
 
         ok = slice(0, nok)
         _raise_max(diag, "mean_y_tracking", ytr[ok])
@@ -490,17 +483,17 @@ def _dgt_step(rule, st, W, p, cost, comp, seed, s_arr):
 
 
 def run_rule(rule, X0, W, p, comp, seed, cost, iters, phi_w, aux,
-             record_states=False, s_arr=None):
+             s_arr=None):
     """Run ``rule`` (an ``algorithms.Rule``) for ``iters`` steps from X0.
 
     X|Y starts at X0 and its gradients and every twin at zero.  A
     compressed rule's first messages compress X|Y, divided by s(0) for a
     scaled rule; alg2's first error-feedback messages are its first
     messages.  A scaled rule stops before the first step whose next scale
-    underflows.  Returns (status, k_done, recorder, final): the recorder
-    holds the trace columns, the history and the invariant maxima, and
-    final maps ``rule.final`` to the last state, one distinct array per
-    field.
+    underflows.  Returns (status, k_done, recorder, st): the recorder holds
+    the trace columns and the invariant maxima, and ``st`` is the state
+    list at row k_done: X|Y, G, the twins, then the message block of a
+    compressed rule.
     """
     n, d = X0.shape
     G = cost.grad(X0)
@@ -517,8 +510,6 @@ def run_rule(rule, X0, W, p, comp, seed, cost, iters, phi_w, aux,
         if below.size:
             last, end_status = int(below[0]), "scaling_exhausted"
     rec = _BlockRecorder(rule, st[:2 + rule.recorded], cost, W, p.eta,
-                         phi_w, aux, iters, record_states, s_arr)
+                         phi_w, aux, iters, s_arr)
     status, k_done = rec.run(st, step, last, end_status)
-    # x, y, the twins' halves and the message slots, in rule.final order
-    halves = (a for block in st[:1] + st[2:] for a in block)
-    return status, k_done, rec, dict(zip(rule.final, halves))
+    return status, k_done, rec, st

@@ -77,7 +77,7 @@ class Rule:
     name: str
     step: Callable
     classes: tuple      # compressor classes it is certified for; () if exact
-    messages: tuple     # the StackedState field sent in each message slot
+    messages: tuple     # the name of the message sent in each slot
     twins: tuple        # (2, n, d) blocks after X|Y, zero at the start
     recorded: int       # how many of the twins a trace row reads
     lyapunov: str       # "full", "ef" or "consensus" (sidecar names)
@@ -88,13 +88,6 @@ class Rule:
     practical: AlgorithmParams  # aggressive operating point for
                                 # qualitative experiments
     scaled: bool = False  # it sends (X - Xhat) / s(k), s(k) = s0 mu^k
-
-    @property
-    def final(self) -> tuple:
-        """The StackedState fields of its final state: x, y, the twins and,
-        if it compresses, the messages."""
-        fields = ("x", "y") + tuple(f for pair in self.twins for f in pair)
-        return fields + self.messages if self.classes else fields
 
     @property
     def feedback(self) -> bool:
@@ -128,28 +121,6 @@ MESSAGES_PER_AGENT = {name: len(rule.messages) for name, rule in RULES.items()}
 
 
 @dataclass
-class StackedState:
-    """Final per-agent vectors, stacked row-wise (agent i is row i)."""
-
-    x: np.ndarray
-    y: np.ndarray
-    a: np.ndarray = None
-    b: np.ndarray = None
-    c: np.ndarray = None
-    dd: np.ndarray = None
-    ex: np.ndarray = None
-    ey: np.ndarray = None
-    xhat: np.ndarray = None
-    v: np.ndarray = None
-    yhat: np.ndarray = None
-    z: np.ndarray = None
-    qx: np.ndarray = None
-    qy: np.ndarray = None
-    qhx: np.ndarray = None
-    qhy: np.ndarray = None
-
-
-@dataclass
 class RunTrace:
     """Dense per-iteration records plus runtime-invariant maxima."""
 
@@ -163,17 +134,9 @@ class RunTrace:
     status: str
     failed_at: int | None
     diagnostics: dict
-    final_state: StackedState
-    x_hist: np.ndarray | None = None
-    y_hist: np.ndarray | None = None
-    s_values: np.ndarray | None = None
 
     def __len__(self):
         return len(self.k)
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
 
 
 def initial_point(n: int, d: int, seed: int, scale: float = 1.0) -> np.ndarray:
@@ -193,8 +156,7 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
         params: AlgorithmParams, comp: CompressorSpec | None = None, *,
         seed: int = 0, x0: np.ndarray | None = None, f_star: float = 0.0,
         x_star: np.ndarray | None = None, lyap_phi: float = 0.0,
-        lyap_aux: float | None = None, bits_per_iter: int = 0,
-        record_states: bool = False) -> RunTrace:
+        lyap_aux: float | None = None, bits_per_iter: int = 0) -> RunTrace:
     """Execute one synchronous run and return its dense trace.
 
     The run is built from the rule's description (``RULES[algo]``) by
@@ -243,11 +205,10 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
 
     s_vals = (scaling_sequence(params.s0, params.mu, iters) if rule.scaled
               else None)
-    status, k_done, rec, final = kern.run_rule(
+    status, k_done, rec, _ = kern.run_rule(
         rule, x0, np.ascontiguousarray(net.W, dtype=np.float64), params,
         comp if rule.classes else None, np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-        RunCosts(suite, x_star, f_star), iters, lyap_phi, lyap_aux,
-        record_states, s_vals)
+        RunCosts(suite, x_star, f_star), iters, lyap_phi, lyap_aux, s_vals)
 
     rows = k_done + 1
     ks = np.arange(rows, dtype=np.int64)
@@ -263,10 +224,6 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
         status=status,
         failed_at=None if status == "ok" else k_done,
         diagnostics={name: float(v) for name, v in rec.diag.items()},
-        final_state=StackedState(**final),
-        x_hist=rec.Xh[:rows].copy() if record_states else None,
-        y_hist=rec.Yh[:rows].copy() if record_states else None,
-        s_values=s_vals[:rows].copy() if s_vals is not None else None,
     )
 
 

@@ -175,15 +175,6 @@ def _logistic_L(suite: CostSuite) -> float:
     return float(per_agent.max())
 
 
-def grad(suite: CostSuite, agent: int, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if suite.kind == "logistic_log":
-        s = _sigmoid(float(suite.xi[agent] @ x + suite.nu[agent]))
-        return (suite.h[agent] * s * (1.0 - s) * suite.xi[agent]
-                + 2.0 * suite.m[agent] * x / (1.0 + x @ x))
-    return suite.M[agent].T @ (suite.M[agent] @ x - suite.b[agent])
-
-
 def grad_all(suite: CostSuite, X: np.ndarray) -> np.ndarray:
     """Stacked per-agent gradients: row i is grad F_i(X[i]); quadratics in
     Gram form."""

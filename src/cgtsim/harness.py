@@ -149,8 +149,8 @@ class ExperimentConfig:
         try:
             cfg = ExperimentConfig(
                 scenario=doc.pop("scenario"),
-                iters=int(doc.pop("iters")),
-                threshold=float(doc.pop("threshold", 1e-3)),
+                iters=doc.pop("iters"),
+                threshold=doc.pop("threshold", 1e-3),
                 network=doc.pop("network"),
                 cost=doc.pop("cost"),
                 seeds=doc.pop("seeds"),
@@ -159,7 +159,7 @@ class ExperimentConfig:
                                        bits_int=bm.get("bits_int", 4)),
                 broadcast=broadcast,
                 output_dir=doc.pop("output_dir", "out"),
-                fstar_tol=float(doc.pop("fstar_tol", 1e-9)),
+                fstar_tol=doc.pop("fstar_tol", 1e-9),
             )
         except KeyError as exc:
             raise ConfigError(f"missing config key: {exc}") from None
@@ -173,25 +173,35 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.cells:
             raise ConfigError("need at least one cell")
-        if self.iters < 1:
-            raise ConfigError("iters must be >= 1")
-        if self.threshold <= 0:
-            raise ConfigError("threshold must be positive")
+        if not (_is_int(self.iters) and self.iters >= 1):
+            raise ConfigError(f"iters must be an int >= 1, not "
+                              f"{self.iters!r}")
+        for key in ("threshold", "fstar_tol"):
+            value = getattr(self, key)
+            if not (_finite(value) and value > 0):
+                raise ConfigError(f"{key} must be a finite positive number, "
+                                  f"not {value!r}")
         _check_keys("seeds", self.seeds, _SEED_KEYS)
         _check_keys("network", self.network, _NETWORK_KEYS)
         for key in _SEED_KEYS:
             if key not in self.seeds:
                 raise ConfigError(f"missing seed {key!r}")
+            value = self.seeds[key]
+            if not (_is_int(value) and value >= 0):
+                raise ConfigError(f"seed {key!r} must be a nonnegative int, "
+                                  f"not {value!r}")
         for key in ("n", "edge_density"):
             if key not in self.network:
                 raise ConfigError(f"missing network key {key!r}")
         for key in ("kind", "d"):
             if key not in self.cost:
                 raise ConfigError(f"missing cost key {key!r}")
-        try:  # the values build_instance and run_experiment convert
-            for v in (self.network["n"], self.cost["d"], self.seeds["graph"],
-                      self.seeds["cost"], self.seeds["algo"]):
-                int(v)
+        for section, key in (("network", "n"), ("cost", "d")):
+            value = getattr(self, section)[key]
+            if not _is_int(value):
+                raise ConfigError(f"{section} {key!r} must be an int, not "
+                                  f"{value!r}")
+        try:  # the value build_instance converts
             float(self.network["edge_density"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config value: {exc}") from None
@@ -566,7 +576,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             "seeds": cfg.seeds, "bits_per_iteration": bpi,
             "sigma": net.sigma, "L_f": suite.L_f, "nu_pl": suite.nu_pl,
             "f_star": ref.f_star, "f_star_certified": ref.certified,
-            "status": trace.status, "diagnostics": trace.diagnostics,
+            "status": trace.status, "failed_at": trace.failed_at,
+            "diagnostics": trace.diagnostics,
         }
         for key, val in extras.items():
             sidecar[key] = val

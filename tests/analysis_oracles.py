@@ -5,8 +5,9 @@ window (``fit_rate``), and descent checks of a recorded Lyapunov column
 (``check_descent``) and of replicate columns (``sample_mean_descent``).
 
 The runs record the Lyapunov column batched inside the steppers; this
-evaluates one state from its StackedState fields with ``costs.mean_value``,
-so tests can check the recorded column and the weights against it.
+evaluates one state from its ``run_recorder.StackedState`` fields with
+``costs.mean_value``, so tests can check the recorded column and the weights
+against it.
 """
 
 import math

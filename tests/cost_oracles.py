@@ -2,8 +2,9 @@
 
 The simulator evaluates costs in batches (``costs.grad_all``,
 ``costs.RunCosts``, ``costs.mean_value``); these helpers evaluate one agent's
-value, sample a Lipschitz ratio, and regenerate a suite from its seed and
-generation parameters, so tests can check the batched code against them.
+value and gradient (``eval_cost``, ``grad``), sample a Lipschitz ratio, and
+regenerate a suite from its seed and generation parameters, so tests can
+check the batched code against them.
 ``sigmoid_two_div`` and ``logistic_grad_all`` are the sigmoid and the
 logistic stacked gradient as plain expressions, the bitwise reference for
 the shipped forms with one division and fewer temporaries.  ``descend`` and
@@ -25,7 +26,6 @@ from cgtsim.costs import (
     _quadratic_minimiser,
     _sigmoid,
     generate_suite,
-    grad,
     mean_grad,
     mean_value,
 )
@@ -104,6 +104,16 @@ def solve_reference_per_start(suite: CostSuite, tol: float = 1e-9, *,
     return ReferenceSolution(x_star=x, f_star=f, grad_norm=gn,
                              certified=gn <= tol, tol=tol,
                              restart_values=values)
+
+
+def grad(suite: CostSuite, agent: int, x: np.ndarray) -> np.ndarray:
+    """grad F_i(x) of one agent."""
+    x = np.asarray(x, dtype=np.float64)
+    if suite.kind == "logistic_log":
+        s = _sigmoid(float(suite.xi[agent] @ x + suite.nu[agent]))
+        return (suite.h[agent] * s * (1.0 - s) * suite.xi[agent]
+                + 2.0 * suite.m[agent] * x / (1.0 + x @ x))
+    return suite.M[agent].T @ (suite.M[agent] @ x - suite.b[agent])
 
 
 def eval_cost(suite: CostSuite, agent: int, x: np.ndarray) -> float:

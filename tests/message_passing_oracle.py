@@ -4,7 +4,7 @@ A second implementation of the four update rules, written from the agents'
 side.  Agent i keeps its own vectors and updates them only from its own state
 and from the terms W[i, j] * q_j of the messages q_j its neighbours j sent,
 its self-loop included; it never reads another agent's state.  Gradients come
-from ``costs.grad`` one agent at a time, and messages from
+from ``cost_oracles.grad`` one agent at a time, and messages from
 ``compressors.compress`` keyed by the stepper's (seed, k, slot), with row i of
 the stack being agent i's message.  The neighbour sums run in a Python loop,
 so the oracle agrees with the steppers up to summation order.
@@ -14,12 +14,13 @@ import numpy as np
 
 from cgtsim.algorithms import RULES, scaling_sequence
 from cgtsim.compressors import compress
-from cgtsim.costs import grad
+from cost_oracles import grad
+from run_recorder import final_fields
 
 SLOTS = {"qx": 0, "qy": 1, "qhx": 2, "qhy": 3}
 
 # the StackedState fields each rule ends with, besides x and y
-FIELDS = {name: rule.final[2:] for name, rule in RULES.items()}
+FIELDS = {name: final_fields(rule)[2:] for name, rule in RULES.items()}
 
 
 def _mix(W, i, msgs):

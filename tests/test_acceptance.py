@@ -21,7 +21,7 @@ from cgtsim.algorithms import (
     scaling_sequence,
 )
 from cgtsim.compressors import make_compressor, verify_assumption
-from cgtsim.costs import generate_suite, grad, solve_reference
+from cgtsim.costs import generate_suite, solve_reference
 from cgtsim.graph import generate_network
 from cgtsim.harness import (
     ExperimentConfig,
@@ -30,8 +30,9 @@ from cgtsim.harness import (
     upsilon_series,
 )
 from analysis_oracles import check_descent, fit_rate, pl_rate
-from cost_oracles import eval_cost
+from cost_oracles import eval_cost, grad
 from harness_oracles import file_digest
+from run_recorder import run_recorded
 
 FSTAR_TOL = 1e-10
 
@@ -107,8 +108,8 @@ def test_criterion_2_structural_identities(benchmark_scenario):
 def test_criterion_3_exact_compressor_reduction(benchmark_scenario):
     net, suite, ref, x0 = benchmark_scenario
     ident = make_compressor("identity", d=50)
-    base = run("dgt", 200, net, suite, AlgorithmParams(eta=0.8, gamma=0.3),
-               seed=404, x0=x0, record_states=True)
+    base = run_recorded("dgt", 200, net, suite,
+                        AlgorithmParams(eta=0.8, gamma=0.3), seed=404, x0=x0)
     variants = [
         ("alg1", AlgorithmParams(eta=0.8, gamma=0.3, phi_x=1.0, phi_y=1.0)),
         ("alg2", AlgorithmParams(eta=0.8, gamma=0.3, phi_x=1.0, phi_y=1.0,
@@ -116,8 +117,8 @@ def test_criterion_3_exact_compressor_reduction(benchmark_scenario):
         ("alg3", AlgorithmParams(eta=0.8, gamma=0.3, s0=10.0, mu=0.99)),
     ]
     for algo, params in variants:
-        tr = run(algo, 200, net, suite, params, ident, seed=404, x0=x0,
-                 record_states=True)
+        tr = run_recorded(algo, 200, net, suite, params, ident, seed=404,
+                          x0=x0)
         sup = float(np.max(np.abs(tr.x_hist - base.x_hist)))
         assert sup <= 1e-10, (algo, sup)
     _report(3, "identity-compressor runs match the exact baseline to 1e-10 "

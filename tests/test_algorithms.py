@@ -17,9 +17,11 @@ from cgtsim.algorithms import (
     scaling_sequence,
 )
 from cgtsim.compressors import make_compressor
-from cgtsim.costs import CostSuite, RunCosts, generate_suite, grad
+from cgtsim.costs import CostSuite, RunCosts, generate_suite
 from cgtsim.graph import Network, generate_network
+from cost_oracles import grad
 from message_passing_oracle import run_oracle
+from run_recorder import run_recorded
 from twin_stepper_oracle import (
     metrics_oracle,
     row_norm_max_oracle,
@@ -45,16 +47,16 @@ def _single_agent_net():
 
 def test_identity_reduction_to_baseline(small_net, small_suite):
     comp = make_compressor("identity", d=8)
-    shared = dict(seed=5, record_states=True)
-    trd = run("dgt", 200, small_net, small_suite,
+    shared = dict(seed=5)
+    trd = run_recorded("dgt", 200, small_net, small_suite,
               AlgorithmParams(eta=0.05, gamma=0.3), **shared)
-    tr1 = run("alg1", 200, small_net, small_suite,
+    tr1 = run_recorded("alg1", 200, small_net, small_suite,
               AlgorithmParams(eta=0.05, gamma=0.3, phi_x=1.0, phi_y=1.0),
               comp, **shared)
-    tr2 = run("alg2", 200, small_net, small_suite,
+    tr2 = run_recorded("alg2", 200, small_net, small_suite,
               AlgorithmParams(eta=0.05, gamma=0.3, phi_x=1.0, phi_y=1.0,
                               varsigma=0.3), comp, **shared)
-    tr3 = run("alg3", 200, small_net, small_suite,
+    tr3 = run_recorded("alg3", 200, small_net, small_suite,
               AlgorithmParams(eta=0.05, gamma=0.3, s0=5.0, mu=0.99),
               comp, **shared)
     for tr in (tr1, tr2, tr3):
@@ -67,10 +69,8 @@ def test_varsigma_zero_identity_equals_plain(small_net, small_suite):
     p1 = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.5, phi_y=0.5)
     p2 = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.5, phi_y=0.5,
                          varsigma=0.0)
-    a = run("alg1", 150, small_net, small_suite, p1, comp, seed=3,
-            record_states=True)
-    b = run("alg2", 150, small_net, small_suite, p2, comp, seed=3,
-            record_states=True)
+    a = run_recorded("alg1", 150, small_net, small_suite, p1, comp, seed=3)
+    b = run_recorded("alg2", 150, small_net, small_suite, p2, comp, seed=3)
     assert np.array_equal(a.x_hist, b.x_hist)
 
 
@@ -82,8 +82,8 @@ def test_single_agent_is_centralized_gd():
     p = AlgorithmParams(eta=0.1, gamma=0.3, phi_x=0.3, phi_y=0.1,
                         varsigma=0.3, s0=10.0, mu=0.99)
     for algo in ("alg1", "alg2", "alg3", "dgt"):
-        tr = run(algo, 100, net, suite, p, None if algo == "dgt" else comp,
-                 seed=11, x0=x0, record_states=True)
+        tr = run_recorded(algo, 100, net, suite, p,
+                          None if algo == "dgt" else comp, seed=11, x0=x0)
         # consensus terms vanish identically for one agent
         assert np.all(tr.consensus_err == 0.0)
         x = x0[0].copy()
@@ -99,8 +99,7 @@ def test_zero_gradient_consensus_start_is_fixed_point(small_net):
     x0 = np.tile(np.array([1.0, -2.0, 0.5, 3.0]), (6, 1))
     comp = make_compressor("norm_sign", d=4)
     p = AlgorithmParams(eta=0.2, gamma=0.3, phi_x=0.3, phi_y=0.1)
-    tr = run("alg1", 100, small_net, suite, p, comp, seed=1, x0=x0,
-             record_states=True)
+    tr = run_recorded("alg1", 100, small_net, suite, p, comp, seed=1, x0=x0)
     drift = np.max(np.abs(tr.x_hist - x0[None]))
     assert drift <= 1e-12
     assert np.max(np.abs(tr.y_hist)) <= 1e-12
@@ -128,11 +127,13 @@ def test_agent_relabelling_equivariance(small_net, small_suite):
     perm = np.array([3, 0, 5, 1, 4, 2])
     net_p = Network(n=6, adjacency=small_net.adjacency[perm][:, perm],
                     W=small_net.W[perm][:, perm], sigma=small_net.sigma)
-    a = run("alg1", 200, small_net, small_suite, p, comp, seed=6, x0=x0)
+    a = run_recorded("alg1", 200, small_net, small_suite, p, comp, seed=6,
+                     x0=x0)
     suite_p = generate_suite("logistic_log", n=6, d=8, seed=2, scale=0.3)
     for arr in ("h", "nu", "m", "xi"):
         setattr(suite_p, arr, getattr(small_suite, arr)[perm])
-    b = run("alg1", 200, net_p, suite_p, p, comp, seed=6, x0=x0[perm])
+    b = run_recorded("alg1", 200, net_p, suite_p, p, comp, seed=6,
+                     x0=x0[perm])
     assert np.allclose(b.final_state.x, a.final_state.x[perm],
                        rtol=1e-9, atol=1e-11)
 
@@ -140,12 +141,12 @@ def test_agent_relabelling_equivariance(small_net, small_suite):
 def test_same_seed_identical_traces(small_net, small_suite):
     comp = make_compressor("random_quantize", d=8, levels=9)
     p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1)
-    a = run("alg1", 120, small_net, small_suite, p, comp, seed=21)
-    b = run("alg1", 120, small_net, small_suite, p, comp, seed=21)
+    a = run_recorded("alg1", 120, small_net, small_suite, p, comp, seed=21)
+    b = run_recorded("alg1", 120, small_net, small_suite, p, comp, seed=21)
     assert np.array_equal(a.consensus_err, b.consensus_err)
     assert np.array_equal(a.lyapunov, b.lyapunov)
     assert np.array_equal(a.final_state.x, b.final_state.x)
-    c = run("alg1", 120, small_net, small_suite, p, comp, seed=22)
+    c = run_recorded("alg1", 120, small_net, small_suite, p, comp, seed=22)
     assert not np.array_equal(a.final_state.x, c.final_state.x)
 
 
@@ -171,8 +172,8 @@ def test_steppers_match_message_passing_oracle(small_net, small_suite):
                                                 levels=17)),
                        ("alg3", make_compressor("uniform_quantize", d=8,
                                                 delta=0.05))]:
-        tr = run(algo, 150, small_net, small_suite, p, comp, seed=9, x0=x0,
-                 record_states=True)
+        tr = run_recorded(algo, 150, small_net, small_suite, p, comp,
+                          seed=9, x0=x0)
         assert tr.status == "ok"
         xh, yh, final = run_oracle(algo, 150, small_net, small_suite, p,
                                    comp, 9, x0)
@@ -404,12 +405,11 @@ def _assert_same_run(a, b):
 
 def _run_default_and_per_row(monkeypatch, *args, **kwargs):
     """The same run recorded in default blocks and one row at a time."""
-    kwargs.update(record_states=True)
-    blocked = run(*args, **kwargs)
+    blocked = run_recorded(*args, **kwargs)
     with monkeypatch.context() as mp:
         mp.setattr(_kernels, "_RECORD_BUDGET", 0)
         assert _kernels._block_rows(3, 6, 8) == 1
-        per_row = run(*args, **kwargs)
+        per_row = run_recorded(*args, **kwargs)
     return blocked, per_row
 
 
@@ -442,7 +442,8 @@ def test_final_state_fields_are_distinct_arrays(small_net, small_suite):
                         varsigma=0.3, s0=8.0, mu=0.99)
     x0 = initial_point(6, 8, 3)
     for algo, comp in _BLOCK_CASES.items():
-        tr = run(algo, 5, small_net, small_suite, p, comp, seed=3, x0=x0)
+        tr = run_recorded(algo, 5, small_net, small_suite, p, comp, seed=3,
+                          x0=x0)
         arrays = [x0] + [a for a in vars(tr.final_state).values()
                          if a is not None]
         for i, a in enumerate(arrays):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cgtsim import analysis
-from cgtsim.algorithms import AlgorithmParams, initial_point, run
+from cgtsim.algorithms import AlgorithmParams, initial_point
 from cgtsim.analysis import (
     AnalysisError,
     InfeasibleParameters,
@@ -32,6 +32,7 @@ from analysis_oracles import (
 from cgtsim.compressors import make_compressor
 from cgtsim.costs import generate_suite, grad_all, solve_reference
 from cgtsim.graph import generate_network
+from run_recorder import StackedState, run_recorded
 
 
 def test_mixing_constants_and_domain():
@@ -215,7 +216,6 @@ def test_lyapunov_eval_zero_state_and_dominance():
     net = generate_network(5, 0.6, seed=3)
     suite = generate_suite("quadratic_pl", n=5, d=3, seed=4)
     ref = solve_reference(suite, tol=1e-11)
-    from cgtsim.algorithms import StackedState
 
     xstar = np.tile(ref.x_star, (5, 1))
     zeros = np.zeros((5, 3))
@@ -239,8 +239,6 @@ def test_lyapunov_eval_zero_state_and_dominance():
 def test_lyapunov_eval_pairing_errors():
     net = generate_network(5, 0.6, seed=3)
     suite = generate_suite("quadratic_pl", n=5, d=3, seed=4)
-    from cgtsim.algorithms import StackedState
-
     state = StackedState(x=np.zeros((5, 3)), y=np.zeros((5, 3)))
     with pytest.raises(AnalysisError):
         lyapunov_eval("full", state, net, suite, 0.0, {"phi": 0.1})
@@ -270,9 +268,9 @@ def test_trace_lyapunov_matches_events_evaluator():
                              ("dgt", "consensus", None)]:
         pp = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
                              varsigma=0.3, s0=8.0, mu=0.99)
-        tr = run(algo, 60, net, suite, pp,
-                 None if algo == "dgt" else comp, seed=3,
-                 f_star=ref.f_star, lyap_phi=0.017, lyap_aux=aux)
+        tr = run_recorded(algo, 60, net, suite, pp,
+                          None if algo == "dgt" else comp, seed=3,
+                          f_star=ref.f_star, lyap_phi=0.017, lyap_aux=aux)
         val = lyapunov_eval(which, tr.final_state, net, suite, ref.f_star,
                             consts)
         assert tr.lyapunov[-1] == pytest.approx(val.total, rel=1e-9,

@@ -15,7 +15,6 @@ from cgtsim.costs import (
     CostSuite,
     RunCosts,
     generate_suite,
-    grad,
     grad_all,
     mean_grad,
     mean_value,
@@ -25,6 +24,7 @@ from cost_oracles import (
     descend,
     estimate_L,
     eval_cost,
+    grad,
     least_squares,
     logistic_grad_all,
     sigmoid_two_div,
@@ -613,7 +613,7 @@ _Z = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
 def test_sigmoid_equals_two_division_form(z, x):
     with np.errstate(all="ignore"):
         assert costs._sigmoid(z).tobytes() == sigmoid_two_div(z).tobytes()
-        # costs.grad passes a Python float
+        # cost_oracles.grad passes a Python float
         got, want = costs._sigmoid(x), sigmoid_two_div(x)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 

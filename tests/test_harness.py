@@ -20,7 +20,6 @@ from cgtsim.algorithms import (
     AlgorithmParams,
     RunTrace,
     initial_point,
-    run,
 )
 from cgtsim.compressors import BitCostModel, make_compressor
 from cgtsim.costs import generate_suite, mean_value, solve_reference
@@ -41,6 +40,7 @@ from harness_oracles import (
     upsilon,
     write_trace_csv_rowwise,
 )
+from run_recorder import run_recorded
 
 
 @pytest.fixture(scope="module")
@@ -70,9 +70,9 @@ def small_run():
     net = generate_network(6, 0.6, seed=1)
     suite = generate_suite("logistic_log", n=6, d=8, seed=2, scale=0.1)
     ref = solve_reference(suite, tol=1e-9)
-    tr = run("dgt", 50, net, suite, AlgorithmParams(eta=0.3, gamma=0.3),
-             seed=3, f_star=ref.f_star, bits_per_iter=100,
-             record_states=True)
+    tr = run_recorded("dgt", 50, net, suite,
+                      AlgorithmParams(eta=0.3, gamma=0.3), seed=3,
+                      f_star=ref.f_star, bits_per_iter=100)
     return net, suite, ref, tr
 
 
@@ -152,7 +152,7 @@ def test_csv_writer_equals_rowwise_writer(tmp_path_factory, data, rows):
     floats = [data.draw(hnp.arrays(np.float64, rows, elements=_CSV_FLOATS))
               for _ in range(4)]
     k = np.arange(rows)
-    tr = RunTrace("alg1", k, *floats, k * 1640, "ok", None, {}, None)
+    tr = RunTrace("alg1", k, *floats, k * 1640, "ok", None, {})
     path = tmp_path_factory.mktemp("csv")
     write_trace_csv(tr, path / "a.csv")
     write_trace_csv_rowwise(tr, path / "b.csv")
@@ -284,13 +284,14 @@ def test_single_run_config_form(tmp_path):
 
 
 def test_failed_cell_recorded_others_continue(tmp_path):
+    out = tmp_path / "m"
     doc = {
         "scenario": "mix",
         "iters": 300,
         "network": {"n": 5, "edge_density": 0.7},
         "cost": {"kind": "quadratic_pl", "d": 4},
         "seeds": {"graph": 4, "cost": 5, "algo": 6},
-        "output_dir": str(tmp_path / "m"),
+        "output_dir": str(out),
         "cells": [
             {"algo": "alg1", "compressor": {"kind": "norm_sign"},
              "params": {"eta": 80.0, "gamma": 0.9, "phi_x": 0.3,
@@ -302,6 +303,15 @@ def test_failed_cell_recorded_others_continue(tmp_path):
     statuses = {r.label: r.status for r in res.rows}
     assert statuses["alg1_norm_sign"] == "nonfinite_state"
     assert statuses["dgt_exact"] == "ok"
+    # the sidecar names the row the cell's CSV ends at, or null when ok
+    failed_at = {}
+    for label in statuses:
+        sidecar = json.loads((out / f"mix__{label}.json").read_text())
+        last_k = int(read_trace_csv(out / f"mix__{label}.csv")["k"][-1])
+        failed_at[label] = sidecar["failed_at"], last_k
+    assert failed_at["alg1_norm_sign"][0] == failed_at["alg1_norm_sign"][1]
+    assert failed_at["alg1_norm_sign"][1] < 300
+    assert failed_at["dgt_exact"] == (None, 300)
 
 
 def test_reference_scenario_config_modes():
@@ -710,6 +720,19 @@ _GOOD_CELLS = [{"algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}},
     # an exact rule given a compressor, and a forced flag that is no bool
     {"cells": [dict(_GOOD_CELLS[0], **_NORM_SIGN)]},
     {"cells": [dict(_GOOD_CELLS[1], force_params="yes")]},
+    # values that are not what they claim: a threshold or reference
+    # tolerance that is not finite and positive, counts that are not ints,
+    # seeds that are not nonnegative ints
+    {"threshold": math.nan},
+    {"threshold": math.inf},
+    {"fstar_tol": math.nan},
+    {"fstar_tol": math.inf},
+    {"iters": 5.7},
+    {"iters": "5"},
+    {"network": {"n": 5.5, "edge_density": 0.7}},
+    {"cost": {"kind": "quadratic_pl", "d": 4.5}},
+    {"seeds": {"graph": 4, "cost": 5.5, "algo": 6}},
+    {"seeds": {"graph": 4, "cost": 5, "algo": -6}},
 ])
 @pytest.mark.parametrize("command", ["run", "bounds"])
 def test_cli_bad_config_sections_exit_2_before_any_output(tmp_path, change,

@@ -129,7 +129,8 @@ class _RowRecorder:
 def run_twin(algo, iters, net, suite, p, comp, seed, x0, *, x_star=None,
              f_star=0.0, lyap_phi, lyap_aux=None):
     """The run ``algorithms.run`` makes with these arguments, as a dict of
-    its RunTrace fields (``final`` for ``final_state``).  The Lyapunov
+    its ``run_recorder.RecordedTrace`` fields (``final`` for
+    ``final_state``).  The Lyapunov
     function is alg1's full one, alg2's error-feedback one (``lyap_aux``
     weighting the feedback sum, 0 by default) and otherwise the consensus
     one, or the scaled one when ``lyap_aux`` weights the gap."""
