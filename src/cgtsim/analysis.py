@@ -331,21 +331,19 @@ def bounds_absolute_global(sigma: float, L: float, n: int, d: int,
 def bounds_scaled_local(sigma: float, L: float, nu: float, phi_c: float,
                         n: int, d: int, *, cons0: float,
                         track0: float, gap0: float, x0_norm_max: float,
-                        y0_norm_max: float,
-                        xi5_factor: float = 2.0) -> ParameterBounds:
+                        y0_norm_max: float) -> ParameterBounds:
     """Full parameter set for the scaled tracker under a locally bounded
     absolute error, including the admissible scaling pair (s0, mu).
 
     The initial-state summary (consensus, tracking, optimality gap at k=0 and
-    the largest agent norms) fixes the s0 floor.
+    the largest agent norms) fixes the s0 floor.  tilde_xi5, which must
+    exceed t2/t4, is twice that floor.
     """
     _check_problem(sigma, L)
     if nu <= 0:
         raise AnalysisError("nu must be positive (gradient dominance constant)")
     if not 0.0 < phi_c <= 1.0:
         raise AnalysisError("phi_c must lie in (0, 1]")
-    if xi5_factor <= 1.0:
-        raise AnalysisError("xi5_factor must exceed 1")
     # ||v||_inf <= d_hat ||v||_2 <= d_hat d_tilde ||v||_inf
     d_hat, d_tilde = 1.0, math.sqrt(d)
     one = 1.0 - sigma
@@ -355,7 +353,7 @@ def bounds_scaled_local(sigma: float, L: float, nu: float, phi_c: float,
     pw = phi_c + phi_c**2 - phi_c**3
     t2 = 2.0 * (1.0 + 2.0 * L2) * 8.0 * n * d_tilde**2 * (1.0 - phi_c) ** 2 / one
     t4 = min(0.59 * one, 48.0 * nu * phi / one)
-    xi5 = xi5_factor * t2 / t4 if t2 > 0 else xi5_factor * n * d_tilde**2
+    xi5 = 2.0 * t2 / t4 if t2 > 0 else 2.0 * n * d_tilde**2
     xi8 = 16.0 * n * d_hat**2 * d_tilde**2 * fr
     xi9 = 20.0 * n * d_hat**2 * d_tilde**2 * fr
     xi1 = 4.0 * d_hat**2 * (5.0 + 4.0 * L2) * fr * xi5

@@ -125,7 +125,7 @@ def _cmd_bounds(args) -> int:
             "regime": b.regime, "gamma_max": b.gamma_max, "gamma": b.gamma,
             "eta_max": b.eta_max, "eta": b.eta,
             "varsigma_max": b.varsigma_max, "varsigma": b.varsigma,
-            "s0_min": b.s0_min, "mu_min": b.mu_min, "mu": b.mu,
+            "s0_min": b.s0_min, "s0": b.s0, "mu_min": b.mu_min, "mu": b.mu,
             "constants": b.constants,
         }
     print(json.dumps(tables, indent=2, sort_keys=True, default=float))

@@ -45,44 +45,31 @@ def derived_relative_cap(r: float, psi: float) -> float:
 
 @dataclass(frozen=True)
 class CompressorSpec:
+    """One compression operator on ``d``-vectors.  Its class and constants
+    are no arguments: they follow from the kind, d and the operator
+    parameters (``_class_constants``)."""
+
     kind: str
     d: int
-    assumption_class: str
     # operator parameters
     delta: float = 0.0          # uniform_quantize grid step
     keep_k: int = 0             # random_sparsify kept coordinates
     levels: int = 0             # random_quantize grid size
     sparsify_mode: str = "top"  # "top" | "random"
     rescale: bool = False       # random_sparsify d/k rescaling
-    # error-bound constants
-    r: float = 1.0
-    psi: float = 1.0
-    cap_c: float = 0.0
-    phi_c: float = 1.0
+    # the class and its error-bound constants; a class keeps the defaults of
+    # the constants it does not state
+    assumption_class: str = field(init=False)
+    r: float = field(init=False, default=1.0)
+    psi: float = field(init=False, default=1.0)
+    cap_c: float = field(init=False, default=0.0)
+    phi_c: float = field(init=False, default=1.0)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise CompressorError(f"unknown compressor kind {self.kind!r}")
         if self.d < 1:
             raise CompressorError("dimension must be positive")
-        if self.assumption_class == RELATIVE:
-            if self.r <= 0 or not 0.0 < self.psi <= 1.0:
-                raise CompressorError(
-                    f"relative class needs r > 0 and psi in (0, 1], got "
-                    f"r={self.r}, psi={self.psi}")
-            want = derived_relative_cap(self.r, self.psi)
-            if not math.isclose(self.cap_c, want, rel_tol=1e-12, abs_tol=1e-12):
-                raise CompressorError(
-                    f"stored cap_c={self.cap_c} != 2r^2(1-psi)+2(1-r)^2={want}")
-        elif self.assumption_class == GLOBAL_ABSOLUTE:
-            if self.cap_c < 0:
-                raise CompressorError("global absolute class needs cap_c >= 0")
-        elif self.assumption_class == LOCAL_ABSOLUTE:
-            if not 0.0 < self.phi_c <= 1.0:
-                raise CompressorError("local absolute class needs phi_c in (0, 1]")
-        else:
-            raise CompressorError(
-                f"unknown assumption class {self.assumption_class!r}")
+        for name, value in _class_constants(self).items():
+            object.__setattr__(self, name, value)
 
     @property
     def is_deterministic(self) -> bool:
@@ -91,56 +78,53 @@ class CompressorSpec:
                         and self.sparsify_mode == "random"))
 
 
+def _class_constants(spec: CompressorSpec) -> dict:
+    """The class whose bound the operator of ``spec`` meets, and the
+    constants of that bound, from d and the operator parameters; the one
+    place they are computed, one branch per kind.  A parameter outside its
+    range is a CompressorError."""
+    kind, d = spec.kind, spec.d
+    if kind == "identity":
+        r, psi = 1.0, 1.0
+    elif kind == "norm_sign":
+        r, psi = d / 2.0, 1.0 / d**2
+    elif kind == "random_sparsify":
+        if not 1 <= spec.keep_k <= d:
+            raise CompressorError(f"keep_k={spec.keep_k} outside [1, {d}]")
+        if spec.sparsify_mode not in ("top", "random"):
+            raise CompressorError(
+                f"bad sparsify_mode {spec.sparsify_mode!r}")
+        r = d / spec.keep_k if spec.rescale else 1.0
+        psi = spec.keep_k / d
+    elif kind == "random_quantize":
+        if spec.levels < 2 or (spec.levels - 1) ** 2 <= d:
+            raise CompressorError(
+                f"random_quantize needs levels >= 2 and (levels-1)^2 > d for "
+                f"a valid psi; got levels={spec.levels}, d={d}")
+        r, psi = 1.0, 1.0 - d / (spec.levels - 1) ** 2
+    elif kind == "uniform_quantize":
+        if spec.delta <= 0:
+            raise CompressorError("uniform_quantize needs delta > 0")
+        return {"assumption_class": GLOBAL_ABSOLUTE,
+                "cap_c": 0.25 * spec.delta * spec.delta}
+    elif kind == "one_bit":
+        return {"assumption_class": LOCAL_ABSOLUTE, "phi_c": 0.5}
+    else:
+        raise CompressorError(f"unknown compressor kind {kind!r}")
+    return {"assumption_class": RELATIVE, "r": r, "psi": psi,
+            "cap_c": derived_relative_cap(r, psi)}
+
+
 def make_compressor(kind: str, d: int, *, delta: float = 2.0, keep_k: int = 0,
                     levels: int = 0, sparsify_mode: str = "top",
-                    rescale: bool = False, r: float | None = None,
-                    psi: float | None = None, cap_c: float | None = None,
-                    phi_c: float | None = None) -> CompressorSpec:
-    """Build a spec with the standard constants for each operator.
-
-    Explicit ``r``/``psi`` (relative class), ``cap_c`` (global absolute) or
-    ``phi_c`` (local absolute) override the defaults; the derived relative
-    constant C is always recomputed from (r, psi).
-    """
-    if kind == "identity":
-        rr, pp = 1.0, 1.0
-        return CompressorSpec(kind, d, RELATIVE, r=rr, psi=pp,
-                              cap_c=derived_relative_cap(rr, pp))
-    if kind == "norm_sign":
-        rr = d / 2.0 if r is None else r
-        pp = 1.0 / d**2 if psi is None else psi
-        return CompressorSpec(kind, d, RELATIVE, r=rr, psi=pp,
-                              cap_c=derived_relative_cap(rr, pp))
-    if kind == "random_sparsify":
-        if not 1 <= keep_k <= d:
-            raise CompressorError(f"keep_k={keep_k} outside [1, {d}]")
-        if sparsify_mode not in ("top", "random"):
-            raise CompressorError(f"bad sparsify_mode {sparsify_mode!r}")
-        rr = (d / keep_k if rescale else 1.0) if r is None else r
-        pp = keep_k / d if psi is None else psi
-        return CompressorSpec(kind, d, RELATIVE, keep_k=keep_k,
-                              sparsify_mode=sparsify_mode, rescale=rescale,
-                              r=rr, psi=pp, cap_c=derived_relative_cap(rr, pp))
-    if kind == "random_quantize":
-        if levels < 2:
-            raise CompressorError("random_quantize needs levels >= 2")
-        if (levels - 1) ** 2 <= d and psi is None:
-            raise CompressorError(
-                f"random_quantize needs (levels-1)^2 > d for a valid psi; "
-                f"got levels={levels}, d={d}")
-        rr = 1.0 if r is None else r
-        pp = 1.0 - d / (levels - 1) ** 2 if psi is None else psi
-        return CompressorSpec(kind, d, RELATIVE, levels=levels, r=rr, psi=pp,
-                              cap_c=derived_relative_cap(rr, pp))
-    if kind == "uniform_quantize":
-        if delta <= 0:
-            raise CompressorError("uniform_quantize needs delta > 0")
-        cc = 0.25 * delta * delta if cap_c is None else cap_c
-        return CompressorSpec(kind, d, GLOBAL_ABSOLUTE, delta=delta, cap_c=cc)
-    if kind == "one_bit":
-        pc = 0.5 if phi_c is None else phi_c
-        return CompressorSpec(kind, d, LOCAL_ABSOLUTE, phi_c=pc)
-    raise CompressorError(f"unknown compressor kind {kind!r}")
+                    rescale: bool = False) -> CompressorSpec:
+    """The spec of a ``kind`` operator on ``d``-vectors.  Only the keywords
+    that the kind reads (``_KIND_OPTIONS``) reach the spec; an unknown kind
+    reaches it with none, and the spec refuses it."""
+    given = {"delta": delta, "keep_k": keep_k, "levels": levels,
+             "sparsify_mode": sparsify_mode, "rescale": rescale}
+    return CompressorSpec(kind, d, **{
+        key: given[key] for key in _KIND_OPTIONS.get(kind, ())})
 
 
 def _is_int(v) -> bool:
@@ -156,35 +140,31 @@ def _finite(v) -> bool:
 
 
 # make_compressor's keywords, each with what a config value must be; the
-# ranges that depend on the kind or on d are make_compressor's own checks
+# ranges that depend on the kind or on d are the spec's own checks
 _CONFIG_OPTIONS = {
     "delta": ("a positive finite number", lambda v: _finite(v) and v > 0),
     "keep_k": ("a positive int", lambda v: _is_int(v) and v >= 1),
     "levels": ("an int >= 2", lambda v: _is_int(v) and v >= 2),
     "sparsify_mode": ('"top" or "random"', lambda v: v in ("top", "random")),
     "rescale": ("a bool", lambda v: isinstance(v, bool)),
-    "r": ("a positive finite number", lambda v: _finite(v) and v > 0),
-    "psi": ("a number in (0, 1]", lambda v: _finite(v) and 0 < v <= 1),
-    "cap_c": ("a nonnegative finite number", lambda v: _finite(v) and v >= 0),
-    "phi_c": ("a number in (0, 1]", lambda v: _finite(v) and 0 < v <= 1),
 }
 
-# the keywords make_compressor reads for each kind; it ignores the others
+# the keywords each kind reads; make_compressor passes no other to the spec
 _KIND_OPTIONS = {
     "identity": (),
-    "norm_sign": ("r", "psi"),
-    "uniform_quantize": ("delta", "cap_c"),
-    "one_bit": ("phi_c",),
-    "random_sparsify": ("keep_k", "sparsify_mode", "rescale", "r", "psi"),
-    "random_quantize": ("levels", "r", "psi"),
+    "norm_sign": (),
+    "uniform_quantize": ("delta",),
+    "one_bit": (),
+    "random_sparsify": ("keep_k", "sparsify_mode", "rescale"),
+    "random_quantize": ("levels",),
 }
 
 
 def spec_from_config(cfg: dict, d: int) -> CompressorSpec:
     """Parse a config mapping with keys kind/delta/keep_k/levels/
-    sparsify_mode/rescale plus optional overrides r/psi/cap_c/phi_c.
-    A key the kind does not read, and a value of the wrong type or range,
-    is a CompressorError."""
+    sparsify_mode/rescale.  A key the kind does not read, and a value of the
+    wrong type or range, is a CompressorError; the class constants come from
+    the spec, never from the config."""
     if not isinstance(cfg, dict):
         raise CompressorError(f"compressor config must be a mapping, not "
                               f"{cfg!r}")

@@ -80,8 +80,6 @@ class CostSuite:
     seed: int
     L_f: float = 0.0
     nu_pl: float | None = None
-    abs_m: bool = True
-    scale: float = 1.0
     # logistic_log parameters
     h: np.ndarray = field(default=None, repr=False)
     nu: np.ndarray = field(default=None, repr=False)
@@ -137,8 +135,7 @@ def generate_suite(kind: str, n: int, d: int, seed: int, *,
         if abs_m:
             m = np.abs(m)  # keeps the log term coercive and bounded below
         xi = rng.standard_normal((n, d))
-        suite = CostSuite(kind, n, d, seed, abs_m=abs_m, scale=scale,
-                          h=h, nu=nu, m=m, xi=xi,
+        suite = CostSuite(kind, n, d, seed, h=h, nu=nu, m=m, xi=xi,
                           gen_params={"abs_m": abs_m, "scale": scale})
         suite.L_f = _logistic_L(suite)
         return suite
@@ -156,7 +153,7 @@ def generate_suite(kind: str, n: int, d: int, seed: int, *,
         b = np.einsum("nrd,d->nr", M, x_true)
     else:
         b = rng.standard_normal((n, rows))
-    suite = CostSuite(kind, n, d, seed, abs_m=abs_m, scale=scale, M=M, b=b,
+    suite = CostSuite(kind, n, d, seed, M=M, b=b,
                       gen_params={"rows": rows, "consistent": consistent,
                                   "normalize": normalize})
     suite.L_f = float(top.max())

@@ -51,6 +51,7 @@ from .compressors import (
     CompressorSpec,
     _finite,
     _is_int,
+    _is_real,
     bit_cost,
     make_compressor,
     spec_from_config,
@@ -67,13 +68,14 @@ class ConfigError(ValueError):
 
 _BOOL = ("a bool", lambda v: isinstance(v, bool))
 
-# generate_suite's optional keywords, each with what its value must be
+# generate_suite's optional keywords that each cost family reads, each with
+# what its value must be; the family would ignore any other
 _COST_OPTIONS = {
-    "abs_m": _BOOL,
-    "consistent": _BOOL,
-    "normalize": _BOOL,
-    "rows": ("a positive int", lambda v: _is_int(v) and v >= 1),
-    "scale": ("a finite number", _finite),
+    "logistic_log": {"abs_m": _BOOL,
+                     "scale": ("a finite number", _finite)},
+    "quadratic_pl": {"consistent": _BOOL, "normalize": _BOOL,
+                     "rows": ("a positive int",
+                              lambda v: _is_int(v) and v >= 1)},
 }
 
 # the keys of the other config sections
@@ -81,6 +83,15 @@ _NETWORK_KEYS = ("n", "edge_density", "topology")
 _SEED_KEYS = ("graph", "cost", "algo")
 _BIT_MODEL_KEYS = ("bits_scalar", "bits_int")
 _PARAM_KEYS = tuple(f.name for f in fields(AlgorithmParams))
+
+
+def _check_name(what: str, value) -> None:
+    """A config value that becomes part of a file name must name one file
+    in the output directory."""
+    if (not isinstance(value, str) or value in ("", ".", "..")
+            or "/" in value or "\0" in value):
+        raise ConfigError(f"{what} must be a non-empty string with no '/' "
+                          f"that is not '.' or '..', not {value!r}")
 
 
 def _check_keys(section: str, value, keys) -> None:
@@ -99,10 +110,10 @@ class CellConfig:
     params: dict = field(default_factory=dict)
     mode: str = "practical"        # practical | certified
     force_params: bool = False
-    label: str = ""
+    label: str | None = None
 
     def resolved_label(self) -> str:
-        if self.label:
+        if self.label is not None:
             return self.label
         comp = (self.compressor or {}).get("kind", "exact")
         suffix = "" if self.mode == "practical" else f"_{self.mode}"
@@ -173,6 +184,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.cells:
             raise ConfigError("need at least one cell")
+        _check_name("scenario", self.scenario)
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, not "
+                              f"{self.output_dir!r}")
         if not (_is_int(self.iters) and self.iters >= 1):
             raise ConfigError(f"iters must be an int >= 1, not "
                               f"{self.iters!r}")
@@ -201,16 +216,19 @@ class ExperimentConfig:
             if not _is_int(value):
                 raise ConfigError(f"{section} {key!r} must be an int, not "
                                   f"{value!r}")
-        try:  # the value build_instance converts
-            float(self.network["edge_density"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config value: {exc}") from None
+        if not _is_real(self.network["edge_density"]):
+            raise ConfigError(f"network 'edge_density' must be a number, not "
+                              f"{self.network['edge_density']!r}")
+        kind = self.cost["kind"]
+        options = _COST_OPTIONS.get(kind) if isinstance(kind, str) else None
+        if options is None:
+            raise ConfigError(f"unknown cost kind {kind!r}")
         for key, value in self.cost.items():
             if key in ("kind", "d"):
                 continue
-            if key not in _COST_OPTIONS:
-                raise ConfigError(f"unknown cost key {key!r}")
-            what, ok = _COST_OPTIONS[key]
+            if key not in options:
+                raise ConfigError(f"unknown {kind} cost key {key!r}")
+            what, ok = options[key]
             if not ok(value):
                 raise ConfigError(f"cost {key!r} must be {what}, not "
                                   f"{value!r}")
@@ -233,6 +251,7 @@ class ExperimentConfig:
                 raise ConfigError(f"cell {cell.resolved_label()}: "
                                   "force_params must be a bool, not "
                                   f"{cell.force_params!r}")
+            _check_name("cell label", cell.resolved_label())
             _check_params(cell, rule, comp)
         labels = [cell.resolved_label() for cell in self.cells]
         dup = sorted({lab for lab in labels if labels.count(lab) > 1})

@@ -196,10 +196,9 @@ def test_scaled_local_exact_compressor_drops_error_terms():
 
 def test_scaled_local_infeasible_reports_binding():
     with pytest.raises(InfeasibleParameters) as exc:
-        bounds_scaled_local(0.5, 1.0, 0.3, 0.01, 10, 50,
+        bounds_scaled_local(0.5, 1.0, 0.3, 1e-12, 10, 50,
                             cons0=1.0, track0=1.0, gap0=1.0,
-                            x0_norm_max=1.0, y0_norm_max=1.0,
-                            xi5_factor=1.0 + 1e-13)
+                            x0_norm_max=1.0, y0_norm_max=1.0)
     assert exc.value.binding == "tilde_theta1"
 
 

@@ -1,5 +1,7 @@
 """Operator semantics, bound constants, bit costs, and empirical certification."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from cgtsim import _kernels, compressors
 from cgtsim.compressors import (
     BitCostModel,
     CompressorError,
+    CompressorSpec,
     bit_cost,
     compress,
     derived_relative_cap,
@@ -17,7 +20,7 @@ from cgtsim.compressors import (
     spec_from_config,
     verify_assumption,
 )
-from compressor_oracles import worst_case
+from compressor_oracles import claiming, worst_case
 from kernel_oracles import compress_block
 
 
@@ -53,9 +56,13 @@ def test_identity_constants():
 
 
 def test_relative_cap_identity():
-    for r, psi in [(1.0, 0.5), (25.0, 1 / 2500), (2.0, 0.25)]:
-        spec = make_compressor("norm_sign", d=4, r=r, psi=psi)
-        assert spec.cap_c == pytest.approx(2 * r * r * (1 - psi) + 2 * (1 - r) ** 2)
+    # every relative-class spec carries C = 2r^2(1-psi) + 2(1-r)^2
+    for kind, kw in _EVERY_KIND:
+        spec = make_compressor(kind, d=8, **kw)
+        if spec.assumption_class == "relative":
+            r, psi = spec.r, spec.psi
+            assert spec.cap_c == pytest.approx(
+                2 * r * r * (1 - psi) + 2 * (1 - r) ** 2), (kind, kw)
     # d=50 norm-sign default: r=25, psi=1/2500
     spec = make_compressor("norm_sign", d=50)
     assert spec.r == 25.0 and spec.psi == pytest.approx(4e-4)
@@ -203,28 +210,45 @@ def test_verify_sparsify_modes():
 
 
 def test_verify_flags_wrong_constants():
-    # claiming psi far above what norm-sign delivers must fail
-    spec = make_compressor("norm_sign", d=10, r=5.0, psi=0.9)
-    rep = verify_assumption(spec, trials=500, rng=np.random.default_rng(9))
-    assert not rep.passed
-    assert rep.violations
+    for kind, kw, claim in [
+            # psi far above what norm-sign delivers
+            ("norm_sign", {}, {"r": 5.0, "psi": 0.9}),
+            # no error at all, from operators that make one
+            ("uniform_quantize", {"delta": 2.0}, {"cap_c": 0.0}),
+            ("one_bit", {}, {"phi_c": 1.0})]:
+        spec = claiming(make_compressor(kind, d=10, **kw), **claim)
+        rep = verify_assumption(spec, trials=500,
+                                rng=np.random.default_rng(9))
+        assert not rep.passed, kind
+        assert rep.violations
 
 
 def test_config_parsing():
     spec = spec_from_config({"kind": "uniform_quantize", "delta": 2.0}, d=50)
     assert spec.cap_c == 1.0
-    spec = spec_from_config({"kind": "norm_sign", "r": 10.0, "psi": 0.01}, d=50)
-    assert spec.r == 10.0
+    spec = spec_from_config({"kind": "norm_sign"}, d=50)
+    assert spec.r == 25.0
     with pytest.raises(CompressorError):
         spec_from_config({"delta": 2.0}, d=10)
     with pytest.raises(CompressorError):
         spec_from_config({"kind": "norm_sign", "window": 3}, d=10)
 
 
+@pytest.mark.parametrize("name", ["assumption_class", "r", "psi", "cap_c",
+                                  "phi_c"])
+def test_class_constants_cannot_be_passed(name):
+    # the class and its constants follow from the operator alone
+    with pytest.raises(TypeError):
+        make_compressor("norm_sign", d=8, **{name: 1.0})
+    with pytest.raises(TypeError):
+        CompressorSpec("norm_sign", 8, **{name: 1.0})
+    with pytest.raises(CompressorError, match="unknown compressor config"):
+        spec_from_config({"kind": "norm_sign", name: 1.0}, d=8)
+
+
 # a valid value other than make_compressor's default, for each config key
 _OTHER_VALUE = {"delta": 0.5, "keep_k": 3, "levels": 9,
-                "sparsify_mode": "random", "rescale": True,
-                "r": 0.7, "psi": 0.5, "cap_c": 0.1, "phi_c": 0.3}
+                "sparsify_mode": "random", "rescale": True}
 
 
 def test_config_keys_per_kind_are_the_keywords_it_reads():
@@ -248,9 +272,8 @@ def test_config_keys_per_kind_are_the_keywords_it_reads():
 
 
 # several grid steps and top-k sizes; any other operator key takes its
-# _OTHER_VALUE.  The constant overrides may state wrong constants on purpose.
+# _OTHER_VALUE
 _PROBE_VALUES = {"delta": (0.1, 0.5, 3.0), "keep_k": (1, 2)}
-_CONSTANT_KEYS = ("r", "psi", "cap_c", "phi_c")
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 50])
@@ -262,7 +285,6 @@ def test_deterministic_kinds_meet_their_class_bounds(d):
         cfgs = [base] + [
             {**base, key: value}
             for key in compressors._KIND_OPTIONS[kind]
-            if key not in _CONSTANT_KEYS
             for value in _PROBE_VALUES.get(key, (_OTHER_VALUE[key],))]
         for cfg in cfgs:
             if cfg.get("keep_k", 1) > d:
@@ -280,6 +302,8 @@ def test_invalid_specs_rejected():
         make_compressor("random_sparsify", d=5, keep_k=9)
     with pytest.raises(CompressorError):
         make_compressor("random_quantize", d=50, levels=5)
+    with pytest.raises(CompressorError):  # (levels-1)^2 > d, but no grid
+        make_compressor("random_quantize", d=4, levels=-9)
     with pytest.raises(CompressorError):
         make_compressor("wavelet", d=5)
     with pytest.raises(CompressorError):
@@ -395,15 +419,15 @@ def test_compressor_kernel_equals_where_formulation(data, m, n, d, seed, k,
         if row is not None:
             X[j, i] = row
     keep = data.draw(st.integers(1, d))
-    # psi given: random_quantize's default psi needs (levels - 1)^2 > d
+    # a random_quantize spec needs (levels - 1)^2 > d
     specs = [make_compressor(kind, d=d, **kw) for kind, kw in [
         ("identity", {}), ("norm_sign", {}),
         ("uniform_quantize", {"delta": 0.7}), ("one_bit", {}),
         ("random_sparsify", {"keep_k": keep}),
         ("random_sparsify", {"keep_k": keep, "sparsify_mode": "random",
                              "rescale": True}),
-        ("random_quantize", {"levels": data.draw(st.integers(2, 33)),
-                             "psi": 0.5})]]
+        ("random_quantize", {"levels": data.draw(
+            st.integers(2 + math.isqrt(d), 33))})]]
     useed = np.uint64(seed)
     for spec in specs:
         with np.errstate(all="ignore"):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cgtsim import analysis, cli, compressors, harness
+from cgtsim import analysis, cli, compressors, costs, harness
 from cgtsim.algorithms import (
     RULES,
     AlgorithmParams,
@@ -34,6 +34,7 @@ from cgtsim.harness import (
     upsilon_series,
     write_trace_csv,
 )
+from compressor_oracles import claiming
 from harness_oracles import (
     file_digest,
     read_trace_csv,
@@ -323,7 +324,7 @@ def test_reference_scenario_config_modes():
         reference_scenario_config(mode="fancy")
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, monkeypatch):
     cfg = {
         "scenario": "cli",
         "iters": 40,
@@ -346,9 +347,11 @@ def test_cli_exit_codes(tmp_path):
     spec.write_text(json.dumps({"kind": "norm_sign"}))
     assert cli.main(["verify-compressor", str(spec), "--d", "10",
                      "--trials", "200"]) == 0
-    lying = tmp_path / "lying.json"
-    lying.write_text(json.dumps({"kind": "norm_sign", "r": 5.0, "psi": 0.9}))
-    assert cli.main(["verify-compressor", str(lying), "--d", "10",
+    # no config can state constants, so a spec that breaks its own bound is
+    # built here
+    monkeypatch.setattr(cli, "spec_from_config", lambda doc, d: claiming(
+        compressors.spec_from_config(doc, d), r=5.0, psi=0.9))
+    assert cli.main(["verify-compressor", str(spec), "--d", "10",
                      "--trials", "200"]) == 1
 
 
@@ -396,6 +399,13 @@ def test_cli_config_errors_exit_2_and_program_bugs_propagate(tmp_path,
     {"kind": "quadratic_pl", "consistent": "no"},
     {"kind": "quadratic_pl", "normalize": 1},
     {"kind": "logistic_log", "abs_m": "no"},
+    # keys that the family does not read (at scale 0.1 the logistic dgt
+    # cell is admitted, so only the key can make it exit 2)
+    {"kind": "quadratic_pl", "scale": 5.0},
+    {"kind": "quadratic_pl", "abs_m": True},
+    {"kind": "logistic_log", "scale": 0.1, "rows": 1},
+    {"kind": "logistic_log", "scale": 0.1, "consistent": False},
+    {"kind": "logistic_log", "scale": 0.1, "normalize": True},
 ])
 @pytest.mark.parametrize("command", ["run", "bounds"])
 def test_cli_bad_cost_options_exit_2_before_any_output(tmp_path, cost,
@@ -417,8 +427,13 @@ def test_cli_bad_cost_options_exit_2_before_any_output(tmp_path, cost,
 
 def test_cost_option_checks_cover_generate_suite_keywords():
     params = inspect.signature(generate_suite).parameters.values()
-    assert set(harness._COST_OPTIONS) == {
+    assert set().union(*harness._COST_OPTIONS.values()) == {
         p.name for p in params if p.kind is p.KEYWORD_ONLY}
+    # each family accepts the keys it records in gen_params, and no other
+    assert set(harness._COST_OPTIONS) == set(costs.KINDS)
+    for kind, options in harness._COST_OPTIONS.items():
+        suite = generate_suite(kind, n=3, d=2, seed=0)
+        assert set(suite.gen_params) == set(options)
 
 
 def test_cli_bounds_identity_finite(tmp_path, capsys, monkeypatch):
@@ -485,6 +500,12 @@ def test_cli_bounds_equal_run_sidecars(tmp_path, capsys, monkeypatch):
             (tmp_path / "run" / f"bs__{label}.json").read_text())
         assert sidecar["f_star"] > 0.1
         assert tables["cells"][label]["constants"] == sidecar["bounds"]
+        # the operating point the run used, for each value the rule reads
+        rule = RULES[sidecar["algo"]]
+        for key in ("eta", "gamma", "varsigma", "s0", "mu"):
+            if key in rule.params:
+                assert tables["cells"][label][key] == sidecar["params"][key], \
+                    (label, key)
     assert tables["cells"]["alg3_uniform_quantize_certified"]["mu"] == 0.97
 
 
@@ -616,10 +637,23 @@ def test_cli_gnuplot_script_appears_whole_or_not_at_all(tmp_path, monkeypatch,
     # their default constants would not bound the error
     {"kind": "uniform_quantize", "delta": 2.0, "p_norm": 2},
     {"kind": "one_bit", "p_norm": 2},
+    # the class constants follow from the operator; a config that states
+    # them would run and certify with constants the operator may not meet
+    {"kind": "norm_sign", "r": 1.0},
+    {"kind": "random_quantize", "levels": 17, "psi": 1.0},
+    {"kind": "uniform_quantize", "delta": 2.0, "cap_c": 0.0},
+    {"kind": "one_bit", "phi_c": 1.0},
 ])
-@pytest.mark.parametrize("command", ["run", "bounds"])
-def test_cli_bad_compressor_options_exit_2_before_any_output(tmp_path, comp,
-                                                             command):
+@pytest.mark.parametrize("command", ["run", "bounds", "verify-compressor"])
+def test_cli_bad_compressor_options_exit_2_before_any_output(tmp_path, capsys,
+                                                             comp, command):
+    if command == "verify-compressor":
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(comp))
+        assert cli.main([command, str(spec_path), "--d", "4",
+                         "--trials", "200"]) == 2
+        assert capsys.readouterr().out == ""
+        return
     # a good dgt cell first: a bad later cell must not leave its outputs
     out = tmp_path / "o"
     cfg = {
@@ -733,6 +767,21 @@ _GOOD_CELLS = [{"algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}},
     {"cost": {"kind": "quadratic_pl", "d": 4.5}},
     {"seeds": {"graph": 4, "cost": 5.5, "algo": 6}},
     {"seeds": {"graph": 4, "cost": 5, "algo": -6}},
+    # names that become file names must name one file in output_dir
+    {"scenario": "a/b"},
+    {"scenario": "../escaped"},
+    {"scenario": ""},
+    {"scenario": ".."},
+    {"scenario": 5},
+    {"cells": [dict(_GOOD_CELLS[0], label="x/y")]},
+    {"cells": [dict(_GOOD_CELLS[0], label=5)]},
+    {"cells": [dict(_GOOD_CELLS[0], label=".")]},
+    {"cells": [dict(_GOOD_CELLS[0], label="")]},
+    {"cells": [dict(_GOOD_CELLS[0], label=0)]},
+    {"output_dir": 5},
+    # an edge density that is not a real number
+    {"network": {"n": 5, "edge_density": "0.9"}},
+    {"network": {"n": 5, "edge_density": True}},
 ])
 @pytest.mark.parametrize("command", ["run", "bounds"])
 def test_cli_bad_config_sections_exit_2_before_any_output(tmp_path, change,
