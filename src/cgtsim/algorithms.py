@@ -12,7 +12,7 @@ messages, never against raw neighbour states (the baseline excepted).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -227,14 +227,11 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
     )
 
 
-def practical_params(algo: str, *, s0: float = 1.0,
-                     mu: float = 0.98) -> AlgorithmParams:
-    """``RULES[algo].practical``, with ``s0`` and ``mu`` for a scaled rule."""
+def practical_params(algo: str) -> AlgorithmParams:
+    """``RULES[algo].practical``."""
     rule = RULES.get(algo) if isinstance(algo, str) else None
     if rule is None:
         raise AlgorithmError(f"unknown algorithm {algo!r}")
-    if rule.scaled:
-        return replace(rule.practical, s0=s0, mu=mu)
     return rule.practical
 
 

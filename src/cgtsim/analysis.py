@@ -16,14 +16,17 @@ same formulas.  Constant-table vocabulary:
 * ``hat_*``               error-feedback variants
 * ``breve_*``             globally-bounded absolute-error variants
 * ``tilde_*``             locally-bounded absolute-error variants
+* ``*gamma_term_*``       terms whose minimum is gamma_max, and likewise
+  ``*eta_term_*`` for eta_max; every region runs at half its limits
+* ``Pi``                  the smallest relative gamma term
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .compressors import CompressorSpec
+from .compressors import CompressorSpec, make_compressor
 
 INF = math.inf
 
@@ -167,12 +170,34 @@ def descent_chain(sigma, L, c1, c2, C, eta, gamma) -> dict:
     return out
 
 
+def _operating_point(regime: str, gamma_terms: dict,
+                     eta_terms_at) -> ParameterBounds:
+    """The region of ``regime`` at its operating point, half its limits.
+
+    gamma_max is the smallest gamma term and gamma = gamma_max / 2; eta_max
+    is the smallest of the terms ``eta_terms_at(gamma)`` and
+    eta = eta_max / 2.  The constants table starts with both sets of terms.
+    """
+    gamma_max = min(gamma_terms.values())
+    gamma = 0.5 * gamma_max
+    if not 0.0 < gamma < gamma_max:
+        raise AnalysisError(f"gamma={gamma} outside (0, {gamma_max})")
+    eta_terms = eta_terms_at(gamma)
+    eta_max = min(eta_terms.values())
+    return ParameterBounds(regime=regime, gamma_max=gamma_max, gamma=gamma,
+                           eta_max=eta_max, eta=0.5 * eta_max,
+                           constants={**gamma_terms, **eta_terms})
+
+
 def bounds_relative(sigma: float, L: float, comp: CompressorSpec,
-                    phi_x: float, phi_y: float) -> ParameterBounds:
+                    phi_x: float, phi_y: float, *,
+                    gamma_terms=None) -> ParameterBounds:
     """Admissible region for the relative-class tracker.
 
-    The returned operating point sits at half the binding limits:
-    gamma = gamma_max / 2 and eta = eta_max(gamma) / 2.
+    Pi is the smallest of the relative gamma terms.  ``gamma_terms(c1, c2,
+    C, Pi)``, when given, returns the gamma terms that bind in their place
+    and the constants they rest on; the error-feedback region passes its
+    own.  The eta terms and the descent chain are the relative ones.
     """
     _check_problem(sigma, L)
     if comp.assumption_class != "relative":
@@ -180,72 +205,52 @@ def bounds_relative(sigma: float, L: float, comp: CompressorSpec,
     c1, c2 = mixing_constants(phi_x, phi_y, comp.r, comp.psi)
     C = comp.cap_c
     gts = gamma_terms_relative(sigma, L, c1, c2, C)
-    gamma_max = min(gts.values())
-    g = 0.5 * gamma_max
-    if not 0.0 < g < gamma_max:
-        raise AnalysisError(f"gamma={g} outside (0, {gamma_max})")
-    ets = eta_terms_relative(sigma, L, c1, c2, g)
-    eta_max = min(ets.values())
-    eta = 0.5 * eta_max
-    consts = descent_chain(sigma, L, c1, c2, C, eta, g)
-    consts.update(gts)
-    consts.update(ets)
-    consts["Pi"] = gamma_max
-    consts["phi_x"] = phi_x
-    consts["phi_y"] = phi_y
-    consts["r"] = comp.r
-    consts["psi"] = comp.psi
-    return ParameterBounds(regime="relative", gamma_max=gamma_max, gamma=g,
-                         eta_max=eta_max, eta=eta, constants=consts)
+    pi = min(gts.values())
+    extra: dict = {}
+    if gamma_terms is not None:
+        gts, extra = gamma_terms(c1, c2, C, pi)
+    b = _operating_point("relative", gts,
+                         lambda g: eta_terms_relative(sigma, L, c1, c2, g))
+    b.constants.update(descent_chain(sigma, L, c1, c2, C, b.eta, b.gamma))
+    b.constants.update(extra, Pi=pi, phi_x=phi_x, phi_y=phi_y, r=comp.r,
+                       psi=comp.psi)
+    return b
 
 
 def bounds_error_feedback(sigma: float, L: float, comp: CompressorSpec,
                           phi_x: float, phi_y: float) -> ParameterBounds:
-    """Admissible region for the error-feedback variant (tighter gamma list
-    plus the retention bound on varsigma)."""
-    _check_problem(sigma, L)
-    if comp.assumption_class != "relative":
-        raise AnalysisError("error-feedback bounds need a relative compressor")
-    c1, c2 = mixing_constants(phi_x, phi_y, comp.r, comp.psi)
-    C = comp.cap_c
-    phi = lyapunov_weight(sigma, L)
-    phi_hat = ef_weight(c1, c2, C)
+    """Admissible region for the error-feedback variant: the relative region
+    with a tighter gamma list, whose last term is the relative Pi, plus the
+    retention bound on varsigma."""
     one = 1.0 - sigma
-    pi = min(gamma_terms_relative(sigma, L, c1, c2, C).values())
-    gts = {
-        "gamma_term_ef_1": _div(c1 * one, 160.0 * C),
-        "gamma_term_ef_2": _div(c1, 16.0 * math.sqrt(C)),
-        "gamma_term_ef_3": _div(c1, 20.0 * L * math.sqrt(C * (1.0 + 1.0 / c2))),
-        "gamma_term_ef_4": _div(c2 * L * L, 4.0 * C),
-        "gamma_term_ef_5": _div(c2, 20.0 * math.sqrt(C)),
-        "gamma_term_ef_6": 1.0 / (4.0 * (1.0 + 1.0 / c1)
-                                  + 5.0 * (1.0 + 1.0 / c2) * L * L),
-        "gamma_term_ef_7": one * phi_hat
-                           / (4.0 * (16.0 * (1.0 + 4.0 * phi * L * L)
-                                     + 8.0 * one)),
-        "gamma_term_ef_8": 1.0 / (5.0 * (1.0 + 1.0 / c2)),
-        "gamma_term_ef_9": one * phi_hat / (32.0 * (2.0 * phi + one)),
-        "gamma_term_ef_10": pi,
-    }
-    gamma_max = min(gts.values())
-    g = 0.5 * gamma_max
-    if not 0.0 < g < gamma_max:
-        raise AnalysisError(f"gamma={g} outside (0, {gamma_max})")
-    ets = eta_terms_relative(sigma, L, c1, c2, g)
-    eta_max = min(ets.values())
-    eta = 0.5 * eta_max
+
+    def ef_terms(c1, c2, C, pi):
+        phi = lyapunov_weight(sigma, L)
+        phi_hat = ef_weight(c1, c2, C)
+        return {
+            "gamma_term_ef_1": _div(c1 * one, 160.0 * C),
+            "gamma_term_ef_2": _div(c1, 16.0 * math.sqrt(C)),
+            "gamma_term_ef_3": _div(c1, 20.0 * L
+                                    * math.sqrt(C * (1.0 + 1.0 / c2))),
+            "gamma_term_ef_4": _div(c2 * L * L, 4.0 * C),
+            "gamma_term_ef_5": _div(c2, 20.0 * math.sqrt(C)),
+            "gamma_term_ef_6": 1.0 / (4.0 * (1.0 + 1.0 / c1)
+                                      + 5.0 * (1.0 + 1.0 / c2) * L * L),
+            "gamma_term_ef_7": one * phi_hat
+                               / (4.0 * (16.0 * (1.0 + 4.0 * phi * L * L)
+                                         + 8.0 * one)),
+            "gamma_term_ef_8": 1.0 / (5.0 * (1.0 + 1.0 / c2)),
+            "gamma_term_ef_9": one * phi_hat / (32.0 * (2.0 * phi + one)),
+            "gamma_term_ef_10": pi,
+        }, {"phi_hat": phi_hat}
+
+    b = bounds_relative(sigma, L, comp, phi_x, phi_y, gamma_terms=ef_terms)
+    consts = b.constants
+    C, c1, c2 = consts["C"], consts["c1"], consts["c2"]
+    phi, phi_hat, g = consts["phi"], consts["phi_hat"], b.gamma
     vs_max = min(_div(1.0, 2.0 * math.sqrt(C)),
                  1.0 / math.sqrt(2.0 * C + 1.0))
     vs = 0.5 * vs_max if math.isfinite(vs_max) else 0.5
-    consts = descent_chain(sigma, L, c1, c2, C, eta, g)
-    consts.update(gts)
-    consts.update(ets)
-    consts["Pi"] = pi
-    consts["phi_hat"] = phi_hat
-    consts["phi_x"] = phi_x
-    consts["phi_y"] = phi_y
-    consts["r"] = comp.r
-    consts["psi"] = comp.psi
     consts["hat_theta2"] = min(0.07 * one * g,
                                0.24 * c1 * (2.0 * c1 + 1.0),
                                0.57 * c2 * (2.0 * c2 + 1.0),
@@ -275,57 +280,39 @@ def bounds_error_feedback(sigma: float, L: float, comp: CompressorSpec,
         hxi["hat_theta7"] = (phi * hxi["hat_xi1"] + hxi["hat_xi7"]
                              + 2.0 * C * phi_hat * vs * vs)
     consts.update(hxi)
-    return ParameterBounds(regime="error_feedback", gamma_max=gamma_max, gamma=g,
-                         eta_max=eta_max, eta=eta, varsigma_max=vs_max,
-                         varsigma=vs, constants=consts)
-
-
-# Reference relative-class parameterization used to instantiate the shared
-# (eta, gamma) region for the scaled tracker with globally bounded absolute
-# error: exact-compressor constants r=1, psi=1 (so C=0 terms drop) and
-# phi_x = phi_y = 1/2, i.e. c1 = c2 = 1/4.
-_ABS_REF = {"r": 1.0, "psi": 1.0, "C": 0.0, "phi_x": 0.5, "phi_y": 0.5}
+    return replace(b, regime="error_feedback", varsigma_max=vs_max,
+                   varsigma=vs)
 
 
 def bounds_absolute_global(sigma: float, L: float, n: int, d: int,
                            cap_c: float, mu: float = 0.995) -> ParameterBounds:
     """Region for the scaled tracker under a globally bounded absolute error.
 
-    (eta, gamma) reuse the relative-class region at the reference
-    parameterization; any mu in (0, 1) is admissible.  The constants table
-    carries the geometric slack coefficient of the Lyapunov descent check:
+    (eta, gamma) and their terms are the exact compressor's relative region
+    at phi_x = phi_y = 1/2 (c1 = c2 = 1/4, and C = 0 empties the C terms);
+    any mu in (0, 1) is admissible.  The constants table carries the
+    geometric slack coefficient of the Lyapunov descent check:
     slack(k) = breve_theta8 * s(k)^2 with
     breve_theta8 = 2 n d_tilde^2 xi8 (1 + 2 L^2), where d_tilde = sqrt(d)
     bounds the 2-norm by the inf-norm the class is stated in.
     """
-    _check_problem(sigma, L)
+    b = bounds_relative(sigma, L, make_compressor("identity", d), 0.5, 0.5)
     if not 0.0 < mu < 1.0:
         raise AnalysisError("mu must lie in (0, 1)")
-    c1, c2 = mixing_constants(_ABS_REF["phi_x"], _ABS_REF["phi_y"],
-                              _ABS_REF["r"], _ABS_REF["psi"])
-    gts = gamma_terms_relative(sigma, L, c1, c2, 0.0)
-    gamma_max = min(gts.values())
-    g = 0.5 * gamma_max
-    ets = eta_terms_relative(sigma, L, c1, c2, g)
-    eta_max = min(ets.values())
-    eta = 0.5 * eta_max
-    consts = descent_chain(sigma, L, c1, c2, 0.0, eta, g)
+    consts = b.constants
     one = 1.0 - sigma
-    phi = consts["phi"]
     d_tilde = math.sqrt(d)
-    xi8_abs = 8.0 * g / one * cap_c
+    xi8_abs = 8.0 * b.gamma / one * cap_c
     consts["d_tilde"] = d_tilde
     consts["xi8_abs"] = xi8_abs
-    consts["breve_theta3"] = 0.59 * one * g
-    consts["breve_theta4"] = eta / 4.0 - phi * consts["eps1"]
+    consts["breve_theta3"] = 0.59 * one * b.gamma
+    consts["breve_theta4"] = b.eta / 4.0 - consts["phi"] * consts["eps1"]
     consts["breve_theta1"] = min(consts["breve_theta3"],
                                  consts["breve_theta4"])
     consts["breve_theta8"] = (2.0 * n * d_tilde * d_tilde * xi8_abs
                               * (1.0 + 2.0 * L * L))
     consts["mu"] = mu
-    return ParameterBounds(regime="absolute_global", gamma_max=gamma_max,
-                         gamma=g, eta_max=eta_max, eta=eta, mu_min=0.0,
-                         mu=mu, constants=consts)
+    return replace(b, regime="absolute_global", mu_min=0.0, mu=mu)
 
 
 def bounds_scaled_local(sigma: float, L: float, nu: float, phi_c: float,
@@ -362,21 +349,17 @@ def bounds_scaled_local(sigma: float, L: float, nu: float, phi_c: float,
     xi4 = xi9 * (1.0 + L2) * (1.0 - phi_c) ** 2 \
         + 40.0 * d_hat**2 * (1.0 + L2) * fr * xi5
 
-    gts = {
+    b = _operating_point("scaled_local", {
         "tilde_gamma_term_1": math.sqrt(pw / (2.0 * xi3)),
         "tilde_gamma_term_2": math.sqrt(pw / (2.0 * xi4)),
         "tilde_gamma_term_3": 2.0 * L2 / (one * nu),
-    }
-    gamma_max = min(gts.values())
-    g = 0.5 * gamma_max
-    ets = {
+    }, lambda g: {
         "tilde_eta_term_1": one * one * g / (40.0 * L),
         "tilde_eta_term_2": pw / (2.0 * xi1),
         "tilde_eta_term_3": pw / (2.0 * xi2),
         "tilde_eta_term_4": 1.0,
-    }
-    eta_max = min(ets.values())
-    eta = 0.5 * eta_max
+    })
+    g, eta = b.gamma, b.eta
 
     t3 = g * t4
     t1 = 1.0 - t3 + t2 / xi5 * g
@@ -389,13 +372,13 @@ def bounds_scaled_local(sigma: float, L: float, nu: float, phi_c: float,
         raise InfeasibleParameters(
             f"no admissible mu: {binding} = {mu_min_sq} >= 1", binding)
     mu_min = math.sqrt(mu_min_sq)
-    mu = 0.5 * (mu_min + 1.0)
 
     phi_tilde = scaled_gap_weight(eta, g, sigma, L)
     u0 = cons0 + phi * track0 + phi_tilde * gap0
     s0_min = max(math.sqrt(u0 / xi5), x0_norm_max, y0_norm_max)
 
-    consts = {
+    consts = b.constants
+    consts.update({
         "sigma": sigma, "L_f": L, "nu": nu, "phi_c": phi_c,
         "d_hat": d_hat, "d_tilde": d_tilde, "phi": phi,
         "phi_tilde": phi_tilde, "phi_weight_pw": pw,
@@ -405,12 +388,9 @@ def bounds_scaled_local(sigma: float, L: float, nu: float, phi_c: float,
         "tilde_xi5": xi5, "tilde_xi6": xi6, "tilde_xi7": xi7,
         "tilde_xi8": xi8, "tilde_xi9": xi9,
         "u_tilde_0": u0, "eta": eta, "gamma": g,
-    }
-    consts.update(gts)
-    consts.update(ets)
+    })
     for v in consts.values():
         if isinstance(v, float) and not v > 0 and v != 0.0:
             raise AnalysisError(f"non-positive constant produced: {consts}")
-    return ParameterBounds(regime="scaled_local", gamma_max=gamma_max, gamma=g,
-                         eta_max=eta_max, eta=eta, s0_min=s0_min, s0=s0_min,
-                         mu_min=mu_min, mu=mu, constants=consts)
+    return replace(b, s0_min=s0_min, s0=s0_min, mu_min=mu_min,
+                   mu=0.5 * (mu_min + 1.0))

@@ -68,8 +68,11 @@ def _emit_gnuplot(outdir: Path, scenario: str, labels: list) -> None:
         "set ylabel 'consensus error + optimality gap'",
         "set datafile separator ','", "set key outside",
     ]
-    plots = [f"'{scenario}__{lab}.csv' using 1:($2+$3) with lines "
-             f"title '{lab}'" for lab in labels]
+    def quoted(text):  # gnuplot writes ' inside a '...' string as ''
+        return "'" + text.replace("'", "''") + "'"
+
+    plots = [f"{quoted(f'{scenario}__{lab}.csv')} using 1:($2+$3) with lines "
+             f"title {quoted(lab)}" for lab in labels]
     lines.append("plot " + ", \\\n     ".join(plots))
     with _replacing(outdir / f"{scenario}__plot.gnuplot") as f:
         f.write("\n".join(lines) + "\n")

@@ -549,6 +549,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     file is written, and each file is written to a temp file and moved into
     place, so an interrupted run leaves no report and no partial file.
     """
+    outdir = Path(cfg.output_dir)
+    # the nearest path of outdir and its parents that is there must be a
+    # directory, or mkdir fails after the set-up
+    there = next(p for p in (outdir, *outdir.parents)
+                 if p.exists() or p.is_symlink())
+    if not there.is_dir():
+        raise ConfigError(f"output_dir {cfg.output_dir!r}: {str(there)!r} is "
+                          f"not a directory")
     net, suite = build_instance(cfg)
     ref = solve_reference(suite, tol=cfg.fstar_tol)
     x0 = initial_point(net.n, suite.d, int(cfg.seeds["algo"]))
@@ -558,7 +566,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         resolved.append((cell, *_resolve_cell(cell, net, suite, x0,
                                               ref.f_star)))
 
-    outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     report_path = outdir / f"{cfg.scenario}__report.json"
     report_path.unlink(missing_ok=True)

@@ -5,6 +5,7 @@ lines.  Numbers follow the criterion list in the project contract; shared
 instances are module-scoped so the whole suite stays fast.
 """
 
+import dataclasses
 import json
 import time
 
@@ -72,7 +73,7 @@ def _scenario_cells(suite, x0):
         ("alg1", make_compressor("norm_sign", d=d), practical_params("alg1")),
         ("alg2", make_compressor("norm_sign", d=d), practical_params("alg2")),
         ("alg3", make_compressor("uniform_quantize", d=d, delta=2.0),
-         practical_params("alg3", s0=s0, mu=0.98)),
+         dataclasses.replace(practical_params("alg3"), s0=s0)),
         ("dgt", None, practical_params("dgt")),
     ]
 
@@ -196,16 +197,16 @@ def test_criterion_5_lyapunov_descent(pl_instance):
 def test_criterion_6_linear_rate_under_gradient_dominance(pl_instance):
     net, suite, ref, x0 = pl_instance
     t_start = time.perf_counter()
-    s0 = auto_s0(x0, suite)
+    alg3 = dataclasses.replace(practical_params("alg3"), s0=auto_s0(x0, suite))
     cells = [
         ("alg1", make_compressor("norm_sign", d=5),
          practical_params("alg1"), 1500),
         ("alg2", make_compressor("norm_sign", d=5),
          practical_params("alg2"), 1500),
         ("alg3", make_compressor("uniform_quantize", d=5, delta=2.0),
-         practical_params("alg3", s0=s0, mu=0.95), 380),
+         dataclasses.replace(alg3, mu=0.95), 380),
         ("alg3", make_compressor("one_bit", d=5),
-         practical_params("alg3", s0=s0, mu=0.995), 2200),
+         dataclasses.replace(alg3, mu=0.995), 2200),
         ("dgt", None, practical_params("dgt"), 1500),
     ]
     for algo, comp, params, iters in cells:

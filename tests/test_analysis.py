@@ -134,6 +134,39 @@ def test_absolute_global_bounds_and_slack():
         bounds_absolute_global(0.5, 1.0, n=10, d=5, cap_c=1.0, mu=1.5)
 
 
+_REGIONS = {
+    "relative": lambda: bounds_relative(
+        0.6, 1.0, make_compressor("norm_sign", d=5), 0.2, 0.2),
+    "error_feedback": lambda: bounds_error_feedback(
+        0.6, 1.0, make_compressor("norm_sign", d=5), 0.2, 0.2),
+    "absolute_global": lambda: bounds_absolute_global(
+        0.5, 1.0, n=10, d=5, cap_c=1.0),
+    "scaled_local": lambda: bounds_scaled_local(
+        0.5, 1.0, 0.3, 0.5, 4, 3, cons0=1.0, track0=1.0, gap0=1.0,
+        x0_norm_max=1.0, y0_norm_max=1.0),
+}
+
+
+@pytest.mark.parametrize("regime, gamma_prefix, eta_prefix", [
+    ("relative", "gamma_term_", "eta_term_"),
+    ("error_feedback", "gamma_term_ef_", "eta_term_"),
+    ("absolute_global", "gamma_term_", "eta_term_"),
+    ("scaled_local", "tilde_gamma_term_", "tilde_eta_term_"),
+])
+def test_region_table_holds_the_terms_its_limits_are_minima_of(
+        regime, gamma_prefix, eta_prefix):
+    b = _REGIONS[regime]()
+    assert b.regime == regime
+
+    def terms(prefix):
+        return [v for k, v in b.constants.items() if k.startswith(prefix)]
+
+    assert terms(gamma_prefix) and terms(eta_prefix)
+    assert b.gamma_max == min(terms(gamma_prefix))
+    assert b.eta_max == min(terms(eta_prefix))
+    assert b.gamma == 0.5 * b.gamma_max and b.eta == 0.5 * b.eta_max
+
+
 def test_geometric_tail_bound_cases():
     def fake(mu, breve1, theta2, breve8=1.0):
         return ParameterBounds(regime="absolute_global", gamma_max=1, gamma=1,

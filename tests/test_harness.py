@@ -535,9 +535,16 @@ def test_cli_seed_override_env_and_flag(tmp_path, monkeypatch, capsys):
     assert flag_sidecar["seeds"] == {"graph": 71, "cost": 72, "algo": 73}
 
 
-def test_cli_gnuplot_helper(tmp_path):
+# gnuplot writes a ' inside a single-quoted string as ''
+@pytest.mark.parametrize("scenario, label, plot", [
+    ("gp", None,
+     "plot 'gp__dgt_exact.csv' using 1:($2+$3) with lines title 'dgt_exact'"),
+    ("it's", "a'b",
+     "plot 'it''s__a''b.csv' using 1:($2+$3) with lines title 'a''b'"),
+], ids=["plain", "quoted"])
+def test_cli_gnuplot_helper(tmp_path, scenario, label, plot):
     cfg = {
-        "scenario": "gp",
+        "scenario": scenario,
         "iters": 30,
         "network": {"n": 5, "edge_density": 0.7},
         "cost": {"kind": "quadratic_pl", "d": 4},
@@ -546,11 +553,39 @@ def test_cli_gnuplot_helper(tmp_path):
         "algo": "dgt",
         "params": {"eta": 0.3, "gamma": 0.3},
     }
+    if label is not None:
+        cfg["label"] = label
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main(["run", str(cfg_path), "--gnuplot"]) == 0
-    script = (tmp_path / "g" / "gp__plot.gnuplot").read_text()
-    assert "gp__dgt_exact.csv" in script
+    script = (tmp_path / "g" / f"{scenario}__plot.gnuplot").read_text()
+    assert plot in script.splitlines()
+
+
+# an output_dir that is a file, lies under one, or is a dangling symlink
+@pytest.mark.parametrize("out", ["afile", "afile/sub", "link"])
+def test_cli_output_dir_in_a_file_exits_2_before_set_up(tmp_path, monkeypatch,
+                                                        out):
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    (tmp_path / "link").symlink_to(tmp_path / "missing")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "scenario": "f", "iters": 5,
+        "network": {"n": 5, "edge_density": 0.7},
+        "cost": {"kind": "quadratic_pl", "d": 4},
+        "seeds": {"graph": 4, "cost": 5, "algo": 6},
+        "output_dir": str(tmp_path / out),
+        "algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}}))
+
+    def no_set_up(cfg):
+        raise AssertionError("build_instance called")
+
+    monkeypatch.setattr(harness, "build_instance", no_set_up)
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert afile.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "afile", "cfg.json", "link"]
 
 
 class _DiskFull:
