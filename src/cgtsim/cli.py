@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -50,12 +49,6 @@ def _load_config(path: str) -> dict:
 
 
 def _apply_seed_override(doc: dict, seed: int | None) -> dict:
-    env = os.environ.get("CGT_SEED")
-    if seed is None and env:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigError(f"CGT_SEED={env!r} is not an integer") from None
     if seed is not None:
         doc = dict(doc)
         doc["seeds"] = {"graph": seed + 1, "cost": seed + 2, "algo": seed + 3}
@@ -184,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--out", default=None, help="override output directory")
     p.add_argument("--seed", type=int, default=None,
-                   help="root seed override (beats CGT_SEED)")
+                   help="root seed N: the graph, cost and algo seeds become "
+                        "N+1, N+2 and N+3")
     p.add_argument("--force", action="store_true",
                    help="skip certified-region parameter validation")
     p.add_argument("--gnuplot", action="store_true",

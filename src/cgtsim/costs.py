@@ -23,10 +23,12 @@ Hbar x = cbar.  ``_quadratic_minimiser`` solves it with the mean Gram's
 eigenpairs and refines it by one Newton step with the factor-form gradient
 (iterative refinement of the normal equations); descent only certifies that
 point (and polishes it if needed).  The starts descend in lock-step:
-``mean_value`` and ``mean_grad`` also take a (B, d) stack of points, each row
-bitwise its one-row call, and each iteration makes one stacked gradient call
-and one stacked value call per backtracking round.  The last start left
-finishes alone with one-row calls.
+``mean_value`` and ``mean_grad`` take a (B, d) stack of points, each row
+bitwise its one-row call (a stack of one), and each iteration makes one
+stacked gradient call and one stacked value call per backtracking round.  A
+start stops at the tolerance or at the first step whose line search finds no
+decrease; one that stopped above the tolerance gets a few Newton steps with
+the exact Hessian of F (``mean_hessian``).
 
 Runs evaluate costs through a ``RunCosts``: the stacked gradients of each
 step, and the optimality gap and stationarity of each trace row.  Quadratics
@@ -53,13 +55,15 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import _dots, _sums
+from ._kernels import _dots, _norms, _sums
 
 KINDS = ("logistic_log", "quadratic_pl")
 
 # sup |sigmoid''| over the real line
 _SIGMOID_CURV = 1.0 / (6.0 * math.sqrt(3.0))
 _EPS = np.finfo(np.float64).eps
+# the most Newton steps of the reference solve's finish (see ``_descend``)
+_NEWTON_STEPS = 5
 
 
 class CostError(ValueError):
@@ -239,59 +243,56 @@ class RunCosts:
         return gap + self.offset, n * _dots(g, g)
 
 
+# Each stacked np.matmul makes the gemv or dot of one row's product, each
+# einsum sums in the order of a stack of one, and the rest is elementwise, so
+# row b of a stack is bitwise the call on that row alone (a 1-D point).
+
 def mean_value(suite: CostSuite, x: np.ndarray):
     """F(x) = (1/n) sum_i F_i(x).  For a (B, d) stack of points it returns
-    the (B,) values, each bitwise the value of its row."""
+    the (B,) values, each bitwise the value of its row alone."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        return _mean_values(suite, x)
+    X = x.reshape(-1, suite.d)
     if suite.kind == "logistic_log":
-        s = _sigmoid(suite.xi @ x + suite.nu)
-        return float(suite.h @ s + suite.m.sum() * np.log1p(x @ x)) / suite.n
-    resid = np.einsum("nrd,d->nr", suite.M, x) - suite.b
-    return 0.5 * float((resid * resid).sum()) / suite.n
+        s = _sigmoid(np.matmul(suite.xi, X[:, :, None])[:, :, 0] + suite.nu)
+        v = (np.matmul(suite.h, s[:, :, None])[:, 0]
+             + suite.m.sum() * np.log1p(_dots(X, X))) / suite.n
+    else:
+        resid = np.einsum("nrd,bd->bnr", suite.M, X) - suite.b
+        v = 0.5 * _sums(resid * resid) / suite.n
+    return v if x.ndim == 2 else float(v[0])
 
 
 def mean_grad(suite: CostSuite, x: np.ndarray) -> np.ndarray:
     """grad F(x).  For a (B, d) stack of points it returns the (B, d)
-    gradients, each bitwise the gradient of its row."""
+    gradients, each bitwise the gradient of its row alone."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        return _mean_grads(suite, x)
-    if suite.kind == "logistic_log":
-        s = _sigmoid(suite.xi @ x + suite.nu)
-        coef = suite.h * s * (1.0 - s)
-        return (coef @ suite.xi
-                + 2.0 * suite.m.sum() * x / (1.0 + x @ x)) / suite.n
-    resid = np.einsum("nrd,d->nr", suite.M, x) - suite.b
-    return np.einsum("nrd,nr->d", suite.M, resid) / suite.n
-
-
-# The stacked forms.  Each stacked np.matmul makes the gemv or dot of one
-# row's product, each einsum sums in the order of the one-row einsum, and the
-# remaining operations are elementwise in the one-row order, so row b equals
-# the one-row call bitwise.  At B = 1 they are slower than the one-row forms:
-# at n = 20, d = 50 (2-core Xeon host) the value took 23 against 11 us and
-# the gradient 27-29 against 17-22 us.
-
-def _mean_values(suite: CostSuite, X: np.ndarray) -> np.ndarray:
-    if suite.kind == "logistic_log":
-        s = _sigmoid(np.matmul(suite.xi, X[:, :, None])[:, :, 0] + suite.nu)
-        return (np.matmul(suite.h, s[:, :, None])[:, 0]
-                + suite.m.sum() * np.log1p(_dots(X, X))) / suite.n
-    resid = np.einsum("nrd,bd->bnr", suite.M, X) - suite.b
-    return 0.5 * _sums(resid * resid) / suite.n
-
-
-def _mean_grads(suite: CostSuite, X: np.ndarray) -> np.ndarray:
+    X = x.reshape(-1, suite.d)
     if suite.kind == "logistic_log":
         s = _sigmoid(np.matmul(suite.xi, X[:, :, None])[:, :, 0] + suite.nu)
         coef = suite.h * s * (1.0 - s)
-        return (np.matmul(coef[:, None, :], suite.xi)[:, 0]
-                + 2.0 * suite.m.sum() * X / (1.0 + _dots(X, X))[:, None]
-                ) / suite.n
-    resid = np.einsum("nrd,bd->bnr", suite.M, X) - suite.b
-    return np.einsum("nrd,bnr->bd", suite.M, resid) / suite.n
+        G = (np.matmul(coef[:, None, :], suite.xi)[:, 0]
+             + 2.0 * suite.m.sum() * X / (1.0 + _dots(X, X))[:, None]
+             ) / suite.n
+    else:
+        resid = np.einsum("nrd,bd->bnr", suite.M, X) - suite.b
+        G = np.einsum("nrd,bnr->bd", suite.M, resid) / suite.n
+    return G.reshape(x.shape)
+
+
+def mean_hessian(suite: CostSuite, x: np.ndarray) -> np.ndarray:
+    """The d x d Hessian of F at x: Hbar for quadratics, and for the
+    logistic family (1/n) [sum_i h_i s_i (1 - s_i) (1 - 2 s_i) xi_i xi_i'
+    + sum_i m_i (2 I / q - 4 x x' / q^2)], s_i = sigmoid(z_i), q = 1 + x'x."""
+    if suite.kind == "quadratic_pl":
+        return suite.gram[2].copy()
+    x = np.asarray(x, dtype=np.float64)
+    s = _sigmoid(suite.xi @ x + suite.nu)
+    w = suite.h * s * (1.0 - s) * (1.0 - 2.0 * s)
+    q = 1.0 + x @ x
+    msum = suite.m.sum()
+    H = (suite.xi.T * w) @ suite.xi - (4.0 * msum / (q * q)) * np.outer(x, x)
+    H[np.diag_indices(suite.d)] += 2.0 * msum / q
+    return H / suite.n
 
 
 def _quadratic_minimiser(suite: CostSuite) -> np.ndarray:
@@ -325,33 +326,37 @@ class ReferenceSolution:
 def _descend(suite: CostSuite, starts: list, tol: float, max_iters: int
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradient descent with Armijo backtracking on the averaged cost from
-    each start; returns each start's endpoint, value and gradient norm.
+    each start, then a Newton finish; returns each start's endpoint, value
+    and gradient norm.
 
-    While two or more starts are active they step in lock-step: an iteration
-    makes one stacked ``mean_grad`` call, then one stacked ``mean_value`` call
-    per backtracking round over the starts still backtracking.  Each start
-    keeps its own step, Armijo test, cap of 60 halvings and stop rule, so
-    each endpoint is bitwise what descending from that start alone gives.
-    The last active start continues alone in ``_descend_one``, where one-row
-    calls are cheaper than stacked calls of one row.
+    The starts step in lock-step: an iteration makes one stacked
+    ``mean_grad`` call, then one stacked ``mean_value`` call per
+    backtracking round over the starts still backtracking.  Each start keeps
+    its own step, Armijo test, cap of 60 halvings and stop rule, so each
+    endpoint is bitwise what descending from that start alone gives.  A
+    start stops at a gradient norm of at most ``tol``, or at a line search
+    that finds no decrease (near a minimum the Armijo test cannot see one
+    below eps |F|).  A start that stopped above ``tol`` then takes up to
+    ``_NEWTON_STEPS`` Newton steps with the exact Hessian (``mean_hessian``),
+    each kept only if it lowers the gradient norm; the first that does not,
+    or a singular Hessian, ends the finish.
     """
     X = np.array(starts, dtype=np.float64)
     F = mean_value(suite, X)
     GN = np.empty(len(X))
     step = np.full(len(X), 1.0 / max(suite.L_f, 1e-12))
-    live = np.arange(len(X))
-    k = 0
-    while len(live) > 1 and k < max_iters:
+    live, k = np.arange(len(X)), 0
+    while len(live) and k < max_iters:
         k += 1
         G = mean_grad(suite, X[live])
-        gn = np.sqrt(_dots(G, G))
-        done = gn <= tol
-        GN[live[done]] = gn[done]
-        go = ~done
-        idx, g, gn = live[go], G[go], gn[go]
-        x, f, t = X[idx], F[idx], step[idx]
-        cand, fc = np.empty_like(x), np.empty(len(idx))
-        todo = np.arange(len(idx))
+        GN[live] = _norms(G)
+        go = ~(GN[live] <= tol)
+        live, g = live[go], G[go]
+        if len(live) == 0:
+            break
+        x, f, t, gn = X[live], F[live], step[live], GN[live]
+        cand, fc = np.empty_like(x), np.empty(len(live))
+        todo = np.arange(len(live))
         for _ in range(60):
             cand[todo] = x[todo] - t[todo, None] * g[todo]
             fc[todo] = mean_value(suite, cand[todo])
@@ -360,43 +365,28 @@ def _descend(suite: CostSuite, starts: list, tol: float, max_iters: int
             t[todo] *= 0.5
             if len(todo) == 0:
                 break
-        stuck = (fc >= f) & (t * gn * gn < 1e-30)
-        GN[idx[stuck]] = gn[stuck]
-        move = ~stuck
-        X[idx[move]], F[idx[move]] = cand[move], fc[move]
-        step[idx[move]] = np.minimum(t[move] * 2.0, 1e6)
-        live = idx[move]
-    if len(live) == 1:
-        i = live[0]
-        X[i], F[i], GN[i] = _descend_one(suite, X[i], F[i], step[i], tol,
-                                         max_iters - k)
-    elif len(live):
-        G = mean_grad(suite, X[live])
-        GN[live] = np.sqrt(_dots(G, G))
-    return X, F, GN
-
-
-def _descend_one(suite: CostSuite, x: np.ndarray, f: float, step: float,
-                 tol: float, iters: int) -> tuple[np.ndarray, float, float]:
-    """``iters`` more iterations of ``_descend`` from one start at x, with
-    value f and first trial step ``step``."""
-    for _ in range(iters):
+        move = ~(fc >= f)
+        live = live[move]
+        X[live], F[live] = cand[move], fc[move]
+        step[live] = np.minimum(t[move] * 2.0, 1e6)
+    if len(live):
+        GN[live] = _norms(mean_grad(suite, X[live]))
+    for i in np.flatnonzero(GN > tol):
+        x, gn = X[i], GN[i]
         g = mean_grad(suite, x)
-        gn = float(np.linalg.norm(g))
-        if gn <= tol:
-            break
-        t = step
-        for _ in range(60):
-            cand = x - t * g
-            fc = mean_value(suite, cand)
-            if fc <= f - 0.25 * t * gn * gn:
+        for _ in range(_NEWTON_STEPS):
+            try:
+                cand = x - np.linalg.solve(mean_hessian(suite, x), g)
+            except np.linalg.LinAlgError:
                 break
-            t *= 0.5
-        if fc >= f and t * gn * gn < 1e-30:
-            break
-        x, f = cand, fc
-        step = min(t * 2.0, 1e6)
-    return x, f, float(np.linalg.norm(mean_grad(suite, x)))
+            gc = mean_grad(suite, cand)
+            gnc = np.linalg.norm(gc)
+            if not gnc < gn:
+                break
+            x, g, gn = cand, gc, gnc
+        if gn < GN[i]:  # a step was kept
+            X[i], F[i], GN[i] = x, mean_value(suite, x), gn
+    return X, F, GN
 
 
 def solve_reference(suite: CostSuite, tol: float = 1e-9, *, restarts: int = 16,

@@ -115,26 +115,28 @@ def _ring_weights(n: int) -> np.ndarray:
     return W
 
 
-def generate_network(n: int, edge_density: float, seed: int,
+def generate_network(n: int, edge_density: float | None, seed: int,
                      topology: str = "random") -> Network:
     """Build a connected undirected network with symmetric, doubly stochastic
     weights.
 
-    Random topology: symmetric Erdos-Renyi draws, retried with derived seeds
-    until connected; after the retry budget a bidirectional cycle is added so
-    construction always terminates.  Degenerate spectra (sigma outside (0,1),
-    e.g. complete graphs where W collapses to the averaging matrix) are
-    repaired by lazification W <- (W + I)/2.
+    Random topology: symmetric Erdos-Renyi draws with edge probability
+    ``edge_density``, retried with derived seeds until connected; after the
+    retry budget a bidirectional cycle is added so construction always
+    terminates.  The ring reads neither ``edge_density`` nor ``seed``.
+    Degenerate spectra (sigma outside (0,1), e.g. complete graphs where W
+    collapses to the averaging matrix) are repaired by lazification
+    W <- (W + I)/2.
     """
     if n < 2:
         raise GraphError(f"need at least 2 agents, got {n}")
-    if not 0.0 < edge_density <= 1.0:
-        raise GraphError(f"edge_density={edge_density} outside (0, 1]")
 
     if topology == "ring":
         adj = _ring_adjacency(n)
         W = _ring_weights(n)
     elif topology == "random":
+        if edge_density is None or not 0.0 < edge_density <= 1.0:
+            raise GraphError(f"edge_density={edge_density} outside (0, 1]")
         adj = None
         for attempt in range(_MAX_REGEN_ATTEMPTS):
             rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))

@@ -78,6 +78,9 @@ _COST_OPTIONS = {
                               lambda v: _is_int(v) and v >= 1)},
 }
 
+# the network keys that each topology reads besides "n" and "topology"
+_TOPOLOGY_KEYS = {"random": ("edge_density",), "ring": ()}
+
 # the keys of the other config sections
 _NETWORK_KEYS = ("n", "edge_density", "topology")
 _SEED_KEYS = ("graph", "cost", "algo")
@@ -205,7 +208,14 @@ class ExperimentConfig:
             if not (_is_int(value) and value >= 0):
                 raise ConfigError(f"seed {key!r} must be a nonnegative int, "
                                   f"not {value!r}")
-        for key in ("n", "edge_density"):
+        topology = self.network.get("topology", "random")
+        keys = (_TOPOLOGY_KEYS.get(topology) if isinstance(topology, str)
+                else None)
+        if keys is None:
+            raise ConfigError(f"unknown topology {topology!r}")
+        _check_keys(f"{topology} network", self.network,
+                    ("n", "topology") + keys)
+        for key in ("n",) + keys:
             if key not in self.network:
                 raise ConfigError(f"missing network key {key!r}")
         for key in ("kind", "d"):
@@ -216,7 +226,8 @@ class ExperimentConfig:
             if not _is_int(value):
                 raise ConfigError(f"{section} {key!r} must be an int, not "
                                   f"{value!r}")
-        if not _is_real(self.network["edge_density"]):
+        if ("edge_density" in self.network
+                and not _is_real(self.network["edge_density"])):
             raise ConfigError(f"network 'edge_density' must be a number, not "
                               f"{self.network['edge_density']!r}")
         kind = self.cost["kind"]
@@ -530,7 +541,7 @@ def write_trace_csv(trace: RunTrace, path: Path) -> None:
 def build_instance(cfg: ExperimentConfig):
     """The network and cost suite that every cell of ``cfg`` shares."""
     net = generate_network(int(cfg.network["n"]),
-                           float(cfg.network["edge_density"]),
+                           cfg.network.get("edge_density"),
                            int(cfg.seeds["graph"]),
                            topology=cfg.network.get("topology", "random"))
     cost_kwargs = {k: v for k, v in cfg.cost.items()

@@ -8,11 +8,11 @@ check the batched code against them.
 ``sigmoid_two_div`` and ``logistic_grad_all`` are the sigmoid and the
 logistic stacked gradient as plain expressions, the bitwise reference for
 the shipped forms with one division and fewer temporaries.  ``descend`` and
-``solve_reference_per_start`` are the reference solve with one descent per
-start, run one start after another: the bitwise reference for the lock-step
-descent of ``costs.solve_reference``.  ``least_squares`` is the quadratic
-minimiser by SVD of the stacked factors, the reference for the Gram-based
-``costs._quadratic_minimiser``.
+``solve_reference_per_start`` are the reference solve with one descent and
+Newton finish per start, run one start after another: the bitwise reference
+for the lock-step descent of ``costs.solve_reference``.  ``least_squares``
+is the quadratic minimiser by SVD of the stacked factors, the reference for
+the Gram-based ``costs._quadratic_minimiser``.
 """
 
 import json
@@ -20,6 +20,7 @@ import json
 import numpy as np
 
 from cgtsim.costs import (
+    _NEWTON_STEPS,
     CostError,
     CostSuite,
     ReferenceSolution,
@@ -27,6 +28,7 @@ from cgtsim.costs import (
     _sigmoid,
     generate_suite,
     mean_grad,
+    mean_hessian,
     mean_value,
 )
 
@@ -53,7 +55,11 @@ def least_squares(suite: CostSuite) -> np.ndarray:
 
 def descend(suite: CostSuite, x0: np.ndarray, tol: float,
             max_iters: int) -> tuple[np.ndarray, float, float]:
-    """Gradient descent with Armijo backtracking on the averaged cost."""
+    """Gradient descent with Armijo backtracking on the averaged cost from
+    one start.  It stops at a gradient norm of at most ``tol`` or at a line
+    search that finds no decrease; a stop above ``tol`` is followed by up to
+    ``_NEWTON_STEPS`` Newton steps, each kept only if it lowers the gradient
+    norm."""
     x = x0.copy()
     f = mean_value(suite, x)
     step = 1.0 / max(suite.L_f, 1e-12)
@@ -69,11 +75,22 @@ def descend(suite: CostSuite, x0: np.ndarray, tol: float,
             if fc <= f - 0.25 * t * gn * gn:
                 break
             t *= 0.5
-        if fc >= f and t * gn * gn < 1e-30:
+        if fc >= f:
             break
         x, f = cand, fc
         step = min(t * 2.0, 1e6)
-    return x, f, float(np.linalg.norm(mean_grad(suite, x)))
+    g = mean_grad(suite, x)
+    gn = float(np.linalg.norm(g))
+    for _ in range(_NEWTON_STEPS if gn > tol else 0):
+        try:
+            cand = x - np.linalg.solve(mean_hessian(suite, x), g)
+        except np.linalg.LinAlgError:
+            break
+        g_cand = mean_grad(suite, cand)
+        if not np.linalg.norm(g_cand) < gn:
+            break
+        x, g, gn = cand, g_cand, float(np.linalg.norm(g_cand))
+    return x, mean_value(suite, x), gn
 
 
 def solve_reference_per_start(suite: CostSuite, tol: float = 1e-9, *,

@@ -17,6 +17,7 @@ from cgtsim.costs import (
     generate_suite,
     grad_all,
     mean_grad,
+    mean_hessian,
     mean_value,
     solve_reference,
 )
@@ -482,11 +483,13 @@ def _assert_same_solution(got, want):
     assert all(type(v) is float for v in got.restart_values)
 
 
-# the paper instance; a seed where one start outlasts the others, so the last
-# start finishes alone; a quadratic whose extra starts run in lock-step
+# the paper instance; a seed whose stalled starts take the Newton finish,
+# and one whose best start is the finish's; a quadratic whose extra starts
+# run in lock-step
 _SOLVE_CASES = [
     ("logistic_log", {"seed": 202}, {}),
     ("logistic_log", {"seed": 3}, {"max_iters": 300}),
+    ("logistic_log", {"seed": 40}, {}),
     ("quadratic_pl", {"seed": 8, "d": 6, "consistent": False},
      {"extra_starts": [np.full(6, 3.0), -np.ones(6)]}),
 ]
@@ -530,11 +533,60 @@ def test_solve_reference_keeps_the_first_of_tied_or_nan_values():
 
 def test_paper_reference_evaluation_count(monkeypatch):
     # lock-step descent: one stacked call per iteration and per backtracking
-    # round, not one per start (1359 calls when run start by start)
+    # round, not one per start (1375 calls by the per-start oracle)
     suite = generate_suite("logistic_log", n=20, d=50, seed=202, scale=0.1)
     calls = _count_mean_calls(monkeypatch)
     assert solve_reference(suite).certified
     assert calls["n"] <= 150
+
+
+@pytest.mark.parametrize("seed", [3, 13, 14, 16, 40])
+def test_stalled_references_are_certified_by_the_newton_finish(seed,
+                                                               monkeypatch):
+    # starts whose gradient norm stalls at round-off just above tol: the
+    # descent stops at the first line search without a decrease, and the
+    # Newton finish takes the norm below tol (about 30 000 calls, and seed
+    # 40 uncertified, when the descent kept stepping to find a dip below tol)
+    suite = generate_suite("logistic_log", n=20, d=50, seed=seed, scale=0.1)
+    calls = _count_mean_calls(monkeypatch)
+    assert solve_reference(suite).certified
+    assert calls["n"] <= 300
+
+
+def test_singular_hessian_ends_the_newton_finish(monkeypatch):
+    # seed 64 at n = 10, d = 8 stalls above tol and needs the finish; a
+    # singular Hessian ends the finish at once, which leaves what no finish
+    # leaves
+    suite = generate_suite("logistic_log", n=10, d=8, seed=64)
+    assert solve_reference(suite).certified
+    monkeypatch.setattr(costs, "mean_hessian",
+                        lambda suite, x: np.zeros((suite.d, suite.d)))
+    singular = solve_reference(suite)
+    monkeypatch.setattr(costs, "_NEWTON_STEPS", 0)
+    bare = solve_reference(suite)
+    assert not bare.certified
+    _assert_same_solution(singular, bare)
+
+
+@pytest.mark.parametrize("kind,kw", [
+    ("logistic_log", {}), ("logistic_log", {"scale": 0.1, "abs_m": False}),
+    ("quadratic_pl", {}), ("quadratic_pl", {"normalize": False}),
+    ("quadratic_pl", {"rows": 1}),  # rank n = 6 < d: a singular Hessian
+])
+def test_mean_hessian_matches_central_differences(kind, kw):
+    suite = generate_suite(kind, n=6, d=10, seed=5, **kw)
+    rng = np.random.default_rng(9)
+    eps = 1e-5
+    for _ in range(10):
+        x = rng.standard_normal(10) * rng.uniform(0.2, 3.0)
+        H = mean_hessian(suite, x)
+        # row j: grad F at x + eps e_j minus grad F at x - eps e_j
+        diff = (mean_grad(suite, x + eps * np.eye(10))
+                - mean_grad(suite, x - eps * np.eye(10))) / (2 * eps)
+        assert np.abs(H - diff.T).max() <= 1e-7 * max(np.abs(H).max(), 1.0)
+        assert np.abs(H - H.T).max() <= 1e-14 * np.abs(H).max()
+    if kw.get("rows") == 1:
+        assert np.linalg.matrix_rank(H) == suite.n
 
 
 @settings(max_examples=80, deadline=None)

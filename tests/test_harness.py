@@ -376,9 +376,6 @@ def test_cli_config_errors_exit_2_and_program_bugs_propagate(tmp_path,
                 {"params": {"eta": 0.3, "gamma": 1.5}, "force_params": True}):
         cfg_path.write_text(json.dumps(dict(cfg, **bad)))
         assert cli.main(["run", str(cfg_path)]) == 2
-    monkeypatch.setenv("CGT_SEED", "seven")
-    assert cli.main(["run", str(cfg_path)]) == 2
-    monkeypatch.delenv("CGT_SEED")
 
     def broken_run(*args, **kwargs):
         raise ValueError("a bug inside the stepper")
@@ -522,11 +519,12 @@ def test_cli_seed_override_env_and_flag(tmp_path, monkeypatch, capsys):
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
+    # the environment re-seeds nothing: --seed is the one override
     monkeypatch.setenv("CGT_SEED", "900")
     assert cli.main(["run", str(cfg_path)]) == 0
     env_sidecar = json.loads(
         (tmp_path / "e1" / "seed__dgt_exact.json").read_text())
-    assert env_sidecar["seeds"] == {"graph": 901, "cost": 902, "algo": 903}
+    assert env_sidecar["seeds"] == cfg["seeds"]
     cfg["output_dir"] = str(tmp_path / "e2")
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main(["run", str(cfg_path), "--seed", "70"]) == 0
@@ -817,6 +815,14 @@ _GOOD_CELLS = [{"algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}},
     # an edge density that is not a real number
     {"network": {"n": 5, "edge_density": "0.9"}},
     {"network": {"n": 5, "edge_density": True}},
+    # the random topology needs an edge density and the ring reads none;
+    # a topology that is not built in
+    {"network": {"n": 5, "topology": "random"}},
+    {"network": {"n": 5}},
+    {"network": {"n": 5, "edge_density": 0.7, "topology": "ring"}},
+    {"network": {"n": 5, "edge_density": 7, "topology": "ring"}},
+    {"network": {"n": 5, "edge_density": 0.7, "topology": "torus"}},
+    {"network": {"n": 5, "topology": 5}},
 ])
 @pytest.mark.parametrize("command", ["run", "bounds"])
 def test_cli_bad_config_sections_exit_2_before_any_output(tmp_path, change,
@@ -835,6 +841,21 @@ def test_cli_bad_config_sections_exit_2_before_any_output(tmp_path, change,
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main([command, str(cfg_path)]) == 2
     assert not out.exists()
+
+
+def test_ring_config_runs_without_edge_density(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = {"scenario": "ring", "iters": 5,
+           "network": {"n": 5, "topology": "ring"},
+           "cost": {"kind": "quadratic_pl", "d": 4},
+           "seeds": {"graph": 4, "cost": 5, "algo": 6},
+           "output_dir": str(out), "cells": _GOOD_CELLS}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(cfg_path)]) == 0
+    assert cli.main(["bounds", str(cfg_path)]) == 0
+    sidecar = json.loads((out / "ring__dgt_exact.json").read_text())
+    assert sidecar["sigma"] == generate_network(5, None, 0, "ring").sigma
 
 
 def test_param_checks_cover_algorithm_params_and_rules():
