@@ -48,11 +48,20 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
 
 
-def _apply_seed_override(doc: dict, seed: int | None) -> dict:
-    if seed is not None:
+def _experiment_config(path: str, seed: int | None,
+                       out: str | None = None) -> ExperimentConfig:
+    """The config at ``path``, with the root seed of ``--seed`` and the
+    output directory of ``--out``; a document that is no JSON object is
+    left for ``from_dict`` to refuse."""
+    doc = _load_config(path)
+    if isinstance(doc, dict):
         doc = dict(doc)
-        doc["seeds"] = {"graph": seed + 1, "cost": seed + 2, "algo": seed + 3}
-    return doc
+        if seed is not None:
+            doc["seeds"] = {"graph": seed + 1, "cost": seed + 2,
+                            "algo": seed + 3}
+        if out:
+            doc["output_dir"] = out
+    return ExperimentConfig.from_dict(doc)
 
 
 def _emit_gnuplot(outdir: Path, scenario: str, labels: list) -> None:
@@ -72,10 +81,7 @@ def _emit_gnuplot(outdir: Path, scenario: str, labels: list) -> None:
 
 
 def _cmd_run(args) -> int:
-    doc = _apply_seed_override(_load_config(args.config), args.seed)
-    if args.out:
-        doc["output_dir"] = args.out
-    cfg = ExperimentConfig.from_dict(doc)
+    cfg = _experiment_config(args.config, args.seed, args.out)
     if args.force:
         for cell in cfg.cells:
             cell.force_params = True
@@ -95,10 +101,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    doc = _apply_seed_override(_load_config(args.config), args.seed)
-    cfg = ExperimentConfig.from_dict(doc)
+    cfg = _experiment_config(args.config, args.seed)
     net, suite = build_instance(cfg)
-    x0 = initial_point(net.n, suite.d, int(cfg.seeds["algo"]))
+    x0 = initial_point(net.n, suite.d, cfg.seeds["algo"])
     # solved at most once, and only for a table that needs it
     f_star = functools.cache(
         lambda: solve_reference(suite, tol=cfg.fstar_tol).f_star)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,6 +140,66 @@ def _finite(v) -> bool:
     return _is_real(v) and math.isfinite(v)
 
 
+class Section(NamedTuple):
+    """The keys of one config mapping, each with its rule: ``(what, ok)``,
+    what the value must be and the test of it; a Section, for a nested
+    mapping; or ``[section]``, for a non-empty list of such mappings.  An
+    optional key that is absent stays absent, so its reader's default
+    applies.  With ``by``, the value of that key (``by_default`` when it is
+    absent) names one of ``variants``, whose keys apply as well."""
+
+    required: dict = {}
+    optional: dict = {}
+    by: str | None = None
+    by_default: str | None = None
+    variants: dict = {}
+
+
+def check_config(value, section: Section, path: str, error=CompressorError):
+    """``value`` checked against ``section``: a mapping with no key outside
+    it, every required key, and each value what its rule says.  Returns a
+    copy with the ``by`` key filled in and nested sections checked; the
+    first fault raises ``error``, naming the key by its ``path``."""
+    if not isinstance(value, dict):
+        raise error(f"{path} must be a JSON object, not {value!r}")
+    out, variant = dict(value), Section()
+    if section.by is not None:
+        if section.by not in value and section.by_default is None:
+            raise error(f"missing {path} key {section.by!r}")
+        tag = out.setdefault(section.by, section.by_default)
+        if not (isinstance(tag, str) and tag in section.variants):
+            raise error(f"{path}.{section.by} must be one of "
+                        f"{list(section.variants)}, not {tag!r}")
+        variant = section.variants[tag]
+    rules = {**section.required, **section.optional, **variant.required,
+             **variant.optional}
+    bad = set(value) - rules.keys() - {section.by}
+    other = {key for s in section.variants.values()
+             for key in (*s.required, *s.optional)}
+    if bad - other:
+        raise error(f"unknown {path} keys: {sorted(bad - other, key=str)}")
+    if bad:
+        raise error(f"{path} keys {sorted(bad)} do not apply to "
+                    f"{section.by} {tag!r}")
+    for key in (*section.required, *variant.required):
+        if key not in value:
+            raise error(f"missing {path} key {key!r}")
+    for key, rule in rules.items():
+        if key not in value:
+            continue
+        item, where = value[key], f"{path}.{key}"
+        if isinstance(rule, Section):
+            out[key] = check_config(item, rule, where, error)
+        elif isinstance(rule, list):
+            if not (isinstance(item, list) and item):
+                raise error(f"{where} must be a non-empty list, not {item!r}")
+            out[key] = [check_config(x, rule[0], f"{where}[{i}]", error)
+                        for i, x in enumerate(item)]
+        elif not rule[1](item):
+            raise error(f"{where} must be {rule[0]}, not {item!r}")
+    return out
+
+
 # make_compressor's keywords, each with what a config value must be; the
 # ranges that depend on the kind or on d are the spec's own checks
 _CONFIG_OPTIONS = {
@@ -159,34 +220,19 @@ _KIND_OPTIONS = {
     "random_quantize": ("levels",),
 }
 
+# a compressor config: its kind and the keywords that kind reads
+CONFIG_SECTION = Section(by="kind", variants={
+    kind: Section(optional={key: _CONFIG_OPTIONS[key] for key in keys})
+    for kind, keys in _KIND_OPTIONS.items()})
+
 
 def spec_from_config(cfg: dict, d: int) -> CompressorSpec:
-    """Parse a config mapping with keys kind/delta/keep_k/levels/
-    sparsify_mode/rescale.  A key the kind does not read, and a value of the
-    wrong type or range, is a CompressorError; the class constants come from
-    the spec, never from the config."""
-    if not isinstance(cfg, dict):
-        raise CompressorError(f"compressor config must be a mapping, not "
-                              f"{cfg!r}")
-    cfg = dict(cfg)
-    kind = cfg.pop("kind", None)
-    if kind is None:
-        raise CompressorError("compressor config needs a 'kind' key")
-    bad = set(cfg) - set(_CONFIG_OPTIONS)
-    if bad:
-        raise CompressorError(f"unknown compressor config keys: {sorted(bad)}")
-    if kind not in KINDS:  # a tuple: an unhashable kind is just unknown
-        raise CompressorError(f"unknown compressor kind {kind!r}")
-    bad = set(cfg) - set(_KIND_OPTIONS[kind])
-    if bad:
-        raise CompressorError(f"compressor keys {sorted(bad)} do not apply "
-                              f"to {kind}")
-    for key, value in cfg.items():
-        what, ok = _CONFIG_OPTIONS[key]
-        if not ok(value):
-            raise CompressorError(f"compressor {key!r} must be {what}, not "
-                                  f"{value!r}")
-    return make_compressor(kind, d, **cfg)
+    """The spec of a compressor config (``CONFIG_SECTION``).  A key the
+    kind does not read, and a value of the wrong type or range, is a
+    CompressorError; the class constants come from the spec, never from the
+    config."""
+    return make_compressor(
+        d=d, **check_config(cfg, CONFIG_SECTION, "compressor config"))
 
 
 def compress(spec: CompressorSpec, x: np.ndarray, *, seed: int = 0,

@@ -339,22 +339,22 @@ def _descend(suite: CostSuite, starts: list, tol: float, max_iters: int
     below eps |F|).  A start that stopped above ``tol`` then takes up to
     ``_NEWTON_STEPS`` Newton steps with the exact Hessian (``mean_hessian``),
     each kept only if it lowers the gradient norm; the first that does not,
-    or a singular Hessian, ends the finish.
+    or a singular Hessian, ends the finish.  A finish starts from the
+    start's row of the last stacked gradient, bitwise its one-row gradient.
     """
     X = np.array(starts, dtype=np.float64)
     F = mean_value(suite, X)
-    GN = np.empty(len(X))
+    G, GN = np.empty_like(X), np.empty(len(X))
     step = np.full(len(X), 1.0 / max(suite.L_f, 1e-12))
     live, k = np.arange(len(X)), 0
     while len(live) and k < max_iters:
         k += 1
-        G = mean_grad(suite, X[live])
-        GN[live] = _norms(G)
-        go = ~(GN[live] <= tol)
-        live, g = live[go], G[go]
+        G[live] = mean_grad(suite, X[live])
+        GN[live] = _norms(G[live])
+        live = live[~(GN[live] <= tol)]
         if len(live) == 0:
             break
-        x, f, t, gn = X[live], F[live], step[live], GN[live]
+        x, g, f, t, gn = X[live], G[live], F[live], step[live], GN[live]
         cand, fc = np.empty_like(x), np.empty(len(live))
         todo = np.arange(len(live))
         for _ in range(60):
@@ -370,10 +370,10 @@ def _descend(suite: CostSuite, starts: list, tol: float, max_iters: int
         X[live], F[live] = cand[move], fc[move]
         step[live] = np.minimum(t[move] * 2.0, 1e6)
     if len(live):
-        GN[live] = _norms(mean_grad(suite, X[live]))
+        G[live] = mean_grad(suite, X[live])
+        GN[live] = _norms(G[live])
     for i in np.flatnonzero(GN > tol):
-        x, gn = X[i], GN[i]
-        g = mean_grad(suite, x)
+        x, g, gn = X[i], G[i], GN[i]
         for _ in range(_NEWTON_STEPS):
             try:
                 cand = x - np.linalg.solve(mean_hessian(suite, x), g)

@@ -36,6 +36,7 @@ from . import analysis
 from .algorithms import (
     MESSAGES_PER_AGENT,
     RULES,
+    AlgorithmError,
     AlgorithmParams,
     RunTrace,
     auto_s0,
@@ -44,15 +45,18 @@ from .algorithms import (
     run,
 )
 from .compressors import (
+    CONFIG_SECTION,
     GLOBAL_ABSOLUTE,
     LOCAL_ABSOLUTE,
     RELATIVE,
     BitCostModel,
     CompressorSpec,
+    Section,
     _finite,
     _is_int,
     _is_real,
     bit_cost,
+    check_config,
     make_compressor,
     spec_from_config,
 )
@@ -66,7 +70,17 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_name(v) -> bool:
+    """Whether ``v`` names one file in the output directory."""
+    return (isinstance(v, str) and v not in ("", ".", "..") and "/" not in v
+            and "\0" not in v)
+
+
 _BOOL = ("a bool", lambda v: isinstance(v, bool))
+_INT = ("an int", _is_int)
+_POSITIVE_INT = ("a positive int", lambda v: _is_int(v) and v >= 1)
+_NAME = ("a non-empty string with no '/' that is not '.' or '..'", _is_name)
+_POSITIVE = ("a finite positive number", lambda v: _finite(v) and v > 0)
 
 # generate_suite's optional keywords that each cost family reads, each with
 # what its value must be; the family would ignore any other
@@ -74,36 +88,50 @@ _COST_OPTIONS = {
     "logistic_log": {"abs_m": _BOOL,
                      "scale": ("a finite number", _finite)},
     "quadratic_pl": {"consistent": _BOOL, "normalize": _BOOL,
-                     "rows": ("a positive int",
-                              lambda v: _is_int(v) and v >= 1)},
+                     "rows": _POSITIVE_INT},
 }
 
-# the network keys that each topology reads besides "n" and "topology"
-_TOPOLOGY_KEYS = {"random": ("edge_density",), "ring": ()}
+# each rule's params: the AlgorithmParams fields it reads
+_PARAMS = {name: Section(optional={key: ("a finite number", _finite)
+                                   for key in rule.params})
+           for name, rule in RULES.items()}
 
-# the keys of the other config sections
-_NETWORK_KEYS = ("n", "edge_density", "topology")
-_SEED_KEYS = ("graph", "cost", "algo")
-_BIT_MODEL_KEYS = ("bits_scalar", "bits_int")
-_PARAM_KEYS = tuple(f.name for f in fields(AlgorithmParams))
+_CELL = Section(
+    optional={"compressor": CONFIG_SECTION,
+              "mode": ('"practical" or "certified"',
+                       lambda v: v in ("practical", "certified")),
+              "force_params": _BOOL, "label": _NAME},
+    by="algo", variants={name: Section(optional={"params": params})
+                         for name, params in _PARAMS.items()})
 
-
-def _check_name(what: str, value) -> None:
-    """A config value that becomes part of a file name must name one file
-    in the output directory."""
-    if (not isinstance(value, str) or value in ("", ".", "..")
-            or "/" in value or "\0" in value):
-        raise ConfigError(f"{what} must be a non-empty string with no '/' "
-                          f"that is not '.' or '..', not {value!r}")
-
-
-def _check_keys(section: str, value, keys) -> None:
-    """``value`` must be a mapping whose keys are all in ``keys``."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{section} must be a mapping, not {value!r}")
-    bad = set(value) - set(keys)
-    if bad:
-        raise ConfigError(f"unknown {section} keys: {sorted(bad)}")
+# a config document: its keys and sections.  An absent optional key takes
+# the default of what reads it: ExperimentConfig, CellConfig, BitCostModel,
+# generate_suite, make_compressor or the rule's practical params
+_CONFIG = Section(
+    required={
+        "scenario": _NAME,
+        "iters": _POSITIVE_INT,
+        "network": Section(required={"n": _INT}, by="topology",
+                           by_default="random", variants={
+                               "random": Section(required={"edge_density": (
+                                   "a number", _is_real)}),
+                               "ring": Section()}),
+        "cost": Section(required={"d": _INT}, by="kind", variants={
+            kind: Section(optional=options)
+            for kind, options in _COST_OPTIONS.items()}),
+        "seeds": Section(required={
+            key: ("a nonnegative int", lambda v: _is_int(v) and v >= 0)
+            for key in ("graph", "cost", "algo")}),
+        "cells": [_CELL],
+    },
+    optional={
+        "threshold": _POSITIVE,
+        "fstar_tol": _POSITIVE,
+        "bit_model": Section(optional={"bits_scalar": _POSITIVE_INT,
+                                       "bits_int": _POSITIVE_INT}),
+        "broadcast": _BOOL,
+        "output_dir": ("a string", lambda v: isinstance(v, str)),
+    })
 
 
 @dataclass
@@ -127,11 +155,11 @@ class CellConfig:
 class ExperimentConfig:
     scenario: str
     iters: int
-    threshold: float
     network: dict
     cost: dict
     seeds: dict
     cells: list
+    threshold: float = 1e-3
     bit_model: BitCostModel = field(default_factory=BitCostModel)
     broadcast: bool = True
     output_dir: str = "out"
@@ -139,172 +167,56 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        doc = dict(doc)
-        if "cells" not in doc and "algo" in doc:
-            cell_keys = ("algo", "compressor", "params", "mode",
-                         "force_params", "label")
-            doc["cells"] = [{k: doc.pop(k) for k in cell_keys if k in doc}]
-        if "cells" not in doc:
-            raise ConfigError("config needs either 'cells' or a top-level "
-                              "'algo' single-run form")
-        try:
-            cells = [CellConfig(**c) for c in doc.pop("cells")]
-        except TypeError as exc:
-            raise ConfigError(f"bad cell entry: {exc}") from None
-        bm = doc.pop("bit_model", {})
-        _check_keys("bit_model", bm, _BIT_MODEL_KEYS)
-        for key, value in bm.items():
-            if not _is_int(value):
-                raise ConfigError(f"bit_model {key!r} must be an int, not "
-                                  f"{value!r}")
-        broadcast = doc.pop("broadcast", True)
-        if not isinstance(broadcast, bool):
-            raise ConfigError(f"broadcast must be a bool, not {broadcast!r}")
-        try:
-            cfg = ExperimentConfig(
-                scenario=doc.pop("scenario"),
-                iters=doc.pop("iters"),
-                threshold=doc.pop("threshold", 1e-3),
-                network=doc.pop("network"),
-                cost=doc.pop("cost"),
-                seeds=doc.pop("seeds"),
-                cells=cells,
-                bit_model=BitCostModel(bits_scalar=bm.get("bits_scalar", 64),
-                                       bits_int=bm.get("bits_int", 4)),
-                broadcast=broadcast,
-                output_dir=doc.pop("output_dir", "out"),
-                fstar_tol=doc.pop("fstar_tol", 1e-9),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config key: {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config value: {exc}") from None
-        if doc:
-            raise ConfigError(f"unknown config keys: {sorted(doc)}")
+        """The config of a document (``_CONFIG``), whose cells may also be
+        given in the single-run form: one cell's keys at the top level."""
+        if isinstance(doc, dict) and "cells" not in doc and "algo" in doc:
+            doc = dict(doc)
+            doc["cells"] = [{f.name: doc.pop(f.name) for f in fields(CellConfig)
+                             if f.name in doc}]
+        doc = check_config(doc, _CONFIG, "config", ConfigError)
+        doc["cells"] = [CellConfig(**cell) for cell in doc["cells"]]
+        if "bit_model" in doc:
+            doc["bit_model"] = BitCostModel(**doc["bit_model"])
+        cfg = ExperimentConfig(**doc)
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
-        if not self.cells:
-            raise ConfigError("need at least one cell")
-        _check_name("scenario", self.scenario)
-        if not isinstance(self.output_dir, str):
-            raise ConfigError(f"output_dir must be a string, not "
-                              f"{self.output_dir!r}")
-        if not (_is_int(self.iters) and self.iters >= 1):
-            raise ConfigError(f"iters must be an int >= 1, not "
-                              f"{self.iters!r}")
-        for key in ("threshold", "fstar_tol"):
-            value = getattr(self, key)
-            if not (_finite(value) and value > 0):
-                raise ConfigError(f"{key} must be a finite positive number, "
-                                  f"not {value!r}")
-        _check_keys("seeds", self.seeds, _SEED_KEYS)
-        _check_keys("network", self.network, _NETWORK_KEYS)
-        for key in _SEED_KEYS:
-            if key not in self.seeds:
-                raise ConfigError(f"missing seed {key!r}")
-            value = self.seeds[key]
-            if not (_is_int(value) and value >= 0):
-                raise ConfigError(f"seed {key!r} must be a nonnegative int, "
-                                  f"not {value!r}")
-        topology = self.network.get("topology", "random")
-        keys = (_TOPOLOGY_KEYS.get(topology) if isinstance(topology, str)
-                else None)
-        if keys is None:
-            raise ConfigError(f"unknown topology {topology!r}")
-        _check_keys(f"{topology} network", self.network,
-                    ("n", "topology") + keys)
-        for key in ("n",) + keys:
-            if key not in self.network:
-                raise ConfigError(f"missing network key {key!r}")
-        for key in ("kind", "d"):
-            if key not in self.cost:
-                raise ConfigError(f"missing cost key {key!r}")
-        for section, key in (("network", "n"), ("cost", "d")):
-            value = getattr(self, section)[key]
-            if not _is_int(value):
-                raise ConfigError(f"{section} {key!r} must be an int, not "
-                                  f"{value!r}")
-        if ("edge_density" in self.network
-                and not _is_real(self.network["edge_density"])):
-            raise ConfigError(f"network 'edge_density' must be a number, not "
-                              f"{self.network['edge_density']!r}")
-        kind = self.cost["kind"]
-        options = _COST_OPTIONS.get(kind) if isinstance(kind, str) else None
-        if options is None:
-            raise ConfigError(f"unknown cost kind {kind!r}")
-        for key, value in self.cost.items():
-            if key in ("kind", "d"):
-                continue
-            if key not in options:
-                raise ConfigError(f"unknown {kind} cost key {key!r}")
-            what, ok = options[key]
-            if not ok(value):
-                raise ConfigError(f"cost {key!r} must be {what}, not "
-                                  f"{value!r}")
+        """The rules that span keys: each cell's compressor, which its rule
+        needs or refuses, its certified region's inputs and its merged
+        params; and a label of its own."""
         for cell in self.cells:  # checked before any output
-            rule = RULES.get(cell.algo) if isinstance(cell.algo, str) else None
-            if rule is None:
-                raise ConfigError(f"unknown algorithm {cell.algo!r}")
-            if cell.mode not in ("practical", "certified"):
-                raise ConfigError(f"unknown mode {cell.mode!r}")
+            rule, label = RULES[cell.algo], cell.resolved_label()
             if rule.classes and cell.compressor is None:
-                raise ConfigError(f"cell {cell.resolved_label()} needs a "
-                                  "compressor")
+                raise ConfigError(f"cell {label} needs a compressor")
             if not rule.classes and cell.compressor is not None:
                 raise ConfigError(f"{cell.algo} sends exact messages and "
                                   "takes no compressor")
             comp = None
             if cell.compressor is not None:
-                comp = spec_from_config(cell.compressor, int(self.cost["d"]))
-            if not isinstance(cell.force_params, bool):
-                raise ConfigError(f"cell {cell.resolved_label()}: "
-                                  "force_params must be a bool, not "
-                                  f"{cell.force_params!r}")
-            _check_name("cell label", cell.resolved_label())
-            _check_params(cell, rule, comp)
+                comp = spec_from_config(cell.compressor, self.cost["d"])
+            if cell.mode == "certified":
+                try:
+                    inputs = _REGION_INPUTS[_region_class(rule, comp)]
+                except ConfigError as exc:
+                    raise ConfigError(f"cell {label}: no certified region: "
+                                      f"{exc}") from None
+                derived = [key for key in cell.params if key not in inputs]
+                if derived:
+                    raise ConfigError(
+                        f"cell {label}: certified mode derives "
+                        f"{derived[0]!r} from the region; use mode "
+                        '"practical" to run a given value')
+            merged = {**vars(practical_params(cell.algo)), **cell.params}
+            try:
+                AlgorithmParams(**merged).validate(cell.algo)
+            except AlgorithmError as exc:
+                raise ConfigError(f"cell {label}: {exc}") from None
         labels = [cell.resolved_label() for cell in self.cells]
         dup = sorted({lab for lab in labels if labels.count(lab) > 1})
         if dup:
             raise ConfigError(f"cells share the labels {dup}; each cell "
                               "needs its own output files")
-
-
-def _check_params(cell: CellConfig, rule, comp) -> None:
-    """Each params key must be an AlgorithmParams field that the rule reads
-    (in certified mode, one its region reads), with a finite real value that
-    AlgorithmParams accepts for the rule."""
-    label = cell.resolved_label()
-    if not isinstance(cell.params, dict):
-        raise ConfigError(f"cell {label}: params must be a mapping, not "
-                          f"{cell.params!r}")
-    inputs = rule.params
-    if cell.mode == "certified":
-        try:
-            inputs = _REGION_INPUTS[_region_class(rule, comp)]
-        except ConfigError as exc:
-            raise ConfigError(f"cell {label}: no certified region: {exc}") \
-                from None
-    for key, value in cell.params.items():
-        if key not in _PARAM_KEYS:
-            raise ConfigError(f"cell {label}: unknown params key {key!r}")
-        if key not in rule.params:
-            raise ConfigError(f"cell {label}: {rule.name} does not read "
-                              f"params key {key!r}")
-        if key not in inputs:
-            raise ConfigError(f"cell {label}: certified mode derives {key!r} "
-                              'from the region; use mode "practical" to run '
-                              "a given value")
-        if not _finite(value):
-            raise ConfigError(f"cell {label}: params {key!r} must be a "
-                              f"finite number, not {value!r}")
-    base = practical_params(rule.name)
-    merged = AlgorithmParams(**{**vars(base), **cell.params})
-    try:
-        merged.validate(rule.name)
-    except ValueError as exc:
-        raise ConfigError(f"cell {label}: {exc}") from None
 
 
 def upsilon_series(trace: RunTrace) -> np.ndarray:
@@ -540,14 +452,13 @@ def write_trace_csv(trace: RunTrace, path: Path) -> None:
 
 def build_instance(cfg: ExperimentConfig):
     """The network and cost suite that every cell of ``cfg`` shares."""
-    net = generate_network(int(cfg.network["n"]),
-                           cfg.network.get("edge_density"),
-                           int(cfg.seeds["graph"]),
-                           topology=cfg.network.get("topology", "random"))
+    net = generate_network(cfg.network["n"], cfg.network.get("edge_density"),
+                           cfg.seeds["graph"],
+                           topology=cfg.network["topology"])
     cost_kwargs = {k: v for k, v in cfg.cost.items()
                    if k not in ("kind", "d")}
-    suite = generate_suite(cfg.cost["kind"], net.n, int(cfg.cost["d"]),
-                           int(cfg.seeds["cost"]), **cost_kwargs)
+    suite = generate_suite(cfg.cost["kind"], net.n, cfg.cost["d"],
+                           cfg.seeds["cost"], **cost_kwargs)
     return net, suite
 
 
@@ -570,7 +481,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                           f"not a directory")
     net, suite = build_instance(cfg)
     ref = solve_reference(suite, tol=cfg.fstar_tol)
-    x0 = initial_point(net.n, suite.d, int(cfg.seeds["algo"]))
+    x0 = initial_point(net.n, suite.d, cfg.seeds["algo"])
 
     resolved = []
     for cell in cfg.cells:  # resolve everything before touching the disk
@@ -587,7 +498,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         bpi = per_iteration_bits(cell.algo, comp, cfg.bit_model, net,
                                  suite.d, cfg.broadcast)
         trace = run(cell.algo, cfg.iters, net, suite, params, comp,
-                    seed=int(cfg.seeds["algo"]), x0=x0, f_star=ref.f_star,
+                    seed=cfg.seeds["algo"], x0=x0, f_star=ref.f_star,
                     x_star=ref.x_star, lyap_phi=phi_w, lyap_aux=lyap_aux,
                     bits_per_iter=bpi)
         csv_path = outdir / f"{cfg.scenario}__{label}.csv"
@@ -606,10 +517,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             "scenario": cfg.scenario, "label": label, "algo": cell.algo,
             "mode": cell.mode,
             "compressor": cell.compressor,
-            "params": {"eta": params.eta, "gamma": params.gamma,
-                       "phi_x": params.phi_x, "phi_y": params.phi_y,
-                       "varsigma": params.varsigma, "s0": params.s0,
-                       "mu": params.mu},
+            "params": vars(params),
             "seeds": cfg.seeds, "bits_per_iteration": bpi,
             "sigma": net.sigma, "L_f": suite.L_f, "nu_pl": suite.nu_pl,
             "f_star": ref.f_star, "f_star_certified": ref.certified,

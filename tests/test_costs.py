@@ -553,6 +553,28 @@ def test_stalled_references_are_certified_by_the_newton_finish(seed,
     assert calls["n"] <= 300
 
 
+def test_newton_finish_starts_from_the_stacked_gradient(monkeypatch):
+    # seed 3 stalls in several starts; each finish starts from its row of
+    # the last stacked gradient, so the only one-row gradient calls are the
+    # one after each Newton step (12 when each finish recomputed its start's)
+    suite = generate_suite("logistic_log", n=20, d=50, seed=3, scale=0.1)
+    calls = {"grad": 0, "hessian": 0}
+    for name, key in (("mean_grad", "grad"), ("mean_hessian", "hessian")):
+        fn = getattr(costs, name)
+
+        def counted(suite, x, _fn=fn, _key=key):
+            calls[_key] += np.ndim(x) == 1
+            return _fn(suite, x)
+
+        monkeypatch.setattr(costs, name, counted)
+    ref = solve_reference(suite)
+    assert calls == {"grad": 9, "hessian": 9}
+    monkeypatch.undo()
+    want = solve_reference_per_start(suite)
+    assert _bits(ref.x_star) == _bits(want.x_star)
+    assert _bits(ref.f_star) == _bits(want.f_star)
+
+
 def test_singular_hessian_ends_the_newton_finish(monkeypatch):
     # seed 64 at n = 10, d = 8 stalls above tol and needs the finish; a
     # singular Hessian ends the finish at once, which leaves what no finish

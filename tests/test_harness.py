@@ -843,6 +843,56 @@ def test_cli_bad_config_sections_exit_2_before_any_output(tmp_path, change,
     assert not out.exists()
 
 
+def _no_set_up(*args, **kwargs):
+    raise AssertionError("set-up reached")
+
+
+@pytest.mark.parametrize("doc", [[], [1], None, "abc", 5])
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_cli_config_that_is_no_object_exits_2_before_set_up(
+        tmp_path, monkeypatch, capsys, doc, command):
+    monkeypatch.setattr(harness, "generate_network", _no_set_up)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main([command, str(cfg_path)]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cost", ["kind d", 5, None, ["kind", "d"]])
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_cli_cost_that_is_no_object_exits_2_before_set_up(
+        tmp_path, monkeypatch, capsys, cost, command):
+    monkeypatch.setattr(harness, "generate_network", _no_set_up)
+    out = tmp_path / "o"
+    cfg = {"scenario": "cli", "iters": 5,
+           "network": {"n": 5, "edge_density": 0.7}, "cost": cost,
+           "seeds": {"graph": 4, "cost": 5, "algo": 6},
+           "output_dir": str(out), "cells": _GOOD_CELLS}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main([command, str(cfg_path)]) == 2
+    assert "config.cost must be a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_program_bug_in_config_parsing_propagates(tmp_path, monkeypatch):
+    # only the package's own errors are config errors: a TypeError raised
+    # while a config is parsed is a bug, and surfaces
+    def broken(**kwargs):
+        raise TypeError("a bug inside BitCostModel")
+
+    monkeypatch.setattr(harness, "BitCostModel", broken)
+    cfg = {"scenario": "cli", "iters": 5,
+           "network": {"n": 5, "edge_density": 0.7},
+           "cost": {"kind": "quadratic_pl", "d": 4},
+           "seeds": {"graph": 4, "cost": 5, "algo": 6},
+           "bit_model": {"bits_scalar": 64}, "cells": _GOOD_CELLS}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with pytest.raises(TypeError, match="a bug inside BitCostModel"):
+        cli.main(["bounds", str(cfg_path)])
+
+
 def test_ring_config_runs_without_edge_density(tmp_path, capsys):
     out = tmp_path / "o"
     cfg = {"scenario": "ring", "iters": 5,
@@ -860,7 +910,12 @@ def test_ring_config_runs_without_edge_density(tmp_path, capsys):
 
 def test_param_checks_cover_algorithm_params_and_rules():
     fields = {f.name for f in dataclasses.fields(AlgorithmParams)}
-    assert set(harness._PARAM_KEYS) == fields
+    # each rule's params table checks exactly the fields the rule reads
+    assert set(harness._PARAMS) == set(RULES)
+    assert set().union(*(s.optional for s in harness._PARAMS.values())) \
+        == fields
+    for name, section in harness._PARAMS.items():
+        assert set(section.optional) == set(RULES[name].params)
     for rule in RULES.values():
         assert set(rule.params) <= fields
         assert {"eta", "gamma"} <= set(rule.params)
