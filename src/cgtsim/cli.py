@@ -19,18 +19,17 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .algorithms import RULES, AlgorithmError, initial_point
-from .compressors import CompressorError, spec_from_config, verify_assumption
+from .algorithms import AlgorithmError, initial_point
+from .compressors import CompressorError, verify_assumption
+from .config import ConfigError, spec_from_config
 from .costs import CostError, solve_reference
 from .graph import GraphError
 from .harness import (
-    ConfigError,
     ExperimentConfig,
     _replacing,
     build_instance,
-    cell_region,
-    practical_point,
     reference_scenario_config,
+    resolve,
     run_experiment,
 )
 
@@ -62,6 +61,14 @@ def _experiment_config(path: str, seed: int | None,
         if out:
             doc["output_dir"] = out
     return ExperimentConfig.from_dict(doc)
+
+
+def _seed(text: str) -> int:
+    """A ``--seed``: argparse reports any but a nonnegative int (exit 2)."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative int, not {text!r}")
+    return int(text)
 
 
 def _emit_gnuplot(outdir: Path, scenario: str, labels: list) -> None:
@@ -109,26 +116,12 @@ def _cmd_bounds(args) -> int:
         lambda: solve_reference(suite, tol=cfg.fstar_tol).f_star)
     tables = {"sigma": net.sigma, "L_f": suite.L_f, "nu_pl": suite.nu_pl,
               "cells": {}}
-    for cell in cfg.cells:
-        rule = RULES[cell.algo]
-        if not rule.classes:  # exact messages: no table
+    for cell, *_, b in resolve(cfg, net, suite, x0, f_star, all_regions=True):
+        if cell.spec is None:  # exact messages: no table
             continue
-        comp = spec_from_config(cell.compressor, suite.d)
         label = cell.resolved_label()
-        inputs = (cell.params if cell.mode == "certified"
-                  else vars(practical_point(cell, suite, x0)))
-        try:
-            b = cell_region(rule, comp, inputs, net, suite, x0, f_star)[0]
-        except (ConfigError, analysis.AnalysisError) as exc:
-            tables["cells"][label] = {"error": str(exc)}
-            continue
-        tables["cells"][label] = {
-            "regime": b.regime, "gamma_max": b.gamma_max, "gamma": b.gamma,
-            "eta_max": b.eta_max, "eta": b.eta,
-            "varsigma_max": b.varsigma_max, "varsigma": b.varsigma,
-            "s0_min": b.s0_min, "s0": b.s0, "mu_min": b.mu_min, "mu": b.mu,
-            "constants": b.constants,
-        }
+        tables["cells"][label] = ({"error": str(b)}
+                                  if isinstance(b, Exception) else vars(b))
     print(json.dumps(tables, indent=2, sort_keys=True, default=float))
     return 0
 
@@ -181,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute a run/experiment config")
     p.add_argument("config")
     p.add_argument("--out", default=None, help="override output directory")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="root seed N: the graph, cost and algo seeds become "
                         "N+1, N+2 and N+3")
     p.add_argument("--force", action="store_true",
@@ -192,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="print certified parameter tables")
     p.add_argument("config")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("verify-compressor",
@@ -200,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="JSON file with the compressor config")
     p.add_argument("--d", type=int, default=50)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=_cmd_verify_compressor)
 
     p = sub.add_parser("replicate-section5",

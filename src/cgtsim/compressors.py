@@ -1,5 +1,8 @@
 """Compression operators, their error-bound constants, and bit-cost models.
 
+This module owns the operator, its class constants, the bit ledger and the
+verifier of its class bound; what a compressor config may say is ``config``'s.
+
 Three operator classes are supported, distinguished by the bound their
 compression error obeys:
 
@@ -14,22 +17,22 @@ C = 2 r^2 (1 - psi) + 2 (1 - r)^2 bounding E||C(x) - x||^2 / ||x||^2.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
 
-KINDS = (
-    "identity",
-    "norm_sign",
-    "uniform_quantize",
-    "one_bit",
-    "random_sparsify",
-    "random_quantize",
-)
+# the keywords each kind reads; make_compressor passes no other to the spec
+_KIND_OPTIONS = {
+    "identity": (),
+    "norm_sign": (),
+    "uniform_quantize": ("delta",),
+    "one_bit": (),
+    "random_sparsify": ("keep_k", "sparsify_mode", "rescale"),
+    "random_quantize": ("levels",),
+}
+KINDS = tuple(_KIND_OPTIONS)
 
 RELATIVE = "relative"
 GLOBAL_ABSOLUTE = "global_absolute"
@@ -54,8 +57,8 @@ class CompressorSpec:
     d: int
     # operator parameters
     delta: float = 0.0          # uniform_quantize grid step
-    keep_k: int = 0             # random_sparsify kept coordinates
-    levels: int = 0             # random_quantize grid size
+    keep_k: int | None = None   # random_sparsify kept coordinates
+    levels: int | None = None   # random_quantize grid size
     sparsify_mode: str = "top"  # "top" | "random"
     rescale: bool = False       # random_sparsify d/k rescaling
     # the class and its error-bound constants; a class keeps the defaults of
@@ -90,7 +93,7 @@ def _class_constants(spec: CompressorSpec) -> dict:
     elif kind == "norm_sign":
         r, psi = d / 2.0, 1.0 / d**2
     elif kind == "random_sparsify":
-        if not 1 <= spec.keep_k <= d:
+        if spec.keep_k is None or not 1 <= spec.keep_k <= d:
             raise CompressorError(f"keep_k={spec.keep_k} outside [1, {d}]")
         if spec.sparsify_mode not in ("top", "random"):
             raise CompressorError(
@@ -98,7 +101,8 @@ def _class_constants(spec: CompressorSpec) -> dict:
         r = d / spec.keep_k if spec.rescale else 1.0
         psi = spec.keep_k / d
     elif kind == "random_quantize":
-        if spec.levels < 2 or (spec.levels - 1) ** 2 <= d:
+        if spec.levels is None or spec.levels < 2 \
+                or (spec.levels - 1) ** 2 <= d:
             raise CompressorError(
                 f"random_quantize needs levels >= 2 and (levels-1)^2 > d for "
                 f"a valid psi; got levels={spec.levels}, d={d}")
@@ -116,123 +120,18 @@ def _class_constants(spec: CompressorSpec) -> dict:
             "cap_c": derived_relative_cap(r, psi)}
 
 
-def make_compressor(kind: str, d: int, *, delta: float = 2.0, keep_k: int = 0,
-                    levels: int = 0, sparsify_mode: str = "top",
+def make_compressor(kind: str, d: int, *, delta: float = 2.0,
+                    keep_k: int | None = None, levels: int | None = None,
+                    sparsify_mode: str = "top",
                     rescale: bool = False) -> CompressorSpec:
     """The spec of a ``kind`` operator on ``d``-vectors.  Only the keywords
     that the kind reads (``_KIND_OPTIONS``) reach the spec; an unknown kind
-    reaches it with none, and the spec refuses it."""
+    reaches it with none, and the spec refuses it.  keep_k and levels have
+    no default: a kind that reads one needs it."""
     given = {"delta": delta, "keep_k": keep_k, "levels": levels,
              "sparsify_mode": sparsify_mode, "rescale": rescale}
     return CompressorSpec(kind, d, **{
         key: given[key] for key in _KIND_OPTIONS.get(kind, ())})
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def _finite(v) -> bool:
-    return _is_real(v) and math.isfinite(v)
-
-
-class Section(NamedTuple):
-    """The keys of one config mapping, each with its rule: ``(what, ok)``,
-    what the value must be and the test of it; a Section, for a nested
-    mapping; or ``[section]``, for a non-empty list of such mappings.  An
-    optional key that is absent stays absent, so its reader's default
-    applies.  With ``by``, the value of that key (``by_default`` when it is
-    absent) names one of ``variants``, whose keys apply as well."""
-
-    required: dict = {}
-    optional: dict = {}
-    by: str | None = None
-    by_default: str | None = None
-    variants: dict = {}
-
-
-def check_config(value, section: Section, path: str, error=CompressorError):
-    """``value`` checked against ``section``: a mapping with no key outside
-    it, every required key, and each value what its rule says.  Returns a
-    copy with the ``by`` key filled in and nested sections checked; the
-    first fault raises ``error``, naming the key by its ``path``."""
-    if not isinstance(value, dict):
-        raise error(f"{path} must be a JSON object, not {value!r}")
-    out, variant = dict(value), Section()
-    if section.by is not None:
-        if section.by not in value and section.by_default is None:
-            raise error(f"missing {path} key {section.by!r}")
-        tag = out.setdefault(section.by, section.by_default)
-        if not (isinstance(tag, str) and tag in section.variants):
-            raise error(f"{path}.{section.by} must be one of "
-                        f"{list(section.variants)}, not {tag!r}")
-        variant = section.variants[tag]
-    rules = {**section.required, **section.optional, **variant.required,
-             **variant.optional}
-    bad = set(value) - rules.keys() - {section.by}
-    other = {key for s in section.variants.values()
-             for key in (*s.required, *s.optional)}
-    if bad - other:
-        raise error(f"unknown {path} keys: {sorted(bad - other, key=str)}")
-    if bad:
-        raise error(f"{path} keys {sorted(bad)} do not apply to "
-                    f"{section.by} {tag!r}")
-    for key in (*section.required, *variant.required):
-        if key not in value:
-            raise error(f"missing {path} key {key!r}")
-    for key, rule in rules.items():
-        if key not in value:
-            continue
-        item, where = value[key], f"{path}.{key}"
-        if isinstance(rule, Section):
-            out[key] = check_config(item, rule, where, error)
-        elif isinstance(rule, list):
-            if not (isinstance(item, list) and item):
-                raise error(f"{where} must be a non-empty list, not {item!r}")
-            out[key] = [check_config(x, rule[0], f"{where}[{i}]", error)
-                        for i, x in enumerate(item)]
-        elif not rule[1](item):
-            raise error(f"{where} must be {rule[0]}, not {item!r}")
-    return out
-
-
-# make_compressor's keywords, each with what a config value must be; the
-# ranges that depend on the kind or on d are the spec's own checks
-_CONFIG_OPTIONS = {
-    "delta": ("a positive finite number", lambda v: _finite(v) and v > 0),
-    "keep_k": ("a positive int", lambda v: _is_int(v) and v >= 1),
-    "levels": ("an int >= 2", lambda v: _is_int(v) and v >= 2),
-    "sparsify_mode": ('"top" or "random"', lambda v: v in ("top", "random")),
-    "rescale": ("a bool", lambda v: isinstance(v, bool)),
-}
-
-# the keywords each kind reads; make_compressor passes no other to the spec
-_KIND_OPTIONS = {
-    "identity": (),
-    "norm_sign": (),
-    "uniform_quantize": ("delta",),
-    "one_bit": (),
-    "random_sparsify": ("keep_k", "sparsify_mode", "rescale"),
-    "random_quantize": ("levels",),
-}
-
-# a compressor config: its kind and the keywords that kind reads
-CONFIG_SECTION = Section(by="kind", variants={
-    kind: Section(optional={key: _CONFIG_OPTIONS[key] for key in keys})
-    for kind, keys in _KIND_OPTIONS.items()})
-
-
-def spec_from_config(cfg: dict, d: int) -> CompressorSpec:
-    """The spec of a compressor config (``CONFIG_SECTION``).  A key the
-    kind does not read, and a value of the wrong type or range, is a
-    CompressorError; the class constants come from the spec, never from the
-    config."""
-    return make_compressor(
-        d=d, **check_config(cfg, CONFIG_SECTION, "compressor config"))
 
 
 def compress(spec: CompressorSpec, x: np.ndarray, *, seed: int = 0,

@@ -1,25 +1,18 @@
-"""Experiment orchestration: configs, the running-minimum metric, bit ledgers.
+"""Experiment orchestration: cells resolved on their instance, the runs,
+the running-minimum metric, bit ledgers and the output files.
 
-A config is one human-editable JSON document.  Single-run form (top-level
-``algo``) or experiment form (``cells`` list); every cell shares the same
-network, cost instance, reference value, and initial point, so compressors
-and algorithms are compared on identical footing.
-
-Each cell has one certified region, ``cell_region``, picked by its
-compressor class; ``cgtsim bounds`` prints it.  A ``"certified"`` cell runs
-the region's operating point, and its params may give only the region's
-inputs: ``phi_x``, ``phi_y`` in the relative class, ``s0``, ``mu`` in the
-globally bounded one, none in the locally bounded one or for the exact
-rule.  The region derives ``eta``, ``gamma``, alg2's ``varsigma`` and the
-locally bounded ``s0``, ``mu``; a cell that gives one is a config error.
-A ``"practical"`` cell's params must lie in the region unless
-``force_params`` is set, and with a locally bounded compressor, whose region
-fixes s0 and mu together with eta and gamma, it is a config error.  The
-exact rule asks only gamma < 1 and eta <= 1/L_f.
-
-Trace CSVs carry the columns ``k,consensus_err,opt_gap,stationarity,
-lyapunov,bits``; a JSON sidecar records the fully resolved cell
-configuration.  Reruns with the same config are byte-identical.
+This module owns what a checked config (``config``) means: ``from_dict``
+parses each cell's spec and merges its params once, and ``resolve`` gives
+each cell, for ``run`` and ``bounds`` alike, the params it runs, its
+Lyapunov constants and its certified region, ``cell_region``, picked by its
+compressor class.  A ``"certified"`` cell runs the region's operating point
+and may give only the region's inputs (``_REGION_INPUTS``).  A
+``"practical"`` cell's params must lie in the region unless ``force_params``
+is set; a locally bounded region, which fixes s0 and mu together with eta
+and gamma, certifies none.  The exact rule asks only gamma < 1 and
+eta <= 1/L_f.  Every cell shares the network, cost instance, reference
+value and initial point.  Trace CSVs carry the columns ``CSV_HEADER``, a
+JSON sidecar the fully resolved cell; reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,93 +38,19 @@ from .algorithms import (
     run,
 )
 from .compressors import (
-    CONFIG_SECTION,
     GLOBAL_ABSOLUTE,
     LOCAL_ABSOLUTE,
     RELATIVE,
     BitCostModel,
     CompressorSpec,
-    Section,
-    _finite,
-    _is_int,
-    _is_real,
     bit_cost,
-    check_config,
     make_compressor,
-    spec_from_config,
 )
+from .config import DOCUMENT, ConfigError, check_config, spec_from_config
 from .costs import generate_suite, grad_all, mean_value, solve_reference
 from .graph import generate_network
 
 CSV_HEADER = "k,consensus_err,opt_gap,stationarity,lyapunov,bits"
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def _is_name(v) -> bool:
-    """Whether ``v`` names one file in the output directory."""
-    return (isinstance(v, str) and v not in ("", ".", "..") and "/" not in v
-            and "\0" not in v)
-
-
-_BOOL = ("a bool", lambda v: isinstance(v, bool))
-_INT = ("an int", _is_int)
-_POSITIVE_INT = ("a positive int", lambda v: _is_int(v) and v >= 1)
-_NAME = ("a non-empty string with no '/' that is not '.' or '..'", _is_name)
-_POSITIVE = ("a finite positive number", lambda v: _finite(v) and v > 0)
-
-# generate_suite's optional keywords that each cost family reads, each with
-# what its value must be; the family would ignore any other
-_COST_OPTIONS = {
-    "logistic_log": {"abs_m": _BOOL,
-                     "scale": ("a finite number", _finite)},
-    "quadratic_pl": {"consistent": _BOOL, "normalize": _BOOL,
-                     "rows": _POSITIVE_INT},
-}
-
-# each rule's params: the AlgorithmParams fields it reads
-_PARAMS = {name: Section(optional={key: ("a finite number", _finite)
-                                   for key in rule.params})
-           for name, rule in RULES.items()}
-
-_CELL = Section(
-    optional={"compressor": CONFIG_SECTION,
-              "mode": ('"practical" or "certified"',
-                       lambda v: v in ("practical", "certified")),
-              "force_params": _BOOL, "label": _NAME},
-    by="algo", variants={name: Section(optional={"params": params})
-                         for name, params in _PARAMS.items()})
-
-# a config document: its keys and sections.  An absent optional key takes
-# the default of what reads it: ExperimentConfig, CellConfig, BitCostModel,
-# generate_suite, make_compressor or the rule's practical params
-_CONFIG = Section(
-    required={
-        "scenario": _NAME,
-        "iters": _POSITIVE_INT,
-        "network": Section(required={"n": _INT}, by="topology",
-                           by_default="random", variants={
-                               "random": Section(required={"edge_density": (
-                                   "a number", _is_real)}),
-                               "ring": Section()}),
-        "cost": Section(required={"d": _INT}, by="kind", variants={
-            kind: Section(optional=options)
-            for kind, options in _COST_OPTIONS.items()}),
-        "seeds": Section(required={
-            key: ("a nonnegative int", lambda v: _is_int(v) and v >= 0)
-            for key in ("graph", "cost", "algo")}),
-        "cells": [_CELL],
-    },
-    optional={
-        "threshold": _POSITIVE,
-        "fstar_tol": _POSITIVE,
-        "bit_model": Section(optional={"bits_scalar": _POSITIVE_INT,
-                                       "bits_int": _POSITIVE_INT}),
-        "broadcast": _BOOL,
-        "output_dir": ("a string", lambda v: isinstance(v, str)),
-    })
 
 
 @dataclass
@@ -142,6 +61,9 @@ class CellConfig:
     mode: str = "practical"        # practical | certified
     force_params: bool = False
     label: str | None = None
+    # set by from_dict: the compressor's spec and the merged params
+    spec: CompressorSpec | None = field(default=None, init=False)
+    merged: AlgorithmParams | None = field(default=None, init=False)
 
     def resolved_label(self) -> str:
         if self.label is not None:
@@ -167,56 +89,51 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        """The config of a document (``_CONFIG``), whose cells may also be
-        given in the single-run form: one cell's keys at the top level."""
+        """The config of a document (``config.DOCUMENT``), whose cells may
+        also be given in the single-run form: one cell's keys at the top
+        level.  Each cell is parsed (``_parse_cell``) and has its own label."""
         if isinstance(doc, dict) and "cells" not in doc and "algo" in doc:
             doc = dict(doc)
             doc["cells"] = [{f.name: doc.pop(f.name) for f in fields(CellConfig)
-                             if f.name in doc}]
-        doc = check_config(doc, _CONFIG, "config", ConfigError)
-        doc["cells"] = [CellConfig(**cell) for cell in doc["cells"]]
+                             if f.init and f.name in doc}]
+        doc = check_config(doc, DOCUMENT, "config")
+        doc["cells"] = [_parse_cell(CellConfig(**cell), doc["cost"]["d"])
+                        for cell in doc["cells"]]
         if "bit_model" in doc:
             doc["bit_model"] = BitCostModel(**doc["bit_model"])
-        cfg = ExperimentConfig(**doc)
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        """The rules that span keys: each cell's compressor, which its rule
-        needs or refuses, its certified region's inputs and its merged
-        params; and a label of its own."""
-        for cell in self.cells:  # checked before any output
-            rule, label = RULES[cell.algo], cell.resolved_label()
-            if rule.classes and cell.compressor is None:
-                raise ConfigError(f"cell {label} needs a compressor")
-            if not rule.classes and cell.compressor is not None:
-                raise ConfigError(f"{cell.algo} sends exact messages and "
-                                  "takes no compressor")
-            comp = None
-            if cell.compressor is not None:
-                comp = spec_from_config(cell.compressor, self.cost["d"])
-            if cell.mode == "certified":
-                try:
-                    inputs = _REGION_INPUTS[_region_class(rule, comp)]
-                except ConfigError as exc:
-                    raise ConfigError(f"cell {label}: no certified region: "
-                                      f"{exc}") from None
-                derived = [key for key in cell.params if key not in inputs]
-                if derived:
-                    raise ConfigError(
-                        f"cell {label}: certified mode derives "
-                        f"{derived[0]!r} from the region; use mode "
-                        '"practical" to run a given value')
-            merged = {**vars(practical_params(cell.algo)), **cell.params}
-            try:
-                AlgorithmParams(**merged).validate(cell.algo)
-            except AlgorithmError as exc:
-                raise ConfigError(f"cell {label}: {exc}") from None
-        labels = [cell.resolved_label() for cell in self.cells]
+        labels = [cell.resolved_label() for cell in doc["cells"]]
         dup = sorted({lab for lab in labels if labels.count(lab) > 1})
         if dup:
             raise ConfigError(f"cells share the labels {dup}; each cell "
                               "needs its own output files")
+        return ExperimentConfig(**doc)
+
+
+def _parse_cell(cell: CellConfig, d: int) -> CellConfig:
+    """``cell`` with its spec parsed and its params merged, once; and the
+    rules that span its keys: its certified region's inputs and its merged
+    params."""
+    rule, label = RULES[cell.algo], cell.resolved_label()
+    if cell.compressor is not None:
+        cell.spec = spec_from_config(cell.compressor, d)
+    if cell.mode == "certified":
+        try:
+            inputs = _REGION_INPUTS[_region_class(rule, cell.spec)]
+        except ConfigError as exc:
+            raise ConfigError(f"cell {label}: no certified region: "
+                              f"{exc}") from None
+        derived = [key for key in cell.params if key not in inputs]
+        if derived:
+            raise ConfigError(
+                f"cell {label}: certified mode derives {derived[0]!r} from "
+                'the region; use mode "practical" to run a given value')
+    cell.merged = AlgorithmParams(**{**vars(practical_params(cell.algo)),
+                                     **cell.params})
+    try:
+        cell.merged.validate(cell.algo)
+    except AlgorithmError as exc:
+        raise ConfigError(f"cell {label}: {exc}") from None
+    return cell
 
 
 def upsilon_series(trace: RunTrace) -> np.ndarray:
@@ -273,18 +190,14 @@ def _region_class(rule, comp: CompressorSpec | None) -> str:
 
 def cell_region(rule, comp: CompressorSpec | None, inputs: dict, net, suite,
                 x0, f_star):
-    """The certified region of one cell, for ``run`` and ``bounds`` alike.
+    """The certified region of one cell: ``(bounds, extras, lyap_aux)``, the
+    region with its operating point, the sidecar fields it adds and the
+    weight it fixes for the rule's weighted Lyapunov term, or None.
 
     The calculator follows ``_region_class`` and, in the relative class,
     whether the rule sends error feedback.  It reads the class's
     ``_REGION_INPUTS`` from ``inputs`` (phi_x, phi_y default 1/(2r); s0
-    ``auto_s0``; mu 0.995).  The locally bounded region calls ``f_star()``
-    for the reference value of its initial optimality gap.
-
-    Returns ``(bounds, extras, lyap_aux)``: the region with its operating
-    point, the sidecar fields it adds, and the weight it fixes for the
-    rule's weighted Lyapunov term, or None.
-    """
+    ``auto_s0``; mu 0.995), and a locally bounded one ``f_star()``."""
     cls = _region_class(rule, comp)
     if not rule.classes:
         comp = make_compressor("identity", suite.d)
@@ -324,74 +237,81 @@ def cell_region(rule, comp: CompressorSpec | None, inputs: dict, net, suite,
     return b, extras, lyap_aux
 
 
-def practical_point(cell: CellConfig, suite, x0) -> AlgorithmParams:
-    """A practical cell's params: the given ones over its rule's practical
-    ones, with ``auto_s0`` for a scaled rule's unset s0."""
-    merged = {**vars(practical_params(cell.algo)), **cell.params}
-    if RULES[cell.algo].scaled and "s0" not in cell.params:
-        merged["s0"] = auto_s0(x0, suite)
-    return AlgorithmParams(**merged)
+def resolve(cfg: ExperimentConfig, net, suite, x0, f_star,
+            all_regions: bool = False) -> list:
+    """Each cell of ``cfg`` on the instance, for ``run`` and ``bounds``
+    alike: ``(cell, params, lyap_aux, extras, region)``.  The params are the
+    merged ones (``auto_s0`` for a scaled rule's unset s0) or a certified
+    cell's operating point.  ``region`` is the certified region, or the
+    error that says why there is none, where a cell runs its operating
+    point, where its params must lie in it and, with ``all_regions``, for
+    each compressed cell; elsewhere it is None."""
+    out = []
+    for cell in cfg.cells:
+        rule, certified = RULES[cell.algo], cell.mode == "certified"
+        params, region, cert, lyap_aux = cell.merged, None, None, None
+        extras = {"lyapunov": rule.lyapunov}
+        if not certified and rule.scaled and "s0" not in cell.params:
+            params = replace(params, s0=auto_s0(x0, suite))
+        if certified or rule.classes and (all_regions or not cell.force_params):
+            try:
+                region, cert, aux = cell_region(
+                    rule, cell.spec, cell.params if certified
+                    else vars(params), net, suite, x0, f_star)
+            except (ConfigError, analysis.AnalysisError) as exc:
+                region = exc
+        if certified and cert:
+            extras.update(cert)
+            lyap_aux, c = aux, region.constants
+            params = AlgorithmParams(**{
+                k: c[k] if k in ("phi_x", "phi_y") else getattr(region, k)
+                for k in rule.params})
+        elif not certified and rule.feedback:
+            try:
+                c1, c2 = analysis.mixing_constants(
+                    params.phi_x, params.phi_y, cell.spec.r, cell.spec.psi)
+                lyap_aux = analysis.ef_weight(c1, c2, cell.spec.cap_c)
+            except analysis.AnalysisError:
+                lyap_aux = 0.0  # heuristic gains outside (0, 1/r): raw sum
+        out.append((cell, params, lyap_aux, extras, region))
+    return out
 
 
-def _resolve_cell(cell: CellConfig, net, suite, x0, f_star):
-    """Compressor spec, parameters, and Lyapunov constants for one cell."""
-    comp = None
-    if cell.compressor is not None:
-        comp = spec_from_config(cell.compressor, suite.d)
-    rule = RULES[cell.algo]
-    phi_w = analysis.lyapunov_weight(net.sigma, suite.L_f)
-    extras: dict = {"lyapunov": rule.lyapunov}
-
-    if cell.mode == "certified":
-        b, cert, lyap_aux = cell_region(rule, comp, cell.params, net, suite,
-                                        x0, lambda: f_star)
-        extras.update(cert)
-        point = {"eta": b.eta, "gamma": b.gamma, "varsigma": b.varsigma,
-                 "s0": b.s0, "mu": b.mu, "phi_x": b.constants.get("phi_x"),
-                 "phi_y": b.constants.get("phi_y")}
-        params = AlgorithmParams(**{k: point[k] for k in rule.params})
-        return comp, params, phi_w, lyap_aux, extras
-
-    params = practical_point(cell, suite, x0)
-    if not cell.force_params and not _admitted(cell, rule, comp, params,
-                                               net, suite, x0):
-        raise ConfigError(
-            f"cell {cell.resolved_label()}: parameters outside the certified "
-            "region; set force_params to run anyway")
-    lyap_aux = None
-    if rule.feedback:
-        try:
-            c1, c2 = analysis.mixing_constants(params.phi_x, params.phi_y,
-                                               comp.r, comp.psi)
-            lyap_aux = analysis.ef_weight(c1, c2, comp.cap_c)
-        except analysis.AnalysisError:
-            lyap_aux = 0.0  # heuristic gains outside (0, 1/r): report raw sum
-    return comp, params, phi_w, lyap_aux, extras
-
-
-def _admitted(cell, rule, comp, params, net, suite, x0) -> bool:
-    """Whether practical ``params`` lie in the cell's certified region, with
-    the eta limit taken at the given gamma.  The exact rule asks only
-    gamma < 1 and eta <= 1/L_f."""
+def _refuse(cell, params, region, L_f) -> None:
+    """Raises what ``run`` refuses a resolved cell for: a certified cell
+    with no region; a practical one, unless force_params, whose region is
+    missing or locally bounded, or whose params lie outside it (the eta
+    limit taken at the given gamma; gamma < 1 and eta <= 1/L_f for dgt)."""
+    rule, label = RULES[cell.algo], cell.resolved_label()
+    if cell.mode == "certified" or cell.force_params:
+        if isinstance(region, Exception):
+            raise region
+        return
     if not rule.classes:
-        return params.gamma < 1.0 and params.eta <= 1.0 / suite.L_f
-    try:
-        cls = _region_class(rule, comp)
-        if cls == LOCAL_ABSOLUTE:
+        inside = params.gamma < 1.0 and params.eta <= 1.0 / L_f
+    else:
+        try:
+            if _region_class(rule, cell.spec) == LOCAL_ABSOLUTE:
+                raise ConfigError(
+                    "a locally bounded region fixes s0 and mu together with "
+                    'eta and gamma, so it certifies no given params; use '
+                    'mode "certified"')
+            if isinstance(region, Exception):
+                raise region
+        except (ConfigError, analysis.AnalysisError) as exc:
             raise ConfigError(
-                "a locally bounded region fixes s0 and mu together with eta "
-                'and gamma, so it certifies no given params; use mode '
-                '"certified"')
-        b = cell_region(rule, comp, vars(params), net, suite, x0, None)[0]
-    except (ConfigError, analysis.AnalysisError) as exc:
+                f"cell {label}: parameters cannot be certified ({exc}); set "
+                "force_params to run anyway") from None
+        c = region.constants
+        eta_max = min(analysis.eta_terms_relative(
+            c["sigma"], c["L_f"], c["c1"], c["c2"], params.gamma).values())
+        inside = (params.gamma < region.gamma_max and params.eta < eta_max
+                  and (region.varsigma_max is None
+                       or params.varsigma < region.varsigma_max))
+    if not inside:
         raise ConfigError(
-            f"cell {cell.resolved_label()}: parameters cannot be certified "
-            f"({exc}); set force_params to run anyway") from None
-    c = b.constants
-    eta_max = min(analysis.eta_terms_relative(
-        c["sigma"], c["L_f"], c["c1"], c["c2"], params.gamma).values())
-    return (params.gamma < b.gamma_max and params.eta < eta_max
-            and (b.varsigma_max is None or params.varsigma < b.varsigma_max))
+            f"cell {label}: parameters outside the certified region; set "
+            "force_params to run anyway")
 
 
 @dataclass
@@ -483,18 +403,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     ref = solve_reference(suite, tol=cfg.fstar_tol)
     x0 = initial_point(net.n, suite.d, cfg.seeds["algo"])
 
-    resolved = []
-    for cell in cfg.cells:  # resolve everything before touching the disk
-        resolved.append((cell, *_resolve_cell(cell, net, suite, x0,
-                                              ref.f_star)))
+    resolved = resolve(cfg, net, suite, x0, lambda: ref.f_star)
+    for cell, params, *_, region in resolved:  # before touching the disk
+        _refuse(cell, params, region, suite.L_f)
+    phi_w = analysis.lyapunov_weight(net.sigma, suite.L_f)
 
     outdir.mkdir(parents=True, exist_ok=True)
     report_path = outdir / f"{cfg.scenario}__report.json"
     report_path.unlink(missing_ok=True)
     results: list[CellResult] = []
     baseline: CellResult | None = None
-    for cell, comp, params, phi_w, lyap_aux, extras in resolved:
-        label = cell.resolved_label()
+    for cell, params, lyap_aux, extras, _ in resolved:
+        label, comp = cell.resolved_label(), cell.spec
         bpi = per_iteration_bits(cell.algo, comp, cfg.bit_model, net,
                                  suite.d, cfg.broadcast)
         trace = run(cell.algo, cfg.iters, net, suite, params, comp,
@@ -522,10 +442,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             "sigma": net.sigma, "L_f": suite.L_f, "nu_pl": suite.nu_pl,
             "f_star": ref.f_star, "f_star_certified": ref.certified,
             "status": trace.status, "failed_at": trace.failed_at,
-            "diagnostics": trace.diagnostics,
+            "diagnostics": trace.diagnostics, **extras,
         }
-        for key, val in extras.items():
-            sidecar[key] = val
         _write_json(sidecar, outdir / f"{cfg.scenario}__{label}.json")
         if not RULES[cell.algo].classes and baseline is None:
             baseline = res

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cgtsim import _kernels, compressors
+from cgtsim import _kernels, compressors, config
 from cgtsim.compressors import (
     BitCostModel,
     CompressorError,
@@ -17,9 +17,9 @@ from cgtsim.compressors import (
     compress,
     derived_relative_cap,
     make_compressor,
-    spec_from_config,
     verify_assumption,
 )
+from cgtsim.config import ConfigError, spec_from_config
 from compressor_oracles import claiming, worst_case
 from kernel_oracles import compress_block
 
@@ -228,9 +228,9 @@ def test_config_parsing():
     assert spec.cap_c == 1.0
     spec = spec_from_config({"kind": "norm_sign"}, d=50)
     assert spec.r == 25.0
-    with pytest.raises(CompressorError):
+    with pytest.raises(ConfigError):
         spec_from_config({"delta": 2.0}, d=10)
-    with pytest.raises(CompressorError):
+    with pytest.raises(ConfigError):
         spec_from_config({"kind": "norm_sign", "window": 3}, d=10)
 
 
@@ -242,7 +242,7 @@ def test_class_constants_cannot_be_passed(name):
         make_compressor("norm_sign", d=8, **{name: 1.0})
     with pytest.raises(TypeError):
         CompressorSpec("norm_sign", 8, **{name: 1.0})
-    with pytest.raises(CompressorError, match="unknown compressor config"):
+    with pytest.raises(ConfigError, match="unknown compressor config"):
         spec_from_config({"kind": "norm_sign", name: 1.0}, d=8)
 
 
@@ -254,7 +254,7 @@ _OTHER_VALUE = {"delta": 0.5, "keep_k": 3, "levels": 9,
 def test_config_keys_per_kind_are_the_keywords_it_reads():
     # a key is accepted for a kind exactly when it changes that kind's spec
     assert set(compressors._KIND_OPTIONS) == set(compressors.KINDS)
-    assert set(_OTHER_VALUE) == set(compressors._CONFIG_OPTIONS)
+    assert set(_OTHER_VALUE) == set(config._COMPRESSOR_OPTIONS)
     for kind in compressors.KINDS:
         base = {"random_sparsify": {"keep_k": 2},
                 "random_quantize": {"levels": 17}}.get(kind, {})
@@ -267,7 +267,7 @@ def test_config_keys_per_kind_are_the_keywords_it_reads():
             if reads:
                 assert spec_from_config({"kind": kind, **cfg}, d=8) == spec
             else:
-                with pytest.raises(CompressorError, match="do not apply"):
+                with pytest.raises(ConfigError, match="do not apply"):
                     spec_from_config({"kind": kind, **cfg}, d=8)
 
 

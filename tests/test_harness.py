@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cgtsim import analysis, cli, compressors, costs, harness
+from cgtsim import analysis, cli, config, costs, harness
 from cgtsim.algorithms import (
     RULES,
     AlgorithmParams,
@@ -350,7 +350,7 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     # no config can state constants, so a spec that breaks its own bound is
     # built here
     monkeypatch.setattr(cli, "spec_from_config", lambda doc, d: claiming(
-        compressors.spec_from_config(doc, d), r=5.0, psi=0.9))
+        config.spec_from_config(doc, d), r=5.0, psi=0.9))
     assert cli.main(["verify-compressor", str(spec), "--d", "10",
                      "--trials", "200"]) == 1
 
@@ -424,11 +424,11 @@ def test_cli_bad_cost_options_exit_2_before_any_output(tmp_path, cost,
 
 def test_cost_option_checks_cover_generate_suite_keywords():
     params = inspect.signature(generate_suite).parameters.values()
-    assert set().union(*harness._COST_OPTIONS.values()) == {
+    assert set().union(*config._COST_OPTIONS.values()) == {
         p.name for p in params if p.kind is p.KEYWORD_ONLY}
     # each family accepts the keys it records in gen_params, and no other
-    assert set(harness._COST_OPTIONS) == set(costs.KINDS)
-    for kind, options in harness._COST_OPTIONS.items():
+    assert set(config._COST_OPTIONS) == set(costs.KINDS)
+    for kind, options in config._COST_OPTIONS.items():
         suite = generate_suite(kind, n=3, d=2, seed=0)
         assert set(suite.gen_params) == set(options)
 
@@ -649,6 +649,10 @@ def test_cli_gnuplot_script_appears_whole_or_not_at_all(tmp_path, monkeypatch,
     {"kind": "random_quantize", "levels": "17"},
     {"kind": "random_quantize", "levels": 1},
     {"kind": "random_quantize", "levels": 2},
+    # keep_k and levels have no default
+    {"kind": "random_sparsify"},
+    {"kind": "random_sparsify", "sparsify_mode": "random"},
+    {"kind": "random_quantize"},
     {"kind": "norm_sign", "r": "x"},
     {"kind": "norm_sign", "r": 0.0},
     {"kind": "norm_sign", "psi": 1.5},
@@ -705,9 +709,27 @@ def test_cli_bad_compressor_options_exit_2_before_any_output(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, key", [("random_sparsify", "keep_k"),
+                                       ("random_quantize", "levels")])
+@pytest.mark.parametrize("command", ["run", "bounds", "verify-compressor"])
+def test_cli_missing_compressor_key_is_named(tmp_path, capsys, kind, key,
+                                             command):
+    path = tmp_path / "cfg.json"
+    comp = {"kind": kind}
+    path.write_text(json.dumps(comp if command == "verify-compressor" else {
+        "scenario": "cli", "iters": 5,
+        "network": {"n": 5, "edge_density": 0.7},
+        "cost": {"kind": "quadratic_pl", "d": 4},
+        "seeds": {"graph": 4, "cost": 5, "algo": 6},
+        "output_dir": str(tmp_path / "o"),
+        "algo": "alg1", "compressor": comp}))
+    assert cli.main([command, str(path)]) == 2
+    assert f"key {key!r}" in capsys.readouterr().err
+
+
 def test_compressor_option_checks_cover_make_compressor_keywords():
     params = inspect.signature(make_compressor).parameters.values()
-    assert set(compressors._CONFIG_OPTIONS) == {
+    assert set(config._COMPRESSOR_OPTIONS) == {
         p.name for p in params if p.kind is p.KEYWORD_ONLY}
 
 
@@ -875,6 +897,48 @@ def test_cli_cost_that_is_no_object_exits_2_before_set_up(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "bounds", "verify-compressor"])
+def test_cli_negative_seed_is_an_error_on_seed(tmp_path, monkeypatch, capsys,
+                                               command):
+    # the seeds that --seed derives are not keys the user wrote, and a
+    # random generator takes no negative seed
+    monkeypatch.setattr(harness, "generate_network", _no_set_up)
+    cfg = {"scenario": "cli", "iters": 5,
+           "network": {"n": 5, "edge_density": 0.7},
+           "cost": {"kind": "quadratic_pl", "d": 4},
+           "seeds": {"graph": 4, "cost": 5, "algo": 6},
+           "output_dir": str(tmp_path / "o"), "cells": _GOOD_CELLS}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg if command != "verify-compressor"
+                                   else {"kind": "norm_sign"}))
+    for seed in ("-5", "-1", "x"):
+        assert cli.main([command, str(cfg_path), "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert "argument --seed" in err and "seeds" not in err, err
+
+
+@pytest.mark.parametrize("command, regions", [("run", 3), ("bounds", 7)])
+def test_run_and_bounds_parse_each_spec_once(tmp_path, monkeypatch, capsys,
+                                             command, regions):
+    # each cell is resolved once, by harness.resolve; a forced practical
+    # cell's region is computed for bounds, never for run
+    calls = {"spec_from_config": 0, "cell_region": 0}
+    for module in (harness, cli):
+        for name in calls:
+            if hasattr(module, name):
+                def counted(*args, _fn=getattr(module, name), _name=name):
+                    calls[_name] += 1
+                    return _fn(*args)
+                monkeypatch.setattr(module, name, counted)
+    doc = reference_scenario_config("both", iters=5,
+                                    output_dir=str(tmp_path / "o"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main([command, str(cfg_path)]) == 0
+    assert calls == {"spec_from_config": 7, "cell_region": regions}
+    assert not {"cell_region", "practical_point"} & set(vars(cli))
+
+
 def test_program_bug_in_config_parsing_propagates(tmp_path, monkeypatch):
     # only the package's own errors are config errors: a TypeError raised
     # while a config is parsed is a bug, and surfaces
@@ -911,10 +975,10 @@ def test_ring_config_runs_without_edge_density(tmp_path, capsys):
 def test_param_checks_cover_algorithm_params_and_rules():
     fields = {f.name for f in dataclasses.fields(AlgorithmParams)}
     # each rule's params table checks exactly the fields the rule reads
-    assert set(harness._PARAMS) == set(RULES)
-    assert set().union(*(s.optional for s in harness._PARAMS.values())) \
+    assert set(config._PARAMS) == set(RULES)
+    assert set().union(*(s.optional for s in config._PARAMS.values())) \
         == fields
-    for name, section in harness._PARAMS.items():
+    for name, section in config._PARAMS.items():
         assert set(section.optional) == set(RULES[name].params)
     for rule in RULES.values():
         assert set(rule.params) <= fields
