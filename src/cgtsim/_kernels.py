@@ -4,9 +4,8 @@ its rule's description (``algorithms.RULES``) without branching on its name.
 
 Compressor randomness comes from a counter-based splitmix64 stream: the draws
 of one message depend only on (seed, iteration, agent, slot).  Runs are
-therefore bitwise reproducible, a replayed step draws what it drew the first
-time, and ``compressors.compress``, which applies the same block kernel with
-explicit keys, certifies the operator that runs use.
+therefore bitwise reproducible, and ``compressors.compress`` (the same block
+kernel, with explicit keys) certifies the operator that runs use.
 
 Norm-sign and one-bit make no block-wide ``np.where``.  They rely on these
 exact identities, so they give bitwise what the ``np.where`` formulas give
@@ -48,8 +47,8 @@ row, so B is what it was per array.  At n=20, d=50 that is 43, 18 and 14; B
 is 1 once a row passes 512 KiB (n*d above about 22000 for dgt and 9400 for
 alg1/alg3).  At B = 1 rows are recorded straight from the state blocks,
 before the next step overwrites them.  A non-finite row ends the run at that
-row: the steps already taken past it inside the block are discarded by
-replaying from a copy of the block's first row.
+row, at the flush that finds it: the steps already taken past it inside the
+block enter neither the trace nor the maxima, and no step is taken twice.
 
 Shared conventions:
 
@@ -280,14 +279,9 @@ class _BlockRecorder:
 
     def run(self, st, step, last, end_status):
         """Record rows 0..last of the state list ``st``, calling
-        ``step(k, st)`` between rows k and k+1.  Returns (status, k_done) and
-        leaves ``st`` at row k_done.  A non-finite row ends the run; steps
-        already taken past it are undone by replaying from a copy of the
-        block start, which the counter-based compressor randomness makes
-        exact."""
+        ``step(k, st)`` between rows k and k+1.  Returns (status, k_done).
+        The flush that finds a non-finite row ends the run at that row."""
         for k in range(last + 1):
-            if self.buf is not None and self.fill == 0:
-                start, k_start = [a.copy() for a in st], k
             self.push(st)
             if self.fill == self.B or k == last:
                 # overflow in a diverging row is expected: flush finds
@@ -296,10 +290,6 @@ class _BlockRecorder:
                                  divide="ignore"):
                     bad = self.flush()
                 if bad is not None:
-                    if self.buf is not None:
-                        st[:] = start
-                        for kk in range(k_start, bad):
-                            step(kk, st)
                     return "nonfinite_state", bad
             if k < last:
                 step(k, st)
@@ -490,10 +480,9 @@ def run_rule(rule, X0, W, p, comp, seed, cost, iters, phi_w, aux,
     compressed rule's first messages compress X|Y, divided by s(0) for a
     scaled rule; alg2's first error-feedback messages are its first
     messages.  A scaled rule stops before the first step whose next scale
-    underflows.  Returns (status, k_done, recorder, st): the recorder holds
-    the trace columns and the invariant maxima, and ``st`` is the state
-    list at row k_done: X|Y, G, the twins, then the message block of a
-    compressed rule.
+    underflows.  Returns (status, k_done, recorder): the recorder holds the
+    trace columns of rows 0..k_done and the invariant maxima.  No state
+    block is returned.
     """
     n, d = X0.shape
     G = cost.grad(X0)
@@ -512,4 +501,4 @@ def run_rule(rule, X0, W, p, comp, seed, cost, iters, phi_w, aux,
     rec = _BlockRecorder(rule, st[:2 + rule.recorded], cost, W, p.eta,
                          phi_w, aux, iters, s_arr)
     status, k_done = rec.run(st, step, last, end_status)
-    return status, k_done, rec, st
+    return status, k_done, rec

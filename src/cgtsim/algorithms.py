@@ -139,10 +139,10 @@ class RunTrace:
         return len(self.k)
 
 
-def initial_point(n: int, d: int, seed: int, scale: float = 1.0) -> np.ndarray:
-    """Shared deterministic start; depends only on (n, d, seed, scale)."""
+def initial_point(n: int, d: int, seed: int) -> np.ndarray:
+    """Shared deterministic start; depends only on (n, d, seed)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1717]))
-    return scale * rng.standard_normal((n, d))
+    return rng.standard_normal((n, d))
 
 
 def scaling_sequence(s0: float, mu: float, iters: int) -> np.ndarray:
@@ -160,7 +160,8 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
     """Execute one synchronous run and return its dense trace.
 
     The run is built from the rule's description (``RULES[algo]``) by
-    ``_kernels.run_rule``, which records the trace in blocks of rows.
+    ``_kernels.run_rule``, which records the trace in blocks of rows and
+    returns no state.
     ``seed`` feeds only the compressor randomness: agent i's message in slot
     s at iteration k is row i of ``compress(comp, inputs, seed=seed, k=k,
     slot=s)``.  ``comp`` is ignored by a rule that sends exact messages.
@@ -205,7 +206,7 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
 
     s_vals = (scaling_sequence(params.s0, params.mu, iters) if rule.scaled
               else None)
-    status, k_done, rec, _ = kern.run_rule(
+    status, k_done, rec = kern.run_rule(
         rule, x0, np.ascontiguousarray(net.W, dtype=np.float64), params,
         comp if rule.classes else None, np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
         RunCosts(suite, x_star, f_star), iters, lyap_phi, lyap_aux, s_vals)

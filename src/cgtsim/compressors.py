@@ -37,6 +37,7 @@ KINDS = tuple(_KIND_OPTIONS)
 RELATIVE = "relative"
 GLOBAL_ABSOLUTE = "global_absolute"
 LOCAL_ABSOLUTE = "local_absolute"
+_INNER_DRAWS, _MEAN_TOL = 1000, 0.05  # verify_assumption's sampling rule
 
 class CompressorError(ValueError):
     pass
@@ -216,17 +217,16 @@ def _probe_inputs(trials: int, d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def verify_assumption(spec: CompressorSpec, trials: int,
-                      rng: np.random.Generator,
-                      inner: int = 1000, tol: float = 0.05) -> VerifyReport:
+                      rng: np.random.Generator) -> VerifyReport:
     """Empirically check the class bound on random plus adversarial
     ``spec.d``-vectors.
 
     Deterministic operators must satisfy the bound on every draw (tolerance
     1e-9 for rounding only); randomized ones are checked through the sample
-    mean over ``inner`` draws against (1 - psi) * (1 + tol).  Random draws
-    come from the counter stream the runs use (see ``compress``): one seed
-    drawn from ``rng`` per report, probe i at iteration key i, and its
-    ``inner`` draws as the rows of one stack.
+    mean over ``_INNER_DRAWS`` draws against (1 - psi) * (1 + _MEAN_TOL).
+    Random draws come from the counter stream the runs use (see
+    ``compress``): one seed drawn from ``rng`` per report, probe i at
+    iteration key i, and its draws as the rows of one stack.
     """
     if trials < 100:
         raise CompressorError("need at least 100 trials")
@@ -240,7 +240,7 @@ def verify_assumption(spec: CompressorSpec, trials: int,
 
     if spec.assumption_class == RELATIVE:
         bound = 1.0 - spec.psi
-        slack = 1e-9 if deterministic else tol
+        slack = 1e-9 if deterministic else _MEAN_TOL
         for i, x in enumerate(xs):
             nx2 = float(x @ x)
             if nx2 == 0.0:
@@ -249,9 +249,9 @@ def verify_assumption(spec: CompressorSpec, trials: int,
                 err = compress(spec, x) / spec.r - x
                 ratio = float(err @ err) / nx2
             else:
-                errs = compress(spec, np.tile(x, (inner, 1)), seed=seed,
-                                k=i) / spec.r - x
-                ratio = float((errs * errs).sum()) / inner / nx2
+                errs = compress(spec, np.tile(x, (_INNER_DRAWS, 1)),
+                                seed=seed, k=i) / spec.r - x
+                ratio = float((errs * errs).sum()) / _INNER_DRAWS / nx2
             worst = max(worst, ratio)
             if ratio > bound * (1.0 + slack) + 1e-15:
                 violations.append((x.copy(), ratio))

@@ -1,10 +1,11 @@
 """Runs with their states, for the tests that check states.
 
-``run_recorded`` calls the public ``algorithms.run`` with two swaps in
-``cgtsim._kernels``: a block recorder that also copies each X|Y row pushed
-to it, and a ``run_rule`` that keeps the final state blocks it returns.
-Neither changes the run, so the trace is the one ``run`` gives, and the
-states are those the run recorded and ended with.
+``run_recorded`` calls the public ``algorithms.run`` with one swap in
+``cgtsim._kernels``: a block recorder that also copies the whole state list
+pushed to it at each row.  The copies do not change the run, so the trace
+is the one ``run`` gives.  The states are the copies of rows 0..k_done, and
+the final state is the copy of row k_done.  The run's own state blocks, the
+list the recorder is handed, are kept too, as the run left them.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from cgtsim import _kernels
-from cgtsim.algorithms import RunTrace, run
+from cgtsim.algorithms import RULES, RunTrace, run
 
 
 @dataclass
@@ -45,45 +46,55 @@ def final_fields(rule) -> tuple:
     return fields + rule.messages if rule.classes else fields
 
 
+def _stacked(rule, st) -> StackedState:
+    """A state list (X|Y, G, the twins, the message block) as fields."""
+    # x, y, the twins' halves and the message slots: G is no field
+    halves = (a for block in st[:1] + st[2:] for a in block)
+    return StackedState(**dict(zip(final_fields(rule), halves)))
+
+
 @dataclass
 class RecordedTrace(RunTrace):
     """A RunTrace with the run's x and y at rows 0..k_done and its final
-    state, one distinct array per field."""
+    state, one distinct array per field; ``live_state`` holds the run's own
+    arrays, past row k_done if a block ran on after a non-finite row."""
 
     x_hist: np.ndarray = None
     y_hist: np.ndarray = None
     final_state: StackedState = None
+    live_state: StackedState = None
 
 
-class _HistoryRecorder(_kernels._BlockRecorder):
-    """The block recorder, keeping a copy of each pushed X|Y row."""
+class _StateRecorder(_kernels._BlockRecorder):
+    """The block recorder, keeping a copy of each pushed state list and the
+    list itself."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.hist = []
+        self.states = []
+        self.st = None
 
     def push(self, st):
-        self.hist.append(st[0].copy())
+        self.st = st
+        self.states.append([a.copy() for a in st])
         super().push(st)
 
 
 def run_recorded(*args, **kwargs) -> RecordedTrace:
     """``algorithms.run(*args, **kwargs)``, with its states."""
-    got = []
-    run_rule = _kernels.run_rule
+    recs = []
 
-    def keep(rule, *a, **kw):
-        got[:] = rule, run_rule(rule, *a, **kw)
-        return got[1]
+    def recorder(*a, **kw):
+        recs.append(_StateRecorder(*a, **kw))
+        return recs[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "_BlockRecorder", _HistoryRecorder)
-        mp.setattr(_kernels, "run_rule", keep)
+        mp.setattr(_kernels, "_BlockRecorder", recorder)
         tr = run(*args, **kwargs)
-    rule, (_, k_done, rec, st) = got
-    xy = np.array(rec.hist[:k_done + 1])
-    # x, y, the twins' halves and the message slots: G is no field
-    halves = (a for block in st[:1] + st[2:] for a in block)
-    final = StackedState(**dict(zip(final_fields(rule), halves)))
+    (rec,) = recs
+    rule = RULES[tr.algo]
+    rows = rec.states[:len(tr)]  # rows 0..k_done
+    xy = np.array([st[0] for st in rows])
     return RecordedTrace(**vars(tr), x_hist=xy[:, 0], y_hist=xy[:, 1],
-                         final_state=final)
+                         final_state=_stacked(rule, rows[-1]),
+                         live_state=_stacked(rule, rec.st))

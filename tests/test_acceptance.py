@@ -147,7 +147,7 @@ def test_criterion_4_compressor_certification():
     assert rep.passed and not rep.violations
     rnd = make_compressor("random_sparsify", d=50, keep_k=10,
                           sparsify_mode="random")
-    rep = verify_assumption(rnd, trials=1000, rng=rng, inner=1000)
+    rep = verify_assumption(rnd, trials=1000, rng=rng)
     assert rep.passed
     assert rep.max_observed_ratio <= (1 - rnd.psi) * 1.05
     _report(4, "norm-sign (d=2,10,50), uniform, one-bit, and top-k/random "

@@ -436,16 +436,20 @@ def test_block_recording_equals_per_row(small_net, small_suite, monkeypatch,
 
 
 def test_final_state_fields_are_distinct_arrays(small_net, small_suite):
-    # the steppers hand back their own arrays; accumulators that start at
-    # zero and never move (alg1's ex, ey) must not share one zero array
+    # the steppers' own arrays, the list the recorder is handed, not the
+    # recorder's copies; accumulators that start at zero and never move
+    # (alg1's ex, ey) must not share one zero array
     p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
                         varsigma=0.3, s0=8.0, mu=0.99)
     x0 = initial_point(6, 8, 3)
     for algo, comp in _BLOCK_CASES.items():
         tr = run_recorded(algo, 5, small_net, small_suite, p, comp, seed=3,
                           x0=x0)
-        arrays = [x0] + [a for a in vars(tr.final_state).values()
-                         if a is not None]
+        assert tr.status == "ok"
+        live = {k: v for k, v in vars(tr.live_state).items() if v is not None}
+        for name, val in vars(tr.final_state).items():
+            assert val is None or _bits(live[name]) == _bits(val), name
+        arrays = [x0, *live.values()]
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b), algo
@@ -459,8 +463,9 @@ _DIVERGED_AT = {"alg1": (91, 118, 169), "alg2": (91, 118, 170),
 @pytest.mark.parametrize("algo", sorted(_DIVERGED_AT))
 def test_block_recording_divergence_equals_per_row(small_net, monkeypatch,
                                                    algo):
-    # a non-finite row inside a block ends the run there: later rows of the
-    # block are discarded and the state is replayed back to that row
+    # a non-finite row inside a block ends the run there: the later rows of
+    # the block enter neither the trace nor the diagnostics, and the final
+    # state is that row's
     suite = generate_suite("quadratic_pl", n=6, d=8, seed=3)
     comp = None if algo == "dgt" else make_compressor("norm_sign", d=8)
     for eta, row in zip((50.0, 20.0, 8.0), _DIVERGED_AT[algo]):
@@ -555,8 +560,8 @@ def test_block_steppers_equal_twin_form_oracle(small_net, small_suite,
 ])
 def test_block_steppers_equal_twin_form_oracle_when_diverging(
         small_net, monkeypatch, algo, kind, kw):
-    # the non-finite row falls inside a block: the block steppers replay to
-    # it from a copy of the block's first row, the oracle just stops there
+    # the non-finite row falls inside a block: the block steppers step on to
+    # the block's end, the oracle stops at that row, and both record up to it
     suite = generate_suite("quadratic_pl", n=6, d=8, seed=3)
     p = AlgorithmParams(eta=20.0, gamma=0.9, phi_x=0.3, phi_y=0.1,
                         varsigma=0.3, s0=8.0, mu=0.99)
@@ -606,3 +611,27 @@ def test_one_compressor_call_and_one_w_product_per_step(small_net,
         # sends as its first feedback messages, then one a step
         want = [] if comp is None else [2] + [m] * 150
         assert slots["compress"] == want, algo
+
+
+def test_diverging_block_draws_each_iteration_key_once(small_net,
+                                                       monkeypatch):
+    # a run that turns non-finite inside a block steps no row twice: the
+    # compressor kernel sees each iteration key at most once
+    keys = []
+
+    def counted(spec, Xin, seed, k, slot):
+        keys.append(k)
+        return compress_block(spec, Xin, seed, k, slot)
+
+    compress_block = _kernels._compress_block_np
+    monkeypatch.setattr(_kernels, "_compress_block_np", counted)
+    suite = generate_suite("quadratic_pl", n=6, d=8, seed=3)
+    p = AlgorithmParams(eta=50.0, gamma=0.9, phi_x=0.3, phi_y=0.1)
+    assert _kernels._block_rows(7, 6, 8) == 64
+    with np.errstate(all="ignore"):
+        tr = run("alg1", 500, small_net, suite, p,
+                 make_compressor("norm_sign", d=8), seed=1)
+    assert (tr.status, tr.failed_at) == ("nonfinite_state",
+                                         _DIVERGED_AT["alg1"][0])
+    assert tr.failed_at % 64
+    assert len(keys) == len(set(keys)) and keys == sorted(keys)

@@ -560,10 +560,15 @@ def test_cli_gnuplot_helper(tmp_path, scenario, label, plot):
     assert plot in script.splitlines()
 
 
-# an output_dir that is a file, lies under one, or is a dangling symlink
-@pytest.mark.parametrize("out", ["afile", "afile/sub", "link"])
+# an output_dir that is a file, lies under one, or is a dangling symlink,
+# from a run config or from replicate-section5's --out
+@pytest.mark.parametrize("command, out", [
+    pytest.param(command, out,
+                 id=out if command == "run" else f"{command}-{out}")
+    for command in ("run", "replicate-section5")
+    for out in ("afile", "afile/sub", "link")])
 def test_cli_output_dir_in_a_file_exits_2_before_set_up(tmp_path, monkeypatch,
-                                                        out):
+                                                        command, out):
     afile = tmp_path / "afile"
     afile.write_text("keep\n")
     (tmp_path / "link").symlink_to(tmp_path / "missing")
@@ -580,10 +585,65 @@ def test_cli_output_dir_in_a_file_exits_2_before_set_up(tmp_path, monkeypatch,
         raise AssertionError("build_instance called")
 
     monkeypatch.setattr(harness, "build_instance", no_set_up)
-    assert cli.main(["run", str(cfg_path)]) == 2
+    argv = (["run", str(cfg_path)] if command == "run" else
+            [command, "--out", str(tmp_path / out)])
+    assert cli.main(argv) == 2
     assert afile.read_text() == "keep\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "afile", "cfg.json", "link"]
+
+
+def test_cli_replicate_section5_both_modes_end_to_end(tmp_path):
+    # the headline command: both reports and both gnuplot scripts whole,
+    # with no temp file beside them
+    out = tmp_path / "rep"
+    assert cli.main(["replicate-section5", "--mode", "both", "--gnuplot",
+                     "--out", str(out)]) == 0
+    for mode in ("practical", "certified"):
+        for name in ("report.json", "plot.gnuplot"):
+            assert (out / f"reference_{mode}__{name}").stat().st_size > 0
+    assert not list(out.rglob("*.tmp"))
+
+
+def test_cli_bounds_on_a_1000_agent_ring(tmp_path, capsys):
+    # sigma is exact at any size: the lazy ring's sigma approaches 1 as
+    # 1 - O(1/n^2), and a 1000-agent ring must still give certified tables
+    cfg_path = tmp_path / "ring.json"
+    cfg_path.write_text(json.dumps({
+        "scenario": "ring_n1000", "iters": 1, "threshold": 1e-3,
+        "output_dir": "unused", "seeds": {"graph": 0, "cost": 0, "algo": 0},
+        "network": {"n": 1000, "topology": "ring"},
+        "cost": {"kind": "logistic_log", "d": 5},
+        "cells": [{"algo": "alg1", "compressor": {"kind": "norm_sign"},
+                   "mode": "certified"}]}))
+    assert cli.main(["bounds", str(cfg_path)]) == 0
+    tables = json.loads(capsys.readouterr().out)
+    assert 0.0 < tables["sigma"] < 1.0
+    (table,) = tables["cells"].values()
+    assert "error" not in table
+    assert 0.0 < table["eta"] <= table["eta_max"]
+    assert 0.0 < table["gamma"] <= table["gamma_max"]
+
+
+# a spec's class constants come from its operator; each built-in kind must
+# meet the bound that its constants state
+@pytest.mark.parametrize("doc", [
+    {"kind": "identity"},
+    {"kind": "norm_sign"},
+    {"kind": "uniform_quantize", "delta": 2.0},
+    {"kind": "one_bit"},
+    {"kind": "random_sparsify", "keep_k": 5},
+    {"kind": "random_sparsify", "keep_k": 5, "sparsify_mode": "random",
+     "rescale": True},
+    {"kind": "random_quantize", "levels": 9},
+])
+def test_cli_verify_compressor_passes_every_built_in_kind(tmp_path, capsys,
+                                                          doc):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))
+    assert cli.main(["verify-compressor", str(spec_path), "--d", "50"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is True and report["violations"] == 0
 
 
 class _DiskFull:
