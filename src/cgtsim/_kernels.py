@@ -29,22 +29,25 @@ A|C, B|D, Ex|Ey (alg1/alg2), Xhat|Yhat, V|Z (alg3).  All messages of one
 step form one (m, n, d) block along a slot axis, one slot per message the
 rule names: Qx, Qy (m = 2), then alg2's error-feedback Qhx, Qhy (m = 4).
 A step makes one compressor-kernel call over that block, one
-``np.matmul(W, Q)`` and one update per twin, written in place into the
-run's blocks.  The stacked matmul still makes one gemm per slot and every
-elementwise update rounds as the per-array update did, so traces and states
-are bitwise those of updating each half of a twin on its own.  The kernel's
-draws for slot j of a block started at ``slot`` are keyed by slot + j.
+``np.matmul(W, Q)``, one update per twin and the one tracking tail
+(``_track``), written in place into the run's blocks.  The stacked matmul
+still makes one gemm per slot and every elementwise update rounds as the
+per-array update did, so traces and states are bitwise those of updating
+each half of a twin on its own.  The kernel's draws for slot j of a block
+started at ``slot`` are keyed by slot + j.
 
 The steppers only step.  The block recorder takes each row's state and,
 every B rows, computes the trace rows and the invariant maxima for the whole
-block at once.  Its batched products make the same BLAS call per row as
-recording row by row, so the result is bitwise equal to per-step recording.
-B = clamp(1 MiB // bytes per recorded row, 1, 64) follows from n*d and the
-number of (n, d) arrays a row records: X|Y, G and the twins the rule
-records, so 3 for dgt, 7 for alg1 and alg3 and 9 for alg2, whose Ex|Ey enter
-its Lyapunov function.  Storing twins as blocks records the same bytes a
-row, so B is what it was per array.  At n=20, d=50 that is 43, 18 and 14; B
-is 1 once a row passes 512 KiB (n*d above about 22000 for dgt and 9400 for
+block at once, twin by twin: one reduction gives both agent means, one both
+consensus and tracking errors, and one call each twin's Lyapunov sum,
+accumulator identity or induction ratio.  Its batched products make the same
+BLAS call per row and half, and its reductions sum in the same order, as
+recording each half row by row, so the result is bitwise equal to per-step
+recording.  B = clamp(1 MiB // bytes per recorded row, 1, 64) follows from
+n*d and the number of (n, d) arrays a row records: X|Y, G and the twins the
+rule records, so 3 for dgt, 7 for alg1 and alg3 and 9 for alg2, whose Ex|Ey
+enter its Lyapunov function.  At n=20, d=50 that is 43, 18 and 14; B is 1
+once a row passes 512 KiB (n*d above about 22000 for dgt and 9400 for
 alg1/alg3).  At B = 1 rows are recorded straight from the state blocks,
 before the next step overwrites them.  A non-finite row ends the run at that
 row, at the flush that finds it: the steps already taken past it inside the
@@ -184,58 +187,66 @@ def _block_rows(nrec, n, d):
     return max(1, min(_RECORD_MAX_ROWS, _RECORD_BUDGET // (nrec * n * d * 8)))
 
 
-# Batched helpers over a leading row axis.  Each batched np.matmul makes the
+# Batched helpers over leading row axes.  Each batched np.matmul makes the
 # same BLAS call per row as the unbatched product (a @ b, np.linalg.norm's
-# dot, W @ Base), and each reduction sums in the same order, so a block of
-# rows gives bitwise the values that recording row by row gives.  A pairwise
-# sum in place of the dot, or one gemm over stacked rows, would not.  Rows
-# may be strided views, such as the x half of a recorded X|Y block.
+# dot, W @ Base), and each reduction sums in the same order, so each half of
+# each twin row gets bitwise what recording it alone row by row gives.  A
+# pairwise sum in place of the dot, or one gemm over stacked rows, would not.
 
 def _dots(A, B):
-    """Row-wise dot products of two (b, m) arrays."""
-    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+    """Row-wise dot products of two (..., m) arrays."""
+    return np.matmul(A[..., None, :], B[..., :, None])[..., 0, 0]
 
 
-def _norms(A):
-    """np.linalg.norm of each row of a (b, ...) array."""
-    F = A.reshape(len(A), -1)
+def _norms(A, lead=1):
+    """np.linalg.norm over all but the first ``lead`` axes of A."""
+    F = A.reshape(A.shape[:lead] + (-1,))
     return np.sqrt(_dots(F, F))
 
 
-def _sums(A):
-    """.sum() of each row of a (b, ...) array."""
-    return np.add.reduce(A.reshape(len(A), -1), 1)
+def _sums(A, lead=1):
+    """.sum() over all but the first ``lead`` axes of A."""
+    return np.add.reduce(A.reshape(A.shape[:lead] + (-1,)), -1)
 
 
-def _metrics_rows(cost, X, Y, G):
-    """Trace terms of b rows of (n, d) states: agent means of X and Y,
-    consensus and tracking errors, optimality gap and stationarity (from the
-    run's ``costs.RunCosts``) and the relative mean-y tracking residual."""
-    n = X.shape[1]
-    xbar = np.add.reduce(X, 1) / n
-    ybar = np.add.reduce(Y, 1) / n
+def _metrics_rows(cost, XY, G):
+    """Trace terms of b rows of X|Y (b, 2, n, d) and G (b, n, d): the
+    (b, 2, d) agent means of X and Y, the (b, 2) consensus and tracking
+    errors, the gap and stationarity at the mean x (from the run's
+    ``costs.RunCosts``) and the relative mean-y tracking residual."""
+    n = XY.shape[2]
+    means = np.add.reduce(XY, 2) / n
     gbar = np.add.reduce(G, 1) / n
-    c = _sums((X - xbar[:, None]) ** 2)
-    t = _sums((Y - ybar[:, None]) ** 2)
-    gap, stat = cost.trace_terms(xbar)
-    ytrack = _norms(ybar - gbar) / (1.0 + _norms(gbar))
-    return xbar, ybar, c, t, gap, stat, ytrack
+    D = XY - means[:, :, None]
+    ct = _sums(np.square(D, out=D), 2)
+    gap, stat = cost.trace_terms(means[:, 0])
+    ytrack = _norms(means[:, 1] - gbar) / (1.0 + _norms(gbar))
+    return means, ct, gap, stat, ytrack
 
 
 def _struct_resid_rows(Acc, Base, W):
-    """||Acc - (I - W) Base|| / ||Base|| per row: the accumulator identity."""
-    ref = np.maximum(_norms(Base), 1e-30)
-    return _norms(Acc - (Base - np.matmul(W, Base))) / ref
+    """||Acc - (I - W) Base|| / ||Base|| for each half of b (2, n, d) twin
+    rows: the accumulator identity."""
+    M = np.matmul(W, Base)
+    np.subtract(Base, M, out=M)
+    np.subtract(Acc, M, out=M)
+    return _norms(M, 2) / np.maximum(_norms(Base, 2), 1e-30)
 
 
 def _row_norm_max_rows(A):
-    """Largest agent inf-norm per row: the largest |entry| of each (n, d)."""
-    return np.abs(A).reshape(len(A), -1).max(axis=1)
+    """Largest agent inf-norm per (n, d) slab: its largest |entry|."""
+    return np.abs(A).reshape(A.shape[:-2] + (-1,)).max(axis=-1)
 
 
 def _raise_max(diag, i, vals):
     """diag[i] = max(diag[i], v) for each v in turn; a NaN v never wins."""
     diag[i] = np.fmax.reduce(vals, initial=diag[i])
+
+
+def _raise_twin(diag, name, vals):
+    """_raise_max of name_x and name_y by the halves of (b, 2) ``vals``."""
+    for half, v in zip("xy", vals.T):
+        _raise_max(diag, f"{name}_{half}", v)
 
 
 class _BlockRecorder:
@@ -269,13 +280,11 @@ class _BlockRecorder:
         # slot 0 carries the row before the block (its agent means, and a
         # scaled rule's X); rows go to slots 1..B.  At B = 1 rows are not
         # copied.
-        self.means = np.empty((2, self.B + 1, d))
+        self.means = np.empty((self.B + 1, 2, d))
         self.buf = ([np.empty((self.B + 1,) + a.shape) for a in row]
                     if self.B > 1 else None)
-        self.rows = None
-        self.prev_x = None
-        self.k0 = 0
-        self.fill = 0
+        self.rows = self.prev_x = None
+        self.k0 = self.fill = 0
 
     def run(self, st, step, last, end_status):
         """Record rows 0..last of the state list ``st``, calling
@@ -286,8 +295,7 @@ class _BlockRecorder:
             if self.fill == self.B or k == last:
                 # overflow in a diverging row is expected: flush finds
                 # non-finite rows itself and reports them as the status
-                with np.errstate(over="ignore", invalid="ignore",
-                                 divide="ignore"):
+                with np.errstate(all="ignore"):
                     bad = self.flush()
                 if bad is not None:
                     return "nonfinite_state", bad
@@ -312,18 +320,18 @@ class _BlockRecorder:
         else:
             R = [q[1:b + 1] for q in self.buf]
             Xp = self.buf[0][:b, 0]
-        # the x and y halves of each recorded block, as (b, n, d) views
-        (X, Y), G = R[0].swapaxes(0, 1), R[1]
-        xbar, ybar, c, t, g, s, ytr = _metrics_rows(self.cost, X, Y, G)
+        means, ct, g, s, ytr = _metrics_rows(self.cost, R[0], R[1])
+        c, t = ct.T
         L = c + self.phi_w * t
         if rule.lyapunov == "consensus":
             L = L + self.aux * g
-        else:
-            A, C = R[2].swapaxes(0, 1)
-            L = L + _sums((X - A) ** 2) + _sums((Y - C) ** 2) + g
+        else:  # the compression errors X-A|Y-C, and alg2's Ex|Ey
+            D = np.subtract(R[0], R[2])
+            ex, ey = _sums(np.square(D, out=D), 2).T
+            L = L + ex + ey + g
             if rule.lyapunov == "ef":
-                Ex, Ey = R[4].swapaxes(0, 1)
-                L = L + self.aux * (_sums(Ex * Ex) + _sums(Ey * Ey))
+                ex, ey = _sums(np.multiply(R[4], R[4], out=D), 2).T
+                L = L + self.aux * (ex + ey)
         bad = np.flatnonzero(~np.isfinite(c + t + g + s))
         nok = int(bad[0]) if bad.size else b  # rows that pass the check
         keep = min(nok + 1, b)                # rows that enter the trace
@@ -335,38 +343,32 @@ class _BlockRecorder:
         ok = slice(0, nok)
         _raise_max(diag, "mean_y_tracking", ytr[ok])
         if nok and rule.scaled:
-            Xhat, Yhat = R[2].swapaxes(0, 1)
-            sk = self.s_arr[k0:k0 + nok]
-            _raise_max(diag, "induction_x",
-                       _row_norm_max_rows(X[ok] - Xhat[ok]) / sk)
-            _raise_max(diag, "induction_y",
-                       _row_norm_max_rows(Y[ok] - Yhat[ok]) / sk)
+            sk = self.s_arr[k0:k0 + nok, None]
+            _raise_twin(diag, "induction",
+                        _row_norm_max_rows(R[0][ok] - R[2][ok]) / sk)
         elif nok and "struct_x" in diag:
-            (A, C), (B, D) = R[2].swapaxes(0, 1), R[3].swapaxes(0, 1)
-            _raise_max(diag, "struct_x", _struct_resid_rows(B[ok], A[ok], W))
-            _raise_max(diag, "struct_y", _struct_resid_rows(D[ok], C[ok], W))
+            _raise_twin(diag, "struct",
+                        _struct_resid_rows(R[3][ok], R[2][ok], W))
 
         # step k0 + j - 1 leads into row j: the mean-x recursion needs the
         # agent means of both rows; a scaled rule's post-update residuals use
-        # row j's Xhat, Yhat, V, Z
-        self.means[0, 1:b + 1] = xbar
-        self.means[1, 1:b + 1] = ybar
+        # row j's Xhat|Yhat and V|Z
+        self.means[1:b + 1] = means
         steps = slice(1 if k0 == 0 else 0, keep)
         if keep > steps.start:
-            want = self.means[0, steps] - self.eta * self.means[1, steps]
-            _raise_max(diag, "mean_x_recursion", _norms(xbar[steps] - want))
+            want = self.means[steps, 0] - self.eta * self.means[steps, 1]
+            _raise_max(diag, "mean_x_recursion",
+                       _norms(means[steps, 0] - want))
             if rule.scaled:
-                Xhat, Yhat = R[2][steps].swapaxes(0, 1)
-                V, Z = R[3][steps].swapaxes(0, 1)
-                _raise_max(diag, "struct_x", _struct_resid_rows(V, Xhat, W))
-                _raise_max(diag, "struct_y", _struct_resid_rows(Z, Yhat, W))
+                _raise_twin(diag, "struct",
+                            _struct_resid_rows(R[3][steps], R[2][steps], W))
                 _raise_max(diag, "compression_ratio",
-                           _row_norm_max_rows(Xp[steps] - Xhat)
+                           _row_norm_max_rows(Xp[steps] - R[2][steps, 0])
                            / self.s_arr[k0 - 1 + steps.start:k0 - 1 + keep])
         if nok < b:
             return k0 + nok
 
-        self.means[:, 0] = self.means[:, b]
+        self.means[0] = self.means[b]
         if rule.scaled:
             if self.buf is None:
                 self.prev_x = self.rows[0][0].copy()
@@ -381,13 +383,25 @@ class _BlockRecorder:
 # Step functions: ``rule.step(rule, st, W, p, cost, comp, seed, s_arr)``
 # returns the rule's ``step(k, st)``, which takes the run's state list ``st``
 # (X|Y, G, the rule's twins, then its message block) from row k to row k+1.
-# It evaluates gradients through ``cost`` (a ``costs.RunCosts``) and updates
-# the state blocks in place.  Its scratch is ``tmp``, one (2, n, d) block, and
-# ``buf``, one slot per message: ``buf`` takes W @ Q, then, once that is
-# spent, the step's other temporaries and the next messages' inputs.  Both
-# are bound as default arguments, so the step's in-place operators act on
-# them.  Only G and the message block are new arrays, which keeps the live
-# arrays of a large-n run near those of updating each twin half on its own.
+# It updates the state blocks in place and ends in ``_track``, which takes
+# gradients from ``cost`` (a ``costs.RunCosts``).  Its scratch is ``tmp``,
+# one (2, n, d) block, and ``buf``, one slot per message: ``buf`` takes
+# W @ Q, then, once that is spent, the step's other temporaries and the next
+# messages' inputs.  Both are bound as default arguments, so the in-place
+# operators act on them.  Only G and the message block are new arrays, which
+# keeps a large-n run's live arrays near those of updating twin halves alone.
+
+def _track(st, tmp, ey, eta, cost):
+    """Every step's tracking tail: X|Y -= tmp, X -= eta * (the old Y), then
+    Y += grad f(X) - (the old G); ``ey`` is (n, d) scratch."""
+    XY, G = st[0], st[1]
+    np.multiply(eta, XY[1], out=ey)
+    XY -= tmp
+    XY[0] -= ey
+    st[1] = Gn = cost.grad(XY[0])
+    XY[1] += Gn
+    XY[1] -= G
+
 
 def _alg1_step(rule, st, W, p, cost, comp, seed, s_arr):
     """alg1, and alg2 (``rule.feedback``)."""
@@ -397,7 +411,7 @@ def _alg1_step(rule, st, W, p, cost, comp, seed, s_arr):
     phi = np.array([p.phi_x, p.phi_y])[:, None, None]
 
     def step(k, st, tmp=np.empty((2, n, d)), buf=np.empty_like(st[5])):
-        XY, G, AC, BD, E, Q = st
+        XY, _, AC, BD, E, Q = st
         mixQ = _mix(W, Q, buf)
         Qs, mixQs = (Q[2:], mixQ[2:]) if use_ef else (Q, mixQ)
         np.add(BD, Qs, out=tmp)  # the consensus terms, from the old B|D
@@ -412,12 +426,7 @@ def _alg1_step(rule, st, W, p, cost, comp, seed, s_arr):
         diff *= phi
         BD += diff
         AC += np.multiply(phi, Q[:2], out=buf[:2])
-        ey = np.multiply(eta, XY[1], out=buf[0])
-        XY -= tmp
-        XY[0] -= ey
-        st[1] = Gn = cost.grad(XY[0])
-        XY[1] += Gn
-        XY[1] -= G
+        _track(st, tmp, buf[0], eta, cost)
         np.subtract(XY, AC, out=buf[:2])  # the next messages' inputs
         if use_ef:
             h = np.multiply(varsigma, E, out=buf[2:])
@@ -433,7 +442,7 @@ def _alg3_step(rule, st, W, p, cost, comp, seed, s_arr):
     eta, gamma = p.eta, p.gamma
 
     def step(k, st, tmp=np.empty((2, n, d)), buf=np.empty((2, n, d))):
-        XY, G, Hat, VZ, Q = st
+        XY, _, Hat, VZ, Q = st
         mixQ = _mix(W, Q, buf)
         sk = s_arr[k]
         Hat += np.multiply(sk, Q, out=tmp)
@@ -441,12 +450,7 @@ def _alg3_step(rule, st, W, p, cost, comp, seed, s_arr):
         diff *= sk
         VZ += diff
         np.multiply(gamma, VZ, out=tmp)
-        ey = np.multiply(eta, XY[1], out=buf[0])
-        XY -= tmp
-        XY[0] -= ey
-        st[1] = Gn = cost.grad(XY[0])
-        XY[1] += Gn
-        XY[1] -= G
+        _track(st, tmp, buf[0], eta, cost)
         cin = np.subtract(XY, Hat, out=tmp)  # the next messages' inputs
         cin /= s_arr[k + 1]
         st[4] = _compress_block_np(comp, cin, seed, k + 1, 0)
@@ -458,16 +462,11 @@ def _dgt_step(rule, st, W, p, cost, comp, seed, s_arr):
     eta, gamma = p.eta, p.gamma
 
     def step(k, st, tmp=np.empty_like(st[0]), ey=np.empty_like(st[1])):
-        XY, G = st
+        XY = st[0]
         _mix(W, XY, tmp)
         np.subtract(XY, tmp, out=tmp)
         tmp *= gamma
-        np.multiply(eta, XY[1], out=ey)
-        XY -= tmp
-        XY[0] -= ey
-        st[1] = Gn = cost.grad(XY[0])
-        XY[1] += Gn
-        XY[1] -= G
+        _track(st, tmp, ey, eta, cost)
 
     return step
 

@@ -163,14 +163,18 @@ def compress(spec: CompressorSpec, x: np.ndarray, *, seed: int = 0,
 @dataclass(frozen=True)
 class BitCostModel:
     """Payload accounting: bits_scalar per full-precision real, bits_int per
-    transmitted small integer."""
+    transmitted small integer.  Runs send float64 reals, so bits_scalar is
+    64; a narrower width would bill bits that no run sends."""
 
     bits_scalar: int = 64
     bits_int: int = 4
 
     def __post_init__(self):
-        if self.bits_scalar < 1 or self.bits_int < 1:
-            raise CompressorError("bit widths must be >= 1")
+        if self.bits_scalar != 64:
+            raise CompressorError("bits_scalar must be 64, the width of the "
+                                  "float64 values runs send")
+        if self.bits_int < 1:
+            raise CompressorError("bits_int must be >= 1")
 
 
 def bit_cost(spec: CompressorSpec, model: BitCostModel) -> int:

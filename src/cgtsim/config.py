@@ -182,8 +182,10 @@ DOCUMENT = Section(
     optional={
         "threshold": _POSITIVE,
         "fstar_tol": _POSITIVE,
-        "bit_model": Section(optional={"bits_scalar": _POSITIVE_INT,
-                                       "bits_int": _POSITIVE_INT}),
+        # runs send float64 values, so a scalar is billed 64 bits
+        "bit_model": Section(optional={
+            "bits_scalar": ("64", lambda v: _is_int(v) and v == 64),
+            "bits_int": _POSITIVE_INT}),
         "broadcast": _BOOL,
         "output_dir": ("a string", lambda v: isinstance(v, str)),
     })

@@ -341,6 +341,15 @@ def _descend(suite: CostSuite, starts: list, tol: float, max_iters: int
     each kept only if it lowers the gradient norm; the first that does not,
     or a singular Hessian, ends the finish.  A finish starts from the
     start's row of the last stacked gradient, bitwise its one-row gradient.
+
+    Starts descend to ``tol`` before the finish to keep the reference values
+    bitwise, not for speed.  Measured on logistic seeds 0-63 (n=20, d=50,
+    tol 1e-9; 2-core host, best of 5): stopping the descent at 1e-2, 1e-3,
+    1e-4 or 1e-6 and leaving the rest to the finish made 48-60% fewer value
+    calls and 24-32% more Newton steps, took 0.69-0.82 s against 0.92-0.93 s,
+    and certified all 64 either way.  Its endpoints differ, though: at the
+    paper scenario's cost seed 202 f_star moves by one ulp, and every
+    trace's gap with it.
     """
     X = np.array(starts, dtype=np.float64)
     F = mean_value(suite, X)

@@ -12,7 +12,10 @@ is set; a locally bounded region, which fixes s0 and mu together with eta
 and gamma, certifies none.  The exact rule asks only gamma < 1 and
 eta <= 1/L_f.  Every cell shares the network, cost instance, reference
 value and initial point.  Trace CSVs carry the columns ``CSV_HEADER``, a
-JSON sidecar the fully resolved cell; reruns are byte-identical.
+JSON sidecar the fully resolved cell.  Reruns are byte-identical only at
+one BLAS thread count: OpenBLAS rounds a large product or eigensolve that it
+splits across threads differently at another count, such as the mixing
+product and sigma at n = 1000 (README "Conventions" lists what moved).
 """
 
 from __future__ import annotations

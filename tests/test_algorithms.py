@@ -325,29 +325,38 @@ def _bits(values):
 
 @pytest.mark.parametrize("cost", ["logistic_log", "quadratic_pl"])
 def test_batched_record_helpers_match_per_row_oracle(cost):
-    # paper scale: there one gemm over stacked rows would already differ
+    # paper scale: there one gemm over stacked rows would already differ.
+    # The helpers take b twin rows (b, 2, n, d); each half of each row must
+    # be bitwise what the per-row formula gives on that half alone.
     n, d = 20, 50
     suite = generate_suite(cost, n=n, d=d, seed=4)
     rng = np.random.default_rng(0)
-    X, Y, G = (rng.standard_normal((5, n, d)) for _ in range(3))
-    X[3] *= 1e200  # a row whose terms overflow
+    XY, G = rng.standard_normal((5, 2, n, d)), rng.standard_normal((5, n, d))
+    XY[3, 0] *= 1e200  # a row whose terms overflow
     W = generate_network(n, 0.3, seed=5).W
     # anchored at a given point, and at the least-squares solve without one
     for x_star in (rng.standard_normal(d), None):
         run_costs = RunCosts(suite, x_star, 0.25)
         with np.errstate(all="ignore"):
-            got = _kernels._metrics_rows(run_costs, X, Y, G)
-            want = [metrics_oracle(run_costs, X[j], Y[j], G[j])
+            means, ct, *terms = _kernels._metrics_rows(run_costs, XY, G)
+            want = [metrics_oracle(run_costs, *XY[j], G[j])
                     for j in range(5)]
+        assert means.shape == (5, 2, d) and ct.shape == (5, 2)
+        got = [means[:, 0], means[:, 1], ct[:, 0], ct[:, 1], *terms]
         for i, col in enumerate(got):
             assert _bits(col) == _bits([w[i] for w in want]), i
     with np.errstate(all="ignore"):
         # accumulators that satisfy the identity up to round-off, as in a run
-        Acc = X - np.einsum("ij,bjd->bid", W, X)
-        assert _bits(_kernels._struct_resid_rows(Acc, X, W)) == _bits(
-            [struct_resid_oracle(Acc[j], X[j], W) for j in range(5)])
-        assert _bits(_kernels._row_norm_max_rows(X - Acc)) == _bits(
-            [row_norm_max_oracle(X[j] - Acc[j]) for j in range(5)])
+        Acc = XY - np.einsum("ij,bhjd->bhid", W, XY)
+        struct = _kernels._struct_resid_rows(Acc, XY, W)
+        peak = _kernels._row_norm_max_rows(XY - Acc)
+        for h in range(2):
+            assert _bits(struct[:, h]) == _bits(
+                [struct_resid_oracle(Acc[j, h], XY[j, h], W)
+                 for j in range(5)]), h
+            assert _bits(peak[:, h]) == _bits(
+                [row_norm_max_oracle(XY[j, h] - Acc[j, h])
+                 for j in range(5)]), h
 
 
 def test_raise_max_follows_python_max():

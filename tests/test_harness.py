@@ -864,6 +864,8 @@ _GOOD_CELLS = [{"algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}},
     {"bit_model": {"bits_scaler": 32}},
     {"bit_model": 64},
     {"bit_model": {"bits_scalar": 32.5}},
+    # runs send float64 scalars, so no other width may be billed
+    {"bit_model": {"bits_scalar": 32}},
     {"broadcast": "false"},
     {"broadcast": 0},
     # an exact rule given a compressor, and a forced flag that is no bool

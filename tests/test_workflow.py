@@ -1,14 +1,17 @@
-"""The CI workflow names only what is there.
+"""The CI workflow and the benchmark's tracer name only what is there.
 
 ``.github/workflows/tier1.yml`` runs tier-1 and the benchmark's checks.  A
 file, perfbench workload or ``cgtsim`` subcommand that one of its steps
 names but that is gone would fail only the workflow, which tier-1 does not
-run; here it fails tier-1.
+run; here it fails tier-1.  So does a ``cgtsim`` function that a traced
+benchmark run wraps (``perfbench/run.py``'s SPANS and COUNTED) but that is
+gone from the module it is wrapped in.
 """
 
 import argparse
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,15 +31,16 @@ _WORKLOAD_LOOP = re.compile(r"\bfor workload in ([^;\n]+)")
 _SUBCOMMAND = re.compile(r"\bcgtsim\s+([a-z][\w-]*)")
 
 
-def _workloads_module():
+def _perfbench_module(name):
+    """perfbench/<name>.py, loaded by path."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-WORKLOADS = _workloads_module().WORKLOADS
+WORKLOADS = _perfbench_module("workloads").WORKLOADS
 SUBCOMMANDS = next(a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)).choices
 STEPS = [step for job in yaml.safe_load(
@@ -80,3 +84,19 @@ def test_step_names_only_what_is_there(step):
         assert workload in WORKLOADS, f"no perfbench workload {workload!r}"
     for command in _SUBCOMMAND.findall(script):
         assert command in SUBCOMMANDS, f"no cgtsim subcommand {command!r}"
+
+
+def test_traced_benchmark_wraps_only_what_is_there(monkeypatch):
+    # run.py imports no cgtsim when loaded (it does so in main), so each
+    # name resolves in the package under test; loading it puts perfbench/
+    # on sys.path, which the monkeypatch undoes
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    bench = _perfbench_module("run")
+    wrapped = [(owner, attr) for owner, attr, *_ in bench.SPANS]
+    wrapped += bench.COUNTED
+    assert len(wrapped) > len(bench.COUNTED)
+    for owner, attr in wrapped:
+        module = importlib.import_module(f"cgtsim.{owner}")
+        assert callable(getattr(module, attr, None)), (
+            f"cgtsim.{owner}.{attr} is gone; a traced run would report its "
+            "layer as missing")
