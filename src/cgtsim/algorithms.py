@@ -116,9 +116,6 @@ RULES = {rule.name: rule for rule in (
          DIAG_NAMES[:2], ("eta", "gamma"), AlgorithmParams(eta=0.8, gamma=0.3)),
 )}
 
-# messages broadcast per agent per iteration
-MESSAGES_PER_AGENT = {name: len(rule.messages) for name, rule in RULES.items()}
-
 
 @dataclass
 class RunTrace:

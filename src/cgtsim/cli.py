@@ -71,7 +71,8 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _emit_gnuplot(outdir: Path, scenario: str, labels: list) -> None:
+def _emit_gnuplot(outdir: Path, report: dict) -> None:
+    scenario, labels = report["scenario"], [r["label"] for r in report["rows"]]
     lines = [
         "set logscale y", "set xlabel 'iteration k'",
         "set ylabel 'consensus error + optimality gap'",
@@ -87,24 +88,29 @@ def _emit_gnuplot(outdir: Path, scenario: str, labels: list) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+def _print_rows(report: dict) -> bool:
+    """One line per report row: its label, status and, when it reached the
+    threshold, k, bits and percent; whether every row's status is ``ok``."""
+    for row in report["rows"]:
+        reach = ("unreached" if row["bits"] is None
+                 else f"k={row['iters']:5d} bits={row['bits']}")
+        pct = ("" if row["percent"] is None
+               else f" ({row['percent']:.2f}% of baseline)")
+        print(f"  {row['label']:34s} {row['status']:10s} {reach}{pct}")
+    return all(row["status"] == "ok" for row in report["rows"])
+
+
 def _cmd_run(args) -> int:
     cfg = _experiment_config(args.config, args.seed, args.out)
     if args.force:
         for cell in cfg.cells:
             cell.force_params = True
-    result = run_experiment(cfg)
-    failed = [r for r in result.rows if r.status != "ok"]
-    for row in result.rows:
-        reach = ("unreached" if row.bits_to_threshold is None
-                 else f"k={row.iters_to_threshold} bits={row.bits_to_threshold}")
-        pct = ("" if row.percent_of_dgt is None
-               else f" ({row.percent_of_dgt:.2f}% of baseline)")
-        print(f"{row.label:32s} {row.status:10s} {reach}{pct}")
-    print(f"report: {result.report_path}")
+    report, paths = run_experiment(cfg)
+    ok = _print_rows(report)
+    print(f"report: {paths[-1]}")
     if args.gnuplot:
-        _emit_gnuplot(Path(cfg.output_dir), cfg.scenario,
-                      [r.label for r in result.rows])
-    return 1 if failed else 0
+        _emit_gnuplot(Path(cfg.output_dir), report)
+    return 0 if ok else 1
 
 
 def _cmd_bounds(args) -> int:
@@ -116,12 +122,12 @@ def _cmd_bounds(args) -> int:
         lambda: solve_reference(suite, tol=cfg.fstar_tol).f_star)
     tables = {"sigma": net.sigma, "L_f": suite.L_f, "nu_pl": suite.nu_pl,
               "cells": {}}
-    for cell, *_, b in resolve(cfg, net, suite, x0, f_star, all_regions=True):
+    for cell, *_, region, _ in resolve(cfg, net, suite, x0, f_star):
         if cell.spec is None:  # exact messages: no table
             continue
-        label = cell.resolved_label()
-        tables["cells"][label] = ({"error": str(b)}
-                                  if isinstance(b, Exception) else vars(b))
+        tables["cells"][cell.resolved_label()] = (
+            {"error": str(region)} if isinstance(region, Exception)
+            else vars(region))
     print(json.dumps(tables, indent=2, sort_keys=True, default=float))
     return 0
 
@@ -149,19 +155,12 @@ def _cmd_replicate(args) -> int:
         doc = reference_scenario_config(mode=mode, iters=iters,
                                         output_dir=args.out)
         cfg = ExperimentConfig.from_dict(doc)
-        result = run_experiment(cfg)
+        report, _ = run_experiment(cfg)
         print(f"== {cfg.scenario} (threshold {cfg.threshold}) ==")
-        for row in result.rows:
-            reach = ("unreached" if row.bits_to_threshold is None else
-                     f"k={row.iters_to_threshold:5d} bits={row.bits_to_threshold}")
-            pct = ("" if row.percent_of_dgt is None
-                   else f" ({row.percent_of_dgt:.2f}% of baseline)")
-            print(f"  {row.label:34s} {row.status:10s} {reach}{pct}")
-        if args.gnuplot:
-            _emit_gnuplot(Path(cfg.output_dir), cfg.scenario,
-                          [r.label for r in result.rows])
-        if any(r.status != "ok" for r in result.rows):
+        if not _print_rows(report):
             rc = 1
+        if args.gnuplot:
+            _emit_gnuplot(Path(cfg.output_dir), report)
     return rc
 
 

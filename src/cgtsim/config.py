@@ -106,6 +106,9 @@ _BOOL = ("a bool", lambda v: isinstance(v, bool))
 _INT = ("an int", _is_int)
 _POSITIVE_INT = ("a positive int", lambda v: _is_int(v) and v >= 1)
 _NAME = ("a non-empty string with no '/' that is not '.' or '..'", _is_name)
+# <scenario>__report.json is the report's, so no cell's sidecar may take it
+_LABEL = ("a non-empty string with no '/' that is not '.', '..' or 'report'",
+          lambda v: _is_name(v) and v != "report")
 _POSITIVE = ("a finite positive number", lambda v: _finite(v) and v > 0)
 
 # make_compressor's keywords, each with what a config value must be; the
@@ -154,7 +157,7 @@ _PARAMS = {name: Section(optional={key: ("a finite number", _finite)
 CELL = Section(
     optional={"mode": ('"practical" or "certified"',
                        lambda v: v in ("practical", "certified")),
-              "force_params": _BOOL, "label": _NAME},
+              "force_params": _BOOL, "label": _LABEL},
     by="algo", variants={name: Section(
         required={"compressor": COMPRESSOR} if RULES[name].classes else {},
         optional={"params": params}) for name, params in _PARAMS.items()})

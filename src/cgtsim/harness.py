@@ -2,20 +2,23 @@
 the running-minimum metric, bit ledgers and the output files.
 
 This module owns what a checked config (``config``) means: ``from_dict``
-parses each cell's spec and merges its params once, and ``resolve`` gives
-each cell, for ``run`` and ``bounds`` alike, the params it runs, its
-Lyapunov constants and its certified region, ``cell_region``, picked by its
-compressor class.  A ``"certified"`` cell runs the region's operating point
-and may give only the region's inputs (``_REGION_INPUTS``).  A
-``"practical"`` cell's params must lie in the region unless ``force_params``
-is set; a locally bounded region, which fixes s0 and mu together with eta
-and gamma, certifies none.  The exact rule asks only gamma < 1 and
-eta <= 1/L_f.  Every cell shares the network, cost instance, reference
-value and initial point.  Trace CSVs carry the columns ``CSV_HEADER``, a
-JSON sidecar the fully resolved cell.  Reruns are byte-identical only at
-one BLAS thread count: OpenBLAS rounds a large product or eigensolve that it
-splits across threads differently at another count, such as the mixing
-product and sigma at n = 1000 (README "Conventions" lists what moved).
+parses each cell's spec and merges its params once, and ``resolve`` is the
+one place a cell is resolved.  In one pass it gives each cell, for ``run``
+and ``bounds`` alike, the params it runs, its Lyapunov constants, its
+certified region and what ``run`` refuses it for.  Every certified or
+compressed cell gets a region, ``cell_region``, picked by its compressor
+class.  A ``"certified"`` cell runs the region's operating point and may
+give only the region's inputs (``_REGION_INPUTS``).  A ``"practical"``
+cell's params must lie in the region unless ``force_params`` is set; a
+locally bounded region, which fixes s0 and mu together with eta and gamma,
+certifies none.  The exact rule asks only gamma < 1 and eta <= 1/L_f.
+Every cell shares the network, cost instance, reference value and initial
+point.  Trace CSVs carry the columns ``CSV_HEADER``, a JSON sidecar the
+fully resolved cell, and the report one row per cell, the only record of
+its outcome.  Reruns are byte-identical only at one BLAS thread count:
+OpenBLAS rounds a large product or eigensolve that it splits across threads
+differently at another count, such as the mixing product and sigma at
+n = 1000 (README "Conventions" lists what moved).
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import numpy as np
 
 from . import analysis
 from .algorithms import (
-    MESSAGES_PER_AGENT,
     RULES,
     AlgorithmError,
     AlgorithmParams,
@@ -159,13 +161,11 @@ def bits_to_threshold(trace: RunTrace, threshold: float):
 def per_iteration_bits(algo: str, comp: CompressorSpec | None,
                        model: BitCostModel, net, d: int,
                        broadcast: bool = True) -> int:
-    """Payload bits transmitted network-wide in one iteration."""
-    per_vec = (d * model.bits_scalar if comp is None
-               else bit_cost(comp, model))
-    msgs = MESSAGES_PER_AGENT[algo]
-    if broadcast:
-        return net.n * msgs * per_vec
-    return int(net.out_degrees().sum()) * msgs * per_vec
+    """Payload bits transmitted network-wide in one iteration; an exact
+    rule's messages are billed as the identity compressor's."""
+    per_vec = bit_cost(comp or make_compressor("identity", d), model)
+    senders = net.n if broadcast else int(net.out_degrees().sum())
+    return senders * len(RULES[algo].messages) * per_vec
 
 
 # the params each compressor class's region reads from a cell; certified
@@ -191,17 +191,16 @@ def _region_class(rule, comp: CompressorSpec | None) -> str:
     return comp.assumption_class
 
 
-def cell_region(rule, comp: CompressorSpec | None, inputs: dict, net, suite,
-                x0, f_star):
+def cell_region(rule, cls: str, comp: CompressorSpec | None, inputs: dict,
+                net, suite, x0, f_star):
     """The certified region of one cell: ``(bounds, extras, lyap_aux)``, the
     region with its operating point, the sidecar fields it adds and the
-    weight it fixes for the rule's weighted Lyapunov term, or None.
+    weight a locally bounded region fixes for the scaled gap, or None.
 
-    The calculator follows ``_region_class`` and, in the relative class,
-    whether the rule sends error feedback.  It reads the class's
-    ``_REGION_INPUTS`` from ``inputs`` (phi_x, phi_y default 1/(2r); s0
-    ``auto_s0``; mu 0.995), and a locally bounded one ``f_star()``."""
-    cls = _region_class(rule, comp)
+    The calculator follows ``cls``, the cell's ``_region_class``, and, in
+    the relative class, whether the rule sends error feedback.  It reads the
+    class's ``_REGION_INPUTS`` from ``inputs`` (phi_x, phi_y default 1/(2r);
+    s0 ``auto_s0``; mu 0.995), and a locally bounded one ``f_star()``."""
     if not rule.classes:
         comp = make_compressor("identity", suite.d)
     lyap_aux = None
@@ -211,8 +210,6 @@ def cell_region(rule, comp: CompressorSpec | None, inputs: dict, net, suite,
               else analysis.bounds_relative)
         b = fn(net.sigma, suite.L_f, comp, inputs.get("phi_x", 0.5 / comp.r),
                inputs.get("phi_y", 0.5 / comp.r))
-        if rule.feedback:
-            lyap_aux = b.constants["phi_hat"]
     elif cls == GLOBAL_ABSOLUTE:
         b = analysis.bounds_absolute_global(
             net.sigma, suite.L_f, net.n, suite.d, comp.cap_c,
@@ -240,105 +237,79 @@ def cell_region(rule, comp: CompressorSpec | None, inputs: dict, net, suite,
     return b, extras, lyap_aux
 
 
-def resolve(cfg: ExperimentConfig, net, suite, x0, f_star,
-            all_regions: bool = False) -> list:
-    """Each cell of ``cfg`` on the instance, for ``run`` and ``bounds``
-    alike: ``(cell, params, lyap_aux, extras, region)``.  The params are the
-    merged ones (``auto_s0`` for a scaled rule's unset s0) or a certified
-    cell's operating point.  ``region`` is the certified region, or the
-    error that says why there is none, where a cell runs its operating
-    point, where its params must lie in it and, with ``all_regions``, for
-    each compressed cell; elsewhere it is None."""
-    out = []
-    for cell in cfg.cells:
-        rule, certified = RULES[cell.algo], cell.mode == "certified"
-        params, region, cert, lyap_aux = cell.merged, None, None, None
-        extras = {"lyapunov": rule.lyapunov}
-        if not certified and rule.scaled and "s0" not in cell.params:
-            params = replace(params, s0=auto_s0(x0, suite))
-        if certified or rule.classes and (all_regions or not cell.force_params):
-            try:
-                region, cert, aux = cell_region(
-                    rule, cell.spec, cell.params if certified
-                    else vars(params), net, suite, x0, f_star)
-            except (ConfigError, analysis.AnalysisError) as exc:
-                region = exc
-        if certified and cert:
-            extras.update(cert)
-            lyap_aux, c = aux, region.constants
-            params = AlgorithmParams(**{
-                k: c[k] if k in ("phi_x", "phi_y") else getattr(region, k)
-                for k in rule.params})
-        elif not certified and rule.feedback:
-            try:
-                c1, c2 = analysis.mixing_constants(
-                    params.phi_x, params.phi_y, cell.spec.r, cell.spec.psi)
-                lyap_aux = analysis.ef_weight(c1, c2, cell.spec.cap_c)
-            except analysis.AnalysisError:
-                lyap_aux = 0.0  # heuristic gains outside (0, 1/r): raw sum
-        out.append((cell, params, lyap_aux, extras, region))
-    return out
-
-
-def _refuse(cell, params, region, L_f) -> None:
-    """Raises what ``run`` refuses a resolved cell for: a certified cell
+def _refusal(cell, cls: str | None, params: AlgorithmParams, region,
+             L_f: float) -> Exception | None:
+    """What ``run`` refuses a resolved cell for, or None: a certified cell
     with no region; a practical one, unless force_params, whose region is
     missing or locally bounded, or whose params lie outside it (the eta
     limit taken at the given gamma; gamma < 1 and eta <= 1/L_f for dgt)."""
     rule, label = RULES[cell.algo], cell.resolved_label()
+    missing = isinstance(region, Exception)
     if cell.mode == "certified" or cell.force_params:
-        if isinstance(region, Exception):
-            raise region
-        return
+        return region if missing and cell.mode == "certified" else None
     if not rule.classes:
         inside = params.gamma < 1.0 and params.eta <= 1.0 / L_f
     else:
-        try:
-            if _region_class(rule, cell.spec) == LOCAL_ABSOLUTE:
-                raise ConfigError(
-                    "a locally bounded region fixes s0 and mu together with "
-                    'eta and gamma, so it certifies no given params; use '
-                    'mode "certified"')
-            if isinstance(region, Exception):
-                raise region
-        except (ConfigError, analysis.AnalysisError) as exc:
-            raise ConfigError(
-                f"cell {label}: parameters cannot be certified ({exc}); set "
-                "force_params to run anyway") from None
+        why = region if missing else None
+        if cls == LOCAL_ABSOLUTE:
+            why = ("a locally bounded region fixes s0 and mu together with "
+                   'eta and gamma, so it certifies no given params; use mode '
+                   '"certified"')
+        if why is not None:
+            return ConfigError(
+                f"cell {label}: parameters cannot be certified ({why}); set "
+                "force_params to run anyway")
         c = region.constants
         eta_max = min(analysis.eta_terms_relative(
             c["sigma"], c["L_f"], c["c1"], c["c2"], params.gamma).values())
         inside = (params.gamma < region.gamma_max and params.eta < eta_max
                   and (region.varsigma_max is None
                        or params.varsigma < region.varsigma_max))
-    if not inside:
-        raise ConfigError(
-            f"cell {label}: parameters outside the certified region; set "
-            "force_params to run anyway")
+    return None if inside else ConfigError(
+        f"cell {label}: parameters outside the certified region; set "
+        "force_params to run anyway")
 
 
-@dataclass
-class CellResult:
-    label: str
-    algo: str
-    compressor: str
-    status: str
-    iters_to_threshold: int | None
-    bits_to_threshold: int | None
-    percent_of_dgt: float | None
-    upsilon_final: float
-    csv_path: str
-
-
-@dataclass
-class ExperimentResult:
-    scenario: str
-    threshold: float
-    rows: list
-    baseline: CellResult | None
-    report_path: str
-    f_star: float
-    sigma: float
+def resolve(cfg: ExperimentConfig, net, suite, x0, f_star) -> list:
+    """Each cell of ``cfg`` on the instance, for ``run`` and ``bounds``
+    alike: ``(cell, params, lyap_aux, extras, region, refusal)``.  The
+    params are the merged ones (``auto_s0`` for a scaled rule's unset s0) or
+    a certified cell's operating point; alg2's weight is ``ef_weight`` at
+    its phis, 0 outside (0, 1/r).  Every certified or compressed cell gets a
+    ``region`` of the class picked for it, or the error that says why there
+    is none.  ``refusal`` is ``_refusal``'s; ``bounds`` ignores it."""
+    out = []
+    for cell in cfg.cells:
+        rule, certified = RULES[cell.algo], cell.mode == "certified"
+        params, cls, region, lyap_aux = cell.merged, None, None, None
+        extras = {"lyapunov": rule.lyapunov}
+        if not certified and rule.scaled and "s0" not in cell.params:
+            params = replace(params, s0=auto_s0(x0, suite))
+        if certified or rule.classes:
+            try:
+                cls = _region_class(rule, cell.spec)
+                region, cert, aux = cell_region(
+                    rule, cls, cell.spec, cell.params if certified
+                    else vars(params), net, suite, x0, f_star)
+            except (ConfigError, analysis.AnalysisError) as exc:
+                # with its traceback, its frames would keep the instance alive
+                region = exc.with_traceback(None)
+        if certified and not isinstance(region, Exception):
+            extras.update(cert)
+            lyap_aux, c = aux, region.constants
+            params = AlgorithmParams(**{
+                k: c[k] if k in ("phi_x", "phi_y") else getattr(region, k)
+                for k in rule.params})
+        if rule.feedback:
+            try:
+                lyap_aux = analysis.ef_weight(*analysis.mixing_constants(
+                    params.phi_x, params.phi_y, cell.spec.r, cell.spec.psi),
+                    cell.spec.cap_c)
+            except analysis.AnalysisError:
+                lyap_aux = 0.0  # phis outside (0, 1/r): the raw sum
+        out.append((cell, params, lyap_aux, extras, region,
+                    _refusal(cell, cls, params, region, suite.L_f)))
+    return out
 
 
 @contextmanager
@@ -385,14 +356,17 @@ def build_instance(cfg: ExperimentConfig):
     return net, suite
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Execute every cell on a shared instance and write CSVs plus a report.
+def run_experiment(cfg: ExperimentConfig) -> tuple:
+    """Execute every cell on a shared instance and write CSVs plus a report;
+    return ``(report, paths)``: the report written, whose rows are the only
+    record of the cells, and each file written, the report last.
 
     Cell failures (diverged runs) are recorded per cell; remaining cells
-    still execute.  Config problems raise ConfigError before any file is
-    written.  A report from an earlier run is removed before the first cell
-    file is written, and each file is written to a temp file and moved into
-    place, so an interrupted run leaves no report and no partial file.
+    still execute.  Config problems, a cell that ``resolve`` refuses among
+    them, raise ConfigError before any file is written.  A report from an
+    earlier run is removed before the first cell file is written, and each
+    file is written to a temp file and moved into place, so an interrupted
+    run leaves no report and no partial file.
     """
     outdir = Path(cfg.output_dir)
     # the nearest path of outdir and its parents that is there must be a
@@ -402,21 +376,30 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if not there.is_dir():
         raise ConfigError(f"output_dir {cfg.output_dir!r}: {str(there)!r} is "
                           f"not a directory")
+    # and every name a run writes, its temp files the longest, must fit
+    # there; the plot script's counts with or without --gnuplot
+    name_max = os.pathconf(there, "PC_NAME_MAX")
+    for tail in ["plot.gnuplot", *(c.resolved_label() + ".json"
+                                   for c in cfg.cells)]:
+        name = f"{cfg.scenario}__{tail}.tmp"
+        if len(os.fsencode(name)) > name_max:
+            raise ConfigError(f"file name {name!r} is longer than the "
+                              f"{name_max} bytes {str(there)!r} allows")
     net, suite = build_instance(cfg)
     ref = solve_reference(suite, tol=cfg.fstar_tol)
     x0 = initial_point(net.n, suite.d, cfg.seeds["algo"])
 
     resolved = resolve(cfg, net, suite, x0, lambda: ref.f_star)
-    for cell, params, *_, region in resolved:  # before touching the disk
-        _refuse(cell, params, region, suite.L_f)
+    for *_, refusal in resolved:  # before touching the disk
+        if refusal is not None:
+            raise refusal
     phi_w = analysis.lyapunov_weight(net.sigma, suite.L_f)
 
     outdir.mkdir(parents=True, exist_ok=True)
     report_path = outdir / f"{cfg.scenario}__report.json"
     report_path.unlink(missing_ok=True)
-    results: list[CellResult] = []
-    baseline: CellResult | None = None
-    for cell, params, lyap_aux, extras, _ in resolved:
+    rows, paths, baseline = [], [], None
+    for cell, params, lyap_aux, extras, *_ in resolved:
         label, comp = cell.resolved_label(), cell.spec
         bpi = per_iteration_bits(cell.algo, comp, cfg.bit_model, net,
                                  suite.d, cfg.broadcast)
@@ -425,17 +408,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     x_star=ref.x_star, lyap_phi=phi_w, lyap_aux=lyap_aux,
                     bits_per_iter=bpi)
         csv_path = outdir / f"{cfg.scenario}__{label}.csv"
+        json_path = csv_path.with_suffix(".json")
         write_trace_csv(trace, csv_path)
-        hit = bits_to_threshold(trace, cfg.threshold)
-        res = CellResult(
-            label=label, algo=cell.algo,
-            compressor=comp.kind if comp else "exact",
-            status=trace.status,
-            iters_to_threshold=hit[0] if hit else None,
-            bits_to_threshold=hit[1] if hit else None,
-            percent_of_dgt=None,
-            upsilon_final=float(upsilon_series(trace)[-1]),
-            csv_path=str(csv_path))
+        iters, bits = bits_to_threshold(trace, cfg.threshold) or (None, None)
+        row = {"label": label, "algo": cell.algo,
+               "compressor": comp.kind if comp else "exact",
+               "status": trace.status, "iters": iters, "bits": bits,
+               "percent": None, "unreached": bits is None,
+               "upsilon_final": float(upsilon_series(trace)[-1])}
         sidecar = {
             "scenario": cfg.scenario, "label": label, "algo": cell.algo,
             "mode": cell.mode,
@@ -447,39 +427,30 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             "status": trace.status, "failed_at": trace.failed_at,
             "diagnostics": trace.diagnostics, **extras,
         }
-        _write_json(sidecar, outdir / f"{cfg.scenario}__{label}.json")
+        _write_json(sidecar, json_path)
+        paths += [csv_path, json_path]
         if not RULES[cell.algo].classes and baseline is None:
-            baseline = res
-        results.append(res)
+            baseline = row
+        rows.append(row)
 
-    if baseline is not None and baseline.bits_to_threshold:
-        for res in results:
-            if res.bits_to_threshold is not None:
-                res.percent_of_dgt = (100.0 * res.bits_to_threshold
-                                      / baseline.bits_to_threshold)
+    if baseline is not None and baseline["bits"]:
+        for row in rows:
+            if row["bits"] is not None:
+                row["percent"] = 100.0 * row["bits"] / baseline["bits"]
 
     report = {
         "scenario": cfg.scenario,
         "threshold": cfg.threshold,
         "sigma": net.sigma,
         "f_star": ref.f_star,
-        "rows": [{
-            "label": r.label, "algo": r.algo, "compressor": r.compressor,
-            "status": r.status, "iters": r.iters_to_threshold,
-            "bits": r.bits_to_threshold, "percent": r.percent_of_dgt,
-            "unreached": r.bits_to_threshold is None,
-            "upsilon_final": r.upsilon_final,
-        } for r in results],
+        "rows": rows,
         "baseline": None if baseline is None else {
-            "label": baseline.label, "iters": baseline.iters_to_threshold,
-            "bits": baseline.bits_to_threshold, "percent": 100.0,
+            "label": baseline["label"], "iters": baseline["iters"],
+            "bits": baseline["bits"], "percent": 100.0,
         },
     }
     _write_json(report, report_path)
-    return ExperimentResult(scenario=cfg.scenario, threshold=cfg.threshold,
-                            rows=results, baseline=baseline,
-                            report_path=str(report_path), f_star=ref.f_star,
-                            sigma=net.sigma)
+    return report, paths + [report_path]
 
 
 def reference_scenario_config(mode: str = "practical", iters: int = 3000,

@@ -312,21 +312,20 @@ def test_criterion_8_scaled_induction_hypotheses(pl_instance):
 def test_criterion_9_bit_budget_ordering(tmp_path):
     doc = reference_scenario_config(mode="practical", iters=1500,
                                     output_dir=str(tmp_path / "rep"))
-    result = run_experiment(ExperimentConfig.from_dict(doc))
-    rows = {r.label: r for r in result.rows}
+    report, _ = run_experiment(ExperimentConfig.from_dict(doc))
+    rows = {r["label"]: r for r in report["rows"]}
     base = rows["dgt_exact"]
-    assert base.bits_to_threshold is not None
+    assert base["bits"] is not None
     compressed = ["alg1_norm_sign", "alg2_norm_sign",
                   "alg3_uniform_quantize", "alg3_one_bit"]
     for label in compressed:
         row = rows[label]
-        assert row.bits_to_threshold is not None, label
-        assert row.percent_of_dgt < 30.0, (label, row.percent_of_dgt)
-    bits = {label: rows[label].bits_to_threshold for label in compressed}
+        assert row["bits"] is not None, label
+        assert row["percent"] < 30.0, (label, row["percent"])
+    bits = {label: rows[label]["bits"] for label in compressed}
     assert bits["alg3_one_bit"] == min(bits.values()), bits
     # error feedback reaches the target at least as fast as the plain tracker
-    assert (rows["alg2_norm_sign"].iters_to_threshold
-            <= rows["alg1_norm_sign"].iters_to_threshold)
+    assert rows["alg2_norm_sign"]["iters"] <= rows["alg1_norm_sign"]["iters"]
     _report(9, "all compressed cells reach the 1e-3 target under 30% of "
                "the exact baseline's bits; the one-bit cell is cheapest")
 
@@ -336,10 +335,12 @@ def test_criterion_10_determinism(tmp_path):
     for sub in ("d1", "d2"):
         doc = reference_scenario_config(mode="practical", iters=600,
                                         output_dir=str(tmp_path / sub))
-        result = run_experiment(ExperimentConfig.from_dict(doc))
-        entry = {"report": file_digest(result.report_path)}
-        for row in result.rows:
-            entry[row.label] = file_digest(row.csv_path)
+        report, paths = run_experiment(ExperimentConfig.from_dict(doc))
+        # every file written, the report and each row's CSV among them
+        entry = {path.name: file_digest(path) for path in paths}
+        assert {"reference_practical__report.json"} | {
+            f"reference_practical__{row['label']}.csv"
+            for row in report["rows"]} <= set(entry)
         digests.append(entry)
     assert digests[0] == digests[1]
     _report(10, "identical configs reproduce byte-identical trace CSVs and "

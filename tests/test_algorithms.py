@@ -6,7 +6,6 @@ import pytest
 from analysis_oracles import sample_mean_descent
 from cgtsim import _kernels
 from cgtsim.algorithms import (
-    MESSAGES_PER_AGENT,
     RULES,
     AlgorithmError,
     AlgorithmParams,
@@ -594,8 +593,8 @@ def test_block_stepper_equals_twin_form_oracle_scaling_exhausted(
 def test_one_compressor_call_and_one_w_product_per_step(small_net,
                                                         small_suite,
                                                         monkeypatch):
-    # and each of them takes one block of MESSAGES_PER_AGENT[algo] message
-    # slots: the bit ledger bills what the steppers send
+    # and each of them takes one block of len(rule.messages) message slots:
+    # the bit ledger bills what the steppers send
     slots = {}
 
     def counted(name, fn):
@@ -609,12 +608,13 @@ def test_one_compressor_call_and_one_w_product_per_step(small_net,
     monkeypatch.setattr(_kernels, "_mix", counted("mix", _kernels._mix))
     p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
                         varsigma=0.3, s0=8.0, mu=0.99)
-    assert MESSAGES_PER_AGENT == {"alg1": 2, "alg2": 4, "alg3": 2, "dgt": 2}
+    assert {name: len(rule.messages) for name, rule in RULES.items()} == {
+        "alg1": 2, "alg2": 4, "alg3": 2, "dgt": 2}
     for algo, comp in _BLOCK_CASES.items():
         slots.update(compress=[], mix=[])
         tr = run(algo, 150, small_net, small_suite, p, comp, seed=9)
         assert tr.status == "ok"
-        m = MESSAGES_PER_AGENT[algo]
+        m = len(RULES[algo].messages)
         assert slots["mix"] == [m] * 150, algo
         # one call for the first messages, whose x and y halves alg2 also
         # sends as its first feedback messages, then one a step

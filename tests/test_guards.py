@@ -44,6 +44,13 @@ GUARDS = {
         "the reference solve has one descent loop (costs._descend), and "
         "--seed is the one seed override: no environment variable re-seeds "
         "a run"),
+    "second-cell-record-or-pass": (
+        r"\b(CellResult|ExperimentResult|all_regions|_refuse"
+        r"|MESSAGES_PER_AGENT)\b",
+        ("src",),
+        "harness.resolve resolves each cell in one pass, every region and "
+        "refusal included, and a cell's report row is its only record; the "
+        "bit ledger counts a rule's messages as len(rule.messages)"),
     "caught-type-error": (
         r"except \(TypeError|except TypeError",
         ("src/cgtsim/harness.py", "src/cgtsim/config.py"),

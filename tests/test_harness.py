@@ -1,12 +1,15 @@
 """Experiment orchestration: metric, bit ledger, reports, CLI contract."""
 
 import dataclasses
+import gc
 import inspect
 import json
 import math
+import os
+import re
 import shutil
+import weakref
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,14 +167,16 @@ def test_experiment_shares_initial_state(tmp_path, tiny_cfg_doc):
     doc = dict(tiny_cfg_doc)
     doc["output_dir"] = str(tmp_path / "a")
     cfg = ExperimentConfig.from_dict(doc)
-    res = run_experiment(cfg)
+    report, paths = run_experiment(cfg)
+    csvs = [path for path in paths if path.suffix == ".csv"]
+    assert len(csvs) == len(report["rows"])
     first_rows = set()
-    for row in res.rows:
-        data = read_trace_csv(row.csv_path)
+    for path in csvs:
+        data = read_trace_csv(path)
         first_rows.add((data["consensus_err"][0], data["opt_gap"][0],
                         data["stationarity"][0]))
     assert len(first_rows) == 1  # same x0 in every cell
-    assert res.baseline is not None
+    assert report["baseline"] is not None
 
 
 def test_experiment_rerun_is_byte_identical(tmp_path, tiny_cfg_doc):
@@ -179,10 +184,12 @@ def test_experiment_rerun_is_byte_identical(tmp_path, tiny_cfg_doc):
     for sub in ("r1", "r2"):
         doc = dict(tiny_cfg_doc)
         doc["output_dir"] = str(tmp_path / sub)
-        res = run_experiment(ExperimentConfig.from_dict(doc))
-        digest = [file_digest(res.report_path)]
-        digest += [file_digest(r.csv_path) for r in res.rows]
-        hashes.append(digest)
+        report, paths = run_experiment(ExperimentConfig.from_dict(doc))
+        # the report and each row's CSV, with the sidecars between them
+        assert paths[-1].name == "tiny__report.json"
+        assert sum(path.suffix == ".csv" for path in paths) == len(
+            report["rows"])
+        hashes.append([file_digest(path) for path in paths])
     assert hashes[0] == hashes[1]
 
 
@@ -191,7 +198,7 @@ def test_interrupted_rerun_leaves_no_report(tmp_path, tiny_cfg_doc,
     # a rerun into the same directory that fails at its second cell must not
     # leave the first run's report beside its outputs, nor a temp file
     doc = dict(tiny_cfg_doc, output_dir=str(tmp_path / "o"))
-    report = Path(run_experiment(ExperimentConfig.from_dict(doc)).report_path)
+    report = run_experiment(ExperimentConfig.from_dict(doc))[1][-1]
     before = {p.name: p.read_bytes() for p in (tmp_path / "o").iterdir()}
     calls = {"n": 0}
     real_run = harness.run
@@ -214,8 +221,10 @@ def test_interrupted_rerun_leaves_no_report(tmp_path, tiny_cfg_doc,
 def test_report_contents(tmp_path, tiny_cfg_doc):
     doc = dict(tiny_cfg_doc)
     doc["output_dir"] = str(tmp_path / "rep")
-    res = run_experiment(ExperimentConfig.from_dict(doc))
-    report = json.loads(Path(res.report_path).read_text(encoding="utf-8"))
+    returned, paths = run_experiment(ExperimentConfig.from_dict(doc))
+    report = json.loads(paths[-1].read_text(encoding="utf-8"))
+    # the returned report is the one written
+    assert report == json.loads(json.dumps(returned))
     assert report["scenario"] == "tiny"
     labels = {r["label"]: r for r in report["rows"]}
     dgt = labels["dgt_exact"]
@@ -279,9 +288,9 @@ def test_single_run_config_form(tmp_path):
         "params": {"eta": 0.3, "gamma": 0.3, "phi_x": 0.3, "phi_y": 0.1},
         "force_params": True,
     }
-    res = run_experiment(ExperimentConfig.from_dict(doc))
-    assert len(res.rows) == 1
-    assert res.rows[0].status == "ok"
+    report, _ = run_experiment(ExperimentConfig.from_dict(doc))
+    assert len(report["rows"]) == 1
+    assert report["rows"][0]["status"] == "ok"
 
 
 def test_failed_cell_recorded_others_continue(tmp_path):
@@ -300,8 +309,8 @@ def test_failed_cell_recorded_others_continue(tmp_path):
             {"algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}},
         ],
     }
-    res = run_experiment(ExperimentConfig.from_dict(doc))
-    statuses = {r.label: r.status for r in res.rows}
+    report, _ = run_experiment(ExperimentConfig.from_dict(doc))
+    statuses = {r["label"]: r["status"] for r in report["rows"]}
     assert statuses["alg1_norm_sign"] == "nonfinite_state"
     assert statuses["dgt_exact"] == "ok"
     # the sidecar names the row the cell's CSV ends at, or null when ok
@@ -591,6 +600,106 @@ def test_cli_output_dir_in_a_file_exits_2_before_set_up(tmp_path, monkeypatch,
     assert afile.read_text() == "keep\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "afile", "cfg.json", "link"]
+
+
+# the longest names a run writes are <scenario>__plot.gnuplot.tmp and
+# <scenario>__<label>.json.tmp; at the directory's limit a run writes them,
+# one byte past it the config exits 2 before set-up
+@pytest.mark.parametrize("part", ["scenario", "label"])
+@pytest.mark.parametrize("over", [0, 1], ids=["at-limit", "past-limit"])
+def test_cli_file_names_fit_the_output_directory(tmp_path, monkeypatch, part,
+                                                 over):
+    name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+    if part == "scenario":
+        scenario = "s" * (name_max - len("__plot.gnuplot.tmp") + over)
+        label = "dgt"
+    else:
+        scenario = "s"
+        label = "c" * (name_max - len("s__.json.tmp") + over)
+    out = tmp_path / "o"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "scenario": scenario, "iters": 5,
+        "network": {"n": 5, "edge_density": 0.7},
+        "cost": {"kind": "quadratic_pl", "d": 4},
+        "seeds": {"graph": 4, "cost": 5, "algo": 6},
+        "output_dir": str(out), "label": label,
+        "algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}}))
+    if over:
+        monkeypatch.setattr(harness, "build_instance", _no_set_up)
+        assert cli.main(["run", str(cfg_path), "--gnuplot"]) == 2
+        assert not out.exists()
+    else:
+        assert cli.main(["run", str(cfg_path), "--gnuplot"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            f"{scenario}__{name}" for name in (
+                f"{label}.csv", f"{label}.json", "report.json",
+                "plot.gnuplot"))
+
+
+# run and replicate-section5 print one line per report row: its label,
+# status, and k, bits and percent when it reached the threshold, all as the
+# report JSON has them; they exit 1 exactly when some row is not ok
+@pytest.mark.parametrize("fail", [False, True], ids=["ok", "one-failed"])
+@pytest.mark.parametrize("command", ["run", "replicate-section5"])
+def test_cli_prints_each_report_row(tmp_path, monkeypatch, capsys, command,
+                                    fail):
+    out = tmp_path / "o"
+    if fail:  # the last cell's run ends non-finite
+        real_run = harness.run
+
+        def failing_run(*args, **kwargs):
+            calls.append(args[0])
+            trace = real_run(*args, **kwargs)
+            if len(calls) == cells:
+                trace = dataclasses.replace(trace, status="nonfinite_state",
+                                            failed_at=len(trace) - 1)
+            return trace
+
+        calls = []
+        monkeypatch.setattr(harness, "run", failing_run)
+    if command == "run":
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "scenario": "pr", "iters": 300, "threshold": 1e-2,
+            "network": {"n": 5, "edge_density": 0.7},
+            "cost": {"kind": "quadratic_pl", "d": 4},
+            "seeds": {"graph": 4, "cost": 5, "algo": 6},
+            "output_dir": str(out), "cells": [
+                {"algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}},
+                {"algo": "alg1", **_NORM_SIGN, "force_params": True,
+                 "params": {"eta": 0.3, "gamma": 0.3, "phi_x": 0.3,
+                            "phi_y": 0.1}},
+                {"algo": "alg3", "compressor": {"kind": "one_bit"},
+                 "force_params": True, "params": {"eta": 0.01,
+                                                  "gamma": 0.3}}]}))
+        argv, scenario, cells = ["run", str(cfg_path)], "pr", 3
+    else:
+        argv = ["replicate-section5", "--iters", "500", "--out", str(out)]
+        scenario, cells = "reference_practical", 5
+    rc = cli.main(argv)
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  ")]  # the row lines
+    rows = json.loads((out / f"{scenario}__report.json").read_text())["rows"]
+    assert len(lines) == len(rows) == cells
+    for line, row in zip(lines, rows):
+        label, status, *rest = line.split()
+        assert (label, status) == (row["label"], row["status"])
+        reach = re.fullmatch(r"k= *(\d+) bits=(\d+)(?: \(([\d.]+)% of "
+                             r"baseline\))?", " ".join(rest))
+        if row["bits"] is None:
+            assert rest == ["unreached"], line
+        else:
+            assert reach, line
+            assert (int(reach[1]), int(reach[2])) == (row["iters"],
+                                                      row["bits"])
+            assert (reach[3] is None) == (row["percent"] is None), line
+            if row["percent"] is not None:
+                assert float(reach[3]) == round(row["percent"], 2)
+    assert ({row["status"] for row in rows} != {"ok"}) == fail
+    assert rc == (1 if fail else 0)
+    if command == "run":  # a row that reached the threshold, and one not
+        assert {row["bits"] is None for row in rows} == {False, True}
 
 
 def test_cli_replicate_section5_both_modes_end_to_end(tmp_path):
@@ -893,6 +1002,8 @@ _GOOD_CELLS = [{"algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}},
     {"cells": [dict(_GOOD_CELLS[0], label="x/y")]},
     {"cells": [dict(_GOOD_CELLS[0], label=5)]},
     {"cells": [dict(_GOOD_CELLS[0], label=".")]},
+    # <scenario>__report.json is the report's, not a sidecar's
+    {"cells": [dict(_GOOD_CELLS[0], label="report")]},
     {"cells": [dict(_GOOD_CELLS[0], label="")]},
     {"cells": [dict(_GOOD_CELLS[0], label=0)]},
     {"output_dir": 5},
@@ -979,12 +1090,12 @@ def test_cli_negative_seed_is_an_error_on_seed(tmp_path, monkeypatch, capsys,
         assert "argument --seed" in err and "seeds" not in err, err
 
 
-@pytest.mark.parametrize("command, regions", [("run", 3), ("bounds", 7)])
+@pytest.mark.parametrize("command", ["run", "bounds"])
 def test_run_and_bounds_parse_each_spec_once(tmp_path, monkeypatch, capsys,
-                                             command, regions):
-    # each cell is resolved once, by harness.resolve; a forced practical
-    # cell's region is computed for bounds, never for run
-    calls = {"spec_from_config": 0, "cell_region": 0}
+                                             command):
+    # each cell is resolved once, by harness.resolve, and every certified or
+    # compressed cell gets its region, for run and bounds alike
+    calls = {"spec_from_config": 0, "cell_region": 0, "_region_class": 0}
     for module in (harness, cli):
         for name in calls:
             if hasattr(module, name):
@@ -997,8 +1108,42 @@ def test_run_and_bounds_parse_each_spec_once(tmp_path, monkeypatch, capsys,
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     assert cli.main([command, str(cfg_path)]) == 0
-    assert calls == {"spec_from_config": 7, "cell_region": regions}
+    # _region_class once a cell in resolve, and once a certified cell (3)
+    # when the config is parsed
+    assert calls == {"spec_from_config": 7, "cell_region": 7,
+                     "_region_class": 10}
     assert not {"cell_region", "practical_point"} & set(vars(cli))
+
+
+def test_region_errors_keep_no_instance_alive(tmp_path, monkeypatch):
+    # every compressed cell's region is resolved, so forced cells keep the
+    # error that says why they have none; kept with its traceback, its
+    # frames would hold the network and cost suite in a reference cycle
+    # that outlives the run until the cyclic collector runs
+    made = []
+    real = harness.build_instance
+
+    def recorded(cfg):
+        net, suite = real(cfg)
+        made.extend([weakref.ref(net), weakref.ref(suite)])
+        return net, suite
+
+    monkeypatch.setattr(harness, "build_instance", recorded)
+    # phi_x above 1/r, and a compressor of a class alg1 is not certified for
+    cells = [{"algo": "alg1", **_NORM_SIGN, "force_params": True,
+              "params": {"eta": 0.1, "gamma": 0.3, "phi_x": 0.9}},
+             {"algo": "alg1", "compressor": {"kind": "uniform_quantize"},
+              "force_params": True, "params": {"eta": 0.1, "gamma": 0.3}}]
+    cfg = ExperimentConfig.from_dict(_quad_doc(tmp_path / "o", cells))
+    gc.collect()
+    gc.disable()
+    try:
+        report, _ = run_experiment(cfg)
+        assert len(made) == 2
+        assert [ref() for ref in made] == [None, None]
+    finally:
+        gc.enable()
+    assert [row["status"] for row in report["rows"]] == ["ok", "ok"]
 
 
 def test_program_bug_in_config_parsing_propagates(tmp_path, monkeypatch):
@@ -1128,9 +1273,9 @@ def _boundary_cells(side):
 
 def test_practical_points_just_inside_every_kept_region_run(tmp_path):
     cells = [cell for _, cell in _boundary_cells("in")]
-    res = run_experiment(ExperimentConfig.from_dict(
+    report, _ = run_experiment(ExperimentConfig.from_dict(
         _quad_doc(tmp_path / "o", cells)))
-    assert len(res.rows) == len(cells) == 7
+    assert len(report["rows"]) == len(cells) == 7
 
 
 @pytest.mark.parametrize("label", [lab for lab, _ in _boundary_cells("out")])
