@@ -1,6 +1,7 @@
 """Iteration kernels: the compressor kernel, one step function per update
-rule, and the driver and block recorder that build and record every run from
-its rule's description (``algorithms.RULES``) without branching on its name.
+rule and the block recorder.  ``algorithms.run``, the one driver, builds and
+records every run with them from its rule's description
+(``algorithms.RULES``), and none of them branches on the rule's name.
 
 Compressor randomness comes from a counter-based splitmix64 stream: the draws
 of one message depend only on (seed, iteration, agent, slot).  Runs are
@@ -24,10 +25,11 @@ solve): one batched matrix-vector product a step and one d x d product a row;
 ``costs`` states the memory and the crossover below about d/3 factor rows.
 
 State blocks.  Each x/y twin of the update rules is one contiguous (2, n, d)
-block, x in slot 0 and y in slot 1: X|Y, then the twins the rule describes:
-A|C, B|D, Ex|Ey (alg1/alg2), Xhat|Yhat, V|Z (alg3).  All messages of one
-step form one (m, n, d) block along a slot axis, one slot per message the
-rule names: Qx, Qy (m = 2), then alg2's error-feedback Qhx, Qhy (m = 4).
+block, x in slot 0 and y in slot 1.  A run's state list is X|Y, G, the twins
+the rule describes (A|C, B|D, and alg2's Ex|Ey; Xhat|Yhat, V|Z for alg3),
+then a compressed rule's message block: all messages of one step as one
+(m, n, d) block along a slot axis, one slot per message the rule names:
+Qx, Qy (m = 2), then alg2's error-feedback Qhx, Qhy (m = 4).
 A step makes one compressor-kernel call over that block, one
 ``np.matmul(W, Q)``, one update per twin and the one tracking tail
 (``_track``), written in place into the run's blocks.  The stacked matmul
@@ -44,14 +46,14 @@ accumulator identity or induction ratio.  Its batched products make the same
 BLAS call per row and half, and its reductions sum in the same order, as
 recording each half row by row, so the result is bitwise equal to per-step
 recording.  B = clamp(1 MiB // bytes per recorded row, 1, 64) follows from
-n*d and the number of (n, d) arrays a row records: X|Y, G and the twins the
-rule records, so 3 for dgt, 7 for alg1 and alg3 and 9 for alg2, whose Ex|Ey
-enter its Lyapunov function.  At n=20, d=50 that is 43, 18 and 14; B is 1
-once a row passes 512 KiB (n*d above about 22000 for dgt and 9400 for
-alg1/alg3).  At B = 1 rows are recorded straight from the state blocks,
-before the next step overwrites them.  A non-finite row ends the run at that
-row, at the flush that finds it: the steps already taken past it inside the
-block enter neither the trace nor the maxima, and no step is taken twice.
+n*d and the number of (n, d) arrays a row records: X|Y, G and every twin,
+so 3 for dgt, 7 for alg1 and alg3 and 9 for alg2.  At n=20, d=50 that is
+43, 18 and 14; B is 1 once a row passes 512 KiB (n*d above about 22000 for
+dgt and 9400 for alg1/alg3).  At B = 1 rows are recorded straight from the
+state blocks, before the next step overwrites them.  A non-finite row ends
+the run at that row, at the flush that finds it: the steps already taken
+past it inside the block enter neither the trace nor the maxima, and no
+step is taken twice.
 
 Shared conventions:
 
@@ -252,11 +254,11 @@ def _raise_twin(diag, name, vals):
 class _BlockRecorder:
     """Trace rows and invariant maxima of one run of ``rule``, B rows at once.
 
-    Row k is the run state before step k as a list of blocks: X|Y, G and the
-    first ``rule.recorded`` twins.  ``row`` is the first such list; it fixes
-    the block shapes.  Twin 0 of a compressed rule is its reference (A|C,
-    Xhat|Yhat) and twin 1 the accumulator meant to equal (I - W) times it
-    (B|D, V|Z); alg2's Ex|Ey is twin 2.  The Lyapunov column is
+    Row k is the run state before step k as a list of blocks: X|Y, G and
+    the rule's twins, not its messages.  ``row`` is the first such list; it
+    fixes the block shapes.  Twin 0 of a compressed rule is its reference
+    (A|C, Xhat|Yhat) and twin 1 the accumulator meant to equal (I - W) times
+    it (B|D, V|Z); alg2's Ex|Ey is twin 2.  The Lyapunov column is
     c + phi_w t plus the rule's terms: the gap weighted by ``aux`` under
     "consensus" (1.0 gives the consensus function, the scaled one else),
     the compression errors and the gap under "full", and those and ``aux``
@@ -285,23 +287,6 @@ class _BlockRecorder:
                     if self.B > 1 else None)
         self.rows = self.prev_x = None
         self.k0 = self.fill = 0
-
-    def run(self, st, step, last, end_status):
-        """Record rows 0..last of the state list ``st``, calling
-        ``step(k, st)`` between rows k and k+1.  Returns (status, k_done).
-        The flush that finds a non-finite row ends the run at that row."""
-        for k in range(last + 1):
-            self.push(st)
-            if self.fill == self.B or k == last:
-                # overflow in a diverging row is expected: flush finds
-                # non-finite rows itself and reports them as the status
-                with np.errstate(all="ignore"):
-                    bad = self.flush()
-                if bad is not None:
-                    return "nonfinite_state", bad
-            if k < last:
-                step(k, st)
-        return end_status, last
 
     def push(self, st):
         self.fill += 1
@@ -382,7 +367,7 @@ class _BlockRecorder:
 
 # Step functions: ``rule.step(rule, st, W, p, cost, comp, seed, s_arr)``
 # returns the rule's ``step(k, st)``, which takes the run's state list ``st``
-# (X|Y, G, the rule's twins, then its message block) from row k to row k+1.
+# (X|Y, G, the rule's twins, then its messages, ``st[-1]``) from row k to k+1.
 # It updates the state blocks in place and ends in ``_track``, which takes
 # gradients from ``cost`` (a ``costs.RunCosts``).  Its scratch is ``tmp``,
 # one (2, n, d) block, and ``buf``, one slot per message: ``buf`` takes
@@ -410,8 +395,9 @@ def _alg1_step(rule, st, W, p, cost, comp, seed, s_arr):
     use_ef = rule.feedback
     phi = np.array([p.phi_x, p.phi_y])[:, None, None]
 
-    def step(k, st, tmp=np.empty((2, n, d)), buf=np.empty_like(st[5])):
-        XY, _, AC, BD, E, Q = st
+    def step(k, st, tmp=np.empty((2, n, d)), buf=np.empty_like(st[-1])):
+        XY, AC, BD, Q = st[0], st[2], st[3], st[-1]
+        E = st[4] if use_ef else None  # alg2's Ex|Ey
         mixQ = _mix(W, Q, buf)
         Qs, mixQs = (Q[2:], mixQ[2:]) if use_ef else (Q, mixQ)
         np.add(BD, Qs, out=tmp)  # the consensus terms, from the old B|D
@@ -432,7 +418,7 @@ def _alg1_step(rule, st, W, p, cost, comp, seed, s_arr):
             h = np.multiply(varsigma, E, out=buf[2:])
             h += XY
             h -= AC
-        st[5] = _compress_block_np(comp, buf, seed, k + 1, 0)
+        st[-1] = _compress_block_np(comp, buf, seed, k + 1, 0)
 
     return step
 
@@ -453,7 +439,7 @@ def _alg3_step(rule, st, W, p, cost, comp, seed, s_arr):
         _track(st, tmp, buf[0], eta, cost)
         cin = np.subtract(XY, Hat, out=tmp)  # the next messages' inputs
         cin /= s_arr[k + 1]
-        st[4] = _compress_block_np(comp, cin, seed, k + 1, 0)
+        st[-1] = _compress_block_np(comp, cin, seed, k + 1, 0)
 
     return step
 
@@ -469,35 +455,3 @@ def _dgt_step(rule, st, W, p, cost, comp, seed, s_arr):
         _track(st, tmp, ey, eta, cost)
 
     return step
-
-
-def run_rule(rule, X0, W, p, comp, seed, cost, iters, phi_w, aux,
-             s_arr=None):
-    """Run ``rule`` (an ``algorithms.Rule``) for ``iters`` steps from X0.
-
-    X|Y starts at X0 and its gradients and every twin at zero.  A
-    compressed rule's first messages compress X|Y, divided by s(0) for a
-    scaled rule; alg2's first error-feedback messages are its first
-    messages.  A scaled rule stops before the first step whose next scale
-    underflows.  Returns (status, k_done, recorder): the recorder holds the
-    trace columns of rows 0..k_done and the invariant maxima.  No state
-    block is returned.
-    """
-    n, d = X0.shape
-    G = cost.grad(X0)
-    XY = np.stack([X0, G])
-    st = [XY, G, *(np.zeros((2, n, d)) for _ in rule.twins)]
-    if rule.classes:
-        Q = _compress_block_np(comp, XY / s_arr[0] if rule.scaled else XY,
-                               seed, 0, 0)
-        st.append(np.concatenate([Q, Q]) if rule.feedback else Q)
-    step = rule.step(rule, st, W, p, cost, comp, seed, s_arr)
-    last, end_status = iters, "ok"
-    if rule.scaled:
-        below = np.flatnonzero(s_arr[1:] < _SCALE_FLOOR)
-        if below.size:
-            last, end_status = int(below[0]), "scaling_exhausted"
-    rec = _BlockRecorder(rule, st[:2 + rule.recorded], cost, W, p.eta,
-                         phi_w, aux, iters, s_arr)
-    status, k_done = rec.run(st, step, last, end_status)
-    return status, k_done, rec

@@ -69,17 +69,16 @@ class AlgorithmParams:
 
 @dataclass(frozen=True)
 class Rule:
-    """One update rule, described once: ``_kernels.run_rule`` builds its runs
-    around ``step`` (its step function in ``_kernels``), the block recorder
-    reads its Lyapunov terms and invariants, and the bit ledger bills one
-    message per slot."""
+    """One update rule, described once: ``run`` drives ``step`` (its step
+    function in ``_kernels``) over X|Y, G, ``twins`` and, if it compresses,
+    its message block; the block recorder reads its Lyapunov terms and
+    invariants, and the bit ledger bills one message per slot."""
 
     name: str
     step: Callable
     classes: tuple      # compressor classes it is certified for; () if exact
     messages: tuple     # the name of the message sent in each slot
-    twins: tuple        # (2, n, d) blocks after X|Y, zero at the start
-    recorded: int       # how many of the twins a trace row reads
+    twins: tuple        # (2, n, d) blocks after X|Y and G, zero at first
     lyapunov: str       # "full", "ef" or "consensus" (sidecar names)
     aux: float | None   # weight of its weighted Lyapunov term: the
                         # default, and fixed for an exact rule
@@ -95,24 +94,25 @@ class Rule:
         return self.lyapunov == "ef"
 
 
-_RELATIVE_TWINS = (("a", "c"), ("b", "dd"), ("ex", "ey"))
+_RELATIVE_TWINS = (("a", "c"), ("b", "dd"))
 _STRUCT = DIAG_NAMES[:4]
 
 RULES = {rule.name: rule for rule in (
     Rule("alg1", kern._alg1_step, ("relative",), ("qx", "qy"),
-         _RELATIVE_TWINS, 2, "full", None, _STRUCT,
+         _RELATIVE_TWINS, "full", None, _STRUCT,
          ("eta", "gamma", "phi_x", "phi_y"),
          AlgorithmParams(eta=0.8, gamma=0.3, phi_x=0.3, phi_y=0.1)),
     Rule("alg2", kern._alg1_step, ("relative",),
-         ("qx", "qy", "qhx", "qhy"), _RELATIVE_TWINS, 3, "ef", 0.0, _STRUCT,
+         ("qx", "qy", "qhx", "qhy"), _RELATIVE_TWINS + (("ex", "ey"),),
+         "ef", 0.0, _STRUCT,
          ("eta", "gamma", "phi_x", "phi_y", "varsigma"),
          AlgorithmParams(eta=0.8, gamma=0.3, phi_x=0.3, phi_y=0.1,
                          varsigma=0.3)),
     Rule("alg3", kern._alg3_step, ("global_absolute", "local_absolute"),
-         ("qx", "qy"), (("xhat", "yhat"), ("v", "z")), 2, "consensus", 1.0,
+         ("qx", "qy"), (("xhat", "yhat"), ("v", "z")), "consensus", 1.0,
          DIAG_NAMES, ("eta", "gamma", "s0", "mu"),
          AlgorithmParams(eta=0.4, gamma=0.6), scaled=True),
-    Rule("dgt", kern._dgt_step, (), ("x", "y"), (), 0, "consensus", 1.0,
+    Rule("dgt", kern._dgt_step, (), ("x", "y"), (), "consensus", 1.0,
          DIAG_NAMES[:2], ("eta", "gamma"), AlgorithmParams(eta=0.8, gamma=0.3)),
 )}
 
@@ -156,9 +156,10 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
         lyap_aux: float | None = None, bits_per_iter: int = 0) -> RunTrace:
     """Execute one synchronous run and return its dense trace.
 
-    The run is built from the rule's description (``RULES[algo]``) by
-    ``_kernels.run_rule``, which records the trace in blocks of rows and
-    returns no state.
+    The state list is X|Y, G, the rule's twins (zero at first) and, if it
+    compresses, its first messages: X|Y compressed, over s(0) if scaled,
+    and twice for alg2.  The block recorder records the trace, B rows at a
+    time, and no state is returned.
     ``seed`` feeds only the compressor randomness: agent i's message in slot
     s at iteration k is row i of ``compress(comp, inputs, seed=seed, k=k,
     slot=s)``.  ``comp`` is ignored by a rule that sends exact messages.
@@ -201,14 +202,42 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
     if x0.shape != (n, d):
         raise AlgorithmError(f"x0 must have shape {(n, d)}")
 
-    s_vals = (scaling_sequence(params.s0, params.mu, iters) if rule.scaled
-              else None)
-    status, k_done, rec = kern.run_rule(
-        rule, x0, np.ascontiguousarray(net.W, dtype=np.float64), params,
-        comp if rule.classes else None, np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-        RunCosts(suite, x_star, f_star), iters, lyap_phi, lyap_aux, s_vals)
+    s_arr = (scaling_sequence(params.s0, params.mu, iters) if rule.scaled
+             else None)
+    W = np.ascontiguousarray(net.W, dtype=np.float64)
+    useed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    cost = RunCosts(suite, x_star, f_star)
+    G = cost.grad(x0)
+    XY = np.stack([x0, G])
+    st = [XY, G, *(np.zeros((2, n, d)) for _ in rule.twins)]
+    if rule.classes:
+        Q = kern._compress_block_np(
+            comp, XY / s_arr[0] if rule.scaled else XY, useed, 0, 0)
+        st.append(np.concatenate([Q, Q]) if rule.feedback else Q)
+    step = rule.step(rule, st, W, params, cost, comp, useed, s_arr)
+    # a scaled rule stops before the first step whose next scale underflows
+    last, status = iters, "ok"
+    if rule.scaled:
+        below = np.flatnonzero(s_arr[1:] < kern._SCALE_FLOOR)
+        if below.size:
+            last, status = int(below[0]), "scaling_exhausted"
+    # looked up at call time, so a test can swap the recorder
+    rec = kern._BlockRecorder(rule, st[:2 + len(rule.twins)], cost, W,
+                              params.eta, lyap_phi, lyap_aux, iters, s_arr)
+    for k in range(last + 1):
+        rec.push(st)
+        if rec.fill == rec.B or k == last:
+            # overflow in a diverging row is expected: the flush that finds
+            # a non-finite row ends the run at that row
+            with np.errstate(all="ignore"):
+                bad = rec.flush()
+            if bad is not None:
+                status, last = "nonfinite_state", bad
+                break
+        if k < last:
+            step(k, st)
 
-    rows = k_done + 1
+    rows = last + 1
     ks = np.arange(rows, dtype=np.int64)
     cons, gap, stat, lyap = (col[:rows].copy() for col in rec.cols)
     return RunTrace(
@@ -220,7 +249,7 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
         lyapunov=lyap,
         bits=ks * int(bits_per_iter),
         status=status,
-        failed_at=None if status == "ok" else k_done,
+        failed_at=None if status == "ok" else last,
         diagnostics={name: float(v) for name, v in rec.diag.items()},
     )
 

@@ -105,7 +105,10 @@ def check_config(value, section: Section, path: str):
 _BOOL = ("a bool", lambda v: isinstance(v, bool))
 _INT = ("an int", _is_int)
 _POSITIVE_INT = ("a positive int", lambda v: _is_int(v) and v >= 1)
-_NAME = ("a non-empty string with no '/' that is not '.' or '..'", _is_name)
+# every file is <scenario>__<tail>, whose first "__" then ends the scenario
+_SCENARIO = ("a non-empty string with no '/' or '__' that is not '.' or '..' "
+             "and does not end in '_'",
+             lambda v: _is_name(v) and "__" not in v and not v.endswith("_"))
 # <scenario>__report.json is the report's, so no cell's sidecar may take it
 _LABEL = ("a non-empty string with no '/' that is not '.', '..' or 'report'",
           lambda v: _is_name(v) and v != "report")
@@ -167,7 +170,7 @@ CELL = Section(
 # generate_suite, make_compressor or the rule's practical params
 DOCUMENT = Section(
     required={
-        "scenario": _NAME,
+        "scenario": _SCENARIO,
         "iters": _POSITIVE_INT,
         "network": Section(required={"n": _INT}, by="topology",
                            by_default="random", variants={

@@ -145,17 +145,16 @@ def upsilon_series(trace: RunTrace) -> np.ndarray:
     return np.minimum.accumulate(trace.consensus_err + trace.opt_gap)
 
 
-def bits_to_threshold(trace: RunTrace, threshold: float):
-    """(iterations, cumulative bits) at the first running-minimum crossing;
-    None when the trace never reaches the threshold."""
+def bits_to_threshold(ups: np.ndarray, bits: np.ndarray, threshold: float):
+    """(iterations, cumulative ``bits``) where a trace's running minimum
+    ``ups`` first reaches the threshold; None when it never does."""
     if threshold <= 0:
         raise ConfigError("threshold must be positive")
-    ups = upsilon_series(trace)
     hit = np.nonzero(ups <= threshold)[0]
     if len(hit) == 0:
         return None
     k = int(hit[0])
-    return k, int(trace.bits[k])
+    return k, int(bits[k])
 
 
 def per_iteration_bits(algo: str, comp: CompressorSpec | None,
@@ -410,12 +409,14 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
         csv_path = outdir / f"{cfg.scenario}__{label}.csv"
         json_path = csv_path.with_suffix(".json")
         write_trace_csv(trace, csv_path)
-        iters, bits = bits_to_threshold(trace, cfg.threshold) or (None, None)
+        ups = upsilon_series(trace)
+        iters, bits = (bits_to_threshold(ups, trace.bits, cfg.threshold)
+                       or (None, None))
         row = {"label": label, "algo": cell.algo,
                "compressor": comp.kind if comp else "exact",
                "status": trace.status, "iters": iters, "bits": bits,
                "percent": None, "unreached": bits is None,
-               "upsilon_final": float(upsilon_series(trace)[-1])}
+               "upsilon_final": float(ups[-1])}
         sidecar = {
             "scenario": cfg.scenario, "label": label, "algo": cell.algo,
             "mode": cell.mode,

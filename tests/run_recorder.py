@@ -57,12 +57,16 @@ def _stacked(rule, st) -> StackedState:
 class RecordedTrace(RunTrace):
     """A RunTrace with the run's x and y at rows 0..k_done and its final
     state, one distinct array per field; ``live_state`` holds the run's own
-    arrays, past row k_done if a block ran on after a non-finite row."""
+    arrays, past row k_done if a block ran on after a non-finite row.
+    ``state_rows`` are the copies of the state lists of rows 0..k_done, and
+    ``state_list`` is the run's own list."""
 
     x_hist: np.ndarray = None
     y_hist: np.ndarray = None
     final_state: StackedState = None
     live_state: StackedState = None
+    state_rows: list = None
+    state_list: list = None
 
 
 class _StateRecorder(_kernels._BlockRecorder):
@@ -97,4 +101,5 @@ def run_recorded(*args, **kwargs) -> RecordedTrace:
     xy = np.array([st[0] for st in rows])
     return RecordedTrace(**vars(tr), x_hist=xy[:, 0], y_hist=xy[:, 1],
                          final_state=_stacked(rule, rows[-1]),
-                         live_state=_stacked(rule, rec.st))
+                         live_state=_stacked(rule, rec.st),
+                         state_rows=rows, state_list=rec.st)

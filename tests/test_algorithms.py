@@ -445,8 +445,8 @@ def test_block_recording_equals_per_row(small_net, small_suite, monkeypatch,
 
 def test_final_state_fields_are_distinct_arrays(small_net, small_suite):
     # the steppers' own arrays, the list the recorder is handed, not the
-    # recorder's copies; accumulators that start at zero and never move
-    # (alg1's ex, ey) must not share one zero array
+    # recorder's copies; twins that all start at zero must not share one
+    # zero array
     p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
                         varsigma=0.3, s0=8.0, mu=0.99)
     x0 = initial_point(6, 8, 3)
@@ -461,6 +461,42 @@ def test_final_state_fields_are_distinct_arrays(small_net, small_suite):
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b), algo
+
+
+@pytest.mark.parametrize("algo", sorted(_BLOCK_CASES))
+def test_state_list_is_what_the_rule_describes(small_net, small_suite, algo):
+    # X|Y, G, the rule's twins, then a compressed rule's one message block
+    rule, n, d = RULES[algo], small_net.n, small_suite.d
+    p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
+                        varsigma=0.3, s0=8.0, mu=0.99)
+    tr = run_recorded(algo, 5, small_net, small_suite, p, _BLOCK_CASES[algo],
+                      seed=3)
+    assert tr.status == "ok"
+    want = [(2, n, d), (n, d)] + [(2, n, d)] * len(rule.twins)
+    if rule.classes:
+        want.append((len(rule.messages), n, d))
+    for st in (*tr.state_rows, tr.state_list):
+        assert [a.shape for a in st] == want, algo
+    assert _bits(tr.state_list[0][0]) == _bits(tr.x_hist[-1])
+    assert _bits(tr.state_list[0][1]) == _bits(tr.y_hist[-1])
+
+
+@pytest.mark.parametrize("algo", sorted(_BLOCK_CASES))
+def test_every_twin_a_rule_carries_changes(small_net, small_suite, algo):
+    # each half of each twin block moves within 5 steps: a rule carries no
+    # block that its steps never update.  alg3's scale starts small, or its
+    # quantizer (delta 2) would send only zeros
+    rule = RULES[algo]
+    p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
+                        varsigma=0.3, s0=0.1, mu=0.99)
+    tr = run_recorded(algo, 5, small_net, small_suite, p, _BLOCK_CASES[algo],
+                      seed=3)
+    first, last = tr.state_rows[0], tr.state_rows[-1]
+    assert len(tr.state_rows) == 6
+    for i, twin in enumerate(rule.twins, 2):
+        for half, name in enumerate(twin):
+            assert not np.array_equal(first[i][half], last[i][half]), (
+                algo, name)
 
 
 # rows at which the per-row recorder found each quadratic run non-finite

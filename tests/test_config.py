@@ -73,3 +73,15 @@ def test_readme_schema_lists_the_config_tables():
                    for keys, tags, default in readme[name]
                    if tags is None or tag in tags for key in keys}
             assert got == want, (name, tag)
+
+
+def test_readme_scenario_row_states_the_name_rule():
+    # a scenario ends at its file names' first "__"
+    (row,) = [line for line in README.read_text(encoding="utf-8").splitlines()
+              if line.startswith("| `scenario` |")]
+    assert "no `__`" in row and "not end in `_`" in row
+    ok = config.DOCUMENT.required["scenario"][1]
+    for name, want in [("a", True), ("a_b", True), ("_a", True),
+                       ("a__b", False), ("__a", False), ("a_", False),
+                       ("_", False), ("a/b", False)]:
+        assert ok(name) is want, name

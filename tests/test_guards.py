@@ -51,6 +51,12 @@ GUARDS = {
         "harness.resolve resolves each cell in one pass, every region and "
         "refusal included, and a cell's report row is its only record; the "
         "bit ledger counts a rule's messages as len(rule.messages)"),
+    "second-run-driver-or-twin-count": (
+        r"\brun_rule\b|\.recorded\b",
+        ("src",),
+        "algorithms.run is the one run driver, over exactly the state its "
+        "rule describes: a trace row records X|Y, G and every twin, so no "
+        "rule counts the twins it records"),
     "caught-type-error": (
         r"except \(TypeError|except TypeError",
         ("src/cgtsim/harness.py", "src/cgtsim/config.py"),

@@ -107,11 +107,31 @@ def test_upsilon_nonincreasing_and_bounds(small_run):
 
 def test_bits_to_threshold_edges(small_run):
     *_, tr = small_run
+    ups = upsilon_series(tr)
     # threshold above the starting value: crossing at k=0 with zero bits
-    assert bits_to_threshold(tr, 1e12) == (0, 0)
-    assert bits_to_threshold(tr, 1e-30) is None
+    assert bits_to_threshold(ups, tr.bits, 1e12) == (0, 0)
+    assert bits_to_threshold(ups, tr.bits, 1e-30) is None
     with pytest.raises(ConfigError):
-        bits_to_threshold(tr, 0.0)
+        bits_to_threshold(ups, tr.bits, 0.0)
+
+
+def test_running_minimum_computed_once_per_cell(tmp_path, monkeypatch):
+    # bits_to_threshold and the row's upsilon_final share one series
+    calls, real = [], harness.upsilon_series
+
+    def counted(trace):
+        calls.append(trace.algo)
+        return real(trace)
+
+    monkeypatch.setattr(harness, "upsilon_series", counted)
+    run_experiment(ExperimentConfig.from_dict({
+        "scenario": "once", "iters": 30,
+        "network": {"n": 5, "edge_density": 0.7},
+        "cost": {"kind": "quadratic_pl", "d": 4},
+        "seeds": {"graph": 4, "cost": 5, "algo": 6},
+        "output_dir": str(tmp_path / "o"),
+        "algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}}))
+    assert calls == ["dgt"]
 
 
 def test_per_iteration_bits_hand_arithmetic():
@@ -637,6 +657,39 @@ def test_cli_file_names_fit_the_output_directory(tmp_path, monkeypatch, part,
                 "plot.gnuplot"))
 
 
+# a scenario ends at its file names' first "__": a scenario with "__" or a
+# trailing "_" could end elsewhere and take another scenario's file names,
+# so it exits 2 before set-up and the files the first run wrote stay intact
+@pytest.mark.parametrize("first, second, shared", [
+    (("a", "b__report"), ("a__b", None), "a__b__report.json"),
+    (("a", "_b"), ("a_", "b"), "a___b.csv"),
+], ids=["double-underscore", "trailing-underscore"])
+def test_scenarios_never_share_a_file(tmp_path, monkeypatch, first, second,
+                                      shared):
+    out = tmp_path / "o"
+
+    def config(scenario, label):
+        cfg = {"scenario": scenario, "iters": 5,
+               "network": {"n": 5, "edge_density": 0.7},
+               "cost": {"kind": "quadratic_pl", "d": 4},
+               "seeds": {"graph": 4, "cost": 5, "algo": 6},
+               "output_dir": str(out),
+               "algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}}
+        if label is not None:
+            cfg["label"] = label
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    assert cli.main(["run", config(*first)]) == 0
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert shared in written
+    monkeypatch.setattr(harness, "build_instance", _no_set_up)
+    for command in ("run", "bounds"):
+        assert cli.main([command, config(*second)]) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+
 # run and replicate-section5 print one line per report row: its label,
 # status, and k, bits and percent when it reached the threshold, all as the
 # report JSON has them; they exit 1 exactly when some row is not ok
@@ -1018,6 +1071,9 @@ _GOOD_CELLS = [{"algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}},
     {"network": {"n": 5, "edge_density": 7, "topology": "ring"}},
     {"network": {"n": 5, "edge_density": 0.7, "topology": "torus"}},
     {"network": {"n": 5, "topology": 5}},
+    # a scenario must end at its file names' first "__"
+    {"scenario": "a__b"},
+    {"scenario": "a_"},
 ])
 @pytest.mark.parametrize("command", ["run", "bounds"])
 def test_cli_bad_config_sections_exit_2_before_any_output(tmp_path, change,

@@ -153,11 +153,13 @@ def run_twin(algo, iters, net, suite, p, comp, seed, x0, *, x_star=None,
     if algo in ("alg1", "alg2"):
         use_ef = algo == "alg2"
         Qx, Qy = C(x0, 0, 0), C(G, 0, 1)
-        # X, Y, G, A, B, C, D, Ex, Ey, Qx, Qy, Qhx, Qhy
+        # X, Y, G, A, B, C, D, Ex, Ey, Qx, Qy, Qhx, Qhy; alg1 leaves Ex, Ey,
+        # Qhx and Qhy at their start values, and its state names none of them
         st = [x0.copy(), G.copy(), G, *(np.zeros((n, d)) for _ in range(6)),
               Qx, Qy, Qx.copy(), Qy.copy()]
-        names = ("x", "y", "g", "a", "b", "c", "dd", "ex", "ey", "qx", "qy"
-                 ) + (("qhx", "qhy") if use_ef else ())
+        names = ("x", "y", "g", "a", "b", "c", "dd") + (
+            ("ex", "ey", "qx", "qy", "qhx", "qhy") if use_ef
+            else (None, None, "qx", "qy"))
 
         def step(k, st):
             X, Y, G, A, B, Cc, D, Ex, Ey, Qx, Qy, Qhx, Qhy = st
@@ -239,5 +241,6 @@ def run_twin(algo, iters, net, suite, p, comp, seed, x0, *, x_star=None,
                failed_at=None if status == "ok" else k_done,
                diagnostics={name: v for name, v in zip(DIAG_NAMES, rec.diag)
                             if name in CHECKED[algo]},
-               final={name: a for name, a in zip(names, st) if name != "g"})
+               final={name: a for name, a in zip(names, st)
+                      if name not in ("g", None)})
     return out
