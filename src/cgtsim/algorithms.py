@@ -11,13 +11,14 @@ messages, never against raw neighbour states (the baseline excepted).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import _kernels as kern
+from .analysis import (AnalysisError, ef_weight, lyapunov_weight,
+                       mixing_constants)
 from .compressors import CompressorSpec
 from .costs import CostSuite, RunCosts
 from .graph import Network
@@ -72,7 +73,7 @@ class Rule:
     """One update rule, described once: ``run`` drives ``step`` (its step
     function in ``_kernels``) over X|Y, G, ``twins`` and, if it compresses,
     its message block; the block recorder reads its Lyapunov terms and
-    invariants, and the bit ledger bills one message per slot."""
+    invariants, and the harness's bit ledger bills one message per slot."""
 
     name: str
     step: Callable
@@ -80,8 +81,6 @@ class Rule:
     messages: tuple     # the name of the message sent in each slot
     twins: tuple        # (2, n, d) blocks after X|Y and G, zero at first
     lyapunov: str       # "full", "ef" or "consensus" (sidecar names)
-    aux: float | None   # weight of its weighted Lyapunov term: the
-                        # default, and fixed for an exact rule
     invariants: tuple   # the runtime invariants (DIAG_NAMES) it checks
     params: tuple       # the AlgorithmParams fields it reads
     practical: AlgorithmParams  # aggressive operating point for
@@ -99,41 +98,40 @@ _STRUCT = DIAG_NAMES[:4]
 
 RULES = {rule.name: rule for rule in (
     Rule("alg1", kern._alg1_step, ("relative",), ("qx", "qy"),
-         _RELATIVE_TWINS, "full", None, _STRUCT,
+         _RELATIVE_TWINS, "full", _STRUCT,
          ("eta", "gamma", "phi_x", "phi_y"),
          AlgorithmParams(eta=0.8, gamma=0.3, phi_x=0.3, phi_y=0.1)),
     Rule("alg2", kern._alg1_step, ("relative",),
          ("qx", "qy", "qhx", "qhy"), _RELATIVE_TWINS + (("ex", "ey"),),
-         "ef", 0.0, _STRUCT,
+         "ef", _STRUCT,
          ("eta", "gamma", "phi_x", "phi_y", "varsigma"),
          AlgorithmParams(eta=0.8, gamma=0.3, phi_x=0.3, phi_y=0.1,
                          varsigma=0.3)),
     Rule("alg3", kern._alg3_step, ("global_absolute", "local_absolute"),
-         ("qx", "qy"), (("xhat", "yhat"), ("v", "z")), "consensus", 1.0,
+         ("qx", "qy"), (("xhat", "yhat"), ("v", "z")), "consensus",
          DIAG_NAMES, ("eta", "gamma", "s0", "mu"),
          AlgorithmParams(eta=0.4, gamma=0.6), scaled=True),
-    Rule("dgt", kern._dgt_step, (), ("x", "y"), (), "consensus", 1.0,
+    Rule("dgt", kern._dgt_step, (), ("x", "y"), (), "consensus",
          DIAG_NAMES[:2], ("eta", "gamma"), AlgorithmParams(eta=0.8, gamma=0.3)),
 )}
 
 
 @dataclass
 class RunTrace:
-    """Dense per-iteration records plus runtime-invariant maxima."""
+    """Dense per-iteration records, row k before step k, plus
+    runtime-invariant maxima; the harness bills a row's bits."""
 
     algo: str
-    k: np.ndarray
     consensus_err: np.ndarray
     opt_gap: np.ndarray
     stationarity: np.ndarray
     lyapunov: np.ndarray
-    bits: np.ndarray
     status: str
     failed_at: int | None
     diagnostics: dict
 
     def __len__(self):
-        return len(self.k)
+        return len(self.consensus_err)
 
 
 def initial_point(n: int, d: int, seed: int) -> np.ndarray:
@@ -152,8 +150,8 @@ def scaling_sequence(s0: float, mu: float, iters: int) -> np.ndarray:
 def run(algo: str, iters: int, net: Network, suite: CostSuite,
         params: AlgorithmParams, comp: CompressorSpec | None = None, *,
         seed: int = 0, x0: np.ndarray | None = None, f_star: float = 0.0,
-        x_star: np.ndarray | None = None, lyap_phi: float = 0.0,
-        lyap_aux: float | None = None, bits_per_iter: int = 0) -> RunTrace:
+        x_star: np.ndarray | None = None,
+        lyap_aux: float | None = None) -> RunTrace:
     """Execute one synchronous run and return its dense trace.
 
     The state list is X|Y, G, the rule's twins (zero at first) and, if it
@@ -167,12 +165,12 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
     ``x_star`` the point it is attained at, if known; quadratic gaps are
     anchored there, or at the minimiser solved from the suite's Gram without
     it (see ``costs.RunCosts``).
-    The rule fixes its Lyapunov function.  ``lyap_phi`` weights its tracking
-    error and ``lyap_aux`` its weighted term: alg2's error-feedback sum
-    (default 0, and 0 for an infinite weight) or alg3's optimality gap
-    (default 1, the consensus function; another weight gives the scaled
-    one).  alg1's function has no weighted term, and dgt's consensus
-    function fixes its gap weight at 1, so neither takes ``lyap_aux``.
+    The rule fixes its Lyapunov function and the run derives its weights:
+    phi = ``lyapunov_weight(sigma, L_f)`` on the tracking error, and alg2's
+    ``ef_weight`` at its phis and the compressor's (r, psi, C) on the
+    feedback sum, 0 for phis outside (0, 1/r) or C = 0.  Only a scaled rule
+    takes ``lyap_aux``, its gap weight: 1 by default (the consensus
+    function), or the scaled function's, which a locally bounded region fixes.
     """
     rule = RULES.get(algo) if isinstance(algo, str) else None
     if rule is None:
@@ -187,13 +185,20 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
             raise AlgorithmError(f"{algo} needs a compressor spec")
         if comp.d != suite.d:
             raise AlgorithmError("compressor dimensioned for a different d")
-    if lyap_aux is None:
-        lyap_aux = rule.aux
-    elif rule.aux is None or not rule.classes:
+    if lyap_aux is not None and not rule.scaled:
         raise AlgorithmError(f"{algo}'s Lyapunov function has no weight to "
                              "set")
-    elif not math.isfinite(lyap_aux):
-        lyap_aux = 0.0  # exact compressors: the weighted terms are identically 0
+    phi_w = lyapunov_weight(net.sigma, suite.L_f)
+    aux = 1.0 if lyap_aux is None else lyap_aux
+    if rule.feedback:
+        # 0 for an exact compressor (C = 0), whose feedback sum is
+        # identically 0, and for phis outside (0, 1/r): the raw sum
+        try:
+            aux = ef_weight(*mixing_constants(
+                params.phi_x, params.phi_y, comp.r, comp.psi),
+                comp.cap_c) if comp.cap_c else 0.0
+        except AnalysisError:
+            aux = 0.0
 
     n, d = net.n, suite.d
     if x0 is None:
@@ -223,7 +228,7 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
             last, status = int(below[0]), "scaling_exhausted"
     # looked up at call time, so a test can swap the recorder
     rec = kern._BlockRecorder(rule, st[:2 + len(rule.twins)], cost, W,
-                              params.eta, lyap_phi, lyap_aux, iters, s_arr)
+                              params.eta, phi_w, aux, iters, s_arr)
     for k in range(last + 1):
         rec.push(st)
         if rec.fill == rec.B or k == last:
@@ -237,17 +242,13 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
         if k < last:
             step(k, st)
 
-    rows = last + 1
-    ks = np.arange(rows, dtype=np.int64)
-    cons, gap, stat, lyap = (col[:rows].copy() for col in rec.cols)
+    cons, gap, stat, lyap = (col[:last + 1].copy() for col in rec.cols)
     return RunTrace(
         algo=algo,
-        k=ks,
         consensus_err=cons,
         opt_gap=gap,
         stationarity=stat,
         lyapunov=lyap,
-        bits=ks * int(bits_per_iter),
         status=status,
         failed_at=None if status == "ok" else last,
         diagnostics={name: float(v) for name, v in rec.diag.items()},

@@ -1,6 +1,6 @@
 """Compression operators, their error-bound constants, and bit-cost models.
 
-This module owns the operator, its class constants, the bit ledger and the
+This module owns the operator, its class constants, its bit cost and the
 verifier of its class bound; what a compressor config may say is ``config``'s.
 
 Three operator classes are supported, distinguished by the bound their
@@ -38,6 +38,7 @@ RELATIVE = "relative"
 GLOBAL_ABSOLUTE = "global_absolute"
 LOCAL_ABSOLUTE = "local_absolute"
 _INNER_DRAWS, _MEAN_TOL = 1000, 0.05  # verify_assumption's sampling rule
+SCALAR_BITS = 64  # a full-precision real: runs send float64 values
 
 class CompressorError(ValueError):
     pass
@@ -162,17 +163,12 @@ def compress(spec: CompressorSpec, x: np.ndarray, *, seed: int = 0,
 
 @dataclass(frozen=True)
 class BitCostModel:
-    """Payload accounting: bits_scalar per full-precision real, bits_int per
-    transmitted small integer.  Runs send float64 reals, so bits_scalar is
-    64; a narrower width would bill bits that no run sends."""
+    """Payload accounting: bits_int per transmitted small integer, and
+    ``SCALAR_BITS`` per full-precision real."""
 
-    bits_scalar: int = 64
     bits_int: int = 4
 
     def __post_init__(self):
-        if self.bits_scalar != 64:
-            raise CompressorError("bits_scalar must be 64, the width of the "
-                                  "float64 values runs send")
         if self.bits_int < 1:
             raise CompressorError("bits_int must be >= 1")
 
@@ -182,19 +178,19 @@ def bit_cost(spec: CompressorSpec, model: BitCostModel) -> int:
     headers)."""
     kind, d = spec.kind, spec.d
     if kind == "norm_sign":
-        return 2 * d + model.bits_scalar
+        return 2 * d + SCALAR_BITS
     if kind == "uniform_quantize":
         return d * model.bits_int
     if kind == "one_bit":
         return d
     if kind == "identity":
-        return d * model.bits_scalar
+        return d * SCALAR_BITS
     if kind == "random_sparsify":
         # value plus index per kept coordinate
-        return spec.keep_k * (model.bits_scalar + max(1, math.ceil(math.log2(d))))
+        return spec.keep_k * (SCALAR_BITS + max(1, math.ceil(math.log2(d))))
     if kind == "random_quantize":
         # per-entry level plus the shared scale scalar
-        return d * max(1, math.ceil(math.log2(spec.levels))) + model.bits_scalar
+        return d * max(1, math.ceil(math.log2(spec.levels))) + SCALAR_BITS
     raise CompressorError(f"unknown compressor kind {kind!r}")
 
 

@@ -35,9 +35,10 @@ def _finite(v) -> bool:
 
 
 def _is_name(v) -> bool:
-    """Whether ``v`` names one file in the output directory."""
+    """Whether ``v`` names one file in the output directory, with no control
+    character (U+0000-U+001F, U+007F) to split a line that names it."""
     return (isinstance(v, str) and v not in ("", ".", "..") and "/" not in v
-            and "\0" not in v)
+            and not any(c < " " or c == "\x7f" for c in v))
 
 
 class Section(NamedTuple):
@@ -106,11 +107,12 @@ _BOOL = ("a bool", lambda v: isinstance(v, bool))
 _INT = ("an int", _is_int)
 _POSITIVE_INT = ("a positive int", lambda v: _is_int(v) and v >= 1)
 # every file is <scenario>__<tail>, whose first "__" then ends the scenario
-_SCENARIO = ("a non-empty string with no '/' or '__' that is not '.' or '..' "
-             "and does not end in '_'",
+_SCENARIO = ("a non-empty string with no '/', '__' or control character that "
+             "is not '.' or '..' and does not end in '_'",
              lambda v: _is_name(v) and "__" not in v and not v.endswith("_"))
 # <scenario>__report.json is the report's, so no cell's sidecar may take it
-_LABEL = ("a non-empty string with no '/' that is not '.', '..' or 'report'",
+_LABEL = ("a non-empty string with no '/' or control character that is "
+          "not '.', '..' or 'report'",
           lambda v: _is_name(v) and v != "report")
 _POSITIVE = ("a finite positive number", lambda v: _finite(v) and v > 0)
 
@@ -146,7 +148,10 @@ def spec_from_config(cfg: dict, d: int) -> CompressorSpec:
 # what its value must be; the family would ignore any other
 _COST_OPTIONS = {
     "logistic_log": {"abs_m": _BOOL,
-                     "scale": ("a finite number", _finite)},
+                     # at scale 0, L_f = 0 and a run's Lyapunov weight
+                     # would divide by it
+                     "scale": ("a finite nonzero number",
+                               lambda v: _finite(v) and v != 0)},
     "quadratic_pl": {"consistent": _BOOL, "normalize": _BOOL,
                      "rows": _POSITIVE_INT},
 }
@@ -188,10 +193,7 @@ DOCUMENT = Section(
     optional={
         "threshold": _POSITIVE,
         "fstar_tol": _POSITIVE,
-        # runs send float64 values, so a scalar is billed 64 bits
-        "bit_model": Section(optional={
-            "bits_scalar": ("64", lambda v: _is_int(v) and v == 64),
-            "bits_int": _POSITIVE_INT}),
+        "bit_model": Section(optional={"bits_int": _POSITIVE_INT}),
         "broadcast": _BOOL,
         "output_dir": ("a string", lambda v: isinstance(v, str)),
     })

@@ -133,6 +133,9 @@ def generate_suite(kind: str, n: int, d: int, seed: int, *,
         raise CostError("n and d must be positive")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC057]))
     if kind == "logistic_log":
+        if not (math.isfinite(scale) and scale != 0):
+            raise CostError("scale must be a finite nonzero number; L_f is 0 "
+                            "at scale 0")
         h = scale * rng.standard_normal(n)
         nu = rng.standard_normal(n)
         m = scale * rng.standard_normal(n)

@@ -1,24 +1,25 @@
 """Experiment orchestration: cells resolved on their instance, the runs,
-the running-minimum metric, bit ledgers and the output files.
+the running-minimum metric, the bit ledger and the output files.
 
 This module owns what a checked config (``config``) means: ``from_dict``
 parses each cell's spec and merges its params once, and ``resolve`` is the
 one place a cell is resolved.  In one pass it gives each cell, for ``run``
-and ``bounds`` alike, the params it runs, its Lyapunov constants, its
-certified region and what ``run`` refuses it for.  Every certified or
-compressed cell gets a region, ``cell_region``, picked by its compressor
-class.  A ``"certified"`` cell runs the region's operating point and may
-give only the region's inputs (``_REGION_INPUTS``).  A ``"practical"``
-cell's params must lie in the region unless ``force_params`` is set; a
-locally bounded region, which fixes s0 and mu together with eta and gamma,
-certifies none.  The exact rule asks only gamma < 1 and eta <= 1/L_f.
-Every cell shares the network, cost instance, reference value and initial
-point.  Trace CSVs carry the columns ``CSV_HEADER``, a JSON sidecar the
-fully resolved cell, and the report one row per cell, the only record of
-its outcome.  Reruns are byte-identical only at one BLAS thread count:
-OpenBLAS rounds a large product or eigensolve that it splits across threads
-differently at another count, such as the mixing product and sigma at
-n = 1000 (README "Conventions" lists what moved).
+and ``bounds`` alike, the params it runs, its certified region and what
+``run`` refuses it for.  Every certified or compressed cell gets a region,
+``cell_region``, picked by its compressor class.  A ``"certified"`` cell
+runs the region's operating point and may give only the region's inputs
+(``_REGION_INPUTS``).  A ``"practical"`` cell's params must lie in the
+region unless ``force_params`` is set; a locally bounded region, which
+fixes s0 and mu together with eta and gamma, certifies none.  The exact
+rule asks only gamma < 1 and eta <= 1/L_f.  Every cell shares the network,
+cost instance, reference value and initial point.  The ledger bills each
+cell's bits per iteration once, in Python ints, so the cumulative ``bits``
+column is exact at any size.  Trace CSVs carry the columns ``CSV_HEADER``,
+a JSON sidecar the fully resolved cell, and the report one row per cell,
+the only record of its outcome.  Reruns are byte-identical only at one BLAS
+thread count: OpenBLAS rounds a large product or eigensolve that it splits
+across threads differently at another count, such as the mixing product
+and sigma at n = 1000 (README "Conventions" lists what moved).
 """
 
 from __future__ import annotations
@@ -145,16 +146,17 @@ def upsilon_series(trace: RunTrace) -> np.ndarray:
     return np.minimum.accumulate(trace.consensus_err + trace.opt_gap)
 
 
-def bits_to_threshold(ups: np.ndarray, bits: np.ndarray, threshold: float):
-    """(iterations, cumulative ``bits``) where a trace's running minimum
-    ``ups`` first reaches the threshold; None when it never does."""
+def bits_to_threshold(ups: np.ndarray, bpi: int, threshold: float):
+    """(k, k * ``bpi``), the iterations and the bits sent at ``bpi`` a step,
+    where a trace's running minimum ``ups`` first reaches the threshold;
+    None when it never does."""
     if threshold <= 0:
         raise ConfigError("threshold must be positive")
     hit = np.nonzero(ups <= threshold)[0]
     if len(hit) == 0:
         return None
     k = int(hit[0])
-    return k, int(bits[k])
+    return k, k * bpi
 
 
 def per_iteration_bits(algo: str, comp: CompressorSpec | None,
@@ -273,10 +275,11 @@ def resolve(cfg: ExperimentConfig, net, suite, x0, f_star) -> list:
     """Each cell of ``cfg`` on the instance, for ``run`` and ``bounds``
     alike: ``(cell, params, lyap_aux, extras, region, refusal)``.  The
     params are the merged ones (``auto_s0`` for a scaled rule's unset s0) or
-    a certified cell's operating point; alg2's weight is ``ef_weight`` at
-    its phis, 0 outside (0, 1/r).  Every certified or compressed cell gets a
-    ``region`` of the class picked for it, or the error that says why there
-    is none.  ``refusal`` is ``_refusal``'s; ``bounds`` ignores it."""
+    a certified cell's operating point; ``lyap_aux`` is the gap weight of a
+    certified locally bounded region, else None.  Every certified or
+    compressed cell gets a ``region`` of the class picked for it, or the
+    error that says why there is none.  ``refusal`` is ``_refusal``'s;
+    ``bounds`` ignores it."""
     out = []
     for cell in cfg.cells:
         rule, certified = RULES[cell.algo], cell.mode == "certified"
@@ -299,13 +302,6 @@ def resolve(cfg: ExperimentConfig, net, suite, x0, f_star) -> list:
             params = AlgorithmParams(**{
                 k: c[k] if k in ("phi_x", "phi_y") else getattr(region, k)
                 for k in rule.params})
-        if rule.feedback:
-            try:
-                lyap_aux = analysis.ef_weight(*analysis.mixing_constants(
-                    params.phi_x, params.phi_y, cell.spec.r, cell.spec.psi),
-                    cell.spec.cap_c)
-            except analysis.AnalysisError:
-                lyap_aux = 0.0  # phis outside (0, 1/r): the raw sum
         out.append((cell, params, lyap_aux, extras, region,
                     _refusal(cell, cls, params, region, suite.L_f)))
     return out
@@ -330,14 +326,14 @@ def _write_json(doc: dict, path: Path) -> None:
                 + "\n")
 
 
-def write_trace_csv(trace: RunTrace, path: Path) -> None:
-    """One line per row: k and bits as ints, the rest by ``repr`` of the
-    float, which reads back to the same bits.  The file appears whole or not
-    at all."""
+def write_trace_csv(trace: RunTrace, path: Path, bpi: int) -> None:
+    """One line per row k: k and its bits k * ``bpi`` as exact ints, the
+    rest by ``repr`` of the float, which reads back to the same bits.  The
+    file appears whole or not at all."""
     floats = (np.asarray(c, dtype=np.float64).tolist() for c in (
         trace.consensus_err, trace.opt_gap, trace.stationarity, trace.lyapunov))
-    rows = zip(np.asarray(trace.k).tolist(), *floats,
-               np.asarray(trace.bits).tolist())
+    ks = range(len(trace))
+    rows = zip(ks, *floats, (k * bpi for k in ks))
     with _replacing(Path(path)) as f:
         f.write(CSV_HEADER + "\n")
         f.writelines("%d,%r,%r,%r,%r,%d\n" % row for row in rows)
@@ -392,7 +388,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
     for *_, refusal in resolved:  # before touching the disk
         if refusal is not None:
             raise refusal
-    phi_w = analysis.lyapunov_weight(net.sigma, suite.L_f)
 
     outdir.mkdir(parents=True, exist_ok=True)
     report_path = outdir / f"{cfg.scenario}__report.json"
@@ -404,13 +399,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
                                  suite.d, cfg.broadcast)
         trace = run(cell.algo, cfg.iters, net, suite, params, comp,
                     seed=cfg.seeds["algo"], x0=x0, f_star=ref.f_star,
-                    x_star=ref.x_star, lyap_phi=phi_w, lyap_aux=lyap_aux,
-                    bits_per_iter=bpi)
+                    x_star=ref.x_star, lyap_aux=lyap_aux)
         csv_path = outdir / f"{cfg.scenario}__{label}.csv"
         json_path = csv_path.with_suffix(".json")
-        write_trace_csv(trace, csv_path)
+        write_trace_csv(trace, csv_path, bpi)
         ups = upsilon_series(trace)
-        iters, bits = (bits_to_threshold(ups, trace.bits, cfg.threshold)
+        iters, bits = (bits_to_threshold(ups, bpi, cfg.threshold)
                        or (None, None))
         row = {"label": label, "algo": cell.algo,
                "compressor": comp.kind if comp else "exact",
@@ -506,7 +500,7 @@ def reference_scenario_config(mode: str = "practical", iters: int = 3000,
         "cost": {"kind": "logistic_log", "d": 50, "scale": 0.1,
                  "abs_m": True},
         "seeds": {"graph": 101, "cost": 202, "algo": 404},
-        "bit_model": {"bits_scalar": 64, "bits_int": 4},
+        "bit_model": {"bits_int": 4},
         "broadcast": True,
         "output_dir": output_dir,
         "cells": cells,

@@ -32,16 +32,16 @@ def file_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_trace_csv_rowwise(trace: RunTrace, path) -> None:
-    """The trace CSV written cell by cell from numpy scalars: the byte-level
-    reference for ``harness.write_trace_csv``."""
+def write_trace_csv_rowwise(trace: RunTrace, path, bpi: int) -> None:
+    """The trace CSV written cell by cell from numpy scalars, with ``bpi``
+    bits a step: the byte-level reference for ``harness.write_trace_csv``."""
     def fmt(v):
         return repr(float(v))
 
     lines = [CSV_HEADER]
     for i in range(len(trace)):
         lines.append(",".join([
-            str(int(trace.k[i])), fmt(trace.consensus_err[i]),
+            str(i), fmt(trace.consensus_err[i]),
             fmt(trace.opt_gap[i]), fmt(trace.stationarity[i]),
-            fmt(trace.lyapunov[i]), str(int(trace.bits[i]))]))
+            fmt(trace.lyapunov[i]), str(i * bpi)]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -163,7 +163,7 @@ def test_criterion_5_lyapunov_descent(pl_instance):
     tr1 = run("alg1", 2000, net, suite,
               AlgorithmParams(eta=b1.eta, gamma=b1.gamma, phi_x=0.2,
                               phi_y=0.2), ns, seed=9, x0=x0,
-              f_star=ref.f_star, lyap_phi=b1.constants["phi"])
+              f_star=ref.f_star)
     chk1 = check_descent(tr1.lyapunov, slack=slack0)
     assert chk1["ok"], chk1
     # error-feedback variant with its extended function
@@ -171,8 +171,7 @@ def test_criterion_5_lyapunov_descent(pl_instance):
     tr2 = run("alg2", 2000, net, suite,
               AlgorithmParams(eta=b2.eta, gamma=b2.gamma, phi_x=0.2,
                               phi_y=0.2, varsigma=b2.varsigma), ns, seed=9,
-              x0=x0, f_star=ref.f_star, lyap_phi=b2.constants["phi"],
-              lyap_aux=b2.constants["phi_hat"])
+              x0=x0, f_star=ref.f_star)
     chk2 = check_descent(tr2.lyapunov, slack=slack0)
     assert chk2["ok"], chk2
     # scaled tracker with the geometric additive slack
@@ -183,8 +182,7 @@ def test_criterion_5_lyapunov_descent(pl_instance):
                                          uq.cap_c, mu=mu)
     tr3 = run("alg3", 2000, net, suite,
               AlgorithmParams(eta=b3.eta, gamma=b3.gamma, s0=s0, mu=mu),
-              uq, seed=9, x0=x0, f_star=ref.f_star,
-              lyap_phi=b3.constants["phi"])
+              uq, seed=9, x0=x0, f_star=ref.f_star)
     svals = scaling_sequence(s0, mu, 2000)
     slack = b3.constants["breve_theta8"] * svals**2 + slack0
     chk3 = check_descent(tr3.lyapunov, slack=slack)
@@ -249,16 +247,14 @@ def test_criterion_7_sublinear_bound_without_dominance(benchmark_scenario):
     b1 = analysis.bounds_relative(net.sigma, suite.L_f, ns, px, py)
     tr = run("alg1", horizon, net, suite,
              AlgorithmParams(eta=b1.eta, gamma=b1.gamma, phi_x=px, phi_y=py),
-             ns, seed=404, x0=x0, f_star=ref.f_star,
-             lyap_phi=b1.constants["phi"])
+             ns, seed=404, x0=x0, f_star=ref.f_star)
     checks.append(("alg1", tr, tr.lyapunov[0] / b1.constants["theta1"]))
 
     b2 = analysis.bounds_error_feedback(net.sigma, suite.L_f, ns, px, py)
     tr2 = run("alg2", horizon, net, suite,
               AlgorithmParams(eta=b2.eta, gamma=b2.gamma, phi_x=px,
                               phi_y=py, varsigma=b2.varsigma), ns, seed=404,
-              x0=x0, f_star=ref.f_star, lyap_phi=b2.constants["phi"],
-              lyap_aux=b2.constants["phi_hat"])
+              x0=x0, f_star=ref.f_star)
     checks.append(("alg2", tr2, tr2.lyapunov[0] / b2.constants["hat_theta1"]))
 
     uq = make_compressor("uniform_quantize", d=50, delta=2.0)
@@ -268,8 +264,7 @@ def test_criterion_7_sublinear_bound_without_dominance(benchmark_scenario):
                                          uq.cap_c, mu=mu)
     tr3 = run("alg3", horizon, net, suite,
               AlgorithmParams(eta=b3.eta, gamma=b3.gamma, s0=s0, mu=mu),
-              uq, seed=404, x0=x0, f_star=ref.f_star,
-              lyap_phi=b3.constants["phi"])
+              uq, seed=404, x0=x0, f_star=ref.f_star)
     geo = (b3.constants["breve_theta8"] * s0 * s0 / (1.0 - mu * mu))
     checks.append(("alg3", tr3,
                    (tr3.lyapunov[0] + geo) / b3.constants["breve_theta1"]))
@@ -301,7 +296,7 @@ def test_criterion_8_scaled_induction_hypotheses(pl_instance):
     tr = run("alg3", 1000, net, suite,
              AlgorithmParams(eta=b.eta, gamma=b.gamma, s0=b.s0, mu=b.mu),
              ob, seed=9, x0=x0, f_star=ref.f_star,
-             lyap_phi=b.constants["phi"], lyap_aux=b.constants["phi_tilde"])
+             lyap_aux=b.constants["phi_tilde"])
     assert tr.status == "ok"
     assert tr.diagnostics["induction_x"] <= 1.0 + 1e-12
     assert tr.diagnostics["induction_y"] <= 1.0 + 1e-12

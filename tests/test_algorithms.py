@@ -22,6 +22,7 @@ from cost_oracles import grad
 from message_passing_oracle import run_oracle
 from run_recorder import run_recorded
 from twin_stepper_oracle import (
+    lyapunov_weights_oracle,
     metrics_oracle,
     row_norm_max_oracle,
     run_twin,
@@ -187,14 +188,6 @@ def test_steppers_match_message_passing_oracle(small_net, small_suite):
                                                                        name)
 
 
-def test_bits_column_arithmetic(small_net, small_suite):
-    comp = make_compressor("norm_sign", d=8)
-    p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1)
-    tr = run("alg1", 50, small_net, small_suite, p, comp, seed=2,
-             bits_per_iter=1234)
-    assert np.array_equal(tr.bits, np.arange(51) * 1234)
-
-
 def test_zero_iterations_rejected(small_net, small_suite):
     with pytest.raises(AlgorithmError):
         run("alg1", 0, small_net, small_suite,
@@ -258,15 +251,16 @@ def test_incompatible_shapes_rejected(small_net):
 
 def test_lyap_aux_only_where_the_rule_has_a_weight_to_set(small_net,
                                                          small_suite):
-    # alg1's function has no weighted term and dgt's gap weight is fixed at 1
+    # alg1's function has no weighted term, dgt's gap weight is fixed at 1
+    # and alg2's feedback weight follows from its phis and compressor: only
+    # the scaled rule's gap weight is set
     p = AlgorithmParams(eta=0.05, gamma=0.3)
     comp = make_compressor("identity", d=8)
-    for algo, c in (("alg1", comp), ("dgt", None)):
+    for algo, c in (("alg1", comp), ("alg2", comp), ("dgt", None)):
         with pytest.raises(AlgorithmError, match="no weight to set"):
             run(algo, 5, small_net, small_suite, p, c, lyap_aux=0.3)
-    for algo in ("alg2", "alg3"):
-        assert len(run(algo, 5, small_net, small_suite, p, comp,
-                       lyap_aux=0.3)) == 6
+    assert len(run("alg3", 5, small_net, small_suite, p, comp,
+                   lyap_aux=0.3)) == 6
 
 
 def test_param_validation():
@@ -311,7 +305,7 @@ def test_expectation_descent_randomized_compressor(small_net):
     paths = []
     for rep in range(32):
         tr = run("alg1", 250, small_net, suite, p, comp, seed=1000 + rep,
-                 x0=x0, lyap_phi=b.constants["phi"])
+                 x0=x0)
         assert tr.status == "ok"
         paths.append(tr.lyapunov)
     rep = sample_mean_descent(paths, slack=1e-12)
@@ -398,7 +392,7 @@ def test_recorder_ignores_rows_after_a_nonfinite_row(small_net, small_suite):
 
 
 def _assert_same_run(a, b):
-    for name in ("k", "consensus_err", "opt_gap", "stationarity",
+    for name in ("consensus_err", "opt_gap", "stationarity",
                  "lyapunov", "x_hist", "y_hist"):
         assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
     assert (a.status, a.failed_at) == (b.status, b.failed_at)
@@ -421,12 +415,20 @@ def _run_default_and_per_row(monkeypatch, *args, **kwargs):
     return blocked, per_row
 
 
+# at s0 = 8 every step of each compressed case sends nonzero messages (a
+# delta of 2 would quantize every alg3 message to 0)
 _BLOCK_CASES = {
     "alg1": make_compressor("norm_sign", d=8),
     "alg2": make_compressor("norm_sign", d=8),
-    "alg3": make_compressor("uniform_quantize", d=8, delta=2.0),
+    "alg3": make_compressor("uniform_quantize", d=8, delta=0.05),
     "dgt": None,
 }
+
+
+def _assert_every_row_sends(algo, tr):
+    """Every recorded row of a compressed rule holds nonzero messages."""
+    if RULES[algo].classes:
+        assert all(st[-1].any() for st in tr.state_rows), algo
 
 
 @pytest.mark.parametrize("algo", sorted(_BLOCK_CASES))
@@ -440,6 +442,7 @@ def test_block_recording_equals_per_row(small_net, small_suite, monkeypatch,
                                     small_suite, p, _BLOCK_CASES[algo],
                                     seed=9)
     assert a.status == "ok"
+    _assert_every_row_sends(algo, a)
     _assert_same_run(a, b)
 
 
@@ -454,6 +457,7 @@ def test_final_state_fields_are_distinct_arrays(small_net, small_suite):
         tr = run_recorded(algo, 5, small_net, small_suite, p, comp, seed=3,
                           x0=x0)
         assert tr.status == "ok"
+        _assert_every_row_sends(algo, tr)
         live = {k: v for k, v in vars(tr.live_state).items() if v is not None}
         for name, val in vars(tr.final_state).items():
             assert val is None or _bits(live[name]) == _bits(val), name
@@ -484,11 +488,10 @@ def test_state_list_is_what_the_rule_describes(small_net, small_suite, algo):
 @pytest.mark.parametrize("algo", sorted(_BLOCK_CASES))
 def test_every_twin_a_rule_carries_changes(small_net, small_suite, algo):
     # each half of each twin block moves within 5 steps: a rule carries no
-    # block that its steps never update.  alg3's scale starts small, or its
-    # quantizer (delta 2) would send only zeros
+    # block that its steps never update
     rule = RULES[algo]
     p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
-                        varsigma=0.3, s0=0.1, mu=0.99)
+                        varsigma=0.3, s0=8.0, mu=0.99)
     tr = run_recorded(algo, 5, small_net, small_suite, p, _BLOCK_CASES[algo],
                       seed=3)
     first, last = tr.state_rows[0], tr.state_rows[-1]
@@ -548,7 +551,6 @@ _TWIN_COMPRESSORS = [
     ("random_quantize", {"levels": 17}),
     ("uniform_quantize", {"delta": 0.5}),
 ]
-_LYAP_PHI = 0.7
 
 
 def _assert_equals_twin(tr, want):
@@ -569,11 +571,11 @@ def _check_against_twin(monkeypatch, algo, iters, net, suite, p, comp,
                         lyap_aux=None, seed=9, x0=None):
     x0 = initial_point(net.n, suite.d, 9) if x0 is None else x0
     want = run_twin(algo, iters, net, suite, p, comp, seed, x0,
-                    lyap_phi=_LYAP_PHI, lyap_aux=lyap_aux)
+                    lyap_aux=lyap_aux)
     with np.errstate(all="ignore"):
         runs = _run_default_and_per_row(monkeypatch, algo, iters, net, suite,
                                         p, comp, seed=seed, x0=x0,
-                                        lyap_phi=_LYAP_PHI, lyap_aux=lyap_aux)
+                                        lyap_aux=lyap_aux)
     for tr in runs:
         _assert_equals_twin(tr, want)
     return want
@@ -584,16 +586,23 @@ def test_block_steppers_equal_twin_form_oracle(small_net, small_suite,
                                                monkeypatch, algo):
     p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
                         varsigma=0.3, s0=8.0, mu=0.99)
-    # a compressed rule with a weighted Lyapunov term takes its default
-    # weight and 0.3 in turn: alg2's feedback weight, alg3's gap weight
-    # (consensus and scaled)
+    # alg3 takes its default gap weight and 0.3 in turn (the consensus and
+    # the scaled function); alg2 derives its feedback weight, which is 0
+    # for the identity and for norm_sign (phi_x above 1/r = 1/4) and
+    # positive for the other kinds
     cases = [(None, {})] if algo == "dgt" else _TWIN_COMPRESSORS
+    weighted = set()
     for i, (kind, kw) in enumerate(cases):
         comp = None if kind is None else make_compressor(kind, d=8, **kw)
-        aux = 0.3 if i % 2 and RULES[algo].aux is not None else None
+        aux = 0.3 if i % 2 and RULES[algo].scaled else None
         want = _check_against_twin(monkeypatch, algo, 150, small_net,
                                    small_suite, p, comp, lyap_aux=aux)
         assert want["status"] == "ok", kind
+        if lyapunov_weights_oracle(algo, small_net, small_suite, p, comp)[1]:
+            weighted.add(kind)
+    if algo == "alg2":
+        assert weighted == {"uniform_quantize", "random_sparsify",
+                            "random_quantize"}
 
 
 @pytest.mark.parametrize("algo, kind, kw", [
@@ -611,8 +620,7 @@ def test_block_steppers_equal_twin_form_oracle_when_diverging(
                         varsigma=0.3, s0=8.0, mu=0.99)
     comp = None if kind is None else make_compressor(kind, d=8, **kw)
     want = _check_against_twin(monkeypatch, algo, 500, small_net, suite, p,
-                               comp, lyap_aux=0.3 if algo == "alg2" else None,
-                               seed=1)
+                               comp, seed=1)
     assert want["status"] == "nonfinite_state"
     assert want["failed_at"] % 64
 
@@ -631,12 +639,15 @@ def test_one_compressor_call_and_one_w_product_per_step(small_net,
                                                         monkeypatch):
     # and each of them takes one block of len(rule.messages) message slots:
     # the bit ledger bills what the steppers send
-    slots = {}
+    slots, sent = {}, []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):  # the block is the second argument
             slots[name].append(len(args[1]))
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            if name == "compress":
+                sent.append(bool(out.any()))
+            return out
         return wrapper
 
     monkeypatch.setattr(_kernels, "_compress_block_np",
@@ -648,6 +659,7 @@ def test_one_compressor_call_and_one_w_product_per_step(small_net,
         "alg1": 2, "alg2": 4, "alg3": 2, "dgt": 2}
     for algo, comp in _BLOCK_CASES.items():
         slots.update(compress=[], mix=[])
+        sent.clear()
         tr = run(algo, 150, small_net, small_suite, p, comp, seed=9)
         assert tr.status == "ok"
         m = len(RULES[algo].messages)
@@ -656,6 +668,7 @@ def test_one_compressor_call_and_one_w_product_per_step(small_net,
         # sends as its first feedback messages, then one a step
         want = [] if comp is None else [2] + [m] * 150
         assert slots["compress"] == want, algo
+        assert all(sent), algo  # each call sends a nonzero block
 
 
 def test_diverging_block_draws_each_iteration_key_once(small_net,

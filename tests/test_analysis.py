@@ -286,15 +286,20 @@ def test_lyapunov_eval_pairing_errors():
 
 
 def test_trace_lyapunov_matches_events_evaluator():
-    # the in-kernel column equals the standalone evaluation at the final state
+    # the in-kernel column equals the standalone evaluation at the final
+    # state, under the weights the run derives: phi from sigma and L_f, and
+    # alg2's phi_hat from its phis (inside (0, 1/r) = (0, 1/2)) and the
+    # compressor
     net = generate_network(6, 0.6, seed=1)
     suite = generate_suite("logistic_log", n=6, d=4, seed=2, scale=0.3)
     ref = solve_reference(suite, tol=1e-9)
     comp = make_compressor("norm_sign", d=4)
-    p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
-                        varsigma=0.3)
-    consts = {"phi": 0.017, "phi_hat": 0.4, "phi_tilde": 1.3}
-    for algo, which, aux in [("alg1", "full", None), ("alg2", "ef", 0.4),
+    consts = {"phi": lyapunov_weight(net.sigma, suite.L_f),
+              "phi_hat": ef_weight(*mixing_constants(0.3, 0.1, comp.r,
+                                                     comp.psi), comp.cap_c),
+              "phi_tilde": 1.3}
+    assert consts["phi_hat"] > 0
+    for algo, which, aux in [("alg1", "full", None), ("alg2", "ef", None),
                              ("alg3", "scaled", 1.3),
                              ("alg3", "consensus", None),
                              ("dgt", "consensus", None)]:
@@ -302,7 +307,7 @@ def test_trace_lyapunov_matches_events_evaluator():
                              varsigma=0.3, s0=8.0, mu=0.99)
         tr = run_recorded(algo, 60, net, suite, pp,
                           None if algo == "dgt" else comp, seed=3,
-                          f_star=ref.f_star, lyap_phi=0.017, lyap_aux=aux)
+                          f_star=ref.f_star, lyap_aux=aux)
         val = lyapunov_eval(which, tr.final_state, net, suite, ref.f_star,
                             consts)
         assert tr.lyapunov[-1] == pytest.approx(val.total, rel=1e-9,

@@ -172,7 +172,7 @@ def test_bit_costs():
     assert bit_cost(make_compressor("one_bit", d=50), model) == 50
     assert bit_cost(make_compressor("identity", d=50), model) == 3200
     with pytest.raises(CompressorError):
-        BitCostModel(bits_scalar=0)
+        BitCostModel(bits_int=0)
 
 
 def test_verify_norm_sign_defaults():

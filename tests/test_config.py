@@ -2,9 +2,11 @@
 
 For every section and every variant of it, the README table names the keys
 of its ``Section`` table, and its default column says "required" for the
-required keys and for no other.  Defaults and value texts stay hand-written.
+required keys and for no other.  Defaults and value texts stay hand-written;
+the scenario, name and scale rules are held to the checks that state them.
 """
 
+import math
 import re
 from pathlib import Path
 
@@ -85,3 +87,23 @@ def test_readme_scenario_row_states_the_name_rule():
                        ("a__b", False), ("__a", False), ("a_", False),
                        ("_", False), ("a/b", False)]:
         assert ok(name) is want, name
+
+
+def test_readme_states_the_scale_and_control_character_rules():
+    # L_f is 0 at scale 0; a control character in a name would split a
+    # line that names its file
+    text = README.read_text(encoding="utf-8")
+    (row,) = [line for line in text.splitlines()
+              if line.startswith("| `scale` (logistic_log) |")]
+    assert "a finite nonzero number" in row
+    ok = config._COST_OPTIONS["logistic_log"]["scale"][1]
+    for value, want in [(0.1, True), (-2, True), (0, False), (0.0, False),
+                        (-0.0, False), (math.inf, False), (math.nan, False),
+                        (True, False)]:
+        assert ok(value) is want, value
+    assert "no control character (U+0000 to U+001F, U+007F)" in " ".join(
+        text.split())
+    for name in ("a\nb", "a\tb", "\x00", "\x1f", "x\x7f"):
+        assert not config._is_name(name), name
+    for name in ("a b", "x\x80", "é", "~"):
+        assert config._is_name(name), name

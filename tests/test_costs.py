@@ -647,6 +647,16 @@ def test_bad_inputs():
         solve_reference(suite, tol=0.0)
 
 
+@pytest.mark.parametrize("scale", [0.0, -0.0, math.nan, math.inf])
+def test_logistic_scale_must_be_finite_and_nonzero(scale):
+    # at scale 0 every h_i and m_i is 0, so L_f = 0 and a run's Lyapunov
+    # weight (1 - sigma)^2 / (320 L_f^2) would divide by zero
+    with pytest.raises(CostError, match="finite nonzero"):
+        generate_suite("logistic_log", n=3, d=2, seed=0, scale=scale)
+    assert generate_suite("logistic_log", n=3, d=2, seed=0,
+                          scale=-0.5).L_f > 0
+
+
 def test_hessian_spectral_norms_below_stored_constant():
     # finite-difference Hessians certify the stored smoothness constant
     for kind in ("logistic_log", "quadratic_pl"):

@@ -57,6 +57,12 @@ GUARDS = {
         "algorithms.run is the one run driver, over exactly the state its "
         "rule describes: a trace row records X|Y, G and every twin, so no "
         "rule counts the twins it records"),
+    "retired-run-settings": (
+        r"\blyap_phi\b|\bbits_per_iter\b|\bbits_scalar\b",
+        ("src",),
+        "a run derives its Lyapunov weights from its instance and compressor "
+        "and bills no bits (the harness does), and a real is always billed "
+        "compressors.SCALAR_BITS: none of these is a setting"),
     "caught-type-error": (
         r"except \(TypeError|except TypeError",
         ("src/cgtsim/harness.py", "src/cgtsim/config.py"),

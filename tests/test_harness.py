@@ -76,7 +76,7 @@ def small_run():
     ref = solve_reference(suite, tol=1e-9)
     tr = run_recorded("dgt", 50, net, suite,
                       AlgorithmParams(eta=0.3, gamma=0.3), seed=3,
-                      f_star=ref.f_star, bits_per_iter=100)
+                      f_star=ref.f_star)
     return net, suite, ref, tr
 
 
@@ -109,10 +109,13 @@ def test_bits_to_threshold_edges(small_run):
     *_, tr = small_run
     ups = upsilon_series(tr)
     # threshold above the starting value: crossing at k=0 with zero bits
-    assert bits_to_threshold(ups, tr.bits, 1e12) == (0, 0)
-    assert bits_to_threshold(ups, tr.bits, 1e-30) is None
+    assert bits_to_threshold(ups, 100, 1e12) == (0, 0)
+    assert bits_to_threshold(ups, 100, 1e-30) is None
+    # the first crossing k, billed k * bits per iteration
+    k = int(np.argmax(ups <= ups[7]))
+    assert k <= 7 and bits_to_threshold(ups, 100, ups[7]) == (k, 100 * k)
     with pytest.raises(ConfigError):
-        bits_to_threshold(ups, tr.bits, 0.0)
+        bits_to_threshold(ups, 100, 0.0)
 
 
 def test_running_minimum_computed_once_per_cell(tmp_path, monkeypatch):
@@ -136,7 +139,7 @@ def test_running_minimum_computed_once_per_cell(tmp_path, monkeypatch):
 
 def test_per_iteration_bits_hand_arithmetic():
     net = generate_network(20, 0.35, seed=101)
-    model = BitCostModel(bits_scalar=64, bits_int=4)
+    model = BitCostModel(bits_int=4)
     # exact baseline: 2 vectors per agent at d * 64 bits
     assert per_iteration_bits("dgt", None, model, net, 50) == 20 * 2 * 50 * 64
     ns = make_compressor("norm_sign", d=50)
@@ -153,15 +156,40 @@ def test_per_iteration_bits_hand_arithmetic():
 def test_csv_round_trip(tmp_path, small_run):
     *_, tr = small_run
     path = tmp_path / "t.csv"
-    write_trace_csv(tr, path)
+    write_trace_csv(tr, path, 100)
     data = read_trace_csv(path)
     assert np.array_equal(data["k"], np.arange(51))
     assert np.array_equal(data["consensus_err"], tr.consensus_err)
     assert np.array_equal(data["opt_gap"], tr.opt_gap)
-    assert np.array_equal(data["bits"], tr.bits)
+    assert np.array_equal(data["bits"], np.arange(51) * 100)
     # the running-minimum metric recomputed offline equals the online one
     offline = np.minimum.accumulate(data["consensus_err"] + data["opt_gap"])
     assert np.array_equal(offline, upsilon_series(tr))
+
+
+@pytest.mark.parametrize("bits_int", [10**15, 10**17])
+def test_bits_column_is_exact_past_int64(tmp_path, bits_int):
+    # the paper scenario's alg3 uniform cell sends 20 agents x 2 messages x
+    # 50 entries of bits_int bits a step: 2e18 at 10**15, so row 5 bills
+    # 1e19, past 2**63, and 2e20 at 10**17
+    doc = reference_scenario_config("practical", iters=50,
+                                    output_dir=str(tmp_path / "o"))
+    kinds = [c.get("compressor", {}).get("kind") for c in doc["cells"]]
+    doc["cells"] = [doc["cells"][kinds.index("uniform_quantize")]]
+    doc["bit_model"] = {"bits_int": bits_int}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(cfg_path)]) == 0
+    out = tmp_path / "o" / "reference_practical__alg3_uniform_quantize"
+    bpi = 20 * 2 * 50 * bits_int
+    assert json.loads(out.with_suffix(".json").read_text())[
+        "bits_per_iteration"] == bpi
+    lines = out.with_suffix(".csv").read_text().splitlines()[1:]
+    assert len(lines) == 51
+    for k, line in enumerate(lines):
+        assert [int(v) for v in line.split(",")[::5]] == [k, k * bpi]
+    if bits_int == 10**15:
+        assert lines[5].endswith(",10000000000000000000")
 
 
 _CSV_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
@@ -175,11 +203,10 @@ def test_csv_writer_equals_rowwise_writer(tmp_path_factory, data, rows):
     # the column-wise writer writes the bytes the cell-by-cell one writes
     floats = [data.draw(hnp.arrays(np.float64, rows, elements=_CSV_FLOATS))
               for _ in range(4)]
-    k = np.arange(rows)
-    tr = RunTrace("alg1", k, *floats, k * 1640, "ok", None, {})
+    tr = RunTrace("alg1", *floats, "ok", None, {})
     path = tmp_path_factory.mktemp("csv")
-    write_trace_csv(tr, path / "a.csv")
-    write_trace_csv_rowwise(tr, path / "b.csv")
+    write_trace_csv(tr, path / "a.csv", 1640)
+    write_trace_csv_rowwise(tr, path / "b.csv", 1640)
     assert (path / "a.csv").read_bytes() == (path / "b.csv").read_bytes()
 
 
@@ -1026,8 +1053,12 @@ _GOOD_CELLS = [{"algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}},
     {"bit_model": {"bits_scaler": 32}},
     {"bit_model": 64},
     {"bit_model": {"bits_scalar": 32.5}},
-    # runs send float64 scalars, so no other width may be billed
+    # bits_scalar is retired: runs send float64 scalars, billed 64 bits
     {"bit_model": {"bits_scalar": 32}},
+    {"bit_model": {"bits_scalar": 64}},
+    # L_f is 0 at scale 0, and a run's Lyapunov weight would divide by it
+    {"cost": {"kind": "logistic_log", "d": 4, "scale": 0}},
+    {"cost": {"kind": "logistic_log", "d": 4, "scale": -0.0}},
     {"broadcast": "false"},
     {"broadcast": 0},
     # an exact rule given a compressor, and a forced flag that is no bool
@@ -1074,6 +1105,14 @@ _GOOD_CELLS = [{"algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}},
     # a scenario must end at its file names' first "__"
     {"scenario": "a__b"},
     {"scenario": "a_"},
+    # a control character would split a line that names the file, such as
+    # a plot title in the --gnuplot script
+    {"scenario": "a\nb"},
+    {"scenario": "a\x7f"},
+    {"scenario": "\x00"},
+    {"cells": [dict(_GOOD_CELLS[0], label="dgt\nplot 'x'")]},
+    {"cells": [dict(_GOOD_CELLS[0], label="tab\there")]},
+    {"cells": [dict(_GOOD_CELLS[0], label="unit\x1fsep")]},
 ])
 @pytest.mark.parametrize("command", ["run", "bounds"])
 def test_cli_bad_config_sections_exit_2_before_any_output(tmp_path, change,
@@ -1213,7 +1252,7 @@ def test_program_bug_in_config_parsing_propagates(tmp_path, monkeypatch):
            "network": {"n": 5, "edge_density": 0.7},
            "cost": {"kind": "quadratic_pl", "d": 4},
            "seeds": {"graph": 4, "cost": 5, "algo": 6},
-           "bit_model": {"bits_scalar": 64}, "cells": _GOOD_CELLS}
+           "bit_model": {"bits_int": 4}, "cells": _GOOD_CELLS}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     with pytest.raises(TypeError, match="a bug inside BitCostModel"):
