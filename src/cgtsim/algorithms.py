@@ -18,8 +18,8 @@ import numpy as np
 
 from . import _kernels as kern
 from .analysis import (AnalysisError, ef_weight, lyapunov_weight,
-                       mixing_constants)
-from .compressors import CompressorSpec
+                       mixing_constants, scaled_gap_weight)
+from .compressors import LOCAL_ABSOLUTE, RELATIVE, CompressorSpec
 from .costs import CostSuite, RunCosts
 from .graph import Network
 
@@ -119,7 +119,8 @@ RULES = {rule.name: rule for rule in (
 @dataclass
 class RunTrace:
     """Dense per-iteration records, row k before step k, plus
-    runtime-invariant maxima; the harness bills a row's bits."""
+    runtime-invariant maxima and the name of the Lyapunov function the
+    ``lyapunov`` column records; the harness bills a row's bits."""
 
     algo: str
     consensus_err: np.ndarray
@@ -129,6 +130,7 @@ class RunTrace:
     status: str
     failed_at: int | None
     diagnostics: dict
+    lyapunov_name: str
 
     def __len__(self):
         return len(self.consensus_err)
@@ -150,8 +152,7 @@ def scaling_sequence(s0: float, mu: float, iters: int) -> np.ndarray:
 def run(algo: str, iters: int, net: Network, suite: CostSuite,
         params: AlgorithmParams, comp: CompressorSpec | None = None, *,
         seed: int = 0, x0: np.ndarray | None = None, f_star: float = 0.0,
-        x_star: np.ndarray | None = None,
-        lyap_aux: float | None = None) -> RunTrace:
+        x_star: np.ndarray | None = None) -> RunTrace:
     """Execute one synchronous run and return its dense trace.
 
     The state list is X|Y, G, the rule's twins (zero at first) and, if it
@@ -165,12 +166,12 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
     ``x_star`` the point it is attained at, if known; quadratic gaps are
     anchored there, or at the minimiser solved from the suite's Gram without
     it (see ``costs.RunCosts``).
-    The rule fixes its Lyapunov function and the run derives its weights:
-    phi = ``lyapunov_weight(sigma, L_f)`` on the tracking error, and alg2's
-    ``ef_weight`` at its phis and the compressor's (r, psi, C) on the
-    feedback sum, 0 for phis outside (0, 1/r) or C = 0.  Only a scaled rule
-    takes ``lyap_aux``, its gap weight: 1 by default (the consensus
-    function), or the scaled function's, which a locally bounded region fixes.
+    The rule and the compressor's class fix the Lyapunov function, which
+    the trace names, and the run derives its weights: phi =
+    ``lyapunov_weight(sigma, L_f)``; alg2's ``ef_weight`` at its phis and a
+    relative compressor's (r, psi, C), 0 in another class, for phis outside
+    (0, 1/r) or for C = 0; a scaled rule's gap weight, ``scaled_gap_weight``
+    at its eta and gamma under a locally bounded compressor, else 1.
     """
     rule = RULES.get(algo) if isinstance(algo, str) else None
     if rule is None:
@@ -185,20 +186,20 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
             raise AlgorithmError(f"{algo} needs a compressor spec")
         if comp.d != suite.d:
             raise AlgorithmError("compressor dimensioned for a different d")
-    if lyap_aux is not None and not rule.scaled:
-        raise AlgorithmError(f"{algo}'s Lyapunov function has no weight to "
-                             "set")
     phi_w = lyapunov_weight(net.sigma, suite.L_f)
-    aux = 1.0 if lyap_aux is None else lyap_aux
+    aux, lyap_name = 1.0, rule.lyapunov
     if rule.feedback:
-        # 0 for an exact compressor (C = 0), whose feedback sum is
-        # identically 0, and for phis outside (0, 1/r): the raw sum
+        # 0 where (r, psi, C) state no bound: outside the relative class and
+        # for phis outside (0, 1/r); and for C = 0, whose feedback sum is 0
         try:
-            aux = ef_weight(*mixing_constants(
-                params.phi_x, params.phi_y, comp.r, comp.psi),
-                comp.cap_c) if comp.cap_c else 0.0
+            aux = (ef_weight(*mixing_constants(
+                params.phi_x, params.phi_y, comp.r, comp.psi), comp.cap_c)
+                if comp.assumption_class == RELATIVE and comp.cap_c else 0.0)
         except AnalysisError:
             aux = 0.0
+    elif rule.scaled and comp.assumption_class == LOCAL_ABSOLUTE:
+        aux, lyap_name = scaled_gap_weight(params.eta, params.gamma,
+                                           net.sigma, suite.L_f), "scaled"
 
     n, d = net.n, suite.d
     if x0 is None:
@@ -252,6 +253,7 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
         status=status,
         failed_at=None if status == "ok" else last,
         diagnostics={name: float(v) for name, v in rec.diag.items()},
+        lyapunov_name=lyap_name,
     )
 
 

@@ -83,7 +83,8 @@ def ef_weight(c1: float, c2: float, C: float) -> float:
 
 
 def scaled_gap_weight(eta: float, gamma: float, sigma: float, L: float) -> float:
-    return 0.4 * gamma * (1.0 - sigma) / (eta * L * L)
+    """+inf where eta L^2 underflows to 0."""
+    return _div(0.4 * gamma * (1.0 - sigma), eta * L * L)
 
 
 def _check_problem(sigma: float, L: float) -> None:

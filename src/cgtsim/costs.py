@@ -145,6 +145,9 @@ def generate_suite(kind: str, n: int, d: int, seed: int, *,
         suite = CostSuite(kind, n, d, seed, h=h, nu=nu, m=m, xi=xi,
                           gen_params={"abs_m": abs_m, "scale": scale})
         suite.L_f = _logistic_L(suite)
+        if suite.L_f * suite.L_f < np.finfo(float).tiny:  # phi's divisor
+            raise CostError(f"scale {scale} gives L_f = {suite.L_f}, whose "
+                            "square is below the smallest normal float")
         return suite
 
     rows = d if rows is None else rows

@@ -193,10 +193,8 @@ def _region_class(rule, comp: CompressorSpec | None) -> str:
 
 
 def cell_region(rule, cls: str, comp: CompressorSpec | None, inputs: dict,
-                net, suite, x0, f_star):
-    """The certified region of one cell: ``(bounds, extras, lyap_aux)``, the
-    region with its operating point, the sidecar fields it adds and the
-    weight a locally bounded region fixes for the scaled gap, or None.
+                net, suite, x0, f_star) -> analysis.ParameterBounds:
+    """The certified region of one cell, with its operating point.
 
     The calculator follows ``cls``, the cell's ``_region_class``, and, in
     the relative class, whether the rule sends error feedback.  It reads the
@@ -204,8 +202,6 @@ def cell_region(rule, cls: str, comp: CompressorSpec | None, inputs: dict,
     s0 ``auto_s0``; mu 0.995), and a locally bounded one ``f_star()``."""
     if not rule.classes:
         comp = make_compressor("identity", suite.d)
-    lyap_aux = None
-    extras: dict = {}
     if cls == RELATIVE:
         fn = (analysis.bounds_error_feedback if rule.feedback
               else analysis.bounds_relative)
@@ -216,7 +212,6 @@ def cell_region(rule, cls: str, comp: CompressorSpec | None, inputs: dict,
             net.sigma, suite.L_f, net.n, suite.d, comp.cap_c,
             mu=float(inputs.get("mu", 0.995)))
         b.s0 = float(inputs["s0"] if "s0" in inputs else auto_s0(x0, suite))
-        extras["slack_coefficient"] = b.constants["breve_theta8"]
     else:
         if suite.nu_pl is None:
             raise ConfigError(
@@ -232,10 +227,7 @@ def cell_region(rule, cls: str, comp: CompressorSpec | None, inputs: dict,
             gap0=net.n * (mean_value(suite, xbar) - f_star()),
             x0_norm_max=float(np.linalg.norm(x0, axis=1).max()),
             y0_norm_max=float(np.linalg.norm(y0, axis=1).max()))
-        lyap_aux = b.constants["phi_tilde"]
-        extras["lyapunov"] = "scaled"
-    extras["bounds"] = b.constants
-    return b, extras, lyap_aux
+    return b
 
 
 def _refusal(cell, cls: str | None, params: AlgorithmParams, region,
@@ -273,36 +265,33 @@ def _refusal(cell, cls: str | None, params: AlgorithmParams, region,
 
 def resolve(cfg: ExperimentConfig, net, suite, x0, f_star) -> list:
     """Each cell of ``cfg`` on the instance, for ``run`` and ``bounds``
-    alike: ``(cell, params, lyap_aux, extras, region, refusal)``.  The
-    params are the merged ones (``auto_s0`` for a scaled rule's unset s0) or
-    a certified cell's operating point; ``lyap_aux`` is the gap weight of a
-    certified locally bounded region, else None.  Every certified or
-    compressed cell gets a ``region`` of the class picked for it, or the
-    error that says why there is none.  ``refusal`` is ``_refusal``'s;
-    ``bounds`` ignores it."""
+    alike: ``(cell, params, region, refusal)``.  The params are the merged
+    ones (``auto_s0`` for a scaled rule's unset s0) or a certified cell's
+    operating point, the only thing its mode picks: the run derives its
+    Lyapunov function from them.  Every certified or compressed cell gets a
+    ``region`` of the class picked for it, or the error that says why there
+    is none.  ``refusal`` is ``_refusal``'s; ``bounds`` ignores it."""
     out = []
     for cell in cfg.cells:
         rule, certified = RULES[cell.algo], cell.mode == "certified"
-        params, cls, region, lyap_aux = cell.merged, None, None, None
-        extras = {"lyapunov": rule.lyapunov}
+        params, cls, region = cell.merged, None, None
         if not certified and rule.scaled and "s0" not in cell.params:
             params = replace(params, s0=auto_s0(x0, suite))
         if certified or rule.classes:
             try:
                 cls = _region_class(rule, cell.spec)
-                region, cert, aux = cell_region(
+                region = cell_region(
                     rule, cls, cell.spec, cell.params if certified
                     else vars(params), net, suite, x0, f_star)
             except (ConfigError, analysis.AnalysisError) as exc:
                 # with its traceback, its frames would keep the instance alive
                 region = exc.with_traceback(None)
         if certified and not isinstance(region, Exception):
-            extras.update(cert)
-            lyap_aux, c = aux, region.constants
+            c = region.constants
             params = AlgorithmParams(**{
                 k: c[k] if k in ("phi_x", "phi_y") else getattr(region, k)
                 for k in rule.params})
-        out.append((cell, params, lyap_aux, extras, region,
+        out.append((cell, params, region,
                     _refusal(cell, cls, params, region, suite.L_f)))
     return out
 
@@ -393,13 +382,13 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
     report_path = outdir / f"{cfg.scenario}__report.json"
     report_path.unlink(missing_ok=True)
     rows, paths, baseline = [], [], None
-    for cell, params, lyap_aux, extras, *_ in resolved:
+    for cell, params, region, _ in resolved:
         label, comp = cell.resolved_label(), cell.spec
         bpi = per_iteration_bits(cell.algo, comp, cfg.bit_model, net,
                                  suite.d, cfg.broadcast)
         trace = run(cell.algo, cfg.iters, net, suite, params, comp,
                     seed=cfg.seeds["algo"], x0=x0, f_star=ref.f_star,
-                    x_star=ref.x_star, lyap_aux=lyap_aux)
+                    x_star=ref.x_star)
         csv_path = outdir / f"{cfg.scenario}__{label}.csv"
         json_path = csv_path.with_suffix(".json")
         write_trace_csv(trace, csv_path, bpi)
@@ -420,8 +409,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
             "sigma": net.sigma, "L_f": suite.L_f, "nu_pl": suite.nu_pl,
             "f_star": ref.f_star, "f_star_certified": ref.certified,
             "status": trace.status, "failed_at": trace.failed_at,
-            "diagnostics": trace.diagnostics, **extras,
+            "diagnostics": trace.diagnostics, "lyapunov": trace.lyapunov_name,
         }
+        if cell.mode == "certified":
+            sidecar["bounds"] = region.constants
         _write_json(sidecar, json_path)
         paths += [csv_path, json_path]
         if not RULES[cell.algo].classes and baseline is None:

@@ -295,9 +295,13 @@ def test_criterion_8_scaled_induction_hypotheses(pl_instance):
     ob = make_compressor("one_bit", d=5)
     tr = run("alg3", 1000, net, suite,
              AlgorithmParams(eta=b.eta, gamma=b.gamma, s0=b.s0, mu=b.mu),
-             ob, seed=9, x0=x0, f_star=ref.f_star,
-             lyap_aux=b.constants["phi_tilde"])
+             ob, seed=9, x0=x0, f_star=ref.f_star)
     assert tr.status == "ok"
+    # the run derives the region's scaled function: its first row is the
+    # region's U~(0)
+    assert tr.lyapunov_name == "scaled"
+    assert tr.lyapunov[0] == pytest.approx(b.constants["u_tilde_0"],
+                                           rel=1e-12)
     assert tr.diagnostics["induction_x"] <= 1.0 + 1e-12
     assert tr.diagnostics["induction_y"] <= 1.0 + 1e-12
     _report(8, "scaled-difference induction bounds ||X-Xhat||_inf <= s(k) "

@@ -249,20 +249,6 @@ def test_incompatible_shapes_rejected(small_net):
             AlgorithmParams(eta=0.1, gamma=0.3), None)
 
 
-def test_lyap_aux_only_where_the_rule_has_a_weight_to_set(small_net,
-                                                         small_suite):
-    # alg1's function has no weighted term, dgt's gap weight is fixed at 1
-    # and alg2's feedback weight follows from its phis and compressor: only
-    # the scaled rule's gap weight is set
-    p = AlgorithmParams(eta=0.05, gamma=0.3)
-    comp = make_compressor("identity", d=8)
-    for algo, c in (("alg1", comp), ("alg2", comp), ("dgt", None)):
-        with pytest.raises(AlgorithmError, match="no weight to set"):
-            run(algo, 5, small_net, small_suite, p, c, lyap_aux=0.3)
-    assert len(run("alg3", 5, small_net, small_suite, p, comp,
-                   lyap_aux=0.3)) == 6
-
-
 def test_param_validation():
     with pytest.raises(AlgorithmError):
         AlgorithmParams(eta=-0.1, gamma=0.3).validate("dgt")
@@ -558,6 +544,7 @@ def _assert_equals_twin(tr, want):
                  "x_hist", "y_hist"):
         assert _bits(getattr(tr, name)) == _bits(want[name]), name
     assert (tr.status, tr.failed_at) == (want["status"], want["failed_at"])
+    assert tr.lyapunov_name == want["lyapunov_name"]
     assert list(tr.diagnostics) == list(want["diagnostics"])
     assert _bits(list(tr.diagnostics.values())) == _bits(
         list(want["diagnostics"].values()))
@@ -568,14 +555,12 @@ def _assert_equals_twin(tr, want):
 
 
 def _check_against_twin(monkeypatch, algo, iters, net, suite, p, comp,
-                        lyap_aux=None, seed=9, x0=None):
+                        seed=9, x0=None):
     x0 = initial_point(net.n, suite.d, 9) if x0 is None else x0
-    want = run_twin(algo, iters, net, suite, p, comp, seed, x0,
-                    lyap_aux=lyap_aux)
+    want = run_twin(algo, iters, net, suite, p, comp, seed, x0)
     with np.errstate(all="ignore"):
         runs = _run_default_and_per_row(monkeypatch, algo, iters, net, suite,
-                                        p, comp, seed=seed, x0=x0,
-                                        lyap_aux=lyap_aux)
+                                        p, comp, seed=seed, x0=x0)
     for tr in runs:
         _assert_equals_twin(tr, want)
     return want
@@ -586,23 +571,22 @@ def test_block_steppers_equal_twin_form_oracle(small_net, small_suite,
                                                monkeypatch, algo):
     p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
                         varsigma=0.3, s0=8.0, mu=0.99)
-    # alg3 takes its default gap weight and 0.3 in turn (the consensus and
-    # the scaled function); alg2 derives its feedback weight, which is 0
-    # for the identity and for norm_sign (phi_x above 1/r = 1/4) and
+    # alg3 derives a gap weight under one_bit only (the scaled function),
+    # and keeps the consensus function's 1 under the other kinds; alg2
+    # derives its feedback weight, which is 0 outside the relative class,
+    # for the identity and for norm_sign (phi_x above 1/r = 1/4), and
     # positive for the other kinds
     cases = [(None, {})] if algo == "dgt" else _TWIN_COMPRESSORS
     weighted = set()
-    for i, (kind, kw) in enumerate(cases):
+    for kind, kw in cases:
         comp = None if kind is None else make_compressor(kind, d=8, **kw)
-        aux = 0.3 if i % 2 and RULES[algo].scaled else None
         want = _check_against_twin(monkeypatch, algo, 150, small_net,
-                                   small_suite, p, comp, lyap_aux=aux)
+                                   small_suite, p, comp)
         assert want["status"] == "ok", kind
         if lyapunov_weights_oracle(algo, small_net, small_suite, p, comp)[1]:
             weighted.add(kind)
-    if algo == "alg2":
-        assert weighted == {"uniform_quantize", "random_sparsify",
-                            "random_quantize"}
+    assert weighted == {"alg1": set(), "dgt": set(), "alg3": {"one_bit"},
+                        "alg2": {"random_sparsify", "random_quantize"}}[algo]
 
 
 @pytest.mark.parametrize("algo, kind, kw", [
@@ -630,7 +614,7 @@ def test_block_stepper_equals_twin_form_oracle_scaling_exhausted(
     p = AlgorithmParams(eta=1e-9, gamma=0.1, s0=1.0, mu=0.1)
     want = _check_against_twin(
         monkeypatch, "alg3", 400, small_net, small_suite, p,
-        make_compressor("uniform_quantize", d=8, delta=2.0), lyap_aux=0.3)
+        make_compressor("one_bit", d=8))
     assert (want["status"], want["failed_at"]) == ("scaling_exhausted", 300)
 
 

@@ -53,6 +53,8 @@ def test_weights_pinned_values():
     assert math.isinf(ef_weight(0.25, 0.25, 0.0))
     assert scaled_gap_weight(0.1, 0.2, 0.5, 2.0) == pytest.approx(
         0.4 * 0.2 * 0.5 / (0.1 * 4.0))
+    # +inf where eta L^2 underflows to 0, as at any params validate accepts
+    assert math.isinf(scaled_gap_weight(5e-324, 0.6, 0.5, 0.01))
 
 
 def test_exact_compressor_bounds_hand_evaluated():
@@ -287,27 +289,31 @@ def test_lyapunov_eval_pairing_errors():
 
 def test_trace_lyapunov_matches_events_evaluator():
     # the in-kernel column equals the standalone evaluation at the final
-    # state, under the weights the run derives: phi from sigma and L_f, and
-    # alg2's phi_hat from its phis (inside (0, 1/r) = (0, 1/2)) and the
-    # compressor
+    # state, under the function and weights the run derives: phi from sigma
+    # and L_f, alg2's phi_hat from its phis (inside (0, 1/r) = (0, 1/2)) and
+    # the compressor, and alg3's phi_tilde from its eta and gamma under the
+    # locally bounded one_bit (the scaled function)
     net = generate_network(6, 0.6, seed=1)
     suite = generate_suite("logistic_log", n=6, d=4, seed=2, scale=0.3)
     ref = solve_reference(suite, tol=1e-9)
     comp = make_compressor("norm_sign", d=4)
+    pp = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
+                         varsigma=0.3, s0=8.0, mu=0.99)
     consts = {"phi": lyapunov_weight(net.sigma, suite.L_f),
               "phi_hat": ef_weight(*mixing_constants(0.3, 0.1, comp.r,
                                                      comp.psi), comp.cap_c),
-              "phi_tilde": 1.3}
+              "phi_tilde": scaled_gap_weight(pp.eta, pp.gamma, net.sigma,
+                                             suite.L_f)}
     assert consts["phi_hat"] > 0
-    for algo, which, aux in [("alg1", "full", None), ("alg2", "ef", None),
-                             ("alg3", "scaled", 1.3),
-                             ("alg3", "consensus", None),
-                             ("dgt", "consensus", None)]:
-        pp = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
-                             varsigma=0.3, s0=8.0, mu=0.99)
+    for algo, which, kind in [("alg1", "full", "norm_sign"),
+                              ("alg2", "ef", "norm_sign"),
+                              ("alg3", "scaled", "one_bit"),
+                              ("alg3", "consensus", "norm_sign"),
+                              ("dgt", "consensus", None)]:
         tr = run_recorded(algo, 60, net, suite, pp,
-                          None if algo == "dgt" else comp, seed=3,
-                          f_star=ref.f_star, lyap_aux=aux)
+                          kind and make_compressor(kind, d=4), seed=3,
+                          f_star=ref.f_star)
+        assert tr.lyapunov_name == which
         val = lyapunov_eval(which, tr.final_state, net, suite, ref.f_star,
                             consts)
         assert tr.lyapunov[-1] == pytest.approx(val.total, rel=1e-9,

@@ -276,6 +276,18 @@ def test_estimate_L_monotone_in_samples():
     assert vals[0] <= vals[1] <= vals[2]
 
 
+def test_logistic_suite_refuses_a_subnormal_lipschitz_square():
+    # the Lyapunov weights divide by L_f^2, which must be a normal float:
+    # L_f scales with ``scale``, so twice the edge passes and half fails
+    L1 = generate_suite("logistic_log", n=5, d=4, seed=5).L_f
+    edge = math.sqrt(np.finfo(float).tiny) / L1
+    suite = generate_suite("logistic_log", n=5, d=4, seed=5, scale=2 * edge)
+    assert suite.L_f * suite.L_f >= np.finfo(float).tiny
+    for scale in (edge / 2, 1e-160, -1e-200):
+        with pytest.raises(CostError, match="smallest normal float"):
+            generate_suite("logistic_log", n=5, d=4, seed=5, scale=scale)
+
+
 def test_normalized_quadratic_has_unit_L():
     suite = generate_suite("quadratic_pl", n=5, d=4, seed=29)
     assert suite.L_f == pytest.approx(1.0, rel=1e-12)

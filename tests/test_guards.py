@@ -58,11 +58,14 @@ GUARDS = {
         "rule describes: a trace row records X|Y, G and every twin, so no "
         "rule counts the twins it records"),
     "retired-run-settings": (
-        r"\blyap_phi\b|\bbits_per_iter\b|\bbits_scalar\b",
+        r"\blyap_phi\b|\bbits_per_iter\b|\bbits_scalar\b|\blyap_aux\b"
+        r"|slack_coefficient",
         ("src",),
-        "a run derives its Lyapunov weights from its instance and compressor "
-        "and bills no bits (the harness does), and a real is always billed "
-        "compressors.SCALAR_BITS: none of these is a setting"),
+        "a run derives its Lyapunov function and weights from its rule, "
+        "params, instance and compressor class, and bills no bits (the "
+        "harness does); a real is always billed compressors.SCALAR_BITS; and "
+        "a certified sidecar's bounds already hold the slack coefficient "
+        "(breve_theta8): none of these is a setting or a second copy"),
     "caught-type-error": (
         r"except \(TypeError|except TypeError",
         ("src/cgtsim/harness.py", "src/cgtsim/config.py"),

@@ -38,6 +38,7 @@ from cgtsim.harness import (
     write_trace_csv,
 )
 from compressor_oracles import claiming
+from analysis_oracles import lyapunov_eval
 from harness_oracles import (
     file_digest,
     read_trace_csv,
@@ -203,7 +204,7 @@ def test_csv_writer_equals_rowwise_writer(tmp_path_factory, data, rows):
     # the column-wise writer writes the bytes the cell-by-cell one writes
     floats = [data.draw(hnp.arrays(np.float64, rows, elements=_CSV_FLOATS))
               for _ in range(4)]
-    tr = RunTrace("alg1", *floats, "ok", None, {})
+    tr = RunTrace("alg1", *floats, "ok", None, {}, "full")
     path = tmp_path_factory.mktemp("csv")
     write_trace_csv(tr, path / "a.csv", 1640)
     write_trace_csv_rowwise(tr, path / "b.csv", 1640)
@@ -452,6 +453,10 @@ def test_cli_config_errors_exit_2_and_program_bugs_propagate(tmp_path,
     {"kind": "quadratic_pl", "consistent": "no"},
     {"kind": "quadratic_pl", "normalize": 1},
     {"kind": "logistic_log", "abs_m": "no"},
+    # L_f^2 below the smallest normal float: phi = (1 - sigma)^2 /
+    # (320 L_f^2) would divide by 0, or come out inf
+    {"kind": "logistic_log", "scale": 1e-200},
+    {"kind": "logistic_log", "scale": 1e-160},
     # keys that the family does not read (at scale 0.1 the logistic dgt
     # cell is admitted, so only the key can make it exit 2)
     {"kind": "quadratic_pl", "scale": 5.0},
@@ -560,6 +565,98 @@ def test_cli_bounds_equal_run_sidecars(tmp_path, capsys, monkeypatch):
                 assert tables["cells"][label][key] == sidecar["params"][key], \
                     (label, key)
     assert tables["cells"]["alg3_uniform_quantize_certified"]["mu"] == 0.97
+
+
+def test_mode_picks_only_the_params(tmp_path):
+    # a forced practical cell given a certified cell's params writes the
+    # certified cell's trace and names the same Lyapunov function: the rule
+    # and the compressor class pick the function, the mode only the params
+    cells = {"ef": {"algo": "alg2", "compressor": {"kind": "norm_sign"}},
+             "scaled": {"algo": "alg3", "compressor": {"kind": "one_bit"}},
+             "consensus": {"algo": "alg3", "compressor": {
+                 "kind": "uniform_quantize", "delta": 2.0}}}
+    doc = {"scenario": "m", "iters": 40,
+           "network": {"n": 6, "edge_density": 0.6},
+           "cost": {"kind": "quadratic_pl", "d": 4},
+           "seeds": {"graph": 1, "cost": 2, "algo": 3}}
+    cfg_path = tmp_path / "cfg.json"
+
+    def run_cells(mode, extra):
+        cfg_path.write_text(json.dumps(dict(
+            doc, output_dir=str(tmp_path / mode),
+            cells=[dict(cell, label=name, **extra(name))
+                   for name, cell in cells.items()])))
+        assert cli.main(["run", str(cfg_path)]) == 0
+        return {name: (tmp_path / mode / f"m__{name}.csv",
+                       json.loads((tmp_path / mode / f"m__{name}.json")
+                                  .read_text())) for name in cells}
+
+    cert = run_cells("certified", lambda name: {"mode": "certified"})
+    forced = run_cells("practical", lambda name: {
+        "force_params": True, "params": {
+            k: cert[name][1]["params"][k]
+            for k in RULES[cells[name]["algo"]].params}})
+    for name in cells:
+        assert cert[name][0].read_bytes() == forced[name][0].read_bytes(), \
+            name
+        assert cert[name][1]["lyapunov"] == forced[name][1]["lyapunov"] \
+            == name
+
+
+def test_forced_alg2_outside_the_relative_class_weights_no_feedback(
+        tmp_path, monkeypatch):
+    # uniform_quantize states no relative (r, psi): alg2's feedback weight is
+    # 0 there, not ef_weight at the spec's unset r = psi = 1 and C = 1
+    doc = reference_scenario_config("practical", iters=40,
+                                    output_dir=str(tmp_path / "o"))
+    doc["cells"] = [{"algo": "alg2", "compressor": {
+        "kind": "uniform_quantize", "delta": 2.0}, "force_params": True}]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    traces = []  # the run, with its states
+    monkeypatch.setattr(harness, "run", lambda *a, **k: traces.append(
+        run_recorded(*a, **k)) or traces[-1])
+    assert cli.main(["run", str(cfg_path)]) == 0
+    stem = tmp_path / "o" / "reference_practical__alg2_uniform_quantize"
+    sidecar = json.loads(stem.with_suffix(".json").read_text())
+    assert sidecar["lyapunov"] == "ef"
+    lyap = read_trace_csv(stem.with_suffix(".csv"))["lyapunov"]
+    net, suite = harness.build_instance(ExperimentConfig.from_dict(doc))
+    (tr,) = traces
+
+    def at_final_state(phi_hat):
+        return lyapunov_eval("ef", tr.final_state, net, suite,
+                             sidecar["f_star"], {
+                                 "phi": analysis.lyapunov_weight(
+                                     net.sigma, suite.L_f),
+                                 "phi_hat": phi_hat})
+
+    val = at_final_state(0.0)
+    assert val.terms["ef_x"] + val.terms["ef_y"] > 0  # so a weight shows
+    assert lyap[-1] == pytest.approx(val.total, rel=1e-9)
+    unset = analysis.ef_weight(*analysis.mixing_constants(
+        0.3, 0.1, 1.0, 1.0), 1.0)
+    assert lyap[-1] != pytest.approx(at_final_state(unset).total, rel=1e-9)
+
+
+def test_scaled_gap_weight_at_an_underflowing_eta_runs(tmp_path):
+    # eta L_f^2 underflows to 0 at eta 5e-324 and scale 0.01, which validate
+    # accepts: the scaled gap weight is +inf and the run ends ok
+    cfg = {"scenario": "e", "iters": 20,
+           "network": {"n": 5, "edge_density": 0.7},
+           "cost": {"kind": "logistic_log", "d": 4, "scale": 0.01},
+           "seeds": {"graph": 4, "cost": 5, "algo": 6},
+           "output_dir": str(tmp_path / "o"),
+           "algo": "alg3", "compressor": {"kind": "one_bit"},
+           "params": {"eta": 5e-324}, "force_params": True}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(cfg_path)]) == 0
+    stem = tmp_path / "o" / "e__alg3_one_bit"
+    sidecar = json.loads(stem.with_suffix(".json").read_text())
+    assert (sidecar["status"], sidecar["lyapunov"]) == ("ok", "scaled")
+    assert np.isposinf(read_trace_csv(stem.with_suffix(".csv"))["lyapunov"]
+                       ).all()
 
 
 def test_cli_seed_override_env_and_flag(tmp_path, monkeypatch, capsys):

@@ -128,33 +128,38 @@ class _RowRecorder:
 
 def lyapunov_weights_oracle(algo, net, suite, p, comp):
     """The Lyapunov weights a run derives, restated from the paper: phi =
-    (1 - sigma)^2 / (320 L_f^2) on the tracking error and, for alg2, the
-    error-feedback weight 0.1 / C min(c (2c + 1)) over c1 = phi_x psi r / 2
-    and c2 = phi_y psi r / 2, or 0 when C = 0 or a phi lies outside
-    (0, 1/r); None for the other rules."""
-    phi = (1.0 - net.sigma) ** 2 / (320.0 * suite.L_f * suite.L_f)
+    (1 - sigma)^2 / (320 L_f^2) on the tracking error, and the rule's second
+    weight or None.  For alg2 it is the error-feedback weight 0.1 / C
+    min(c (2c + 1)) over c1 = phi_x psi r / 2 and c2 = phi_y psi r / 2 of a
+    relative-class compressor, and 0 outside that class, when C = 0 or when
+    a phi lies outside (0, 1/r).  For alg3 under a locally bounded
+    compressor it is the scaled gap weight 0.4 gamma (1 - sigma) / (eta
+    L_f^2); there is none for alg3 under another class (the consensus
+    function, whose gap weight is 1), alg1 or dgt."""
+    L = suite.L_f
+    phi = (1.0 - net.sigma) ** 2 / (320.0 * L * L)
+    if algo == "alg3" and comp.assumption_class == "local_absolute":
+        return phi, 0.4 * p.gamma * (1.0 - net.sigma) / (p.eta * L * L)
     if algo != "alg2":
         return phi, None
     inside = all(0.0 < f < 1.0 / comp.r for f in (p.phi_x, p.phi_y))
-    if comp.cap_c == 0 or not inside:
+    if comp.assumption_class != "relative" or comp.cap_c == 0 or not inside:
         return phi, 0.0
     c1, c2 = (0.5 * f * comp.psi * comp.r for f in (p.phi_x, p.phi_y))
     return phi, 0.1 / comp.cap_c * min(c1 * (2 * c1 + 1), c2 * (2 * c2 + 1))
 
 
 def run_twin(algo, iters, net, suite, p, comp, seed, x0, *, x_star=None,
-             f_star=0.0, lyap_aux=None):
+             f_star=0.0):
     """The run ``algorithms.run`` makes with these arguments, as a dict of
     its ``run_recorder.RecordedTrace`` fields (``final`` for
     ``final_state``).  The Lyapunov function is alg1's full one, alg2's
     error-feedback one and otherwise the consensus one, or the scaled one
-    when ``lyap_aux`` weights the gap; its weights are
-    ``lyapunov_weights_oracle``'s."""
+    when ``lyapunov_weights_oracle`` gives alg3 a gap weight; its weights
+    are that oracle's."""
+    lyap_phi, lyap_aux = lyapunov_weights_oracle(algo, net, suite, p, comp)
     lyap = {"alg1": "full", "alg2": "ef"}.get(
         algo, "consensus" if lyap_aux is None else "scaled")
-    lyap_phi, ef_weight = lyapunov_weights_oracle(algo, net, suite, p, comp)
-    if lyap == "ef":
-        lyap_aux = ef_weight
     W = np.ascontiguousarray(net.W, dtype=np.float64)
     cost = RunCosts(suite, x_star, f_star)
     useed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
@@ -254,7 +259,7 @@ def run_twin(algo, iters, net, suite, p, comp, seed, x0, *, x_star=None,
             if k < last:
                 step(k, st)
     out = {name: np.array(v) for name, v in rec.cols.items()}
-    out.update(status=status,
+    out.update(status=status, lyapunov_name=lyap,
                failed_at=None if status == "ok" else k_done,
                diagnostics={name: v for name, v in zip(DIAG_NAMES, rec.diag)
                             if name in CHECKED[algo]},
