@@ -262,11 +262,10 @@ class _BlockRecorder:
     c + phi_w t plus the rule's terms: the gap weighted by ``aux`` under
     "consensus" (1.0 gives the consensus function, the scaled one else),
     the compression errors and the gap under "full", and those and ``aux``
-    times the error-feedback sum under "ef".  A scaled rule checks the
-    accumulators after each step, read off rows k and k+1 like the mean-x
-    recursion; the others check them at each finite row.  Steppers update
-    their blocks in place, so at B = 1 a row is read before the next step
-    and a scaled rule keeps a copy of the X it needs from it.
+    times the error-feedback sum under "ef".  A compressed rule checks the
+    accumulators at each finite row, where row 0's twins are zero.  Steppers
+    update their blocks in place, so at B = 1 a row is read before the next
+    step and a scaled rule keeps a copy of the X it needs from it.
     """
 
     def __init__(self, rule, row, cost, W, eta, phi_w, aux, iters,
@@ -327,17 +326,17 @@ class _BlockRecorder:
 
         ok = slice(0, nok)
         _raise_max(diag, "mean_y_tracking", ytr[ok])
+        if nok and rule.classes:
+            _raise_twin(diag, "struct",
+                        _struct_resid_rows(R[3][ok], R[2][ok], W))
         if nok and rule.scaled:
             sk = self.s_arr[k0:k0 + nok, None]
             _raise_twin(diag, "induction",
                         _row_norm_max_rows(R[0][ok] - R[2][ok]) / sk)
-        elif nok and "struct_x" in diag:
-            _raise_twin(diag, "struct",
-                        _struct_resid_rows(R[3][ok], R[2][ok], W))
 
         # step k0 + j - 1 leads into row j: the mean-x recursion needs the
-        # agent means of both rows; a scaled rule's post-update residuals use
-        # row j's Xhat|Yhat and V|Z
+        # agent means of both rows, and a scaled rule's compression ratio
+        # row j - 1's X and row j's Xhat
         self.means[1:b + 1] = means
         steps = slice(1 if k0 == 0 else 0, keep)
         if keep > steps.start:
@@ -345,8 +344,6 @@ class _BlockRecorder:
             _raise_max(diag, "mean_x_recursion",
                        _norms(means[steps, 0] - want))
             if rule.scaled:
-                _raise_twin(diag, "struct",
-                            _struct_resid_rows(R[3][steps], R[2][steps], W))
                 _raise_max(diag, "compression_ratio",
                            _row_norm_max_rows(Xp[steps] - R[2][steps, 0])
                            / self.s_arr[k0 - 1 + steps.start:k0 - 1 + keep])

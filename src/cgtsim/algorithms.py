@@ -81,7 +81,6 @@ class Rule:
     messages: tuple     # the name of the message sent in each slot
     twins: tuple        # (2, n, d) blocks after X|Y and G, zero at first
     lyapunov: str       # "full", "ef" or "consensus" (sidecar names)
-    invariants: tuple   # the runtime invariants (DIAG_NAMES) it checks
     params: tuple       # the AlgorithmParams fields it reads
     practical: AlgorithmParams  # aggressive operating point for
                                 # qualitative experiments
@@ -92,27 +91,30 @@ class Rule:
         """Whether it sends error-feedback messages besides Qx, Qy (alg2)."""
         return self.lyapunov == "ef"
 
+    @property
+    def invariants(self) -> tuple:
+        """The runtime invariants (DIAG_NAMES) it checks: the mean recursions,
+        the accumulator identities if it compresses, the rest if scaled."""
+        return DIAG_NAMES[:2 + 2 * bool(self.classes) + 3 * self.scaled]
+
 
 _RELATIVE_TWINS = (("a", "c"), ("b", "dd"))
-_STRUCT = DIAG_NAMES[:4]
 
 RULES = {rule.name: rule for rule in (
     Rule("alg1", kern._alg1_step, ("relative",), ("qx", "qy"),
-         _RELATIVE_TWINS, "full", _STRUCT,
-         ("eta", "gamma", "phi_x", "phi_y"),
+         _RELATIVE_TWINS, "full", ("eta", "gamma", "phi_x", "phi_y"),
          AlgorithmParams(eta=0.8, gamma=0.3, phi_x=0.3, phi_y=0.1)),
     Rule("alg2", kern._alg1_step, ("relative",),
          ("qx", "qy", "qhx", "qhy"), _RELATIVE_TWINS + (("ex", "ey"),),
-         "ef", _STRUCT,
-         ("eta", "gamma", "phi_x", "phi_y", "varsigma"),
+         "ef", ("eta", "gamma", "phi_x", "phi_y", "varsigma"),
          AlgorithmParams(eta=0.8, gamma=0.3, phi_x=0.3, phi_y=0.1,
                          varsigma=0.3)),
     Rule("alg3", kern._alg3_step, ("global_absolute", "local_absolute"),
          ("qx", "qy"), (("xhat", "yhat"), ("v", "z")), "consensus",
-         DIAG_NAMES, ("eta", "gamma", "s0", "mu"),
+         ("eta", "gamma", "s0", "mu"),
          AlgorithmParams(eta=0.4, gamma=0.6), scaled=True),
     Rule("dgt", kern._dgt_step, (), ("x", "y"), (), "consensus",
-         DIAG_NAMES[:2], ("eta", "gamma"), AlgorithmParams(eta=0.8, gamma=0.3)),
+         ("eta", "gamma"), AlgorithmParams(eta=0.8, gamma=0.3)),
 )}
 
 

@@ -102,9 +102,6 @@ def _print_rows(report: dict) -> bool:
 
 def _cmd_run(args) -> int:
     cfg = _experiment_config(args.config, args.seed, args.out)
-    if args.force:
-        for cell in cfg.cells:
-            cell.force_params = True
     report, paths = run_experiment(cfg)
     ok = _print_rows(report)
     print(f"report: {paths[-1]}")
@@ -176,8 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=None,
                    help="root seed N: the graph, cost and algo seeds become "
                         "N+1, N+2 and N+3")
-    p.add_argument("--force", action="store_true",
-                   help="skip certified-region parameter validation")
     p.add_argument("--gnuplot", action="store_true",
                    help="also emit a gnuplot script for the trace CSVs")
     p.set_defaults(fn=_cmd_run)

@@ -136,18 +136,21 @@ def generate_suite(kind: str, n: int, d: int, seed: int, *,
         if not (math.isfinite(scale) and scale != 0):
             raise CostError("scale must be a finite nonzero number; L_f is 0 "
                             "at scale 0")
-        h = scale * rng.standard_normal(n)
-        nu = rng.standard_normal(n)
-        m = scale * rng.standard_normal(n)
-        if abs_m:
-            m = np.abs(m)  # keeps the log term coercive and bounded below
-        xi = rng.standard_normal((n, d))
-        suite = CostSuite(kind, n, d, seed, h=h, nu=nu, m=m, xi=xi,
-                          gen_params={"abs_m": abs_m, "scale": scale})
-        suite.L_f = _logistic_L(suite)
-        if suite.L_f * suite.L_f < np.finfo(float).tiny:  # phi's divisor
-            raise CostError(f"scale {scale} gives L_f = {suite.L_f}, whose "
-                            "square is below the smallest normal float")
+        with np.errstate(over="ignore"):  # an L_f that overflows is refused
+            h = scale * rng.standard_normal(n)
+            nu = rng.standard_normal(n)
+            m = scale * rng.standard_normal(n)
+            if abs_m:
+                m = np.abs(m)  # keeps the log term coercive and bounded below
+            xi = rng.standard_normal((n, d))
+            suite = CostSuite(kind, n, d, seed, h=h, nu=nu, m=m, xi=xi,
+                              gen_params={"abs_m": abs_m, "scale": scale})
+            suite.L_f = L = _logistic_L(suite)
+        # phi divides by 320 L_f^2: L_f^2 must be normal, 320 L_f^2 finite
+        if L * L < np.finfo(float).tiny or not math.isfinite(320.0 * L * L):
+            raise CostError(f"scale {scale} gives L_f = {L}; phi needs an "
+                            "L_f^2 of at least the smallest normal float and "
+                            "a finite 320 L_f^2")
         return suite
 
     rows = d if rows is None else rows

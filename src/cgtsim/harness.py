@@ -11,8 +11,8 @@ runs the region's operating point and may give only the region's inputs
 (``_REGION_INPUTS``).  A ``"practical"`` cell's params must lie in the
 region unless ``force_params`` is set; a locally bounded region, which
 fixes s0 and mu together with eta and gamma, certifies none.  The exact
-rule asks only gamma < 1 and eta <= 1/L_f.  Every cell shares the network,
-cost instance, reference value and initial point.  The ledger bills each
+rule asks only eta <= 1/L_f.  Every cell shares the network, cost
+instance, reference value and initial point.  The ledger bills each
 cell's bits per iteration once, in Python ints, so the cumulative ``bits``
 column is exact at any size.  Trace CSVs carry the columns ``CSV_HEADER``,
 a JSON sidecar the fully resolved cell, and the report one row per cell,
@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -95,13 +95,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        """The config of a document (``config.DOCUMENT``), whose cells may
-        also be given in the single-run form: one cell's keys at the top
-        level.  Each cell is parsed (``_parse_cell``) and has its own label."""
-        if isinstance(doc, dict) and "cells" not in doc and "algo" in doc:
-            doc = dict(doc)
-            doc["cells"] = [{f.name: doc.pop(f.name) for f in fields(CellConfig)
-                             if f.init and f.name in doc}]
+        """The config of a document (``config.DOCUMENT``).  Each cell is
+        parsed (``_parse_cell``) and has its own label."""
         doc = check_config(doc, DOCUMENT, "config")
         doc["cells"] = [_parse_cell(CellConfig(**cell), doc["cost"]["d"])
                         for cell in doc["cells"]]
@@ -235,13 +230,13 @@ def _refusal(cell, cls: str | None, params: AlgorithmParams, region,
     """What ``run`` refuses a resolved cell for, or None: a certified cell
     with no region; a practical one, unless force_params, whose region is
     missing or locally bounded, or whose params lie outside it (the eta
-    limit taken at the given gamma; gamma < 1 and eta <= 1/L_f for dgt)."""
+    limit taken at the given gamma; eta <= 1/L_f for dgt)."""
     rule, label = RULES[cell.algo], cell.resolved_label()
     missing = isinstance(region, Exception)
     if cell.mode == "certified" or cell.force_params:
         return region if missing and cell.mode == "certified" else None
     if not rule.classes:
-        inside = params.gamma < 1.0 and params.eta <= 1.0 / L_f
+        inside = params.eta <= 1.0 / L_f
     else:
         why = region if missing else None
         if cls == LOCAL_ABSOLUTE:
@@ -475,13 +470,8 @@ def reference_scenario_config(mode: str = "practical", iters: int = 3000,
                                         "delta": 2.0},
          "mode": "certified"},
     ]
-    if mode == "practical":
-        cells = cells_practical
-    elif mode == "certified":
-        cells = cells_certified
-    elif mode == "both":
-        cells = cells_practical + cells_certified
-    else:
+    cells = {"practical": cells_practical, "certified": cells_certified}
+    if mode not in cells:
         raise ConfigError(f"unknown mode {mode!r}")
     return {
         "scenario": f"reference_{mode}",
@@ -494,5 +484,5 @@ def reference_scenario_config(mode: str = "practical", iters: int = 3000,
         "bit_model": {"bits_int": 4},
         "broadcast": True,
         "output_dir": output_dir,
-        "cells": cells,
+        "cells": cells[mode],
     }

@@ -22,6 +22,7 @@ from cost_oracles import grad
 from message_passing_oracle import run_oracle
 from run_recorder import run_recorded
 from twin_stepper_oracle import (
+    CHECKED,
     lyapunov_weights_oracle,
     metrics_oracle,
     row_norm_max_oracle,
@@ -117,6 +118,18 @@ def test_mean_recursion_and_structure_diagnostics(small_net, small_suite):
         if algo != "dgt":
             assert tr.diagnostics["struct_x"] <= 1e-12
             assert tr.diagnostics["struct_y"] <= 1e-12
+
+
+@pytest.mark.parametrize("algo", sorted(RULES))
+def test_rule_invariants_are_the_ones_its_runs_check(small_net, small_suite,
+                                                     algo):
+    # Rule.invariants follows from the rule's classes and scaling; the twin
+    # oracle states each rule's set on its own, and a run reports exactly it
+    comp = make_compressor("norm_sign", d=8) if RULES[algo].classes else None
+    p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
+                        varsigma=0.3, s0=8.0, mu=0.99)
+    tr = run(algo, 5, small_net, small_suite, p, comp, seed=4)
+    assert RULES[algo].invariants == CHECKED[algo] == tuple(tr.diagnostics)
 
 
 def test_agent_relabelling_equivariance(small_net, small_suite):

@@ -288,6 +288,19 @@ def test_logistic_suite_refuses_a_subnormal_lipschitz_square():
             generate_suite("logistic_log", n=5, d=4, seed=5, scale=scale)
 
 
+def test_logistic_suite_refuses_an_overflowing_lyapunov_divisor():
+    # phi = (1 - sigma)^2 / (320 L_f^2) would be 0 once 320 L_f^2 overflows:
+    # half the edge passes and twice it fails, and so does a scale whose
+    # draws overflow, with no warning
+    L1 = generate_suite("logistic_log", n=5, d=4, seed=5).L_f
+    edge = math.sqrt(np.finfo(float).max / 320.0) / L1
+    suite = generate_suite("logistic_log", n=5, d=4, seed=5, scale=edge / 2)
+    assert math.isfinite(320.0 * suite.L_f * suite.L_f)
+    for scale in (2 * edge, 1e160, -1e300, 1.7e308):
+        with pytest.raises(CostError, match="finite 320 L_f"):
+            generate_suite("logistic_log", n=5, d=4, seed=5, scale=scale)
+
+
 def test_normalized_quadratic_has_unit_L():
     suite = generate_suite("quadratic_pl", n=5, d=4, seed=29)
     assert suite.L_f == pytest.approx(1.0, rel=1e-12)

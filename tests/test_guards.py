@@ -66,6 +66,12 @@ GUARDS = {
         "harness does); a real is always billed compressors.SCALAR_BITS; and "
         "a certified sidecar's bounds already hold the slack coefficient "
         "(breve_theta8): none of these is a setting or a second copy"),
+    "second-cell-spelling": (
+        r'"--force"|single-run|fields\(CellConfig\)',
+        ("src",),
+        "a document gives its cells only as a cells list, and a cell is "
+        "forced only by its own force_params: neither a top-level cell nor a "
+        "run flag that forces every cell states a setting a second time"),
     "caught-type-error": (
         r"except \(TypeError|except TypeError",
         ("src/cgtsim/harness.py", "src/cgtsim/config.py"),

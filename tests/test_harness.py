@@ -7,7 +7,6 @@ import json
 import math
 import os
 import re
-import shutil
 import weakref
 from contextlib import contextmanager
 
@@ -134,7 +133,7 @@ def test_running_minimum_computed_once_per_cell(tmp_path, monkeypatch):
         "cost": {"kind": "quadratic_pl", "d": 4},
         "seeds": {"graph": 4, "cost": 5, "algo": 6},
         "output_dir": str(tmp_path / "o"),
-        "algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}}))
+        "cells": [{"algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}}]}))
     assert calls == ["dgt"]
 
 
@@ -323,24 +322,6 @@ def test_class_pairing_enforced(tmp_path, tiny_cfg_doc):
         run_experiment(cfg)
 
 
-def test_single_run_config_form(tmp_path):
-    doc = {
-        "scenario": "single",
-        "iters": 60,
-        "network": {"n": 5, "edge_density": 0.7},
-        "cost": {"kind": "quadratic_pl", "d": 4},
-        "seeds": {"graph": 4, "cost": 5, "algo": 6},
-        "output_dir": str(tmp_path / "s"),
-        "algo": "alg1",
-        "compressor": {"kind": "norm_sign"},
-        "params": {"eta": 0.3, "gamma": 0.3, "phi_x": 0.3, "phi_y": 0.1},
-        "force_params": True,
-    }
-    report, _ = run_experiment(ExperimentConfig.from_dict(doc))
-    assert len(report["rows"]) == 1
-    assert report["rows"][0]["status"] == "ok"
-
-
 def test_failed_cell_recorded_others_continue(tmp_path):
     out = tmp_path / "m"
     doc = {
@@ -372,13 +353,24 @@ def test_failed_cell_recorded_others_continue(tmp_path):
     assert failed_at["dgt_exact"] == (None, 300)
 
 
+def _reference_both(**kwargs) -> dict:
+    """The practical scenario with the certified cells appended."""
+    doc = reference_scenario_config("practical", **kwargs)
+    doc["cells"] += reference_scenario_config("certified")["cells"]
+    return doc
+
+
 def test_reference_scenario_config_modes():
-    for mode in ("practical", "certified", "both"):
-        doc = reference_scenario_config(mode=mode)
+    # replicate-section5 --mode both runs the two scenarios one after the
+    # other; no scenario holds both
+    for doc in (reference_scenario_config(mode="practical"),
+                reference_scenario_config(mode="certified"),
+                _reference_both()):
         cfg = ExperimentConfig.from_dict(doc)
         assert cfg.network["n"] == 20 and cfg.cost["d"] == 50
-    with pytest.raises(ConfigError):
-        reference_scenario_config(mode="fancy")
+    for mode in ("both", "fancy"):
+        with pytest.raises(ConfigError, match="unknown mode"):
+            reference_scenario_config(mode=mode)
 
 
 def test_cli_exit_codes(tmp_path, monkeypatch):
@@ -389,8 +381,7 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
         "cost": {"kind": "quadratic_pl", "d": 4},
         "seeds": {"graph": 4, "cost": 5, "algo": 6},
         "output_dir": str(tmp_path / "o"),
-        "algo": "dgt",
-        "params": {"eta": 0.3, "gamma": 0.3},
+        "cells": [{"algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}}],
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -420,7 +411,7 @@ def test_cli_config_errors_exit_2_and_program_bugs_propagate(tmp_path,
         "cost": {"kind": "quadratic_pl", "d": 4},
         "seeds": {"graph": 4, "cost": 5, "algo": 6},
         "output_dir": str(tmp_path / "o"),
-        "algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3},
+        "cells": [{"algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}}],
     }
     unparsable = tmp_path / "unparsable.json"
     unparsable.write_text("{\"scenario\": ")
@@ -430,7 +421,8 @@ def test_cli_config_errors_exit_2_and_program_bugs_propagate(tmp_path,
     # non-integer counts, and a gamma that AlgorithmParams rejects
     for bad in ({"iters": "many"},
                 {"network": {"n": "five", "edge_density": 0.7}},
-                {"params": {"eta": 0.3, "gamma": 1.5}, "force_params": True}):
+                {"cells": [{"algo": "dgt", "force_params": True,
+                            "params": {"eta": 0.3, "gamma": 1.5}}]}):
         cfg_path.write_text(json.dumps(dict(cfg, **bad)))
         assert cli.main(["run", str(cfg_path)]) == 2
 
@@ -475,12 +467,31 @@ def test_cli_bad_cost_options_exit_2_before_any_output(tmp_path, cost,
         "cost": dict(cost, d=4),
         "seeds": {"graph": 4, "cost": 5, "algo": 6},
         "output_dir": str(out),
-        "algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3},
+        "cells": [{"algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}}],
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main([command, str(cfg_path)]) == 2
     assert not out.exists()
+
+
+# phi = (1 - sigma)^2 / (320 L_f^2): on the practical scenario 320 L_f^2
+# overflows from a scale near 7.9e151, where phi would be 0; such an
+# instance is refused at set-up, before any file, and no warning leaks
+@pytest.mark.parametrize("scale, code", [(1e151, 0), (1e152, 2), (1e160, 2)])
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_cli_huge_cost_scale(tmp_path, capsys, command, scale, code):
+    out = tmp_path / "o"
+    doc = reference_scenario_config("practical", iters=3, output_dir=str(out))
+    doc["cost"]["scale"] = scale
+    for cell in doc["cells"]:
+        cell["force_params"] = True
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main([command, str(cfg_path)]) == code
+    if code:
+        assert "finite 320 L_f^2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cost_option_checks_cover_generate_suite_keywords():
@@ -647,8 +658,8 @@ def test_scaled_gap_weight_at_an_underflowing_eta_runs(tmp_path):
            "cost": {"kind": "logistic_log", "d": 4, "scale": 0.01},
            "seeds": {"graph": 4, "cost": 5, "algo": 6},
            "output_dir": str(tmp_path / "o"),
-           "algo": "alg3", "compressor": {"kind": "one_bit"},
-           "params": {"eta": 5e-324}, "force_params": True}
+           "cells": [{"algo": "alg3", "compressor": {"kind": "one_bit"},
+                      "params": {"eta": 5e-324}, "force_params": True}]}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main(["run", str(cfg_path)]) == 0
@@ -667,8 +678,7 @@ def test_cli_seed_override_env_and_flag(tmp_path, monkeypatch, capsys):
         "cost": {"kind": "quadratic_pl", "d": 4},
         "seeds": {"graph": 4, "cost": 5, "algo": 6},
         "output_dir": str(tmp_path / "e1"),
-        "algo": "dgt",
-        "params": {"eta": 0.3, "gamma": 0.3},
+        "cells": [{"algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}}],
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -701,11 +711,10 @@ def test_cli_gnuplot_helper(tmp_path, scenario, label, plot):
         "cost": {"kind": "quadratic_pl", "d": 4},
         "seeds": {"graph": 4, "cost": 5, "algo": 6},
         "output_dir": str(tmp_path / "g"),
-        "algo": "dgt",
-        "params": {"eta": 0.3, "gamma": 0.3},
+        "cells": [{"algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}}],
     }
     if label is not None:
-        cfg["label"] = label
+        cfg["cells"][0]["label"] = label
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main(["run", str(cfg_path), "--gnuplot"]) == 0
@@ -732,7 +741,7 @@ def test_cli_output_dir_in_a_file_exits_2_before_set_up(tmp_path, monkeypatch,
         "cost": {"kind": "quadratic_pl", "d": 4},
         "seeds": {"graph": 4, "cost": 5, "algo": 6},
         "output_dir": str(tmp_path / out),
-        "algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}}))
+        "cells": [{"algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}}]}))
 
     def no_set_up(cfg):
         raise AssertionError("build_instance called")
@@ -767,8 +776,9 @@ def test_cli_file_names_fit_the_output_directory(tmp_path, monkeypatch, part,
         "network": {"n": 5, "edge_density": 0.7},
         "cost": {"kind": "quadratic_pl", "d": 4},
         "seeds": {"graph": 4, "cost": 5, "algo": 6},
-        "output_dir": str(out), "label": label,
-        "algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}}))
+        "output_dir": str(out),
+        "cells": [{"algo": "dgt", "label": label,
+                   "params": {"eta": 0.3, "gamma": 0.3}}]}))
     if over:
         monkeypatch.setattr(harness, "build_instance", _no_set_up)
         assert cli.main(["run", str(cfg_path), "--gnuplot"]) == 2
@@ -798,9 +808,10 @@ def test_scenarios_never_share_a_file(tmp_path, monkeypatch, first, second,
                "cost": {"kind": "quadratic_pl", "d": 4},
                "seeds": {"graph": 4, "cost": 5, "algo": 6},
                "output_dir": str(out),
-               "algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}}
+               "cells": [{"algo": "dgt",
+                          "params": {"eta": 0.3, "gamma": 0.3}}]}
         if label is not None:
-            cfg["label"] = label
+            cfg["cells"][0]["label"] = label
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         return str(path)
@@ -965,7 +976,7 @@ def test_cli_gnuplot_script_appears_whole_or_not_at_all(tmp_path, monkeypatch,
             "cost": {"kind": "quadratic_pl", "d": 4},
             "seeds": {"graph": 4, "cost": 5, "algo": 6},
             "output_dir": str(out),
-            "algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}}))
+            "cells": [{"algo": "dgt", "params": {"eta": 0.3, "gamma": 0.3}}]}))
         argv = ["run", str(cfg_path), "--gnuplot"]
     else:
         argv = ["replicate-section5", "--iters", "20", "--gnuplot",
@@ -1068,7 +1079,7 @@ def test_cli_missing_compressor_key_is_named(tmp_path, capsys, kind, key,
         "cost": {"kind": "quadratic_pl", "d": 4},
         "seeds": {"graph": 4, "cost": 5, "algo": 6},
         "output_dir": str(tmp_path / "o"),
-        "algo": "alg1", "compressor": comp}))
+        "cells": [{"algo": "alg1", "compressor": comp}]}))
     assert cli.main([command, str(path)]) == 2
     assert f"key {key!r}" in capsys.readouterr().err
 
@@ -1295,8 +1306,7 @@ def test_run_and_bounds_parse_each_spec_once(tmp_path, monkeypatch, capsys,
                     calls[_name] += 1
                     return _fn(*args)
                 monkeypatch.setattr(module, name, counted)
-    doc = reference_scenario_config("both", iters=5,
-                                    output_dir=str(tmp_path / "o"))
+    doc = _reference_both(iters=5, output_dir=str(tmp_path / "o"))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     assert cli.main([command, str(cfg_path)]) == 0
@@ -1479,7 +1489,9 @@ def test_practical_points_just_outside_a_kept_region_exit_2(tmp_path, label):
     assert cli.main(["run", str(cfg_path)]) == 2
     assert not out.exists()
     # forcing runs the same point
-    assert cli.main(["run", str(cfg_path), "--force"]) in (0, 1)
+    cfg_path.write_text(json.dumps(_quad_doc(
+        out, [dict(cell, force_params=True)])))
+    assert cli.main(["run", str(cfg_path)]) in (0, 1)
 
 
 _DERIVED = [("alg1", _NORM_SIGN, "eta"), ("alg1", _NORM_SIGN, "gamma"),
@@ -1553,26 +1565,45 @@ def test_unforced_practical_local_class_cell_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_run_force_applies_to_parsed_cells(tmp_path):
+def test_force_params_runs_an_uncertified_cell(tmp_path):
+    # force_params on the cell is the one way to run params outside the
+    # region
     out = tmp_path / "o"
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(_quad_doc(out, [1])))
-    assert cli.main(["run", str(cfg_path), "--force"]) == 2
+    cell = {"algo": "alg1", **_NORM_SIGN,
+            "params": {"eta": 0.3, "gamma": 0.3}}
+    cfg_path.write_text(json.dumps(_quad_doc(out, [cell])))
     assert cli.main(["run", str(cfg_path)]) == 2
     assert not out.exists()
-    # an uncertified cell runs with --force, in either config form
-    cell = {"algo": "alg1", **_NORM_SIGN,
+    cfg_path.write_text(json.dumps(_quad_doc(
+        out, [dict(cell, force_params=True)])))
+    assert cli.main(["run", str(cfg_path)]) == 0
+    sidecar = json.loads((out / "q__alg1_norm_sign.json").read_text())
+    assert sidecar["params"]["eta"] == 0.3
+
+
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_retired_spellings_exit_2_before_set_up(tmp_path, monkeypatch, capsys,
+                                                command):
+    # a document gives its cells only as a cells list, and a cell is forced
+    # only by its force_params: one cell's keys at the top level are unknown
+    # keys, and run takes no --force
+    for module in (harness, cli):
+        monkeypatch.setattr(module, "build_instance", _no_set_up)
+    out = tmp_path / "o"
+    cfg_path = tmp_path / "cfg.json"
+    cell = {"algo": "alg1", **_NORM_SIGN, "force_params": True,
             "params": {"eta": 0.3, "gamma": 0.3}}
     single = dict(_quad_doc(out, []), **cell)
     del single["cells"]
-    for doc in (_quad_doc(out, [cell]), single):
-        cfg_path.write_text(json.dumps(doc))
-        assert cli.main(["run", str(cfg_path)]) == 2
-        assert not out.exists()
-        assert cli.main(["run", str(cfg_path), "--force"]) == 0
-        sidecar = json.loads((out / "q__alg1_norm_sign.json").read_text())
-        assert sidecar["params"]["eta"] == 0.3
-        shutil.rmtree(out)
+    cfg_path.write_text(json.dumps(single))
+    assert cli.main([command, str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err and "'algo'" in err, err
+    cfg_path.write_text(json.dumps(_quad_doc(out, [cell])))
+    assert cli.main([command, str(cfg_path), "--force"]) == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_bounds_records_each_cell_error(tmp_path, capsys):

@@ -109,7 +109,9 @@ class _RowRecorder:
                 self._raise(2, struct_resid_oracle(B, A, W))
                 self._raise(3, struct_resid_oracle(D, C, W))
             elif self.algo == "alg3":
-                Xhat, Yhat = st[3:5]
+                Xhat, Yhat, V, Z = st[3:7]
+                self._raise(2, struct_resid_oracle(V, Xhat, W))
+                self._raise(3, struct_resid_oracle(Z, Yhat, W))
                 self._raise(4, row_norm_max_oracle(X - Xhat) / s_arr[k])
                 self._raise(5, row_norm_max_oracle(Y - Yhat) / s_arr[k])
         if k > 0:  # the step into row k
@@ -117,10 +119,7 @@ class _RowRecorder:
             self._raise(0, float(np.linalg.norm(
                 xbar - (pxbar - self.eta * pybar))))
             if self.algo == "alg3":
-                Xhat, Yhat, V, Z = st[3:7]
-                self._raise(2, struct_resid_oracle(V, Xhat, W))
-                self._raise(3, struct_resid_oracle(Z, Yhat, W))
-                self._raise(6, row_norm_max_oracle(pX - Xhat)
+                self._raise(6, row_norm_max_oracle(pX - st[3])
                             / s_arr[k - 1])
         self.prev = (xbar, ybar, X)
         return ok
