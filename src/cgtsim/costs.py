@@ -140,11 +140,12 @@ def generate_suite(kind: str, n: int, d: int, seed: int, *,
             h = scale * rng.standard_normal(n)
             nu = rng.standard_normal(n)
             m = scale * rng.standard_normal(n)
-            if abs_m:
-                m = np.abs(m)  # keeps the log term coercive and bounded below
-            xi = rng.standard_normal((n, d))
-            suite = CostSuite(kind, n, d, seed, h=h, nu=nu, m=m, xi=xi,
-                              gen_params={"abs_m": abs_m, "scale": scale})
+        if abs_m:
+            m = np.abs(m)  # keeps the log term coercive and bounded below
+        xi = rng.standard_normal((n, d))
+        suite = CostSuite(kind, n, d, seed, h=h, nu=nu, m=m, xi=xi,
+                          gen_params={"abs_m": abs_m, "scale": scale})
+        with np.errstate(over="ignore"):
             suite.L_f = L = _logistic_L(suite)
         # phi divides by 320 L_f^2: L_f^2 must be normal, 320 L_f^2 finite
         if L * L < np.finfo(float).tiny or not math.isfinite(320.0 * L * L):

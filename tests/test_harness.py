@@ -1273,6 +1273,19 @@ def test_cli_cost_that_is_no_object_exits_2_before_set_up(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cell", [1, "alg1", None, ["alg1"]])
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_cli_cell_that_is_no_object_exits_2_before_set_up(
+        tmp_path, monkeypatch, capsys, cell, command):
+    monkeypatch.setattr(harness, "generate_network", _no_set_up)
+    out = tmp_path / "o"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_quad_doc(out, [cell])))
+    assert cli.main([command, str(cfg_path)]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "bounds", "verify-compressor"])
 def test_cli_negative_seed_is_an_error_on_seed(tmp_path, monkeypatch, capsys,
                                                command):
