@@ -177,7 +177,9 @@ def _operating_point(regime: str, gamma_terms: dict,
 
     gamma_max is the smallest gamma term and gamma = gamma_max / 2; eta_max
     is the smallest of the terms ``eta_terms_at(gamma)`` and
-    eta = eta_max / 2.  The constants table starts with both sets of terms.
+    eta = eta_max / 2.  A point that underflows to 0, or that is not below
+    its limit, is an AnalysisError.  The constants table starts with both
+    sets of terms.
     """
     gamma_max = min(gamma_terms.values())
     gamma = 0.5 * gamma_max
@@ -185,8 +187,11 @@ def _operating_point(regime: str, gamma_terms: dict,
         raise AnalysisError(f"gamma={gamma} outside (0, {gamma_max})")
     eta_terms = eta_terms_at(gamma)
     eta_max = min(eta_terms.values())
+    eta = 0.5 * eta_max
+    if not 0.0 < eta < eta_max:
+        raise AnalysisError(f"eta={eta} outside (0, {eta_max})")
     return ParameterBounds(regime=regime, gamma_max=gamma_max, gamma=gamma,
-                           eta_max=eta_max, eta=0.5 * eta_max,
+                           eta_max=eta_max, eta=eta,
                            constants={**gamma_terms, **eta_terms})
 
 

@@ -12,6 +12,25 @@ compression error obeys:
 
 Relative-class specs also carry the derived constant
 C = 2 r^2 (1 - psi) + 2 (1 - r)^2 bounding E||C(x) - x||^2 / ||x||^2.
+
+One block kernel, ``_compress_block``, applies every operator to an
+(m, n, d) block: the run steppers call it on their message blocks, and
+``compress`` and the verifier on what they are given, so runs and
+certification use one operator.  Stack j of a block started at ``slot`` is
+message slot slot + j, and row i of a stack is agent i.  Random kinds draw
+from a counter-based splitmix64 stream keyed by (seed, iteration, agent,
+slot), so the draws of one message depend on nothing else and runs are
+bitwise reproducible.  Deterministic kinds ignore the keys.
+
+Norm-sign and one-bit make no block-wide ``np.where``.  They rely on these
+exact identities, so they give bitwise what the ``np.where`` formulas give
+(``tests/kernel_oracles.py``), signs of zero included:
+
+* ``np.subtract(x >= 0, 0.5)`` is +0.5 where x >= 0, -0.0 included, and
+  -0.5 elsewhere, NaN included: one-bit, and norm-sign's sign.
+* (-0.5) * a == -(0.5 * a) for every a, inf included, as negation is exact:
+  norm-sign's +-a/2.  A row of zeros (a = 0) gives 0.5 * 0 = +0.0 with no
+  mask; only a NaN row (a = NaN) needs the row mask that sets it to 0.0.
 """
 
 from __future__ import annotations
@@ -20,8 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import _kernels
 
 # the keywords each kind reads; make_compressor passes no other to the spec
 _KIND_OPTIONS = {
@@ -136,26 +153,110 @@ def make_compressor(kind: str, d: int, *, delta: float = 2.0,
         key: given[key] for key in _KIND_OPTIONS.get(kind, ())})
 
 
+# ---------------------------------------------------------------------------
+# the counter-based stream and the block kernel
+
+_U1 = np.uint64(0x9E3779B97F4A7C15)
+_U2 = np.uint64(0xBF58476D1CE4E5B9)
+_U3 = np.uint64(0x94D049BB133111EB)
+_S30, _S27, _S31, _S11 = (np.uint64(30), np.uint64(27), np.uint64(31),
+                          np.uint64(11))
+_KITER = np.uint64(0xA076_1D64_78BD_642F)
+_KAGENT = np.uint64(0xE703_7ED1_A0B4_28DB)
+_KSLOT = np.uint64(0x8EBC_6AF0_9C88_C6E3)
+_INV53 = 1.0 / 9007199254740992.0
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # uint64 wraparound is the point
+        z = z + _U1
+        z = (z ^ (z >> _S30)) * _U2
+        z = (z ^ (z >> _S27)) * _U3
+        return z ^ (z >> _S31)
+
+
+def _u01(z: np.ndarray) -> np.ndarray:
+    return (_mix64(z) >> _S11) * _INV53
+
+
+def _msg_base(seed: int, k: int, n: int, slot) -> np.ndarray:
+    """Stream bases of agents 1..n in message ``slot``: shape (n,) for one
+    slot, (m, n) for an array of m slots."""
+    agents = np.arange(1, n + 1, dtype=np.uint64)
+    slots = np.asarray(slot, dtype=np.uint64)[..., None]
+    with np.errstate(over="ignore"):
+        z = (np.uint64(seed)
+             ^ (np.uint64(k + 1) * _KITER)
+             ^ (agents * _KAGENT)
+             ^ ((slots + np.uint64(1)) * _KSLOT))
+    return _mix64(z)
+
+
+def _compress_block(spec, Xin, seed, k, slot):
+    """Compress the (m, n, d) message block ``Xin``, whose first stack is
+    message slot ``slot``, with the operator ``spec``."""
+    m, n, d = Xin.shape
+    kind = spec.kind
+    if kind == "identity":
+        return Xin.copy()
+    if kind == "norm_sign":  # +-a/2; a row of zeros gives +0.0 unmasked
+        a = np.abs(Xin).max(axis=2, keepdims=True)
+        out = np.subtract(Xin >= 0.0, 0.5)
+        out *= a
+        out[np.isnan(a[:, :, 0])] = 0.0
+        return out
+    if kind == "uniform_quantize":  # delta * floor(Xin / delta + 0.5)
+        out = Xin / spec.delta
+        out += 0.5
+        np.floor(out, out=out)
+        out *= spec.delta
+        return out
+    if kind == "one_bit":
+        return np.subtract(Xin >= 0.0, 0.5)
+    slots = np.arange(slot, slot + m)
+    if kind == "random_quantize":
+        a = np.max(np.abs(Xin), axis=2, keepdims=True)
+        safe = np.where(a > 0.0, a, 1.0)
+        h = 2.0 * safe / (spec.levels - 1)
+        t = (Xin + safe) / h
+        lo = np.floor(t)
+        bases = _msg_base(seed, k, n, slots)
+        u = _u01(bases[:, :, None] + np.arange(d, dtype=np.uint64))
+        lvl = lo + (u < (t - lo))
+        return np.where(a > 0.0, lvl * h - safe, 0.0)
+    X = Xin.reshape(m * n, d)  # sparsify: one row per (slot, agent)
+    rows = np.arange(m * n)
+    keep_k = spec.keep_k
+    if spec.sparsify_mode == "top":
+        keep = np.argsort(-np.abs(X), axis=1, kind="stable")[:, :keep_k]
+    else:
+        # the first keep_k steps of a Fisher-Yates shuffle, all rows at once
+        bases = _msg_base(seed, k, n, slots).ravel()
+        idx = np.tile(np.arange(d), (m * n, 1))
+        for t in range(keep_k):
+            u = _u01(bases + np.uint64(t))
+            j = np.minimum(t + (u * (d - t)).astype(np.int64), d - 1)
+            idx[rows, t], idx[rows, j] = idx[rows, j], idx[rows, t]
+        keep = idx[:, :keep_k]
+    rows = rows[:, None]
+    out = np.zeros_like(X)
+    out[rows, keep] = X[rows, keep] * (spec.d / keep_k if spec.rescale
+                                       else 1.0)
+    return out.reshape(Xin.shape)
+
+
 def compress(spec: CompressorSpec, x: np.ndarray, *, seed: int = 0,
              k: int = 0, slot: int = 0) -> np.ndarray:
-    """Apply the operator to one vector, an (n, d) stack of agent rows or
-    an (m, n, d) block of m such stacks.
-
-    This is the block kernel the steppers run.  Random kinds draw from its
-    counter-based stream: row i of a stack is agent i, and its draws are
-    keyed by the run's ``seed``, the iteration ``k``, the agent i and the
-    message ``slot`` (alg1/alg2 send x in slot 0 and y in slot 1, alg2 its
-    error-feedback messages in slots 2 and 3; alg3 uses slots 0 and 1).
-    Stack j of a block is message slot ``slot + j``.  A single vector is
-    agent 0.  Deterministic kinds ignore the keys.
-    """
+    """Apply the operator to one vector (agent 0), an (n, d) stack of agent
+    rows or an (m, n, d) block of m such stacks, with the block kernel the
+    runs use, keyed by ``seed``, ``k`` and ``slot``."""
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise CompressorError("compress input has non-finite entries")
     if x.ndim not in (1, 2, 3):
         raise CompressorError(
             "compress takes a vector, an (n, d) stack or an (m, n, d) block")
-    q = _kernels._compress_block_np(
+    q = _compress_block(
         spec, x.reshape((1,) * (3 - x.ndim) + x.shape),
         np.uint64(seed & 0xFFFFFFFFFFFFFFFF), k, slot)
     return q.reshape(x.shape)
@@ -224,9 +325,9 @@ def verify_assumption(spec: CompressorSpec, trials: int,
     Deterministic operators must satisfy the bound on every draw (tolerance
     1e-9 for rounding only); randomized ones are checked through the sample
     mean over ``_INNER_DRAWS`` draws against (1 - psi) * (1 + _MEAN_TOL).
-    Random draws come from the counter stream the runs use (see
-    ``compress``): one seed drawn from ``rng`` per report, probe i at
-    iteration key i, and its draws as the rows of one stack.
+    Random draws come from the counter stream the runs use: one seed drawn
+    from ``rng`` per report, probe i at iteration key i, and its draws as
+    the rows of one stack.
     """
     if trials < 100:
         raise CompressorError("need at least 100 trials")

@@ -55,8 +55,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import _dots, _norms, _sums
-
 KINDS = ("logistic_log", "quadratic_pl")
 
 # sup |sigmoid''| over the real line
@@ -74,6 +72,29 @@ def _sigmoid(z):
     """Overflow-free logistic sigmoid."""
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+# Batched helpers over leading row axes.  Each batched np.matmul makes the
+# same BLAS call per row as the unbatched dot (a @ b, np.linalg.norm's), and
+# each reduction sums in the same order, so each row gets bitwise what its
+# own one-row call gives; the stacked evaluations here and the run recorder
+# (``algorithms``) rely on it.  A pairwise sum in place of the dot, or one
+# gemm over stacked rows, would not.
+
+def _dots(A, B):
+    """Row-wise dot products of two (..., m) arrays."""
+    return np.matmul(A[..., None, :], B[..., :, None])[..., 0, 0]
+
+
+def _norms(A, lead=1):
+    """np.linalg.norm over all but the first ``lead`` axes of A."""
+    F = A.reshape(A.shape[:lead] + (-1,))
+    return np.sqrt(_dots(F, F))
+
+
+def _sums(A, lead=1):
+    """.sum() over all but the first ``lead`` axes of A."""
+    return np.add.reduce(A.reshape(A.shape[:lead] + (-1,)), -1)
 
 
 @dataclass

@@ -234,7 +234,8 @@ def _refusal(cell, cls: str | None, params: AlgorithmParams, region,
     rule, label = RULES[cell.algo], cell.resolved_label()
     missing = isinstance(region, Exception)
     if cell.mode == "certified" or cell.force_params:
-        return region if missing and cell.mode == "certified" else None
+        return (ConfigError(f"cell {label}: no certified region: {region}")
+                if missing and cell.mode == "certified" else None)
     if not rule.classes:
         inside = params.eta <= 1.0 / L_f
     else:

@@ -1,16 +1,16 @@
 """The compressor kernel in its plain numpy formulation, the bitwise reference
-for ``cgtsim._kernels._compress_block_np``.
+for ``cgtsim.compressors._compress_block``.
 
 Norm-sign and one-bit are an ``np.where`` over the whole block, and uniform
 quantization one expression.  The shipped kernel computes the same values
 with bool arithmetic, a NaN-row mask and in-place updates; the tests require
 equal bits, the sign of zero included.  The message streams are the
-kernel's own ``_msg_base_np`` and ``_u01_np``.
+kernel's own ``_msg_base`` and ``_u01``.
 """
 
 import numpy as np
 
-from cgtsim._kernels import _msg_base_np, _u01_np
+from cgtsim.compressors import _msg_base, _u01
 
 
 def compress_block(spec, Xin, seed, k, slot):
@@ -35,8 +35,8 @@ def compress_block(spec, Xin, seed, k, slot):
         h = 2.0 * safe / (spec.levels - 1)
         t = (Xin + safe) / h
         lo = np.floor(t)
-        bases = _msg_base_np(seed, k, n, slots)
-        u = _u01_np(bases[:, :, None] + np.arange(d, dtype=np.uint64))
+        bases = _msg_base(seed, k, n, slots)
+        u = _u01(bases[:, :, None] + np.arange(d, dtype=np.uint64))
         lvl = lo + (u < (t - lo))
         return np.where(a > 0.0, lvl * h - safe, 0.0)
     X = Xin.reshape(m * n, d)
@@ -45,10 +45,10 @@ def compress_block(spec, Xin, seed, k, slot):
     if spec.sparsify_mode == "top":
         keep = np.argsort(-np.abs(X), axis=1, kind="stable")[:, :ip]
     else:
-        bases = _msg_base_np(seed, k, n, slots).ravel()
+        bases = _msg_base(seed, k, n, slots).ravel()
         idx = np.tile(np.arange(d), (m * n, 1))
         for t in range(ip):
-            u = _u01_np(bases + np.uint64(t))
+            u = _u01(bases + np.uint64(t))
             j = np.minimum(t + (u * (d - t)).astype(np.int64), d - 1)
             idx[rows, t], idx[rows, j] = idx[rows, j], idx[rows, t]
         keep = idx[:, :ip]

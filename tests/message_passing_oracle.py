@@ -1,4 +1,4 @@
-"""Per-agent message-passing oracle for the steppers in ``cgtsim._kernels``.
+"""Per-agent message-passing oracle for the steppers in ``cgtsim.algorithms``.
 
 A second implementation of the four update rules, written from the agents'
 side.  Agent i keeps its own vectors and updates them only from its own state

@@ -1,7 +1,7 @@
 """Runs with their states, for the tests that check states.
 
 ``run_recorded`` calls the public ``algorithms.run`` with one swap in
-``cgtsim._kernels``: a block recorder that also copies the whole state list
+``cgtsim.algorithms``: a block recorder that also copies the whole state list
 pushed to it at each row.  The copies do not change the run, so the trace
 is the one ``run`` gives.  The states are the copies of rows 0..k_done, and
 the final state is the copy of row k_done.  The run's own state blocks, the
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from cgtsim import _kernels
+from cgtsim import algorithms
 from cgtsim.algorithms import RULES, RunTrace, run
 
 
@@ -69,7 +69,7 @@ class RecordedTrace(RunTrace):
     state_list: list = None
 
 
-class _StateRecorder(_kernels._BlockRecorder):
+class _StateRecorder(algorithms._BlockRecorder):
     """The block recorder, keeping a copy of each pushed state list and the
     list itself."""
 
@@ -93,7 +93,7 @@ def run_recorded(*args, **kwargs) -> RecordedTrace:
         return recs[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "_BlockRecorder", recorder)
+        mp.setattr(algorithms, "_BlockRecorder", recorder)
         tr = run(*args, **kwargs)
     (rec,) = recs
     rule = RULES[tr.algo]

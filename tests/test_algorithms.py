@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from analysis_oracles import sample_mean_descent
-from cgtsim import _kernels
+from cgtsim import algorithms
 from cgtsim.algorithms import (
     RULES,
     AlgorithmError,
@@ -330,7 +330,7 @@ def test_batched_record_helpers_match_per_row_oracle(cost):
     for x_star in (rng.standard_normal(d), None):
         run_costs = RunCosts(suite, x_star, 0.25)
         with np.errstate(all="ignore"):
-            means, ct, *terms = _kernels._metrics_rows(run_costs, XY, G)
+            means, ct, *terms = algorithms._metrics_rows(run_costs, XY, G)
             want = [metrics_oracle(run_costs, *XY[j], G[j])
                     for j in range(5)]
         assert means.shape == (5, 2, d) and ct.shape == (5, 2)
@@ -340,8 +340,8 @@ def test_batched_record_helpers_match_per_row_oracle(cost):
     with np.errstate(all="ignore"):
         # accumulators that satisfy the identity up to round-off, as in a run
         Acc = XY - np.einsum("ij,bhjd->bhid", W, XY)
-        struct = _kernels._struct_resid_rows(Acc, XY, W)
-        peak = _kernels._row_norm_max_rows(XY - Acc)
+        struct = algorithms._struct_resid_rows(Acc, XY, W)
+        peak = algorithms._row_norm_max_rows(XY - Acc)
         for h in range(2):
             assert _bits(struct[:, h]) == _bits(
                 [struct_resid_oracle(Acc[j, h], XY[j, h], W)
@@ -355,13 +355,13 @@ def test_raise_max_follows_python_max():
     vals = np.array([0.3, np.nan, 0.7, np.inf, np.nan, 0.1])
     for start in (0.5, 2.0):
         diag = np.array([start])
-        _kernels._raise_max(diag, 0, vals[:3])
+        algorithms._raise_max(diag, 0, vals[:3])
         want = start
         for v in vals[:3]:
             want = max(want, v)
         assert diag[0] == want
     diag = np.zeros(1)
-    _kernels._raise_max(diag, 0, vals)
+    algorithms._raise_max(diag, 0, vals)
     assert diag[0] == np.inf
 
 
@@ -374,8 +374,8 @@ def test_recorder_ignores_rows_after_a_nonfinite_row(small_net, small_suite):
     rows[3][1] *= 1e6          # row 3 would raise the tracking maximum
     cost = RunCosts(small_suite)
     blocks = [[np.stack(st[:2]), st[2]] for st in rows]  # X|Y, G
-    rec = _kernels._BlockRecorder(RULES["dgt"], blocks[0], cost, small_net.W,
-                                  eta, 1.0, 1.0, 4)
+    rec = algorithms._BlockRecorder(RULES["dgt"], blocks[0], cost,
+                                    small_net.W, eta, 1.0, 1.0, 4)
     rec.cols[:] = -1.0
     assert rec.B >= 5
     for st in blocks:
@@ -408,8 +408,8 @@ def _run_default_and_per_row(monkeypatch, *args, **kwargs):
     """The same run recorded in default blocks and one row at a time."""
     blocked = run_recorded(*args, **kwargs)
     with monkeypatch.context() as mp:
-        mp.setattr(_kernels, "_RECORD_BUDGET", 0)
-        assert _kernels._block_rows(3, 6, 8) == 1
+        mp.setattr(algorithms, "_RECORD_BUDGET", 0)
+        assert algorithms._block_rows(3, 6, 8) == 1
         per_row = run_recorded(*args, **kwargs)
     return blocked, per_row
 
@@ -434,7 +434,7 @@ def _assert_every_row_sends(algo, tr):
 def test_block_recording_equals_per_row(small_net, small_suite, monkeypatch,
                                         algo):
     iters = 150
-    assert _kernels._block_rows(9, 6, 8) == 64 and iters % 64
+    assert algorithms._block_rows(9, 6, 8) == 64 and iters % 64
     p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
                         varsigma=0.3, s0=8.0, mu=0.99)
     a, b = _run_default_and_per_row(monkeypatch, algo, iters, small_net,
@@ -647,9 +647,9 @@ def test_one_compressor_call_and_one_w_product_per_step(small_net,
             return out
         return wrapper
 
-    monkeypatch.setattr(_kernels, "_compress_block_np",
-                        counted("compress", _kernels._compress_block_np))
-    monkeypatch.setattr(_kernels, "_mix", counted("mix", _kernels._mix))
+    monkeypatch.setattr(algorithms, "_compress_block",
+                        counted("compress", algorithms._compress_block))
+    monkeypatch.setattr(algorithms, "_mix", counted("mix", algorithms._mix))
     p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
                         varsigma=0.3, s0=8.0, mu=0.99)
     assert {name: len(rule.messages) for name, rule in RULES.items()} == {
@@ -678,11 +678,11 @@ def test_diverging_block_draws_each_iteration_key_once(small_net,
         keys.append(k)
         return compress_block(spec, Xin, seed, k, slot)
 
-    compress_block = _kernels._compress_block_np
-    monkeypatch.setattr(_kernels, "_compress_block_np", counted)
+    compress_block = algorithms._compress_block
+    monkeypatch.setattr(algorithms, "_compress_block", counted)
     suite = generate_suite("quadratic_pl", n=6, d=8, seed=3)
     p = AlgorithmParams(eta=50.0, gamma=0.9, phi_x=0.3, phi_y=0.1)
-    assert _kernels._block_rows(7, 6, 8) == 64
+    assert algorithms._block_rows(7, 6, 8) == 64
     with np.errstate(all="ignore"):
         tr = run("alg1", 500, small_net, suite, p,
                  make_compressor("norm_sign", d=8), seed=1)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cgtsim import _kernels, compressors, config
+from cgtsim import compressors, config
 from cgtsim.compressors import (
     BitCostModel,
     CompressorError,
@@ -133,12 +133,12 @@ def _sparsify_rows_oracle(X, keep, rescale, seed, k, slot):
     """Random sparsify one row at a time: the first ``keep`` swaps of a
     Fisher-Yates shuffle, each from one scalar draw of the agent's stream."""
     n, d = X.shape
-    bases = _kernels._msg_base_np(np.uint64(seed), k, n, slot)
+    bases = compressors._msg_base(np.uint64(seed), k, n, slot)
     out = np.zeros_like(X)
     for i in range(n):
         idx = np.arange(d)
         for t in range(keep):
-            u = float(_kernels._u01_np(bases[i:i + 1] + np.uint64(t))[0])
+            u = float(compressors._u01(bases[i:i + 1] + np.uint64(t))[0])
             j = min(t + int(u * (d - t)), d - 1)
             idx[t], idx[j] = idx[j], idx[t]
         out[i, idx[:keep]] = X[i, idx[:keep]] * rescale
@@ -386,11 +386,11 @@ def test_norm_sign_and_uniform_kernels_on_zero_and_nonfinite_rows():
         a = np.abs(X).max(axis=2, keepdims=True)
         half = 0.5 * a
         want = np.where(a > 0.0, np.where(X >= 0.0, half, -half), 0.0)
-        got = _kernels._compress_block_np(make_compressor("norm_sign", d=3),
+        got = compressors._compress_block(make_compressor("norm_sign", d=3),
                                           X, np.uint64(0), 0, 0)
         assert got.tobytes() == want.tobytes()
         want = 0.7 * np.floor(X / 0.7 + 0.5)
-        got = _kernels._compress_block_np(
+        got = compressors._compress_block(
             make_compressor("uniform_quantize", d=3, delta=0.7), X,
             np.uint64(0), 0, 0)
         assert got.tobytes() == want.tobytes()
@@ -430,7 +430,7 @@ def test_compressor_kernel_equals_where_formulation(data, m, n, d, seed, k,
     useed = np.uint64(seed)
     for spec in specs:
         with np.errstate(all="ignore"):
-            got = _kernels._compress_block_np(spec, X, useed, k, slot)
+            got = compressors._compress_block(spec, X, useed, k, slot)
             want = compress_block(spec, X, useed, k, slot)
         assert got.dtype == np.float64 and got.shape == X.shape
         assert got.tobytes() == want.tobytes(), spec

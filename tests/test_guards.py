@@ -72,6 +72,14 @@ GUARDS = {
         "a document gives its cells only as a cells list, and a cell is "
         "forced only by its own force_params: neither a top-level cell nor a "
         "run flag that forces every cell states a setting a second time"),
+    "retired-kernels-module": (
+        r"\b_kernels\b|\bkern\.|_np\b",
+        ("src",),
+        "each decision sits in the module that owns it: a compressor kind's "
+        "kernel branch and its counter stream in compressors, each rule's "
+        "step function and the block recorder in algorithms, the batched row "
+        "helpers in costs; no backend module or numba-era _np name splits "
+        "them again"),
     "caught-type-error": (
         r"except \(TypeError|except TypeError",
         ("src/cgtsim/harness.py", "src/cgtsim/config.py"),

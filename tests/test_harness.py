@@ -494,6 +494,34 @@ def test_cli_huge_cost_scale(tmp_path, capsys, command, scale, code):
         assert not out.exists()
 
 
+# on the certified scenario at scale 1e100 every region's eta underflows to
+# 0: no region holds, so bounds records an error for each cell, and run
+# names the first cell and exits 2 before it makes the output directory
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_cli_certified_eta_that_underflows_is_no_region(tmp_path, capsys,
+                                                        command):
+    out = tmp_path / "o"
+    doc = reference_scenario_config("certified", iters=3, output_dir=str(out))
+    doc["cost"]["scale"] = 1e100
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    labels = [cell.resolved_label()
+              for cell in ExperimentConfig.from_dict(doc).cells]
+    code = cli.main([command, str(cfg_path)])
+    captured = capsys.readouterr()
+    assert not out.exists()
+    if command == "run":
+        assert code == 2
+        assert (f"config error: cell {labels[0]}: no certified region: "
+                "eta=0.0 outside (0, ") in captured.err, captured.err
+    else:
+        assert code == 0
+        tables = json.loads(captured.out)["cells"]
+        assert sorted(tables) == sorted(labels)
+        for label in labels:
+            assert tables[label]["error"].startswith("eta=0.0 outside (0, ")
+
+
 def test_cost_option_checks_cover_generate_suite_keywords():
     params = inspect.signature(generate_suite).parameters.values()
     assert set().union(*config._COST_OPTIONS.values()) == {
@@ -1622,7 +1650,8 @@ def test_retired_spellings_exit_2_before_set_up(tmp_path, monkeypatch, capsys,
 def test_cli_bounds_records_each_cell_error(tmp_path, capsys):
     # the scaled-local region needs a gradient-dominance constant, which the
     # logistic cost lacks (ConfigError); phi_x = 1/r is outside (0, 1/r) for
-    # norm-sign at d = 4 (AnalysisError)
+    # norm-sign at d = 4 (AnalysisError).  bounds records each region error
+    # as it is, and run refuses the first cell by its label
     cells = [
         {"algo": "alg3", **_ONE_BIT, "mode": "certified"},
         {"algo": "alg1", **_NORM_SIGN, "mode": "certified",
@@ -1633,12 +1662,17 @@ def test_cli_bounds_records_each_cell_error(tmp_path, capsys):
                     cost={"kind": "logistic_log", "d": 4, "scale": 0.1})
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
+    why = ("certified scaled-local runs need a cost with a known "
+           "gradient-dominance constant")
     assert cli.main(["bounds", str(cfg_path)]) == 0
     tables = json.loads(capsys.readouterr().out)["cells"]
-    assert "gradient-dominance" in tables["alg3_one_bit_certified"]["error"]
+    assert tables["alg3_one_bit_certified"] == {"error": why}
     assert "phi_x=0.5 outside" in tables["alg1_norm_sign_certified"]["error"]
     assert tables["alg2_norm_sign_certified"]["gamma_max"] > 0
     assert cli.main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cell alg3_one_bit_certified: no certified region: "
+        f"{why}\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -1,4 +1,5 @@
-"""Twin-form steppers: a second implementation of ``cgtsim._kernels``.
+"""Twin-form steppers: a second implementation of the steppers in
+``cgtsim.algorithms``.
 
 The update rules as they read with each half of an x/y twin (X and Y, A and
 C, ...) held in its own (n, d) array: one numpy call per half, one
@@ -15,8 +16,8 @@ the non-finite inputs of a diverging run.
 
 import numpy as np
 
-from cgtsim import _kernels
-from cgtsim.algorithms import DIAG_NAMES, scaling_sequence
+from cgtsim.algorithms import _SCALE_FLOOR, DIAG_NAMES, scaling_sequence
+from cgtsim.compressors import _compress_block
 from cgtsim.costs import RunCosts
 
 # the runtime invariants each rule's runs check
@@ -167,8 +168,7 @@ def run_twin(algo, iters, net, suite, p, comp, seed, x0, *, x_star=None,
     s_arr, last = None, iters
 
     def C(Xin, k, slot):
-        return _kernels._compress_block_np(comp, Xin[None], useed, k,
-                                           slot)[0]
+        return _compress_block(comp, Xin[None], useed, k, slot)[0]
 
     G = cost.grad(x0)
     if algo in ("alg1", "alg2"):
@@ -212,7 +212,7 @@ def run_twin(algo, iters, net, suite, p, comp, seed, x0, *, x_star=None,
         rec_algo = "alg1"
     elif algo == "alg3":
         s_arr = scaling_sequence(p.s0, p.mu, iters)
-        below = np.flatnonzero(s_arr[1:] < _kernels._SCALE_FLOOR)
+        below = np.flatnonzero(s_arr[1:] < _SCALE_FLOOR)
         last = int(below[0]) if below.size else iters
         # X, Y, G, Xhat, Yhat, V, Z, Qx, Qy
         st = [x0.copy(), G.copy(), G, *(np.zeros((n, d)) for _ in range(4)),
