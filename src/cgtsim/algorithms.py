@@ -120,7 +120,7 @@ class Rule:
 
     name: str
     step: Callable
-    classes: tuple      # compressor classes it is certified for; () if exact
+    classes: tuple      # compressor classes it is certified for
     messages: tuple     # the name of the message sent in each slot
     twins: tuple        # (2, n, d) blocks after X|Y and G, zero at first
     lyapunov: str       # "full", "ef" or "consensus" (sidecar names)
@@ -128,6 +128,8 @@ class Rule:
     practical: AlgorithmParams  # aggressive operating point for
                                 # qualitative experiments
     scaled: bool = False  # it sends (X - Xhat) / s(k), s(k) = s0 mu^k
+    exact: bool = False   # it sends its states uncompressed; its classes
+                          # are the identity compressor's
 
     @property
     def feedback(self) -> bool:
@@ -138,7 +140,7 @@ class Rule:
     def invariants(self) -> tuple:
         """The runtime invariants (DIAG_NAMES) it checks: the mean recursions,
         the accumulator identities if it compresses, the rest if scaled."""
-        return DIAG_NAMES[:2 + 2 * bool(self.classes) + 3 * self.scaled]
+        return DIAG_NAMES[:2 + 2 * (not self.exact) + 3 * self.scaled]
 
 
 _SCALE_FLOOR = 1e-300
@@ -257,8 +259,8 @@ RULES = {rule.name: rule for rule in (
          ("qx", "qy"), (("xhat", "yhat"), ("v", "z")), "consensus",
          ("eta", "gamma", "s0", "mu"),
          AlgorithmParams(eta=0.4, gamma=0.6), scaled=True),
-    Rule("dgt", _dgt_step, (), ("x", "y"), (), "consensus",
-         ("eta", "gamma"), AlgorithmParams(eta=0.8, gamma=0.3)),
+    Rule("dgt", _dgt_step, ("relative",), ("x", "y"), (), "consensus",
+         ("eta", "gamma"), AlgorithmParams(eta=0.8, gamma=0.3), exact=True),
 )}
 
 
@@ -421,7 +423,7 @@ class _BlockRecorder:
 
         ok = slice(0, nok)
         _raise_max(diag, "mean_y_tracking", ytr[ok])
-        if nok and rule.classes:
+        if nok and not rule.exact:
             _raise_twin(diag, "struct",
                         _struct_resid_rows(R[3][ok], R[2][ok], W))
         if nok and rule.scaled:
@@ -488,7 +490,7 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
     if suite.n != net.n:
         raise AlgorithmError("network and cost suite disagree on n")
     params.validate(algo)
-    if rule.classes:
+    if not rule.exact:
         if comp is None:
             raise AlgorithmError(f"{algo} needs a compressor spec")
         if comp.d != suite.d:
@@ -523,7 +525,7 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
     G = cost.grad(x0)
     XY = np.stack([x0, G])
     st = [XY, G, *(np.zeros((2, n, d)) for _ in rule.twins)]
-    if rule.classes:
+    if not rule.exact:
         Q = _compress_block(
             comp, XY / s_arr[0] if rule.scaled else XY, useed, 0, 0)
         st.append(np.concatenate([Q, Q]) if rule.feedback else Q)

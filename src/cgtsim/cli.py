@@ -11,32 +11,28 @@ Exit codes: 0 success, 1 run or verification failure, 2 config error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from . import analysis
-from .algorithms import AlgorithmError, initial_point
 from .compressors import CompressorError, verify_assumption
 from .config import ConfigError, spec_from_config
-from .costs import CostError, solve_reference
+from .costs import CostError
 from .graph import GraphError
 from .harness import (
     ExperimentConfig,
-    _replacing,
     build_instance,
     reference_scenario_config,
     resolve,
     run_experiment,
 )
 
-# The package's own error classes; any other exception is a program bug and
-# surfaces as a traceback.
-_CONFIG_ERRORS = (ConfigError, CompressorError, CostError, GraphError,
-                  AlgorithmError, analysis.AnalysisError)
+# The package's own error classes that a config can raise; any other
+# exception is a program bug and surfaces as a traceback.  The rule and
+# bound errors a config can cause are ConfigErrors by the time they get
+# here (harness._parse_cell and resolve).
+_CONFIG_ERRORS = (ConfigError, CompressorError, CostError, GraphError)
 
 
 def _load_config(path: str) -> dict:
@@ -71,23 +67,6 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _emit_gnuplot(outdir: Path, report: dict) -> None:
-    scenario, labels = report["scenario"], [r["label"] for r in report["rows"]]
-    lines = [
-        "set logscale y", "set xlabel 'iteration k'",
-        "set ylabel 'consensus error + optimality gap'",
-        "set datafile separator ','", "set key outside",
-    ]
-    def quoted(text):  # gnuplot writes ' inside a '...' string as ''
-        return "'" + text.replace("'", "''") + "'"
-
-    plots = [f"{quoted(f'{scenario}__{lab}.csv')} using 1:($2+$3) with lines "
-             f"title {quoted(lab)}" for lab in labels]
-    lines.append("plot " + ", \\\n     ".join(plots))
-    with _replacing(outdir / f"{scenario}__plot.gnuplot") as f:
-        f.write("\n".join(lines) + "\n")
-
-
 def _print_rows(report: dict) -> bool:
     """One line per report row: its label, status and, when it reached the
     threshold, k, bits and percent; whether every row's status is ``ok``."""
@@ -102,25 +81,21 @@ def _print_rows(report: dict) -> bool:
 
 def _cmd_run(args) -> int:
     cfg = _experiment_config(args.config, args.seed, args.out)
-    report, paths = run_experiment(cfg)
+    report, paths = run_experiment(cfg, plot=args.gnuplot)
     ok = _print_rows(report)
     print(f"report: {paths[-1]}")
-    if args.gnuplot:
-        _emit_gnuplot(Path(cfg.output_dir), report)
     return 0 if ok else 1
 
 
 def _cmd_bounds(args) -> int:
     cfg = _experiment_config(args.config, args.seed)
-    net, suite = build_instance(cfg)
-    x0 = initial_point(net.n, suite.d, cfg.seeds["algo"])
-    # solved at most once, and only for a table that needs it
-    f_star = functools.cache(
-        lambda: solve_reference(suite, tol=cfg.fstar_tol).f_star)
+    net, suite, x0, reference = build_instance(cfg)
     tables = {"sigma": net.sigma, "L_f": suite.L_f, "nu_pl": suite.nu_pl,
               "cells": {}}
-    for cell, *_, region, _ in resolve(cfg, net, suite, x0, f_star):
-        if cell.spec is None:  # exact messages: no table
+    # the reference is solved only for a table that needs it
+    for cell, _, region, _ in resolve(cfg, net, suite, x0,
+                                      lambda: reference().f_star):
+        if region is None:  # a practical exact cell: no region
             continue
         tables["cells"][cell.resolved_label()] = (
             {"error": str(region)} if isinstance(region, Exception)
@@ -152,12 +127,10 @@ def _cmd_replicate(args) -> int:
         doc = reference_scenario_config(mode=mode, iters=iters,
                                         output_dir=args.out)
         cfg = ExperimentConfig.from_dict(doc)
-        report, _ = run_experiment(cfg)
+        report, _ = run_experiment(cfg, plot=args.gnuplot)
         print(f"== {cfg.scenario} (threshold {cfg.threshold}) ==")
         if not _print_rows(report):
             rc = 1
-        if args.gnuplot:
-            _emit_gnuplot(Path(cfg.output_dir), report)
     return rc
 
 

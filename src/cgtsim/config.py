@@ -167,7 +167,7 @@ CELL = Section(
                        lambda v: v in ("practical", "certified")),
               "force_params": _BOOL, "label": _LABEL},
     by="algo", variants={name: Section(
-        required={"compressor": COMPRESSOR} if RULES[name].classes else {},
+        required={} if RULES[name].exact else {"compressor": COMPRESSOR},
         optional={"params": params}) for name, params in _PARAMS.items()})
 
 # a config document: its keys and sections.  An absent optional key takes

@@ -113,7 +113,6 @@ class CostSuite:
     # quadratic_pl parameters
     M: np.ndarray = field(default=None, repr=False)
     b: np.ndarray = field(default=None, repr=False)
-    gen_params: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def gram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,8 +163,7 @@ def generate_suite(kind: str, n: int, d: int, seed: int, *,
         if abs_m:
             m = np.abs(m)  # keeps the log term coercive and bounded below
         xi = rng.standard_normal((n, d))
-        suite = CostSuite(kind, n, d, seed, h=h, nu=nu, m=m, xi=xi,
-                          gen_params={"abs_m": abs_m, "scale": scale})
+        suite = CostSuite(kind, n, d, seed, h=h, nu=nu, m=m, xi=xi)
         with np.errstate(over="ignore"):
             suite.L_f = L = _logistic_L(suite)
         # phi divides by 320 L_f^2: L_f^2 must be normal, 320 L_f^2 finite
@@ -188,9 +186,7 @@ def generate_suite(kind: str, n: int, d: int, seed: int, *,
         b = np.einsum("nrd,d->nr", M, x_true)
     else:
         b = rng.standard_normal((n, rows))
-    suite = CostSuite(kind, n, d, seed, M=M, b=b,
-                      gen_params={"rows": rows, "consistent": consistent,
-                                  "normalize": normalize})
+    suite = CostSuite(kind, n, d, seed, M=M, b=b)
     suite.L_f = float(top.max())
     c = np.matmul(M.transpose(0, 2, 1), b[:, :, None])[:, :, 0]
     suite.gram = (H, c, H.mean(axis=0))

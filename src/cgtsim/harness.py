@@ -6,24 +6,28 @@ parses each cell's spec and merges its params once, and ``resolve`` is the
 one place a cell is resolved.  In one pass it gives each cell, for ``run``
 and ``bounds`` alike, the params it runs, its certified region and what
 ``run`` refuses it for.  Every certified or compressed cell gets a region,
-``cell_region``, picked by its compressor class.  A ``"certified"`` cell
-runs the region's operating point and may give only the region's inputs
+``cell_region``, picked by its compressor class; an exact rule's cell
+carries the identity compressor.  A ``"certified"`` cell runs the region's
+operating point and may give only the region's inputs
 (``_REGION_INPUTS``).  A ``"practical"`` cell's params must lie in the
 region unless ``force_params`` is set; a locally bounded region, which
 fixes s0 and mu together with eta and gamma, certifies none.  The exact
 rule asks only eta <= 1/L_f.  Every cell shares the network, cost
-instance, reference value and initial point.  The ledger bills each
-cell's bits per iteration once, in Python ints, so the cumulative ``bits``
-column is exact at any size.  Trace CSVs carry the columns ``CSV_HEADER``,
-a JSON sidecar the fully resolved cell, and the report one row per cell,
-the only record of its outcome.  Reruns are byte-identical only at one BLAS
-thread count: OpenBLAS rounds a large product or eigensolve that it splits
-across threads differently at another count, such as the mixing product
-and sigma at n = 1000 (README "Conventions" lists what moved).
+instance, reference value and initial point (``build_instance``).  The
+ledger bills each cell's bits per iteration once, in Python ints, so the
+cumulative ``bits`` column is exact at any size.  Trace CSVs carry the
+columns ``CSV_HEADER``, a JSON sidecar the fully resolved cell, an optional
+gnuplot script the plot of every trace, and the report one row per cell,
+the only record of its outcome; ``run_experiment`` writes them all.
+Reruns are byte-identical only at one BLAS thread count: OpenBLAS rounds a
+large product or eigensolve that it splits across threads differently at
+another count, such as the mixing product and sigma at n = 1000 (README
+"Conventions" lists what moved).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from contextlib import contextmanager
@@ -112,12 +116,19 @@ class ExperimentConfig:
 
 def _parse_cell(cell: CellConfig, d: int) -> CellConfig:
     """``cell`` with its spec parsed and its params merged, once; and the
-    rules that span its keys: its certified region's inputs and its merged
-    params."""
+    rules that span its keys: a certified cell is not forced and gives only
+    its region's inputs, and its merged params are valid.  An exact rule's
+    cell takes the identity compressor's spec, which bills and certifies its
+    messages."""
     rule, label = RULES[cell.algo], cell.resolved_label()
-    if cell.compressor is not None:
-        cell.spec = spec_from_config(cell.compressor, d)
+    cell.spec = (make_compressor("identity", d) if rule.exact
+                 else spec_from_config(cell.compressor, d))
     if cell.mode == "certified":
+        if cell.force_params:
+            raise ConfigError(
+                f"cell {label}: certified mode runs the region's operating "
+                'point, so force_params does not apply; use mode "practical" '
+                "to force given params")
         try:
             inputs = _REGION_INPUTS[_region_class(rule, cell.spec)]
         except ConfigError as exc:
@@ -154,14 +165,13 @@ def bits_to_threshold(ups: np.ndarray, bpi: int, threshold: float):
     return k, k * bpi
 
 
-def per_iteration_bits(algo: str, comp: CompressorSpec | None,
-                       model: BitCostModel, net, d: int,
-                       broadcast: bool = True) -> int:
-    """Payload bits transmitted network-wide in one iteration; an exact
-    rule's messages are billed as the identity compressor's."""
-    per_vec = bit_cost(comp or make_compressor("identity", d), model)
+def per_iteration_bits(algo: str, comp: CompressorSpec, model: BitCostModel,
+                       net, broadcast: bool = True) -> int:
+    """Payload bits transmitted network-wide in one iteration, one ``comp``
+    message per slot of the rule (an exact rule's cell carries the identity
+    compressor)."""
     senders = net.n if broadcast else int(net.out_degrees().sum())
-    return senders * len(RULES[algo].messages) * per_vec
+    return senders * len(RULES[algo].messages) * bit_cost(comp, model)
 
 
 # the params each compressor class's region reads from a cell; certified
@@ -170,14 +180,11 @@ _REGION_INPUTS = {RELATIVE: ("phi_x", "phi_y"),
                   GLOBAL_ABSOLUTE: ("s0", "mu"), LOCAL_ABSOLUTE: ()}
 
 
-def _region_class(rule, comp: CompressorSpec | None) -> str:
+def _region_class(rule, comp: CompressorSpec) -> str:
     """The compressor class whose theorem certifies ``rule`` with ``comp``.
 
-    The exact rule takes the identity compressor's relative class.  The
-    identity compressor makes no error, so it takes the first class its rule
-    is certified for."""
-    if not rule.classes:
-        return RELATIVE
+    The identity compressor makes no error, so it takes the first class its
+    rule is certified for: the relative class for the exact rule."""
     if comp.kind == "identity":
         return rule.classes[0]
     if comp.assumption_class not in rule.classes:
@@ -187,7 +194,7 @@ def _region_class(rule, comp: CompressorSpec | None) -> str:
     return comp.assumption_class
 
 
-def cell_region(rule, cls: str, comp: CompressorSpec | None, inputs: dict,
+def cell_region(rule, cls: str, comp: CompressorSpec, inputs: dict,
                 net, suite, x0, f_star) -> analysis.ParameterBounds:
     """The certified region of one cell, with its operating point.
 
@@ -195,8 +202,6 @@ def cell_region(rule, cls: str, comp: CompressorSpec | None, inputs: dict,
     the relative class, whether the rule sends error feedback.  It reads the
     class's ``_REGION_INPUTS`` from ``inputs`` (phi_x, phi_y default 1/(2r);
     s0 ``auto_s0``; mu 0.995), and a locally bounded one ``f_star()``."""
-    if not rule.classes:
-        comp = make_compressor("identity", suite.d)
     if cls == RELATIVE:
         fn = (analysis.bounds_error_feedback if rule.feedback
               else analysis.bounds_relative)
@@ -236,7 +241,7 @@ def _refusal(cell, cls: str | None, params: AlgorithmParams, region,
     if cell.mode == "certified" or cell.force_params:
         return (ConfigError(f"cell {label}: no certified region: {region}")
                 if missing and cell.mode == "certified" else None)
-    if not rule.classes:
+    if rule.exact:
         inside = params.eta <= 1.0 / L_f
     else:
         why = region if missing else None
@@ -273,7 +278,7 @@ def resolve(cfg: ExperimentConfig, net, suite, x0, f_star) -> list:
         params, cls, region = cell.merged, None, None
         if not certified and rule.scaled and "s0" not in cell.params:
             params = replace(params, s0=auto_s0(x0, suite))
-        if certified or rule.classes:
+        if certified or not rule.exact:
             try:
                 cls = _region_class(rule, cell.spec)
                 region = cell_region(
@@ -324,8 +329,26 @@ def write_trace_csv(trace: RunTrace, path: Path, bpi: int) -> None:
         f.writelines("%d,%r,%r,%r,%r,%d\n" % row for row in rows)
 
 
+def _write_plot(path: Path, scenario: str, labels: list) -> None:
+    """A gnuplot script that plots each cell's consensus error plus
+    optimality gap from its trace CSV."""
+    def quoted(text):  # gnuplot writes ' inside a '...' string as ''
+        return "'" + text.replace("'", "''") + "'"
+
+    plots = [f"{quoted(f'{scenario}__{lab}.csv')} using 1:($2+$3) with lines "
+             f"title {quoted(lab)}" for lab in labels]
+    with _replacing(path) as f:
+        f.write("\n".join([
+            "set logscale y", "set xlabel 'iteration k'",
+            "set ylabel 'consensus error + optimality gap'",
+            "set datafile separator ','", "set key outside",
+            "plot " + ", \\\n     ".join(plots)]) + "\n")
+
+
 def build_instance(cfg: ExperimentConfig):
-    """The network and cost suite that every cell of ``cfg`` shares."""
+    """What every cell of ``cfg`` shares: ``(net, suite, x0, reference)``,
+    the network, the cost suite, the initial point and a function that
+    returns the reference solution, solved at its first call."""
     net = generate_network(cfg.network["n"], cfg.network.get("edge_density"),
                            cfg.seeds["graph"],
                            topology=cfg.network["topology"])
@@ -333,13 +356,17 @@ def build_instance(cfg: ExperimentConfig):
                    if k not in ("kind", "d")}
     suite = generate_suite(cfg.cost["kind"], net.n, cfg.cost["d"],
                            cfg.seeds["cost"], **cost_kwargs)
-    return net, suite
+    x0 = initial_point(net.n, suite.d, cfg.seeds["algo"])
+    reference = functools.cache(
+        lambda: solve_reference(suite, tol=cfg.fstar_tol))
+    return net, suite, x0, reference
 
 
-def run_experiment(cfg: ExperimentConfig) -> tuple:
-    """Execute every cell on a shared instance and write CSVs plus a report;
-    return ``(report, paths)``: the report written, whose rows are the only
-    record of the cells, and each file written, the report last.
+def run_experiment(cfg: ExperimentConfig, plot: bool = False) -> tuple:
+    """Execute every cell on a shared instance and write CSVs, with
+    ``plot`` a gnuplot script, and a report; return ``(report, paths)``:
+    the report written, whose rows are the only record of the cells, and
+    each file written, the report last.
 
     Cell failures (diverged runs) are recorded per cell; remaining cells
     still execute.  Config problems, a cell that ``resolve`` refuses among
@@ -365,10 +392,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
         if len(os.fsencode(name)) > name_max:
             raise ConfigError(f"file name {name!r} is longer than the "
                               f"{name_max} bytes {str(there)!r} allows")
-    net, suite = build_instance(cfg)
-    ref = solve_reference(suite, tol=cfg.fstar_tol)
-    x0 = initial_point(net.n, suite.d, cfg.seeds["algo"])
-
+    net, suite, x0, reference = build_instance(cfg)
+    ref = reference()
     resolved = resolve(cfg, net, suite, x0, lambda: ref.f_star)
     for *_, refusal in resolved:  # before touching the disk
         if refusal is not None:
@@ -379,9 +404,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
     report_path.unlink(missing_ok=True)
     rows, paths, baseline = [], [], None
     for cell, params, region, _ in resolved:
-        label, comp = cell.resolved_label(), cell.spec
+        label, comp, rule = cell.resolved_label(), cell.spec, RULES[cell.algo]
         bpi = per_iteration_bits(cell.algo, comp, cfg.bit_model, net,
-                                 suite.d, cfg.broadcast)
+                                 cfg.broadcast)
         trace = run(cell.algo, cfg.iters, net, suite, params, comp,
                     seed=cfg.seeds["algo"], x0=x0, f_star=ref.f_star,
                     x_star=ref.x_star)
@@ -392,7 +417,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
         iters, bits = (bits_to_threshold(ups, bpi, cfg.threshold)
                        or (None, None))
         row = {"label": label, "algo": cell.algo,
-               "compressor": comp.kind if comp else "exact",
+               "compressor": "exact" if rule.exact else comp.kind,
                "status": trace.status, "iters": iters, "bits": bits,
                "percent": None, "unreached": bits is None,
                "upsilon_final": float(ups[-1])}
@@ -411,7 +436,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
             sidecar["bounds"] = region.constants
         _write_json(sidecar, json_path)
         paths += [csv_path, json_path]
-        if not RULES[cell.algo].classes and baseline is None:
+        if rule.exact and baseline is None:
             baseline = row
         rows.append(row)
 
@@ -431,6 +456,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
             "bits": baseline["bits"], "percent": 100.0,
         },
     }
+    if plot:
+        paths.append(outdir / f"{cfg.scenario}__plot.gnuplot")
+        _write_plot(paths[-1], cfg.scenario, [row["label"] for row in rows])
     _write_json(report, report_path)
     return report, paths + [report_path]
 

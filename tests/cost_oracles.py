@@ -166,10 +166,11 @@ def estimate_L(suite: CostSuite, samples: int, rng) -> float:
     return 1.5 * best
 
 
-def suite_to_json(suite: CostSuite) -> str:
-    """Seed plus generation parameters; enough to regenerate exactly."""
+def suite_to_json(suite: CostSuite, options: dict) -> str:
+    """Seed plus ``options``, the keywords ``generate_suite`` drew it with;
+    enough to regenerate exactly."""
     doc = {"kind": suite.kind, "n": suite.n, "d": suite.d, "seed": suite.seed}
-    doc.update(suite.gen_params)
+    doc.update(options)
     return json.dumps(doc, sort_keys=True)
 
 

@@ -43,7 +43,7 @@ def final_fields(rule) -> tuple:
     """The StackedState fields of ``rule``'s final state: x, y, the twins'
     halves and, if it compresses, the messages."""
     fields = ("x", "y") + tuple(f for pair in rule.twins for f in pair)
-    return fields + rule.messages if rule.classes else fields
+    return fields if rule.exact else fields + rule.messages
 
 
 def _stacked(rule, st) -> StackedState:

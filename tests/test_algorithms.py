@@ -120,12 +120,21 @@ def test_mean_recursion_and_structure_diagnostics(small_net, small_suite):
             assert tr.diagnostics["struct_y"] <= 1e-12
 
 
+def test_only_dgt_sends_exact_messages():
+    # Rule.exact, not Rule.classes, says which rule sends exact messages;
+    # dgt is certified in the identity compressor's class
+    assert [name for name, rule in RULES.items() if rule.exact] == ["dgt"]
+    assert RULES["dgt"].classes == (
+        make_compressor("identity", d=3).assumption_class,)
+
+
 @pytest.mark.parametrize("algo", sorted(RULES))
 def test_rule_invariants_are_the_ones_its_runs_check(small_net, small_suite,
                                                      algo):
-    # Rule.invariants follows from the rule's classes and scaling; the twin
-    # oracle states each rule's set on its own, and a run reports exactly it
-    comp = make_compressor("norm_sign", d=8) if RULES[algo].classes else None
+    # Rule.invariants follows from whether the rule is exact and whether it
+    # is scaled; the twin oracle states each rule's set on its own, and a run
+    # reports exactly it
+    comp = None if RULES[algo].exact else make_compressor("norm_sign", d=8)
     p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
                         varsigma=0.3, s0=8.0, mu=0.99)
     tr = run(algo, 5, small_net, small_suite, p, comp, seed=4)
@@ -426,7 +435,7 @@ _BLOCK_CASES = {
 
 def _assert_every_row_sends(algo, tr):
     """Every recorded row of a compressed rule holds nonzero messages."""
-    if RULES[algo].classes:
+    if not RULES[algo].exact:
         assert all(st[-1].any() for st in tr.state_rows), algo
 
 
@@ -476,7 +485,7 @@ def test_state_list_is_what_the_rule_describes(small_net, small_suite, algo):
                       seed=3)
     assert tr.status == "ok"
     want = [(2, n, d), (n, d)] + [(2, n, d)] * len(rule.twins)
-    if rule.classes:
+    if not rule.exact:
         want.append((len(rule.messages), n, d))
     for st in (*tr.state_rows, tr.state_list):
         assert [a.shape for a in st] == want, algo

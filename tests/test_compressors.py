@@ -175,6 +175,42 @@ def test_bit_costs():
         BitCostModel(bits_int=0)
 
 
+# bits of one message, worked by hand from what each kind sends: a real is
+# 64 bits, a kept index ceil(log2 d) bits (6 at d = 64 and at d = 50, 7 at
+# d = 65), a random_quantize level ceil(log2 levels) bits (2 at 3 levels, 4
+# at 9 and at 16, 5 at 17) and a uniform_quantize level bits_int bits
+@pytest.mark.parametrize("kind, options, bits_int, d, bits", [
+    ("identity", {}, 4, 64, 4096),
+    ("identity", {}, 4, 50, 3200),
+    ("norm_sign", {}, 4, 64, 192),        # 2 bits an entry, one scale
+    ("norm_sign", {}, 4, 50, 164),
+    ("one_bit", {}, 4, 64, 64),
+    ("one_bit", {}, 4, 50, 50),
+    ("uniform_quantize", {"delta": 2.0}, 4, 64, 256),
+    ("uniform_quantize", {"delta": 2.0}, 9, 50, 450),
+    ("random_sparsify", {"keep_k": 5}, 4, 64, 350),    # 5 (64 + 6)
+    ("random_sparsify", {"keep_k": 5}, 4, 50, 350),
+    ("random_sparsify", {"keep_k": 1}, 4, 65, 71),     # 1 (64 + 7)
+    ("random_sparsify", {"keep_k": 2}, 4, 2, 130),     # 2 (64 + 1)
+    ("random_quantize", {"levels": 3}, 4, 2, 68),      # 2 * 2 + 64
+    ("random_quantize", {"levels": 9}, 4, 32, 192),    # 32 * 4 + 64
+    ("random_quantize", {"levels": 9}, 4, 50, 264),
+    ("random_quantize", {"levels": 16}, 4, 128, 576),
+    ("random_quantize", {"levels": 16}, 4, 50, 264),
+    ("random_quantize", {"levels": 17}, 4, 50, 314),   # 50 * 5 + 64
+])
+def test_bit_cost_of_every_kind_by_hand(kind, options, bits_int, d, bits):
+    spec = make_compressor(kind, d=d, **options)
+    assert bit_cost(spec, BitCostModel(bits_int=bits_int)) == bits
+
+
+def test_random_quantize_has_no_two_level_spec():
+    # (levels - 1)^2 > d, which psi needs, leaves 2 levels no d >= 1, so the
+    # ledger never bills a 2-level message
+    with pytest.raises(CompressorError, match="levels=2, d=1"):
+        make_compressor("random_quantize", d=1, levels=2)
+
+
 def test_verify_norm_sign_defaults():
     # r = d/2, psi = 1/d^2 certifies across dimensions
     for d in (2, 10, 50):

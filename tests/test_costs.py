@@ -704,7 +704,7 @@ def test_suite_json_regenerates_exactly():
     for kind, kw in [("logistic_log", {"scale": 0.4}),
                      ("quadratic_pl", {"rows": 3, "consistent": False})]:
         suite = generate_suite(kind, n=4, d=5, seed=61, **kw)
-        back = suite_from_json(suite_to_json(suite))
+        back = suite_from_json(suite_to_json(suite, kw))
         assert back.kind == suite.kind and back.L_f == suite.L_f
         x = np.linspace(-1, 1, 5)
         for i in range(4):

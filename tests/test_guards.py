@@ -80,6 +80,14 @@ GUARDS = {
         "step function and the block recorder in algorithms, the batched row "
         "helpers in costs; no backend module or numba-era _np name splits "
         "them again"),
+    "classes-as-exactness": (
+        r"(\b(not|if|elif|while|and|or)\b *|\bbool\( *)[\w.\[\]\"']+"
+        r"\.classes\b(?! *[\[(.])|\.classes\b *(and|or|if|else)\b",
+        ("src",),
+        "Rule.exact says which rule sends exact messages, and Rule.classes "
+        "only which compressor classes certify a rule: read as a truth "
+        "value, classes would bill, resolve and pick as the report baseline "
+        "a compressed rule with no certificate as if it were dgt"),
     "caught-type-error": (
         r"except \(TypeError|except TypeError",
         ("src/cgtsim/harness.py", "src/cgtsim/config.py"),

@@ -19,6 +19,7 @@ from hypothesis.extra import numpy as hnp
 from cgtsim import analysis, cli, config, costs, harness
 from cgtsim.algorithms import (
     RULES,
+    AlgorithmError,
     AlgorithmParams,
     RunTrace,
     initial_point,
@@ -140,16 +141,17 @@ def test_running_minimum_computed_once_per_cell(tmp_path, monkeypatch):
 def test_per_iteration_bits_hand_arithmetic():
     net = generate_network(20, 0.35, seed=101)
     model = BitCostModel(bits_int=4)
-    # exact baseline: 2 vectors per agent at d * 64 bits
-    assert per_iteration_bits("dgt", None, model, net, 50) == 20 * 2 * 50 * 64
+    # exact baseline: 2 identity vectors per agent at d * 64 bits
+    ident = make_compressor("identity", d=50)
+    assert per_iteration_bits("dgt", ident, model, net) == 20 * 2 * 50 * 64
     ns = make_compressor("norm_sign", d=50)
-    assert per_iteration_bits("alg1", ns, model, net, 50) == 20 * 2 * 164
-    assert per_iteration_bits("alg2", ns, model, net, 50) == 20 * 4 * 164
+    assert per_iteration_bits("alg1", ns, model, net) == 20 * 2 * 164
+    assert per_iteration_bits("alg2", ns, model, net) == 20 * 4 * 164
     ob = make_compressor("one_bit", d=50)
-    assert per_iteration_bits("alg3", ob, model, net, 50) == 20 * 2 * 50
+    assert per_iteration_bits("alg3", ob, model, net) == 20 * 2 * 50
     # per-edge accounting counts each out-neighbour
     edges = int(net.out_degrees().sum())
-    assert per_iteration_bits("alg1", ns, model, net, 50,
+    assert per_iteration_bits("alg1", ns, model, net,
                               broadcast=False) == edges * 2 * 164
 
 
@@ -426,13 +428,17 @@ def test_cli_config_errors_exit_2_and_program_bugs_propagate(tmp_path,
         cfg_path.write_text(json.dumps(dict(cfg, **bad)))
         assert cli.main(["run", str(cfg_path)]) == 2
 
-    def broken_run(*args, **kwargs):
-        raise ValueError("a bug inside the stepper")
-
+    # a rule or bound error that reaches cli past the cell parser and
+    # resolve, which turn the ones a config causes into ConfigErrors, is a
+    # bug too
     cfg_path.write_text(json.dumps(cfg))
-    monkeypatch.setattr(harness, "run", broken_run)
-    with pytest.raises(ValueError, match="a bug inside the stepper"):
-        cli.main(["run", str(cfg_path)])
+    for error in (ValueError, AlgorithmError, analysis.AnalysisError):
+        def broken_run(*args, _error=error, **kwargs):
+            raise _error("a bug inside the stepper")
+
+        monkeypatch.setattr(harness, "run", broken_run)
+        with pytest.raises(error, match="a bug inside the stepper"):
+            cli.main(["run", str(cfg_path)])
 
 
 @pytest.mark.parametrize("cost", [
@@ -526,11 +532,25 @@ def test_cost_option_checks_cover_generate_suite_keywords():
     params = inspect.signature(generate_suite).parameters.values()
     assert set().union(*config._COST_OPTIONS.values()) == {
         p.name for p in params if p.kind is p.KEYWORD_ONLY}
-    # each family accepts the keys it records in gen_params, and no other
+    # each family accepts the keys it reads, and no other: a value other
+    # than the default changes the suite drawn exactly when the family reads
+    # the key
     assert set(config._COST_OPTIONS) == set(costs.KINDS)
+    other = {"abs_m": False, "scale": 2.0, "rows": 7, "consistent": False,
+             "normalize": False}
+    assert set(other) == set().union(*config._COST_OPTIONS.values())
+
+    def drawn(suite):
+        return [suite.L_f] + [None if a is None else (a.shape, a.tobytes())
+                              for a in (suite.h, suite.nu, suite.m, suite.xi,
+                                        suite.M, suite.b)]
+
     for kind, options in config._COST_OPTIONS.items():
-        suite = generate_suite(kind, n=3, d=2, seed=0)
-        assert set(suite.gen_params) == set(options)
+        base = drawn(generate_suite(kind, n=3, d=2, seed=0))
+        for key, value in other.items():
+            moved = drawn(generate_suite(kind, n=3, d=2, seed=0,
+                                         **{key: value}))
+            assert (moved != base) == (key in options), (kind, key)
 
 
 def test_cli_bounds_identity_finite(tmp_path, capsys, monkeypatch):
@@ -550,7 +570,7 @@ def test_cli_bounds_identity_finite(tmp_path, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("no table here needs the reference value")
 
-    monkeypatch.setattr(cli, "solve_reference", no_solve)
+    monkeypatch.setattr(harness, "solve_reference", no_solve)
     assert cli.main(["bounds", str(cfg_path)]) == 0
     out = json.loads(capsys.readouterr().out)
     cell = out["cells"]["alg1_identity"]
@@ -583,8 +603,8 @@ def test_cli_bounds_equal_run_sidecars(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", str(cfg_path)]) == 0
     capsys.readouterr()
     solves = []
-    solve = cli.solve_reference
-    monkeypatch.setattr(cli, "solve_reference",
+    solve = harness.solve_reference
+    monkeypatch.setattr(harness, "solve_reference",
                         lambda *a, **k: solves.append(1) or solve(*a, **k))
     assert cli.main(["bounds", str(cfg_path)]) == 0
     assert len(solves) == 1  # only the one_bit table needs f_star
@@ -660,7 +680,7 @@ def test_forced_alg2_outside_the_relative_class_weights_no_feedback(
     sidecar = json.loads(stem.with_suffix(".json").read_text())
     assert sidecar["lyapunov"] == "ef"
     lyap = read_trace_csv(stem.with_suffix(".csv"))["lyapunov"]
-    net, suite = harness.build_instance(ExperimentConfig.from_dict(doc))
+    net, suite, *_ = harness.build_instance(ExperimentConfig.from_dict(doc))
     (tr,) = traces
 
     def at_final_state(phi_hat):
@@ -986,15 +1006,20 @@ class _DiskFull:
 @pytest.mark.parametrize("command", ["run", "replicate-section5"])
 def test_cli_gnuplot_script_appears_whole_or_not_at_all(tmp_path, monkeypatch,
                                                         command):
-    real = cli._replacing
+    # the plot script is written before the report: a run interrupted while
+    # it writes the script leaves neither, so no directory looks complete
+    real = harness._replacing
 
     @contextmanager
     def failing(path):
         with real(path) as f:
+            if not path.name.endswith("__plot.gnuplot"):
+                yield f
+                return
             assert path.with_name(path.name + ".tmp").is_file()
             yield _DiskFull(f)
 
-    monkeypatch.setattr(cli, "_replacing", failing)
+    monkeypatch.setattr(harness, "_replacing", failing)
     out = tmp_path / "g"
     if command == "run":
         cfg_path = tmp_path / "cfg.json"
@@ -1013,7 +1038,8 @@ def test_cli_gnuplot_script_appears_whole_or_not_at_all(tmp_path, monkeypatch,
         cli.main(argv)
     names = [p.name for p in out.iterdir()]
     assert any(name.endswith(".csv") for name in names)
-    assert not [name for name in names if "gnuplot" in name]
+    assert not [name for name in names
+                if "gnuplot" in name or name.endswith("__report.json")]
 
 
 
@@ -1367,9 +1393,9 @@ def test_region_errors_keep_no_instance_alive(tmp_path, monkeypatch):
     real = harness.build_instance
 
     def recorded(cfg):
-        net, suite = real(cfg)
+        net, suite, *shared = real(cfg)
         made.extend([weakref.ref(net), weakref.ref(suite)])
-        return net, suite
+        return net, suite, *shared
 
     monkeypatch.setattr(harness, "build_instance", recorded)
     # phi_x above 1/r, and a compressor of a class alg1 is not certified for
@@ -1447,7 +1473,7 @@ def _quad_doc(out, cells, **extra):
 def _edges():
     """The practical regions of the quadratic instance: each limit the
     practical check tests, computed from the calculators directly."""
-    net, suite = harness.build_instance(
+    net, suite, *_ = harness.build_instance(
         ExperimentConfig.from_dict(_quad_doc("unused", [_GOOD_CELLS[0]])))
     ns = make_compressor("norm_sign", d=4)
     uq = make_compressor("uniform_quantize", d=4, delta=2.0)
@@ -1591,7 +1617,7 @@ def test_unforced_practical_local_class_cell_exits_2(tmp_path, capsys):
     # a one_bit cell at the globally bounded region's operating point used
     # to pass as certified under that theorem with C = 0, and ran with an
     # induction ratio of 1e282
-    net, suite = harness.build_instance(
+    net, suite, *_ = harness.build_instance(
         ExperimentConfig.from_dict(_quad_doc("unused", [_GOOD_CELLS[0]])))
     b = analysis.bounds_absolute_global(net.sigma, suite.L_f, net.n, 4, 0.0)
     cell = {"algo": "alg3", **_ONE_BIT,
@@ -1691,3 +1717,63 @@ def test_cli_bounds_prints_the_region_that_run_checks(tmp_path, capsys):
     cell["params"] = {"eta": table["eta"], "gamma": table["gamma"]}
     cfg_path.write_text(json.dumps(_quad_doc(tmp_path / "o", [cell])))
     assert cli.main(["run", str(cfg_path)]) == 0
+
+
+# a certified cell runs its region's operating point, so force_params would
+# do nothing; and its compressor must be of a class its rule is certified
+# for.  Both exit 2 before set-up and name the cell
+@pytest.mark.parametrize("cell, label, why", [
+    ({"algo": "alg1", **_NORM_SIGN, "mode": "certified",
+      "force_params": True},
+     "alg1_norm_sign_certified", "force_params does not apply"),
+    ({"algo": "dgt", "mode": "certified", "force_params": True},
+     "dgt_exact_certified", "force_params does not apply"),
+    ({"algo": "alg3", **_NORM_SIGN, "mode": "certified"},
+     "alg3_norm_sign_certified",
+     "no certified region: alg3 expects a compressor class in"),
+], ids=["forced", "forced-exact", "class-mismatch"])
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_certified_cell_it_cannot_run_exits_2_before_set_up(
+        tmp_path, monkeypatch, capsys, cell, label, why, command):
+    monkeypatch.setattr(harness, "build_instance", _no_set_up)
+    out = tmp_path / "o"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_quad_doc(out, [_GOOD_CELLS[0], cell])))
+    assert cli.main([command, str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cell {label}: ") and why in err, err
+    assert not out.exists()
+
+
+def test_cli_run_out_overrides_the_output_dir(tmp_path):
+    out, elsewhere = tmp_path / "o", tmp_path / "elsewhere"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_quad_doc(out, _GOOD_CELLS[:1])))
+    assert cli.main(["run", str(cfg_path), "--out", str(elsewhere)]) == 0
+    assert not out.exists()
+    assert sorted(p.name for p in elsewhere.iterdir()) == [
+        "q__dgt_exact.csv", "q__dgt_exact.json", "q__report.json"]
+
+
+def test_cli_bounds_prints_a_certified_exact_cell(tmp_path, capsys):
+    # a certified dgt cell runs at its region's operating point, and bounds
+    # prints that region as its sidecar records it; a practical dgt cell
+    # has no region, so no table
+    out = tmp_path / "o"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_quad_doc(out, [
+        _GOOD_CELLS[0], {"algo": "dgt", "mode": "certified"}])))
+    assert cli.main(["run", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["bounds", str(cfg_path)]) == 0
+    tables = json.loads(capsys.readouterr().out)["cells"]
+    assert sorted(tables) == ["dgt_exact_certified"]
+    table = tables["dgt_exact_certified"]
+    sidecar = json.loads((out / "q__dgt_exact_certified.json").read_text())
+    assert table["constants"] == sidecar["bounds"]
+    assert (table["eta"], table["gamma"]) == (sidecar["params"]["eta"],
+                                              sidecar["params"]["gamma"])
+    # both cells send exact messages; the first is the baseline
+    report = json.loads((out / "q__report.json").read_text())
+    assert [row["compressor"] for row in report["rows"]] == ["exact"] * 2
+    assert report["baseline"]["label"] == "dgt_exact"
