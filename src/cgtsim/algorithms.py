@@ -19,11 +19,12 @@ then a compressed rule's message block: all messages of one step as one
 (m, n, d) block along a slot axis, one slot per message the rule names:
 Qx, Qy (m = 2), then alg2's error-feedback Qhx, Qhy (m = 4).
 A step makes one compressor-kernel call over that block, one
-``np.matmul(W, Q)``, one update per twin and the one tracking tail
-(``_track``), written in place into the run's blocks.  The stacked matmul
+``Network.mix`` of it, one update per twin and the one tracking tail
+(``_track``), written in place into the run's blocks.  The stacked product
 still makes one gemm per slot and every elementwise update rounds as the
 per-array update did, so traces and states are bitwise those of updating
-each half of a twin on its own.
+each half of a twin on its own.  Nothing here reads W: ``Network.mix`` is
+the one product with it.
 
 The steppers only step.  The block recorder takes each row's state and,
 every B rows, computes the trace rows and the invariant maxima for the whole
@@ -146,22 +147,17 @@ class Rule:
 _SCALE_FLOOR = 1e-300
 
 
-def _mix(W, Q, out):
-    """W @ Q[j] for every slot j of a block, into ``out``: the stacked
-    product makes one gemm per slot, as ``W @ Q[j]`` does."""
-    return np.matmul(W, Q, out=out)
-
-
-# Step functions: ``rule.step(rule, st, W, p, cost, comp, seed, s_arr)``
+# Step functions: ``rule.step(rule, st, mix, p, cost, comp, seed, s_arr)``
 # returns the rule's ``step(k, st)``, which takes the run's state list ``st``
-# from row k to k+1.  It updates the state blocks in place and ends in
-# ``_track``, which takes gradients from ``cost`` (a ``costs.RunCosts``).
-# Its scratch is ``tmp``, one (2, n, d) block, and ``buf``, one slot per
-# message: ``buf`` takes W @ Q, then, once that is spent, the step's other
-# temporaries and the next messages' inputs.  Both are bound as default
-# arguments, so the in-place operators act on them.  Only G and the message
-# block are new arrays, which keeps a large-n run's live arrays near those
-# of updating twin halves alone.
+# from row k to k+1 (``mix`` is the run network's ``Network.mix``).  It
+# updates the state blocks in place and ends in ``_track``, which takes
+# gradients from ``cost`` (a ``costs.RunCosts``).  Its scratch is ``tmp``,
+# one (2, n, d) block, and ``buf``, one slot per message: ``buf`` takes
+# mix(Q), then, once that is spent, the step's other temporaries and the
+# next messages' inputs.  Both are bound as default arguments, so the
+# in-place operators act on them.  Only G and the message block are new
+# arrays, which keeps a large-n run's live arrays near those of updating
+# twin halves alone.
 
 def _track(st, tmp, ey, eta, cost):
     """Every step's tracking tail: X|Y -= tmp, X -= eta * (the old Y), then
@@ -175,7 +171,7 @@ def _track(st, tmp, ey, eta, cost):
     XY[1] -= G
 
 
-def _alg1_step(rule, st, W, p, cost, comp, seed, s_arr):
+def _alg1_step(rule, st, mix, p, cost, comp, seed, s_arr):
     """alg1, and alg2 (``rule.feedback``)."""
     n, d = st[1].shape
     eta, gamma, varsigma = p.eta, p.gamma, p.varsigma
@@ -185,7 +181,7 @@ def _alg1_step(rule, st, W, p, cost, comp, seed, s_arr):
     def step(k, st, tmp=np.empty((2, n, d)), buf=np.empty_like(st[-1])):
         XY, AC, BD, Q = st[0], st[2], st[3], st[-1]
         E = st[4] if use_ef else None  # alg2's Ex|Ey
-        mixQ = _mix(W, Q, buf)
+        mixQ = mix(Q, buf)
         Qs, mixQs = (Q[2:], mixQ[2:]) if use_ef else (Q, mixQ)
         np.add(BD, Qs, out=tmp)  # the consensus terms, from the old B|D
         tmp -= mixQs
@@ -210,13 +206,13 @@ def _alg1_step(rule, st, W, p, cost, comp, seed, s_arr):
     return step
 
 
-def _alg3_step(rule, st, W, p, cost, comp, seed, s_arr):
+def _alg3_step(rule, st, mix, p, cost, comp, seed, s_arr):
     n, d = st[1].shape
     eta, gamma = p.eta, p.gamma
 
     def step(k, st, tmp=np.empty((2, n, d)), buf=np.empty((2, n, d))):
         XY, _, Hat, VZ, Q = st
-        mixQ = _mix(W, Q, buf)
+        mixQ = mix(Q, buf)
         sk = s_arr[k]
         Hat += np.multiply(sk, Q, out=tmp)
         diff = np.subtract(Q, mixQ, out=tmp)
@@ -231,12 +227,12 @@ def _alg3_step(rule, st, W, p, cost, comp, seed, s_arr):
     return step
 
 
-def _dgt_step(rule, st, W, p, cost, comp, seed, s_arr):
+def _dgt_step(rule, st, mix, p, cost, comp, seed, s_arr):
     eta, gamma = p.eta, p.gamma
 
     def step(k, st, tmp=np.empty_like(st[0]), ey=np.empty_like(st[1])):
         XY = st[0]
-        _mix(W, XY, tmp)
+        mix(XY, tmp)
         np.subtract(XY, tmp, out=tmp)
         tmp *= gamma
         _track(st, tmp, ey, eta, cost)
@@ -323,10 +319,10 @@ def _metrics_rows(cost, XY, G):
     return means, ct, gap, stat, ytrack
 
 
-def _struct_resid_rows(Acc, Base, W):
+def _struct_resid_rows(Acc, Base, mix):
     """||Acc - (I - W) Base|| / ||Base|| for each half of b (2, n, d) twin
-    rows: the accumulator identity."""
-    M = np.matmul(W, Base)
+    rows, W @ Base being ``mix(Base)``: the accumulator identity."""
+    M = mix(Base)
     np.subtract(Base, M, out=M)
     np.subtract(Acc, M, out=M)
     return _norms(M, 2) / np.maximum(_norms(Base, 2), 1e-30)
@@ -365,11 +361,11 @@ class _BlockRecorder:
     step and a scaled rule keeps a copy of the X it needs from it.
     """
 
-    def __init__(self, rule, row, cost, W, eta, phi_w, aux, iters,
+    def __init__(self, rule, row, cost, mix, eta, phi_w, aux, iters,
                  s_arr=None):
         n, d = row[1].shape
         self.B = _block_rows(sum(a.size for a in row) // (n * d), n, d)
-        self.rule, self.nblk, self.cost, self.W = rule, len(row), cost, W
+        self.rule, self.nblk, self.cost, self.mix = rule, len(row), cost, mix
         self.eta, self.phi_w, self.aux = eta, phi_w, aux
         self.s_arr = s_arr
         # consensus_err, opt_gap, stationarity and lyapunov, row by row
@@ -394,7 +390,7 @@ class _BlockRecorder:
 
     def flush(self):
         """Record the pushed rows; returns the first non-finite row or None."""
-        b, k0, W, diag, rule = self.fill, self.k0, self.W, self.diag, self.rule
+        b, k0, diag, rule = self.fill, self.k0, self.diag, self.rule
         if self.buf is None:
             R = [a[None] for a in self.rows]
             Xp = None if self.prev_x is None else self.prev_x[None]
@@ -425,7 +421,7 @@ class _BlockRecorder:
         _raise_max(diag, "mean_y_tracking", ytr[ok])
         if nok and not rule.exact:
             _raise_twin(diag, "struct",
-                        _struct_resid_rows(R[3][ok], R[2][ok], W))
+                        _struct_resid_rows(R[3][ok], R[2][ok], self.mix))
         if nok and rule.scaled:
             sk = self.s_arr[k0:k0 + nok, None]
             _raise_twin(diag, "induction",
@@ -519,7 +515,6 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
 
     s_arr = (scaling_sequence(params.s0, params.mu, iters) if rule.scaled
              else None)
-    W = np.ascontiguousarray(net.W, dtype=np.float64)
     useed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
     cost = RunCosts(suite, x_star, f_star)
     G = cost.grad(x0)
@@ -529,14 +524,14 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
         Q = _compress_block(
             comp, XY / s_arr[0] if rule.scaled else XY, useed, 0, 0)
         st.append(np.concatenate([Q, Q]) if rule.feedback else Q)
-    step = rule.step(rule, st, W, params, cost, comp, useed, s_arr)
+    step = rule.step(rule, st, net.mix, params, cost, comp, useed, s_arr)
     # a scaled rule stops before the first step whose next scale underflows
     last, status = iters, "ok"
     if rule.scaled:
         below = np.flatnonzero(s_arr[1:] < _SCALE_FLOOR)
         if below.size:
             last, status = int(below[0]), "scaling_exhausted"
-    rec = _BlockRecorder(rule, st[:2 + len(rule.twins)], cost, W,
+    rec = _BlockRecorder(rule, st[:2 + len(rule.twins)], cost, net.mix,
                          params.eta, phi_w, aux, iters, s_arr)
     for k in range(last + 1):
         rec.push(st)

@@ -20,43 +20,45 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class Network:
-    """Connected undirected graph plus its consensus weight matrix.
+    """A connected network, given by its consensus weight matrix alone.
 
-    ``adjacency[i, j]`` is True when agent i receives from agent j (self-loops
-    are implied, not stored).  ``W`` is symmetric and nonnegative with unit
-    row and column sums, supported on the adjacency plus the diagonal.
-    ``sigma`` is the exact spectral norm of ``W - (1/n) 11^T``, from one
-    symmetric eigensolve; the consensus step contracts disagreement by
-    ``delta = 1 - gamma * (1 - sigma)``.
+    ``W`` is nonnegative with unit row and column sums, and its off-diagonal
+    support is the communication graph: agent i receives from agent j
+    exactly when ``W[i, j] != 0`` and i != j.  ``sigma`` is the spectral
+    norm of ``W - (1/n) 11^T``; the consensus step contracts disagreement by
+    ``delta = 1 - gamma * (1 - sigma)``.  ``mix`` is the one product with W.
     """
 
     n: int
-    adjacency: np.ndarray
     W: np.ndarray
     sigma: float
 
     def validate(self) -> None:
         n, W = self.n, self.W
-        if W.shape != (n, n) or self.adjacency.shape != (n, n):
-            raise GraphError("matrix shapes do not match n")
+        if W.shape != (n, n):
+            raise GraphError(f"W has shape {W.shape}, not ({n}, {n})")
         if np.any(W < 0):
             raise GraphError("W has negative entries")
         if np.max(np.abs(W.sum(axis=1) - 1.0)) > STOCHASTIC_TOL:
             raise GraphError("row sums of W are not 1")
         if np.max(np.abs(W.sum(axis=0) - 1.0)) > STOCHASTIC_TOL:
             raise GraphError("column sums of W are not 1")
-        off = ~(self.adjacency | np.eye(n, dtype=bool))
-        off &= W != 0.0
-        if off.any():
-            raise GraphError("W has weight outside the adjacency support")
-        if not is_strongly_connected(self.adjacency):
+        if not is_strongly_connected(W != 0.0):
             raise GraphError("digraph is not strongly connected")
         if n > 1 and not (0.0 < self.sigma < 1.0):
             raise GraphError(f"sigma={self.sigma} outside (0, 1)")
 
     def out_degrees(self) -> np.ndarray:
         """Number of receivers per agent, self excluded (column-wise count)."""
-        return self.adjacency.sum(axis=0).astype(np.int64)
+        return (np.count_nonzero(self.W, axis=0)
+                - (np.diagonal(self.W) != 0.0)).astype(np.int64)
+
+    def mix(self, Q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """W @ Q for one (n, d) array or a stack (..., n, d) of them, into
+        ``out`` if given.  A stack makes one gemm per (n, d) slab, as
+        ``W @ Q[j]`` does, so each slab mixes bitwise as it would alone."""
+        return np.matmul(self.W, Q, out=out)
+
 
 def is_strongly_connected(adjacency: np.ndarray) -> bool:
     """Reachability from node 0 on the graph and its transpose, one BFS level
@@ -132,7 +134,6 @@ def generate_network(n: int, edge_density: float | None, seed: int,
         raise GraphError(f"need at least 2 agents, got {n}")
 
     if topology == "ring":
-        adj = _ring_adjacency(n)
         W = _ring_weights(n)
     elif topology == "random":
         if edge_density is None or not 0.0 < edge_density <= 1.0:
@@ -161,6 +162,6 @@ def generate_network(n: int, edge_density: float | None, seed: int,
         W = 0.5 * (W + np.eye(n))
         sigma = spectral_gap(W)
 
-    net = Network(n=n, adjacency=adj, W=W, sigma=sigma)
+    net = Network(n=n, W=W, sigma=sigma)
     net.validate()
     return net

@@ -18,11 +18,8 @@ def contraction_factor(gamma: float, sigma: float) -> float:
 
 
 def network_to_json(net: Network) -> str:
-    src, dst = np.nonzero(net.adjacency.T)  # adjacency[i,j]: j -> i
-    edges = [[int(s), int(d)] for s, d in zip(src, dst)]
     doc = {
         "n": net.n,
-        "edges": edges,
         "W": [float(v) for v in net.W.ravel()],
         "sigma": float(net.sigma),
     }
@@ -32,10 +29,7 @@ def network_to_json(net: Network) -> str:
 def network_from_json(text: str) -> Network:
     doc = json.loads(text)
     n = int(doc["n"])
-    adj = np.zeros((n, n), dtype=bool)
-    for s, d in doc["edges"]:
-        adj[d, s] = True
     W = np.asarray(doc["W"], dtype=np.float64).reshape(n, n)
-    net = Network(n=n, adjacency=adj, W=W, sigma=float(doc["sigma"]))
+    net = Network(n=n, W=W, sigma=float(doc["sigma"]))
     net.validate()
     return net

@@ -1,5 +1,7 @@
 """Stepper semantics: reductions, invariants, determinism, the oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -42,8 +44,7 @@ def small_suite():
 
 
 def _single_agent_net():
-    return Network(n=1, adjacency=np.zeros((1, 1), dtype=bool),
-                   W=np.ones((1, 1)), sigma=0.0)
+    return Network(n=1, W=np.ones((1, 1)), sigma=0.0)
 
 
 def test_identity_reduction_to_baseline(small_net, small_suite):
@@ -147,8 +148,7 @@ def test_agent_relabelling_equivariance(small_net, small_suite):
     p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1)
     x0 = initial_point(6, 8, 13)
     perm = np.array([3, 0, 5, 1, 4, 2])
-    net_p = Network(n=6, adjacency=small_net.adjacency[perm][:, perm],
-                    W=small_net.W[perm][:, perm], sigma=small_net.sigma)
+    net_p = Network(n=6, W=small_net.W[perm][:, perm], sigma=small_net.sigma)
     a = run_recorded("alg1", 200, small_net, small_suite, p, comp, seed=6,
                      x0=x0)
     suite_p = generate_suite("logistic_log", n=6, d=8, seed=2, scale=0.3)
@@ -194,20 +194,48 @@ def test_steppers_match_message_passing_oracle(small_net, small_suite):
                                                 levels=17)),
                        ("alg3", make_compressor("uniform_quantize", d=8,
                                                 delta=0.05))]:
-        tr = run_recorded(algo, 150, small_net, small_suite, p, comp,
-                          seed=9, x0=x0)
-        assert tr.status == "ok"
-        xh, yh, final = run_oracle(algo, 150, small_net, small_suite, p,
-                                   comp, 9, x0)
-        got = {"x_hist": tr.x_hist, "y_hist": tr.y_hist}
-        got.update((name, val) for name, val in vars(tr.final_state).items()
-                   if val is not None)
-        want = {"x_hist": xh, "y_hist": yh, **final}
-        assert sorted(got) == sorted(want), algo
-        for name, val in want.items():
-            scale = 1.0 + np.max(np.abs(val))
-            assert np.max(np.abs(got[name] - val)) <= 1e-9 * scale, (algo,
-                                                                       name)
+        _check_against_message_passing(algo, small_net, small_suite, p,
+                                       comp, x0)
+
+
+def _check_against_message_passing(algo, net, suite, p, comp, x0):
+    """150 steps of ``algo`` against the per-agent oracle, up to
+    summation order: x/y history and every final state field."""
+    tr = run_recorded(algo, 150, net, suite, p, comp, seed=9, x0=x0)
+    assert tr.status == "ok"
+    xh, yh, final = run_oracle(algo, 150, net, suite, p, comp, 9, x0)
+    got = {"x_hist": tr.x_hist, "y_hist": tr.y_hist}
+    got.update((name, val) for name, val in vars(tr.final_state).items()
+               if val is not None)
+    want = {"x_hist": xh, "y_hist": yh, **final}
+    assert sorted(got) == sorted(want), algo
+    for name, val in want.items():
+        scale = 1.0 + np.max(np.abs(val))
+        assert np.max(np.abs(got[name] - val)) <= 1e-9 * scale, (algo, name)
+
+
+@pytest.mark.parametrize("algo, comp", [
+    ("alg1", make_compressor("norm_sign", d=8)),
+    ("alg2", make_compressor("norm_sign", d=8)),
+    ("alg3", make_compressor("uniform_quantize", d=8, delta=0.05)),
+    ("dgt", None),
+], ids=["alg1", "alg2", "alg3", "dgt"])
+def test_steppers_match_message_passing_oracle_on_a_directed_ring(
+        small_suite, algo, comp):
+    # every generated W is symmetric, so only an asymmetric one tells W @ Q
+    # from W.T @ Q.  Agent i hears only agent i + 1: W = (I + P)/2 is
+    # doubly stochastic, and sigma is the 2-norm of W - 11^T/n.
+    n = 6
+    W = 0.5 * (np.eye(n) + np.roll(np.eye(n), 1, axis=1))
+    sigma = float(np.linalg.norm(W - 1.0 / n, 2))
+    net = Network(n=n, W=W, sigma=sigma)
+    net.validate()
+    assert not np.array_equal(W, W.T)
+    assert sigma == pytest.approx(math.sqrt(3) / 2, rel=1e-12)
+    p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
+                        varsigma=0.3, s0=8.0, mu=0.99)
+    _check_against_message_passing(algo, net, small_suite, p, comp,
+                                   initial_point(n, 8, 9))
 
 
 def test_zero_iterations_rejected(small_net, small_suite):
@@ -284,6 +312,23 @@ def test_param_validation():
         practical_params(algo).validate(algo)
 
 
+_P = AlgorithmParams(eta=0.1, gamma=0.3)
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda net, suite: AlgorithmParams(eta=0.1, gamma=0.3, s0=0.0)
+     .validate("alg3"), "s0 must be positive"),
+    (lambda net, suite: run("alg1", 10, net, suite, _P, None),
+     "alg1 needs a compressor spec"),
+    (lambda net, suite: run("dgt", 10, net, suite, _P, x0=np.zeros((6, 7))),
+     r"x0 must have shape \(6, 8\)"),
+    (lambda net, suite: practical_params("alg5"), "unknown algorithm 'alg5'"),
+], ids=["s0", "missing-compressor", "x0-shape", "practical-unknown-rule"])
+def test_refusals(small_net, small_suite, refused, message):
+    with pytest.raises(AlgorithmError, match=message):
+        refused(small_net, small_suite)
+
+
 def test_practical_alg2_beats_alg1_with_norm_sign(small_net, small_suite):
     # error feedback corrects compressor bias: running minimum not worse
     comp = make_compressor("norm_sign", d=8)
@@ -334,7 +379,8 @@ def test_batched_record_helpers_match_per_row_oracle(cost):
     rng = np.random.default_rng(0)
     XY, G = rng.standard_normal((5, 2, n, d)), rng.standard_normal((5, n, d))
     XY[3, 0] *= 1e200  # a row whose terms overflow
-    W = generate_network(n, 0.3, seed=5).W
+    net = generate_network(n, 0.3, seed=5)
+    W = net.W
     # anchored at a given point, and at the least-squares solve without one
     for x_star in (rng.standard_normal(d), None):
         run_costs = RunCosts(suite, x_star, 0.25)
@@ -349,7 +395,7 @@ def test_batched_record_helpers_match_per_row_oracle(cost):
     with np.errstate(all="ignore"):
         # accumulators that satisfy the identity up to round-off, as in a run
         Acc = XY - np.einsum("ij,bhjd->bhid", W, XY)
-        struct = algorithms._struct_resid_rows(Acc, XY, W)
+        struct = algorithms._struct_resid_rows(Acc, XY, net.mix)
         peak = algorithms._row_norm_max_rows(XY - Acc)
         for h in range(2):
             assert _bits(struct[:, h]) == _bits(
@@ -384,7 +430,7 @@ def test_recorder_ignores_rows_after_a_nonfinite_row(small_net, small_suite):
     cost = RunCosts(small_suite)
     blocks = [[np.stack(st[:2]), st[2]] for st in rows]  # X|Y, G
     rec = algorithms._BlockRecorder(RULES["dgt"], blocks[0], cost,
-                                    small_net.W, eta, 1.0, 1.0, 4)
+                                    small_net.mix, eta, 1.0, 1.0, 4)
     rec.cols[:] = -1.0
     assert rec.B >= 5
     for st in blocks:
@@ -644,12 +690,15 @@ def test_one_compressor_call_and_one_w_product_per_step(small_net,
                                                         small_suite,
                                                         monkeypatch):
     # and each of them takes one block of len(rule.messages) message slots:
-    # the bit ledger bills what the steppers send
+    # the bit ledger bills what the steppers send.  The recorder's
+    # accumulator check mixes (b, 2, n, d) row stacks, so only 3-D blocks
+    # are the steppers' products.
     slots, sent = {}, []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):  # the block is the second argument
-            slots[name].append(len(args[1]))
+            if args[1].ndim == 3:
+                slots[name].append(len(args[1]))
             out = fn(*args, **kwargs)
             if name == "compress":
                 sent.append(bool(out.any()))
@@ -658,7 +707,7 @@ def test_one_compressor_call_and_one_w_product_per_step(small_net,
 
     monkeypatch.setattr(algorithms, "_compress_block",
                         counted("compress", algorithms._compress_block))
-    monkeypatch.setattr(algorithms, "_mix", counted("mix", algorithms._mix))
+    monkeypatch.setattr(Network, "mix", counted("mix", Network.mix))
     p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
                         varsigma=0.3, s0=8.0, mu=0.99)
     assert {name: len(rule.messages) for name, rule in RULES.items()} == {

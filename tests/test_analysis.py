@@ -32,6 +32,7 @@ from analysis_oracles import (
 from cgtsim.compressors import make_compressor
 from cgtsim.costs import generate_suite, grad_all, solve_reference
 from cgtsim.graph import generate_network
+from pinned_region_constants import PINNED
 from run_recorder import StackedState, run_recorded
 
 
@@ -44,6 +45,39 @@ def test_mixing_constants_and_domain():
         mixing_constants(0.05, 0.01, 25.0, 4e-4)  # phi_x above 1/r
     with pytest.raises(AnalysisError):
         mixing_constants(-0.1, 0.1, 1.0, 1.0)
+
+
+_SCALED_LOCAL_START = dict(cons0=1.0, track0=1.0, gap0=1.0, x0_norm_max=1.0,
+                          y0_norm_max=1.0)
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: mixing_constants(0.1, 0.1, 0.0, 1.0),
+     "invalid compressor constants r=0.0"),
+    (lambda: mixing_constants(0.1, 0.1, 1.0, 1.5),
+     "invalid compressor constants r=1.0, psi=1.5"),
+    (lambda: mixing_constants(0.1, 1.5, 1.0, 1.0), r"phi_y=1\.5 outside"),
+    (lambda: ef_weight(0.25, 0.25, -1.0), "C must be nonnegative"),
+    (lambda: bounds_relative(1.0, 1.0, make_compressor("identity", d=4),
+                             0.5, 0.5), r"sigma=1\.0 outside \(0, 1\)"),
+    (lambda: bounds_relative(0.5, 0.0, make_compressor("identity", d=4),
+                             0.5, 0.5), "L must be positive"),
+    (lambda: bounds_relative(0.5, 1.0, make_compressor("one_bit", d=4),
+                             0.5, 0.5), "need a relative compressor"),
+    (lambda: bounds_scaled_local(0.5, 1.0, 0.0, 0.5, 4, 3,
+                                 **_SCALED_LOCAL_START), "nu must be positive"),
+    (lambda: bounds_scaled_local(0.5, 1.0, 0.3, 1.5, 4, 3,
+                                 **_SCALED_LOCAL_START),
+     r"phi_c must lie in \(0, 1\]"),
+    # a NaN start summary makes u_tilde_0 NaN
+    (lambda: bounds_scaled_local(0.5, 1.0, 0.3, 0.5, 4, 3,
+                                 **{**_SCALED_LOCAL_START, "cons0": math.nan}),
+     "non-positive constant produced"),
+], ids=["r", "psi", "phi_y", "ef-C", "sigma", "L", "not-relative", "nu",
+        "phi_c", "non-positive-constant"])
+def test_refusals(refused, message):
+    with pytest.raises(AnalysisError, match=message):
+        refused()
 
 
 def test_weights_pinned_values():
@@ -136,17 +170,50 @@ def test_absolute_global_bounds_and_slack():
         bounds_absolute_global(0.5, 1.0, n=10, d=5, cap_c=1.0, mu=1.5)
 
 
-_REGIONS = {
-    "relative": lambda: bounds_relative(
-        0.6, 1.0, make_compressor("norm_sign", d=5), 0.2, 0.2),
-    "error_feedback": lambda: bounds_error_feedback(
-        0.6, 1.0, make_compressor("norm_sign", d=5), 0.2, 0.2),
-    "absolute_global": lambda: bounds_absolute_global(
-        0.5, 1.0, n=10, d=5, cap_c=1.0),
-    "scaled_local": lambda: bounds_scaled_local(
-        0.5, 1.0, 0.3, 0.5, 4, 3, cons0=1.0, track0=1.0, gap0=1.0,
-        x0_norm_max=1.0, y0_norm_max=1.0),
+_NORM_SIGN = make_compressor("norm_sign", d=5)
+_RANDOM_QUANTIZE = make_compressor("random_quantize", d=10, levels=9)
+
+# two scalar instances per region, with no graph or cost suite, so no value
+# depends on the BLAS thread count
+REGION_INSTANCES = {
+    "relative": [
+        lambda: bounds_relative(0.6, 1.0, _NORM_SIGN, 0.2, 0.2),
+        lambda: bounds_relative(0.35, 2.5, _RANDOM_QUANTIZE, 0.3, 0.1),
+    ],
+    "error_feedback": [
+        lambda: bounds_error_feedback(0.6, 1.0, _NORM_SIGN, 0.2, 0.2),
+        lambda: bounds_error_feedback(0.35, 2.5, _RANDOM_QUANTIZE, 0.3, 0.1),
+    ],
+    "absolute_global": [
+        lambda: bounds_absolute_global(0.5, 1.0, n=10, d=5, cap_c=1.0),
+        lambda: bounds_absolute_global(0.8, 2.0, n=20, d=50, cap_c=0.25,
+                                       mu=0.98),
+    ],
+    "scaled_local": [
+        lambda: bounds_scaled_local(
+            0.5, 1.0, 0.3, 0.5, 4, 3, cons0=1.0, track0=1.0, gap0=1.0,
+            x0_norm_max=1.0, y0_norm_max=1.0),
+        lambda: bounds_scaled_local(
+            0.8, 2.0, 0.7, 0.25, 20, 50, cons0=3.0, track0=2.0, gap0=5.0,
+            x0_norm_max=2.0, y0_norm_max=4.0),
+    ],
 }
+
+
+@pytest.mark.parametrize("regime, instance", [
+    (regime, i) for regime in REGION_INSTANCES for i in range(2)])
+def test_region_constants_are_pinned_by_value(regime, instance):
+    """Every key of the region's constants table, and only those keys, at
+    its pinned value (``tests/pinned_region_constants.py``) to 1e-12
+    relative.  The pins are the code's own values: the paper's text is not
+    in this repository, so a restatement of the terms independent of the
+    code waits until it is.  A term that checks only against itself lets a
+    changed coefficient pass; a pinned value does not."""
+    got = REGION_INSTANCES[regime][instance]().constants
+    want = PINNED[regime][instance]
+    assert sorted(got) == sorted(want)
+    for key, val in want.items():
+        assert got[key] == pytest.approx(val, rel=1e-12, abs=0), key
 
 
 @pytest.mark.parametrize("regime, gamma_prefix, eta_prefix", [
@@ -157,16 +224,18 @@ _REGIONS = {
 ])
 def test_region_table_holds_the_terms_its_limits_are_minima_of(
         regime, gamma_prefix, eta_prefix):
-    b = _REGIONS[regime]()
-    assert b.regime == regime
+    for instance in REGION_INSTANCES[regime]:
+        b = instance()
+        assert b.regime == regime
 
-    def terms(prefix):
-        return [v for k, v in b.constants.items() if k.startswith(prefix)]
+        def terms(prefix):
+            return [v for k, v in b.constants.items()
+                    if k.startswith(prefix)]
 
-    assert terms(gamma_prefix) and terms(eta_prefix)
-    assert b.gamma_max == min(terms(gamma_prefix))
-    assert b.eta_max == min(terms(eta_prefix))
-    assert b.gamma == 0.5 * b.gamma_max and b.eta == 0.5 * b.eta_max
+        assert terms(gamma_prefix) and terms(eta_prefix)
+        assert b.gamma_max == min(terms(gamma_prefix))
+        assert b.eta_max == min(terms(eta_prefix))
+        assert b.gamma == 0.5 * b.gamma_max and b.eta == 0.5 * b.eta_max
 
 
 def test_geometric_tail_bound_cases():

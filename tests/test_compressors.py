@@ -35,6 +35,24 @@ def test_norm_sign_formula():
                           [0.5, -0.5, 0.5])
 
 
+@pytest.mark.parametrize("refused, message", [
+    (lambda: make_compressor("identity", d=0), "dimension must be positive"),
+    (lambda: make_compressor("random_sparsify", d=4, keep_k=2,
+                             sparsify_mode="bottom"),
+     "bad sparsify_mode 'bottom'"),
+    (lambda: make_compressor("uniform_quantize", d=4, delta=0.0),
+     "uniform_quantize needs delta > 0"),
+    (lambda: compress(make_compressor("identity", d=4), np.zeros((1, 1, 1, 4))),
+     "compress takes a vector"),
+    (lambda: verify_assumption(make_compressor("identity", d=4), 99,
+                               np.random.default_rng(0)),
+     "need at least 100 trials"),
+], ids=["d", "sparsify-mode", "delta", "compress-ndim", "trials"])
+def test_refusals(refused, message):
+    with pytest.raises(CompressorError, match=message):
+        refused()
+
+
 def test_uniform_quantize_formula():
     spec = make_compressor("uniform_quantize", d=2, delta=2.0)
     out = compress(spec, np.array([0.9, -1.1]))

@@ -276,6 +276,13 @@ def test_estimate_L_monotone_in_samples():
     assert vals[0] <= vals[1] <= vals[2]
 
 
+@pytest.mark.parametrize("kind", ["logistic_log", "quadratic_pl"])
+@pytest.mark.parametrize("n, d", [(0, 4), (5, 0)], ids=["n", "d"])
+def test_suite_refuses_no_agents_or_no_dimensions(kind, n, d):
+    with pytest.raises(CostError, match="n and d must be positive"):
+        generate_suite(kind, n=n, d=d, seed=5)
+
+
 def test_logistic_suite_refuses_a_subnormal_lipschitz_square():
     # the Lyapunov weights divide by L_f^2, which must be a normal float:
     # L_f scales with ``scale``, so twice the edge passes and half fails

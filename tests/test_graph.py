@@ -135,12 +135,12 @@ def test_random_network_doubly_stochastic_and_connected():
     # direct summation oracle
     assert np.max(np.abs(net.W.sum(axis=1) - 1.0)) <= 1e-12
     assert np.max(np.abs(net.W.sum(axis=0) - 1.0)) <= 1e-12
-    # reachability oracle, forward and reverse
-    assert _reachable_oracle(net.adjacency, 0) == set(range(20))
-    assert _reachable_oracle(net.adjacency.T, 0) == set(range(20))
-    # support constraint
-    off = ~(net.adjacency | np.eye(20, dtype=bool))
-    assert np.all(net.W[off] == 0.0)
+    # reachability oracle, forward and reverse, on W's support
+    support = net.W != 0.0
+    assert _reachable_oracle(support, 0) == set(range(20))
+    assert _reachable_oracle(support.T, 0) == set(range(20))
+    # an undirected graph: j hears i exactly when i hears j
+    assert np.array_equal(support, support.T)
     assert 0.0 < net.sigma < 1.0
 
 
@@ -240,7 +240,6 @@ def test_projector_annihilates_mixing_residual():
 def test_same_seed_is_bit_identical():
     a = generate_network(12, 0.3, seed=42)
     b = generate_network(12, 0.3, seed=42)
-    assert np.array_equal(a.adjacency, b.adjacency)
     assert np.array_equal(a.W, b.W)
     assert a.sigma == b.sigma
 
@@ -248,28 +247,83 @@ def test_same_seed_is_bit_identical():
 def test_json_round_trip():
     net = generate_network(7, 0.5, seed=2)
     doc = json.loads(network_to_json(net))
-    assert set(doc) == {"n", "edges", "W", "sigma"}
+    assert set(doc) == {"n", "W", "sigma"}
     back = network_from_json(network_to_json(net))
-    assert np.array_equal(back.adjacency, net.adjacency)
     assert np.array_equal(back.W, net.W)
     assert back.sigma == net.sigma
 
 
-def test_validate_rejects_weight_outside_the_support():
-    # weight eps on a non-edge (i, j) and its mirror, taken from the
-    # diagonal: W stays nonnegative and doubly stochastic
-    net = generate_network(6, 0.5, seed=3)
-    i, j = np.argwhere(~(net.adjacency | np.eye(6, dtype=bool)))[0]
-    W = net.W.copy()
-    eps = 1e-3
-    W[i, j] += eps
-    W[j, i] += eps
-    W[i, i] -= eps
-    W[j, j] -= eps
-    bad = Network(n=6, adjacency=net.adjacency, W=W, sigma=net.sigma)
-    with pytest.raises(GraphError, match="outside the adjacency support"):
-        bad.validate()
-    net.validate()
+def _lazy_ring_w(n):
+    """1/2 self weight and 1/4 to each ring neighbour, by hand."""
+    P = np.roll(np.eye(n), 1, axis=1)
+    return 0.5 * np.eye(n) + 0.25 * (P + P.T)
+
+
+def _refused_networks():
+    """One hand-built network per refusal of ``Network.validate``, in the
+    order it checks them, with the message it must give."""
+    ring = _lazy_ring_w(4)
+    sigma = 0.5  # the lazy 4-ring's: (1 + cos(pi / 2)) / 2
+    negative = ring.copy()
+    negative[0, 1] = -0.25
+    heavy_row = ring.copy()
+    heavy_row[0, 0] += 0.1
+    pair = np.full((2, 2), 0.5)
+    two_pairs = np.block([[pair, np.zeros((2, 2))], [np.zeros((2, 2)), pair]])
+    return [
+        ("shape", Network(n=3, W=ring, sigma=sigma), "has shape"),
+        ("negative", Network(n=4, W=negative, sigma=sigma),
+         "negative entries"),
+        ("row-sums", Network(n=4, W=heavy_row, sigma=sigma),
+         "row sums of W are not 1"),
+        # every row is (1, 0, 0): row sums 1, column sums 3, 0 and 0
+        ("column-sums", Network(n=3, W=np.eye(3)[[0, 0, 0]], sigma=sigma),
+         "column sums of W are not 1"),
+        ("disconnected", Network(n=4, W=two_pairs, sigma=sigma),
+         "not strongly connected"),
+        ("sigma-one", Network(n=4, W=ring, sigma=1.0),
+         r"sigma=1\.0 outside \(0, 1\)"),
+        ("sigma-zero", Network(n=4, W=ring, sigma=0.0),
+         r"sigma=0\.0 outside \(0, 1\)"),
+    ]
+
+
+@pytest.mark.parametrize("net, message",
+                         [case[1:] for case in _refused_networks()],
+                         ids=[case[0] for case in _refused_networks()])
+def test_validate_refuses(net, message):
+    with pytest.raises(GraphError, match=message):
+        net.validate()
+
+
+def test_validate_accepts_the_hand_built_ring():
+    # the refused networks above are each one defect away from this one
+    W = _lazy_ring_w(4)
+    assert spectral_gap(W) == pytest.approx(0.5, rel=0, abs=1e-15)
+    Network(n=4, W=W, sigma=0.5).validate()
+
+
+def test_out_degrees_count_off_diagonal_support_per_column():
+    # agent j sends to the agents i with W[i, j] != 0, itself excepted:
+    # agent 0, which keeps no weight on itself, to 1 and 2; agents 1 and 2
+    # to 0
+    W = np.array([[0.0, 0.5, 0.5],
+                  [0.5, 0.5, 0.0],
+                  [0.5, 0.0, 0.5]])
+    assert Network(n=3, W=W, sigma=0.5).out_degrees().tolist() == [2, 1, 1]
+
+
+def test_mix_is_w_times_each_slab_bitwise():
+    net = generate_network(20, 0.3, seed=5)
+    rng = np.random.default_rng(8)
+    Q = rng.standard_normal((3, 20, 50))
+    out = np.empty_like(Q)
+    assert net.mix(Q, out) is out
+    for j in range(3):
+        assert np.array_equal(out[j], net.W @ Q[j])
+        assert np.array_equal(net.mix(Q[j]), net.W @ Q[j])
+    rows = rng.standard_normal((4, 2, 20, 50))  # a recorder's row stack
+    assert np.array_equal(net.mix(rows)[2, 1], net.W @ rows[2, 1])
 
 
 def test_input_validation():
@@ -286,7 +340,7 @@ def test_input_validation():
 def test_sparse_density_still_terminates():
     # density too small for reliable connectivity: cycle augmentation kicks in
     net = generate_network(30, 0.01, seed=9)
-    assert is_strongly_connected(net.adjacency)
+    assert is_strongly_connected(net.W != 0.0)
     net.validate()
 
 
@@ -356,7 +410,8 @@ def test_generate_network_matches_loop_oracles(n, density):
                 break
         else:
             adj |= _ring(n)
-        assert np.array_equal(net.adjacency, adj)
+        assert np.array_equal(net.W != 0.0, adj | np.eye(n, dtype=bool))
+        assert np.array_equal(net.out_degrees(), adj.sum(axis=0))
         W = _metropolis_oracle(adj)
         sigma = _sigma_svd_oracle(W)
         if not 1e-12 < sigma < 1.0 - 1e-14:

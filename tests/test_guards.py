@@ -88,6 +88,18 @@ GUARDS = {
         "only which compressor classes certify a rule: read as a truth "
         "value, classes would bill, resolve and pick as the report baseline "
         "a compressed rule with no certificate as if it were dgt"),
+    "second-graph-representation": (
+        r"\.adjacency\b|\b_mix\b",
+        ("src",),
+        "W is the network: its off-diagonal support is the communication "
+        "graph, so no second adjacency matrix states it again, and "
+        "Network.mix is the one product with W"),
+    "w-product-outside-network": (
+        r"\.W\b|np\.matmul\(W",
+        ("src/cgtsim/algorithms.py", "src/cgtsim/harness.py"),
+        "W is the network and Network.mix its one product: the steppers and "
+        "the recorder mix through it and read no W, so a sparse or "
+        "circulant product can branch inside mix alone"),
     "caught-type-error": (
         r"except \(TypeError|except TypeError",
         ("src/cgtsim/harness.py", "src/cgtsim/config.py"),
