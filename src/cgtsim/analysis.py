@@ -35,12 +35,6 @@ class AnalysisError(ValueError):
     pass
 
 
-class InfeasibleParameters(AnalysisError):
-    def __init__(self, message: str, binding: str):
-        super().__init__(f"{message} (binding constraint: {binding})")
-        self.binding = binding
-
-
 @dataclass
 class ParameterBounds:
     regime: str                 # relative | error_feedback |
@@ -56,6 +50,32 @@ class ParameterBounds:
     mu_min: float | None = None
     mu: float | None = None
     constants: dict = field(default_factory=dict)
+
+    def refusal(self, params) -> str | None:
+        """None when ``params`` lie in the region, else why not: the first
+        limit they break, with both numbers.  The limits are strict: gamma
+        below gamma_max, eta below the smallest relative eta term at the
+        given gamma (at the region's own c1 and c2, as ``eta_max`` is taken
+        at the operating point's gamma) and, where the region sets
+        varsigma_max, varsigma below it.  A scaled-local region fixes s0 and
+        mu together with eta and gamma, so it admits no given params."""
+        if self.regime == "scaled_local":
+            return ("a locally bounded region fixes s0 and mu together with "
+                    'eta and gamma, so it certifies no given params; use mode '
+                    '"certified"')
+        c, g, eta, vs = (self.constants, params.gamma, params.eta,
+                         params.varsigma)
+        eta_max = min(eta_terms_relative(c["sigma"], c["L_f"], c["c1"],
+                                         c["c2"], g).values())
+        vs_max = INF if self.varsigma_max is None else self.varsigma_max
+        for name, value, limit, inside in (
+                ("gamma", g, self.gamma_max, g < self.gamma_max),
+                ("eta", eta, eta_max, eta < eta_max),
+                ("varsigma", vs, vs_max, vs < vs_max)):
+            if not inside:
+                return (f"{name}={value:.10e} is not below its limit "
+                        f"{limit:.10e}")
+        return None
 
 
 def mixing_constants(phi_x: float, phi_y: float, r: float, psi: float):
@@ -291,13 +311,15 @@ def bounds_error_feedback(sigma: float, L: float, comp: CompressorSpec,
 
 
 def bounds_absolute_global(sigma: float, L: float, n: int, d: int,
-                           cap_c: float, mu: float = 0.995) -> ParameterBounds:
+                           cap_c: float, mu: float = 0.995,
+                           s0: float | None = None) -> ParameterBounds:
     """Region for the scaled tracker under a globally bounded absolute error.
 
     (eta, gamma) and their terms are the exact compressor's relative region
     at phi_x = phi_y = 1/2 (c1 = c2 = 1/4, and C = 0 empties the C terms);
-    any mu in (0, 1) is admissible.  The constants table carries the
-    geometric slack coefficient of the Lyapunov descent check:
+    any mu in (0, 1) is admissible, and so is any s0 > 0, which the region
+    carries as given.  The constants table carries the geometric slack
+    coefficient of the Lyapunov descent check:
     slack(k) = breve_theta8 * s(k)^2 with
     breve_theta8 = 2 n d_tilde^2 xi8 (1 + 2 L^2), where d_tilde = sqrt(d)
     bounds the 2-norm by the inf-norm the class is stated in.
@@ -318,7 +340,7 @@ def bounds_absolute_global(sigma: float, L: float, n: int, d: int,
     consts["breve_theta8"] = (2.0 * n * d_tilde * d_tilde * xi8_abs
                               * (1.0 + 2.0 * L * L))
     consts["mu"] = mu
-    return replace(b, regime="absolute_global", mu_min=0.0, mu=mu)
+    return replace(b, regime="absolute_global", mu_min=0.0, mu=mu, s0=s0)
 
 
 def bounds_scaled_local(sigma: float, L: float, nu: float, phi_c: float,
@@ -375,13 +397,12 @@ def bounds_scaled_local(sigma: float, L: float, nu: float, phi_c: float,
     binding = max(candidates, key=candidates.get)
     mu_min_sq = candidates[binding]
     if mu_min_sq >= 1.0:
-        raise InfeasibleParameters(
-            f"no admissible mu: {binding} = {mu_min_sq} >= 1", binding)
+        raise AnalysisError(f"no admissible mu: {binding} = {mu_min_sq} "
+                            f">= 1 (binding constraint: {binding})")
     mu_min = math.sqrt(mu_min_sq)
 
     phi_tilde = scaled_gap_weight(eta, g, sigma, L)
     u0 = cons0 + phi * track0 + phi_tilde * gap0
-    s0_min = max(math.sqrt(u0 / xi5), x0_norm_max, y0_norm_max)
 
     consts = b.constants
     consts.update({
@@ -398,5 +419,6 @@ def bounds_scaled_local(sigma: float, L: float, nu: float, phi_c: float,
     for v in consts.values():
         if isinstance(v, float) and not v > 0 and v != 0.0:
             raise AnalysisError(f"non-positive constant produced: {consts}")
+    s0_min = max(math.sqrt(u0 / xi5), x0_norm_max, y0_norm_max)
     return replace(b, s0_min=s0_min, s0=s0_min, mu_min=mu_min,
                    mu=0.5 * (mu_min + 1.0))

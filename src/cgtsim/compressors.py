@@ -75,7 +75,7 @@ class CompressorSpec:
     kind: str
     d: int
     # operator parameters
-    delta: float = 0.0          # uniform_quantize grid step
+    delta: float = 2.0          # uniform_quantize grid step
     keep_k: int | None = None   # random_sparsify kept coordinates
     levels: int | None = None   # random_quantize grid size
     sparsify_mode: str = "top"  # "top" | "random"

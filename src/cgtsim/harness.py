@@ -10,15 +10,15 @@ and ``bounds`` alike, the params it runs, its certified region and what
 carries the identity compressor.  A ``"certified"`` cell runs the region's
 operating point and may give only the region's inputs
 (``_REGION_INPUTS``).  A ``"practical"`` cell's params must lie in the
-region unless ``force_params`` is set; a locally bounded region, which
-fixes s0 and mu together with eta and gamma, certifies none.  The exact
-rule asks only eta <= 1/L_f.  Every cell shares the network, cost
-instance, reference value and initial point (``build_instance``).  The
-ledger bills each cell's bits per iteration once, in Python ints, so the
-cumulative ``bits`` column is exact at any size.  Trace CSVs carry the
-columns ``CSV_HEADER``, a JSON sidecar the fully resolved cell, an optional
-gnuplot script the plot of every trace, and the report one row per cell,
-the only record of its outcome; ``run_experiment`` writes them all.
+region, which says why they do not (``ParameterBounds.refusal``), unless
+``force_params`` is set.  The exact rule asks only eta <= 1/L_f.  Every
+cell shares the network, cost instance, reference value and initial point
+(``build_instance``).  The ledger bills each cell's bits per iteration
+once, in Python ints, so the cumulative ``bits`` column is exact at any
+size.  Trace CSVs carry the columns ``CSV_HEADER``, a JSON sidecar the
+fully resolved cell, an optional gnuplot script the plot of every trace,
+and the report one row per cell, the only record of its outcome;
+``run_experiment`` writes them all.
 Reruns are byte-identical only at one BLAS thread count: OpenBLAS rounds a
 large product or eigensolve that it splits across threads differently at
 another count, such as the mixing product and sigma at n = 1000 (README
@@ -205,62 +205,46 @@ def cell_region(rule, cls: str, comp: CompressorSpec, inputs: dict,
     if cls == RELATIVE:
         fn = (analysis.bounds_error_feedback if rule.feedback
               else analysis.bounds_relative)
-        b = fn(net.sigma, suite.L_f, comp, inputs.get("phi_x", 0.5 / comp.r),
-               inputs.get("phi_y", 0.5 / comp.r))
-    elif cls == GLOBAL_ABSOLUTE:
-        b = analysis.bounds_absolute_global(
+        return fn(net.sigma, suite.L_f, comp, inputs.get("phi_x", 0.5 / comp.r),
+                  inputs.get("phi_y", 0.5 / comp.r))
+    if cls == GLOBAL_ABSOLUTE:
+        return analysis.bounds_absolute_global(
             net.sigma, suite.L_f, net.n, suite.d, comp.cap_c,
-            mu=float(inputs.get("mu", 0.995)))
-        b.s0 = float(inputs["s0"] if "s0" in inputs else auto_s0(x0, suite))
-    else:
-        if suite.nu_pl is None:
-            raise ConfigError(
-                "certified scaled-local runs need a cost with a "
-                "known gradient-dominance constant")
-        y0 = grad_all(suite, x0)
-        xbar = x0.mean(axis=0)
-        ybar = y0.mean(axis=0)
-        b = analysis.bounds_scaled_local(
-            net.sigma, suite.L_f, suite.nu_pl, comp.phi_c, net.n, suite.d,
-            cons0=float(((x0 - xbar) ** 2).sum()),
-            track0=float(((y0 - ybar) ** 2).sum()),
-            gap0=net.n * (mean_value(suite, xbar) - f_star()),
-            x0_norm_max=float(np.linalg.norm(x0, axis=1).max()),
-            y0_norm_max=float(np.linalg.norm(y0, axis=1).max()))
-    return b
+            mu=float(inputs.get("mu", 0.995)),
+            s0=float(inputs["s0"] if "s0" in inputs else auto_s0(x0, suite)))
+    if suite.nu_pl is None:
+        raise ConfigError("certified scaled-local runs need a cost with a "
+                          "known gradient-dominance constant")
+    y0 = grad_all(suite, x0)
+    xbar = x0.mean(axis=0)
+    ybar = y0.mean(axis=0)
+    return analysis.bounds_scaled_local(
+        net.sigma, suite.L_f, suite.nu_pl, comp.phi_c, net.n, suite.d,
+        cons0=float(((x0 - xbar) ** 2).sum()),
+        track0=float(((y0 - ybar) ** 2).sum()),
+        gap0=net.n * (mean_value(suite, xbar) - f_star()),
+        x0_norm_max=float(np.linalg.norm(x0, axis=1).max()),
+        y0_norm_max=float(np.linalg.norm(y0, axis=1).max()))
 
 
-def _refusal(cell, cls: str | None, params: AlgorithmParams, region,
+def _refusal(cell, params: AlgorithmParams, region,
              L_f: float) -> Exception | None:
     """What ``run`` refuses a resolved cell for, or None: a certified cell
     with no region; a practical one, unless force_params, whose region is
-    missing or locally bounded, or whose params lie outside it (the eta
-    limit taken at the given gamma; eta <= 1/L_f for dgt)."""
-    rule, label = RULES[cell.algo], cell.resolved_label()
+    missing or refuses its params (``ParameterBounds.refusal``), or, for
+    dgt, whose eta exceeds 1/L_f."""
+    label = cell.resolved_label()
     missing = isinstance(region, Exception)
     if cell.mode == "certified" or cell.force_params:
         return (ConfigError(f"cell {label}: no certified region: {region}")
                 if missing and cell.mode == "certified" else None)
-    if rule.exact:
-        inside = params.eta <= 1.0 / L_f
+    if RULES[cell.algo].exact:
+        why = None if params.eta <= 1.0 / L_f else (
+            f"eta={params.eta:.10e} exceeds its limit 1/L_f={1 / L_f:.10e}")
     else:
-        why = region if missing else None
-        if cls == LOCAL_ABSOLUTE:
-            why = ("a locally bounded region fixes s0 and mu together with "
-                   'eta and gamma, so it certifies no given params; use mode '
-                   '"certified"')
-        if why is not None:
-            return ConfigError(
-                f"cell {label}: parameters cannot be certified ({why}); set "
-                "force_params to run anyway")
-        c = region.constants
-        eta_max = min(analysis.eta_terms_relative(
-            c["sigma"], c["L_f"], c["c1"], c["c2"], params.gamma).values())
-        inside = (params.gamma < region.gamma_max and params.eta < eta_max
-                  and (region.varsigma_max is None
-                       or params.varsigma < region.varsigma_max))
-    return None if inside else ConfigError(
-        f"cell {label}: parameters outside the certified region; set "
+        why = region if missing else region.refusal(params)
+    return None if why is None else ConfigError(
+        f"cell {label}: parameters cannot be certified ({why}); set "
         "force_params to run anyway")
 
 
@@ -275,15 +259,15 @@ def resolve(cfg: ExperimentConfig, net, suite, x0, f_star) -> list:
     out = []
     for cell in cfg.cells:
         rule, certified = RULES[cell.algo], cell.mode == "certified"
-        params, cls, region = cell.merged, None, None
+        params, region = cell.merged, None
         if not certified and rule.scaled and "s0" not in cell.params:
             params = replace(params, s0=auto_s0(x0, suite))
         if certified or not rule.exact:
             try:
-                cls = _region_class(rule, cell.spec)
                 region = cell_region(
-                    rule, cls, cell.spec, cell.params if certified
-                    else vars(params), net, suite, x0, f_star)
+                    rule, _region_class(rule, cell.spec), cell.spec,
+                    cell.params if certified else vars(params), net, suite,
+                    x0, f_star)
             except (ConfigError, analysis.AnalysisError) as exc:
                 # with its traceback, its frames would keep the instance alive
                 region = exc.with_traceback(None)
@@ -293,7 +277,7 @@ def resolve(cfg: ExperimentConfig, net, suite, x0, f_star) -> list:
                 k: c[k] if k in ("phi_x", "phi_y") else getattr(region, k)
                 for k in rule.params})
         out.append((cell, params, region,
-                    _refusal(cell, cls, params, region, suite.L_f)))
+                    _refusal(cell, params, region, suite.L_f)))
     return out
 
 

@@ -9,7 +9,6 @@ from cgtsim import analysis
 from cgtsim.algorithms import AlgorithmParams, initial_point
 from cgtsim.analysis import (
     AnalysisError,
-    InfeasibleParameters,
     ParameterBounds,
     bounds_absolute_global,
     bounds_error_feedback,
@@ -73,8 +72,13 @@ _SCALED_LOCAL_START = dict(cons0=1.0, track0=1.0, gap0=1.0, x0_norm_max=1.0,
     (lambda: bounds_scaled_local(0.5, 1.0, 0.3, 0.5, 4, 3,
                                  **{**_SCALED_LOCAL_START, "cons0": math.nan}),
      "non-positive constant produced"),
+    # a start summary so negative that u_tilde_0 < 0, checked before s0_min
+    # takes its square root
+    (lambda: bounds_scaled_local(0.5, 1.0, 0.3, 0.5, 4, 3,
+                                 **{**_SCALED_LOCAL_START, "gap0": -100.0}),
+     "non-positive constant produced"),
 ], ids=["r", "psi", "phi_y", "ef-C", "sigma", "L", "not-relative", "nu",
-        "phi_c", "non-positive-constant"])
+        "phi_c", "non-positive-constant", "negative-start"])
 def test_refusals(refused, message):
     with pytest.raises(AnalysisError, match=message):
         refused()
@@ -299,11 +303,12 @@ def test_scaled_local_exact_compressor_drops_error_terms():
 
 
 def test_scaled_local_infeasible_reports_binding():
-    with pytest.raises(InfeasibleParameters) as exc:
+    with pytest.raises(AnalysisError,
+                       match=r"no admissible mu: tilde_theta1 = .* >= 1 "
+                             r"\(binding constraint: tilde_theta1\)$"):
         bounds_scaled_local(0.5, 1.0, 0.3, 1e-12, 10, 50,
                             cons0=1.0, track0=1.0, gap0=1.0,
                             x0_norm_max=1.0, y0_norm_max=1.0)
-    assert exc.value.binding == "tilde_theta1"
 
 
 def test_pl_rate():

@@ -127,6 +127,15 @@ def test_sparsify_top_keeps_largest():
     assert spec2.r == 2.5 and spec2.psi == pytest.approx(0.4)
 
 
+@pytest.mark.parametrize("kind", compressors.KINDS)
+def test_spec_defaults_are_make_compressors(kind):
+    # the options a kind needs and has no default for; every other option
+    # takes the same default from the spec as from make_compressor
+    req = {"random_sparsify": {"keep_k": 3},
+           "random_quantize": {"levels": 9}}.get(kind, {})
+    assert CompressorSpec(kind, 8, **req) == make_compressor(kind, 8, **req)
+
+
 def test_deterministic_kinds_are_pure():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(12)

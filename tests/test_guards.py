@@ -100,6 +100,18 @@ GUARDS = {
         "W is the network and Network.mix its one product: the steppers and "
         "the recorder mix through it and read no W, so a sparse or "
         "circulant product can branch inside mix alone"),
+    "region-limits-outside-analysis": (
+        r"eta_terms_relative|\.s0 =",
+        ("src/cgtsim/harness.py", "src/cgtsim/cli.py"),
+        "a certified region owns what it admits and its whole operating "
+        "point: ParameterBounds.refusal takes its limits, and the calculator "
+        "puts s0 on the region it returns, so no caller re-derives a limit "
+        "from the region's constants or writes onto the region"),
+    "retired-infeasible-parameters": (
+        r"InfeasibleParameters",
+        ("src",),
+        "a region that cannot be built is an AnalysisError whose message "
+        "names its binding constraint; no subclass restates that message"),
     "caught-type-error": (
         r"except \(TypeError|except TypeError",
         ("src/cgtsim/harness.py", "src/cgtsim/config.py"),

@@ -1489,14 +1489,17 @@ def _edges():
     return suite, rel, ef, glob, eta_max
 
 
-_IN, _OUT = 1.0 - 1e-9, 1.0 + 1e-9
+_FACTOR = {"in": 1.0 - 1e-9, "at": 1.0, "out": 1.0 + 1e-9}
 
 
 def _boundary_cells(side):
-    """(label, cell) pairs just inside (``side`` "in") or just outside
-    ("out") each kept practical region: alg1, alg2, the global-class alg3
-    and dgt.  Inside, every limit is approached at once."""
+    """(label, cell) pairs just inside (``side`` "in"), exactly at ("at")
+    or just outside ("out") each kept practical region: alg1, alg2, the
+    global-class alg3 and dgt.  Inside, every limit is approached at once.
+    At or outside, a cell breaks the one limit its label ends in; dgt's
+    closed limit eta <= 1/L_f admits the point at it, which runs inside."""
     suite, rel, ef, glob, eta_max = _edges()
+    f, f_in = _FACTOR[side], _FACTOR["in"]
     phis = {"phi_x": 0.3, "phi_y": 0.1}
     uq = {"compressor": {"kind": "uniform_quantize", "delta": 2.0}}
     cells = []
@@ -1505,38 +1508,35 @@ def _boundary_cells(side):
         cells.append((label, {"algo": algo, "label": label,
                               "params": params, **extra}))
     for tag, b, extra in (("alg1", rel, {}),
-                          ("alg2", ef, {"varsigma": ef.varsigma_max * _IN})):
-        g_in = b.gamma_max * _IN
+                          ("alg2", ef, {"varsigma": ef.varsigma_max * f_in})):
+        g_in = b.gamma_max * f_in
         for g, gtag in ((g_in, "edge"), (0.25 * b.gamma_max, "mid")):
-            if side == "in":
-                add(f"{tag}_{gtag}", tag, _NORM_SIGN, eta=eta_max(b, g) * _IN,
-                    gamma=g, **phis, **extra)
-            else:
-                add(f"{tag}_{gtag}_eta", tag, _NORM_SIGN,
-                    eta=eta_max(b, g) * _OUT, gamma=g, **phis, **extra)
-        if side == "out":
+            add(f"{tag}_{gtag}" + ("" if side == "in" else "_eta"), tag,
+                _NORM_SIGN, eta=eta_max(b, g) * f, gamma=g, **phis, **extra)
+        if side != "in":
             add(f"{tag}_gamma", tag, _NORM_SIGN, eta=eta_max(b, g_in) * 0.5,
-                gamma=b.gamma_max * _OUT, **phis, **extra)
-    if side == "out":
+                gamma=b.gamma_max * f, **phis, **extra)
+    if side != "in":
         g = 0.5 * ef.gamma_max
         add("alg2_varsigma", "alg2", _NORM_SIGN, eta=eta_max(ef, g) * 0.5,
-            gamma=g, varsigma=ef.varsigma_max * _OUT, **phis)
+            gamma=g, varsigma=ef.varsigma_max * f, **phis)
     # the global region's eta limit is taken at the given gamma too
     g_low = glob.gamma * 0.5
     if side == "in":
-        add("alg3_edge", "alg3", uq, eta=glob.eta_max * _IN,
-            gamma=glob.gamma_max * _IN, mu=0.98)
-        add("alg3_low_gamma", "alg3", uq, eta=eta_max(glob, g_low) * _IN,
+        add("alg3_edge", "alg3", uq, eta=glob.eta_max * f,
+            gamma=glob.gamma_max * f, mu=0.98)
+        add("alg3_low_gamma", "alg3", uq, eta=eta_max(glob, g_low) * f,
             gamma=g_low, mu=0.98)
-        add("dgt", "dgt", {}, eta=1.0 / suite.L_f, gamma=_IN)
+        add("dgt", "dgt", {}, eta=1.0 / suite.L_f, gamma=f)
     else:
-        add("alg3_eta", "alg3", uq, eta=glob.eta_max * _OUT,
+        add("alg3_eta", "alg3", uq, eta=glob.eta_max * f,
             gamma=glob.gamma, mu=0.98)
         add("alg3_low_gamma_eta", "alg3", uq,
-            eta=eta_max(glob, g_low) * _OUT, gamma=g_low, mu=0.98)
+            eta=eta_max(glob, g_low) * f, gamma=g_low, mu=0.98)
         add("alg3_gamma", "alg3", uq, eta=glob.eta_max * 0.5,
-            gamma=glob.gamma_max * _OUT, mu=0.98)
-        add("dgt_eta", "dgt", {}, eta=_OUT / suite.L_f, gamma=0.3)
+            gamma=glob.gamma_max * f, mu=0.98)
+    if side == "out":
+        add("dgt_eta", "dgt", {}, eta=f / suite.L_f, gamma=0.3)
     return cells
 
 
@@ -1547,18 +1547,40 @@ def test_practical_points_just_inside_every_kept_region_run(tmp_path):
     assert len(report["rows"]) == len(cells) == 7
 
 
-@pytest.mark.parametrize("label", [lab for lab, _ in _boundary_cells("out")])
-def test_practical_points_just_outside_a_kept_region_exit_2(tmp_path, label):
-    cell = dict(_boundary_cells("out"))[label]
+def _exits_2_naming_its_limit(tmp_path, capsys, cell):
+    """``run`` on the one practical ``cell`` exits 2 before writing a file,
+    with a refusal that names the limit the cell's label ends in (1/L_f
+    for dgt) and gives both numbers; forced, it runs the same point."""
+    label = cell["label"]
     out = tmp_path / "o"
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_quad_doc(out, [cell])))
     assert cli.main(["run", str(cfg_path)]) == 2
     assert not out.exists()
-    # forcing runs the same point
+    why = (r"eta=\S+ exceeds its limit 1/L_f=\S+" if cell["algo"] == "dgt"
+           else rf"{label.rsplit('_', 1)[1]}=\S+ is not below its limit \S+")
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"config error: cell {label}: parameters cannot be "
+                        rf"certified \({why}\); set force_params to run "
+                        r"anyway\n", err), err
     cfg_path.write_text(json.dumps(_quad_doc(
         out, [dict(cell, force_params=True)])))
     assert cli.main(["run", str(cfg_path)]) in (0, 1)
+
+
+@pytest.mark.parametrize("label", [lab for lab, _ in _boundary_cells("out")])
+def test_practical_points_just_outside_a_kept_region_exit_2(tmp_path, capsys,
+                                                            label):
+    _exits_2_naming_its_limit(tmp_path, capsys,
+                              dict(_boundary_cells("out"))[label])
+
+
+@pytest.mark.parametrize("label", [lab for lab, _ in _boundary_cells("at")])
+def test_practical_points_exactly_at_a_kept_limit_exit_2(tmp_path, capsys,
+                                                         label):
+    # the region's limits are strict, so a point at one lies outside
+    _exits_2_naming_its_limit(tmp_path, capsys,
+                              dict(_boundary_cells("at"))[label])
 
 
 _DERIVED = [("alg1", _NORM_SIGN, "eta"), ("alg1", _NORM_SIGN, "gamma"),
@@ -1629,6 +1651,15 @@ def test_unforced_practical_local_class_cell_exits_2(tmp_path, capsys):
     assert cli.main(["run", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert 'mode "certified"' in err and "force_params" in err
+    assert not out.exists()
+    # where the region cannot be built, the refusal gives its reason
+    cfg_path.write_text(json.dumps(_quad_doc(out, [cell], cost={
+        "kind": "logistic_log", "d": 4, "scale": 0.1})))
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: cell alg3_one_bit: parameters cannot be certified "
+        "(certified scaled-local runs need a cost with a known "
+        "gradient-dominance constant); set force_params to run anyway\n")
     assert not out.exists()
 
 
