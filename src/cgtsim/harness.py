@@ -21,8 +21,9 @@ and the report one row per cell, the only record of its outcome;
 ``run_experiment`` writes them all.
 Reruns are byte-identical only at one BLAS thread count: OpenBLAS rounds a
 large product or eigensolve that it splits across threads differently at
-another count, such as the mixing product and sigma at n = 1000 (README
-"Conventions" lists what moved).
+another count, such as sigma at n = 1000, a large dense mixing product,
+or the cost suite's Gram products at n = 100 (README "Conventions" lists
+what moved).
 """
 
 from __future__ import annotations

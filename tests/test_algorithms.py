@@ -214,28 +214,44 @@ def _check_against_message_passing(algo, net, suite, p, comp, x0):
         assert np.max(np.abs(got[name] - val)) <= 1e-9 * scale, (algo, name)
 
 
-@pytest.mark.parametrize("algo, comp", [
+_RING_CASES = pytest.mark.parametrize("algo, comp", [
     ("alg1", make_compressor("norm_sign", d=8)),
     ("alg2", make_compressor("norm_sign", d=8)),
     ("alg3", make_compressor("uniform_quantize", d=8, delta=0.05)),
     ("dgt", None),
 ], ids=["alg1", "alg2", "alg3", "dgt"])
-def test_steppers_match_message_passing_oracle_on_a_directed_ring(
-        small_suite, algo, comp):
+
+
+def _check_directed_ring(algo, comp, n):
     # every generated W is symmetric, so only an asymmetric one tells W @ Q
     # from W.T @ Q.  Agent i hears only agent i + 1: W = (I + P)/2 is
     # doubly stochastic, and sigma is the 2-norm of W - 11^T/n.
-    n = 6
     W = 0.5 * (np.eye(n) + np.roll(np.eye(n), 1, axis=1))
     sigma = float(np.linalg.norm(W - 1.0 / n, 2))
     net = Network(n=n, W=W, sigma=sigma)
     net.validate()
     assert not np.array_equal(W, W.T)
-    assert sigma == pytest.approx(math.sqrt(3) / 2, rel=1e-12)
+    assert sigma == pytest.approx(math.cos(math.pi / n), rel=1e-12)
     p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
                         varsigma=0.3, s0=8.0, mu=0.99)
-    _check_against_message_passing(algo, net, small_suite, p, comp,
+    suite = generate_suite("logistic_log", n=n, d=8, seed=2, scale=0.3)
+    _check_against_message_passing(algo, net, suite, p, comp,
                                    initial_point(n, 8, 9))
+    return net
+
+
+@_RING_CASES
+def test_steppers_match_message_passing_oracle_on_a_directed_ring(
+        algo, comp):
+    # at n = 6, Network.mix is the dense gemm
+    assert _check_directed_ring(algo, comp, 6)._gather is None
+
+
+@_RING_CASES
+def test_steppers_match_message_passing_oracle_on_a_gathered_directed_ring(
+        algo, comp):
+    # at n = 128, with 2n = n^2/64 nonzeros, Network.mix gathers neighbours
+    assert _check_directed_ring(algo, comp, 128)._gather is not None
 
 
 def test_zero_iterations_rejected(small_net, small_suite):

@@ -1,7 +1,12 @@
 """Network construction, spectral quantities, and contraction properties."""
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,9 @@ from graph_oracles import (
     network_from_json,
     network_to_json,
 )
+from message_passing_oracle import _mix as oracle_mix
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _reachable_oracle(adj, start):
@@ -314,16 +322,119 @@ def test_out_degrees_count_off_diagonal_support_per_column():
 
 
 def test_mix_is_w_times_each_slab_bitwise():
-    net = generate_network(20, 0.3, seed=5)
-    rng = np.random.default_rng(8)
-    Q = rng.standard_normal((3, 20, 50))
-    out = np.empty_like(Q)
-    assert net.mix(Q, out) is out
-    for j in range(3):
-        assert np.array_equal(out[j], net.W @ Q[j])
-        assert np.array_equal(net.mix(Q[j]), net.W @ Q[j])
-    rows = rng.standard_normal((4, 2, 20, 50))  # a recorder's row stack
-    assert np.array_equal(net.mix(rows)[2, 1], net.W @ rows[2, 1])
+    # a dense W, and the ring just above the gather threshold: 3 * 191
+    # nonzeros > 191^2 / 64
+    for net in (generate_network(20, 0.3, seed=5),
+                generate_network(191, None, 0, "ring")):
+        assert net._gather is None
+        n = net.n
+        rng = np.random.default_rng(8)
+        Q = rng.standard_normal((3, n, 50))
+        out = np.empty_like(Q)
+        assert net.mix(Q, out) is out
+        for j in range(3):
+            assert np.array_equal(out[j], net.W @ Q[j])
+            assert np.array_equal(net.mix(Q[j]), net.W @ Q[j])
+        rows = rng.standard_normal((4, 2, n, 50))  # a recorder's row stack
+        assert np.array_equal(net.mix(rows)[2, 1], net.W @ rows[2, 1])
+
+
+@pytest.fixture(scope="module")
+def sparse_net():
+    # 2364 nonzeros <= 400^2 / 64, 2 to 14 of them a row
+    net = generate_network(400, 0.012, seed=1)
+    assert net._gather is not None
+    return net
+
+
+def _wide_range(rng, shape):
+    """Normal draws scaled over 16 decades, so that summing a row's terms
+    in another order moves its last bits."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+
+def test_gather_threshold_is_a_sixty_fourth_fill():
+    # nnz(W) <= n^2 / 64: the lazy ring (3n nonzeros) gathers from n = 192
+    assert generate_network(192, None, 0, "ring")._gather is not None
+    assert generate_network(191, None, 0, "ring")._gather is None
+    assert generate_network(1000, 0.008, seed=1)._gather is not None
+
+
+def test_gather_sums_each_row_in_column_order_bitwise(sparse_net):
+    # agent i's sum runs over its nonzero columns in ascending order, the
+    # self-loop in its place, as the message-passing oracle sums it
+    W, n = sparse_net.W, sparse_net.n
+    rng = np.random.default_rng(3)
+    Q = _wide_range(rng, (2, n, 7))
+    got = sparse_net.mix(Q)
+    for j in range(2):
+        for i in range(n):
+            assert np.array_equal(got[j, i], oracle_mix(W, i, Q[j])), (j, i)
+    assert np.array_equal(sparse_net.mix(Q[1]), got[1])
+
+
+def test_gather_is_within_the_summation_bound_of_w_times_q(sparse_net):
+    # both products sum at most k = max nonzeros per row terms, each in
+    # its own order, so each is within gamma_k |W| |Q| of the exact sum
+    W, n = sparse_net.W, sparse_net.n
+    k = int(np.count_nonzero(W, axis=1).max())
+    u = np.finfo(float).eps / 2
+    gamma_k = k * u / (1 - k * u)
+    rng = np.random.default_rng(4)
+    for shape in ((4, n, 30), (3, 2, n, 30), (n, 30)):
+        Q = _wide_range(rng, shape)
+        out = np.empty_like(Q)
+        assert sparse_net.mix(Q, out) is out
+        want = np.matmul(W, Q)
+        bound = 2 * gamma_k * np.matmul(np.abs(W), np.abs(Q))
+        assert np.all(np.abs(out - want) <= bound), shape
+        assert np.array_equal(sparse_net.mix(Q), out)
+
+
+def test_gather_refuses_a_block_of_another_size(sparse_net):
+    with pytest.raises(ValueError, match="400 agents"):
+        sparse_net.mix(np.zeros((2, 399, 5)))
+
+
+def test_sparse_run_csvs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # cgtsim run at one and two BLAS threads, in a subprocess each.  At
+    # n = 400 the dense gemm splits across threads: before the gather, the
+    # dgt, alg1 and alg2 CSVs differed.  Still differing in the sidecars:
+    # sigma (eigvalsh of W) and, at some n, the last digit of struct_x and
+    # struct_y (BLAS dots in the row norms).
+    cell = {"params": {"eta": 0.8, "gamma": 0.3}, "force_params": True}
+    comp = {"eta": 0.8, "gamma": 0.3, "phi_x": 0.3, "phi_y": 0.1}
+    cells = [
+        dict(cell, algo="dgt"),
+        dict(cell, algo="alg1", compressor={"kind": "norm_sign"},
+             params=comp),
+        dict(cell, algo="alg2", compressor={"kind": "norm_sign"},
+             params=dict(comp, varsigma=0.3)),
+        dict(cell, algo="alg3",
+             compressor={"kind": "uniform_quantize", "delta": 2.0},
+             params={"eta": 0.4, "gamma": 0.6, "mu": 0.98}),
+    ]
+    config = tmp_path / "sparse.json"
+    config.write_text(json.dumps({
+        "scenario": "sparse", "iters": 20, "threshold": 1e-3,
+        "network": {"n": 400, "edge_density": 0.012, "topology": "random"},
+        "cost": {"kind": "logistic_log", "d": 10, "scale": 0.1,
+                 "abs_m": True},
+        "seeds": {"graph": 1, "cost": 2, "algo": 3}, "cells": cells}))
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                       filter(None, (str(ROOT / "src"),
+                                     os.environ.get("PYTHONPATH")))))
+        subprocess.run([sys.executable, "-m", "cgtsim.cli", "run",
+                        str(config), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        digests.append({f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                        for f in out.rglob("*.csv")})
+    assert len(digests[0]) == 4
+    assert digests[0] == digests[1]
 
 
 def test_input_validation():

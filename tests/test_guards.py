@@ -112,6 +112,12 @@ GUARDS = {
         ("src",),
         "a region that cannot be built is an AnalysisError whose message "
         "names its binding constraint; no subclass restates that message"),
+    "scipy-in-src": (
+        r"\bscipy\b",
+        ("src",),
+        "importing scipy.sparse adds 21.7 MB of resident memory, more than "
+        "the benchmark's peak_rss_mb bound, and Network.mix's neighbour "
+        "gather is the sparse product"),
     "caught-type-error": (
         r"except \(TypeError|except TypeError",
         ("src/cgtsim/harness.py", "src/cgtsim/config.py"),

@@ -78,6 +78,15 @@ MUTANTS = [
            "    XY -= tmp\n    np.multiply(eta, XY[1], out=ey)\n"),
     Mutant("mix-with-w-transposed", _GRAPH,
            "np.matmul(self.W, Q, out=out)", "np.matmul(self.W.T, Q, out=out)"),
+    # the neighbour gather of a sparse W
+    Mutant("gather-plan-from-w-transposed", _GRAPH,
+           '"_gather", _gather_plan(self.W))',
+           '"_gather", _gather_plan(self.W.T))'),
+    Mutant("gather-drops-its-last-slot", _GRAPH,
+           "slots[0], slots[1:]", "slots[0], slots[1:-1]"),
+    Mutant("gather-skips-the-inverse-permutation", _GRAPH,
+           'np.take(acc, inv, axis=0, out=out[j], mode="clip")',
+           "out[j] = acc"),
     # the certified regions' terms
     Mutant("gamma-term-2-40000-to-4000", _AN,
            "one / (40000.0 * (1.0 + 1.0 / c2) * L * L)",
