@@ -152,12 +152,12 @@ _SCALE_FLOOR = 1e-300
 # from row k to k+1 (``mix`` is the run network's ``Network.mix``).  It
 # updates the state blocks in place and ends in ``_track``, which takes
 # gradients from ``cost`` (a ``costs.RunCosts``).  Its scratch is ``tmp``,
-# one (2, n, d) block, and ``buf``, one slot per message: ``buf`` takes
-# mix(Q), then, once that is spent, the step's other temporaries and the
-# next messages' inputs.  Both are bound as default arguments, so the
-# in-place operators act on them.  Only G and the message block are new
-# arrays, which keeps a large-n run's live arrays near those of updating
-# twin halves alone.
+# like X|Y, and ``buf``, one slot per message: ``buf`` takes mix(Q), then,
+# once that is spent, the step's other temporaries and the next messages'
+# inputs.  Both are allocated like the state and bound as default
+# arguments, so the in-place operators act on them.  Only G and the message
+# block are new arrays, which keeps a large-n run's live arrays near those
+# of updating twin halves alone.
 
 def _track(st, tmp, ey, eta, cost):
     """Every step's tracking tail: X|Y -= tmp, X -= eta * (the old Y), then
@@ -173,12 +173,11 @@ def _track(st, tmp, ey, eta, cost):
 
 def _alg1_step(rule, st, mix, p, cost, comp, seed, s_arr):
     """alg1, and alg2 (``rule.feedback``)."""
-    n, d = st[1].shape
     eta, gamma, varsigma = p.eta, p.gamma, p.varsigma
     use_ef = rule.feedback
     phi = np.array([p.phi_x, p.phi_y])[:, None, None]
 
-    def step(k, st, tmp=np.empty((2, n, d)), buf=np.empty_like(st[-1])):
+    def step(k, st, tmp=np.empty_like(st[0]), buf=np.empty_like(st[-1])):
         XY, AC, BD, Q = st[0], st[2], st[3], st[-1]
         E = st[4] if use_ef else None  # alg2's Ex|Ey
         mixQ = mix(Q, buf)
@@ -207,10 +206,9 @@ def _alg1_step(rule, st, mix, p, cost, comp, seed, s_arr):
 
 
 def _alg3_step(rule, st, mix, p, cost, comp, seed, s_arr):
-    n, d = st[1].shape
     eta, gamma = p.eta, p.gamma
 
-    def step(k, st, tmp=np.empty((2, n, d)), buf=np.empty((2, n, d))):
+    def step(k, st, tmp=np.empty_like(st[0]), buf=np.empty_like(st[0])):
         XY, _, Hat, VZ, Q = st
         mixQ = mix(Q, buf)
         sk = s_arr[k]
@@ -374,8 +372,9 @@ class _BlockRecorder:
         # slot 0 carries the row before the block (its agent means, and a
         # scaled rule's X); rows go to slots 1..B.  At B = 1 rows are not
         # copied.
-        self.means = np.empty((self.B + 1, 2, d))
-        self.buf = ([np.empty((self.B + 1,) + a.shape) for a in row]
+        self.means = np.empty((self.B + 1, 2, d), dtype=row[0].dtype)
+        self.buf = ([np.empty((self.B + 1,) + a.shape, dtype=a.dtype)
+                     for a in row]
                     if self.B > 1 else None)
         self.rows = self.prev_x = None
         self.k0 = self.fill = 0
@@ -519,7 +518,7 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
     cost = RunCosts(suite, x_star, f_star)
     G = cost.grad(x0)
     XY = np.stack([x0, G])
-    st = [XY, G, *(np.zeros((2, n, d)) for _ in rule.twins)]
+    st = [XY, G, *(np.zeros_like(XY) for _ in rule.twins)]
     if not rule.exact:
         Q = _compress_block(
             comp, XY / s_arr[0] if rule.scaled else XY, useed, 0, 0)

@@ -311,15 +311,16 @@ def bounds_error_feedback(sigma: float, L: float, comp: CompressorSpec,
 
 
 def bounds_absolute_global(sigma: float, L: float, n: int, d: int,
-                           cap_c: float, mu: float = 0.995,
+                           cap_c: float, mu: float,
                            s0: float | None = None) -> ParameterBounds:
     """Region for the scaled tracker under a globally bounded absolute error.
 
     (eta, gamma) and their terms are the exact compressor's relative region
     at phi_x = phi_y = 1/2 (c1 = c2 = 1/4, and C = 0 empties the C terms);
     any mu in (0, 1) is admissible, and so is any s0 > 0, which the region
-    carries as given.  The constants table carries the geometric slack
-    coefficient of the Lyapunov descent check:
+    carries as given (``harness.cell_region`` owns a certified cell's
+    defaults).  The constants table carries the geometric slack coefficient
+    of the Lyapunov descent check:
     slack(k) = breve_theta8 * s(k)^2 with
     breve_theta8 = 2 n d_tilde^2 xi8 (1 + 2 L^2), where d_tilde = sqrt(d)
     bounds the 2-norm by the inf-norm the class is stated in.

@@ -139,18 +139,20 @@ def _class_constants(spec: CompressorSpec) -> dict:
             "cap_c": derived_relative_cap(r, psi)}
 
 
-def make_compressor(kind: str, d: int, *, delta: float = 2.0,
-                    keep_k: int | None = None, levels: int | None = None,
-                    sparsify_mode: str = "top",
-                    rescale: bool = False) -> CompressorSpec:
-    """The spec of a ``kind`` operator on ``d``-vectors.  Only the keywords
-    that the kind reads (``_KIND_OPTIONS``) reach the spec; an unknown kind
-    reaches it with none, and the spec refuses it.  keep_k and levels have
-    no default: a kind that reads one needs it."""
-    given = {"delta": delta, "keep_k": keep_k, "levels": levels,
-             "sparsify_mode": sparsify_mode, "rescale": rescale}
+def make_compressor(kind: str, d: int, **options) -> CompressorSpec:
+    """The spec of a ``kind`` operator on ``d``-vectors.  Only the
+    ``options`` that the kind reads (``_KIND_OPTIONS``) reach the spec; an
+    unknown kind reaches it with none, and the spec refuses it.  An option
+    left out takes ``CompressorSpec``'s default; a keyword that is no
+    option of any kind is a TypeError."""
+    unknown = options.keys() - {key for keys in _KIND_OPTIONS.values()
+                                for key in keys}
+    if unknown:
+        raise TypeError(f"make_compressor() got an unexpected keyword "
+                        f"argument {sorted(unknown)[0]!r}")
     return CompressorSpec(kind, d, **{
-        key: given[key] for key in _KIND_OPTIONS.get(kind, ())})
+        key: options[key] for key in _KIND_OPTIONS.get(kind, ())
+        if key in options})
 
 
 # ---------------------------------------------------------------------------

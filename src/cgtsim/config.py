@@ -116,7 +116,7 @@ _LABEL = ("a non-empty string with no '/' or control character that is "
           lambda v: _is_name(v) and v != "report")
 _POSITIVE = ("a finite positive number", lambda v: _finite(v) and v > 0)
 
-# make_compressor's keywords, each with what a config value must be; the
+# CompressorSpec's options, each with what a config value must be; the
 # ranges that depend on the kind or on d are the spec's own checks
 _COMPRESSOR_OPTIONS = {
     "delta": ("a positive finite number", lambda v: _finite(v) and v > 0),
@@ -172,7 +172,7 @@ CELL = Section(
 
 # a config document: its keys and sections.  An absent optional key takes
 # the default of what reads it: ExperimentConfig, CellConfig, BitCostModel,
-# generate_suite, make_compressor or the rule's practical params
+# generate_suite, CompressorSpec or the rule's practical params
 DOCUMENT = Section(
     required={
         "scenario": _SCENARIO,

@@ -425,7 +425,7 @@ def _descend(suite: CostSuite, starts: list, tol: float, max_iters: int
     return X, F, GN
 
 
-def solve_reference(suite: CostSuite, tol: float = 1e-9, *, restarts: int = 16,
+def solve_reference(suite: CostSuite, tol: float, *, restarts: int = 16,
                     seed: int = 0, max_iters: int = 10_000,
                     extra_starts: list | None = None) -> ReferenceSolution:
     """Best stationary value of F over gradient-descent runs from several starts.
@@ -439,7 +439,9 @@ def solve_reference(suite: CostSuite, tol: float = 1e-9, *, restarts: int = 16,
 
     Returns the lowest endpoint, the first start's that is strictly lower
     than every earlier one, so a NaN wins only as the first start;
-    ``certified`` reports whether its gradient norm met ``tol``.
+    ``certified`` reports whether its gradient norm met ``tol``; a run's
+    ``tol`` is its config's ``fstar_tol``, whose default is
+    ``harness.ExperimentConfig``'s.
     ``extra_starts`` lets callers re-seed from points that beat a previous
     solution; they follow the starts above in ``restart_values``.  All starts
     descend together (see ``_descend``), each to the endpoint it reaches

@@ -201,8 +201,10 @@ def cell_region(rule, cls: str, comp: CompressorSpec, inputs: dict,
 
     The calculator follows ``cls``, the cell's ``_region_class``, and, in
     the relative class, whether the rule sends error feedback.  It reads the
-    class's ``_REGION_INPUTS`` from ``inputs`` (phi_x, phi_y default 1/(2r);
-    s0 ``auto_s0``; mu 0.995), and a locally bounded one ``f_star()``."""
+    class's ``_REGION_INPUTS`` from ``inputs``, and a locally bounded one
+    ``f_star()``.  This is the one place an input that ``inputs`` lacks
+    takes its default (each branch below states it); the calculators take
+    every input as given."""
     if cls == RELATIVE:
         fn = (analysis.bounds_error_feedback if rule.feedback
               else analysis.bounds_relative)
@@ -452,38 +454,20 @@ def reference_scenario_config(mode: str = "practical", iters: int = 3000,
                               output_dir: str = "out") -> dict:
     """The pinned 20-agent, 50-dimensional benchmark scenario.
 
-    Practical cells mirror the aggressive operating points (eta=0.8,
-    gamma=0.3, phi_x=0.3, phi_y=0.1, varsigma=0.3; eta=0.4, gamma=0.6 for the
-    scaled tracker); certified cells derive parameters from the bounds
-    calculators.  The cost scale .1 keeps those step sizes stable on this
-    instance.
+    Practical cells give no params, so each runs its rule's practical point
+    (``RULES[algo].practical``), forced; certified cells derive parameters
+    from the bounds calculators.  The cost scale .1 keeps those step sizes
+    stable on this instance.
     """
-    cells_practical = [
-        {"algo": "dgt", "params": {"eta": 0.8, "gamma": 0.3}},
-        {"algo": "alg1", "compressor": {"kind": "norm_sign"},
-         "params": {"eta": 0.8, "gamma": 0.3, "phi_x": 0.3, "phi_y": 0.1},
-         "force_params": True},
-        {"algo": "alg2", "compressor": {"kind": "norm_sign"},
-         "params": {"eta": 0.8, "gamma": 0.3, "phi_x": 0.3, "phi_y": 0.1,
-                    "varsigma": 0.3},
-         "force_params": True},
-        {"algo": "alg3", "compressor": {"kind": "uniform_quantize",
-                                        "delta": 2.0},
-         "params": {"eta": 0.4, "gamma": 0.6, "mu": 0.98},
-         "force_params": True},
-        {"algo": "alg3", "compressor": {"kind": "one_bit"},
-         "params": {"eta": 0.4, "gamma": 0.6, "mu": 0.98},
-         "force_params": True},
-    ]
+    ns, ob = {"kind": "norm_sign"}, {"kind": "one_bit"}
+    uq = {"kind": "uniform_quantize", "delta": 2.0}
+    cells_practical = [{"algo": "dgt"}] + [
+        {"algo": algo, "compressor": dict(comp), "force_params": True}
+        for algo, comp in [("alg1", ns), ("alg2", ns), ("alg3", uq),
+                           ("alg3", ob)]]
     cells_certified = [
-        {"algo": "alg1", "compressor": {"kind": "norm_sign"},
-         "mode": "certified"},
-        {"algo": "alg2", "compressor": {"kind": "norm_sign"},
-         "mode": "certified"},
-        {"algo": "alg3", "compressor": {"kind": "uniform_quantize",
-                                        "delta": 2.0},
-         "mode": "certified"},
-    ]
+        {"algo": algo, "compressor": dict(comp), "mode": "certified"}
+        for algo, comp in [("alg1", ns), ("alg2", ns), ("alg3", uq)]]
     cells = {"practical": cells_practical, "certified": cells_certified}
     if mode not in cells:
         raise ConfigError(f"unknown mode {mode!r}")

@@ -93,7 +93,7 @@ def descend(suite: CostSuite, x0: np.ndarray, tol: float,
     return x, mean_value(suite, x), gn
 
 
-def solve_reference_per_start(suite: CostSuite, tol: float = 1e-9, *,
+def solve_reference_per_start(suite: CostSuite, tol: float, *,
                               restarts: int = 16, seed: int = 0,
                               max_iters: int = 10_000,
                               extra_starts: list | None = None

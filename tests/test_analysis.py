@@ -189,7 +189,8 @@ REGION_INSTANCES = {
         lambda: bounds_error_feedback(0.35, 2.5, _RANDOM_QUANTIZE, 0.3, 0.1),
     ],
     "absolute_global": [
-        lambda: bounds_absolute_global(0.5, 1.0, n=10, d=5, cap_c=1.0),
+        lambda: bounds_absolute_global(0.5, 1.0, n=10, d=5, cap_c=1.0,
+                                       mu=0.995),
         lambda: bounds_absolute_global(0.8, 2.0, n=20, d=50, cap_c=0.25,
                                        mu=0.98),
     ],

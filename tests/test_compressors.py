@@ -308,7 +308,7 @@ def test_class_constants_cannot_be_passed(name):
         spec_from_config({"kind": "norm_sign", name: 1.0}, d=8)
 
 
-# a valid value other than make_compressor's default, for each config key
+# a valid value other than CompressorSpec's default, for each config key
 _OTHER_VALUE = {"delta": 0.5, "keep_k": 3, "levels": 9,
                 "sparsify_mode": "random", "rescale": True}
 

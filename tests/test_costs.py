@@ -172,7 +172,7 @@ def test_gram_trace_terms_match_factor_form(rows, consistent, anchored):
     n, d = 6, 16
     suite = generate_suite("quadratic_pl", n=n, d=d, seed=rows, rows=rows,
                            consistent=consistent)
-    ref = solve_reference(suite)
+    ref = solve_reference(suite, tol=1e-9)
     cost = RunCosts(suite, ref.x_star if anchored else None, ref.f_star)
     r = cost.r  # the least-squares minimiser when not anchored
     f_r = mean_value(suite, r)
@@ -225,7 +225,7 @@ def test_generation_gram_is_the_one_gram_of_the_suite(monkeypatch):
     Mt = suite.M.transpose(0, 2, 1)
     assert np.allclose(H, Mt @ suite.M, rtol=0, atol=1e-14)
     assert np.array_equal(c, (Mt @ suite.b[:, :, None])[:, :, 0])
-    ref = solve_reference(suite)
+    ref = solve_reference(suite, tol=1e-9)
     for cost in (RunCosts(suite, ref.x_star, ref.f_star), RunCosts(suite)):
         assert cost.Hbar is Hbar
     assert suite.gram is gram and suite.gram_eigh is eig
@@ -533,6 +533,7 @@ def test_solve_reference_equals_per_start_descent(kind, gen, kw):
     if kind == "logistic_log":
         gen["scale"] = 0.1
     suite = generate_suite(kind, **gen)
+    kw = {"tol": 1e-9, **kw}
     _assert_same_solution(solve_reference(suite, **kw),
                           solve_reference_per_start(suite, **kw))
 
@@ -542,20 +543,21 @@ def test_solve_reference_keeps_the_first_of_tied_or_nan_values():
     # gradient when h = 0, and the origin comes first
     suite = generate_suite("logistic_log", n=4, d=6, seed=41)
     suite.h[:] = 0.0
-    kw = {"restarts": 3, "extra_starts": [np.full(6, -0.0)]}
+    kw = {"tol": 1e-9, "restarts": 3, "extra_starts": [np.full(6, -0.0)]}
     ref = solve_reference(suite, **kw)
     _assert_same_solution(ref, solve_reference_per_start(suite, **kw))
     assert ref.restart_values[0] == ref.restart_values[-1] == ref.f_star == 0
     assert _bits(ref.x_star) == _bits(np.zeros(6))
     # a NaN start after finite ones never wins (np.argmin would pick it)
     suite = generate_suite("logistic_log", n=4, d=6, seed=43)
-    kw = {"restarts": 3, "max_iters": 20, "extra_starts": [np.full(6, np.nan)]}
+    kw = {"tol": 1e-9, "restarts": 3, "max_iters": 20,
+          "extra_starts": [np.full(6, np.nan)]}
     ref = solve_reference(suite, **kw)
     _assert_same_solution(ref, solve_reference_per_start(suite, **kw))
     assert math.isnan(ref.restart_values[-1]) and math.isfinite(ref.f_star)
     # a NaN first start wins: xi'x is inf * 0 at the origin only
     suite.xi[0, 0] = np.inf
-    kw = {"restarts": 3, "max_iters": 0}
+    kw = {"tol": 1e-9, "restarts": 3, "max_iters": 0}
     with np.errstate(invalid="ignore"):
         ref = solve_reference(suite, **kw)
         _assert_same_solution(ref, solve_reference_per_start(suite, **kw))
@@ -568,7 +570,7 @@ def test_paper_reference_evaluation_count(monkeypatch):
     # round, not one per start (1375 calls by the per-start oracle)
     suite = generate_suite("logistic_log", n=20, d=50, seed=202, scale=0.1)
     calls = _count_mean_calls(monkeypatch)
-    assert solve_reference(suite).certified
+    assert solve_reference(suite, tol=1e-9).certified
     assert calls["n"] <= 150
 
 
@@ -581,7 +583,7 @@ def test_stalled_references_are_certified_by_the_newton_finish(seed,
     # 40 uncertified, when the descent kept stepping to find a dip below tol)
     suite = generate_suite("logistic_log", n=20, d=50, seed=seed, scale=0.1)
     calls = _count_mean_calls(monkeypatch)
-    assert solve_reference(suite).certified
+    assert solve_reference(suite, tol=1e-9).certified
     assert calls["n"] <= 300
 
 
@@ -599,10 +601,10 @@ def test_newton_finish_starts_from_the_stacked_gradient(monkeypatch):
             return _fn(suite, x)
 
         monkeypatch.setattr(costs, name, counted)
-    ref = solve_reference(suite)
+    ref = solve_reference(suite, tol=1e-9)
     assert calls == {"grad": 9, "hessian": 9}
     monkeypatch.undo()
-    want = solve_reference_per_start(suite)
+    want = solve_reference_per_start(suite, tol=1e-9)
     assert _bits(ref.x_star) == _bits(want.x_star)
     assert _bits(ref.f_star) == _bits(want.f_star)
 
@@ -612,12 +614,12 @@ def test_singular_hessian_ends_the_newton_finish(monkeypatch):
     # singular Hessian ends the finish at once, which leaves what no finish
     # leaves
     suite = generate_suite("logistic_log", n=10, d=8, seed=64)
-    assert solve_reference(suite).certified
+    assert solve_reference(suite, tol=1e-9).certified
     monkeypatch.setattr(costs, "mean_hessian",
                         lambda suite, x: np.zeros((suite.d, suite.d)))
-    singular = solve_reference(suite)
+    singular = solve_reference(suite, tol=1e-9)
     monkeypatch.setattr(costs, "_NEWTON_STEPS", 0)
-    bare = solve_reference(suite)
+    bare = solve_reference(suite, tol=1e-9)
     assert not bare.certified
     _assert_same_solution(singular, bare)
 

@@ -123,6 +123,23 @@ GUARDS = {
         ("src/cgtsim/harness.py", "src/cgtsim/config.py"),
         "only the package's own errors are config errors: a TypeError caught "
         "while a config is parsed would turn a program bug into exit 2"),
+    "second-certified-mu-default": (
+        r"0\.995",
+        ("src/cgtsim/analysis.py",),
+        "harness.cell_region alone sets a certified cell's absent inputs, mu "
+        "among them; the bounds calculators take mu as given, so a second "
+        "default cannot drift from it"),
+    "practical-params-restated": (
+        r'"params": \{',
+        ("src/cgtsim/harness.py",),
+        "a practical cell with no params runs its rule's practical point, "
+        "stated once in algorithms.RULES; the built-in scenario's cells give "
+        "none, so they cannot drift from it"),
+    "second-reference-tolerance": (
+        r"tol: float =",
+        ("src/cgtsim/costs.py",),
+        "ExperimentConfig.fstar_tol is the one default of the reference "
+        "solve's tolerance; costs.solve_reference takes tol as given"),
 }
 
 

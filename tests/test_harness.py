@@ -22,9 +22,10 @@ from cgtsim.algorithms import (
     AlgorithmError,
     AlgorithmParams,
     RunTrace,
+    auto_s0,
     initial_point,
 )
-from cgtsim.compressors import BitCostModel, make_compressor
+from cgtsim.compressors import BitCostModel, CompressorSpec, make_compressor
 from cgtsim.costs import generate_suite, mean_value, solve_reference
 from cgtsim.graph import generate_network
 from cgtsim.harness import (
@@ -373,6 +374,24 @@ def test_reference_scenario_config_modes():
     for mode in ("both", "fancy"):
         with pytest.raises(ConfigError, match="unknown mode"):
             reference_scenario_config(mode=mode)
+
+
+def test_practical_reference_cells_run_their_rules_practical_points():
+    # the practical cells state no params: RULES[algo].practical is the one
+    # copy of each point, and a scaled rule's unset s0 is auto_s0
+    doc = reference_scenario_config("practical", iters=3)
+    assert all("params" not in cell for cell in doc["cells"])
+    cfg = ExperimentConfig.from_dict(doc)
+    net, suite, x0, reference = harness.build_instance(cfg)
+    resolved = harness.resolve(cfg, net, suite, x0,
+                               lambda: reference().f_star)
+    assert [cell.algo for cell, *_ in resolved] == [
+        "dgt", "alg1", "alg2", "alg3", "alg3"]
+    for cell, params, *_ in resolved:
+        want = RULES[cell.algo].practical
+        if RULES[cell.algo].scaled:
+            want = dataclasses.replace(want, s0=auto_s0(x0, suite))
+        assert params == want, cell.resolved_label()
 
 
 def test_cli_exit_codes(tmp_path, monkeypatch):
@@ -1138,10 +1157,21 @@ def test_cli_missing_compressor_key_is_named(tmp_path, capsys, kind, key,
     assert f"key {key!r}" in capsys.readouterr().err
 
 
-def test_compressor_option_checks_cover_make_compressor_keywords():
-    params = inspect.signature(make_compressor).parameters.values()
+def test_compressor_options_are_the_specs_and_pass_through():
+    # a config checks exactly CompressorSpec's options, its init fields
+    # besides kind and d, which alone state their defaults
     assert set(config._COMPRESSOR_OPTIONS) == {
-        p.name for p in params if p.kind is p.KEYWORD_ONLY}
+        f.name for f in dataclasses.fields(CompressorSpec)
+        if f.init} - {"kind", "d"}
+    # make_compressor drops an option that its kind does not read
+    assert (make_compressor("norm_sign", 8, delta=0.5, levels=9)
+            == CompressorSpec("norm_sign", 8))
+    assert (make_compressor("uniform_quantize", 8, delta=0.5, keep_k=3)
+            == CompressorSpec("uniform_quantize", 8, delta=0.5))
+    # and a keyword that is no option of any kind is a TypeError
+    for kind in ("norm_sign", "uniform_quantize"):
+        with pytest.raises(TypeError, match="'window'"):
+            make_compressor(kind, 8, window=3)
 
 
 _NORM_SIGN = {"compressor": {"kind": "norm_sign"}}
@@ -1480,7 +1510,7 @@ def _edges():
     rel = analysis.bounds_relative(net.sigma, suite.L_f, ns, 0.3, 0.1)
     ef = analysis.bounds_error_feedback(net.sigma, suite.L_f, ns, 0.3, 0.1)
     glob = analysis.bounds_absolute_global(net.sigma, suite.L_f, net.n, 4,
-                                           uq.cap_c)
+                                           uq.cap_c, mu=0.995)
 
     def eta_max(b, gamma):
         c = b.constants
@@ -1635,13 +1665,32 @@ def test_certified_cell_honours_its_region_inputs(tmp_path):
     assert alg3["bounds"]["mu"] == 0.97
 
 
+def test_certified_cell_without_inputs_takes_cell_regions_defaults():
+    # harness.cell_region alone sets a certified cell's absent inputs:
+    # phi_x = phi_y = 1/(2r) in the relative class (r = 2 for norm-sign at
+    # d = 4), and mu 0.995 and s0 auto_s0 in the globally bounded one
+    uq = {"compressor": {"kind": "uniform_quantize", "delta": 2.0}}
+    cfg = ExperimentConfig.from_dict(_quad_doc("unused", [
+        {"algo": "alg1", **_NORM_SIGN, "mode": "certified"},
+        {"algo": "alg3", **uq, "mode": "certified"}]))
+    net, suite, x0, reference = harness.build_instance(cfg)
+    (_, alg1, *_), (_, alg3, region, refusal) = harness.resolve(
+        cfg, net, suite, x0, lambda: reference().f_star)
+    assert (alg1.phi_x, alg1.phi_y) == (0.25, 0.25)
+    s0 = auto_s0(x0, suite)
+    assert s0 > 1.0  # so it is not AlgorithmParams' own default
+    assert (alg3.mu, alg3.s0) == (region.mu, region.s0) == (0.995, s0)
+    assert refusal is None
+
+
 def test_unforced_practical_local_class_cell_exits_2(tmp_path, capsys):
     # a one_bit cell at the globally bounded region's operating point used
     # to pass as certified under that theorem with C = 0, and ran with an
     # induction ratio of 1e282
     net, suite, *_ = harness.build_instance(
         ExperimentConfig.from_dict(_quad_doc("unused", [_GOOD_CELLS[0]])))
-    b = analysis.bounds_absolute_global(net.sigma, suite.L_f, net.n, 4, 0.0)
+    b = analysis.bounds_absolute_global(net.sigma, suite.L_f, net.n, 4, 0.0,
+                                        mu=0.995)
     cell = {"algo": "alg3", **_ONE_BIT,
             "params": {"eta": b.eta, "gamma": b.gamma, "mu": 0.2,
                        "s0": 1e-3}}

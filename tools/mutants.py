@@ -123,6 +123,15 @@ MUTANTS = [
            "vs < vs_max)", "vs <= vs_max)"),
     Mutant("dgt-limit-refuses-its-bound", _HARNESS,
            "params.eta <= 1.0 / L_f", "params.eta < 1.0 / L_f"),
+    # the one copy of each default: a certified cell's region inputs
+    # (harness.cell_region) and a rule's practical point (algorithms.RULES)
+    Mutant("certified-phi-x-defaults-to-1-over-r", _HARNESS,
+           'inputs.get("phi_x", 0.5 / comp.r)',
+           'inputs.get("phi_x", 1.0 / comp.r)'),
+    Mutant("certified-mu-defaults-to-0.99", _HARNESS,
+           'inputs.get("mu", 0.995)', 'inputs.get("mu", 0.99)'),
+    Mutant("alg2-practical-varsigma-0.3-to-0.2", _ALG,
+           "varsigma=0.3)", "varsigma=0.2)"),
     # the bit ledger
     Mutant("sparsify-billed-without-index-bits", _COMP,
            "spec.keep_k * (SCALAR_BITS + max(1, math.ceil(math.log2(d))))",
