@@ -24,7 +24,7 @@ A step makes one compressor-kernel call over that block, one
 still makes one gemm per slot and every elementwise update rounds as the
 per-array update did, so traces and states are bitwise those of updating
 each half of a twin on its own.  Nothing here reads W: ``Network.mix`` is
-the one product with it.
+the steps' product with it, and ``Network.rmatmul`` the recorder's one-off.
 
 The steppers only step.  The block recorder takes each row's state and,
 every B rows, computes the trace rows and the invariant maxima for the whole
@@ -42,6 +42,16 @@ state blocks, before the next step overwrites them.  A non-finite row ends
 the run at that row, at the flush that finds it: the steps already taken
 past it inside the block enter neither the trace nor the maxima, and no
 step is taken twice.
+
+The accumulator identity Acc = (I - W) Base (B|D against A|C, V|Z against
+Xhat|Yhat) is checked by a fixed random projection (Freivalds 1977), not by
+a product with W per row.  A run draws R, (2, n) with i.i.d. N(0, 1/2)
+entries, from its seed, and takes R(I - W) = R - R @ W once; each half of a
+row then records ||R Acc - R(I - W) Base|| / ||Base||.  Since E||R E||^2 =
+||E||^2, the value keeps the scale of the full residual ||E|| / ||Base||,
+E = Acc - (I - W) Base.  Every product and sum of the check is an
+``np.einsum`` or a reduction with a fixed order, with no BLAS, so it reads
+the same at any BLAS thread count.
 
 Shared conventions:
 
@@ -70,8 +80,8 @@ from .graph import Network
 DIAG_NAMES = (
     "mean_x_recursion",      # || mean X(k+1) - (mean X(k) - eta mean Y(k)) ||
     "mean_y_tracking",       # || mean Y - mean grad || / (1 + || mean grad ||)
-    "struct_x",              # accumulator identity residual, x side
-    "struct_y",              # accumulator identity residual, y side
+    "struct_proj_x",         # ||R (Acc - (I - W) Base)|| / ||Base||, x side
+    "struct_proj_y",         # the same, y side (R: _check_rows)
     "induction_x",           # max_i ||X_i(k) - Xhat_i(k-1)||_inf / s(k)
     "induction_y",
     "compression_ratio",     # max_i ||X_i(k) - Xhat_i(k)||_inf / s(k)
@@ -317,13 +327,29 @@ def _metrics_rows(cost, XY, G):
     return means, ct, gap, stat, ytrack
 
 
-def _struct_resid_rows(Acc, Base, mix):
-    """||Acc - (I - W) Base|| / ||Base|| for each half of b (2, n, d) twin
-    rows, W @ Base being ``mix(Base)``: the accumulator identity."""
-    M = mix(Base)
-    np.subtract(Base, M, out=M)
-    np.subtract(Acc, M, out=M)
-    return _norms(M, 2) / np.maximum(_norms(Base, 2), 1e-30)
+# Rows of the accumulator check's projection R
+_CHECK_ROWS = 2
+
+
+def _check_rows(seed, n):
+    """R of a run's accumulator check: (2, n), i.i.d. N(0, 1/2) entries
+    drawn from ``seed``, so that E||R E||^2 = ||E||^2 for any (n, d) E."""
+    rng = np.random.default_rng(np.random.SeedSequence(
+        [seed & 0xFFFFFFFFFFFFFFFF, 0xACC]))
+    return rng.standard_normal((_CHECK_ROWS, n)) / np.sqrt(_CHECK_ROWS)
+
+
+def _struct_proj_rows(Acc, Base, R, S):
+    """||R Acc - S Base|| / ||Base|| for each half of b (2, n, d) twin rows,
+    S being R(I - W): the accumulator identity, projected by R.  Each
+    entry of R Acc and S Base sums over the agents in ascending order, and
+    each norm is a reduction over one half, so a half reads as it would
+    alone."""
+    P = np.einsum("pj,bhjd->bhpd", R, Acc)
+    P -= np.einsum("pj,bhjd->bhpd", S, Base)
+    num = np.sqrt(_sums(np.square(P, out=P), 2))
+    den = np.sqrt(_sums(np.einsum("bhjd,bhjd->bhj", Base, Base), 2))
+    return num / np.maximum(den, 1e-30)
 
 
 def _row_norm_max_rows(A):
@@ -354,16 +380,18 @@ class _BlockRecorder:
     "consensus" (1.0 gives the consensus function, the scaled one else),
     the compression errors and the gap under "full", and those and ``aux``
     times the error-feedback sum under "ef".  A compressed rule checks the
-    accumulators at each finite row, where row 0's twins are zero.  Steppers
+    accumulators at each finite row, where row 0's twins are zero, by
+    ``check`` = (R, R(I - W)).  Steppers
     update their blocks in place, so at B = 1 a row is read before the next
     step and a scaled rule keeps a copy of the X it needs from it.
     """
 
-    def __init__(self, rule, row, cost, mix, eta, phi_w, aux, iters,
+    def __init__(self, rule, row, cost, check, eta, phi_w, aux, iters,
                  s_arr=None):
         n, d = row[1].shape
         self.B = _block_rows(sum(a.size for a in row) // (n * d), n, d)
-        self.rule, self.nblk, self.cost, self.mix = rule, len(row), cost, mix
+        self.rule, self.nblk, self.cost = rule, len(row), cost
+        self.check = check
         self.eta, self.phi_w, self.aux = eta, phi_w, aux
         self.s_arr = s_arr
         # consensus_err, opt_gap, stationarity and lyapunov, row by row
@@ -419,8 +447,8 @@ class _BlockRecorder:
         ok = slice(0, nok)
         _raise_max(diag, "mean_y_tracking", ytr[ok])
         if nok and not rule.exact:
-            _raise_twin(diag, "struct",
-                        _struct_resid_rows(R[3][ok], R[2][ok], self.mix))
+            _raise_twin(diag, "struct_proj",
+                        _struct_proj_rows(R[3][ok], R[2][ok], *self.check))
         if nok and rule.scaled:
             sk = self.s_arr[k0:k0 + nok, None]
             _raise_twin(diag, "induction",
@@ -463,9 +491,11 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
     The twins start at zero and a compressed rule's messages at X|Y
     compressed, over s(0) if scaled, and twice for alg2.  No state is
     returned.
-    ``seed`` feeds only the compressor randomness: agent i's message in slot
-    s at iteration k is row i of ``compress(comp, inputs, seed=seed, k=k,
-    slot=s)``.  ``comp`` is ignored by a rule that sends exact messages.
+    ``seed`` feeds the compressor randomness and the accumulator check's R
+    (``_check_rows``; no trace value moves with R): agent i's message in
+    slot s at iteration k is row i of ``compress(comp, inputs, seed=seed,
+    k=k, slot=s)``.  ``comp`` is ignored by a rule that sends exact
+    messages.
     ``f_star`` is the reference value the optimality gap is measured from and
     ``x_star`` the point it is attained at, if known; quadratic gaps are
     anchored there, or at the minimiser solved from the suite's Gram without
@@ -530,7 +560,11 @@ def run(algo: str, iters: int, net: Network, suite: CostSuite,
         below = np.flatnonzero(s_arr[1:] < _SCALE_FLOOR)
         if below.size:
             last, status = int(below[0]), "scaling_exhausted"
-    rec = _BlockRecorder(rule, st[:2 + len(rule.twins)], cost, net.mix,
+    check = None
+    if not rule.exact:
+        R = _check_rows(seed, n)
+        check = R, R - net.rmatmul(R)
+    rec = _BlockRecorder(rule, st[:2 + len(rule.twins)], cost, check,
                          params.eta, phi_w, aux, iters, s_arr)
     for k in range(last + 1):
         rec.push(st)

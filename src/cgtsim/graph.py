@@ -30,10 +30,11 @@ class Network:
     support is the communication graph: agent i receives from agent j
     exactly when ``W[i, j] != 0`` and i != j.  ``sigma`` is the spectral
     norm of ``W - (1/n) 11^T``; the consensus step contracts disagreement by
-    ``delta = 1 - gamma * (1 - sigma)``.  ``mix`` is the one product with W.
-    It is a dense gemm, or, when W has at most n^2/64 nonzeros, a gather of
-    each agent's neighbours; the choice is made once, from W, when the
-    network is built.
+    ``delta = 1 - gamma * (1 - sigma)``.  ``mix`` is the steps' product
+    with W.  It is a dense gemm, or, when W has at most n^2/64 nonzeros, a
+    gather of each agent's neighbours; the choice is made once, from W, when
+    the network is built.  ``rmatmul`` is the one other product: R @ W for
+    the few rows R of a run's accumulator check, once per run.
     """
 
     n: int
@@ -82,13 +83,16 @@ class Network:
         if Q.shape[-2:-1] != inv.shape:
             raise ValueError(f"cannot mix an array of shape {Q.shape} with "
                              f"{len(inv)} agents")
+        # the gemm's result dtype: Q's own for a float64 or longdouble stack
+        dtype = np.result_type(self.W, Q)
+        Q = Q.astype(dtype, copy=False)
         if out is None:
-            out = np.empty(Q.shape)
+            out = np.empty(Q.shape, dtype)
         # rows in gather order, by degree: the rows that take part in slot t
         # are a prefix, and row inv[i] of acc is agent i's running sum.  Every
         # index is in range by construction; "clip" skips the buffered bounds
         # check of the default mode
-        acc, part = np.empty((2,) + Q.shape[-2:])
+        acc, part = np.empty((2,) + Q.shape[-2:], dtype)
         (cols, w), rest = slots[0], slots[1:]
         for j in np.ndindex(Q.shape[:-2]):
             q = Q[j]
@@ -101,6 +105,12 @@ class Network:
                 acc[:len(c)] += p
             np.take(acc, inv, axis=0, out=out[j], mode="clip")
         return out
+
+    def rmatmul(self, R: np.ndarray) -> np.ndarray:
+        """R @ W for a (p, n) array R, each entry summed over W's rows in
+        ascending order by ``np.einsum``, which uses no BLAS: the same at any
+        thread count.  One dense pass over W, p n^2 products."""
+        return np.einsum("pi,ij->pj", R, self.W)
 
 
 def _gather_plan(W: np.ndarray) -> tuple | None:

@@ -100,8 +100,8 @@ def test_criterion_2_structural_identities(benchmark_scenario):
             continue
         tr = run(algo, 500, net, suite, params, comp, seed=404, x0=x0,
                  f_star=ref.f_star)
-        assert tr.diagnostics["struct_x"] <= 1e-12, algo
-        assert tr.diagnostics["struct_y"] <= 1e-12, algo
+        assert tr.diagnostics["struct_proj_x"] <= 1e-12, algo
+        assert tr.diagnostics["struct_proj_y"] <= 1e-12, algo
     _report(2, "accumulator identities hold to 1e-12 relative residual "
                "at every iteration")
 

@@ -29,6 +29,7 @@ from twin_stepper_oracle import (
     metrics_oracle,
     row_norm_max_oracle,
     run_twin,
+    struct_proj_oracle,
     struct_resid_oracle,
 )
 
@@ -117,8 +118,8 @@ def test_mean_recursion_and_structure_diagnostics(small_net, small_suite):
         assert tr.diagnostics["mean_x_recursion"] <= 1e-9
         assert tr.diagnostics["mean_y_tracking"] <= 1e-9
         if algo != "dgt":
-            assert tr.diagnostics["struct_x"] <= 1e-12
-            assert tr.diagnostics["struct_y"] <= 1e-12
+            assert tr.diagnostics["struct_proj_x"] <= 1e-12
+            assert tr.diagnostics["struct_proj_y"] <= 1e-12
 
 
 def test_only_dgt_sends_exact_messages():
@@ -411,15 +412,82 @@ def test_batched_record_helpers_match_per_row_oracle(cost):
     with np.errstate(all="ignore"):
         # accumulators that satisfy the identity up to round-off, as in a run
         Acc = XY - np.einsum("ij,bhjd->bhid", W, XY)
-        struct = algorithms._struct_resid_rows(Acc, XY, net.mix)
         peak = algorithms._row_norm_max_rows(XY - Acc)
         for h in range(2):
-            assert _bits(struct[:, h]) == _bits(
-                [struct_resid_oracle(Acc[j, h], XY[j, h], W)
-                 for j in range(5)]), h
             assert _bits(peak[:, h]) == _bits(
                 [row_norm_max_oracle(XY[j, h] - Acc[j, h])
                  for j in range(5)]), h
+    _struct_proj_matches_per_row_oracle(net, Acc, XY, seed=6)
+
+
+def _struct_proj_matches_per_row_oracle(net, Acc, Base, seed):
+    """Each half of each row of the projected accumulator check is bitwise
+    the per-half oracle's value, at the run's R for ``seed``."""
+    R = algorithms._check_rows(seed, net.n)
+    with np.errstate(all="ignore"):
+        proj = algorithms._struct_proj_rows(Acc, Base, R,
+                                            R - net.rmatmul(R))
+        for h in range(2):
+            assert _bits(proj[:, h]) == _bits(
+                [struct_proj_oracle(Acc[j, h], Base[j, h], R, net.W)
+                 for j in range(len(Base))]), h
+
+
+def test_struct_proj_rows_match_per_row_oracle_past_a_reduction_buffer():
+    # n d = 24000 values per half, past numpy's 8192-element iterator
+    # buffer: at this size an einsum over a whole half sums a stacked half in
+    # another order than a lone one, which the per-agent sums avoid; on a
+    # gather network
+    net = generate_network(800, 0.01, seed=3)
+    rng = np.random.default_rng(1)
+    Base = rng.standard_normal((2, 2, 800, 30))
+    Acc = Base - net.mix(Base)
+    Acc[1, 0, 5, 2] += 1e-6
+    _struct_proj_matches_per_row_oracle(net, Acc, Base, seed=4)
+
+
+_CHECK_NETS = {"dense-n20": (20, 0.3), "gather-n400": (400, 0.012)}
+
+
+@pytest.mark.parametrize("name", sorted(_CHECK_NETS))
+def test_struct_proj_reads_round_off_on_the_identity_and_sees_one_entry(
+        name):
+    # the run's R, on a network that mixes by the gemm and on one that mixes
+    # by the gather.  Acc is (I - W) Base as a run's steps form it, up to
+    # round-off; one entry off by 1e-9 must read far above that, and within
+    # a factor of the full residual (the oracle), since E||R E||^2 = ||E||^2
+    n, density = _CHECK_NETS[name]
+    net = generate_network(n, density, seed=5)
+    assert (net._gather is None) == (name == "dense-n20")
+    rng = np.random.default_rng(2)
+    Base = rng.standard_normal((3, 2, n, 10))
+    Base /= np.sqrt(np.sum(Base * Base, axis=(2, 3), keepdims=True))
+    Acc = Base - net.mix(Base)
+    R = algorithms._check_rows(7, n)
+    S = R - net.rmatmul(R)
+    exact = algorithms._struct_proj_rows(Acc, Base, R, S)
+    assert exact.max() <= 1e-12
+    for j, h, i in ((0, 0, 0), (1, 1, n // 2), (2, 0, n - 1)):
+        bad = Acc.copy()
+        bad[j, h, i, 3] += 1e-9
+        got = algorithms._struct_proj_rows(bad, Base, R, S)
+        full = struct_resid_oracle(bad[j, h], Base[j, h], net.W)
+        assert got[j, h] > 1e-11 and got[j, h] > 1e3 * exact.max()
+        assert 1e-2 * full <= got[j, h] <= 1e1 * full
+        got[j, h] = exact[j, h]
+        assert np.array_equal(got, exact)  # only the planted half moves
+
+
+def test_check_rows_are_a_scaled_gaussian_draw_from_the_seed():
+    # N(0, 1/2) entries, so that E||R E||^2 = ||E||^2: the mean square of
+    # 4000 entries lies within 5 standard errors of 1/2; the seed fixes it
+    R = algorithms._check_rows(0, 2000)
+    assert R.shape == (2, 2000)
+    assert abs(np.mean(R * R) - 0.5) <= 5 * np.sqrt(0.5 / R.size)
+    assert abs(np.mean(R)) <= 5 * np.sqrt(0.5 / R.size)
+    assert np.array_equal(R, algorithms._check_rows(0, 2000))
+    assert not np.array_equal(R, algorithms._check_rows(1, 2000))
+    assert not np.array_equal(R[0], R[1])
 
 
 def test_raise_max_follows_python_max():
@@ -706,15 +774,14 @@ def test_one_compressor_call_and_one_w_product_per_step(small_net,
                                                         small_suite,
                                                         monkeypatch):
     # and each of them takes one block of len(rule.messages) message slots:
-    # the bit ledger bills what the steppers send.  The recorder's
-    # accumulator check mixes (b, 2, n, d) row stacks, so only 3-D blocks
-    # are the steppers' products.
+    # the bit ledger bills what the steppers send.  The recorder makes no
+    # product with W: its accumulator check projects by R, and R @ W is one
+    # Network.rmatmul per compressed run.
     slots, sent = {}, []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):  # the block is the second argument
-            if args[1].ndim == 3:
-                slots[name].append(len(args[1]))
+            slots[name].append(len(args[1]))
             out = fn(*args, **kwargs)
             if name == "compress":
                 sent.append(bool(out.any()))
@@ -724,17 +791,20 @@ def test_one_compressor_call_and_one_w_product_per_step(small_net,
     monkeypatch.setattr(algorithms, "_compress_block",
                         counted("compress", algorithms._compress_block))
     monkeypatch.setattr(Network, "mix", counted("mix", Network.mix))
+    monkeypatch.setattr(Network, "rmatmul",
+                        counted("rmatmul", Network.rmatmul))
     p = AlgorithmParams(eta=0.05, gamma=0.3, phi_x=0.3, phi_y=0.1,
                         varsigma=0.3, s0=8.0, mu=0.99)
     assert {name: len(rule.messages) for name, rule in RULES.items()} == {
         "alg1": 2, "alg2": 4, "alg3": 2, "dgt": 2}
     for algo, comp in _BLOCK_CASES.items():
-        slots.update(compress=[], mix=[])
+        slots.update(compress=[], mix=[], rmatmul=[])
         sent.clear()
         tr = run(algo, 150, small_net, small_suite, p, comp, seed=9)
         assert tr.status == "ok"
         m = len(RULES[algo].messages)
         assert slots["mix"] == [m] * 150, algo
+        assert slots["rmatmul"] == ([] if comp is None else [2]), algo
         # one call for the first messages, whose x and y halves alg2 also
         # sends as its first feedback messages, then one a step
         want = [] if comp is None else [2] + [m] * 150

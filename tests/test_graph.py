@@ -335,7 +335,7 @@ def test_mix_is_w_times_each_slab_bitwise():
         for j in range(3):
             assert np.array_equal(out[j], net.W @ Q[j])
             assert np.array_equal(net.mix(Q[j]), net.W @ Q[j])
-        rows = rng.standard_normal((4, 2, n, 50))  # a recorder's row stack
+        rows = rng.standard_normal((4, 2, n, 50))  # a 4-D stack
         assert np.array_equal(net.mix(rows)[2, 1], net.W @ rows[2, 1])
 
 
@@ -391,6 +391,41 @@ def test_gather_is_within_the_summation_bound_of_w_times_q(sparse_net):
         assert np.array_equal(sparse_net.mix(Q), out)
 
 
+def test_mix_keeps_a_longdouble_stack_in_longdouble(sparse_net):
+    # on both paths, as np.matmul keeps it; the gather sums each row in
+    # column order in long double, as the message-passing oracle does
+    rng = np.random.default_rng(6)
+    for net in (generate_network(20, 0.3, seed=5), sparse_net):
+        Q = _wide_range(rng, (2, net.n, 5)).astype(np.longdouble)
+        got = net.mix(Q)
+        assert got.dtype == np.longdouble
+        assert net.mix(Q, np.empty_like(Q)).dtype == np.longdouble
+        if net._gather is None:
+            assert np.array_equal(got, np.matmul(net.W, Q))
+        else:
+            for i in range(0, net.n, 37):
+                assert np.array_equal(got[1, i], oracle_mix(net.W, i, Q[1]))
+        assert np.allclose(got.astype(np.float64), net.mix(Q.astype(float)),
+                           rtol=1e-12, atol=0.0)
+
+
+def test_rmatmul_sums_over_w_rows_in_order_bitwise(sparse_net):
+    # (R @ W)[p, j] = sum_i R[p, i] W[i, j] over i ascending, one rounded
+    # product and one rounded sum per term, on a dense and a gather network
+    rng = np.random.default_rng(7)
+    for net in (generate_network(20, 0.3, seed=5), sparse_net):
+        R = rng.standard_normal((2, net.n))
+        got = net.rmatmul(R)
+        assert got.shape == (2, net.n)
+        for j in (0, net.n // 3, net.n - 1):
+            for p in range(2):
+                acc = 0.0
+                for i in range(net.n):
+                    acc = acc + R[p, i] * net.W[i, j]
+                assert got[p, j] == acc, (p, j)
+        assert np.allclose(got, R @ net.W, rtol=1e-12, atol=1e-15)
+
+
 def test_gather_refuses_a_block_of_another_size(sparse_net):
     with pytest.raises(ValueError, match="400 agents"):
         sparse_net.mix(np.zeros((2, 399, 5)))
@@ -399,9 +434,9 @@ def test_gather_refuses_a_block_of_another_size(sparse_net):
 def test_sparse_run_csvs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # cgtsim run at one and two BLAS threads, in a subprocess each.  At
     # n = 400 the dense gemm splits across threads: before the gather, the
-    # dgt, alg1 and alg2 CSVs differed.  Still differing in the sidecars:
-    # sigma (eigvalsh of W) and, at some n, the last digit of struct_x and
-    # struct_y (BLAS dots in the row norms).
+    # dgt, alg1 and alg2 CSVs differed.  Each sidecar's diagnostics match
+    # too: the accumulator check projects by R with no BLAS.  Still
+    # differing in the sidecars, as expected: sigma (eigvalsh of W).
     cell = {"params": {"eta": 0.8, "gamma": 0.3}, "force_params": True}
     comp = {"eta": 0.8, "gamma": 0.3, "phi_x": 0.3, "phi_y": 0.1}
     cells = [
@@ -421,7 +456,7 @@ def test_sparse_run_csvs_do_not_depend_on_the_blas_thread_count(tmp_path):
         "cost": {"kind": "logistic_log", "d": 10, "scale": 0.1,
                  "abs_m": True},
         "seeds": {"graph": 1, "cost": 2, "algo": 3}, "cells": cells}))
-    digests = []
+    digests, diags = [], []
     for threads in ("1", "2"):
         out = tmp_path / f"threads_{threads}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
@@ -433,8 +468,12 @@ def test_sparse_run_csvs_do_not_depend_on_the_blas_thread_count(tmp_path):
                        env=env, check=True, capture_output=True)
         digests.append({f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                         for f in out.rglob("*.csv")})
+        diags.append({f.name: doc["diagnostics"] for f in out.rglob("*.json")
+                      if "diagnostics" in (doc := json.loads(f.read_text()))})
     assert len(digests[0]) == 4
     assert digests[0] == digests[1]
+    assert len(diags[0]) == 4
+    assert diags[0] == diags[1]
 
 
 def test_input_validation():

@@ -11,12 +11,15 @@ and final state.
 
 Messages come from the compressor kernel with one message a call, keyed by
 (seed, k, slot) as in the runs; unlike ``compressors.compress`` it also takes
-the non-finite inputs of a diverging run.
+the non-finite inputs of a diverging run.  The accumulator identities are
+checked by the run's projection R (``algorithms._check_rows``), with R(I - W)
+formed here from W.
 """
 
 import numpy as np
 
-from cgtsim.algorithms import _SCALE_FLOOR, DIAG_NAMES, scaling_sequence
+from cgtsim.algorithms import (_SCALE_FLOOR, DIAG_NAMES, _check_rows,
+                               scaling_sequence)
 from cgtsim.compressors import _compress_block
 from cgtsim.costs import RunCosts
 
@@ -58,8 +61,20 @@ def metrics_oracle(cost, X, Y, G):
 
 
 def struct_resid_oracle(Acc, Base, W):
+    """The full accumulator residual ||Acc - (I - W) Base|| / ||Base||."""
     ref = max(float(np.linalg.norm(Base)), 1e-30)
     return float(np.linalg.norm(Acc - (Base - W @ Base))) / ref
+
+
+def struct_proj_oracle(Acc, Base, R, W):
+    """The residual projected by R, ||R Acc - R(I - W) Base|| / ||Base||, of
+    one (n, d) half: each entry of R Acc and R(I - W) Base summed over the
+    agents in ascending order, each norm a reduction over the half."""
+    S = R - np.einsum("pi,ij->pj", R, W)
+    P = np.einsum("pj,jd->pd", R, Acc) - np.einsum("pj,jd->pd", S, Base)
+    num = np.sqrt(np.add.reduce(np.square(P).ravel()))
+    den = np.sqrt(np.add.reduce(np.einsum("jd,jd->j", Base, Base)))
+    return float(num / max(den, 1e-30))
 
 
 def row_norm_max_oracle(A):
@@ -69,8 +84,8 @@ def row_norm_max_oracle(A):
 class _RowRecorder:
     """Trace rows and diag maxima of one run, one row at a time."""
 
-    def __init__(self, algo, cost, W, eta, lyap, phi_w, phi_aux, s_arr):
-        self.algo, self.cost, self.W, self.eta = algo, cost, W, eta
+    def __init__(self, algo, cost, W, R, eta, lyap, phi_w, phi_aux, s_arr):
+        self.algo, self.cost, self.W, self.R, self.eta = algo, cost, W, R, eta
         self.lyap, self.phi_w, self.phi_aux = lyap, phi_w, phi_aux
         self.s_arr = s_arr
         self.cols = {name: [] for name in ("consensus_err", "opt_gap",
@@ -84,7 +99,7 @@ class _RowRecorder:
 
     def row(self, k, st):
         """Record row k of the state list; False if the row is non-finite."""
-        W, s_arr = self.W, self.s_arr
+        W, R, s_arr = self.W, self.R, self.s_arr
         X, Y, G = st[:3]
         xbar, ybar, c, t, g, s, ytr = metrics_oracle(self.cost, X, Y, G)
         L = c + self.phi_w * t
@@ -107,12 +122,12 @@ class _RowRecorder:
             self._raise(1, ytr)
             if self.algo == "alg1":
                 A, B, C, D = st[3:7]
-                self._raise(2, struct_resid_oracle(B, A, W))
-                self._raise(3, struct_resid_oracle(D, C, W))
+                self._raise(2, struct_proj_oracle(B, A, R, W))
+                self._raise(3, struct_proj_oracle(D, C, R, W))
             elif self.algo == "alg3":
                 Xhat, Yhat, V, Z = st[3:7]
-                self._raise(2, struct_resid_oracle(V, Xhat, W))
-                self._raise(3, struct_resid_oracle(Z, Yhat, W))
+                self._raise(2, struct_proj_oracle(V, Xhat, R, W))
+                self._raise(3, struct_proj_oracle(Z, Yhat, R, W))
                 self._raise(4, row_norm_max_oracle(X - Xhat) / s_arr[k])
                 self._raise(5, row_norm_max_oracle(Y - Yhat) / s_arr[k])
         if k > 0:  # the step into row k
@@ -247,8 +262,8 @@ def run_twin(algo, iters, net, suite, p, comp, seed, x0, *, x_star=None,
             st[:] = Xn, Y - gamma * (Y - W @ Y) + Gn - G, Gn
         rec_algo = "dgt"
 
-    rec = _RowRecorder(rec_algo, cost, W, eta, lyap, lyap_phi, lyap_aux,
-                       s_arr)
+    rec = _RowRecorder(rec_algo, cost, W, _check_rows(seed, n), eta, lyap,
+                       lyap_phi, lyap_aux, s_arr)
     status, k_done = ("ok" if last == iters else "scaling_exhausted"), last
     with np.errstate(all="ignore"):
         for k in range(last + 1):

@@ -67,6 +67,10 @@ MUTANTS = [
            "Hat += np.multiply(s_arr[k + 1], Q, out=tmp)"),
     Mutant("alg2-drop-varsigma-on-e", _ALG,
            "            E *= varsigma\n", ""),
+    # alg3's V|Z gains Q - WQ while Xhat|Yhat gains s(k) Q, so V|Z is no
+    # longer (I - W) Xhat|Yhat
+    Mutant("alg3-drop-sk-on-diff", _ALG,
+           "        diff *= sk\n", ""),
     Mutant("dgt-drop-gamma", _ALG,
            "        tmp *= gamma\n        _track(st, tmp, ey, eta, cost)",
            "        _track(st, tmp, ey, eta, cost)"),
@@ -87,6 +91,12 @@ MUTANTS = [
     Mutant("gather-skips-the-inverse-permutation", _GRAPH,
            'np.take(acc, inv, axis=0, out=out[j], mode="clip")',
            "out[j] = acc"),
+    # the accumulator check: R @ W replaced by R, so it projects R Acc
+    # alone; and R zero, so it reads 0 whatever the accumulators hold
+    Mutant("struct-proj-rw-is-r", _ALG,
+           "check = R, R - net.rmatmul(R)", "check = R, R - R"),
+    Mutant("struct-proj-r-is-zero", _ALG,
+           "/ np.sqrt(_CHECK_ROWS)", "* 0.0"),
     # the certified regions' terms
     Mutant("gamma-term-2-40000-to-4000", _AN,
            "one / (40000.0 * (1.0 + 1.0 / c2) * L * L)",
